@@ -4,8 +4,7 @@ Two families are provided:
 
 * ``mollifier_rise`` / ``mollifier_fall`` -- the classical ramp built from the
   ``exp(-1/t)`` bump.  C-infinity, every one-sided derivative vanishes at the
-  endpoints, and the first derivative is available in closed form.  Used where
-  only smoothness, monotonicity and support matter.
+  endpoints.  Used where only smoothness, monotonicity and support matter.
 * ``polyramp`` -- a degree-9 polynomial ramp that is C^4 across its endpoints
   with all derivatives up to order 4 available exactly as polynomials.  Used
   where derivative jets up to fourth order are required in closed form.
@@ -19,8 +18,6 @@ from numpy.polynomial import polynomial as _poly
 __all__ = [
     "mollifier_rise",
     "mollifier_fall",
-    "mollifier_rise_derivative",
-    "mollifier_fall_derivative",
     "polyramp",
     "polyramp_derivative",
     "POLYRAMP_MAX_DERIVATIVE",
@@ -60,28 +57,6 @@ def mollifier_fall(t):
     """Monotone C-infinity ramp: 1 for t <= 0, 0 for t >= 1."""
     arr, scalar = _as_grid(t)
     out = 1.0 - mollifier_rise(arr)
-    return float(out[0]) if scalar else out
-
-
-def mollifier_rise_derivative(t):
-    """Closed-form derivative of :func:`mollifier_rise`.
-
-    With p = S(t), q = S(1-t): d/dt [p/(p+q)] = p*q*(t^-2 + (1-t)^-2)/(p+q)^2.
-    """
-    arr, scalar = _as_grid(t)
-    out = np.zeros_like(arr)
-    mid = (arr > 0.0) & (arr < 1.0)
-    tm = arr[mid]
-    p = np.exp(-1.0 / tm)
-    q = np.exp(-1.0 / (1.0 - tm))
-    out[mid] = p * q * (tm**-2 + (1.0 - tm) ** -2) / (p + q) ** 2
-    return float(out[0]) if scalar else out
-
-
-def mollifier_fall_derivative(t):
-    """Closed-form derivative of :func:`mollifier_fall`."""
-    arr, scalar = _as_grid(t)
-    out = -mollifier_rise_derivative(arr)
     return float(out[0]) if scalar else out
 
 

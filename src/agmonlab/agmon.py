@@ -10,7 +10,6 @@ product-form models.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass
@@ -33,7 +32,6 @@ __all__ = [
     "collar_map",
     "separable_level_set",
     "eikonal_residual",
-    "export_distance_csv",
 ]
 
 
@@ -448,7 +446,7 @@ def collar_map(model: ModelProblem, field: DistanceField) -> CollarMap:
 
 
 # --------------------------------------------------------------------------
-# diagnostics and export
+# diagnostics
 # --------------------------------------------------------------------------
 
 
@@ -475,29 +473,6 @@ def eikonal_residual(field: DistanceField) -> float:
         sel = interior
         return float(np.max(np.abs(grad2[sel] - barrier[sel])))
     return float(np.max(np.abs(grad2[:, interior] - barrier[:, interior])))
-
-
-def export_distance_csv(field: DistanceField, path) -> None:
-    """Write the distance field as CSV rows (coordinates..., distance)."""
-    model = field.model
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (
-            ["normal", "distance"]
-            if model.ndim == 1
-            else ["tangential", "normal", "distance"]
-        )
-        writer.writerow(header)
-        if model.ndim == 1:
-            for x, d in zip(field.axes[0], field.values):
-                writer.writerow([f"{x:.17g}", f"{d:.17g}"])
-        else:
-            xp, xn = field.axes
-            for i in range(xp.size):
-                for j in range(xn.size):
-                    writer.writerow(
-                        [f"{xp[i]:.17g}", f"{xn[j]:.17g}", f"{field.values[i, j]:.17g}"]
-                    )
 
 
 def distance_quadrature_oracle(model: ModelProblem, x: float) -> float:

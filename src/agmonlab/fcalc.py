@@ -14,8 +14,6 @@ its second-order comparison ODE.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -38,8 +36,6 @@ __all__ = [
     "comparison_solution",
     "derivative_family",
     "expected_circle_eigenvalue",
-    "export_mass_profile_csv",
-    "export_verdict_json",
     "exterior_mass",
     "family_derivative_norms",
     "hs_apply",
@@ -939,36 +935,3 @@ def mass_profile_comparison(
         verdict=verdict,
         meta=meta,
     )
-
-
-# --------------------------------------------------------------------------
-# exports
-# --------------------------------------------------------------------------
-
-
-def export_mass_profile_csv(profile: MassProfile, path) -> None:
-    """Write the (depth, mass, comparison) table as CSV."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["r", "mass", "comparison"])
-        for r, mass, comp in zip(
-            profile.r_grid, profile.mass_values, profile.comparison_values
-        ):
-            writer.writerow([f"{r:.17g}", f"{mass:.17g}", f"{comp:.17g}"])
-
-
-def export_verdict_json(profile: MassProfile, path) -> None:
-    """Write the verdict record with its run coordinates as sorted JSON."""
-    payload = {
-        "model": profile.meta["model"],
-        "lam": profile.meta["lam"],
-        "h": profile.meta["h"],
-        "t_constant": profile.t_constant,
-        "c_constant": profile.c_constant,
-        "mass_at_zero": float(profile.mass_values[0]),
-        "mass_slope_at_zero": profile.mass_slope_at_zero,
-        **profile.verdict,
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")

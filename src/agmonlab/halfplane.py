@@ -17,7 +17,6 @@ at most 1/sqrt(2).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +37,6 @@ __all__ = [
     "zero_section_cutoff",
     "exterior_mass_fraction",
     "verify_lower_chain",
-    "export_chain_csv",
 ]
 
 _EPSILON_MAX = 1.0 / math.sqrt(2.0)
@@ -318,36 +316,3 @@ def verify_lower_chain(
         measured_ratio=trace.norm / phi.norm,
         lower_bound=0.5 * floor,
     )
-
-
-def export_chain_csv(reports, path) -> None:
-    """Write one CSV row per chain report, in the given order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "h",
-                "rho",
-                "delta",
-                "epsilon",
-                "exterior",
-                "measured_ratio",
-                "lower_bound",
-                "final_margin",
-                "passed",
-            ]
-        )
-        for rep in reports:
-            writer.writerow(
-                [
-                    f"{rep.h:.17g}",
-                    f"{rep.rho:.17g}",
-                    f"{rep.delta:.17g}",
-                    f"{rep.epsilon:.17g}",
-                    f"{rep.exterior:.17g}",
-                    f"{rep.measured_ratio:.17g}",
-                    f"{rep.lower_bound:.17g}",
-                    f"{rep.final_margin:.17g}",
-                    str(rep.passed).lower(),
-                ]
-            )

@@ -19,7 +19,6 @@ well posed and the decaying branch is selected by the principal root.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,6 @@ __all__ = [
     "check_large_frequency",
     "metric_equivalence",
     "apply_poisson_parametrix",
-    "export_phase_series_csv",
     "mode_frequencies",
 ]
 
@@ -603,27 +601,3 @@ def apply_poisson_parametrix(
     else:
         raise ValueError(f"unknown parametrix method {method!r}")
     return BoundaryTrace(values=values, level=level, rho=float(rho), h=phi.h)
-
-
-# --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-
-def export_phase_series_csv(series: PhaseSeries, path) -> None:
-    """Coefficient table: one row per (order, tangent node, frequency)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["order", "tangential", "frequency", "coefficient"])
-        c = series.coefficients
-        for j in range(c.shape[0]):
-            for i, xp in enumerate(series.tangential_nodes):
-                for k, xi in enumerate(series.frequencies):
-                    writer.writerow(
-                        [
-                            j + 1,
-                            f"{xp:.17g}",
-                            f"{xi:.17g}",
-                            f"{float(c[j, i, k]):.17g}",
-                        ]
-                    )

@@ -34,7 +34,6 @@ __all__ = [
     "make_model",
     "eval_potential",
     "potential_grid",
-    "potential_gradient_grid",
     "normal_taylor_coefficients",
     "transverse_potential",
     "domain_axes",
@@ -238,16 +237,6 @@ def potential_grid(model: ModelProblem, *axes) -> np.ndarray:
     xp = np.asarray(axes[0], dtype=float)[:, None]
     xn = np.asarray(axes[1], dtype=float)[None, :]
     return np.asarray(fn(xp, xn), dtype=float)
-
-
-def potential_gradient_grid(model: ModelProblem, *axes) -> tuple[np.ndarray, ...]:
-    """Vectorized gradient of V on the outer product of axis coordinates."""
-    fn = _gradient_fn(model)
-    if model.ndim == 1:
-        return fn(np.asarray(axes[0], dtype=float))
-    xp = np.asarray(axes[0], dtype=float)[:, None]
-    xn = np.asarray(axes[1], dtype=float)[None, :]
-    return fn(xp, xn)
 
 
 def eval_potential(model: ModelProblem, point) -> tuple[float, np.ndarray]:

@@ -16,7 +16,6 @@ modes against its sampled values at each node.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +42,6 @@ __all__ = [
     "tail_operator_bound",
     "split_in_out",
     "random_band_probes",
-    "export_class_report_csv",
 ]
 
 _BRIDGE_NODES = 8193
@@ -562,30 +560,3 @@ def tail_operator_bound(
         factorization_ok=factor_ok,
         probe_ratios=np.array(ratios),
     )
-
-
-# --------------------------------------------------------------------------
-# serialization
-# --------------------------------------------------------------------------
-
-
-def export_class_report_csv(report: SymbolClassReport, path) -> None:
-    """One row per (multi-index, h) with the measured sup and fit summary."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["alpha", "beta", "h", "derivative_sup", "exponent", "threshold", "pass"]
-        )
-        for i, (alpha, beta) in enumerate(report.indices):
-            for j, h in enumerate(report.h_values):
-                writer.writerow(
-                    [
-                        alpha,
-                        beta,
-                        f"{h:.17g}",
-                        f"{report.sups[i, j]:.17g}",
-                        f"{report.exponents[i]:.17g}",
-                        f"{report.thresholds[i]:.17g}",
-                        int(report.per_index_pass[i]),
-                    ]
-                )

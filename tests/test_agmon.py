@@ -12,7 +12,6 @@ from agmonlab.agmon import (
     collar_map,
     distance_quadrature_oracle,
     eikonal_residual,
-    export_distance_csv,
     level_set_at,
     separable_collar,
     separable_level_set,
@@ -118,6 +117,7 @@ class TestAgmonDistance:
     def test_constant_weight_halfplane(self):
         model = make_model("halfplane-unit")
         field = agmon_distance(model, source="boundary", grid_sizes=(32, 65))
+        assert field.values.shape == (32, 65)
         xn = field.axes[1]
         for i in (0, 7, 31):
             np.testing.assert_allclose(field.values[i], xn, atol=1e-12)
@@ -344,38 +344,3 @@ class TestCollarMap:
         field = agmon_distance(model, grid_sizes=(8, 16))
         with pytest.raises(ValueError, match="cells"):
             collar_map(model, field)
-
-
-# --------------------------------------------------------------------------
-# export
-# --------------------------------------------------------------------------
-
-
-class TestExport:
-    def test_csv_roundtrip_1d(self, tmp_path):
-        model = make_model("barrier-1d")
-        field = agmon_distance(model, grid_sizes=(65,))
-        out = tmp_path / "distance.csv"
-        export_distance_csv(field, out)
-        rows = out.read_text().strip().splitlines()
-        assert rows[0] == "normal,distance"
-        assert len(rows) == 66
-        x, d = (float(v) for v in rows[33].split(","))
-        assert d == pytest.approx(x + x**2 / 2.0, abs=1e-12)
-
-    def test_csv_deterministic(self, tmp_path):
-        model = make_model("separable-torus")
-        field = agmon_distance(model, grid_sizes=(8, 32))
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_distance_csv(field, a)
-        export_distance_csv(field, b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_csv_2d_has_full_grid(self, tmp_path):
-        model = make_model("separable-torus")
-        field = agmon_distance(model, grid_sizes=(8, 32))
-        out = tmp_path / "distance2d.csv"
-        export_distance_csv(field, out)
-        rows = out.read_text().strip().splitlines()
-        assert rows[0] == "tangential,normal,distance"
-        assert len(rows) == 1 + 8 * 32

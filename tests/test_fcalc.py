@@ -7,7 +7,6 @@ expected value below is computed from one of these or is an exact algebraic
 identity of the inputs.
 """
 
-import json
 import math
 
 import numpy as np
@@ -24,8 +23,6 @@ from agmonlab.fcalc import (
     derivative_family,
     expected_circle_eigenvalue,
     exterior_mass,
-    export_mass_profile_csv,
-    export_verdict_json,
     family_derivative_norms,
     hs_apply,
     integrate_comparison_ode,
@@ -785,32 +782,12 @@ class TestMassProfileComparison:
         assert meta["support_dim"] > 200  # window plateau covers most modes
         assert 0.0 < meta["spectral_shift_size"] < 1.0
 
-    def test_exports_are_deterministic(
-        self, detailed_profile, torus_mode_detailed, tmp_path
-    ):
+    def test_recompute_is_bitwise_identical(self, detailed_profile, torus_mode_detailed):
         profile = detailed_profile
         again = mass_profile_comparison(torus_mode_detailed, TORUS, lam=4.0, h=0.1375)
         assert np.array_equal(profile.mass_values, again.mass_values)
-
-        csv_a, csv_b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_mass_profile_csv(profile, csv_a)
-        export_mass_profile_csv(again, csv_b)
-        assert csv_a.read_bytes() == csv_b.read_bytes()
-        lines = csv_a.read_text().strip().splitlines()
-        assert lines[0] == "r,mass,comparison"
-        assert len(lines) == 1 + 65
-        first = lines[1].split(",")
-        assert float(first[0]) == 0.0
-        assert float(first[1]) == profile.mass_values[0]
-
-        json_a, json_b = tmp_path / "a.json", tmp_path / "b.json"
-        export_verdict_json(profile, json_a)
-        export_verdict_json(again, json_b)
-        assert json_a.read_bytes() == json_b.read_bytes()
-        payload = json.loads(json_a.read_text())
-        assert payload["comparison_holds"] is True
-        assert payload["model"] == TORUS.name
-        assert payload["t_constant"] == profile.t_constant
+        assert np.array_equal(profile.comparison_values, again.comparison_values)
+        assert again.t_constant == profile.t_constant
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from agmonlab.halfplane import (
     BoundaryFunction,
     apply_halfplane_poisson,
     exterior_mass_fraction,
-    export_chain_csv,
     fourier_h,
     inverse_fourier_h,
     make_boundary_function,
@@ -311,18 +310,3 @@ class TestLowerChain:
         )
         with pytest.raises(ValueError, match="exterior mass"):
             verify_lower_chain(u, rho=0.1, delta=delta, epsilon=0.1)
-
-    def test_csv_export_deterministic(self, tmp_path):
-        u = BoundaryFunction(values=np.ones(128), length=L, h=0.05)
-        reports = [
-            verify_lower_chain(u, rho=r, delta=0.5, epsilon=0.1)
-            for r in (0.05, 0.1, 0.2)
-        ]
-        pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_chain_csv(reports, pa)
-        export_chain_csv(reports, pb)
-        assert pa.read_bytes() == pb.read_bytes()
-        rows = pa.read_text().strip().splitlines()
-        assert len(rows) == 4
-        assert rows[0].startswith("h,rho,delta")
-        assert rows[1].endswith("true")

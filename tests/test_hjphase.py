@@ -27,7 +27,6 @@ from agmonlab.hjphase import (
     check_large_frequency,
     check_small_frequency,
     evaluate_phase,
-    export_phase_series_csv,
     metric_equivalence,
     mode_frequencies,
     phase_function,
@@ -87,6 +86,7 @@ class TestSolvePhaseSeries:
         series = solve_phase_series(FLAT, "agmon", 6, (np.array([0.0]), xi))
         lead = np.sqrt(1.0 + xi**2) - 1.0
         c = series.coefficients.astype(float)
+        assert c.shape == (7, 1, 4)
         assert c[0, 0] == pytest.approx(lead, abs=1e-15)
         assert np.max(np.abs(c[1:])) < 1e-18
         phi = evaluate_phase(series, 0.4)
@@ -404,16 +404,3 @@ class TestPhaseFunction:
     def test_requires_gauged_kind(self):
         with pytest.raises(ValueError, match="gauged"):
             phase_function(TORUS, "ambient", 4)
-
-
-class TestExport:
-    def test_csv_shape_and_determinism(self, tmp_path):
-        xi = np.array([0.0, 0.5, 1.0])
-        series = solve_phase_series(FLAT, "agmon", 3, (np.array([0.0]), xi))
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_phase_series_csv(series, a)
-        export_phase_series_csv(series, b)
-        assert a.read_bytes() == b.read_bytes()
-        lines = a.read_text().strip().splitlines()
-        assert len(lines) == 1 + 4 * 1 * 3
-        assert lines[0] == "order,tangential,frequency,coefficient"

@@ -28,7 +28,6 @@ from agmonlab.quantize import (
     apply_quantized,
     build_cutoff_profile,
     build_phase_cutoff,
-    export_class_report_csv,
     frame_lower_bound_check,
     random_band_probes,
     split_in_out,
@@ -471,6 +470,7 @@ class TestSymbolClass:
             )
 
         report = symbol_class_check(builder, 0.7, 0.0, [0.1, 0.05, 0.025, 0.0125])
+        assert report.sups.shape == (6, 4)
         assert np.all(report.sups == 0.0)
         assert np.all(np.isinf(report.exponents))
         assert report.passed
@@ -513,26 +513,6 @@ class TestSymbolClass:
     def test_sweep_too_short(self):
         with pytest.raises(ValueError, match="sweep"):
             symbol_class_check(lambda h: None, 0.0, 0.5, [0.1, 0.05])
-
-    def test_csv_export(self, tmp_path):
-        n = 64
-
-        def builder(h):
-            return Symbol(
-                values=np.full((1, n), 0.7),
-                x_nodes=np.array([0.0]),
-                frequencies=mode_frequencies(n, LENGTH, h),
-                h=h,
-                class_exponent=0.0,
-            )
-
-        report = symbol_class_check(builder, 0.7, 0.0, [0.1, 0.05, 0.025, 0.0125])
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_class_report_csv(report, a)
-        export_class_report_csv(report, b)
-        assert a.read_bytes() == b.read_bytes()
-        lines = a.read_text().strip().splitlines()
-        assert len(lines) == 1 + 6 * 4
 
 
 class TestFrameLowerBound:

@@ -7,6 +7,8 @@ Oracles used here:
     arccosh(1 + dx^2 c / (2 h^2)) / dx;
   * the harmonic-well spectrum (2m+1) h of -h^2 d^2 + x^2;
   * an independently assembled dense matrix for the cosine well;
+  * a sparse direct solve of the full 5-point Poisson system, assembled
+    here with Kronecker products (independent of the CG kernel);
   * the Liouville-Green decay law exp(-weighted distance / h) with
     amplitude (V - E)^(-1/4), accurate to O(h) relative error;
   * closed-form half-plane multiplier solutions for constant barriers.
@@ -16,9 +18,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from scipy.integrate import quad
 from scipy.linalg import eigh
+from scipy.sparse.linalg import spsolve
 
+from agmonlab import solver
 from agmonlab.agmon import (
     DistanceField,
     agmon_distance,
@@ -35,8 +40,6 @@ from agmonlab.solver import (
     assemble_separable_mode,
     decay_fit,
     decay_profile_1d,
-    export_eigenvalues_csv,
-    export_trace_csv,
     gauge_transform,
     normal_derivative_trace,
     poisson_bvp,
@@ -72,6 +75,30 @@ def dense_periodic_oracle(profile, length, lo, h, n):
         mat[i, (i + 1) % n] = -(h**2) / dx**2
         mat[i, (i - 1) % n] = -(h**2) / dx**2
     return np.linalg.eigvalsh(mat)
+
+
+def sparse_direct_oracle(model, phi, h, far, n_normal):
+    """Interior of the Dirichlet strip solve by a sparse direct factorization
+    of the full 5-point system, u(., 0) = phi and u(., far) = 0."""
+    length = model.lengths[0]
+    nx, m = phi.values.size, n_normal - 2
+    xp = length / nx * np.arange(nx)
+    xn = np.linspace(0.0, far, n_normal)
+    w = potential_grid(model, xp, xn)[:, 1:-1] - model.energy
+    cn = h**2 / (xn[1] - xn[0]) ** 2
+    cp = h**2 / (length / nx) ** 2
+    normal = sparse.diags([-cn, 2.0 * cn, -cn], [-1, 0, 1], shape=(m, m))
+    circle = sparse.diags(
+        [-cp, -cp, 2.0 * cp, -cp, -cp], [1 - nx, -1, 0, 1, nx - 1], shape=(nx, nx)
+    )
+    mat = (
+        sparse.kron(sparse.eye(nx), normal)
+        + sparse.kron(circle, sparse.eye(m))
+        + sparse.diags(w.ravel())
+    )
+    rhs = np.zeros((nx, m), dtype=complex)
+    rhs[:, 0] = cn * phi.values
+    return spsolve(mat.tocsc(), rhs.ravel()).reshape(nx, m)
 
 
 def torus_weight(s):
@@ -265,7 +292,8 @@ class TestPoissonBVP:
         )[None, :]
         assert np.max(np.abs(field.values - exact)) < 1e-6
         assert field.meta["residual"] < 1e-8
-        assert field.meta["path"] == "mode-tridiagonal"
+        assert field.meta["path"] == "mode-pcg"
+        assert field.meta["iterations"] == 0
 
     def test_zero_data_gives_zero_field(self):
         n = 64
@@ -282,23 +310,45 @@ class TestPoissonBVP:
         assert np.min(vals) >= -1e-10
         assert np.max(vals) <= 1.5 + 1e-10
 
-    def test_mode_and_sparse_paths_agree(self):
+    @pytest.mark.parametrize(
+        "model, far, n_normal",
+        [(TORUS, 1.2, 101), (STRIP, 0.5, 41)],
+        ids=["separable-torus", "strip-2d"],
+    )
+    def test_agrees_with_sparse_direct_oracle(self, model, far, n_normal):
         nx = 32
         xp = 2.0 * math.pi / nx * np.arange(nx)
-        phi = BoundaryFunction(1.0 + 0.3 * np.cos(2.0 * xp), 2.0 * math.pi, 0.05)
-        a = poisson_bvp(TORUS, phi, 0.05, far=1.2, n_normal=101, path="sparse-direct")
-        b = poisson_bvp(TORUS, phi, 0.05, far=1.2, n_normal=101)
-        assert b.meta["path"] == "mode-tridiagonal"
-        assert np.max(np.abs(a.values - b.values)) < 1e-10
-
-    def test_strip_model_uses_sparse_path(self):
-        nx = 32
-        xp = 2.0 * math.pi / nx * np.arange(nx)
-        phi = BoundaryFunction(np.ones(nx) + 0.2 * np.cos(xp), 2.0 * math.pi, 0.05)
-        field = poisson_bvp(STRIP, phi, 0.05, far=0.5, n_normal=41)
-        assert field.meta["path"] == "sparse-direct"
+        data = 1.0 + 0.3 * np.cos(2.0 * xp) + 0.2j * np.sin(3.0 * xp)
+        phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)
+        field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
+        oracle = sparse_direct_oracle(model, phi, 0.05, far, n_normal)
+        assert np.max(np.abs(field.values[:, 1:-1] - oracle)) < 1e-10
+        assert np.array_equal(field.values[:, 0], data)
+        assert np.all(field.values[:, -1] == 0.0)
+        assert np.min(np.real(field.values)) >= -1e-10  # maximum principle
+        assert field.meta["path"] == "mode-pcg"
         assert field.meta["residual"] < 1e-8
-        assert np.min(np.real(field.values)) >= -1e-10
+        if model is TORUS:  # tangentially constant: the preconditioner is exact
+            assert field.meta["iterations"] == 0
+        else:
+            assert field.meta["iterations"] > 0
+
+    def test_large_strip_solve_converges(self):
+        # 128 x 1999 = 255,872 interior unknowns, tangentially varying V
+        nx = 128
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        phi = BoundaryFunction(1.0 + 0.2 * np.cos(xp), 2.0 * math.pi, 0.05)
+        field = poisson_bvp(STRIP, phi, 0.05, far=0.8, n_normal=2001, rho_max=0.2)
+        assert field.meta["residual"] <= 1e-9
+        assert 0 < field.meta["iterations"] < 50
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_PCG_MAX_ITER", 2)
+        nx = 32
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        phi = BoundaryFunction(1.0 + 0.2 * np.cos(xp), 2.0 * math.pi, 0.05)
+        with pytest.raises(ValueError, match=r"32 x 41 grid: residual .* after 2"):
+            poisson_bvp(STRIP, phi, 0.05, far=0.5, n_normal=41)
 
     def test_doubling_far_boundary_is_negligible(self):
         nx = 64
@@ -633,37 +683,3 @@ class TestTorusSandwich:
             assert ratio >= 0.5 * math.exp(-rho / h)  # lower estimate holds
         s5 = float(collar.s_of_rho(0.5))
         assert abs(float(spl(s5))) / gamma_val > 1.0  # and the mode grows
-
-
-class TestExports:
-    def test_eigenvalue_table(self, tmp_path):
-        well = transverse_well_from_model(TORUS)
-        modes = solve_transverse_modes(well, h=0.05, target=0.5, count=3, n=512)
-        out = tmp_path / "eigs.csv"
-        export_eigenvalues_csv(modes, out, "separable-torus")
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 4
-        assert lines[0] == "model,h,k,energy,residual"
-        assert float(lines[1].split(",")[3]) == pytest.approx(modes[0].energy)
-
-    def test_trace_csv_deterministic(self, tmp_path):
-        field_values = np.ones((16, 101), dtype=complex)
-        xp = 2.0 * math.pi / 16 * np.arange(16)
-        xn = np.linspace(0.0, 1.0, 101)
-        field = Field2D(
-            values=field_values,
-            tangential_nodes=xp,
-            normal_nodes=xn,
-            h=0.05,
-            model=FLAT,
-            meta={},
-        )
-        level = separable_level_set(FLAT, 0.25, n_tangential=16)
-        trace = trace_at(field, level)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        export_trace_csv(trace, a)
-        export_trace_csv(trace, b)
-        assert a.read_bytes() == b.read_bytes()
-        lines = a.read_text().strip().splitlines()
-        assert len(lines) == 17
-        assert lines[0].startswith("tangential,normal,re,im")
