@@ -14,6 +14,7 @@ its second-order comparison ODE.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -46,6 +47,8 @@ __all__ = [
     "surface_level",
     "surface_trace_of_mode",
 ]
+
+_log = logging.getLogger(__name__)
 
 _PROFILE_SUP_NODES = 20001
 _SUPPORT_WEIGHT_FLOOR = 1e-6
@@ -276,51 +279,80 @@ def _resolvent_weighted_sum(
 ) -> np.ndarray:
     """Sum of w_j (z_j I - T)^{-1} for a real symmetric tridiagonal T.
 
-    Fast path: the resolvent of an unreduced tridiagonal factors entrywise
-    into left and right homogeneous solutions, R_ij = x_i y_j for i <= j,
-    so the weighted sum collapses into two batched recurrences plus two
-    rank-m products.  Falls back to batched Thomas elimination when the
-    off-diagonal nearly vanishes or the recurrences overflow.
+    T is split at every off-diagonal below 1e-12 of its scale, so the sum is
+    block diagonal and its entries between blocks are exactly 0.  A level
+    circle splits at n/2 this way: the Krylov space of e_1 is the even
+    subspace.  Each unreduced block goes to :func:`_block_weighted_sum`;
+    1x1 blocks use the closed form.
     """
     n = diag.size
     total = np.zeros((n, n), dtype=complex)
-    if n == 1:
-        total[0, 0] = np.sum(weights / (nodes - diag[0]))
-        return total
-    scale = max(float(np.max(np.abs(diag))), float(np.max(np.abs(off))), 1.0)
-    if float(np.min(np.abs(off))) < 1e-12 * scale:
-        return _resolvent_weighted_sum_thomas(diag, off, nodes, weights)
+    scale = max(
+        float(np.max(np.abs(diag))), float(np.max(np.abs(off), initial=0.0)), 1.0
+    )
+    cuts = np.flatnonzero(np.abs(off) < 1e-12 * scale) + 1
+    bounds = [0, *cuts.tolist(), n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo == 1:
+            total[lo, lo] = np.sum(weights / (nodes - diag[lo]))
+        else:
+            total[lo:hi, lo:hi] = _block_weighted_sum(
+                diag[lo:hi], off[lo : hi - 1], nodes, weights
+            )
+    return total
 
+
+def _block_weighted_sum(
+    diag: np.ndarray, off: np.ndarray, nodes: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Weighted resolvent sum of one unreduced tridiagonal block.
+
+    The resolvent factors entrywise into left and right homogeneous
+    solutions, R_ij = x_i y_j for i <= j, so the weighted sum collapses into
+    two batched recurrences and one rank-m product; T is symmetric and the
+    weights diagonal, so the lower triangle is the transposed upper one.
+    The recurrences grow like prod |z - d_i| / |off_i| and overflow when the
+    couplings are tiny against the diagonal spread; such a block falls back
+    to :func:`_resolvent_weighted_sum_thomas` with a logged warning.
+    """
+    n = diag.size
     b = np.concatenate([-off, [1.0]])
-    a = nodes[:, None] - diag[None, :]
-    x = np.empty((nodes.size, n + 1), dtype=complex)
-    x[:, 0] = 1.0
-    x[:, 1] = -a[:, 0] / b[0]
-    for i in range(2, n + 1):
-        x[:, i] = -(a[:, i - 1] * x[:, i - 1] + b[i - 2] * x[:, i - 2]) / b[i - 1]
-    y = np.empty((nodes.size, n + 1), dtype=complex)
-    y[:, n] = 0.0
-    y[:, n - 1] = -1.0 / x[:, n]
-    for j in range(n - 2, -1, -1):
-        y[:, j] = -(a[:, j + 1] * y[:, j + 1] + b[j + 1] * y[:, j + 2]) / b[j]
+    x = np.empty((n + 1, nodes.size), dtype=complex)
+    y = np.empty((n + 1, nodes.size), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x[0] = 1.0
+        x[1] = -(nodes - diag[0]) / b[0]
+        for i in range(2, n + 1):
+            x[i] = -((nodes - diag[i - 1]) * x[i - 1] + b[i - 2] * x[i - 2]) / b[i - 1]
+        y[n] = 0.0
+        y[n - 1] = -1.0 / x[n]
+        for j in range(n - 2, -1, -1):
+            y[j] = -((nodes - diag[j + 1]) * y[j + 1] + b[j + 1] * y[j + 2]) / b[j]
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        _log.warning(
+            "resolvent recurrence overflowed on a %d-row tridiagonal block; "
+            "batched Thomas elimination over %d nodes",
+            n,
+            nodes.size,
+        )
         return _resolvent_weighted_sum_thomas(diag, off, nodes, weights)
-    left = x[:, :n]
-    right = y[:, :n]
-    upper = (left * weights[:, None]).T @ right
-    lower = (right * weights[:, None]).T @ left
-    return np.triu(upper) + np.tril(lower, -1)
+    left = x[:n]
+    left *= weights
+    upper = left @ y[:n].T
+    return np.triu(upper) + np.tril(upper.T, -1)
 
 
 def _resolvent_weighted_sum_thomas(
     diag: np.ndarray, off: np.ndarray, nodes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Batched Thomas elimination without pivoting (stable fallback).
+    """Batched Thomas elimination without pivoting.
 
-    Every pivot is the reciprocal of a diagonal resolvent entry of a
-    leading principal block, so its modulus is at least the distance from
-    z_j to the real spectral hull — bounded below by |Im z_j| off the axis
-    and by the contour clearance on the axis.
+    The fallback for a block whose homogeneous-solution recurrences overflow
+    in :func:`_block_weighted_sum`; it costs O(nodes n^2) time and up to
+    12e6 complex entries per batch.  Every pivot is the reciprocal of a
+    diagonal resolvent entry of a leading principal block, so its modulus
+    is at least the distance from z_j to the real spectral hull — bounded
+    below by |Im z_j| off the axis and by the contour clearance on the axis.
     """
     n = diag.size
     total = np.zeros((n, n), dtype=complex)

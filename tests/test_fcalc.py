@@ -7,16 +7,19 @@ expected value below is computed from one of these or is an exact algebraic
 identity of the inputs.
 """
 
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from agmonlab import fcalc
 from agmonlab._smooth import polyramp, polyramp_derivative
 from agmonlab.agmon import LevelSet
 from agmonlab.fcalc import (
     AlmostAnalyticExtension,
+    _resolvent_weighted_sum,
     almost_analytic_extension,
     boundary_operator,
     comparison_solution,
@@ -323,13 +326,23 @@ class TestSpectralCalculus:
 # --------------------------------------------------------------------------
 
 
+@pytest.fixture
+def no_thomas(monkeypatch):
+    """Fail the test if the resolvent sum leaves the recurrence path."""
+
+    def refuse(*args):
+        raise AssertionError("Thomas fallback reached")
+
+    monkeypatch.setattr(fcalc, "_resolvent_weighted_sum_thomas", refuse)
+
+
 class TestHsApply:
-    def test_zero_operator_maps_to_zero(self):
+    def test_zero_operator_maps_to_zero(self, no_thomas):
         ext = almost_analytic_extension(4.0, 0.05)
         F = hs_apply(np.zeros((8, 8)), ext)
         assert np.max(np.abs(F)) <= 1e-6
 
-    def test_far_plateau_multiple_of_identity(self):
+    def test_far_plateau_multiple_of_identity(self, no_thomas):
         ext = almost_analytic_extension(4.0, 0.05)
         t = 2.5 * ext.scale
         F = hs_apply(t * np.eye(4), ext)
@@ -345,11 +358,12 @@ class TestHsApply:
         F = hs_apply(P, ext)
         assert float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2)) <= 1e-6
 
-    def test_matches_spectral_oracle_on_level_circle(self):
+    def test_matches_spectral_oracle_on_level_circle(self, no_thomas):
         ext = almost_analytic_extension(4.0, 0.05)
-        P = boundary_operator(TORUS, 0.3, 0.05, n=128)
-        F = hs_apply(P, ext)
-        assert float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2)) <= 1e-6
+        for n in (32, 128):
+            P = boundary_operator(TORUS, 0.3, 0.05, n=n)
+            F = hs_apply(P, ext)
+            assert float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2)) <= 1e-6
 
     def test_output_exactly_symmetric_with_spectrum_in_unit_window(self):
         ext = almost_analytic_extension(4.0, 0.05)
@@ -399,6 +413,37 @@ class TestHsApply:
             hs_apply(-0.1 * np.eye(8), ext)
         with pytest.raises(ValueError, match="256"):
             hs_apply(np.zeros((300, 300)), ext)
+
+
+class TestResolventWeightedSum:
+    def test_split_tridiagonal_matches_dense_inverse(self):
+        rng = np.random.default_rng(12)
+        n = 12
+        diag = rng.uniform(0.0, 4.0, n)
+        off = rng.uniform(0.5, 1.5, n - 1)
+        off[4] = 0.0  # blocks rows 0..4 and 5..11
+        nodes = rng.uniform(-1.0, 5.0, 6) + 1j * rng.choice([-1.0, 1.0], 6) * rng.uniform(
+            0.1, 1.0, 6
+        )
+        weights = rng.normal(size=6) + 1j * rng.normal(size=6)
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        expected = sum(w * np.linalg.inv(z * np.eye(n) - T) for z, w in zip(nodes, weights))
+        total = _resolvent_weighted_sum(diag, off, nodes, weights)
+        assert np.max(np.abs(total - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.all(total[:5, 5:] == 0.0) and np.all(total[5:, :5] == 0.0)
+
+    def test_overflowing_block_falls_back_to_thomas(self, caplog):
+        ext = almost_analytic_extension(4.0, 0.05)
+        rng = np.random.default_rng(0)
+        P = np.diag(rng.uniform(0.0, 4.0 * ext.scale, 64))
+        idx = np.arange(63)
+        P[idx, idx + 1] = P[idx + 1, idx] = 1e-6
+        with caplog.at_level(logging.WARNING, logger="agmonlab.fcalc"):
+            F = hs_apply(P, ext)
+        assert any(
+            "overflowed on a 64-row" in rec.getMessage() for rec in caplog.records
+        )
+        assert float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2)) <= 1e-6
 
 
 # --------------------------------------------------------------------------
