@@ -2,15 +2,14 @@
 
 The degenerate conformal metric (V - E)_+ g (ambient g flat in every shipped
 model) governs tunneling decay.  This module computes its distance field by
-label-setting shortest paths on a weighted grid graph, extracts level sets
-with both ambient and weighted line elements, and provides the collar change
-of variables between ambient normal coordinates and weighted arclength for
-product-form models.
+label-setting shortest paths (Dijkstra, run by ``scipy.sparse.csgraph``) on
+a weighted grid graph, extracts level sets with both ambient and weighted
+line elements, and provides the collar change of variables between ambient
+normal coordinates and weighted arclength for product-form models.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -18,6 +17,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import CubicSpline
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from agmonlab.models import ModelProblem, domain_axes, potential_grid, transverse_potential
 
@@ -152,6 +153,43 @@ def _edge_offsets(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
+def _grid_graph(
+    weight: np.ndarray, spacing: tuple[float, ...], periodic: tuple[bool, ...]
+) -> csr_matrix:
+    """The weighted grid graph over the C-order flattened nodes.
+
+    Row i lists node i's neighbours in the order of :func:`_edge_offsets`,
+    wrapping around periodic axes and dropping steps off the others; an
+    edge costs the endpoint average of the weight times the Euclidean edge
+    length.  Zero-cost edges are stored explicitly, so they stay edges.
+    """
+    shape = weight.shape
+    flat = weight.ravel()
+    offsets = _edge_offsets(shape)
+    cols = np.empty((flat.size, len(offsets)), dtype=np.int64)
+    cost = np.empty(cols.shape)
+    valid = np.ones(cols.shape, dtype=bool)
+    for k, off in enumerate(offsets):
+        nbr = np.zeros(shape, dtype=np.int64)
+        inside = np.ones(shape, dtype=bool)
+        for axis, o in enumerate(off):
+            view = [1] * len(shape)
+            view[axis] = shape[axis]
+            j = np.arange(shape[axis]) + o
+            if periodic[axis]:
+                j %= shape[axis]
+            else:
+                inside &= ((j >= 0) & (j < shape[axis])).reshape(view)
+                j = np.clip(j, 0, shape[axis] - 1)
+            nbr = nbr * shape[axis] + j.reshape(view)
+        length = math.sqrt(sum((o * d) ** 2 for o, d in zip(off, spacing)))
+        cols[:, k] = nbr.ravel()
+        cost[:, k] = 0.5 * (flat + flat[cols[:, k]]) * length
+        valid[:, k] = inside.ravel()
+    indptr = np.concatenate([[0], np.cumsum(valid.sum(axis=1))])
+    return csr_matrix((cost[valid], cols[valid], indptr), shape=(flat.size,) * 2)
+
+
 def agmon_distance(
     model: ModelProblem,
     source: str = "boundary",
@@ -159,12 +197,13 @@ def agmon_distance(
 ) -> DistanceField:
     """Distance field from the hypersurface or from the allowed set.
 
-    Dijkstra label-setting on the grid graph with 2 neighbours in 1D and 8
-    in 2D; edge weight is the endpoint average of sqrt((V-E)_+) times the
-    Euclidean edge length, first-order accurate against the quadrature
-    oracle on product models.  ``source`` is "boundary" (the hypersurface
-    {normal = 0}) or "caustic" (every node with V <= E, realizing distance
-    to the boundary of the allowed set).
+    Dijkstra label-setting from every source node at once, run by
+    ``scipy.sparse.csgraph.dijkstra`` on the grid graph with 2 neighbours
+    in 1D and 8 in 2D (periodic axes wrap); edge weight is the endpoint
+    average of sqrt((V-E)_+) times the Euclidean edge length, first-order
+    accurate against the quadrature oracle on product models.  ``source``
+    is "boundary" (the hypersurface {normal = 0}) or "caustic" (every node
+    with V <= E, realizing distance to the boundary of the allowed set).
     """
     if source not in ("boundary", "caustic"):
         raise ValueError(f"unknown source descriptor {source!r}")
@@ -180,62 +219,22 @@ def agmon_distance(
         j0 = int(np.argmin(np.abs(axes[normal_axis])))
         if abs(axes[normal_axis][j0]) > 1e-12:
             raise ValueError("grid has no node on the hypersurface")
-        seeds = (
-            [(j0,)]
-            if model.ndim == 1
-            else [(i, j0) for i in range(shape[0])]
-        )
+        # the normal axis is the last one, so its node j0 is every
+        # shape[-1]-th entry of the flattened grid
+        seeds = np.arange(j0, weight.size, shape[-1])
     else:
         allowed = potential_grid(model, *axes) - model.energy <= 0.0
-        if model.ndim == 1:
-            allowed = allowed.reshape(-1)
-        seeds = [tuple(idx) for idx in np.argwhere(allowed)]
-        if not seeds:
+        seeds = np.flatnonzero(allowed)
+        if not seeds.size:
             raise ValueError(
                 f"model {model.name!r} has no allowed region on the grid; "
                 "the caustic source is empty"
             )
-        if np.all(allowed):
+        if seeds.size == weight.size:
             raise ValueError("the whole grid is allowed; no forbidden region")
 
-    dist = np.full(shape, np.inf)
-    done = np.zeros(shape, dtype=bool)
-    heap: list[tuple[float, tuple[int, ...]]] = []
-    for idx in seeds:
-        dist[idx] = 0.0
-        heapq.heappush(heap, (0.0, idx))
-
-    offsets = _edge_offsets(shape)
-    periodic = model.periodic
-    while heap:
-        d, idx = heapq.heappop(heap)
-        if done[idx]:
-            continue
-        done[idx] = True
-        w_here = weight[idx]
-        for off in offsets:
-            nxt = []
-            length2 = 0.0
-            ok = True
-            for axis, (i, o) in enumerate(zip(idx, off)):
-                j = i + o
-                if periodic[axis]:
-                    j %= shape[axis]
-                elif not 0 <= j < shape[axis]:
-                    ok = False
-                    break
-                nxt.append(j)
-                length2 += (o * spacing[axis]) ** 2
-            if not ok:
-                continue
-            nidx = tuple(nxt)
-            if done[nidx]:
-                continue
-            cand = d + 0.5 * (w_here + weight[nidx]) * math.sqrt(length2)
-            if cand < dist[nidx]:
-                dist[nidx] = cand
-                heapq.heappush(heap, (cand, nidx))
-
+    graph = _grid_graph(weight, spacing, model.periodic)
+    dist = dijkstra(graph, indices=seeds, min_only=True).reshape(shape)
     return DistanceField(
         values=dist, axes=axes, source=source, spacing=spacing, model=model
     )
@@ -287,42 +286,35 @@ def level_set_at(field: DistanceField, rho: float) -> LevelSet:
         raise ValueError(
             f"level {rho:g} outside the collar (0, {model.collar_width:g})"
         )
-    normal_axis = model.ndim - 1
-    xn = field.axes[normal_axis]
+    xn = field.axes[model.ndim - 1]
     pos = xn >= -1e-15
-
-    def crossing(profile: np.ndarray) -> float | None:
-        """First crossing of the level along increasing normal coordinate."""
-        x = xn[pos]
-        f = profile[pos]
-        order = np.argsort(x)
-        x, f = x[order], f[order]
-        for a in range(len(x) - 1):
-            fa, fb = f[a] - rho, f[a + 1] - rho
-            if fa == 0.0:
-                return float(x[a])
-            if fa * fb < 0.0:
-                t = fa / (fa - fb)
-                return float(x[a] + t * (x[a + 1] - x[a]))
-        return None
+    order = np.argsort(xn[pos])
+    x = xn[pos][order]
+    # one row per normal column, ordered by increasing normal coordinate;
+    # each row's first crossing is its first a < len - 1 with f[a] = rho or
+    # a sign change of f - rho between a and a + 1
+    g = field.values.reshape(-1, xn.size)[:, pos][:, order] - rho
+    hit = (g[:, :-1] == 0.0) | (g[:, :-1] * g[:, 1:] < 0.0)
+    missed = np.flatnonzero(~hit.any(axis=1))
+    if missed.size:
+        if model.ndim == 1:
+            raise ValueError(f"level {rho:g} not reached along the axis")
+        i = int(missed[0])
+        raise ValueError(
+            f"level {rho:g} not reached along column {i} "
+            f"(tangential {field.axes[0][i]:.6g})"
+        )
+    a = np.argmax(hit, axis=1)
+    rows = np.arange(a.size)
+    fa, fb = g[rows, a], g[rows, a + 1]
+    t = np.divide(fa, fa - fb, out=np.zeros_like(fa), where=fa != 0.0)
+    heights = np.where(fa == 0.0, x[a], x[a] + t * (x[a + 1] - x[a]))
 
     if model.ndim == 1:
-        x_star = crossing(field.values)
-        if x_star is None:
-            raise ValueError(f"level {rho:g} not reached along the axis")
-        points = np.array([[x_star]])
+        points = heights.reshape(1, 1)
         d_xp = None
     else:
         xp = field.axes[0]
-        heights = []
-        for i in range(xp.size):
-            x_star = crossing(field.values[i])
-            if x_star is None:
-                raise ValueError(
-                    f"level {rho:g} not reached along column {i} "
-                    f"(tangential {xp[i]:.6g})"
-                )
-            heights.append(x_star)
         points = np.column_stack([xp, heights])
         d_xp = float(xp[1] - xp[0])
 

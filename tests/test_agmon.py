@@ -1,5 +1,6 @@
 """Distance fields, level sets, and collar maps against quadrature oracles."""
 
+import heapq
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from agmonlab.agmon import (
+    DistanceField,
     agmon_distance,
     collar_map,
     distance_quadrature_oracle,
@@ -16,7 +18,7 @@ from agmonlab.agmon import (
     separable_collar,
     separable_level_set,
 )
-from agmonlab.models import make_model
+from agmonlab.models import domain_axes, make_model, potential_grid
 
 
 # --------------------------------------------------------------------------
@@ -41,6 +43,86 @@ def torus_s_oracle(rho: float) -> float:
 # Linear-weight barrier (1 + x): distance is x + x^2/2 in closed form, and
 # the level {distance = 0.3} sits at the positive root of x^2/2 + x = 0.3.
 BARRIER_1D_LEVEL_03 = math.sqrt(1.6) - 1.0  # = 0.2649110640673518
+
+
+def reference_dijkstra(model, source, grid_sizes):
+    """Independent oracle: heap-based label-setting on the same grid graph.
+
+    Pops nodes in order of tentative distance and relaxes the 2 (1D) or 8
+    (2D) neighbours of each, wrapping periodic axes, with edge weight
+    0.5 * (w_i + w_j) * |edge| and w = sqrt((V - E)_+).
+    """
+    axes = domain_axes(model, grid_sizes)
+    weight = np.sqrt(np.maximum(potential_grid(model, *axes) - model.energy, 0.0))
+    if model.ndim == 1:
+        weight = weight.reshape(-1)
+    shape = weight.shape
+    spacing = tuple(float(ax[1] - ax[0]) for ax in axes)
+    if source == "boundary":
+        j0 = int(np.argmin(np.abs(axes[-1])))
+        seeds = [(j0,)] if model.ndim == 1 else [(i, j0) for i in range(shape[0])]
+    else:
+        allowed = (potential_grid(model, *axes) - model.energy <= 0.0).reshape(shape)
+        seeds = [tuple(idx) for idx in np.argwhere(allowed)]
+    if model.ndim == 1:
+        offsets = [(1,), (-1,)]
+    else:
+        offsets = [
+            (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
+        ]
+
+    dist = np.full(shape, np.inf)
+    done = np.zeros(shape, dtype=bool)
+    heap = []
+    for idx in seeds:
+        dist[idx] = 0.0
+        heapq.heappush(heap, (0.0, idx))
+    periodic = model.periodic
+    while heap:
+        d, idx = heapq.heappop(heap)
+        if done[idx]:
+            continue
+        done[idx] = True
+        w_here = weight[idx]
+        for off in offsets:
+            nxt = []
+            length2 = 0.0
+            ok = True
+            for axis, (i, o) in enumerate(zip(idx, off)):
+                j = i + o
+                if periodic[axis]:
+                    j %= shape[axis]
+                elif not 0 <= j < shape[axis]:
+                    ok = False
+                    break
+                nxt.append(j)
+                length2 += (o * spacing[axis]) ** 2
+            if not ok:
+                continue
+            nidx = tuple(nxt)
+            if done[nidx]:
+                continue
+            cand = d + 0.5 * (w_here + weight[nidx]) * math.sqrt(length2)
+            if cand < dist[nidx]:
+                dist[nidx] = cand
+                heapq.heappush(heap, (cand, nidx))
+    return dist
+
+
+def reference_crossing(xn, profile, rho):
+    """First crossing of the level along increasing normal coordinate, by a
+    scalar scan: a node on the level, else linear interpolation across the
+    first sign change of profile - rho."""
+    pos = xn >= -1e-15
+    x, f = xn[pos], profile[pos]
+    for a in range(len(x) - 1):
+        fa, fb = f[a] - rho, f[a + 1] - rho
+        if fa == 0.0:
+            return float(x[a])
+        if fa * fb < 0.0:
+            t = fa / (fa - fb)
+            return float(x[a] + t * (x[a + 1] - x[a]))
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -157,6 +239,24 @@ class TestAgmonDistance:
         allowed = 0.5 + np.cos(xn) <= 0.0
         assert np.max(field.values[:, allowed]) == 0.0
 
+    @pytest.mark.parametrize(
+        "name, source, grid_sizes",
+        [
+            ("strip-2d", "boundary", (128, 129)),
+            ("separable-torus", "boundary", (16, 128)),
+            ("separable-torus", "caustic", (8, 256)),
+            ("barrier-1d", "boundary", (129,)),
+            ("halfplane-unit", "boundary", (32, 65)),
+        ],
+    )
+    def test_matches_reference_dijkstra_bitwise(self, name, source, grid_sizes):
+        model = make_model(name)
+        field = agmon_distance(model, source=source, grid_sizes=grid_sizes)
+        oracle = reference_dijkstra(model, source, grid_sizes)
+        assert field.values.shape == oracle.shape
+        assert np.all(np.isfinite(oracle))
+        assert np.array_equal(field.values, oracle)
+
     def test_empty_caustic_rejected(self):
         model = make_model("halfplane-unit")
         with pytest.raises(ValueError, match="allowed"):
@@ -269,6 +369,32 @@ class TestLevelSets:
             den = float(np.sum(u**2 * level.ambient_weights))
             ratio = num / den
             assert root.min() - 1e-9 <= ratio <= root.max() + 1e-9
+
+    def test_heights_match_scalar_scan_bitwise(self):
+        model = make_model("strip-2d")
+        field = agmon_distance(model, grid_sizes=(64, 129))
+        xn = field.axes[1]
+        # columns that cross each level several times: the first crossing
+        # must be the one taken
+        wavy = field.values * (1.0 + 0.9 * np.cos(40.0 * xn))
+        wavy = DistanceField(wavy, field.axes, field.source, field.spacing, model)
+        node_level = float(field.values[5, 70])  # lands on a node in column 5
+        for dist, rho in [(field, 0.05), (field, 0.2), (field, node_level),
+                          (wavy, 0.05), (wavy, 0.1)]:
+            level = level_set_at(dist, rho)
+            oracle = [reference_crossing(xn, col, rho) for col in dist.values]
+            assert np.array_equal(level.points[:, 1], oracle)
+            if dist is field and rho == node_level:
+                assert level.points[5, 1] == xn[70]
+
+    def test_missed_level_names_first_column(self):
+        model = make_model("strip-2d")
+        field = agmon_distance(model, grid_sizes=(16, 129))
+        values = np.array(field.values)
+        values[[3, 9]] = 0.0
+        flat = DistanceField(values, field.axes, field.source, field.spacing, model)
+        with pytest.raises(ValueError, match="column 3 "):
+            level_set_at(flat, 0.1)
 
     def test_levels_outside_collar_rejected(self):
         model = make_model("barrier-1d")

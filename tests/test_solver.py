@@ -11,7 +11,9 @@ Oracles used here:
     here with Kronecker products (independent of the CG kernel);
   * the Liouville-Green decay law exp(-weighted distance / h) with
     amplitude (V - E)^(-1/4), accurate to O(h) relative error;
-  * closed-form half-plane multiplier solutions for constant barriers.
+  * closed-form half-plane multiplier solutions for constant barriers;
+  * per-sample trace extraction: an exact copy on grid nodes, else one
+    cubic spline per normal column evaluated at that sample alone.
 """
 
 import math
@@ -20,13 +22,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh
 from scipy.sparse.linalg import spsolve
 
 from agmonlab import solver
 from agmonlab.agmon import (
     DistanceField,
+    LevelSet,
     agmon_distance,
+    level_set_at,
     separable_collar,
     separable_level_set,
 )
@@ -99,6 +104,21 @@ def sparse_direct_oracle(model, phi, h, far, n_normal):
     rhs = np.zeros((nx, m), dtype=complex)
     rhs[:, 0] = cn * phi.values
     return spsolve(mat.tocsc(), rhs.ravel()).reshape(nx, m)
+
+
+def per_column_spline_oracle(values, xp, xn, level):
+    """Trace values sample by sample: the node value when the sample's
+    height is within 1e-12 of a normal node, else a cubic spline through
+    that sample's own column alone, evaluated at its height."""
+    out = np.empty(level.points.shape[0], dtype=values.dtype)
+    for r, (x, s) in enumerate(level.points):
+        i = int(np.argmin(np.abs(xp - x)))
+        j = int(np.argmin(np.abs(xn - s)))
+        if abs(xn[j] - s) <= 1e-12:
+            out[r] = values[i, j]
+        else:
+            out[r] = CubicSpline(xn, values[i])(s)
+    return out
 
 
 def torus_weight(s):
@@ -484,6 +504,82 @@ class TestTraces:
         level = separable_level_set(FLAT, 1.5, n_tangential=16)
         with pytest.raises(ValueError, match="normal range"):
             trace_at(field, level)
+
+
+class TestTraceOracle:
+    """trace_at and normal_derivative_trace against per-column splines,
+    bitwise, on curved, flat and partly node-aligned levels."""
+
+    @pytest.fixture(scope="class")
+    def strip(self):
+        nx, h = 64, 0.05
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        data = 1.0 + 0.3 * np.cos(xp) + 0.1j * np.sin(2.0 * xp)
+        phi = BoundaryFunction(data, 2.0 * math.pi, h)
+        field = poisson_bvp(STRIP, phi, h, far=0.8, n_normal=401, rho_max=0.2)
+        distance = agmon_distance(STRIP, grid_sizes=(nx, 129))
+        return field, distance
+
+    @staticmethod
+    def _assert_matches_oracle(field, level):
+        xp, xn = field.tangential_nodes, field.normal_nodes
+        trace = trace_at(field, level)
+        assert np.array_equal(
+            trace.values, per_column_spline_oracle(field.values, xp, xn, level)
+        )
+        grad = np.gradient(field.values, xn, axis=1)
+        deriv = normal_derivative_trace(field, level, field.h)
+        assert np.array_equal(
+            deriv.values, per_column_spline_oracle(grad, xp, xn, level)
+        )
+        return trace
+
+    @pytest.mark.parametrize("block_columns", [None, 5])
+    @pytest.mark.parametrize("rho", [0.05, 0.1, 0.2])
+    def test_curved_strip_levels(self, strip, rho, block_columns, monkeypatch):
+        field, distance = strip
+        if block_columns:  # 64 columns in blocks of 5, the last one short
+            column_bytes = field.values.shape[1] * field.values.itemsize
+            monkeypatch.setattr(
+                solver, "_SPLINE_BLOCK_BYTES", block_columns * column_bytes
+            )
+        level = level_set_at(distance, rho)
+        heights = level.points[:, 1]
+        assert np.ptp(heights) > 1e-3  # the level really curves
+        gaps = np.abs(field.normal_nodes[None, :] - heights[:, None])
+        assert np.min(gaps) > 1e-12  # every sample is interpolated
+        self._assert_matches_oracle(field, level)
+
+    def test_flat_off_node_level(self, strip):
+        field, _ = strip
+        nx = field.tangential_nodes.size
+        level = separable_level_set(FLAT, 0.1234, n_tangential=nx)
+        height = level.points[0, 1]
+        assert np.min(np.abs(field.normal_nodes - height)) > 1e-12
+        self._assert_matches_oracle(field, level)
+
+    def test_partly_node_aligned_level(self, strip):
+        field, distance = strip
+        xn = field.normal_nodes
+        curved = level_set_at(distance, 0.1)
+        points = np.array(curved.points)
+        # every third sample within 1e-12 of a node: on it, just above it,
+        # just below it in turn
+        aligned = np.arange(0, points.shape[0], 3)
+        nodes = np.searchsorted(xn, points[aligned, 1])
+        shift = np.resize([0.0, 5e-13, -5e-13], aligned.size)
+        points[aligned, 1] = xn[nodes] + shift
+        assert np.count_nonzero(points[aligned, 1] != xn[nodes]) > 0
+        level = LevelSet(
+            rho=curved.rho,
+            points=points,
+            ambient_weights=np.array(curved.ambient_weights),
+            weighted_weights=np.array(curved.weighted_weights),
+            model=STRIP,
+        )
+        trace = self._assert_matches_oracle(field, level)
+        # node-aligned rows are copies of the field, not spline values
+        assert np.array_equal(trace.values[aligned], field.values[aligned, nodes])
 
 
 class TestNormalDerivative:
