@@ -10,6 +10,11 @@ Seven experiment kinds map the package modules onto reproducible runs:
 * ``mass-profile``         -- windowed-mass growth against the comparison ODE
 * ``parametrix-consistency`` -- phase parametrix against the discrete solver
 
+A kind is defined by its one ``_KindSpec`` entry in ``_KINDS``: its runner,
+CSV columns, row flattener, plot builder, the geometries it supports (with
+the grid sizes each needs) and its sweep-length minimums.  The generic code
+below only reads that entry, so adding a kind means adding one entry.
+
 Each run emits one CSV per sweep, one JSON summary carrying every verdict
 with its tolerance and measured margin, and one SVG plot.  All outputs are
 deterministic: identical configurations produce byte-identical files, and
@@ -25,8 +30,9 @@ import os
 import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy
@@ -52,7 +58,13 @@ from agmonlab.hjphase import (
     phase_residual,
     solve_phase_series,
 )
-from agmonlab.models import ModelProblem, make_model, potential_grid
+from agmonlab.models import (
+    GEOMETRIES,
+    KNOWN_MODELS,
+    ModelProblem,
+    make_model,
+    potential_grid,
+)
 from agmonlab.quantize import build_cutoff_profile, build_phase_cutoff, symbol_class_check
 from agmonlab.solver import (
     assemble_separable_mode,
@@ -75,16 +87,6 @@ __all__ = [
     "parse_config",
     "run_experiment",
 ]
-
-EXPERIMENT_KINDS = (
-    "halfplane-chain",
-    "decay-sandwich",
-    "exterior-mass",
-    "phase-residual",
-    "symbol-class",
-    "mass-profile",
-    "parametrix-consistency",
-)
 
 _CONFIG_KEYS = (
     "kind",
@@ -126,29 +128,8 @@ _EXTERIOR_MODES = (0, 1, 2, 3)
 _MASS_NOISE_FLOOR = 1e-12
 # Target position inside the window band (1, 2) for mass-profile modes.
 _WINDOW_TARGET = 1.3
-
-_CSV_SCHEMA = {
-    "halfplane-chain": (
-        1,
-        (
-            "h",
-            "rho",
-            "delta",
-            "epsilon",
-            "exterior",
-            "measured_ratio",
-            "lower_bound",
-            "margin",
-            "passed",
-        ),
-    ),
-    "decay-sandwich": (1, ("h", "rho", "norm_ratio", "slope_times_h", "fit_residual")),
-    "exterior-mass": (1, ("lam", "k", "mass", "norm_sq", "fraction", "lambda_mass")),
-    "phase-residual": (1, ("check", "depth", "max_residual", "relative_residual")),
-    "symbol-class": (1, ("alpha", "beta", "h", "sup")),
-    "mass-profile": (1, ("lam", "h", "k", "r", "mass", "comparison")),
-    "parametrix-consistency": (1, ("h", "rho", "rel_error", "fitted_order")),
-}
+# Version of every per-kind CSV table, echoed in the JSON summary.
+_CSV_SCHEMA_VERSION = 1
 
 
 # --------------------------------------------------------------------------
@@ -240,6 +221,26 @@ class ExperimentResult:
         return all(r.passed for r in self.records)
 
 
+_Plot = tuple[list[Series], str, str, bool, bool]
+
+
+@dataclass(frozen=True)
+class _KindSpec:
+    """Everything the generic config, run and report code knows of a kind.
+
+    ``geometries`` maps each supported model geometry to the number of
+    ``grid`` entries the kind needs there; ``minimums`` maps a sweep key to
+    the least number of distinct values it must hold and what they are.
+    """
+
+    run: Callable[[ExperimentConfig, int], list[ReportRecord]]
+    columns: tuple[str, ...]
+    rows: Callable[[Sequence[ReportRecord]], Iterator[tuple]]
+    plot: Callable[[Sequence[ReportRecord]], _Plot]
+    geometries: Mapping[str, int]
+    minimums: Mapping[str, tuple[int, str]] = field(default_factory=dict)
+
+
 # --------------------------------------------------------------------------
 # configuration parsing
 # --------------------------------------------------------------------------
@@ -279,6 +280,19 @@ def _float_tuple(raw, name, errors, *, distinct=False) -> tuple[float, ...]:
         errors[name] = "values must be distinct"
         return ()
     return tuple(values)
+
+
+def _unsupported_model(kind: str, spec: _KindSpec, model: str, geometry: str) -> str:
+    models = [
+        name
+        for name, build in KNOWN_MODELS.items()
+        if build({})["geometry"] in spec.geometries
+    ]
+    return (
+        f"{kind} does not run on {model!r} ({geometry} geometry); it supports "
+        f"models {', '.join(models)} (geometries {', '.join(spec.geometries)}): "
+        f"set model to one of them or drop {kind} from kind"
+    )
 
 
 def parse_config(
@@ -383,22 +397,20 @@ def parse_config(
     else:
         seed_val = int(seed_raw)
 
+    sweeps = {"h_sweep": h_sweep, "rho_grid": rho_grid}
     for kind in kinds:
-        if kind == "symbol-class" and h_sweep and len(h_sweep) < 4:
-            errors["h_sweep"] = "symbol-class needs at least 4 dyadic h values"
-        if kind == "decay-sandwich" and rho_grid and len(set(rho_grid)) < 4:
-            errors["rho_grid"] = "decay-sandwich needs at least 4 distinct depths"
-        if kind == "parametrix-consistency" and h_sweep and len(h_sweep) < 2:
-            errors["h_sweep"] = "parametrix-consistency needs at least 2 h values"
-        needs_two = kind in (
-            "exterior-mass",
-            "phase-residual",
-            "symbol-class",
-            "mass-profile",
-            "parametrix-consistency",
-        ) or (kind == "decay-sandwich" and geometry == "separable-torus")
-        if needs_two and grid and len(grid) < 2:
-            errors["grid"] = f"{kind} needs two grid sizes (tangential, normal)"
+        spec = _KINDS.get(kind)
+        if spec is None:
+            continue
+        for name, (least, what) in spec.minimums.items():
+            if sweeps[name] and len(set(sweeps[name])) < least:
+                errors[name] = f"{kind} needs at least {least} {what}"
+        if geometry is not None and geometry not in spec.geometries:
+            errors["model"] = _unsupported_model(kind, spec, str(model), geometry)
+        # an unsupported or unknown geometry is checked against the least need
+        sizes = spec.geometries.get(geometry, min(spec.geometries.values()))
+        if grid and len(grid) < sizes:
+            errors["grid"] = f"{kind} needs {sizes} grid sizes"
 
     if errors:
         raise ConfigError(errors)
@@ -426,8 +438,11 @@ def parse_config(
 # --------------------------------------------------------------------------
 
 
-def _provenance(config: ExperimentConfig) -> dict:
-    return {
+def _record(
+    config: ExperimentConfig, key: tuple, measured: Mapping, verdicts=()
+) -> ReportRecord:
+    """A record of the config's kind, carrying the config's provenance."""
+    provenance = {
         "grid": list(config.grid),
         "seed": config.seed,
         "versions": {
@@ -437,6 +452,22 @@ def _provenance(config: ExperimentConfig) -> dict:
             "agmonlab": __version__,
         },
     }
+    return ReportRecord(
+        kind=config.kind,
+        key=key,
+        measured=measured,
+        verdicts=tuple(verdicts),
+        provenance=provenance,
+    )
+
+
+def _guarded(kind: str, key: tuple, fn: Callable[[], ReportRecord]) -> ReportRecord:
+    try:
+        return fn()
+    except ExperimentError:
+        raise
+    except Exception as exc:
+        raise ExperimentError(kind, key, exc) from exc
 
 
 def _map_points(
@@ -445,19 +476,7 @@ def _map_points(
     jobs: int,
 ) -> list[ReportRecord]:
     """Evaluate sweep points, merging results in submission order."""
-
-    def guarded(key, fn):
-        def call() -> ReportRecord:
-            try:
-                return fn()
-            except ExperimentError:
-                raise
-            except Exception as exc:
-                raise ExperimentError(kind, key, exc) from exc
-
-        return call
-
-    calls = [guarded(key, fn) for key, fn in points]
+    calls = [partial(_guarded, kind, key, fn) for key, fn in points]
     if jobs <= 1 or len(calls) <= 1:
         return [call() for call in calls]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -488,6 +507,18 @@ def _isotonic_rise(values: np.ndarray) -> float:
     return float(fit[-1] - fit[0])
 
 
+def _positive_series(label, xs, ys, style) -> Series | None:
+    pairs = [(x, y) for x, y in zip(xs, ys) if y > 0.0]
+    if not pairs:
+        return None
+    return Series(
+        label=label,
+        x=tuple(p[0] for p in pairs),
+        y=tuple(p[1] for p in pairs),
+        style=style,
+    )
+
+
 # --------------------------------------------------------------------------
 # experiment: halfplane-chain
 # --------------------------------------------------------------------------
@@ -515,59 +546,96 @@ def _chain_boundary_data(model: ModelProblem, n: int, h: float):
     return make_boundary_function(data, n, length, h)
 
 
+def _chain_point(
+    config: ExperimentConfig, model: ModelProblem, h: float, rho: float
+) -> ReportRecord:
+    phi = _chain_boundary_data(model, config.grid[0], h)
+    report = verify_lower_chain(phi, rho, config.delta, _CHAIN_EPSILON)
+    # Tolerances mirror the chain checker's own slacks: 1e-10 on the
+    # transform identity, relative 1e-12 on the two exact spectral steps,
+    # none on the final measured bound.
+    verdicts = []
+    for step in report.steps:
+        if step.name == "plancherel":
+            tolerance, margin = 1e-10, float(step.margin)
+        elif step.name in ("zero-section-mass", "multiplier-floor"):
+            tolerance = 1e-12 * float(step.rhs)
+            margin = float(step.margin) + tolerance
+        else:
+            tolerance, margin = 0.0, float(step.margin)
+        verdicts.append(
+            Verdict(
+                name=step.name,
+                passed=step.passed,
+                tolerance=tolerance,
+                margin=margin,
+            )
+        )
+    measured = {
+        "exterior_fraction": report.exterior,
+        "measured_ratio": report.measured_ratio,
+        "lower_bound": report.lower_bound,
+        "epsilon": report.epsilon,
+        "delta": report.delta,
+    }
+    return _record(config, (config.model, h, rho), measured, verdicts)
+
+
 def _run_halfplane_chain(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
     model = config.build_model()
-    n = config.grid[0]
-    provenance = _provenance(config)
-
-    def point(h: float, rho: float):
-        def run() -> ReportRecord:
-            phi = _chain_boundary_data(model, n, h)
-            report = verify_lower_chain(phi, rho, config.delta, _CHAIN_EPSILON)
-            # Tolerances mirror the chain checker's own slacks: 1e-10 on
-            # the transform identity, relative 1e-12 on the two exact
-            # spectral steps, none on the final measured bound.
-            verdicts = []
-            for step in report.steps:
-                if step.name == "plancherel":
-                    tolerance, margin = 1e-10, float(step.margin)
-                elif step.name in ("zero-section-mass", "multiplier-floor"):
-                    tolerance = 1e-12 * float(step.rhs)
-                    margin = float(step.margin) + tolerance
-                else:
-                    tolerance, margin = 0.0, float(step.margin)
-                verdicts.append(
-                    Verdict(
-                        name=step.name,
-                        passed=step.passed,
-                        tolerance=tolerance,
-                        margin=margin,
-                    )
-                )
-            verdicts = tuple(verdicts)
-            measured = {
-                "exterior_fraction": report.exterior,
-                "measured_ratio": report.measured_ratio,
-                "lower_bound": report.lower_bound,
-                "epsilon": report.epsilon,
-                "delta": report.delta,
-            }
-            return ReportRecord(
-                kind=config.kind,
-                key=(config.model, h, rho),
-                measured=measured,
-                verdicts=verdicts,
-                provenance=provenance,
-            )
-
-        return run
-
     points = [
-        ((config.model, h, rho), point(h, rho))
+        ((config.model, h, rho), partial(_chain_point, config, model, h, rho))
         for h in config.h_sweep
         for rho in config.rho_grid
     ]
     return _map_points(config.kind, points, jobs)
+
+
+def _chain_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
+    for rec in records:
+        _, h, rho = rec.key
+        m = rec.measured
+        yield (
+            h,
+            rho,
+            m["delta"],
+            m["epsilon"],
+            m["exterior_fraction"],
+            m["measured_ratio"],
+            m["lower_bound"],
+            rec.verdicts[-1].margin,
+            rec.passed,
+        )
+
+
+def _chain_plot(records: Sequence[ReportRecord]) -> _Plot:
+    by_h: dict[float, list] = {}
+    for rec in records:
+        _, h, rho = rec.key
+        by_h.setdefault(h, []).append((rho, rec.measured))
+    series = []
+    for h, items in by_h.items():
+        items.sort()
+        xs = tuple(r for r, _ in items)
+        style = "line" if len(xs) > 1 else "scatter"
+        series.append(
+            Series(
+                label=f"ratio h={h:g}",
+                x=xs,
+                y=tuple(m["measured_ratio"] for _, m in items),
+                style=style,
+            )
+        )
+        if len(xs) > 1:
+            series.append(
+                Series(
+                    label=f"bound h={h:g}",
+                    x=xs,
+                    y=tuple(m["lower_bound"] for _, m in items),
+                    style="dashed",
+                )
+            )
+    return series, "rho", "trace norm ratio", False, True
 
 
 # --------------------------------------------------------------------------
@@ -575,75 +643,87 @@ def _run_halfplane_chain(config: ExperimentConfig, jobs: int) -> list[ReportReco
 # --------------------------------------------------------------------------
 
 
-def _run_decay_sandwich(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
-    model = config.build_model()
-    provenance = _provenance(config)
-    rho = tuple(sorted(config.rho_grid))
-
+def _decay_point(
+    config: ExperimentConfig, model: ModelProblem, rho: tuple, h: float
+) -> ReportRecord:
+    n_t = config.grid[0]
+    phi = make_boundary_function(lambda x: np.ones_like(x), n_t, model.lengths[0], h)
     if model.geometry == "halfplane-cylinder":
         tolerance = 1e-6
-    elif model.geometry == "separable-torus":
-        tolerance = 0.1
+        traces = [apply_halfplane_poisson(phi, r) for r in rho]
+        base = phi.norm
     else:
-        raise ExperimentError(
-            config.kind,
-            (config.model,),
-            ValueError(
-                "decay-sandwich supports the halfplane-cylinder and "
-                f"separable-torus geometries, not {model.geometry!r}"
-            ),
+        tolerance = 0.1
+        n_n = config.grid[1]
+        bvp = poisson_bvp(
+            model, phi, h, far=_DECAY_FAR, n_normal=n_n, rho_max=max(rho)
         )
+        traces = [
+            trace_at(bvp, separable_level_set(model, r, n_tangential=n_t))
+            for r in rho
+        ]
+        base = trace_at(
+            bvp, separable_level_set(model, 0.0, n_tangential=n_t)
+        ).ambient_norm
+    fit = decay_fit(traces, rho, h)
+    ratios = tuple(
+        float(getattr(t, "ambient_norm", getattr(t, "norm", 0.0)) / base)
+        for t in traces
+    )
+    deviation = abs(fit.slope_times_h + 1.0)
+    measured = {
+        "rho": rho,
+        "norm_ratio": ratios,
+        "slope": fit.slope,
+        "slope_times_h": fit.slope_times_h,
+        "fit_residual": fit.residual,
+    }
+    verdict = _bound_verdict("decay-slope", deviation, 0.0, tolerance)
+    return _record(config, (config.model, h), measured, (verdict,))
 
-    def point(h: float):
-        def run() -> ReportRecord:
-            length = model.lengths[0]
-            if model.geometry == "halfplane-cylinder":
-                phi = make_boundary_function(
-                    lambda x: np.ones_like(x), config.grid[0], length, h
-                )
-                traces = [apply_halfplane_poisson(phi, r) for r in rho]
-                base = phi.norm
-            else:
-                n_t, n_n = config.grid[0], config.grid[1]
-                phi = make_boundary_function(
-                    lambda x: np.ones_like(x), n_t, length, h
-                )
-                bvp = poisson_bvp(
-                    model, phi, h, far=_DECAY_FAR, n_normal=n_n, rho_max=max(rho)
-                )
-                traces = [
-                    trace_at(bvp, separable_level_set(model, r, n_tangential=n_t))
-                    for r in rho
-                ]
-                base = trace_at(
-                    bvp, separable_level_set(model, 0.0, n_tangential=n_t)
-                ).ambient_norm
-            fit = decay_fit(traces, rho, h)
-            ratios = tuple(
-                float(getattr(t, "ambient_norm", getattr(t, "norm", 0.0)) / base)
-                for t in traces
-            )
-            deviation = abs(fit.slope_times_h + 1.0)
-            measured = {
-                "rho": rho,
-                "norm_ratio": ratios,
-                "slope": fit.slope,
-                "slope_times_h": fit.slope_times_h,
-                "fit_residual": fit.residual,
-            }
-            verdict = _bound_verdict("decay-slope", deviation, 0.0, tolerance)
-            return ReportRecord(
-                kind=config.kind,
-                key=(config.model, h),
-                measured=measured,
-                verdicts=(verdict,),
-                provenance=provenance,
-            )
 
-        return run
-
-    points = [((config.model, h), point(h)) for h in config.h_sweep]
+def _run_decay_sandwich(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
+    model = config.build_model()
+    rho = tuple(sorted(config.rho_grid))
+    points = [
+        ((config.model, h), partial(_decay_point, config, model, rho, h))
+        for h in config.h_sweep
+    ]
     return _map_points(config.kind, points, jobs)
+
+
+def _decay_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
+    for rec in records:
+        _, h = rec.key
+        m = rec.measured
+        for rho, ratio in zip(m["rho"], m["norm_ratio"]):
+            yield (h, rho, ratio, m["slope_times_h"], m["fit_residual"])
+
+
+def _decay_plot(records: Sequence[ReportRecord]) -> _Plot:
+    series = []
+    for rec in records:
+        _, h = rec.key
+        rho = rec.measured["rho"]
+        style = "line" if len(rho) > 1 else "scatter"
+        series.append(
+            Series(
+                label=f"measured h={h:g}",
+                x=rho,
+                y=rec.measured["norm_ratio"],
+                style=style,
+            )
+        )
+        if len(rho) > 1:
+            series.append(
+                Series(
+                    label=f"exp(-rho/h) h={h:g}",
+                    x=rho,
+                    y=tuple(math.exp(-r / h) for r in rho),
+                    style="dashed",
+                )
+            )
+    return series, "rho", "norm ratio", False, True
 
 
 # --------------------------------------------------------------------------
@@ -651,15 +731,30 @@ def _run_decay_sandwich(config: ExperimentConfig, jobs: int) -> list[ReportRecor
 # --------------------------------------------------------------------------
 
 
+def _exterior_point(
+    config: ExperimentConfig, model: ModelProblem, traces: list, h: float, lam: float
+) -> ReportRecord:
+    masses = tuple(
+        float(exterior_mass(trace, model, lam, h)) for _, trace, _ in traces
+    )
+    norms = tuple(norm_sq for _, _, norm_sq in traces)
+    fractions = tuple(m / n for m, n in zip(masses, norms))
+    peak = max(fractions)
+    lambda_mass = lam * peak if peak > _MASS_NOISE_FLOOR else 0.0
+    worst = min(min(m, n - m) / n for m, n in zip(masses, norms))
+    verdict = _bound_verdict("mass-in-range", -worst, 0.0, 1e-8)
+    measured = {
+        "modes": _EXTERIOR_MODES,
+        "masses": masses,
+        "norm_sq": norms,
+        "fractions": fractions,
+        "lambda_mass": lambda_mass,
+    }
+    return _record(config, (config.model, lam), measured, (verdict,))
+
+
 def _run_exterior_mass(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
     model = config.build_model()
-    if model.geometry != "separable-torus":
-        raise ExperimentError(
-            config.kind,
-            (config.model,),
-            ValueError("exterior-mass requires the separable-torus geometry"),
-        )
-    provenance = _provenance(config)
     h = config.h_sweep[0]
     n_transverse, n_tangential = config.grid[0], config.grid[1]
 
@@ -674,35 +769,10 @@ def _run_exterior_mass(config: ExperimentConfig, jobs: int) -> list[ReportRecord
         trace = surface_trace_of_mode(mode, model)
         traces.append((k, trace, float(trace.ambient_norm**2)))
 
-    def point(lam: float):
-        def run() -> ReportRecord:
-            masses = tuple(
-                float(exterior_mass(trace, model, lam, h)) for _, trace, _ in traces
-            )
-            norms = tuple(norm_sq for _, _, norm_sq in traces)
-            fractions = tuple(m / n for m, n in zip(masses, norms))
-            peak = max(fractions)
-            lambda_mass = lam * peak if peak > _MASS_NOISE_FLOOR else 0.0
-            worst = min(min(m, n - m) / n for m, n in zip(masses, norms))
-            verdict = _bound_verdict("mass-in-range", -worst, 0.0, 1e-8)
-            measured = {
-                "modes": _EXTERIOR_MODES,
-                "masses": masses,
-                "norm_sq": norms,
-                "fractions": fractions,
-                "lambda_mass": lambda_mass,
-            }
-            return ReportRecord(
-                kind=config.kind,
-                key=(config.model, lam),
-                measured=measured,
-                verdicts=(verdict,),
-                provenance=provenance,
-            )
-
-        return run
-
-    points = [((config.model, lam), point(lam)) for lam in config.lambda_sweep]
+    points = [
+        ((config.model, lam), partial(_exterior_point, config, model, traces, h, lam))
+        for lam in config.lambda_sweep
+    ]
     records = _map_points(config.kind, points, jobs)
 
     q_values = np.array([rec.measured["lambda_mass"] for rec in records])
@@ -720,15 +790,35 @@ def _run_exterior_mass(config: ExperimentConfig, jobs: int) -> list[ReportRecord
         _bound_verdict("no-growth-trend", rise, 0.0, rise_tol),
     )
     records.append(
-        ReportRecord(
-            kind=config.kind,
-            key=(config.model, "lambda-sweep"),
-            measured=sweep_measured,
-            verdicts=sweep_verdicts,
-            provenance=provenance,
-        )
+        _record(config, (config.model, "lambda-sweep"), sweep_measured, sweep_verdicts)
     )
     return records
+
+
+def _exterior_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
+    for rec in records:
+        if rec.key[-1] == "lambda-sweep":
+            continue
+        _, lam = rec.key
+        m = rec.measured
+        for k, mass, norm_sq, fraction in zip(
+            m["modes"], m["masses"], m["norm_sq"], m["fractions"]
+        ):
+            yield (lam, k, mass, norm_sq, fraction, m["lambda_mass"])
+
+
+def _exterior_plot(records: Sequence[ReportRecord]) -> _Plot:
+    sweep = [rec for rec in records if rec.key[-1] == "lambda-sweep"]
+    if sweep:
+        m = sweep[0].measured
+        xs, ys = m["lambda"], m["lambda_mass"]
+    else:
+        pts = sorted((rec.key[1], rec.measured["lambda_mass"]) for rec in records)
+        xs = tuple(p[0] for p in pts)
+        ys = tuple(p[1] for p in pts)
+    style = "line" if len(xs) > 1 else "scatter"
+    series = [Series(label="lambda*mass", x=xs, y=ys, style=style)]
+    return series, "lambda", "lambda * mass fraction", False, False
 
 
 # --------------------------------------------------------------------------
@@ -744,83 +834,99 @@ def _phase_grid(model: ModelProblem, config: ExperimentConfig):
     return nodes, xi
 
 
+def _ambient_phase_point(
+    config: ExperimentConfig, model: ModelProblem, nodes, xi
+) -> ReportRecord:
+    series = solve_phase_series(model, "ambient", _PHASE_ORDER, (nodes, xi))
+    barrier = potential_grid(model, nodes, np.zeros(1))[:, 0] - model.energy
+    target = np.sqrt(barrier[:, None] + xi[None, :] ** 2)
+    deviation = float(np.max(np.abs(series.coefficients[0] - target)))
+    verdict = _bound_verdict("ambient-leading-coefficient", deviation, 0.0, 1e-8)
+    measured = {"leading_deviation": deviation}
+    return _record(config, (config.model, "ambient-leading"), measured, (verdict,))
+
+
+def _gauged_phase_point(
+    config: ExperimentConfig, model: ModelProblem, nodes, xi, depths: tuple
+) -> ReportRecord:
+    series = solve_phase_series(model, "agmon", _PHASE_ORDER, (nodes, xi))
+    report = phase_residual(series, depths)
+    measured = {
+        "depth": depths,
+        "max_residual": tuple(float(v) for v in report.max_residual),
+        "relative_residual": tuple(float(v) for v in report.relative_residual),
+        "fitted_exponent": float(report.fitted_exponent),
+        "validity_radius": float(report.validity_radius),
+    }
+    if model.geometry == "halfplane-cylinder":
+        closed = [
+            float(
+                np.max(
+                    np.abs(
+                        evaluate_phase(series, s)
+                        - s * (np.sqrt(1.0 + xi**2) - 1.0)[None, :]
+                    )
+                )
+            )
+            for s in depths
+        ]
+        deviation = max(closed)
+        verdict = _bound_verdict("flat-closed-form", deviation, 0.0, 1e-12)
+        measured["closed_form_deviation"] = deviation
+        name = "closed-form"
+    else:
+        floor = _PHASE_ORDER + 0.5
+        verdict = Verdict(
+            name="residual-order",
+            passed=bool(report.fitted_exponent >= floor),
+            tolerance=floor,
+            margin=float(report.fitted_exponent - floor),
+        )
+        name = "residual-order"
+    return _record(config, (config.model, name), measured, (verdict,))
+
+
 def _run_phase_residual(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
     model = config.build_model()
-    provenance = _provenance(config)
     nodes, xi = _phase_grid(model, config)
     depths = tuple(sorted(config.rho_grid))
-
-    def ambient_point():
-        def run() -> ReportRecord:
-            series = solve_phase_series(model, "ambient", _PHASE_ORDER, (nodes, xi))
-            barrier = potential_grid(model, nodes, np.zeros(1))[:, 0] - model.energy
-            target = np.sqrt(barrier[:, None] + xi[None, :] ** 2)
-            deviation = float(np.max(np.abs(series.coefficients[0] - target)))
-            verdict = _bound_verdict("ambient-leading-coefficient", deviation, 0.0, 1e-8)
-            measured = {"leading_deviation": deviation}
-            return ReportRecord(
-                kind=config.kind,
-                key=(config.model, "ambient-leading"),
-                measured=measured,
-                verdicts=(verdict,),
-                provenance=provenance,
-            )
-
-        return run
-
-    def gauged_point():
-        def run() -> ReportRecord:
-            series = solve_phase_series(model, "agmon", _PHASE_ORDER, (nodes, xi))
-            report = phase_residual(series, depths)
-            measured = {
-                "depth": depths,
-                "max_residual": tuple(float(v) for v in report.max_residual),
-                "relative_residual": tuple(
-                    float(v) for v in report.relative_residual
-                ),
-                "fitted_exponent": float(report.fitted_exponent),
-                "validity_radius": float(report.validity_radius),
-            }
-            if model.geometry == "halfplane-cylinder":
-                closed = [
-                    float(
-                        np.max(
-                            np.abs(
-                                evaluate_phase(series, s)
-                                - s * (np.sqrt(1.0 + xi**2) - 1.0)[None, :]
-                            )
-                        )
-                    )
-                    for s in depths
-                ]
-                deviation = max(closed)
-                verdict = _bound_verdict("flat-closed-form", deviation, 0.0, 1e-12)
-                measured["closed_form_deviation"] = deviation
-                name = "closed-form"
-            else:
-                floor = _PHASE_ORDER + 0.5
-                verdict = Verdict(
-                    name="residual-order",
-                    passed=bool(report.fitted_exponent >= floor),
-                    tolerance=floor,
-                    margin=float(report.fitted_exponent - floor),
-                )
-                name = "residual-order"
-            return ReportRecord(
-                kind=config.kind,
-                key=(config.model, name),
-                measured=measured,
-                verdicts=(verdict,),
-                provenance=provenance,
-            )
-
-        return run
-
-    points = [
-        ((config.model, "gauged"), gauged_point()),
-        ((config.model, "ambient"), ambient_point()),
-    ]
+    gauged = partial(_gauged_phase_point, config, model, nodes, xi, depths)
+    ambient = partial(_ambient_phase_point, config, model, nodes, xi)
+    points = [((config.model, "gauged"), gauged), ((config.model, "ambient"), ambient)]
     return _map_points(config.kind, points, jobs)
+
+
+def _phase_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
+    for rec in records:
+        check = rec.key[-1]
+        m = rec.measured
+        if "depth" in m:
+            for depth, res, rel in zip(
+                m["depth"], m["max_residual"], m["relative_residual"]
+            ):
+                yield (check, depth, res, rel)
+        else:
+            dev = m["leading_deviation"]
+            yield (check, 0.0, dev, dev)
+
+
+def _phase_plot(records: Sequence[ReportRecord]) -> _Plot:
+    series = []
+    linear_fallback = []
+    for rec in records:
+        m = rec.measured
+        if "depth" not in m:
+            continue
+        label = str(rec.key[-1])
+        positive = _positive_series(label, m["depth"], m["max_residual"], "line")
+        if positive is not None:
+            series.append(positive)
+        linear_fallback.append(
+            Series(label=label, x=m["depth"], y=m["max_residual"], style="scatter")
+        )
+    if series:
+        return series, "depth", "equation residual", True, True
+    return linear_fallback, "depth", "equation residual", False, False
 
 
 # --------------------------------------------------------------------------
@@ -831,7 +937,6 @@ def _run_phase_residual(config: ExperimentConfig, jobs: int) -> list[ReportRecor
 def _run_symbol_class(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
     del jobs  # one aggregate check; the h sweep is a single fit
     model = config.build_model()
-    provenance = _provenance(config)
     n_xi = config.grid[1]
     length = model.lengths[0]
     rho = config.rho_grid[0]
@@ -882,15 +987,27 @@ def _run_symbol_class(config: ExperimentConfig, jobs: int) -> list[ReportRecord]
         "plateau": float(profile.plateau),
         "span": float(config.m_constant),
     }
-    return [
-        ReportRecord(
-            kind=config.kind,
-            key=key,
-            measured=measured,
-            verdicts=tuple(verdicts),
-            provenance=provenance,
-        )
-    ]
+    return [_record(config, key, measured, verdicts)]
+
+
+def _symbol_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
+    for rec in records:
+        m = rec.measured
+        for index, sups in zip(m["indices"], m["sups"]):
+            alpha, beta = int(index[1]), int(index[3])
+            for h, sup in zip(m["h"], sups):
+                yield (alpha, beta, h, sup)
+
+
+def _symbol_plot(records: Sequence[ReportRecord]) -> _Plot:
+    series = []
+    for rec in records:
+        m = rec.measured
+        for index, sups in zip(m["indices"], m["sups"]):
+            positive = _positive_series(index, m["h"], sups, "line")
+            if positive is not None:
+                series.append(positive)
+    return series, "h", "derivative sup", True, True
 
 
 # --------------------------------------------------------------------------
@@ -915,94 +1032,75 @@ def _window_mode(model: ModelProblem, lam: float, h: float, n_tangential: int) -
     return int(candidates[np.argmin(np.abs(ratio[inside] - _WINDOW_TARGET))])
 
 
+def _mass_profile_point(
+    config: ExperimentConfig, model: ModelProblem, transverse, h: float, lam, k: int
+) -> ReportRecord:
+    mode = assemble_separable_mode(transverse, k, model, n_tangential=config.grid[1])
+    profile = mass_profile_comparison(mode, model, lam, h)
+    verdict_map = profile.verdict
+    floor = max(
+        float(np.max(profile.mass_values)),
+        float(np.max(np.abs(profile.comparison_values))),
+        1e-300,
+    )
+    # Margins mirror the profile checker's relative 1e-9 slacks.
+    comparison_margin = 1e-9 + float(
+        np.min(profile.mass_values - profile.comparison_values) / floor
+    )
+    trivial_margin = (
+        verdict_map["trace_growth"] * (1.0 + 1e-9)
+        - verdict_map["trivial_bound_constant"]
+    )
+    l0_margin = (1.0 + 1e-9) - (
+        verdict_map["exterior_ratio"] / verdict_map["l0_bound_ratio"]
+        if verdict_map["l0_bound_ratio"] > 0.0
+        else math.inf
+    )
+    verdicts = (
+        _bound_verdict("neumann-precondition", verdict_map["neumann_ratio"], 0.0, 1e-8),
+        _bound_verdict("ode-oracle-agreement", verdict_map["ode_agreement"], 0.0, 1e-8),
+        Verdict(
+            name="comparison-lower-bound",
+            passed=bool(verdict_map["comparison_holds"]),
+            tolerance=1e-9,
+            margin=comparison_margin,
+        ),
+        Verdict(
+            name="windowed-trivial-bound",
+            passed=bool(verdict_map["trivial_bound_holds"]),
+            tolerance=1e-9,
+            margin=float(trivial_margin),
+        ),
+        Verdict(
+            name="initial-mass-bound",
+            passed=bool(verdict_map["l0_bound_holds"]),
+            tolerance=1e-9,
+            margin=float(l0_margin),
+        ),
+    )
+    measured = {
+        "r": tuple(float(v) for v in profile.r_grid),
+        "mass": tuple(float(v) for v in profile.mass_values),
+        "comparison": tuple(float(v) for v in profile.comparison_values),
+        "t_constant": profile.t_constant,
+        "c_constant": profile.c_constant,
+        "exterior_ratio": verdict_map["exterior_ratio"],
+        "trace_growth": verdict_map["trace_growth"],
+        "integral_value": verdict_map["integral_value"],
+        "l0_bound_ratio": verdict_map["l0_bound_ratio"],
+        "mass_slope_at_zero": profile.mass_slope_at_zero,
+        "mode_energy": profile.meta["mode_energy"],
+    }
+    return _record(config, (config.model, lam, h, k), measured, verdicts)
+
+
 def _run_mass_profile(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
     model = config.build_model()
-    if model.geometry != "separable-torus":
-        raise ExperimentError(
-            config.kind,
-            (config.model,),
-            ValueError("mass-profile requires the separable-torus geometry"),
-        )
-    provenance = _provenance(config)
     h = config.h_sweep[0]
     n_transverse, n_tangential = config.grid[0], config.grid[1]
     transverse = solve_transverse_modes(
         model, h, model.energy, 1, n=n_transverse, parity="even"
     )[0]
-
-    def point(lam: float, k: int):
-        def run() -> ReportRecord:
-            mode = assemble_separable_mode(
-                transverse, k, model, n_tangential=n_tangential
-            )
-            profile = mass_profile_comparison(mode, model, lam, h)
-            verdict_map = profile.verdict
-            floor = max(
-                float(np.max(profile.mass_values)),
-                float(np.max(np.abs(profile.comparison_values))),
-                1e-300,
-            )
-            # Margins mirror the profile checker's relative 1e-9 slacks.
-            comparison_margin = 1e-9 + float(
-                np.min(profile.mass_values - profile.comparison_values) / floor
-            )
-            trivial_margin = (
-                verdict_map["trace_growth"] * (1.0 + 1e-9)
-                - verdict_map["trivial_bound_constant"]
-            )
-            l0_margin = (1.0 + 1e-9) - (
-                verdict_map["exterior_ratio"] / verdict_map["l0_bound_ratio"]
-                if verdict_map["l0_bound_ratio"] > 0.0
-                else math.inf
-            )
-            verdicts = (
-                _bound_verdict(
-                    "neumann-precondition", verdict_map["neumann_ratio"], 0.0, 1e-8
-                ),
-                _bound_verdict(
-                    "ode-oracle-agreement", verdict_map["ode_agreement"], 0.0, 1e-8
-                ),
-                Verdict(
-                    name="comparison-lower-bound",
-                    passed=bool(verdict_map["comparison_holds"]),
-                    tolerance=1e-9,
-                    margin=comparison_margin,
-                ),
-                Verdict(
-                    name="windowed-trivial-bound",
-                    passed=bool(verdict_map["trivial_bound_holds"]),
-                    tolerance=1e-9,
-                    margin=float(trivial_margin),
-                ),
-                Verdict(
-                    name="initial-mass-bound",
-                    passed=bool(verdict_map["l0_bound_holds"]),
-                    tolerance=1e-9,
-                    margin=float(l0_margin),
-                ),
-            )
-            measured = {
-                "r": tuple(float(v) for v in profile.r_grid),
-                "mass": tuple(float(v) for v in profile.mass_values),
-                "comparison": tuple(float(v) for v in profile.comparison_values),
-                "t_constant": profile.t_constant,
-                "c_constant": profile.c_constant,
-                "exterior_ratio": verdict_map["exterior_ratio"],
-                "trace_growth": verdict_map["trace_growth"],
-                "integral_value": verdict_map["integral_value"],
-                "l0_bound_ratio": verdict_map["l0_bound_ratio"],
-                "mass_slope_at_zero": profile.mass_slope_at_zero,
-                "mode_energy": profile.meta["mode_energy"],
-            }
-            return ReportRecord(
-                kind=config.kind,
-                key=(config.model, lam, h, k),
-                measured=measured,
-                verdicts=verdicts,
-                provenance=provenance,
-            )
-
-        return run
 
     points = []
     for lam in config.lambda_sweep:
@@ -1010,8 +1108,36 @@ def _run_mass_profile(config: ExperimentConfig, jobs: int) -> list[ReportRecord]
             k = _window_mode(model, lam, h, n_tangential)
         except ValueError as exc:
             raise ExperimentError(config.kind, (config.model, lam, h), exc) from exc
-        points.append(((config.model, lam, h, k), point(lam, k)))
+        points.append(
+            (
+                (config.model, lam, h, k),
+                partial(_mass_profile_point, config, model, transverse, h, lam, k),
+            )
+        )
     return _map_points(config.kind, points, jobs)
+
+
+def _mass_profile_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
+    for rec in records:
+        _, lam, h, k = rec.key
+        m = rec.measured
+        for r, mass, comp in zip(m["r"], m["mass"], m["comparison"]):
+            yield (lam, h, k, r, mass, comp)
+
+
+def _mass_profile_plot(records: Sequence[ReportRecord]) -> _Plot:
+    series = []
+    for rec in records:
+        _, lam, _, _ = rec.key
+        m = rec.measured
+        style = "line" if len(m["r"]) > 1 else "scatter"
+        mass = _positive_series(f"L lam={lam:g}", m["r"], m["mass"], style)
+        comp = _positive_series(f"Z lam={lam:g}", m["r"], m["comparison"], "dashed")
+        if mass is not None:
+            series.append(mass)
+        if comp is not None:
+            series.append(comp)
+    return series, "depth r", "windowed mass", False, True
 
 
 # --------------------------------------------------------------------------
@@ -1019,17 +1145,41 @@ def _run_mass_profile(config: ExperimentConfig, jobs: int) -> list[ReportRecord]
 # --------------------------------------------------------------------------
 
 
+def _parametrix_point(
+    config: ExperimentConfig, model: ModelProblem, nodes, level, rho: float, h: float
+) -> ReportRecord:
+    n_tangential, n_normal = config.grid[0], config.grid[1]
+    length = model.lengths[0]
+    phi = make_boundary_function(
+        lambda x: 1.0
+        + 0.4 * np.cos(2.0 * math.pi * x / length)
+        + 0.2 * np.cos(4.0 * math.pi * x / length),
+        n_tangential,
+        length,
+        h,
+    )
+    series = solve_phase_series(
+        model,
+        "agmon",
+        _PARAMETRIX_ORDER,
+        (nodes, mode_frequencies(n_tangential, length, h)),
+    )
+    parametrix = apply_poisson_parametrix(series, phi, rho)
+    bvp = poisson_bvp(
+        model, phi, h, far=_PARAMETRIX_FAR, n_normal=n_normal, rho_max=rho
+    )
+    oracle = trace_at(bvp, level).values * math.exp(rho / h)
+    rel_error = float(
+        np.linalg.norm(parametrix.values - oracle) / np.linalg.norm(oracle)
+    )
+    measured = {"rel_error": rel_error, "rho": rho}
+    return _record(config, (config.model, h, rho), measured)
+
+
 def _run_parametrix_consistency(
     config: ExperimentConfig, jobs: int
 ) -> list[ReportRecord]:
     model = config.build_model()
-    if model.geometry != "separable-torus":
-        raise ExperimentError(
-            config.kind,
-            (config.model,),
-            ValueError("parametrix-consistency requires the separable-torus geometry"),
-        )
-    provenance = _provenance(config)
     n_tangential, n_normal = config.grid[0], config.grid[1]
     # The comparison depth must be node-aligned (no oracle interpolation
     # error) and small: the parametrix carries the leading amplitude only,
@@ -1037,45 +1187,11 @@ def _run_parametrix_consistency(
     # s -> 0, and the O(h) behaviour is visible only below it.
     s_star = 80.0 * _PARAMETRIX_FAR / (n_normal - 1)
     rho = float(separable_collar(model).rho_of_s(s_star))
-    length = model.lengths[0]
-    nodes = length / n_tangential * np.arange(n_tangential)
+    nodes = model.lengths[0] / n_tangential * np.arange(n_tangential)
     level = separable_level_set(model, rho, n_tangential=n_tangential)
 
-    def point(h: float):
-        def run() -> ReportRecord:
-            phi = make_boundary_function(
-                lambda x: 1.0
-                + 0.4 * np.cos(2.0 * math.pi * x / length)
-                + 0.2 * np.cos(4.0 * math.pi * x / length),
-                n_tangential,
-                length,
-                h,
-            )
-            series = solve_phase_series(
-                model,
-                "agmon",
-                _PARAMETRIX_ORDER,
-                (nodes, mode_frequencies(n_tangential, length, h)),
-            )
-            parametrix = apply_poisson_parametrix(series, phi, rho)
-            bvp = poisson_bvp(
-                model, phi, h, far=_PARAMETRIX_FAR, n_normal=n_normal, rho_max=rho
-            )
-            oracle = trace_at(bvp, level).values * math.exp(rho / h)
-            rel_error = float(
-                np.linalg.norm(parametrix.values - oracle) / np.linalg.norm(oracle)
-            )
-            return ReportRecord(
-                kind=config.kind,
-                key=(config.model, h, rho),
-                measured={"rel_error": rel_error, "rho": rho},
-                verdicts=(),
-                provenance=provenance,
-            )
-
-        return run
-
-    points = [((config.model, h, rho), point(h)) for h in config.h_sweep]
+    point = partial(_parametrix_point, config, model, nodes, level, rho)
+    points = [((config.model, h, rho), partial(point, h)) for h in config.h_sweep]
     records = _map_points(config.kind, points, jobs)
 
     h_values = np.array(config.h_sweep)
@@ -1093,26 +1209,107 @@ def _run_parametrix_consistency(
         margin=order - 0.7,
     )
     records.append(
-        ReportRecord(
-            kind=config.kind,
-            key=(config.model, "order-fit"),
-            measured=sweep_measured,
-            verdicts=(verdict,),
-            provenance=provenance,
-        )
+        _record(config, (config.model, "order-fit"), sweep_measured, (verdict,))
     )
     return records
 
 
-_RUNNERS = {
-    "halfplane-chain": _run_halfplane_chain,
-    "decay-sandwich": _run_decay_sandwich,
-    "exterior-mass": _run_exterior_mass,
-    "phase-residual": _run_phase_residual,
-    "symbol-class": _run_symbol_class,
-    "mass-profile": _run_mass_profile,
-    "parametrix-consistency": _run_parametrix_consistency,
+def _parametrix_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
+    fits = [rec for rec in records if rec.key[-1] == "order-fit"]
+    order = fits[-1].measured["fitted_order"] if fits else None
+    for rec in records:
+        if rec.key[-1] != "order-fit":
+            _, h, rho = rec.key
+            yield (h, rho, rec.measured["rel_error"], order)
+
+
+def _parametrix_plot(records: Sequence[ReportRecord]) -> _Plot:
+    pts = sorted(
+        (rec.key[1], rec.measured["rel_error"])
+        for rec in records
+        if rec.key[-1] != "order-fit"
+    )
+    xs = tuple(p[0] for p in pts)
+    ys = tuple(p[1] for p in pts)
+    style = "line" if len(xs) > 1 else "scatter"
+    series = [Series(label="relative error", x=xs, y=ys, style=style)]
+    return series, "h", "relative error", True, True
+
+
+# --------------------------------------------------------------------------
+# the kind table
+# --------------------------------------------------------------------------
+
+# The distance-gauged phase series needs a tangentially invariant product
+# barrier; the separable-torus kinds need its transverse modes or collar.
+_TANGENTIAL_INVARIANT = ("halfplane-cylinder", "separable-torus")
+
+_KINDS: dict[str, _KindSpec] = {
+    "halfplane-chain": _KindSpec(
+        run=_run_halfplane_chain,
+        columns=(
+            "h",
+            "rho",
+            "delta",
+            "epsilon",
+            "exterior",
+            "measured_ratio",
+            "lower_bound",
+            "margin",
+            "passed",
+        ),
+        rows=_chain_rows,
+        plot=_chain_plot,
+        geometries=dict.fromkeys(GEOMETRIES, 1),
+    ),
+    "decay-sandwich": _KindSpec(
+        run=_run_decay_sandwich,
+        columns=("h", "rho", "norm_ratio", "slope_times_h", "fit_residual"),
+        rows=_decay_rows,
+        plot=_decay_plot,
+        geometries={"halfplane-cylinder": 1, "separable-torus": 2},
+        minimums={"rho_grid": (4, "distinct depths")},
+    ),
+    "exterior-mass": _KindSpec(
+        run=_run_exterior_mass,
+        columns=("lam", "k", "mass", "norm_sq", "fraction", "lambda_mass"),
+        rows=_exterior_rows,
+        plot=_exterior_plot,
+        geometries={"separable-torus": 2},
+    ),
+    "phase-residual": _KindSpec(
+        run=_run_phase_residual,
+        columns=("check", "depth", "max_residual", "relative_residual"),
+        rows=_phase_rows,
+        plot=_phase_plot,
+        geometries=dict.fromkeys(_TANGENTIAL_INVARIANT, 2),
+    ),
+    "symbol-class": _KindSpec(
+        run=_run_symbol_class,
+        columns=("alpha", "beta", "h", "sup"),
+        rows=_symbol_rows,
+        plot=_symbol_plot,
+        geometries=dict.fromkeys(_TANGENTIAL_INVARIANT, 2),
+        minimums={"h_sweep": (4, "dyadic h values")},
+    ),
+    "mass-profile": _KindSpec(
+        run=_run_mass_profile,
+        columns=("lam", "h", "k", "r", "mass", "comparison"),
+        rows=_mass_profile_rows,
+        plot=_mass_profile_plot,
+        geometries={"separable-torus": 2},
+    ),
+    "parametrix-consistency": _KindSpec(
+        run=_run_parametrix_consistency,
+        columns=("h", "rho", "rel_error", "fitted_order"),
+        rows=_parametrix_rows,
+        plot=_parametrix_plot,
+        geometries={"separable-torus": 2},
+        minimums={"h_sweep": (2, "h values")},
+    ),
 }
+
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 # --------------------------------------------------------------------------
@@ -1128,84 +1325,13 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _csv_rows(records: tuple[ReportRecord, ...], kind: str):
-    """Flatten records into the fixed per-kind CSV table."""
-    rows = []
-    for rec in records:
-        m = rec.measured
-        if kind == "halfplane-chain":
-            _, h, rho = rec.key
-            final = rec.verdicts[-1]
-            rows.append(
-                (
-                    h,
-                    rho,
-                    m["delta"],
-                    m["epsilon"],
-                    m["exterior_fraction"],
-                    m["measured_ratio"],
-                    m["lower_bound"],
-                    final.margin,
-                    rec.passed,
-                )
-            )
-        elif kind == "decay-sandwich":
-            _, h = rec.key
-            for rho, ratio in zip(m["rho"], m["norm_ratio"]):
-                rows.append((h, rho, ratio, m["slope_times_h"], m["fit_residual"]))
-        elif kind == "exterior-mass":
-            if rec.key[-1] == "lambda-sweep":
-                continue
-            _, lam = rec.key
-            for k, mass, norm_sq, fraction in zip(
-                m["modes"], m["masses"], m["norm_sq"], m["fractions"]
-            ):
-                rows.append((lam, k, mass, norm_sq, fraction, m["lambda_mass"]))
-        elif kind == "phase-residual":
-            check = rec.key[-1]
-            if "depth" in m:
-                for depth, res, rel in zip(
-                    m["depth"], m["max_residual"], m["relative_residual"]
-                ):
-                    rows.append((check, depth, res, rel))
-            else:
-                dev = m["leading_deviation"]
-                rows.append((check, 0.0, dev, dev))
-        elif kind == "symbol-class":
-            for index, sups in zip(m["indices"], m["sups"]):
-                alpha, beta = int(index[1]), int(index[3])
-                for h, sup in zip(m["h"], sups):
-                    rows.append((alpha, beta, h, sup))
-        elif kind == "mass-profile":
-            if len(rec.key) != 4:
-                continue
-            _, lam, h, k = rec.key
-            for r, mass, comp in zip(m["r"], m["mass"], m["comparison"]):
-                rows.append((lam, h, k, r, mass, comp))
-        elif kind == "parametrix-consistency":
-            if rec.key[-1] == "order-fit":
-                continue
-            _, h, rho = rec.key
-            order = None
-            rows.append((h, rho, m["rel_error"], order))
-        else:  # pragma: no cover - guarded upstream
-            raise ValueError(f"unknown experiment kind {kind!r}")
-    if kind == "parametrix-consistency" and rows:
-        order = None
-        for rec in records:
-            if rec.key[-1] == "order-fit":
-                order = rec.measured["fitted_order"]
-        rows = [row[:3] + (order,) for row in rows]
-    return rows
-
-
 def write_sweep_csv(records: tuple[ReportRecord, ...], kind: str, path: Path) -> None:
     """One CSV per sweep with fixed, versioned columns."""
-    _, columns = _CSV_SCHEMA[kind]
+    spec = _KINDS[kind]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in _csv_rows(records, kind):
+        writer.writerow(spec.columns)
+        for row in spec.rows(records):
             writer.writerow(["" if v is None else _fmt_cell(v) for v in row])
 
 
@@ -1226,11 +1352,10 @@ def write_summary_json(
 ) -> bool:
     """The JSON summary: config echo, provenance, all verdicts.  Returns
     whether every verdict passed."""
-    schema, _ = _CSV_SCHEMA[config.kind]
     all_passed = all(rec.passed for rec in records)
     payload = {
         "kind": config.kind,
-        "csv_schema": schema,
+        "csv_schema": _CSV_SCHEMA_VERSION,
         "config": {
             "model": config.model,
             "params": dict(config.params),
@@ -1272,141 +1397,6 @@ def write_summary_json(
 # --------------------------------------------------------------------------
 
 
-def _positive_series(label, xs, ys, style) -> Series | None:
-    pairs = [(x, y) for x, y in zip(xs, ys) if y > 0.0]
-    if not pairs:
-        return None
-    return Series(
-        label=label,
-        x=tuple(p[0] for p in pairs),
-        y=tuple(p[1] for p in pairs),
-        style=style,
-    )
-
-
-def _plot_series(records: tuple[ReportRecord, ...], kind: str):
-    """Series list + axis labels per experiment kind."""
-    if kind == "halfplane-chain":
-        by_h: dict[float, list] = {}
-        for rec in records:
-            _, h, rho = rec.key
-            by_h.setdefault(h, []).append((rho, rec.measured))
-        series = []
-        for h, items in by_h.items():
-            items.sort()
-            xs = tuple(r for r, _ in items)
-            style = "line" if len(xs) > 1 else "scatter"
-            series.append(
-                Series(
-                    label=f"ratio h={h:g}",
-                    x=xs,
-                    y=tuple(m["measured_ratio"] for _, m in items),
-                    style=style,
-                )
-            )
-            if len(xs) > 1:
-                series.append(
-                    Series(
-                        label=f"bound h={h:g}",
-                        x=xs,
-                        y=tuple(m["lower_bound"] for _, m in items),
-                        style="dashed",
-                    )
-                )
-        return series, "rho", "trace norm ratio", False, True
-    if kind == "decay-sandwich":
-        series = []
-        for rec in records:
-            _, h = rec.key
-            rho = rec.measured["rho"]
-            style = "line" if len(rho) > 1 else "scatter"
-            series.append(
-                Series(
-                    label=f"measured h={h:g}",
-                    x=rho,
-                    y=rec.measured["norm_ratio"],
-                    style=style,
-                )
-            )
-            if len(rho) > 1:
-                series.append(
-                    Series(
-                        label=f"exp(-rho/h) h={h:g}",
-                        x=rho,
-                        y=tuple(math.exp(-r / h) for r in rho),
-                        style="dashed",
-                    )
-                )
-        return series, "rho", "norm ratio", False, True
-    if kind == "exterior-mass":
-        sweep = [rec for rec in records if rec.key[-1] == "lambda-sweep"]
-        if sweep:
-            m = sweep[0].measured
-            xs, ys = m["lambda"], m["lambda_mass"]
-        else:
-            pts = sorted(
-                (rec.key[1], rec.measured["lambda_mass"]) for rec in records
-            )
-            xs = tuple(p[0] for p in pts)
-            ys = tuple(p[1] for p in pts)
-        style = "line" if len(xs) > 1 else "scatter"
-        series = [Series(label="lambda*mass", x=xs, y=ys, style=style)]
-        return series, "lambda", "lambda * mass fraction", False, False
-    if kind == "phase-residual":
-        series = []
-        linear_fallback = []
-        for rec in records:
-            m = rec.measured
-            if "depth" not in m:
-                continue
-            label = str(rec.key[-1])
-            positive = _positive_series(label, m["depth"], m["max_residual"], "line")
-            if positive is not None:
-                series.append(positive)
-            linear_fallback.append(
-                Series(label=label, x=m["depth"], y=m["max_residual"], style="scatter")
-            )
-        if series:
-            return series, "depth", "equation residual", True, True
-        return linear_fallback, "depth", "equation residual", False, False
-    if kind == "symbol-class":
-        series = []
-        for rec in records:
-            m = rec.measured
-            for index, sups in zip(m["indices"], m["sups"]):
-                positive = _positive_series(index, m["h"], sups, "line")
-                if positive is not None:
-                    series.append(positive)
-        return series, "h", "derivative sup", True, True
-    if kind == "mass-profile":
-        series = []
-        for rec in records:
-            if len(rec.key) != 4:
-                continue
-            _, lam, _, _ = rec.key
-            m = rec.measured
-            style = "line" if len(m["r"]) > 1 else "scatter"
-            mass = _positive_series(f"L lam={lam:g}", m["r"], m["mass"], style)
-            comp = _positive_series(f"Z lam={lam:g}", m["r"], m["comparison"], "dashed")
-            if mass is not None:
-                series.append(mass)
-            if comp is not None:
-                series.append(comp)
-        return series, "depth r", "windowed mass", False, True
-    if kind == "parametrix-consistency":
-        pts = sorted(
-            (rec.key[1], rec.measured["rel_error"])
-            for rec in records
-            if rec.key[-1] != "order-fit"
-        )
-        xs = tuple(p[0] for p in pts)
-        ys = tuple(p[1] for p in pts)
-        style = "line" if len(xs) > 1 else "scatter"
-        series = [Series(label="relative error", x=xs, y=ys, style=style)]
-        return series, "h", "relative error", True, True
-    raise ValueError(f"unknown experiment kind {kind!r}")
-
-
 def emit_plots(records, kind: str, out_dir) -> tuple[Path, ...]:
     """Render the per-kind SVG plot for records of a single kind."""
     records = tuple(records)
@@ -1417,9 +1407,9 @@ def emit_plots(records, kind: str, out_dir) -> tuple[Path, ...]:
         raise ValueError(
             f"mixed or mismatched record kinds {sorted(kinds)}; expected {kind!r}"
         )
-    if kind not in EXPERIMENT_KINDS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    series, xlabel, ylabel, logx, logy = _plot_series(records, kind)
+    series, xlabel, ylabel, logx, logy = _KINDS[kind].plot(records)
     if not series:
         raise ValueError("records carry no plottable values")
     text = render_plot(
@@ -1444,11 +1434,11 @@ def emit_plots(records, kind: str, out_dir) -> tuple[Path, ...]:
 
 def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> ExperimentResult:
     """Run one experiment kind and write CSV, JSON summary, and SVG."""
-    if config.kind not in _RUNNERS:
+    if config.kind not in _KINDS:
         raise ConfigError({"kind": f"unknown experiment kind {config.kind!r}"})
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    records = tuple(_RUNNERS[config.kind](config, jobs))
+    records = tuple(_KINDS[config.kind].run(config, jobs))
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.kind}.csv"

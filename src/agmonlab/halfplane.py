@@ -221,10 +221,6 @@ class ChainReport:
     def passed(self) -> bool:
         return all(step.passed for step in self.steps)
 
-    @property
-    def final_margin(self) -> float:
-        return self.steps[-1].margin
-
 
 def verify_lower_chain(
     phi: BoundaryFunction, rho: float, delta: float, epsilon: float

@@ -105,10 +105,6 @@ class ModelProblem:
     def ndim(self) -> int:
         return len(self.lengths)
 
-    @property
-    def param_map(self) -> dict[str, float]:
-        return dict(self.params)
-
     def axis_bounds(self, axis: int) -> tuple[float, float]:
         """Coordinate range of one axis.
 

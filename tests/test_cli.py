@@ -75,6 +75,13 @@ class TestExitCodes:
         assert "halfplane-chain" in err
         assert "0.1" in err  # offending key tuple is printed
 
+    def test_unsupported_pair_fails_before_any_kind_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, kind=["halfplane-chain", "exterior-mass"])
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: model: exterior-mass" in err
+        assert not (tmp_path / "out" / "halfplane-chain.csv").exists()
+
     def test_bad_jobs_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path)
         assert main(["run", str(path), "--jobs", "0"]) == 2

@@ -1,5 +1,6 @@
 """Tests for the config-driven experiment runners and their reports."""
 
+import csv
 import json
 import math
 
@@ -35,6 +36,69 @@ def payload(**overrides):
     }
     base.update(overrides)
     return base
+
+
+# Each kind's fixed CSV header, and small sweeps that run it in well under a
+# second on a model it supports.
+KIND_COLUMNS = {
+    "halfplane-chain": (
+        "h,rho,delta,epsilon,exterior,measured_ratio,lower_bound,margin,passed"
+    ),
+    "decay-sandwich": "h,rho,norm_ratio,slope_times_h,fit_residual",
+    "exterior-mass": "lam,k,mass,norm_sq,fraction,lambda_mass",
+    "phase-residual": "check,depth,max_residual,relative_residual",
+    "symbol-class": "alpha,beta,h,sup",
+    "mass-profile": "lam,h,k,r,mass,comparison",
+    "parametrix-consistency": "h,rho,rel_error,fitted_order",
+}
+SMALL_RUNS = {
+    "halfplane-chain": {},
+    "decay-sandwich": {"rho_grid": [0.05, 0.1, 0.2, 0.3]},
+    "exterior-mass": {
+        "model": "separable-torus",
+        "h_sweep": [0.1],
+        "grid": [256, 64],
+    },
+    "phase-residual": {
+        "model": "separable-torus",
+        "rho_grid": [0.05, 0.1, 0.15, 0.2],
+        "grid": [16, 33],
+    },
+    "symbol-class": {
+        "h_sweep": [0.1, 0.05, 0.025, 0.0125],
+        "rho_grid": [0.25],
+        "grid": [1, 128],
+    },
+    "mass-profile": {
+        "model": "separable-torus",
+        "h_sweep": [0.1],
+        "lambda_sweep": [2.0],
+        "grid": [256, 128],
+    },
+    "parametrix-consistency": {
+        "model": "separable-torus",
+        "rho_grid": [0.25],
+        "grid": [32, 801],
+    },
+}
+# Every catalogue model a kind cannot run on, rejected before any compute.
+UNSUPPORTED = [
+    ("decay-sandwich", "barrier-1d"),
+    ("decay-sandwich", "strip-2d"),
+    ("exterior-mass", "halfplane-unit"),
+    ("exterior-mass", "barrier-1d"),
+    ("exterior-mass", "strip-2d"),
+    ("phase-residual", "barrier-1d"),
+    ("phase-residual", "strip-2d"),
+    ("symbol-class", "barrier-1d"),
+    ("symbol-class", "strip-2d"),
+    ("mass-profile", "halfplane-unit"),
+    ("mass-profile", "barrier-1d"),
+    ("mass-profile", "strip-2d"),
+    ("parametrix-consistency", "halfplane-unit"),
+    ("parametrix-consistency", "barrier-1d"),
+    ("parametrix-consistency", "strip-2d"),
+]
 
 
 @pytest.fixture
@@ -103,6 +167,16 @@ class TestParseConfig:
                 payload(kind="symbol-class", grid=[1, 128], out=str(out_dir))
             )
         assert "h_sweep" in excinfo.value.field_errors
+
+    @pytest.mark.parametrize("kind, model", UNSUPPORTED)
+    def test_unsupported_model_rejected_before_compute(self, out_dir, kind, model):
+        overrides = {**SMALL_RUNS[kind], "kind": kind, "model": model}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(payload(out=str(out_dir), **overrides))
+        message = excinfo.value.field_errors["model"]
+        assert kind in message
+        assert model in message
+        assert "separable-torus" in message  # names a model that works
 
     def test_overrides_take_precedence(self, tmp_path):
         (config,) = parse_config(
@@ -208,19 +282,20 @@ class TestRunExperiment:
         assert abs(slope + 1.0) < 0.1
 
     def test_decay_rejects_unsupported_geometry(self, out_dir):
-        (config,) = parse_config(
-            payload(
-                kind="decay-sandwich",
-                model="strip-2d",
-                rho_grid=[0.05, 0.1, 0.2, 0.3],
-                grid=[128, 101],
-                out=str(out_dir),
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(
+                payload(
+                    kind="decay-sandwich",
+                    model="strip-2d",
+                    rho_grid=[0.05, 0.1, 0.2, 0.3],
+                    grid=[128, 101],
+                    out=str(out_dir),
+                )
             )
-        )
-        with pytest.raises(ExperimentError) as excinfo:
-            run_experiment(config)
-        assert excinfo.value.kind == "decay-sandwich"
-        assert excinfo.value.key == ("strip-2d",)
+        message = excinfo.value.field_errors["model"]
+        assert "decay-sandwich" in message
+        assert "halfplane-unit" in message
+        assert "separable-torus" in message
 
     def test_module_error_carries_key_tuple(self, out_dir):
         # 100 nodes is not a power of two; the transform rejects it at the
@@ -431,3 +506,20 @@ class TestEmitPlots:
             "mass-profile",
             "parametrix-consistency",
         }
+        assert set(EXPERIMENT_KINDS) == set(KIND_COLUMNS) == set(SMALL_RUNS)
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_every_kind_writes_its_artifacts(self, tmp_path, kind):
+        overrides = {**SMALL_RUNS[kind], "kind": kind}
+        (config,) = parse_config(payload(out=str(tmp_path), **overrides))
+        result = run_experiment(config)
+        lines = result.csv_path.read_text().splitlines()
+        assert lines[0] == KIND_COLUMNS[kind]
+        width = len(KIND_COLUMNS[kind].split(","))
+        rows = list(csv.reader(lines[1:]))
+        assert rows
+        assert all(len(row) == width for row in rows)
+        summary = json.loads(result.summary_path.read_text())
+        assert summary["csv_schema"] == 1
+        assert result.plot_paths == (tmp_path / f"{kind}.svg",)
+        assert result.plot_paths[0].exists()
