@@ -12,8 +12,11 @@ Seven experiment kinds map the package modules onto reproducible runs:
 
 A kind is defined by its one ``_KindSpec`` entry in ``_KINDS``: its runner,
 CSV columns, row flattener, plot builder, the geometries it supports (with
-the grid sizes each needs) and its sweep-length minimums.  The generic code
-below only reads that entry, so adding a kind means adding one entry.
+the grid sizes each needs), its sweep-length minimums and its least node
+counts.  The generic code below only reads that entry, so adding a kind
+means adding one entry.  A config that breaks a kind's static limits is
+rejected by ``parse_config``; any other module error, in a runner's set-up
+or at a sweep point, surfaces as an ``ExperimentError``.
 
 Each run emits one CSV per sweep, one JSON summary carrying every verdict
 with its tolerance and measured margin, and one SVG plot.  All outputs are
@@ -32,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 import scipy
@@ -67,6 +70,7 @@ from agmonlab.models import (
 )
 from agmonlab.quantize import build_cutoff_profile, build_phase_cutoff, symbol_class_check
 from agmonlab.solver import (
+    _MIN_NODES,
     assemble_separable_mode,
     decay_fit,
     poisson_bvp,
@@ -130,6 +134,13 @@ _MASS_NOISE_FLOOR = 1e-12
 _WINDOW_TARGET = 1.3
 # Version of every per-kind CSV table, echoed in the JSON summary.
 _CSV_SCHEMA_VERSION = 1
+# Least node counts of the separable-torus mode kinds' grid entries: the
+# transverse eigensolve's minimum grid and the four nodes a level circle
+# needs for its trace.
+_TRANSVERSE_NODES = (_MIN_NODES, "transverse nodes")
+_LEVEL_CIRCLE_NODES = (4, "tangential nodes")
+
+_T = TypeVar("_T")
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +241,9 @@ class _KindSpec:
 
     ``geometries`` maps each supported model geometry to the number of
     ``grid`` entries the kind needs there; ``minimums`` maps a sweep key to
-    the least number of distinct values it must hold and what they are.
+    the least number of distinct values it must hold and what they are;
+    ``grid_minimums`` holds the least value of each leading ``grid`` entry
+    and what that entry counts.
     """
 
     run: Callable[[ExperimentConfig, int], list[ReportRecord]]
@@ -239,6 +252,7 @@ class _KindSpec:
     plot: Callable[[Sequence[ReportRecord]], _Plot]
     geometries: Mapping[str, int]
     minimums: Mapping[str, tuple[int, str]] = field(default_factory=dict)
+    grid_minimums: tuple[tuple[int, str], ...] = ()
 
 
 # --------------------------------------------------------------------------
@@ -411,6 +425,11 @@ def parse_config(
         sizes = spec.geometries.get(geometry, min(spec.geometries.values()))
         if grid and len(grid) < sizes:
             errors["grid"] = f"{kind} needs {sizes} grid sizes"
+        for entry, (least, what) in enumerate(spec.grid_minimums[: len(grid)]):
+            if grid[entry] < least:
+                errors["grid"] = (
+                    f"{kind} needs at least {least} {what} in grid[{entry}]"
+                )
 
     if errors:
         raise ConfigError(errors)
@@ -461,7 +480,7 @@ def _record(
     )
 
 
-def _guarded(kind: str, key: tuple, fn: Callable[[], ReportRecord]) -> ReportRecord:
+def _guarded(kind: str, key: tuple, fn: Callable[[], _T]) -> _T:
     try:
         return fn()
     except ExperimentError:
@@ -1276,6 +1295,7 @@ _KINDS: dict[str, _KindSpec] = {
         rows=_exterior_rows,
         plot=_exterior_plot,
         geometries={"separable-torus": 2},
+        grid_minimums=(_TRANSVERSE_NODES, _LEVEL_CIRCLE_NODES),
     ),
     "phase-residual": _KindSpec(
         run=_run_phase_residual,
@@ -1298,6 +1318,7 @@ _KINDS: dict[str, _KindSpec] = {
         rows=_mass_profile_rows,
         plot=_mass_profile_plot,
         geometries={"separable-torus": 2},
+        grid_minimums=(_TRANSVERSE_NODES,),
     ),
     "parametrix-consistency": _KindSpec(
         run=_run_parametrix_consistency,
@@ -1438,7 +1459,8 @@ def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> ExperimentResu
         raise ConfigError({"kind": f"unknown experiment kind {config.kind!r}"})
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    records = tuple(_KINDS[config.kind].run(config, jobs))
+    run = partial(_KINDS[config.kind].run, config, jobs)
+    records = tuple(_guarded(config.kind, (config.model,), run))
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.kind}.csv"

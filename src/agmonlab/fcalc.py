@@ -736,33 +736,47 @@ def integrate_comparison_ode(
 
     Integrates segment by segment so values land exactly on the requested
     grid; the step budget is distributed proportionally to segment length.
+    The system is linear, y' = M y, so one RK4 step of size dt is the
+    matrix S = I + D with D = A + A^2/2 + A^3/6 + A^4/24 and A = dt M (the
+    Taylor polynomial the four stages produce), and a segment of m steps
+    applies S^m by repeated squaring (:func:`_step_power_increment`).
     """
     if t_constant <= 0.0:
         raise ValueError(f"comparison constant T = {t_constant:g} is not positive")
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid[0] != 0.0:
         raise ValueError("depth grid must start at 0")
-    rate = t_constant / h**2
+    system = np.array([[0.0, 1.0], [t_constant / h**2, 0.0]])
     total = float(r_grid[-1] - r_grid[0])
     out = np.empty(r_grid.size)
     out[0] = mass_at_zero
     y = np.array([mass_at_zero, slope_at_zero])
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        return np.array([state[1], rate * state[0]])
-
     for j in range(1, r_grid.size):
         seg = float(r_grid[j] - r_grid[j - 1])
         m = max(1, int(round(steps * seg / total))) if total > 0.0 else 1
-        dt = seg / m
-        for _ in range(m):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a = (seg / m) * system
+        a2 = a @ a
+        increment = a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
+        y = y + _step_power_increment(increment, m) @ y
         out[j] = y[0]
     return out
+
+
+def _step_power_increment(d: np.ndarray, m: int) -> np.ndarray:
+    """E with (I + d)^m = I + E, by repeated squaring of the increment.
+
+    Carrying I + d as a rounded matrix would round d to the precision of
+    the identity, an error that m steps compound (about 1e-12 relative over
+    8000 steps); the increments keep their own precision, as the stepwise
+    update y + dt * (...) does.
+    """
+    total = np.zeros_like(d)
+    while m:
+        if m & 1:
+            total = total + d + total @ d
+        d = 2.0 * d + d @ d
+        m >>= 1
+    return total
 
 
 def _support_subspace_floor(

@@ -6,11 +6,12 @@ suite leans on.  Transverse wells are solved as 1D eigenproblems (with an
 exact even-parity reduction for symmetric periodic wells), separable 2D
 modes are assembled mode-by-mode, and the Poisson operator is realized as
 a boundary-value solve with a far Dirichlet closure whose influence is
-certified by an explicit tunneling bound.  That solve has one kernel:
-conjugate gradients preconditioned by the tangential-mean operator, which
-an FFT along the tangent splits into one Dirichlet tridiagonal per mode;
-for tangentially constant potentials the preconditioner is exact and no
-iteration runs.
+certified by an explicit tunneling bound.  That solve has one kernel, in
+real arithmetic: conjugate gradients preconditioned by the tangential-mean
+operator, which a real FFT along the tangent splits into one Dirichlet
+tridiagonal per distinct mode; complex data is solved by linearity as its
+real and imaginary parts.  For tangentially constant potentials the
+preconditioner is exact and no iteration runs.
 """
 
 from __future__ import annotations
@@ -403,12 +404,15 @@ def poisson_bvp(
     same operator for the tangential mean of V - E on each normal row
     (Concus & Golub 1973): that operator block-diagonalizes over tangential
     Fourier modes with the exact discrete dispersion, one Dirichlet
-    tridiagonal per mode.  For potentials independent of the tangent the
-    preconditioner is the exact inverse and its first iterate already meets
-    the stopping test (0 iterations); otherwise the iteration count is
-    governed by max/min of V - E over its row mean, e.g. (1+a)/(1-a) on
-    strip-2d.  The far Dirichlet closure's influence on traces at weighted
-    depth <= rho_max is certified by the tunneling factor
+    tridiagonal per mode.  The operator is real and so is the kernel
+    (float64 over the nx // 2 + 1 rfft modes): complex data is solved by
+    linearity as its real and imaginary parts, and real data gives a field
+    whose imaginary part is exactly zero.  For potentials independent of the
+    tangent the preconditioner is the exact inverse and its first iterate
+    already meets the stopping test (0 iterations); otherwise the iteration
+    count is governed by max/min of V - E over its row mean, e.g.
+    (1+a)/(1-a) on strip-2d.  The far Dirichlet closure's influence on
+    traces at weighted depth <= rho_max is certified by the tunneling factor
     exp(-2 (depth - rho_max)/h).  The metadata records that bound, the
     iteration count and the final true residual max|A u - b| / max|u|; a
     solve that misses the stopping test within the iteration cap raises
@@ -464,8 +468,9 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
 
     The blocks are stacked mode-major into one symmetric positive definite
     tridiagonal with zero coupling between blocks and factored once as
-    L D L^T.  The returned function solves, in place, for a C-contiguous
-    complex right-hand side of shape (modes, w.size).
+    L D L^T.  The returned function solves for a complex right-hand side
+    of shape (..., modes, w.size), in place when it is C-contiguous; the
+    leading axes are independent right-hand sides.
     """
     diag = (2.0 * cn + w)[None, :] + dispersion[:, None]
     off = np.full(diag.shape, -cn)
@@ -476,61 +481,79 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
     e = e.astype(complex)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        zpttrs(d, e, rhs.reshape(-1, 1), overwrite_b=1)
-        return rhs
+        x, _ = zpttrs(d, e, rhs.reshape(-1, d.size).T, overwrite_b=1)
+        return x.T.reshape(rhs.shape)
 
     return solve
 
 
 def _stencil(u: np.ndarray, w: np.ndarray, cn: float, cp: float) -> np.ndarray:
-    """The 5-point operator at the interior rows of the full array u, whose
-    first and last normal rows hold the Dirichlet values; w is V - E at
-    those rows."""
-    out = w * u[:, 1:-1]
-    tmp = np.add(u[:, :-2], u[:, 2:])
+    """The 5-point operator at the interior rows of u, shaped (..., nx, ny)
+    with the tangent on axis -2; the first and last normal rows hold the
+    Dirichlet values, and w is V - E at the interior rows."""
+    out = w * u[..., 1:-1]
+    tmp = np.add(u[..., :-2], u[..., 2:])
     tmp *= -cn
     out += tmp
-    np.multiply(u[:, 1:-1], 2.0 * (cn + cp), out=tmp)
+    np.multiply(u[..., 1:-1], 2.0 * (cn + cp), out=tmp)
     out += tmp
-    np.add(u[:-2, 1:-1], u[2:, 1:-1], out=tmp[1:-1])
-    np.add(u[-1, 1:-1], u[1, 1:-1], out=tmp[0])
-    np.add(u[-2, 1:-1], u[0, 1:-1], out=tmp[-1])
+    np.add(u[..., :-2, 1:-1], u[..., 2:, 1:-1], out=tmp[..., 1:-1, :])
+    np.add(u[..., -1, 1:-1], u[..., 1, 1:-1], out=tmp[..., 0, :])
+    np.add(u[..., -2, 1:-1], u[..., 0, 1:-1], out=tmp[..., -1, :])
     tmp *= -cp
     out += tmp
     return out
 
 
+def _modulus_max(a: np.ndarray) -> float:
+    """max |a_re + i a_im| over a real stack of one or two parts."""
+    if len(a) == 1:
+        return float(max(np.max(a), -np.min(a)))
+    return float(np.max(np.hypot(a[0], a[1])))
+
+
 def _mode_pcg(phi, w, cn, cp):
     """Mode-preconditioned CG for the interior of the Dirichlet strip problem.
 
-    The residual is kept as r = A u - b, evaluated on the full array with the
-    data row in place.  Iteration stops when the true residual
-    max|r| / max|u| is within _PCG_TOL of the operator's infinity norm (a
-    normwise backward error, so the test is reachable at every grid size);
-    the recursive residual only triggers that check.  Returns (values,
+    A real kernel: the operator is real, so complex data phi is solved by
+    linearity as a stack of its real and imaginary parts (one part when
+    phi.imag is exactly zero), with CG inner products summed over the
+    parts -- the real part of the complex inner product, so the iterates
+    are those of complex CG.  The preconditioner takes rfft along the
+    tangent and solves the nx // 2 + 1 distinct mode tridiagonals (the
+    dispersion is symmetric under k -> nx - k).  The residual is kept as
+    r = A u - b, evaluated on the full array with the data row in place.
+    Iteration stops when the true residual max|r| / max|u| (complex
+    moduli) is within _PCG_TOL of the operator's infinity norm (a normwise
+    backward error, so the test is reachable at every grid size); the
+    recursive residual only triggers that check.  Returns (complex values,
     iterations, residual).
     """
     nx, ny = w.shape
     w = w[:, 1:-1]
-    dispersion = 4.0 * cp * np.sin(math.pi * np.arange(nx) / nx) ** 2
-    precondition = _dirichlet_modes(np.mean(w, axis=0), cn, dispersion)
+    if np.any(np.imag(phi)):
+        data = np.stack([phi.real, phi.imag])
+    else:
+        data = np.real(phi)[None]
+    dispersion = 4.0 * cp * np.sin(math.pi * np.arange(nx // 2 + 1) / nx) ** 2
+    solve = _dirichlet_modes(np.mean(w, axis=0), cn, dispersion)
     bound = _PCG_TOL * (4.0 * (cn + cp) + float(np.max(w)))
-    values = np.zeros((nx, ny), dtype=complex)
-    values[:, 0] = phi
+    values = np.zeros((len(data), nx, ny))
+    values[..., 0] = data
 
     def relative(r):
-        scale = float(np.max(np.abs(values)))
-        return float(np.max(np.abs(r))) / scale if scale else 0.0
+        scale = _modulus_max(values)
+        return _modulus_max(r) / scale if scale else 0.0
 
     # b is cn * phi on the first interior row only, so its transform is too
-    rhs = np.zeros((nx, ny - 2), dtype=complex)
-    rhs[:, 0] = cn * np.fft.fft(phi)
-    values[:, 1:-1] = np.fft.ifft(precondition(rhs), axis=0)
+    rhs = np.zeros((len(data), nx // 2 + 1, ny - 2), dtype=complex)
+    rhs[..., 0] = cn * np.fft.rfft(data)
+    values[..., 1:-1] = np.fft.irfft(solve(rhs), nx, axis=-2)
     del rhs
     r = _stencil(values, w, cn, cp)
     residual = relative(r)
     iterations = 0
-    p = np.zeros(values.shape, dtype=complex)
+    p = np.zeros(values.shape)
     rz = 1.0  # any finite value: p starts at zero
     while residual > bound:
         if iterations == _PCG_MAX_ITER:
@@ -539,21 +562,25 @@ def _mode_pcg(phi, w, cn, cp):
                 f"residual {residual:.3g} > {bound:.3g} after {iterations} "
                 "iterations"
             )
-        z = np.fft.ifft(precondition(np.fft.fft(r, axis=0)), axis=0)
-        rz_next = float(np.vdot(r, z).real)
-        p[:, 1:-1] *= rz_next / rz
-        p[:, 1:-1] += z
+        z = np.fft.irfft(solve(np.fft.rfft(r, axis=-2)), nx, axis=-2)
+        rz_next = float(np.vdot(r, z))
+        p[..., 1:-1] *= rz_next / rz
+        p[..., 1:-1] += z
         rz = rz_next
         q = _stencil(p, w, cn, cp)
-        alpha = rz / float(np.vdot(p[:, 1:-1], q).real)
-        values[:, 1:-1] -= alpha * p[:, 1:-1]
+        alpha = rz / float(np.vdot(p[..., 1:-1], q))
+        values[..., 1:-1] -= alpha * p[..., 1:-1]
         r -= alpha * q
         iterations += 1
         residual = relative(r)
         if residual <= bound:  # confirm on the true residual
             r = _stencil(values, w, cn, cp)
             residual = relative(r)
-    return values, iterations, residual
+    del r, p  # before the complex copy of the field
+    out = np.empty((nx, ny), dtype=complex)
+    out.real = values[0]
+    out.imag = values[1] if len(values) == 2 else 0.0
+    return out, iterations, residual
 
 
 def decay_profile_1d(

@@ -75,6 +75,36 @@ class TestExitCodes:
         assert "halfplane-chain" in err
         assert "0.1" in err  # offending key tuple is printed
 
+    def test_grid_below_node_minimum_exits_two_without_traceback(self, tmp_path):
+        path = write_config(
+            tmp_path, kind="exterior-mass", model="separable-torus", grid=[128, 64]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "agmonlab.cli", "run", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert (
+            "config error: grid: exterior-mass needs at least 256 transverse "
+            "nodes in grid[0]" in proc.stderr
+        )
+        assert not (tmp_path / "out" / "exterior-mass.csv").exists()
+
+    def test_runner_set_up_error_exits_two(self, tmp_path, capsys):
+        # Three normal nodes put the comparison depth far outside the
+        # collar: the level set-up fails before any sweep point runs.
+        path = write_config(
+            tmp_path,
+            kind="parametrix-consistency",
+            model="separable-torus",
+            grid=[64, 3],
+        )
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: parametrix-consistency failed at key ('separable-torus',)" in err
+
     def test_unsupported_pair_fails_before_any_kind_runs(self, tmp_path, capsys):
         path = write_config(tmp_path, kind=["halfplane-chain", "exterior-mass"])
         assert main(["run", str(path)]) == 2

@@ -98,6 +98,31 @@ def oracle_comparison_ode(l0, slope0, t_constant, h, r_grid) -> np.ndarray:
     return sol.y[0]
 
 
+def reference_rk4_loop(l0, slope0, t_constant, h, r_grid, steps=8000):
+    """The classical RK4 stages stepped one at a time, with the integrator's
+    segment split: steps * segment / total rounded, at least one."""
+    rate = t_constant / h**2
+    total = float(r_grid[-1] - r_grid[0])
+    out = [l0]
+    y = np.array([l0, slope0])
+
+    def rhs(state):
+        return np.array([state[1], rate * state[0]])
+
+    for j in range(1, len(r_grid)):
+        seg = float(r_grid[j] - r_grid[j - 1])
+        m = max(1, int(round(steps * seg / total)))
+        dt = seg / m
+        for _ in range(m):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(y[0])
+    return np.array(out)
+
+
 # --------------------------------------------------------------------------
 # shared modes (module-scoped: the transverse solves dominate setup cost)
 # --------------------------------------------------------------------------
@@ -675,6 +700,22 @@ class TestComparisonODE:
         numeric = integrate_comparison_ode(l0, -c * h * norm_sq / lam, t, h, r)
         scale = float(np.max(np.abs(closed)))
         assert float(np.max(np.abs(closed - numeric))) <= 1e-8 * scale
+
+    @pytest.mark.parametrize(
+        "r, steps",
+        [
+            (np.linspace(0.0, 0.32, 33), 8000),
+            (np.array([0.0, 0.01, 0.05, 0.06, 0.2, 0.32]), 8000),
+            (np.array([0.0, 0.001, 0.3]), 50),
+        ],
+        ids=["uniform", "uneven", "one-step-segment"],
+    )
+    def test_step_matrix_matches_stepwise_rk4(self, r, steps):
+        l0, slope0, t, h = 2e-4, -0.014, 1.3, 0.08
+        reference = reference_rk4_loop(l0, slope0, t, h, r, steps)
+        numeric = integrate_comparison_ode(l0, slope0, t, h, r, steps=steps)
+        scale = float(np.max(np.abs(reference)))
+        assert float(np.max(np.abs(numeric - reference))) <= 1e-13 * scale
 
     def test_zero_initial_mass_gives_pure_decay_branch(self):
         c, t, lam, h, norm_sq = 0.5, 2.0, 4.0, 0.1, 1.0

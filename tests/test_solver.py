@@ -362,6 +362,85 @@ class TestPoissonBVP:
         assert field.meta["residual"] <= 1e-9
         assert 0 < field.meta["iterations"] < 50
 
+    @pytest.mark.parametrize(
+        "model, far, n_normal",
+        [(TORUS, 1.2, 101), (STRIP, 0.5, 41)],
+        ids=["separable-torus", "strip-2d"],
+    )
+    def test_edge_modes_agree_with_sparse_direct_oracle(self, model, far, n_normal):
+        # k = 0 and the Nyquist mode k = nx / 2 are the real-only rfft modes
+        nx = 32
+        nyquist = (-1.0) ** np.arange(nx)
+        data = 1.0 + 0.4 * nyquist + 0.1j * (1.0 - nyquist)
+        for values in (data.real, data):
+            phi = BoundaryFunction(values, 2.0 * math.pi, 0.05)
+            field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
+            oracle = sparse_direct_oracle(model, phi, 0.05, far, n_normal)
+            assert np.max(np.abs(field.values[:, 1:-1] - oracle)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "model, far, n_normal",
+        [(TORUS, 1.2, 101), (STRIP, 0.5, 41), (STRIP, 0.8, 801)],
+        ids=["separable-torus", "strip-2d", "strip-2d-fine"],
+    )
+    def test_real_data_gives_real_field(self, model, far, n_normal):
+        nx = 64
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        data = 1.0 + 0.3 * np.cos(2.0 * xp) + 0.1 * np.sin(5.0 * xp)
+        for values in (data, data.astype(complex)):
+            phi = BoundaryFunction(values, 2.0 * math.pi, 0.05)
+            field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
+            assert field.values.dtype == complex
+            assert np.all(field.values.imag == 0.0)
+
+    @pytest.mark.parametrize(
+        "model, far, n_normal, combined_tol",
+        [(TORUS, 1.2, 101, 1e-14), (STRIP, 0.5, 41, 1e-10), (STRIP, 0.8, 801, 1e-10)],
+        ids=["separable-torus", "strip-2d", "strip-2d-fine"],
+    )
+    def test_complex_data_by_linearity(self, model, far, n_normal, combined_tol):
+        nx = 64
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        re = 1.0 + 0.3 * np.cos(2.0 * xp) + 0.1 * np.cos(32.0 * xp)
+        im = 0.05 + 0.2 * np.sin(3.0 * xp)
+
+        def solve(values):
+            phi = BoundaryFunction(values, 2.0 * math.pi, 0.05)
+            return poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
+
+        f_re, f_im = solve(re), solve(im)
+        f_i, f_both = solve(1j * re), solve(re + 1j * im)
+        scale = np.max(np.abs(f_re.values))
+        assert np.max(np.abs(f_i.values - 1j * f_re.values)) <= 1e-14 * scale
+        # CG is linear in the data only when the preconditioner is exact (no
+        # iteration); otherwise the two solves agree to the stopping test
+        combined = f_re.values + 1j * f_im.values
+        gap = np.max(np.abs(f_both.values - combined))
+        assert gap <= combined_tol * np.max(np.abs(f_both.values))
+        counts = {f.meta["iterations"] for f in (f_re, f_im, f_i, f_both)}
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize(
+        "nx, far, n_normal, rho_max, data, iterations",
+        [
+            (
+                32, 0.5, 41, 0.0,
+                lambda x: 1.0 + 0.3 * np.cos(2 * x) + 0.2j * np.sin(3 * x),
+                11,
+            ),
+            (128, 0.8, 2001, 0.2, lambda x: 1.0 + 0.2 * np.cos(x), 9),
+        ],
+        ids=["complex-32x41", "real-128x2001"],
+    )
+    def test_strip_iteration_counts(self, nx, far, n_normal, rho_max, data, iterations):
+        # the counts of the complex-arithmetic kernel this one replaced
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        phi = BoundaryFunction(data(xp), 2.0 * math.pi, 0.05)
+        field = poisson_bvp(
+            STRIP, phi, 0.05, far=far, n_normal=n_normal, rho_max=rho_max
+        )
+        assert field.meta["iterations"] == iterations
+
     def test_unconverged_solve_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "_PCG_MAX_ITER", 2)
         nx = 32
