@@ -123,6 +123,12 @@ _XI_MAX = 0.75
 # solver's contamination guard for the shipped periodic-torus geometry.
 _DECAY_FAR = 1.9
 _PARAMETRIX_FAR = 1.0
+# The parametrix comparison depth, in normal-grid steps: node-aligned (no
+# oracle interpolation error) and small, since the parametrix carries the
+# leading amplitude only, so at depth s it has an h-independent error term
+# that vanishes as s -> 0, and the O(h) behaviour is visible only below it.
+# parse_config checks that the depth lies inside the collar.
+_PARAMETRIX_DEPTH_STEPS = 80
 # Tangential mode family for the exterior-mass sweep: low even-symmetry
 # modes whose trace frequencies sit below every spectral window.
 _EXTERIOR_MODES = (0, 1, 2, 3)
@@ -243,7 +249,8 @@ class _KindSpec:
     ``grid`` entries the kind needs there; ``minimums`` maps a sweep key to
     the least number of distinct values it must hold and what they are;
     ``grid_minimums`` holds the least value of each leading ``grid`` entry
-    and what that entry counts.
+    and what that entry counts; ``grid_check`` returns what is wrong with
+    the grid for a given model, or None.
     """
 
     run: Callable[[ExperimentConfig, int], list[ReportRecord]]
@@ -253,6 +260,7 @@ class _KindSpec:
     geometries: Mapping[str, int]
     minimums: Mapping[str, tuple[int, str]] = field(default_factory=dict)
     grid_minimums: tuple[tuple[int, str], ...] = ()
+    grid_check: Callable[[ModelProblem, tuple[int, ...]], str | None] | None = None
 
 
 # --------------------------------------------------------------------------
@@ -351,12 +359,13 @@ def parse_config(
             )
         except (TypeError, ValueError):
             errors["params"] = "parameter values must be numbers"
-    geometry = None
+    built = None
     if isinstance(model, str) and "model" not in errors:
         try:
-            geometry = make_model(model, dict(params)).geometry
+            built = make_model(model, dict(params))
         except ValueError as exc:
             errors["model"] = str(exc)
+    geometry = built.geometry if built is not None else None
 
     h_sweep = _float_tuple(payload.get("h_sweep"), "h_sweep", errors, distinct=True)
     rho_grid = _float_tuple(payload.get("rho_grid"), "rho_grid", errors)
@@ -430,6 +439,15 @@ def parse_config(
                 errors["grid"] = (
                     f"{kind} needs at least {least} {what} in grid[{entry}]"
                 )
+        if (
+            spec.grid_check is not None
+            and geometry in spec.geometries
+            and len(grid) >= sizes
+            and "grid" not in errors
+        ):
+            problem = spec.grid_check(built, grid)
+            if problem is not None:
+                errors["grid"] = problem
 
     if errors:
         raise ConfigError(errors)
@@ -1164,6 +1182,19 @@ def _mass_profile_plot(records: Sequence[ReportRecord]) -> _Plot:
 # --------------------------------------------------------------------------
 
 
+def _parametrix_grid_check(model: ModelProblem, grid: tuple[int, ...]) -> str | None:
+    """The comparison depth must lie inside the model's ambient collar."""
+    collar = model.collar_width_ambient
+    least = math.ceil(_PARAMETRIX_DEPTH_STEPS * _PARAMETRIX_FAR / collar) + 1
+    if grid[1] >= least:
+        return None
+    return (
+        f"parametrix-consistency needs at least {least} normal nodes in "
+        f"grid[1], so that its comparison depth lies inside the collar "
+        f"[0, {collar:g}]"
+    )
+
+
 def _parametrix_point(
     config: ExperimentConfig, model: ModelProblem, nodes, level, rho: float, h: float
 ) -> ReportRecord:
@@ -1200,11 +1231,7 @@ def _run_parametrix_consistency(
 ) -> list[ReportRecord]:
     model = config.build_model()
     n_tangential, n_normal = config.grid[0], config.grid[1]
-    # The comparison depth must be node-aligned (no oracle interpolation
-    # error) and small: the parametrix carries the leading amplitude only,
-    # so at depth s it has an h-independent error term that vanishes as
-    # s -> 0, and the O(h) behaviour is visible only below it.
-    s_star = 80.0 * _PARAMETRIX_FAR / (n_normal - 1)
+    s_star = _PARAMETRIX_DEPTH_STEPS * _PARAMETRIX_FAR / (n_normal - 1)
     rho = float(separable_collar(model).rho_of_s(s_star))
     nodes = model.lengths[0] / n_tangential * np.arange(n_tangential)
     level = separable_level_set(model, rho, n_tangential=n_tangential)
@@ -1327,6 +1354,7 @@ _KINDS: dict[str, _KindSpec] = {
         plot=_parametrix_plot,
         geometries={"separable-torus": 2},
         minimums={"h_sweep": (2, "h values")},
+        grid_check=_parametrix_grid_check,
     ),
 }
 

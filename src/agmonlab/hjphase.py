@@ -15,12 +15,18 @@ Series are built coefficient-by-coefficient in extended precision; each
 order divides by 2(1 + w_0) (agmon) or 2 sqrt(V - E + |xi'|^2) (ambient),
 both bounded away from zero on the shipped barriers, so the recursion is
 well posed and the decaying branch is selected by the principal root.
+
+The recursion, the phase evaluation and the residual check run once per
+distinct row of the normal Taylor table: one row for a tangentially
+invariant barrier (and for every gauged series), one per tangential node
+for a separable-product barrier.  The tangent axis of the coefficient
+array and of evaluated phases is a read-only broadcast view of those rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -158,6 +164,12 @@ class PhaseSeries:
     convention.  The derivative coefficients w_m = (m+1) c_{m+1} satisfy
     the order-by-order recursion of the corresponding equation through
     order K, leaving a residual O(x_n^{K+2-1}).
+
+    The series is built from its distinct Taylor rows: the array passed as
+    ``coefficients`` may hold one row (a tangentially invariant phase) or
+    one per tangential node.  It is kept, read-only, as
+    ``row_coefficients``, and ``coefficients`` is a read-only broadcast
+    view of it over the tangential nodes.
     """
 
     order: int
@@ -167,23 +179,30 @@ class PhaseSeries:
     frequencies: np.ndarray
     model: ModelProblem
     meta: dict
+    row_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("agmon", "ambient"):
             raise ValueError(f"unknown series kind {self.kind!r}")
-        if np.iscomplexobj(self.coefficients):
+        rows = self.coefficients
+        if np.iscomplexobj(rows):
             raise ValueError("phase series must be real (decaying branch)")
         expected = (
             self.order + 1,
             self.tangential_nodes.size,
             self.frequencies.size,
         )
-        if self.coefficients.shape != expected:
+        n_rows = rows.shape[1] if rows.ndim == 3 else 0
+        if n_rows not in (1, expected[1]) or rows.shape != (
+            expected[0], n_rows, expected[2]
+        ):
             raise ValueError(
-                f"coefficient array shape {self.coefficients.shape} does not "
-                f"match (K+1, n_tangential, n_frequencies) = {expected}"
+                f"coefficient array shape {rows.shape} does not match "
+                f"(K+1, 1 or n_tangential, n_frequencies) for {expected}"
             )
-        self.coefficients.setflags(write=False)
+        rows.setflags(write=False)
+        object.__setattr__(self, "row_coefficients", rows)
+        object.__setattr__(self, "coefficients", np.broadcast_to(rows, expected))
 
 
 def _agmon_recursion(r: np.ndarray, k_order: int) -> np.ndarray:
@@ -242,7 +261,6 @@ def solve_phase_series(
     if kind == "agmon":
         t_taylor = agmon_metric_taylor(model, k_ext)
         r = t_taylor[:, None, None] * xi_ld[None, None, :] ** 2
-        r = np.broadcast_to(r, (k_ext + 1, xp.size, xi.size)).copy()
         w = _agmon_recursion(r, order)
         divisor_min = float(np.min(2.0 * (1.0 + w[0])))
         table = t_taylor
@@ -252,8 +270,6 @@ def solve_phase_series(
             model.potential.kind == "separable-product"
         ) else normal_taylor_coefficients(model, k_ext)
         rows = rows.astype(_LD)
-        if rows.shape[1] == 1 and xp.size > 1:
-            rows = np.broadcast_to(rows, (k_ext + 1, xp.size)).copy()
         q = rows[:, :, None] * np.ones((1, 1, xi.size), dtype=_LD)
         q[0] = q[0] + xi_ld[None, :] ** 2
         w = _ambient_recursion(q, order)
@@ -282,19 +298,27 @@ def solve_phase_series(
     )
 
 
+def _phase_on_rows(series: PhaseSeries, x: np.ndarray) -> np.ndarray:
+    """phi_1 on the distinct Taylor rows: shape (x.size, n_rows, n_frequencies)."""
+    c = series.row_coefficients
+    out = np.zeros((x.size,) + c.shape[1:], dtype=_LD)
+    for row in c[::-1]:
+        out = (out + row[None]) * x[:, None, None]
+    return out.astype(float)
+
+
 def evaluate_phase(series: PhaseSeries, x_n) -> np.ndarray:
     """phi_1 at depth x_n: shape (n_tangential, n_frequencies) per scalar.
 
-    Vector x_n returns a stacked leading axis.
+    Vector x_n returns a stacked leading axis.  The result is a read-only
+    view, broadcast over the tangent where the phase does not depend on it.
     """
     x = np.asarray(x_n, dtype=_LD)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    c = series.coefficients
-    out = np.zeros((x.size,) + c.shape[1:], dtype=_LD)
-    for row in c[::-1]:
-        out = (out + row[None]) * x[:, None, None]
-    result = out.astype(float)
+    result = np.broadcast_to(
+        _phase_on_rows(series, x), (x.size,) + series.coefficients.shape[1:]
+    )
     return result[0] if scalar else result
 
 
@@ -344,8 +368,8 @@ class PhaseResidualReport:
 
 
 def _residual_arrays(series: PhaseSeries, x: np.ndarray):
-    """|equation residual| per (sample, tangent, frequency), extended precision."""
-    c = series.coefficients
+    """|equation residual| per (sample, Taylor row, frequency), extended precision."""
+    c = series.row_coefficients
     order = series.order
     w_coeff = c * np.arange(1, order + 2, dtype=_LD)[:, None, None]
     w_val = np.zeros((x.size,) + c.shape[1:], dtype=_LD)
@@ -358,7 +382,6 @@ def _residual_arrays(series: PhaseSeries, x: np.ndarray):
         for coef in table[::-1]:
             t_val = t_val * x + coef
         rhs = t_val[:, None, None] * xi2
-        rhs = np.broadcast_to(rhs, w_val.shape)
         residual = w_val**2 + 2.0 * w_val - rhs
     else:
         vals = np.zeros((x.size, table.shape[1]), dtype=_LD)
@@ -576,7 +599,7 @@ def apply_poisson_parametrix(
         return BoundaryTrace(
             values=phi.values.copy(), level=level, rho=0.0, h=phi.h
         )
-    phi1 = evaluate_phase(series, rho)  # (nxp, nxi)
+    phi1 = _phase_on_rows(series, np.array([rho], dtype=_LD))[0]  # (n_rows, nxi)
     tangent_spread = float(np.max(np.ptp(phi1, axis=0)))
     if method is None:
         method = "multiplier" if tangent_spread <= 1e-13 else "oscillatory"

@@ -92,18 +92,47 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out" / "exterior-mass.csv").exists()
 
-    def test_runner_set_up_error_exits_two(self, tmp_path, capsys):
-        # Three normal nodes put the comparison depth far outside the
-        # collar: the level set-up fails before any sweep point runs.
+    @pytest.mark.parametrize("grid", [[64, 101], [64, 3]])
+    def test_parametrix_depth_outside_collar_exits_two_without_traceback(
+        self, tmp_path, grid
+    ):
+        # 80 * far / (n_normal - 1) is the ambient comparison depth; it
+        # leaves the separable-torus collar [0, 0.659] below 123 nodes.
+        path = write_config(
+            tmp_path, kind="parametrix-consistency", model="separable-torus", grid=grid
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "agmonlab.cli", "run", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert (
+            "config error: grid: parametrix-consistency needs at least 123 "
+            "normal nodes in grid[1]" in proc.stderr
+        )
+        assert not (tmp_path / "out" / "parametrix-consistency.csv").exists()
+
+    def test_runner_set_up_error_exits_two(self, tmp_path, capsys, monkeypatch):
+        # A failure in the level set-up, before any sweep point runs, is
+        # reported under the run's (model,) key.
+        def failing_level_set(*args, **kwargs):
+            raise ValueError("level set-up failed")
+
+        monkeypatch.setattr(
+            "agmonlab.experiments.separable_level_set", failing_level_set
+        )
         path = write_config(
             tmp_path,
             kind="parametrix-consistency",
             model="separable-torus",
-            grid=[64, 3],
+            grid=[32, 801],
         )
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error: parametrix-consistency failed at key ('separable-torus',)" in err
+        assert "level set-up failed" in err
 
     def test_unsupported_pair_fails_before_any_kind_runs(self, tmp_path, capsys):
         path = write_config(tmp_path, kind=["halfplane-chain", "exterior-mass"])

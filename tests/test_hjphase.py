@@ -9,9 +9,13 @@ Oracles used here:
   * the exact composition identity: ambient phase at ambient depth s =
     weighted distance rho(s) + gauged phase at depth rho(s);
   * the half-plane spectral multiplier and the boundary-value solver as
-    parametrix oracles.
+    parametrix oracles;
+  * ``reference_phase_series``: the recursion, Horner evaluation and
+    equation residual run at every (tangent, frequency) node, against
+    which the distinct-row path must agree bitwise.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -33,7 +37,7 @@ from agmonlab.hjphase import (
     phase_residual,
     solve_phase_series,
 )
-from agmonlab.models import make_model
+from agmonlab.models import make_model, normal_taylor_coefficients
 from agmonlab.solver import poisson_bvp, trace_at
 
 TORUS = make_model("separable-torus")
@@ -42,6 +46,74 @@ BARRIER = make_model("barrier-1d")
 STRIP = make_model("strip-2d")
 
 STRUCT_FREQS = np.array([0.0, 0.001, -0.001, 0.002, 0.1, 0.5, -0.5, 1.0, 2.0, -2.0])
+
+
+def reference_phase_series(model, kind, order, nodes, freqs):
+    """Full-grid oracle: the phase recursion run at every boundary node.
+
+    Expands the right-hand side of the equation to every (tangent,
+    frequency) node, (w)^2 + 2 w = T(x_n) xi^2 (agmon) or
+    (w)^2 = (V - E)(x', x_n) + xi^2 (ambient), and runs the decaying-branch
+    recursion there, carrying 9 Taylor orders beyond K for the residual.
+    Returns the coefficients c_1..c_{K+1}, shape (K+1, n_tangential,
+    n_frequencies), and two callables on depth arrays: phi_1 by Horner's
+    rule, and (|equation residual|, |right-hand side|) per (depth,
+    tangent, frequency).
+    """
+    ld = np.longdouble
+    k_ext = order + 9
+    xi2 = np.asarray(freqs, dtype=ld) ** 2
+    if kind == "agmon":
+        table = agmon_metric_taylor(model, k_ext)[:, None]
+    else:
+        table = normal_taylor_coefficients(
+            model, k_ext, tangential_nodes=nodes
+        ).astype(ld)
+    table = np.broadcast_to(table, (k_ext + 1, nodes.size)).copy()
+    if kind == "agmon":
+        data = table[:, :, None] * xi2[None, None, :]
+    else:
+        data = table[:, :, None] * np.ones((1, 1, freqs.size), dtype=ld)
+        data[0] = data[0] + xi2[None, :]
+    w = np.zeros((order + 1,) + data.shape[1:], dtype=ld)
+    if kind == "agmon":
+        w[0] = data[0] / (1.0 + np.sqrt(1.0 + data[0]))
+        divisor = 2.0 * (1.0 + w[0])
+    else:
+        w[0] = np.sqrt(data[0])
+        divisor = 2.0 * w[0]
+    for m in range(1, order + 1):
+        acc = np.zeros(data.shape[1:], dtype=ld)
+        for i in range(1, m):
+            acc = acc + w[i] * w[m - i]
+        w[m] = (data[m] - acc) / divisor
+    powers = np.arange(1, order + 2, dtype=ld)
+    coefficients = w / powers[:, None, None]
+
+    def phase(depths):
+        x = np.asarray(depths, dtype=ld)
+        out = np.zeros((x.size,) + coefficients.shape[1:], dtype=ld)
+        for row in coefficients[::-1]:
+            out = (out + row[None]) * x[:, None, None]
+        return out.astype(float)
+
+    def residual(depths):
+        x = np.asarray(depths, dtype=ld)
+        w_val = np.zeros((x.size,) + coefficients.shape[1:], dtype=ld)
+        for row in (coefficients * powers[:, None, None])[::-1]:
+            w_val = w_val * x[:, None, None] + row[None]
+        vals = np.zeros((x.size, nodes.size), dtype=ld)
+        for row in table[::-1]:
+            vals = vals * x[:, None] + row[None]
+        if kind == "agmon":
+            rhs = vals[:, :, None] * xi2[None, None, :]
+            res = w_val**2 + 2.0 * w_val - rhs
+        else:
+            rhs = vals[:, :, None] + xi2[None, None, :]
+            res = w_val**2 - rhs
+        return np.abs(res), np.abs(rhs)
+
+    return coefficients, phase, residual
 
 
 def torus_height(s):
@@ -188,6 +260,81 @@ class TestSolvePhaseSeries:
         )
         with pytest.raises(ValueError):
             series.coefficients[0, 0, 0] = 1.0
+
+
+class TestDistinctRows:
+    """The distinct-row path against the full-grid ``reference_phase_series``."""
+
+    NODES = 2.0 * math.pi / 64 * np.arange(64)
+    FREQS = mode_frequencies(64, 2.0 * math.pi, 0.05)
+    ORDER = 8
+
+    def _check_against_reference(self, model, kind, fractions):
+        series = solve_phase_series(model, kind, self.ORDER, (self.NODES, self.FREQS))
+        coeff, phase, residual = reference_phase_series(
+            model, kind, self.ORDER, self.NODES, self.FREQS
+        )
+        assert series.coefficients.shape == (self.ORDER + 1, 64, 64)
+        assert np.array_equal(series.coefficients, coeff)
+        depths = np.asarray(fractions) * series.meta["collar_limit"]
+        expected = phase(depths)
+        stacked = evaluate_phase(series, depths)
+        assert stacked.shape == (depths.size, 64, 64)
+        assert np.array_equal(stacked, expected)
+        for d, want in zip(depths, expected):
+            got = evaluate_phase(series, d)
+            assert got.shape == (64, 64)
+            assert np.array_equal(got, want)
+
+        report = phase_residual(series, depths)
+        x = np.sort(depths.astype(np.longdouble))
+        resid, rhs = residual(x)
+        max_res = np.max(resid, axis=(1, 2)).astype(float)
+        rel = np.max(resid / np.maximum(1.0, rhs), axis=(1, 2)).astype(float)
+        slope = float(np.polyfit(np.log(x.astype(float)), np.log(max_res), 1)[0])
+        radius = 0.0
+        for i in range(x.size):
+            if not (rel[: i + 1] < 1e-3).all():
+                break
+            radius = float(x[i])
+        assert np.array_equal(report.samples, x.astype(float))
+        assert np.array_equal(report.max_residual, max_res)
+        assert np.array_equal(report.relative_residual, rel)
+        assert report.fitted_exponent == slope
+        assert report.validity_radius == radius
+        return series
+
+    @pytest.mark.parametrize("kind", ["agmon", "ambient"])
+    def test_torus_matches_full_grid_reference(self, kind):
+        series = self._check_against_reference(
+            TORUS, kind, [0.01, 0.05, 0.2, 0.5, 0.9]
+        )
+        assert series.row_coefficients.shape == (self.ORDER + 1, 1, 64)
+
+    def test_strip_ambient_rows_differ_and_match_reference(self):
+        series = self._check_against_reference(
+            STRIP, "ambient", [0.02, 0.1, 0.3, 0.6]
+        )
+        assert series.row_coefficients.shape == (self.ORDER + 1, 64, 64)
+        assert np.min(np.ptp(series.coefficients[0].astype(float), axis=0)) > 0.1
+
+    @pytest.mark.parametrize("model,kind", [(TORUS, "agmon"), (STRIP, "ambient")])
+    def test_coefficients_and_phase_read_only(self, model, kind):
+        series = solve_phase_series(model, kind, 4, (self.NODES, self.FREQS))
+        assert not series.coefficients.flags.writeable
+        assert not series.row_coefficients.flags.writeable
+        with pytest.raises(ValueError):
+            series.coefficients[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            series.row_coefficients[0, 0, 0] = 1.0
+        assert not evaluate_phase(series, 0.1).flags.writeable
+
+    def test_row_count_must_be_one_or_n_tangential(self):
+        series = solve_phase_series(STRIP, "ambient", 4, (self.NODES, self.FREQS))
+        with pytest.raises(ValueError, match="shape"):
+            dataclasses.replace(
+                series, coefficients=np.array(series.row_coefficients[:, :2])
+            )
 
 
 class TestPhaseResidual:
