@@ -12,11 +12,12 @@ Seven experiment kinds map the package modules onto reproducible runs:
 
 A kind is defined by its one ``_KindSpec`` entry in ``_KINDS``: its runner,
 CSV columns, row flattener, plot builder, the geometries it supports (with
-the grid sizes each needs), its sweep-length minimums and its least node
-counts.  The generic code below only reads that entry, so adding a kind
-means adding one entry.  A config that breaks a kind's static limits is
-rejected by ``parse_config``; any other module error, in a runner's set-up
-or at a sweep point, surfaces as an ``ExperimentError``.
+the grid sizes each needs), its sweep-length minimums, its least node
+counts and the limits its grid and depths must keep.  The generic code
+below only reads that entry, so adding a kind means adding one entry.  A
+config that breaks a kind's static limits is rejected by ``parse_config``;
+any other module error, in a runner's set-up or at a sweep point, surfaces
+as an ``ExperimentError``.
 
 Each run emits one CSV per sweep, one JSON summary carrying every verdict
 with its tolerance and measured margin, and one SVG plot.  All outputs are
@@ -71,6 +72,7 @@ from agmonlab.models import (
 from agmonlab.quantize import build_cutoff_profile, build_phase_cutoff, symbol_class_check
 from agmonlab.solver import (
     _MIN_NODES,
+    _check_far_boundary,
     assemble_separable_mode,
     decay_fit,
     poisson_bvp,
@@ -239,6 +241,9 @@ class ExperimentResult:
 
 
 _Plot = tuple[list[Series], str, str, bool, bool]
+_LimitsCheck = Callable[
+    [ModelProblem, tuple[int, ...], Mapping[str, tuple[float, ...]]], Mapping[str, str]
+]
 
 
 @dataclass(frozen=True)
@@ -249,8 +254,10 @@ class _KindSpec:
     ``grid`` entries the kind needs there; ``minimums`` maps a sweep key to
     the least number of distinct values it must hold and what they are;
     ``grid_minimums`` holds the least value of each leading ``grid`` entry
-    and what that entry counts; ``grid_check`` returns what is wrong with
-    the grid for a given model, or None.
+    and what that entry counts; ``limits_check`` maps each config key whose
+    values the kind cannot reach on a given model to what is wrong with
+    it.  It is given the grid only when the grid is otherwise valid (else
+    an empty tuple) and the sweeps by key (empty when invalid).
     """
 
     run: Callable[[ExperimentConfig, int], list[ReportRecord]]
@@ -260,7 +267,7 @@ class _KindSpec:
     geometries: Mapping[str, int]
     minimums: Mapping[str, tuple[int, str]] = field(default_factory=dict)
     grid_minimums: tuple[tuple[int, str], ...] = ()
-    grid_check: Callable[[ModelProblem, tuple[int, ...]], str | None] | None = None
+    limits_check: _LimitsCheck | None = None
 
 
 # --------------------------------------------------------------------------
@@ -439,15 +446,10 @@ def parse_config(
                 errors["grid"] = (
                     f"{kind} needs at least {least} {what} in grid[{entry}]"
                 )
-        if (
-            spec.grid_check is not None
-            and geometry in spec.geometries
-            and len(grid) >= sizes
-            and "grid" not in errors
-        ):
-            problem = spec.grid_check(built, grid)
-            if problem is not None:
-                errors["grid"] = problem
+        if spec.limits_check is not None and geometry in spec.geometries:
+            usable = grid if len(grid) >= sizes and "grid" not in errors else ()
+            for name, problem in spec.limits_check(built, usable, sweeps).items():
+                errors.setdefault(name, problem)
 
     if errors:
         raise ConfigError(errors)
@@ -729,6 +731,20 @@ def _run_decay_sandwich(config: ExperimentConfig, jobs: int) -> list[ReportRecor
     return _map_points(config.kind, points, jobs)
 
 
+def _decay_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
+    """On the torus every level must certify against the far closure: the
+    solver's own check, at the largest h, where the bound is weakest."""
+    del grid  # the far boundary is fixed, whatever the normal grid
+    rho, h = sweeps["rho_grid"], sweeps["h_sweep"]
+    if model.geometry == "halfplane-cylinder" or not rho or not h:
+        return {}
+    try:
+        _check_far_boundary(model, _DECAY_FAR, max(h), max(rho))
+    except ValueError as exc:
+        return {"rho_grid": f"decay-sandwich cannot trace depth {max(rho):g}: {exc}"}
+    return {}
+
+
 def _decay_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
     for rec in records:
         _, h = rec.key
@@ -931,6 +947,18 @@ def _run_phase_residual(config: ExperimentConfig, jobs: int) -> list[ReportRecor
     ambient = partial(_ambient_phase_point, config, model, nodes, xi)
     points = [((config.model, "gauged"), gauged), ((config.model, "ambient"), ambient)]
     return _map_points(config.kind, points, jobs)
+
+
+def _phase_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
+    """The gauged series is checked only inside its collar."""
+    del grid
+    rho, limit = sweeps["rho_grid"], model.collar_width
+    if not rho or max(rho) <= limit + 1e-12:
+        return {}
+    return {
+        "rho_grid": f"phase-residual needs every depth at most {limit:g}, "
+        f"the gauged collar width of {model.name}"
+    }
 
 
 def _phase_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
@@ -1182,17 +1210,18 @@ def _mass_profile_plot(records: Sequence[ReportRecord]) -> _Plot:
 # --------------------------------------------------------------------------
 
 
-def _parametrix_grid_check(model: ModelProblem, grid: tuple[int, ...]) -> str | None:
+def _parametrix_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
     """The comparison depth must lie inside the model's ambient collar."""
+    del sweeps  # the depth is set by the grid alone
     collar = model.collar_width_ambient
     least = math.ceil(_PARAMETRIX_DEPTH_STEPS * _PARAMETRIX_FAR / collar) + 1
-    if grid[1] >= least:
-        return None
-    return (
-        f"parametrix-consistency needs at least {least} normal nodes in "
-        f"grid[1], so that its comparison depth lies inside the collar "
+    if not grid or grid[1] >= least:
+        return {}
+    return {
+        "grid": f"parametrix-consistency needs at least {least} normal nodes "
+        f"in grid[1], so that its comparison depth lies inside the collar "
         f"[0, {collar:g}]"
-    )
+    }
 
 
 def _parametrix_point(
@@ -1315,6 +1344,7 @@ _KINDS: dict[str, _KindSpec] = {
         plot=_decay_plot,
         geometries={"halfplane-cylinder": 1, "separable-torus": 2},
         minimums={"rho_grid": (4, "distinct depths")},
+        limits_check=_decay_limits,
     ),
     "exterior-mass": _KindSpec(
         run=_run_exterior_mass,
@@ -1330,6 +1360,7 @@ _KINDS: dict[str, _KindSpec] = {
         rows=_phase_rows,
         plot=_phase_plot,
         geometries=dict.fromkeys(_TANGENTIAL_INVARIANT, 2),
+        limits_check=_phase_limits,
     ),
     "symbol-class": _KindSpec(
         run=_run_symbol_class,
@@ -1354,7 +1385,7 @@ _KINDS: dict[str, _KindSpec] = {
         plot=_parametrix_plot,
         geometries={"separable-torus": 2},
         minimums={"h_sweep": (2, "h values")},
-        grid_check=_parametrix_grid_check,
+        limits_check=_parametrix_limits,
     ),
 }
 

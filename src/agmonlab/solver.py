@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -56,11 +57,13 @@ _CONTAMINATION_TOL = 1e-6
 # tangentially constant potential passes before the first iteration.
 _PCG_TOL = 1e-14
 _PCG_MAX_ITER = 200
-# trace_at interpolates in column blocks of about this many bytes of field
-# values, one batched cubic spline per block.  On 801- and 24001-node complex
-# columns, 0.4-0.8 MiB blocks build in about half the time of one spline over
-# all columns, with a third of its peak memory or less.
-_SPLINE_BLOCK_BYTES = 2**19
+# A field builds its column splines in blocks of about this many bytes of
+# field values, one batched cubic spline per block.  On 128x801 and 512x512
+# complex fields (2 cores, one BLAS thread), 128 KiB blocks built in 10-17
+# and 37 ms against 14-17 and 40 ms for 512 KiB blocks, with a transient
+# peak of 3.6 and 6.0 MiB instead of 9.4 and 12.0 MiB (tracemalloc, kept
+# slopes included); 32 KiB blocks took twice as long.
+_SPLINE_BLOCK_BYTES = 2**17
 
 
 # --------------------------------------------------------------------------
@@ -317,7 +320,18 @@ def assemble_separable_mode(
 
 @dataclass(frozen=True)
 class Field2D:
-    """A solved field on the tangential-circle x normal-interval grid."""
+    """A solved field on the tangential-circle x normal-interval grid.
+
+    Off-node traces interpolate each tangential column along the normal by
+    a not-a-knot cubic spline.  The first such trace builds the splines of
+    every column, block by block, and the field keeps only what a later
+    trace cannot recompute bitwise from its values: the slope at the left
+    node of every normal interval and the last interval's two leading
+    coefficients.  That is the field's own size plus 2 * nx entries, in
+    the spline dtype (float64 or complex128).  A field traced only on grid
+    nodes never builds them, and a field derived by ``replace`` (such as a
+    gauge transform) starts without them.
+    """
 
     values: np.ndarray
     tangential_nodes: np.ndarray
@@ -332,6 +346,27 @@ class Field2D:
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
         return (self.tangential_nodes, self.normal_nodes)
+
+    @cached_property
+    def _spline_slopes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(c[2] per column, shape (nx, n - 1); the last interval's c[0]
+        and c[1] per column, shape (2, nx)) of the columns' splines."""
+        xn = self.normal_nodes
+        nx = self.values.shape[0]
+        dtype = complex if np.iscomplexobj(self.values) else float
+        slopes = np.empty((nx, xn.size - 1), dtype=dtype)
+        last = np.empty((2, nx), dtype=dtype)
+        block = max(1, _SPLINE_BLOCK_BYTES // (xn.size * self.values.itemsize))
+        for start in range(0, nx, block):
+            cols = slice(start, start + block)
+            # a column's spline coefficients do not depend on the other
+            # columns batched with it
+            c = CubicSpline(xn, np.ascontiguousarray(self.values[cols].T)).c
+            slopes[cols] = c[2].T
+            last[:, cols] = c[:2, -1]
+        slopes.setflags(write=False)
+        last.setflags(write=False)
+        return slopes, last
 
 
 @dataclass(frozen=True)
@@ -380,10 +415,11 @@ def _check_far_boundary(model, far, h, rho_max) -> float:
         )
     contamination = math.exp(-2.0 * (depth - rho_max) / h)
     if contamination > _CONTAMINATION_TOL:
+        reach = depth + 0.5 * h * math.log(_CONTAMINATION_TOL)
+        fix = f"keep the deepest level below {reach:.4g}" if reach > 0 else "reduce h"
         raise ValueError(
             f"far-boundary influence bound {contamination:.3g} exceeds "
-            f"{_CONTAMINATION_TOL:g}; move the far boundary out or reduce "
-            "the deepest level"
+            f"{_CONTAMINATION_TOL:g}; move the far boundary out or {fix}"
         )
     return contamination
 
@@ -670,20 +706,31 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     on_node = np.abs(xn[node] - heights) <= 1e-12
     out = field2d.values[idx, node]
     off = np.flatnonzero(~on_node)
-    block = max(1, _SPLINE_BLOCK_BYTES // (xn.size * field2d.values.itemsize))
-    for start in range(0, off.size, block):
-        rows = off[start : start + block]
-        # a column's spline coefficients do not depend on the other columns
-        # batched with it
-        columns = np.ascontiguousarray(field2d.values[idx[rows]].T)
-        spline = CubicSpline(xn, columns)
-        s = heights[rows]
-        # each column at its own height, on the interval x[k] <= s < x[k + 1],
-        # summed in ascending powers as scipy's PPoly evaluator does
-        k = np.clip(np.searchsorted(xn, s, side="right") - 1, 0, xn.size - 2)
-        c = spline.c[:, k, np.arange(rows.size)]
-        d = s - xn[k]
-        out[rows] = c[3] + c[2] * d + c[1] * (d * d) + c[0] * (d * d * d)
+    if off.size == 0:
+        return out
+    slopes, last = field2d._spline_slopes
+    cols = idx[off]
+    s = heights[off]
+    # each sample on its own column's interval x[k] <= s < x[k + 1]
+    k = np.clip(np.searchsorted(xn, s, side="right") - 1, 0, xn.size - 2)
+    y0 = field2d.values[cols, k]
+    y1 = field2d.values[cols, k + 1]
+    d0 = slopes[cols, k]
+    d1 = slopes[cols, np.minimum(k + 1, xn.size - 2)]
+    dx = np.diff(xn)[k]
+    # the interval's leading coefficients in scipy's CubicHermiteSpline
+    # arithmetic; the slope at the last node is not kept, so the last
+    # interval's come from the cache instead
+    slope = (y1 - y0) / dx
+    t = (d0 + d1 - 2 * slope) / dx
+    c0 = t / dx
+    c1 = (slope - d0) / dx - t
+    final = np.flatnonzero(k == xn.size - 2)
+    c0[final] = last[0, cols[final]]
+    c1[final] = last[1, cols[final]]
+    # summed in ascending powers as scipy's PPoly evaluator does
+    d = s - xn[k]
+    out[off] = y0 + d0 * d + c1 * (d * d) + c0 * (d * d * d)
     return out
 
 
@@ -691,10 +738,14 @@ def trace_at(field2d, level: LevelSet, rho: float | None = None) -> BoundaryTrac
     """Restrict a solved field to a level set.
 
     Samples within 1e-12 of a grid node copy that node's value exactly; the
-    others are interpolated along their normal columns by cubic splines,
-    one batched spline per block of columns (about 512 KiB of field values),
-    each column evaluated at its own height, so flat and curved levels take
-    one path.  Accepts Field2D and Profile1D fields.
+    others are interpolated along their normal columns by not-a-knot cubic
+    splines, each column evaluated at its own height, so flat and curved
+    levels take one path.  The first off-node trace of a Field2D builds the
+    splines of all its columns (one batched spline per 128 KiB block of
+    field values) and the field keeps their left-node slopes, the field's
+    size again plus 2 * nx entries; every later trace of that field only
+    evaluates, bitwise as a fresh spline would.  Accepts Field2D and
+    Profile1D fields.
     """
     rho_val = level.rho if rho is None else rho
     if isinstance(field2d, Profile1D):

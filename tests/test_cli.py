@@ -114,6 +114,48 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out" / "parametrix-consistency.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind, rho_grid, grid, message",
+        [
+            (
+                "phase-residual",
+                [0.05, 5.0],
+                [16, 33],
+                "config error: rho_grid: phase-residual needs every depth at "
+                "most 0.787695, the gauged collar width of separable-torus",
+            ),
+            (
+                "decay-sandwich",
+                [0.05, 0.1, 0.2, 5.0],
+                [64, 801],
+                "config error: rho_grid: decay-sandwich cannot trace depth 5: "
+                "far boundary at 1.9 has weighted depth 1.847 <= the deepest "
+                "requested level 5",
+            ),
+        ],
+        ids=["phase-residual", "decay-sandwich"],
+    )
+    def test_unreachable_depth_exits_two_without_artifacts(
+        self, tmp_path, kind, rho_grid, grid, message
+    ):
+        path = write_config(
+            tmp_path,
+            kind=kind,
+            model="separable-torus",
+            h_sweep=[0.05],
+            rho_grid=rho_grid,
+            grid=grid,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "agmonlab.cli", "run", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_runner_set_up_error_exits_two(self, tmp_path, capsys, monkeypatch):
         # A failure in the level set-up, before any sweep point runs, is
         # reported under the run's (model,) key.

@@ -146,6 +146,35 @@ class TestParseConfig:
             parse_config(payload(rho_grid=[0.1, -0.2], out=str(out_dir)))
         assert "rho_grid" in excinfo.value.field_errors
 
+    def test_decay_depth_checked_at_the_largest_h(self, out_dir):
+        # depth 1.5 lies inside the far closure's weighted depth 1.847, but
+        # its tunneling bound certifies only h = 0.05, not h = 0.1
+        base = payload(
+            kind="decay-sandwich",
+            model="separable-torus",
+            rho_grid=[0.05, 0.1, 0.2, 1.5],
+            grid=[64, 801],
+            out=str(out_dir),
+        )
+        parse_config({**base, "h_sweep": [0.05]})
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({**base, "h_sweep": [0.05, 0.1]})
+        problem = excinfo.value.field_errors["rho_grid"]
+        assert "keep the deepest level below 1.156" in problem
+
+    def test_reachable_depths_keep_other_rho_grid_errors(self, out_dir):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(
+                payload(
+                    kind="decay-sandwich",
+                    model="separable-torus",
+                    rho_grid=[0.1, 5.0],
+                    grid=[64, 801],
+                    out=str(out_dir),
+                )
+            )
+        assert "4 distinct depths" in excinfo.value.field_errors["rho_grid"]
+
     def test_unknown_key_rejected(self, out_dir):
         with pytest.raises(ConfigError) as excinfo:
             parse_config(payload(epsilon=0.1, out=str(out_dir)))

@@ -17,6 +17,7 @@ Oracles used here:
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -588,19 +589,20 @@ class TestTraces:
             trace_at(field, level)
 
 
+@pytest.fixture(scope="module")
+def strip():
+    nx, h = 64, 0.05
+    xp = 2.0 * math.pi / nx * np.arange(nx)
+    data = 1.0 + 0.3 * np.cos(xp) + 0.1j * np.sin(2.0 * xp)
+    phi = BoundaryFunction(data, 2.0 * math.pi, h)
+    field = poisson_bvp(STRIP, phi, h, far=0.8, n_normal=401, rho_max=0.2)
+    distance = agmon_distance(STRIP, grid_sizes=(nx, 129))
+    return field, distance
+
+
 class TestTraceOracle:
     """trace_at and normal_derivative_trace against per-column splines,
     bitwise, on curved, flat and partly node-aligned levels."""
-
-    @pytest.fixture(scope="class")
-    def strip(self):
-        nx, h = 64, 0.05
-        xp = 2.0 * math.pi / nx * np.arange(nx)
-        data = 1.0 + 0.3 * np.cos(xp) + 0.1j * np.sin(2.0 * xp)
-        phi = BoundaryFunction(data, 2.0 * math.pi, h)
-        field = poisson_bvp(STRIP, phi, h, far=0.8, n_normal=401, rho_max=0.2)
-        distance = agmon_distance(STRIP, grid_sizes=(nx, 129))
-        return field, distance
 
     @staticmethod
     def _assert_matches_oracle(field, level):
@@ -620,6 +622,7 @@ class TestTraceOracle:
     @pytest.mark.parametrize("rho", [0.05, 0.1, 0.2])
     def test_curved_strip_levels(self, strip, rho, block_columns, monkeypatch):
         field, distance = strip
+        field = replace(field)  # no kept slopes: this block size builds them
         if block_columns:  # 64 columns in blocks of 5, the last one short
             column_bytes = field.values.shape[1] * field.values.itemsize
             monkeypatch.setattr(
@@ -662,6 +665,157 @@ class TestTraceOracle:
         trace = self._assert_matches_oracle(field, level)
         # node-aligned rows are copies of the field, not spline values
         assert np.array_equal(trace.values[aligned], field.values[aligned, nodes])
+
+
+def level_at_heights(heights):
+    """A level with one sample per field column at the given heights."""
+    nx = heights.size
+    xp = 2.0 * math.pi / nx * np.arange(nx)
+    weights = np.full(nx, 2.0 * math.pi / nx)
+    return LevelSet(
+        rho=0.0,
+        points=np.column_stack([xp, heights]),
+        ambient_weights=weights,
+        weighted_weights=weights.copy(),
+        model=STRIP,
+    )
+
+
+@pytest.fixture
+def spline_builds(monkeypatch):
+    """Column counts of every CubicSpline the solver builds."""
+    columns = []
+
+    def counted(x, y, *args, **kwargs):
+        columns.append(np.shape(y)[1])
+        return CubicSpline(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "CubicSpline", counted)
+    return columns
+
+
+class TestKeptSlopes:
+    """A field builds its column splines once, on its first off-node trace,
+    and every later trace evaluates bitwise as a fresh per-column spline."""
+
+    RHOS = (0.05, 0.1, 0.15, 0.2)
+
+    @pytest.mark.parametrize(
+        "order",
+        [(0, 1, 2, 3), (3, 2, 1, 0), (1, 1, 3, 1, 3)],
+        ids=["ascending", "descending", "repeated"],
+    )
+    def test_level_order(self, strip, order):
+        field, distance = strip
+        field = replace(field)
+        xp, xn = field.tangential_nodes, field.normal_nodes
+        grad = np.gradient(field.values, xn, axis=1)
+        for i in order:
+            level = level_set_at(distance, self.RHOS[i])
+            assert np.array_equal(
+                trace_at(field, level).values,
+                per_column_spline_oracle(field.values, xp, xn, level),
+            )
+            assert np.array_equal(
+                normal_derivative_trace(field, level, field.h).values,
+                per_column_spline_oracle(grad, xp, xn, level),
+            )
+
+    @pytest.mark.parametrize("where", ["first", "last", "mixed"])
+    def test_end_intervals(self, strip, where):
+        field, distance = strip
+        field = replace(field)
+        xp, xn = field.tangential_nodes, field.normal_nodes
+        # warm the kept slopes on an interior level first
+        trace_at(field, level_set_at(distance, 0.1))
+        fraction = np.linspace(0.05, 0.95, xp.size)
+        first = xn[0] + fraction * (xn[1] - xn[0])
+        last = xn[-2] + fraction * (xn[-1] - xn[-2])
+        heights = {
+            "first": first,
+            "last": last,
+            "mixed": np.where(np.arange(xp.size) % 2 == 0, first, last),
+        }[where]
+        level = level_at_heights(heights)
+        assert np.array_equal(
+            trace_at(field, level).values,
+            per_column_spline_oracle(field.values, xp, xn, level),
+        )
+
+    def test_one_build_pass_per_field(self, strip, spline_builds):
+        field, distance = strip
+        nx = field.values.shape[0]
+        levels = [level_set_at(distance, rho) for rho in self.RHOS]
+        for fresh in (replace(field), replace(field)):
+            for level in levels:
+                trace_at(fresh, level)
+        block = solver._SPLINE_BLOCK_BYTES // (
+            field.values.shape[1] * field.values.itemsize
+        )
+        assert block < nx  # the build really runs in several blocks
+        assert sum(spline_builds) == 2 * nx
+        assert len(spline_builds) == 2 * math.ceil(nx / block)
+
+    def test_node_aligned_level_builds_nothing(self, strip, spline_builds):
+        field, _ = strip
+        field = replace(field)
+        xn = field.normal_nodes
+        nodes = np.arange(field.values.shape[0]) % (xn.size - 1)
+        # within 1e-12 of a node counts as on it
+        heights = xn[nodes] + np.resize([0.0, 5e-13, -5e-13], nodes.size)
+        trace = trace_at(field, level_at_heights(heights))
+        assert np.array_equal(
+            trace.values, field.values[np.arange(nodes.size), nodes]
+        )
+        assert spline_builds == []
+        assert "_spline_slopes" not in vars(field)
+
+    def test_gauged_field_builds_its_own(self, strip, spline_builds):
+        field, distance = strip
+        field = replace(field)
+        xp, xn = field.tangential_nodes, field.normal_nodes
+        level = level_set_at(distance, 0.1)
+        trace_at(field, level)
+        built = sum(spline_builds)
+        dist = DistanceField(
+            values=xn[None, :] * (1.0 + 0.2 * np.cos(xp))[:, None],
+            axes=field.axes,
+            source="boundary",
+            spacing=(xp[1] - xp[0], xn[1] - xn[0]),
+            model=STRIP,
+        )
+        gauged = gauge_transform(field, dist, field.h)
+        assert "_spline_slopes" not in vars(gauged)
+        assert np.array_equal(
+            trace_at(gauged, level).values,
+            per_column_spline_oracle(gauged.values, xp, xn, level),
+        )
+        assert sum(spline_builds) == 2 * built
+        # the parent keeps its own slopes and values
+        assert np.array_equal(
+            trace_at(field, level).values,
+            per_column_spline_oracle(field.values, xp, xn, level),
+        )
+        assert sum(spline_builds) == 2 * built
+
+    def test_kept_memory_is_one_field(self):
+        nx, n = 128, 801
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal((nx, n)) + 1j * rng.standard_normal((nx, n))
+        xn = np.linspace(0.0, 0.8, n)
+        field = Field2D(
+            values=values,
+            tangential_nodes=2.0 * math.pi / nx * np.arange(nx),
+            normal_nodes=xn,
+            h=0.05,
+            model=STRIP,
+            meta={},
+        )
+        trace_at(field, level_at_heights(np.full(nx, 0.5 * (xn[400] + xn[401]))))
+        kept = vars(field)["_spline_slopes"]
+        # owned arrays only: a view would hide the array it keeps alive
+        assert all(a.base is None for a in kept)
+        assert sum(a.nbytes for a in kept) <= values.nbytes + 2 * nx * values.itemsize
 
 
 class TestNormalDerivative:
