@@ -412,13 +412,15 @@ def parse_config(
     if out_path is None:
         errors["out"] = "must be a directory path string"
     else:
-        try:
-            out_path.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            errors["out"] = f"cannot create output directory: {exc}"
-        else:
-            if not os.access(out_path, os.W_OK):
-                errors["out"] = f"output directory {out_path} is not writable"
+        # run_experiment creates the directory once the config is valid;
+        # here its nearest existing ancestor must be a writable directory
+        target = out_path.absolute()
+        existing = next(p for p in (target, *target.parents) if p.exists())
+        if not (existing.is_dir() and os.access(existing, os.W_OK | os.X_OK)):
+            errors["out"] = (
+                f"cannot write output directory {out_path}: "
+                f"{existing} is not a writable directory"
+            )
 
     seed_raw = seed if seed is not None else payload.get("seed", 0)
     seed_val = 0

@@ -207,6 +207,19 @@ class TestParseConfig:
         assert model in message
         assert "separable-torus" in message  # names a model that works
 
+    def test_out_directory_is_left_to_the_run(self, tmp_path):
+        nested = tmp_path / "a" / "b"
+        (config,) = parse_config(payload(out=str(nested)))
+        assert config.out_dir == nested
+        assert not (tmp_path / "a").exists()
+
+    def test_out_below_a_file_is_a_config_error(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(payload(out=str(blocker / "reports")))
+        assert "is not a writable directory" in excinfo.value.field_errors["out"]
+
     def test_overrides_take_precedence(self, tmp_path):
         (config,) = parse_config(
             payload(out="ignored", seed=3),

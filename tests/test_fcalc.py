@@ -9,10 +9,12 @@ identity of the inputs.
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import hessenberg
 
 from agmonlab import fcalc
 from agmonlab._smooth import polyramp, polyramp_derivative
@@ -121,6 +123,83 @@ def reference_rk4_loop(l0, slope0, t_constant, h, r_grid, steps=8000):
             y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out.append(y[0])
     return np.array(out)
+
+
+def reference_block_sum(diag, off, nodes, weights):
+    """The homogeneous-solution resolvent sum of one unreduced block, with
+    x and y built over all nodes at once and one rank-m product."""
+    n = diag.size
+    b = np.concatenate([-off, [1.0]])
+    x = np.empty((n + 1, nodes.size), dtype=complex)
+    y = np.empty((n + 1, nodes.size), dtype=complex)
+    x[0] = 1.0
+    x[1] = -(nodes - diag[0]) / b[0]
+    for i in range(2, n + 1):
+        x[i] = -((nodes - diag[i - 1]) * x[i - 1] + b[i - 2] * x[i - 2]) / b[i - 1]
+    y[n] = 0.0
+    y[n - 1] = -1.0 / x[n]
+    for j in range(n - 2, -1, -1):
+        y[j] = -((nodes - diag[j + 1]) * y[j + 1] + b[j + 1] * y[j + 2]) / b[j]
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
+    upper = (x[:n] * weights) @ y[:n].T
+    return np.triu(upper) + np.tril(upper.T, -1)
+
+
+def reference_resolvent_sum(diag, off, nodes, weights):
+    """reference_block_sum on each block of T split at its zero couplings."""
+    n = diag.size
+    total = np.zeros((n, n), dtype=complex)
+    scale = max(np.max(np.abs(diag)), np.max(np.abs(off), initial=0.0), 1.0)
+    cuts = np.flatnonzero(np.abs(off) < 1e-12 * scale) + 1
+    bounds = [0, *cuts.tolist(), n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if hi - lo == 1:
+            total[lo, lo] = np.sum(weights / (nodes - diag[lo]))
+        else:
+            total[lo:hi, lo:hi] = reference_block_sum(
+                diag[lo:hi], off[lo : hi - 1], nodes, weights
+            )
+    return total
+
+
+def seeded_dense_operator(n, scale, seed):
+    """Random dense symmetric operator with spectrum in [0, 4 scale]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    P = (q * rng.uniform(0.0, 4.0 * scale, n)) @ q.T
+    return 0.5 * (P + P.T)
+
+
+def reference_hs_apply(P, ext, area_cells=(256, 256), edge_cells=1024):
+    """The Cauchy-integral window with the full three-edge contour and the
+    area and contour sums taken separately over all nodes."""
+    n = P.shape[0]
+    tri, q = hessenberg(P, calc_q=True)
+    diag = tri.diagonal().copy()
+    off = 0.5 * (tri.diagonal(-1) + tri.diagonal(1))
+    scale = ext.scale
+    nx, ny = area_cells[0], area_cells[1] // 2
+    dx, dy = scale / nx, scale / ny
+    x_mid = scale + (np.arange(nx) + 0.5) * dx
+    y_mid = (np.arange(ny) + 0.5) * dy
+    zz = (x_mid[:, None] + 1j * y_mid[None, :]).ravel()
+    area_weights = (dx * dy / math.pi) * ext.dbar(zz)
+    m = edge_cells
+    tx = -scale + (np.arange(m) + 0.5) * (3.0 * scale / m)
+    ty = -scale + (np.arange(m) + 0.5) * (2.0 * scale / m)
+    contour_nodes = np.concatenate([tx - 1j * scale, tx + 1j * scale, -scale + 1j * ty])
+    steps = np.concatenate(
+        [
+            np.full(m, 3.0 * scale / m),
+            np.full(m, -3.0 * scale / m),
+            np.full(m, -2j * scale / m),
+        ]
+    )
+    contour_weights = steps * (1.0 - ext.value(contour_nodes)) / (2j * math.pi)
+    area_sum = reference_resolvent_sum(diag, off, zz, area_weights)
+    contour_sum = reference_resolvent_sum(diag, off, contour_nodes, contour_weights)
+    result = q @ (np.eye(n) - np.real(contour_sum + 2.0 * area_sum)) @ q.T
+    return 0.5 * (result + result.T)
 
 
 # --------------------------------------------------------------------------
@@ -430,6 +509,27 @@ class TestHsApply:
         with pytest.raises(ValueError, match="must be even"):
             hs_apply(P, ext, area_cells=(64, 33))
 
+    @pytest.mark.parametrize("operator", ["circle n=32", "dense n=128"])
+    def test_reflected_contour_matches_three_edge_reference(self, operator):
+        ext = almost_analytic_extension(4.0, 0.05)
+        if operator == "circle n=32":
+            P = boundary_operator(FLAT, 0.0, 0.05, n=32)
+        else:
+            P = seeded_dense_operator(128, ext.scale, seed=8)
+        F = hs_apply(P, ext)
+        assert np.max(np.abs(F - reference_hs_apply(P, ext))) <= 1e-13
+
+    def test_peak_memory_bounded_on_dense_n128(self):
+        ext = almost_analytic_extension(4.0, 0.05)
+        P = seeded_dense_operator(128, ext.scale, seed=8)
+        tracemalloc.start()
+        try:
+            hs_apply(P, ext)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
+
     def test_operator_validation(self):
         ext = almost_analytic_extension(4.0, 0.05)
         with pytest.raises(ValueError, match="symmetric"):
@@ -456,6 +556,52 @@ class TestResolventWeightedSum:
         total = _resolvent_weighted_sum(diag, off, nodes, weights)
         assert np.max(np.abs(total - expected)) <= 1e-12 * np.max(np.abs(expected))
         assert np.all(total[:5, 5:] == 0.0) and np.all(total[5:, :5] == 0.0)
+
+    def test_blocked_sum_matches_one_shot_reference(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        n = 12
+        diag = rng.uniform(0.0, 4.0, n)
+        off = rng.uniform(0.5, 1.5, n - 1)
+        off[4] = 0.0  # blocks rows 0..4 and 5..11
+        count = 53
+        nodes = rng.uniform(-1.0, 5.0, count) + 1j * rng.choice(
+            [-1.0, 1.0], count
+        ) * rng.uniform(0.1, 1.0, count)
+        weights = rng.normal(size=count) + 1j * rng.normal(size=count)
+        complex_bytes = np.dtype(complex).itemsize
+        monkeypatch.setattr(fcalc, "_NODE_BLOCK_BYTES", 10 * 2 * 8 * complex_bytes)
+        for rows in (5, 7):
+            block = fcalc._NODE_BLOCK_BYTES // (2 * (rows + 1) * complex_bytes)
+            assert count // block >= 3 and count % block > 0
+        expected = reference_resolvent_sum(diag, off, nodes, weights)
+        total = _resolvent_weighted_sum(diag, off, nodes, weights)
+        assert np.max(np.abs(total - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.all(total[:5, 5:] == 0.0) and np.all(total[5:, :5] == 0.0)
+
+    def test_overflow_in_a_later_block_falls_back_to_thomas(self, monkeypatch, caplog):
+        rng = np.random.default_rng(5)
+        n = 8
+        diag = rng.uniform(0.0, 4.0, n)
+        off = rng.uniform(0.5, 1.5, n - 1)
+        near = rng.uniform(-1.0, 5.0, 12) + 1j * rng.uniform(0.1, 1.0, 12)
+        # |z|^8 overflows the recurrences; a weight of z keeps each far
+        # node's term near the identity, so dropping one would show
+        far = 1e50 * np.exp(1j * rng.uniform(0.1, 3.0, 4))
+        nodes = np.concatenate([near, far])
+        weights = np.concatenate([rng.normal(size=12) + 0j, far])
+        complex_bytes = np.dtype(complex).itemsize
+        monkeypatch.setattr(fcalc, "_NODE_BLOCK_BYTES", 4 * 2 * (n + 1) * complex_bytes)
+        reference_block_sum(diag, off, near, weights[:12])  # first 3 blocks finite
+        with caplog.at_level(logging.WARNING, logger="agmonlab.fcalc"):
+            total = _resolvent_weighted_sum(diag, off, nodes, weights)
+        assert any(
+            "overflowed on a 8-row tridiagonal block; batched Thomas elimination "
+            "over 16 nodes" in rec.getMessage()
+            for rec in caplog.records
+        )
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        expected = sum(w * np.linalg.inv(z * np.eye(n) - T) for z, w in zip(nodes, weights))
+        assert np.max(np.abs(total - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_overflowing_block_falls_back_to_thomas(self, caplog):
         ext = almost_analytic_extension(4.0, 0.05)
