@@ -60,11 +60,15 @@ _DENSE_LIMIT = 256
 # complex work buffers hold about this many bytes: x and y of the
 # recurrence path, or the n x n solutions of a Thomas batch.  Four hs_apply
 # calls (dense n = 96 and 128, level circles n = 32 and 48; 2 cores, one
-# BLAS thread) took 0.37 s with 4 MiB blocks against 0.44 s with 2 MiB and
-# 0.35 s with 8 MiB; one dense n = 128 call peaks at 7.6 MiB in tracemalloc
-# (11.6 MiB with 8 MiB blocks, 135 MiB with all 35,840 nodes at once).
+# BLAS thread) take 0.44 s with 4 MiB blocks against 0.57 s with 2 MiB and
+# 0.37 s with 8 MiB (medians of 6); one dense n = 128 call peaks at 7.0 MiB
+# in tracemalloc (11.0 MiB with 8 MiB blocks, 135 MiB with all nodes at
+# once); 8 MiB would also raise a window-calculus pass's peak RSS by 4 MB.
 _NODE_BLOCK_BYTES = 2**22
 _COMPLEX_BYTES = np.dtype(complex).itemsize
+# Rows per panel of the real upper-triangle product in _block_weighted_sum;
+# panels of 16, 32 and 64 rows timed alike on dense n = 96 and 128.
+_PANEL_ROWS = 32
 _COARSE_GRID_MESSAGE = (
     "quadrature grid too coarse (resolvent condition number check fails)"
 )
@@ -273,6 +277,8 @@ def _check_symmetric(P: np.ndarray) -> None:
     P = np.asarray(P)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("operator must be a square matrix")
+    if not np.all(np.isfinite(P)):
+        raise ValueError("operator must be finite")
     scale = max(1.0, float(np.max(np.abs(P))))
     if float(np.max(np.abs(P - P.T))) > 1e-10 * scale:
         raise ValueError("operator must be symmetric")
@@ -286,17 +292,19 @@ def _check_symmetric(P: np.ndarray) -> None:
 def _resolvent_weighted_sum(
     diag: np.ndarray, off: np.ndarray, nodes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Sum of w_j (z_j I - T)^{-1} for a real symmetric tridiagonal T.
+    """Real part of the sum of w_j (z_j I - T)^{-1} for a real symmetric
+    tridiagonal T, as a float64 matrix.
 
-    T is split at every off-diagonal below 1e-12 of its scale, so the sum is
-    block diagonal and its entries between blocks are exactly 0.  A level
-    circle splits at n/2 this way: the Krylov space of e_1 is the even
-    subspace.  Each unreduced block goes to :func:`_block_weighted_sum`,
-    which streams the nodes through buffers of ``_NODE_BLOCK_BYTES``;
-    1x1 blocks use the closed form.
+    The real part is all :func:`hs_apply` keeps, so no path forms the
+    imaginary one.  T is split at every off-diagonal below 1e-12 of its
+    scale, so the sum is block diagonal and its entries between blocks are
+    exactly 0.  A level circle splits at n/2 this way: the Krylov space of
+    e_1 is the even subspace.  Each unreduced block goes to
+    :func:`_block_weighted_sum`, which streams the nodes through buffers of
+    ``_NODE_BLOCK_BYTES``; 1x1 blocks use the closed form.
     """
     n = diag.size
-    total = np.zeros((n, n), dtype=complex)
+    total = np.zeros((n, n))
     scale = max(
         float(np.max(np.abs(diag))), float(np.max(np.abs(off), initial=0.0)), 1.0
     )
@@ -304,7 +312,7 @@ def _resolvent_weighted_sum(
     bounds = [0, *cuts.tolist(), n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi - lo == 1:
-            total[lo, lo] = np.sum(weights / (nodes - diag[lo]))
+            total[lo, lo] = np.sum(weights / (nodes - diag[lo])).real
         else:
             total[lo:hi, lo:hi] = _block_weighted_sum(
                 diag[lo:hi], off[lo : hi - 1], nodes, weights
@@ -315,7 +323,7 @@ def _resolvent_weighted_sum(
 def _block_weighted_sum(
     diag: np.ndarray, off: np.ndarray, nodes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Weighted resolvent sum of one unreduced tridiagonal block.
+    """Real part of the weighted resolvent sum of one unreduced block.
 
     The resolvent factors entrywise into left and right homogeneous
     solutions, R_ij = x_i y_j for i <= j, so the weighted sum collapses into
@@ -323,34 +331,40 @@ def _block_weighted_sum(
     weights diagonal, so the lower triangle is the transposed upper one.
     The nodes are taken in blocks whose x and y together fill
     ``_NODE_BLOCK_BYTES``; both buffers and one row of scratch are allocated
-    once, every recurrence step runs in place, and each block adds its
-    product into the upper triangle.  The recurrences grow like
-    prod |z - d_i| / |off_i| and overflow when the couplings are tiny
-    against the diagonal spread; the first block that overflows sends the
-    whole tridiagonal block, over all nodes, to
+    once, and every recurrence step runs in place, multiplying by the
+    precomputed reciprocal -1/b_i of its coupling instead of dividing.
+    Re(w x_i y_j) is the real dot product of (Re wx_i, Im wx_i) with
+    (Re y_j, -Im y_j), so each block conjugates y in place and adds one
+    real product with inner size 2m into a float64 sum, row panel by row
+    panel of ``_PANEL_ROWS``, over the columns at or right of each panel's
+    first row only.  The recurrences grow like prod |z - d_i| / |off_i| and
+    overflow when the couplings are tiny against the diagonal spread; the
+    first block whose last x or first y row is not finite sends the whole
+    tridiagonal block, over all nodes, to
     :func:`_resolvent_weighted_sum_thomas` with a logged warning.
     """
     n = diag.size
     b = np.concatenate([-off, [1.0]])
+    rb = -1.0 / b
     block = _NODE_BLOCK_BYTES // (2 * (n + 1) * _COMPLEX_BYTES)
     block = min(nodes.size, max(1, block))
     x = np.empty((n + 1, block), dtype=complex)
     y = np.empty((n + 1, block), dtype=complex)
     scratch = np.empty(block, dtype=complex)
-    upper = np.zeros((n, n), dtype=complex)
+    upper = np.zeros((n, n))
     for start in range(0, nodes.size, block):
         z = nodes[start : start + block]
         xs, ys, tmp = x[:, : z.size], y[:, : z.size], scratch[: z.size]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             xs[0] = 1.0
             np.subtract(z, diag[0], out=xs[1])
-            xs[1] /= -b[0]
+            xs[1] *= rb[0]
             for i in range(2, n + 1):
                 np.subtract(z, diag[i - 1], out=tmp)
                 tmp *= xs[i - 1]
                 np.multiply(xs[i - 2], b[i - 2], out=xs[i])
                 xs[i] += tmp
-                xs[i] /= -b[i - 1]
+                xs[i] *= rb[i - 1]
             ys[n] = 0.0
             np.divide(-1.0, xs[n], out=ys[n - 1])
             for j in range(n - 2, -1, -1):
@@ -358,8 +372,10 @@ def _block_weighted_sum(
                 tmp *= ys[j + 1]
                 np.multiply(ys[j + 2], b[j + 1], out=ys[j])
                 ys[j] += tmp
-                ys[j] /= -b[j]
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+                ys[j] *= rb[j]
+        # every step carries a non-finite entry on into the next row, so the
+        # last row of each recurrence shows whether it overflowed anywhere
+        if not (np.all(np.isfinite(xs[n])) and np.all(np.isfinite(ys[0]))):
             _log.warning(
                 "resolvent recurrence overflowed on a %d-row tridiagonal block; "
                 "batched Thomas elimination over %d nodes",
@@ -369,25 +385,31 @@ def _block_weighted_sum(
             return _resolvent_weighted_sum_thomas(diag, off, nodes, weights)
         left = xs[:n]
         left *= weights[start : start + block]
-        upper += left @ ys[:n].T
+        right = ys[:n]
+        np.conjugate(right, out=right)
+        left, right = left.view(float), right.view(float)
+        for p in range(0, n, _PANEL_ROWS):
+            upper[p : p + _PANEL_ROWS, p:] += left[p : p + _PANEL_ROWS] @ right[p:].T
     return np.triu(upper) + np.tril(upper.T, -1)
 
 
 def _resolvent_weighted_sum_thomas(
     diag: np.ndarray, off: np.ndarray, nodes: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Batched Thomas elimination without pivoting.
+    """Real part of the weighted resolvent sum by batched Thomas elimination
+    without pivoting, as a float64 matrix.
 
     The fallback for a block whose homogeneous-solution recurrences overflow
     in :func:`_block_weighted_sum`; it costs O(nodes n^2) time, and each
-    batch of nodes holds its n x n solutions in about ``_NODE_BLOCK_BYTES``.
+    batch of nodes holds its n x n complex solutions in about
+    ``_NODE_BLOCK_BYTES`` and adds the real part of its weighted sum.
     Every pivot is the reciprocal of a diagonal resolvent entry of a leading
     principal block, so its modulus is at least the distance from z_j to the
     real spectral hull — bounded below by |Im z_j| off the axis and by the
     contour clearance on the axis.
     """
     n = diag.size
-    total = np.zeros((n, n), dtype=complex)
+    total = np.zeros((n, n))
     batch = max(1, _NODE_BLOCK_BYTES // (n * n * _COMPLEX_BYTES))
     e = -off
     idx = np.arange(n)
@@ -410,7 +432,7 @@ def _resolvent_weighted_sum_thomas(
             ) / pivot[:, None]
         for i in range(n - 2, -1, -1):
             x[:, i, :] -= ratios[:, i][:, None] * x[:, i + 1, :]
-        total += np.einsum("b,bij->ij", w, x)
+        total += np.einsum("b,bij->ij", w, x).real
     return total
 
 
@@ -431,11 +453,14 @@ def hs_apply(
     grid covers the band with ``area_cells`` cells, the contour runs over
     the enclosing rectangle with ``edge_cells`` cells per edge.  For real
     symmetric P the resolvent obeys R(conj z) = conj R(z) and the extension
-    is conjugate-symmetric, so the lower half of the band and the top edge
-    contribute the conjugates of the upper half and the bottom edge: both
-    are folded in as doubled weights, and the area and contour nodes go
-    through one resolvent sum whose real part is taken once.  Nodes are
-    accumulated in a fixed order, so results are bytewise reproducible.
+    is conjugate-symmetric, so the lower half of the band, the top edge and
+    the lower half of the left edge contribute the conjugates of the upper
+    half, the bottom edge and the upper half of the left edge: all three
+    are folded in as doubled weights (an odd ``edge_cells`` leaves one left
+    edge node on the real axis, which keeps its single weight).  The area
+    and contour nodes then go through one resolvent sum that returns only
+    the real part the projection needs.  Nodes are accumulated in a fixed
+    order, so results are bytewise reproducible.
     """
     P = np.asarray(P, dtype=float)
     _check_symmetric(P)
@@ -474,18 +499,24 @@ def hs_apply(
 
     # contour: enclosing rectangle [-scale, 2 scale] x [-scale, scale];
     # the right edge carries an identically zero integrand and is skipped,
-    # the top edge is the reflected bottom edge
+    # the top edge is the reflected bottom edge, and the left edge keeps
+    # its midpoints with Im z >= 0
     m = edge_cells
     tx = -scale + (np.arange(m) + 0.5) * (3.0 * scale / m)
-    ty = -scale + (np.arange(m) + 0.5) * (2.0 * scale / m)
+    ty = (np.arange((m + 1) // 2) + 0.5 * (1 - m % 2)) * (2.0 * scale / m)
     bottom = tx - 1j * scale
     left = -scale + 1j * ty
     bottom_weights = (6.0 * scale / m) * (1.0 - ext.value(bottom)) / (2j * math.pi)
-    left_weights = (-2j * scale / m) * (1.0 - ext.value(left)) / (2j * math.pi)
+    left_weights = (
+        np.where(ty > 0.0, 2.0, 1.0)
+        * (-2j * scale / m)
+        * (1.0 - ext.value(left))
+        / (2j * math.pi)
+    )
 
     nodes = np.concatenate([zz, bottom, left])
     weights = np.concatenate([2.0 * area_weights, bottom_weights, left_weights])
-    complement_mat = np.real(_resolvent_weighted_sum(diag, off, nodes, weights))
+    complement_mat = _resolvent_weighted_sum(diag, off, nodes, weights)
     result = q @ (np.eye(n) - complement_mat) @ q.T
     result = 0.5 * (result + result.T)
 

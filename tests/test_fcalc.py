@@ -170,6 +170,17 @@ def seeded_dense_operator(n, scale, seed):
     return 0.5 * (P + P.T)
 
 
+def non_finite_operator(entry):
+    """A symmetric level-circle operator with one NaN coupling pair or one
+    infinite diagonal entry."""
+    P = boundary_operator(FLAT, 0.0, 0.05, n=16)
+    if entry == "nan off-diagonal":
+        P[2, 3] = P[3, 2] = np.nan
+    else:
+        P[5, 5] = np.inf
+    return P
+
+
 def reference_hs_apply(P, ext, area_cells=(256, 256), edge_cells=1024):
     """The Cauchy-integral window with the full three-edge contour and the
     area and contour sums taken separately over all nodes."""
@@ -424,6 +435,12 @@ class TestSpectralCalculus:
         with pytest.raises(ValueError, match="square"):
             spectral_calculus(np.zeros((2, 3)), ext)
 
+    @pytest.mark.parametrize("entry", ["nan off-diagonal", "inf diagonal"])
+    def test_rejects_non_finite_operators(self, entry):
+        ext = almost_analytic_extension(4.0, 0.05)
+        with pytest.raises(ValueError, match="operator must be finite"):
+            spectral_calculus(non_finite_operator(entry), ext)
+
 
 # --------------------------------------------------------------------------
 # windowed projection: Cauchy integral path
@@ -519,6 +536,12 @@ class TestHsApply:
         F = hs_apply(P, ext)
         assert np.max(np.abs(F - reference_hs_apply(P, ext))) <= 1e-13
 
+    def test_odd_edge_cells_keep_the_real_axis_node_once(self):
+        ext = almost_analytic_extension(4.0, 0.05)
+        P = boundary_operator(FLAT, 0.0, 0.05, n=32)
+        F = hs_apply(P, ext, edge_cells=1023)
+        assert np.max(np.abs(F - reference_hs_apply(P, ext, edge_cells=1023))) <= 1e-13
+
     def test_peak_memory_bounded_on_dense_n128(self):
         ext = almost_analytic_extension(4.0, 0.05)
         P = seeded_dense_operator(128, ext.scale, seed=8)
@@ -539,6 +562,12 @@ class TestHsApply:
         with pytest.raises(ValueError, match="256"):
             hs_apply(np.zeros((300, 300)), ext)
 
+    @pytest.mark.parametrize("entry", ["nan off-diagonal", "inf diagonal"])
+    def test_rejects_non_finite_operators(self, entry, no_thomas):
+        ext = almost_analytic_extension(4.0, 0.05)
+        with pytest.raises(ValueError, match="operator must be finite"):
+            hs_apply(non_finite_operator(entry), ext)
+
 
 class TestResolventWeightedSum:
     def test_split_tridiagonal_matches_dense_inverse(self):
@@ -554,7 +583,10 @@ class TestResolventWeightedSum:
         T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         expected = sum(w * np.linalg.inv(z * np.eye(n) - T) for z, w in zip(nodes, weights))
         total = _resolvent_weighted_sum(diag, off, nodes, weights)
-        assert np.max(np.abs(total - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert total.dtype == np.float64
+        assert np.max(np.abs(total - expected.real)) <= 1e-12 * np.max(
+            np.abs(expected.real)
+        )
         assert np.all(total[:5, 5:] == 0.0) and np.all(total[5:, :5] == 0.0)
 
     def test_blocked_sum_matches_one_shot_reference(self, monkeypatch):
@@ -575,8 +607,29 @@ class TestResolventWeightedSum:
             assert count // block >= 3 and count % block > 0
         expected = reference_resolvent_sum(diag, off, nodes, weights)
         total = _resolvent_weighted_sum(diag, off, nodes, weights)
-        assert np.max(np.abs(total - expected)) <= 1e-13 * np.max(np.abs(expected))
+        assert np.max(np.abs(total - expected.real)) <= 1e-13 * np.max(
+            np.abs(expected.real)
+        )
         assert np.all(total[:5, 5:] == 0.0) and np.all(total[5:, :5] == 0.0)
+
+    @pytest.mark.parametrize("rows", [45, 70])
+    def test_multi_panel_block_matches_one_shot_reference(self, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        diag = rng.uniform(0.0, 4.0, rows)
+        off = rng.uniform(0.5, 1.5, rows - 1)
+        count = 61
+        nodes = rng.uniform(-1.0, 5.0, count) + 1j * rng.choice(
+            [-1.0, 1.0], count
+        ) * rng.uniform(1.0, 2.0, count)
+        weights = rng.normal(size=count) + 1j * rng.normal(size=count)
+        complex_bytes = np.dtype(complex).itemsize
+        monkeypatch.setattr(fcalc, "_NODE_BLOCK_BYTES", 16 * 2 * (rows + 1) * complex_bytes)
+        assert rows % fcalc._PANEL_ROWS > 0 and rows > fcalc._PANEL_ROWS
+        assert count // 16 >= 3 and count % 16 > 0
+        expected = reference_block_sum(diag, off, nodes, weights).real
+        total = _resolvent_weighted_sum(diag, off, nodes, weights)
+        assert total.dtype == np.float64
+        assert np.max(np.abs(total - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_overflow_in_a_later_block_falls_back_to_thomas(self, monkeypatch, caplog):
         rng = np.random.default_rng(5)
@@ -601,7 +654,9 @@ class TestResolventWeightedSum:
         )
         T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         expected = sum(w * np.linalg.inv(z * np.eye(n) - T) for z, w in zip(nodes, weights))
-        assert np.max(np.abs(total - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(total - expected.real)) <= 1e-12 * np.max(
+            np.abs(expected.real)
+        )
 
     def test_overflowing_block_falls_back_to_thomas(self, caplog):
         ext = almost_analytic_extension(4.0, 0.05)
