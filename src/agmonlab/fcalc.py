@@ -14,7 +14,6 @@ its second-order comparison ODE.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -48,8 +47,6 @@ __all__ = [
     "surface_trace_of_mode",
 ]
 
-_log = logging.getLogger(__name__)
-
 _PROFILE_SUP_NODES = 20001
 _SUPPORT_WEIGHT_FLOOR = 1e-6
 _DEFAULT_AREA_CELLS = (256, 256)
@@ -57,17 +54,18 @@ _DEFAULT_EDGE_CELLS = 1024
 _MIN_AREA_CELLS = (32, 16)
 _DENSE_LIMIT = 256
 # The Cauchy resolvent sum streams its quadrature nodes in blocks whose
-# complex work buffers hold about this many bytes: x and y of the
-# recurrence path, or the n x n solutions of a Thomas batch.  Four hs_apply
-# calls (dense n = 96 and 128, level circles n = 32 and 48; 2 cores, one
-# BLAS thread) take 0.44 s with 4 MiB blocks against 0.57 s with 2 MiB and
-# 0.37 s with 8 MiB (medians of 6); one dense n = 128 call peaks at 7.0 MiB
-# in tracemalloc (11.0 MiB with 8 MiB blocks, 135 MiB with all nodes at
-# once); 8 MiB would also raise a window-calculus pass's peak RSS by 4 MB.
+# complex work buffers, x and y of the principal-minor recurrences, hold
+# about this many bytes.  Four hs_apply calls (dense n = 96 and 128, level
+# circles n = 32 and 48; 2 cores, one BLAS thread) take 0.35 s with 4 MiB
+# blocks against 0.45 s with 2 MiB and 0.33 s with 8 MiB (medians of 6);
+# one dense n = 128 call peaks at 6.9 MiB in tracemalloc (10.9 MiB with
+# 8 MiB blocks), and 8 MiB blocks raised a window-calculus pass's peak RSS
+# by 4 MB.
 _NODE_BLOCK_BYTES = 2**22
 _COMPLEX_BYTES = np.dtype(complex).itemsize
-# Rows per panel of the real upper-triangle product in _block_weighted_sum;
-# panels of 16, 32 and 64 rows timed alike on dense n = 96 and 128.
+# Rows per panel of the real upper-triangle product and of the coupling
+# factor in _block_weighted_sum; panels of 16, 32 and 64 rows timed alike
+# on dense n = 96 and 128.
 _PANEL_ROWS = 32
 _COARSE_GRID_MESSAGE = (
     "quadrature grid too coarse (resolvent condition number check fails)"
@@ -299,12 +297,13 @@ def _resolvent_weighted_sum(
     imaginary one.  T is split at every off-diagonal below 1e-12 of its
     scale, so the sum is block diagonal and its entries between blocks are
     exactly 0.  A level circle splits at n/2 this way: the Krylov space of
-    e_1 is the even subspace.  Each unreduced block goes to
-    :func:`_block_weighted_sum`, which streams the nodes through buffers of
-    ``_NODE_BLOCK_BYTES``; 1x1 blocks use the closed form.
+    e_1 is the even subspace.  Each unreduced block adds its upper triangle
+    through :func:`_block_weighted_sum`, 1x1 blocks by the closed form; a
+    block whose sum is not finite raises a ValueError naming its rows.  The
+    lower triangle is mirrored in after the kernel's buffers are freed.
     """
     n = diag.size
-    total = np.zeros((n, n))
+    upper = np.zeros((n, n))
     scale = max(
         float(np.max(np.abs(diag))), float(np.max(np.abs(off), initial=0.0)), 1.0
     )
@@ -312,128 +311,119 @@ def _resolvent_weighted_sum(
     bounds = [0, *cuts.tolist(), n]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if hi - lo == 1:
-            total[lo, lo] = np.sum(weights / (nodes - diag[lo])).real
+            upper[lo, lo] = np.sum(weights / (nodes - diag[lo])).real
         else:
-            total[lo:hi, lo:hi] = _block_weighted_sum(
-                diag[lo:hi], off[lo : hi - 1], nodes, weights
+            _block_weighted_sum(
+                diag[lo:hi], off[lo : hi - 1], nodes, weights, upper[lo:hi, lo:hi]
             )
-    return total
+        if not np.all(np.isfinite(np.triu(upper[lo:hi, lo:hi]))):
+            raise ValueError(
+                f"resolvent sum of the tridiagonal block at rows {lo}..{hi - 1} "
+                "is not finite"
+            )
+    upper = np.triu(upper)
+    return upper + np.triu(upper, 1).T
 
 
 def _block_weighted_sum(
-    diag: np.ndarray, off: np.ndarray, nodes: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Real part of the weighted resolvent sum of one unreduced block.
+    diag: np.ndarray,
+    off: np.ndarray,
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    out: np.ndarray,
+) -> None:
+    """Add the real weighted resolvent sum of one unreduced block to the
+    upper triangle of ``out``, leaving the entries below it unusable.
 
-    The resolvent factors entrywise into left and right homogeneous
-    solutions, R_ij = x_i y_j for i <= j, so the weighted sum collapses into
-    two batched recurrences and one rank-m product; T is symmetric and the
-    weights diagonal, so the lower triangle is the transposed upper one.
-    The nodes are taken in blocks whose x and y together fill
-    ``_NODE_BLOCK_BYTES``; both buffers and one row of scratch are allocated
-    once, and every recurrence step runs in place, multiplying by the
-    precomputed reciprocal -1/b_i of its coupling instead of dividing.
+    Principal-minor form of the tridiagonal inverse (Meurant 1992): for
+    i <= j, R_ij(z) = theta_i(z) phi_{j+1}(z) c_ij / theta_n(z), with theta_i
+    the leading i x i and phi_j the trailing (from row j) principal minors
+    of z I - T, and c_ij = off_i ... off_{j-1}.  Both minors obey
+    division-free recurrences in off^2, and c_ij does not depend on z, so
+    the node sum of x_i y_j (x_i = theta_i, y_j = phi_{j+1} / theta_n) is one
+    rank-m product that c_ij multiplies once, after the node loop.  The
+    recurrences run on T / sigma, with sigma the geometric mean over rows of
+    max(|diag_k|, |off_{k-1}|, |off_k|, min |z|), so the minors neither grow
+    nor shrink much across the block, graded ones (the Lanczos tridiagonal
+    of a spectrum spread over decades) included.  x starts each node at the
+    gauge max(1, |z / sigma|)^(-n/2), so on a far node x_i is of order
+    |z / sigma|^(i - n/2) and y_j of order |z / sigma|^(n/2 - j - 1).  c_ij
+    is a ratio of cumulative products of frexp mantissas times a power of 2,
+    so no coupling product underflows before it meets its sum.
+    The nodes go in blocks whose x and y together fill ``_NODE_BLOCK_BYTES``;
+    both buffers and two rows of scratch are allocated once, every
+    recurrence step runs in place, and no n x n temporary is formed.
     Re(w x_i y_j) is the real dot product of (Re wx_i, Im wx_i) with
-    (Re y_j, -Im y_j), so each block conjugates y in place and adds one
-    real product with inner size 2m into a float64 sum, row panel by row
-    panel of ``_PANEL_ROWS``, over the columns at or right of each panel's
-    first row only.  The recurrences grow like prod |z - d_i| / |off_i| and
-    overflow when the couplings are tiny against the diagonal spread; the
-    first block whose last x or first y row is not finite sends the whole
-    tridiagonal block, over all nodes, to
-    :func:`_resolvent_weighted_sum_thomas` with a logged warning.
+    (Re y_j, -Im y_j), so each block conjugates y in place and adds one real
+    product with inner size 2m, row panel by row panel of ``_PANEL_ROWS``,
+    over the columns at or right of each panel's first row only.
     """
     n = diag.size
-    b = np.concatenate([-off, [1.0]])
-    rb = -1.0 / b
+    coupled = np.abs(np.concatenate([[0.0], off, [0.0]]))
+    row_size = np.maximum(np.abs(diag), np.maximum(coupled[:-1], coupled[1:]))
+    row_size = np.maximum(row_size, np.min(np.abs(nodes)))
+    sigma = float(np.exp(np.mean(np.log(row_size))))
+    a = diag / sigma
+    b2 = (off / sigma) ** 2
     block = _NODE_BLOCK_BYTES // (2 * (n + 1) * _COMPLEX_BYTES)
     block = min(nodes.size, max(1, block))
     x = np.empty((n + 1, block), dtype=complex)
-    y = np.empty((n + 1, block), dtype=complex)
-    scratch = np.empty(block, dtype=complex)
-    upper = np.zeros((n, n))
-    for start in range(0, nodes.size, block):
-        z = nodes[start : start + block]
-        xs, ys, tmp = x[:, : z.size], y[:, : z.size], scratch[: z.size]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            xs[0] = 1.0
-            np.subtract(z, diag[0], out=xs[1])
-            xs[1] *= rb[0]
+    y = np.empty((n, block), dtype=complex)
+    zs = np.empty(block, dtype=complex)
+    tmp = np.empty(block, dtype=complex)
+    # the discarded entries below the diagonal may overflow; a non-finite
+    # kept entry is caught by the caller
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, nodes.size, block):
+            z = nodes[start : start + block]
+            xs, ys = x[:, : z.size], y[:, : z.size]
+            zb, tb = zs[: z.size], tmp[: z.size]
+            np.divide(z, sigma, out=zb)
+            gauge = np.abs(zb, out=xs[0].real)
+            np.power(np.maximum(gauge, 1.0, out=gauge), -0.5 * n, out=gauge)
+            xs[0].imag = 0.0
+            np.subtract(zb, a[0], out=xs[1])
+            xs[1] *= xs[0]
             for i in range(2, n + 1):
-                np.subtract(z, diag[i - 1], out=tmp)
-                tmp *= xs[i - 1]
-                np.multiply(xs[i - 2], b[i - 2], out=xs[i])
-                xs[i] += tmp
-                xs[i] *= rb[i - 1]
-            ys[n] = 0.0
-            np.divide(-1.0, xs[n], out=ys[n - 1])
-            for j in range(n - 2, -1, -1):
-                np.subtract(z, diag[j + 1], out=tmp)
-                tmp *= ys[j + 1]
-                np.multiply(ys[j + 2], b[j + 1], out=ys[j])
-                ys[j] += tmp
-                ys[j] *= rb[j]
-        # every step carries a non-finite entry on into the next row, so the
-        # last row of each recurrence shows whether it overflowed anywhere
-        if not (np.all(np.isfinite(xs[n])) and np.all(np.isfinite(ys[0]))):
-            _log.warning(
-                "resolvent recurrence overflowed on a %d-row tridiagonal block; "
-                "batched Thomas elimination over %d nodes",
-                n,
-                nodes.size,
-            )
-            return _resolvent_weighted_sum_thomas(diag, off, nodes, weights)
-        left = xs[:n]
-        left *= weights[start : start + block]
-        right = ys[:n]
-        np.conjugate(right, out=right)
-        left, right = left.view(float), right.view(float)
+                np.subtract(zb, a[i - 1], out=tb)
+                tb *= xs[i - 1]
+                np.multiply(xs[i - 2], b2[i - 2], out=xs[i])
+                np.subtract(tb, xs[i], out=xs[i])
+            np.divide(1.0, xs[n], out=ys[n - 1])
+            np.subtract(zb, a[n - 1], out=ys[n - 2])
+            ys[n - 2] *= ys[n - 1]
+            for j in range(n - 3, -1, -1):
+                np.subtract(zb, a[j + 1], out=tb)
+                tb *= ys[j + 1]
+                np.multiply(ys[j + 2], b2[j + 1], out=ys[j])
+                np.subtract(tb, ys[j], out=ys[j])
+            left = xs[:n]
+            left *= weights[start : start + block]
+            np.conjugate(ys, out=ys)
+            left, right = left.view(float), ys.view(float)
+            for p in range(0, n, _PANEL_ROWS):
+                out[p : p + _PANEL_ROWS, p:] += left[p : p + _PANEL_ROWS] @ right[p:].T
+        mantissa, exponent = np.frexp(off / sigma)
+        prod = np.concatenate([[1.0], np.cumprod(mantissa)])
+        power = np.concatenate([[0], np.cumsum(exponent)])
         for p in range(0, n, _PANEL_ROWS):
-            upper[p : p + _PANEL_ROWS, p:] += left[p : p + _PANEL_ROWS] @ right[p:].T
-    return np.triu(upper) + np.tril(upper.T, -1)
+            rows = slice(p, p + _PANEL_ROWS)
+            out[rows, p:] *= np.ldexp(
+                prod[None, p:] / (sigma * prod[rows, None]),
+                power[None, p:] - power[rows, None],
+            )
 
 
-def _resolvent_weighted_sum_thomas(
-    diag: np.ndarray, off: np.ndarray, nodes: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Real part of the weighted resolvent sum by batched Thomas elimination
-    without pivoting, as a float64 matrix.
-
-    The fallback for a block whose homogeneous-solution recurrences overflow
-    in :func:`_block_weighted_sum`; it costs O(nodes n^2) time, and each
-    batch of nodes holds its n x n complex solutions in about
-    ``_NODE_BLOCK_BYTES`` and adds the real part of its weighted sum.
-    Every pivot is the reciprocal of a diagonal resolvent entry of a leading
-    principal block, so its modulus is at least the distance from z_j to the
-    real spectral hull — bounded below by |Im z_j| off the axis and by the
-    contour clearance on the axis.
-    """
-    n = diag.size
-    total = np.zeros((n, n))
-    batch = max(1, _NODE_BLOCK_BYTES // (n * n * _COMPLEX_BYTES))
-    e = -off
-    idx = np.arange(n)
-    for start in range(0, nodes.size, batch):
-        z = nodes[start : start + batch]
-        w = weights[start : start + batch]
-        rows = z.size
-        d = z[:, None] - diag[None, :]
-        x = np.zeros((rows, n, n), dtype=complex)
-        x[:, idx, idx] = 1.0
-        ratios = np.empty((rows, n - 1), dtype=complex)
-        pivot = d[:, 0]
-        x[:, 0, 0] = 1.0 / pivot
-        for i in range(1, n):
-            ratios[:, i - 1] = e[i - 1] / pivot
-            pivot = d[:, i] - e[i - 1] * ratios[:, i - 1]
-            # identity right-hand side: row i holds columns 0..i only
-            x[:, i, : i + 1] = (
-                x[:, i, : i + 1] - e[i - 1] * x[:, i - 1, : i + 1]
-            ) / pivot[:, None]
-        for i in range(n - 2, -1, -1):
-            x[:, i, :] -= ratios[:, i][:, None] * x[:, i + 1, :]
-        total += np.einsum("b,bij->ij", w, x).real
-    return total
+def _count_below(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
+    """Sturm count: the number of eigenvalues below ``shift`` of the real
+    symmetric tridiagonal (diag, off), as the negative pivots of the LDL^T
+    factorization of T - shift I; a zero pivot divides as a tiny positive
+    one, as at a shift just below."""
+    count, pivot = 0, 1.0
+    for a, b2 in zip(diag.tolist(), [0.0, *(off**2).tolist()]):
+        pivot = (a - shift) - b2 / (pivot or np.finfo(float).tiny)
+        count += pivot < 0.0
+    return count
 
 
 def hs_apply(
@@ -459,8 +449,13 @@ def hs_apply(
     are folded in as doubled weights (an odd ``edge_cells`` leaves one left
     edge node on the real axis, which keeps its single weight).  The area
     and contour nodes then go through one resolvent sum that returns only
-    the real part the projection needs.  Nodes are accumulated in a fixed
-    order, so results are bytewise reproducible.
+    the real part the projection needs, on the tridiagonal the Hessenberg
+    reduction of P gives; every unreduced block of it takes the same
+    principal-minor kernel (:func:`_block_weighted_sum`), whatever its
+    norm against the window scale.  Positive semidefiniteness is checked
+    by a Sturm count on that tridiagonal, so no eigendecomposition of P
+    enters the path the spectral oracle checks.  Nodes are accumulated in
+    a fixed order, so results are bytewise reproducible.
     """
     P = np.asarray(P, dtype=float)
     _check_symmetric(P)
@@ -469,8 +464,15 @@ def hs_apply(
         raise ValueError(
             f"dense resolvent path is limited to {_DENSE_LIMIT} rows, got {n}"
         )
-    low = float(np.linalg.eigvalsh(P).min()) if n > 1 else float(P[0, 0])
-    if low < -1e-8 * max(1.0, float(np.max(np.abs(P)))):
+    if n <= 2:
+        diag = P.diagonal().copy()
+        off = P.diagonal(-1).copy()
+        q = np.eye(n)
+    else:
+        tri, q = hessenberg(P, calc_q=True)
+        diag = tri.diagonal().copy()
+        off = 0.5 * (tri.diagonal(-1) + tri.diagonal(1))
+    if _count_below(diag, off, -1e-8 * max(1.0, float(np.max(np.abs(P))))):
         raise ValueError("operator must be positive semidefinite")
     nx, ny_full = area_cells
     if nx < _MIN_AREA_CELLS[0] or ny_full < 2 * _MIN_AREA_CELLS[1] or edge_cells < 64:
@@ -479,14 +481,6 @@ def hs_apply(
         raise ValueError("area cell count across the band must be even")
 
     scale = ext.scale
-    if n <= 2:
-        diag = P.diagonal().astype(float).copy()
-        off = P.diagonal(-1).astype(float).copy()
-        q = np.eye(n)
-    else:
-        tri, q = hessenberg(P, calc_q=True)
-        diag = tri.diagonal().copy()
-        off = 0.5 * (tri.diagonal(-1) + tri.diagonal(1))
 
     # area: defect integral over the upper half of the support band
     ny = ny_full // 2
@@ -870,7 +864,6 @@ def mass_profile_comparison(
     h: float,
     *,
     n_r: int = 65,
-    ext_order: int = 2,
     ode_steps: int = 8000,
 ) -> MassProfile:
     """Windowed trace mass of a separable mode across the depth window.
@@ -898,6 +891,8 @@ def mass_profile_comparison(
     if abs(mode.h - h) > 1e-15 * max(1.0, h):
         raise ValueError(f"mode was assembled at h={mode.h:g}, not h={h:g}")
     scale = float(lam) * h
+    if not scale > 0.0:
+        raise ValueError("the window scale lam * h must be positive")
     limit = model.collar_width_ambient
     if scale > limit + 1e-12:
         raise ValueError(
@@ -926,7 +921,6 @@ def mass_profile_comparison(
         )
 
     operator = boundary_operator(model, 0.0, h, n=n_tangential)
-    ext = almost_analytic_extension(lam, h, ext_order)
     w, u = np.linalg.eigh(operator)
     window_weights = step_profile(w / scale)
 

@@ -7,7 +7,6 @@ expected value below is computed from one of these or is an exact algebraic
 identity of the inputs.
 """
 
-import logging
 import math
 import tracemalloc
 
@@ -168,6 +167,16 @@ def seeded_dense_operator(n, scale, seed):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     P = (q * rng.uniform(0.0, 4.0 * scale, n)) @ q.T
     return 0.5 * (P + P.T)
+
+
+def seeded_psd_tridiagonal(n, norm, seed):
+    """Random diagonally dominant (so PSD) symmetric tridiagonal of the
+    given 2-norm."""
+    rng = np.random.default_rng(seed)
+    off = rng.uniform(0.5, 1.0, n - 1)
+    diag = np.append(off, 0.0) + np.insert(off, 0, 0.0) + rng.uniform(0.0, 1.0, n)
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return T * (norm / np.linalg.norm(T, 2))
 
 
 def non_finite_operator(entry):
@@ -447,23 +456,13 @@ class TestSpectralCalculus:
 # --------------------------------------------------------------------------
 
 
-@pytest.fixture
-def no_thomas(monkeypatch):
-    """Fail the test if the resolvent sum leaves the recurrence path."""
-
-    def refuse(*args):
-        raise AssertionError("Thomas fallback reached")
-
-    monkeypatch.setattr(fcalc, "_resolvent_weighted_sum_thomas", refuse)
-
-
 class TestHsApply:
-    def test_zero_operator_maps_to_zero(self, no_thomas):
+    def test_zero_operator_maps_to_zero(self):
         ext = almost_analytic_extension(4.0, 0.05)
         F = hs_apply(np.zeros((8, 8)), ext)
         assert np.max(np.abs(F)) <= 1e-6
 
-    def test_far_plateau_multiple_of_identity(self, no_thomas):
+    def test_far_plateau_multiple_of_identity(self):
         ext = almost_analytic_extension(4.0, 0.05)
         t = 2.5 * ext.scale
         F = hs_apply(t * np.eye(4), ext)
@@ -475,11 +474,24 @@ class TestHsApply:
         rng = np.random.default_rng(42)
         q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
         P = (q * rng.uniform(0.0, 4.0 * ext.scale, 16)) @ q.T
-        P = 0.5 * (P + P.T)
-        F = hs_apply(P, ext)
-        assert float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2)) <= 1e-6
+        operators = {"dense n=16": 0.5 * (P + P.T)}
+        # eigenvalues log-spaced over six decades: the Hessenberg tridiagonal
+        # is graded, its diagonal and couplings falling by decades down the rows
+        q, _ = np.linalg.qr(rng.normal(size=(256, 256)))
+        P = (q * (ext.scale * np.logspace(-3.0, 3.0, 256))) @ q.T
+        operators["graded n=256"] = 0.5 * (P + P.T)
+        # norms far below the window scale
+        for rel in (1e-4, 1e-2):
+            for n in (128, 256):
+                operators[f"tridiagonal {rel:g}*scale n={n}"] = seeded_psd_tridiagonal(
+                    n, rel * ext.scale, seed=n
+                )
+        for name, P in operators.items():
+            F = hs_apply(P, ext)
+            err = float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2))
+            assert err <= 1e-6, name
 
-    def test_matches_spectral_oracle_on_level_circle(self, no_thomas):
+    def test_matches_spectral_oracle_on_level_circle(self):
         ext = almost_analytic_extension(4.0, 0.05)
         for n in (32, 128):
             P = boundary_operator(TORUS, 0.3, 0.05, n=n)
@@ -559,14 +571,31 @@ class TestHsApply:
             hs_apply(np.array([[0.0, 1.0], [0.0, 0.0]]), ext)
         with pytest.raises(ValueError, match="positive semidefinite"):
             hs_apply(-0.1 * np.eye(8), ext)
+        q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(24, 24)))
+        spectrum = np.linspace(ext.scale, 4.0 * ext.scale, 24)
+        spectrum[7] = -1e-6  # one negative eigenvalue, positive diagonal
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            hs_apply((q * spectrum) @ q.T, ext)
         with pytest.raises(ValueError, match="256"):
             hs_apply(np.zeros((300, 300)), ext)
 
     @pytest.mark.parametrize("entry", ["nan off-diagonal", "inf diagonal"])
-    def test_rejects_non_finite_operators(self, entry, no_thomas):
+    def test_rejects_non_finite_operators(self, entry):
         ext = almost_analytic_extension(4.0, 0.05)
         with pytest.raises(ValueError, match="operator must be finite"):
             hs_apply(non_finite_operator(entry), ext)
+
+    def test_sturm_count_matches_eigenvalue_count(self):
+        rng = np.random.default_rng(4)
+        diag, off = rng.normal(size=40), rng.normal(size=39)
+        w = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        for shift in np.concatenate([[w[0] - 1.0], 0.5 * (w[1:] + w[:-1]), [w[-1] + 1.0]]):
+            assert fcalc._count_below(diag, off, shift) == np.sum(w < shift)
+        # exact zero pivots at the shift 0: eigenvalues -sqrt 2, 0, sqrt 2;
+        # -0.80, 0.55, 2.25; and 0 four times
+        for diag, below in (([0.0, 0.0, 0.0], 1), ([1.0, 1.0, 0.0], 1), ([0.0] * 4, 0)):
+            off = np.ones(len(diag) - 1) if below else np.zeros(len(diag) - 1)
+            assert fcalc._count_below(np.array(diag), off, 0.0) == below
 
 
 class TestResolventWeightedSum:
@@ -631,13 +660,13 @@ class TestResolventWeightedSum:
         assert total.dtype == np.float64
         assert np.max(np.abs(total - expected)) <= 1e-13 * np.max(np.abs(expected))
 
-    def test_overflow_in_a_later_block_falls_back_to_thomas(self, monkeypatch, caplog):
+    def test_far_nodes_in_a_later_block_match_dense_inverse(self, monkeypatch):
         rng = np.random.default_rng(5)
         n = 8
         diag = rng.uniform(0.0, 4.0, n)
         off = rng.uniform(0.5, 1.5, n - 1)
         near = rng.uniform(-1.0, 5.0, 12) + 1j * rng.uniform(0.1, 1.0, 12)
-        # |z|^8 overflows the recurrences; a weight of z keeps each far
+        # |z|^8 overflows an ungauged minor; a weight of z keeps each far
         # node's term near the identity, so dropping one would show
         far = 1e50 * np.exp(1j * rng.uniform(0.1, 3.0, 4))
         nodes = np.concatenate([near, far])
@@ -645,30 +674,30 @@ class TestResolventWeightedSum:
         complex_bytes = np.dtype(complex).itemsize
         monkeypatch.setattr(fcalc, "_NODE_BLOCK_BYTES", 4 * 2 * (n + 1) * complex_bytes)
         reference_block_sum(diag, off, near, weights[:12])  # first 3 blocks finite
-        with caplog.at_level(logging.WARNING, logger="agmonlab.fcalc"):
-            total = _resolvent_weighted_sum(diag, off, nodes, weights)
-        assert any(
-            "overflowed on a 8-row tridiagonal block; batched Thomas elimination "
-            "over 16 nodes" in rec.getMessage()
-            for rec in caplog.records
-        )
+        total = _resolvent_weighted_sum(diag, off, nodes, weights)
         T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         expected = sum(w * np.linalg.inv(z * np.eye(n) - T) for z, w in zip(nodes, weights))
         assert np.max(np.abs(total - expected.real)) <= 1e-12 * np.max(
             np.abs(expected.real)
         )
 
-    def test_overflowing_block_falls_back_to_thomas(self, caplog):
+    def test_non_finite_block_sum_names_its_rows(self):
+        rng = np.random.default_rng(6)
+        diag = rng.uniform(0.0, 4.0, 12)
+        off = rng.uniform(0.5, 1.5, 11)
+        off[4] = 0.0  # blocks rows 0..4 and 5..11
+        # the gauge |z|^(-n/2) underflows to 0 on a node this far out
+        nodes = np.array([1.0 + 1.0j, 1e200j])
+        with pytest.raises(ValueError, match=r"block at rows 0\.\.4 is not finite"):
+            _resolvent_weighted_sum(diag, off, nodes, np.ones(2, dtype=complex))
+
+    def test_weakly_coupled_block_matches_spectral_oracle(self):
         ext = almost_analytic_extension(4.0, 0.05)
         rng = np.random.default_rng(0)
         P = np.diag(rng.uniform(0.0, 4.0 * ext.scale, 64))
         idx = np.arange(63)
         P[idx, idx + 1] = P[idx + 1, idx] = 1e-6
-        with caplog.at_level(logging.WARNING, logger="agmonlab.fcalc"):
-            F = hs_apply(P, ext)
-        assert any(
-            "overflowed on a 64-row" in rec.getMessage() for rec in caplog.records
-        )
+        F = hs_apply(P, ext)
         assert float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2)) <= 1e-6
 
 
@@ -1024,6 +1053,11 @@ class TestMassProfileComparison:
         )
         with pytest.raises(ValueError, match="collar"):
             mass_profile_comparison(mode, TORUS, lam=7.0, h=0.1)
+
+    @pytest.mark.parametrize("lam", [0.0, -4.0])
+    def test_nonpositive_window_rejected(self, torus_mode_detailed, lam):
+        with pytest.raises(ValueError, match="window scale"):
+            mass_profile_comparison(torus_mode_detailed, TORUS, lam=lam, h=0.1375)
 
     def test_h_mismatch_rejected(self, torus_mode_detailed):
         with pytest.raises(ValueError, match="assembled at h"):
