@@ -1,11 +1,10 @@
-"""Weighted distance geometry: distance fields, level sets, collar maps.
+"""Weighted distance geometry: distance fields and level sets.
 
 The degenerate conformal metric (V - E)_+ g (ambient g flat in every shipped
 model) governs tunneling decay.  This module computes its distance field by
 label-setting shortest paths (Dijkstra, run by ``scipy.sparse.csgraph``) on
-a weighted grid graph, extracts level sets with both ambient and weighted
-line elements, and provides the collar change of variables between ambient
-normal coordinates and weighted arclength for product-form models.
+a weighted grid graph, and extracts level sets with both ambient and
+weighted line elements.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -25,14 +24,11 @@ from agmonlab.models import ModelProblem, domain_axes, potential_grid, transvers
 __all__ = [
     "DistanceField",
     "LevelSet",
-    "CollarMap",
     "SeparableCollar",
     "separable_collar",
     "agmon_distance",
     "level_set_at",
-    "collar_map",
     "separable_level_set",
-    "eikonal_residual",
 ]
 
 
@@ -357,125 +353,3 @@ def separable_level_set(
         weighted_weights=weighted,
         model=model,
     )
-
-
-# --------------------------------------------------------------------------
-# collar map
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CollarMap:
-    """Bijection (tangential, arclength) <-> domain points on the collar.
-
-    For product models the map is (x', s) <-> (x', rho(s)) exactly; for the
-    periodic strip the tangential label is held constant along grid columns,
-    an approximation recorded by ``exact=False``.
-    """
-
-    field: DistanceField
-    exact: bool
-
-    def to_collar(self, points: np.ndarray) -> np.ndarray:
-        """Map domain points (m, ndim) to (tangential, arclength) pairs."""
-        model = self.field.model
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        normal = pts[:, -1]
-        rho = self._rho_of_normal(pts)
-        if model.ndim == 1:
-            return rho[:, None]
-        return np.column_stack([pts[:, 0], rho])
-
-    def from_collar(self, collar_points: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_collar`, up to grid tolerance."""
-        model = self.field.model
-        cp = np.atleast_2d(np.asarray(collar_points, dtype=float))
-        rho = cp[:, -1]
-        normal = self._normal_of_rho(cp)
-        if model.ndim == 1:
-            return normal[:, None]
-        return np.column_stack([cp[:, 0], normal])
-
-    def _rho_of_normal(self, pts: np.ndarray) -> np.ndarray:
-        model = self.field.model
-        if model.potential.kind == "separable-product":
-            xn = self.field.axes[-1]
-            out = np.empty(pts.shape[0])
-            xp_axis = self.field.axes[0]
-            for r, (x, y) in enumerate(pts):
-                i = int(np.argmin(np.abs((xp_axis - x + math.pi) % (2 * math.pi) - math.pi)))
-                out[r] = np.interp(y, xn, self.field.values[i])
-            return out
-        collar = separable_collar(model)
-        return np.asarray(collar.rho_of_s(pts[:, -1]), dtype=float)
-
-    def _normal_of_rho(self, cp: np.ndarray) -> np.ndarray:
-        model = self.field.model
-        if model.potential.kind == "separable-product":
-            xn = self.field.axes[-1]
-            pos = xn >= -1e-15
-            xp_axis = self.field.axes[0]
-            out = np.empty(cp.shape[0])
-            for r, (x, rho) in enumerate(cp):
-                i = int(np.argmin(np.abs((xp_axis - x + math.pi) % (2 * math.pi) - math.pi)))
-                out[r] = np.interp(rho, self.field.values[i][pos], xn[pos])
-            return out
-        collar = separable_collar(model)
-        return np.asarray(collar.s_of_rho(cp[:, -1]), dtype=float)
-
-
-def collar_map(model: ModelProblem, field: DistanceField) -> CollarMap:
-    """Collar coordinates built on a hypersurface-sourced distance field."""
-    if field.source != "boundary":
-        raise ValueError("collar map requires a hypersurface-sourced field")
-    normal_axis = model.ndim - 1
-    cells = model.collar_width_ambient / field.spacing[normal_axis]
-    if cells < 4:
-        raise ValueError(
-            f"collar spans only {cells:.2f} grid cells; at least 4 required"
-        )
-    return CollarMap(field=field, exact=model.potential.kind != "separable-product")
-
-
-# --------------------------------------------------------------------------
-# diagnostics
-# --------------------------------------------------------------------------
-
-
-def eikonal_residual(field: DistanceField) -> float:
-    """Max over interior collar nodes of | |grad d|^2 - (V - E) |.
-
-    First-order distances make this O(grid spacing) on product models; the
-    gradient is ambient (flat metric) central differencing.
-    """
-    model = field.model
-    axes = field.axes
-    grads = np.gradient(field.values, *[ax for ax in axes], edge_order=1)
-    if model.ndim == 1:
-        grads = [grads]
-    grad2 = sum(g**2 for g in grads)
-    barrier = potential_grid(model, *axes) - model.energy
-    if model.ndim == 1:
-        barrier = barrier.reshape(-1)
-    xn = axes[-1]
-    lo = 2 * field.spacing[-1]
-    hi = model.collar_width_ambient - 2 * field.spacing[-1]
-    interior = (xn >= lo) & (xn <= hi)
-    if model.ndim == 1:
-        sel = interior
-        return float(np.max(np.abs(grad2[sel] - barrier[sel])))
-    return float(np.max(np.abs(grad2[:, interior] - barrier[:, interior])))
-
-
-def distance_quadrature_oracle(model: ModelProblem, x: float) -> float:
-    """Independent oracle: adaptive quadrature of sqrt(V - E) along the normal.
-
-    Valid for models whose barrier depends on the normal variable only.
-    """
-    profile = transverse_potential(model)
-
-    def integrand(t: float) -> float:
-        return math.sqrt(max(float(profile(np.array([t]))[0]) - model.energy, 0.0))
-
-    value, _ = quad(integrand, 0.0, abs(x), limit=200)
-    return float(value)

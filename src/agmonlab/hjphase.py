@@ -38,16 +38,11 @@ from agmonlab.solver import BoundaryTrace
 __all__ = [
     "PhaseSeries",
     "PhaseResidualReport",
-    "SmallFrequencyReport",
-    "LargeFrequencyReport",
     "agmon_metric_taylor",
     "solve_phase_series",
     "evaluate_phase",
     "phase_function",
     "phase_residual",
-    "check_small_frequency",
-    "check_large_frequency",
-    "metric_equivalence",
     "apply_poisson_parametrix",
     "mode_frequencies",
 ]
@@ -430,129 +425,6 @@ def phase_residual(series: PhaseSeries, samples) -> PhaseResidualReport:
         fitted_exponent=slope,
         validity_radius=radius,
     )
-
-
-@dataclass(frozen=True)
-class SmallFrequencyReport:
-    """Boundedness of (phi_1 - zero-frequency part)/|xi'|^2 near xi' = 0."""
-
-    levels: tuple[float, float]
-    ratios: tuple[float, float]
-    bounded: bool
-    depths: np.ndarray
-    profile: np.ndarray  # ratio at the smallest level, per depth
-    zero_row_max: float
-
-
-def check_small_frequency(series: PhaseSeries, depths=None) -> SmallFrequencyReport:
-    """Quadratic vanishing of the phase on the zero section.
-
-    Verifies that (phi_1 - phi_1|_{xi'=0})/|xi'|^2 stays bounded along the
-    two smallest nonzero frequency levels (ratio of sups within factor 4).
-    The gauged kind has phi_1|_{xi'=0} = 0 identically; the ambient kind
-    subtracts its zero-frequency column (the weighted distance itself).
-    """
-    abs_xi = np.abs(series.frequencies)
-    nonzero = np.unique(abs_xi[abs_xi > 0.0])
-    if nonzero.size < 2 or nonzero[0] > 0.1:
-        raise ValueError(
-            "grid must contain two nonzero frequency levels with the "
-            "smallest at most 0.1"
-        )
-    limit = series.meta["collar_limit"]
-    if depths is None:
-        depths = np.linspace(0.1, 0.5, 5) * limit
-    depths = np.asarray(depths, dtype=float)
-    phi = evaluate_phase(series, depths)  # (nd, nxp, nxi)
-    zero_cols = np.isclose(abs_xi, 0.0)
-    if series.kind == "agmon":
-        base = np.zeros((depths.size, series.tangential_nodes.size, 1))
-        zero_row_max = (
-            float(np.max(np.abs(phi[:, :, zero_cols]))) if zero_cols.any() else 0.0
-        )
-    else:
-        if not zero_cols.any():
-            raise ValueError(
-                "ambient-kind check needs the zero frequency on the grid"
-            )
-        base = phi[:, :, zero_cols][:, :, :1]
-        zero_row_max = 0.0
-    reduced = np.abs(phi - base)
-
-    def sup_at(level: float) -> float:
-        cols = np.isclose(abs_xi, level)
-        return float(np.max(reduced[:, :, cols])) / level**2
-
-    l1, l2 = float(nonzero[0]), float(nonzero[1])
-    r1, r2 = sup_at(l1), sup_at(l2)
-    bounded = (r1 / r2 <= 4.0) and (r2 / r1 <= 4.0)
-    cols1 = np.isclose(abs_xi, l1)
-    profile = np.max(reduced[:, :, cols1], axis=(1, 2)) / l1**2
-    return SmallFrequencyReport(
-        levels=(l1, l2),
-        ratios=(r1, r2),
-        bounded=bounded,
-        depths=depths,
-        profile=profile,
-        zero_row_max=zero_row_max,
-    )
-
-
-@dataclass(frozen=True)
-class LargeFrequencyReport:
-    """Smallest C with |phi_1 - x_n(sqrt(1 + |xi'|_0^2) - 1)| <= C x_n^2 |xi'|_0."""
-
-    constant: float
-    depths: np.ndarray
-    per_frequency: np.ndarray
-
-
-def check_large_frequency(series: PhaseSeries, depths=None) -> LargeFrequencyReport:
-    """Leading-term deviation bound for the gauged series.
-
-    |xi'|_0 denotes the metric norm of the frequency at the boundary point,
-    sqrt(r_0).  The flat barrier gives C = 0 identically.
-    """
-    if series.kind != "agmon":
-        raise ValueError("leading-term bound applies to the gauged kind")
-    limit = series.meta["collar_limit"]
-    if depths is None:
-        depths = np.linspace(0.05, 0.5, 10) * limit
-    depths = np.asarray(depths, dtype=float)
-    t0 = float(series.meta["taylor_table"][0])
-    xi = series.frequencies
-    keep = np.abs(xi) > 0.0
-    if not keep.any():
-        raise ValueError("grid must contain a nonzero frequency")
-    norm0 = np.sqrt(t0) * np.abs(xi[keep])
-    lead = np.sqrt(1.0 + norm0**2) - 1.0
-    phi = evaluate_phase(series, depths)[:, :, keep]
-    diff = np.abs(phi - depths[:, None, None] * lead[None, None, :])
-    scaled = diff / (depths[:, None, None] ** 2 * norm0[None, None, :])
-    return LargeFrequencyReport(
-        constant=float(np.max(scaled)),
-        depths=depths,
-        per_frequency=np.max(scaled, axis=(0, 1)),
-    )
-
-
-def metric_equivalence(model: ModelProblem, depths) -> tuple[float, float]:
-    """Constants (C, C') with C |xi'|^2 <= |xi'|^2_x <= C' |xi'|^2 on the collar.
-
-    Exact for product barriers: the squared metric norm at weighted depth
-    x_n is |xi'|^2 / A(s(x_n)).
-    """
-    from agmonlab.agmon import separable_collar
-    from agmonlab.models import transverse_potential
-
-    collar = separable_collar(model)
-    depths = np.asarray(depths, dtype=float)
-    if np.any(depths < 0.0) or np.max(depths) > collar.rho_max:
-        raise ValueError("depth samples outside the collar")
-    s_vals = np.array([float(collar.s_of_rho(d)) for d in depths])
-    heights = transverse_potential(model)(s_vals) - model.energy
-    inv = 1.0 / heights
-    return float(np.min(inv)), float(np.max(inv))
 
 
 # --------------------------------------------------------------------------

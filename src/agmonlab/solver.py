@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,17 +35,14 @@ __all__ = [
     "TransverseWell",
     "EigenMode",
     "Field2D",
-    "Profile1D",
     "BoundaryTrace",
     "DecayFit",
     "transverse_well_from_model",
     "solve_transverse_modes",
     "assemble_separable_mode",
     "poisson_bvp",
-    "decay_profile_1d",
     "trace_at",
     "normal_derivative_trace",
-    "gauge_transform",
     "decay_fit",
 ]
 
@@ -329,8 +326,8 @@ class Field2D:
     node of every normal interval and the last interval's two leading
     coefficients.  That is the field's own size plus 2 * nx entries, in
     the spline dtype (float64 or complex128).  A field traced only on grid
-    nodes never builds them, and a field derived by ``replace`` (such as a
-    gauge transform) starts without them.
+    nodes never builds them, and a field derived by ``replace`` starts
+    without them.
     """
 
     values: np.ndarray
@@ -369,38 +366,14 @@ class Field2D:
         return slopes, last
 
 
-@dataclass(frozen=True)
-class Profile1D:
-    """A solved decay profile on a 1D normal grid."""
-
-    values: np.ndarray
-    nodes: np.ndarray
-    h: float
-    model: ModelProblem
-    meta: dict
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-    def value_at(self, x):
-        return CubicSpline(self.nodes, self.values)(x)
-
-
 def _agmon_depth(model: ModelProblem, far: float) -> float:
     """Weighted arclength from the hypersurface to the far boundary,
     minimized over the tangent (a lower bound on every column's depth)."""
-    if model.ndim == 1:
-        profile = transverse_potential(model)
+    probe = np.linspace(0.0, model.lengths[0], 65)
 
-        def weight(t):
-            return math.sqrt(max(float(profile(np.array([t]))[0]) - model.energy, 0.0))
-
-    else:
-        probe = np.linspace(0.0, model.lengths[0], 65)
-
-        def weight(t):
-            vals = potential_grid(model, probe, np.array([t]))[:, 0]
-            return math.sqrt(max(float(np.min(vals)) - model.energy, 0.0))
+    def weight(t):
+        vals = potential_grid(model, probe, np.array([t]))[:, 0]
+        return math.sqrt(max(float(np.min(vals)) - model.energy, 0.0))
 
     value, _ = quad(weight, 0.0, far, limit=200)
     return float(value)
@@ -455,7 +428,7 @@ def poisson_bvp(
     instead of returning.
     """
     if model.ndim != 2:
-        raise ValueError("poisson_bvp requires a 2D model; see decay_profile_1d")
+        raise ValueError("poisson_bvp requires a 2D model")
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
         raise ValueError("boundary data circle length does not match the model")
@@ -619,39 +592,6 @@ def _mode_pcg(phi, w, cn, cp):
     return out, iterations, residual
 
 
-def decay_profile_1d(
-    model: ModelProblem,
-    h: float,
-    *,
-    far: float | None = None,
-    n: int = 4001,
-    rho_max: float = 0.0,
-) -> Profile1D:
-    """The decaying profile of a 1D barrier: v(0) = 1, v(far) = 0.
-
-    Unit Dirichlet data at the hypersurface generates the discrete
-    realization of the decaying branch; the far closure is certified as in
-    :func:`poisson_bvp`, whose zero mode without dispersion this is.
-    """
-    if model.ndim != 1:
-        raise ValueError("decay_profile_1d requires a 1D model")
-    if far is None:
-        far = model.axis_bounds(0)[1]
-    contamination = _check_far_boundary(model, far, h, rho_max)
-    xn = np.linspace(0.0, far, n)
-    w = potential_grid(model, xn) - model.energy
-    if np.min(w) <= 0.0:
-        raise ValueError("operator is indefinite on the interval")
-    cn = h**2 / (xn[1] - xn[0]) ** 2
-    rhs = np.zeros((1, n - 2), dtype=complex)
-    rhs[0, 0] = cn
-    values = np.zeros(n)
-    values[0] = 1.0
-    values[1:-1] = _dirichlet_modes(w[1:-1], cn, np.zeros(1))(rhs)[0].real
-    meta = {"far": far, "contamination_bound": contamination}
-    return Profile1D(values=values, nodes=xn, h=h, model=model, meta=meta)
-
-
 # --------------------------------------------------------------------------
 # traces
 # --------------------------------------------------------------------------
@@ -734,7 +674,9 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     return out
 
 
-def trace_at(field2d, level: LevelSet, rho: float | None = None) -> BoundaryTrace:
+def trace_at(
+    field2d: Field2D, level: LevelSet, rho: float | None = None
+) -> BoundaryTrace:
     """Restrict a solved field to a level set.
 
     Samples within 1e-12 of a grid node copy that node's value exactly; the
@@ -744,18 +686,9 @@ def trace_at(field2d, level: LevelSet, rho: float | None = None) -> BoundaryTrac
     splines of all its columns (one batched spline per 128 KiB block of
     field values) and the field keeps their left-node slopes, the field's
     size again plus 2 * nx entries; every later trace of that field only
-    evaluates, bitwise as a fresh spline would.  Accepts Field2D and
-    Profile1D fields.
+    evaluates, bitwise as a fresh spline would.
     """
     rho_val = level.rho if rho is None else rho
-    if isinstance(field2d, Profile1D):
-        x = level.points[0, 0]
-        node = np.argmin(np.abs(field2d.nodes - x))
-        if abs(field2d.nodes[node] - x) <= 1e-12:
-            vals = np.atleast_1d(field2d.values[node])
-        else:
-            vals = np.atleast_1d(field2d.value_at(level.points[:, 0]))
-        return BoundaryTrace(values=vals, level=level, rho=rho_val, h=field2d.h)
     values = _column_values(field2d, level)
     return BoundaryTrace(values=values, level=level, rho=rho_val, h=field2d.h)
 
@@ -784,31 +717,8 @@ def normal_derivative_trace(
 
 
 # --------------------------------------------------------------------------
-# gauge transform and decay fits
+# decay fits
 # --------------------------------------------------------------------------
-
-
-def gauge_transform(field2d, distance, h: float):
-    """Multiply a field by exp(distance/h) pointwise on a shared grid.
-
-    Guards the dynamic range: max(distance)/h must stay below the overflow
-    threshold exp(690) ~ 1e299.
-    """
-    axes = (distance.axes if hasattr(distance, "axes") else None) or ()
-    field_axes = field2d.axes if isinstance(field2d, Field2D) else (field2d.nodes,)
-    if len(axes) != len(field_axes) or any(
-        a.shape != b.shape or np.max(np.abs(a - b)) > 1e-12
-        for a, b in zip(axes, field_axes)
-    ):
-        raise ValueError("field and distance grids do not coincide")
-    dvals = distance.values
-    span = float(np.max(dvals) - min(0.0, float(np.min(dvals))))
-    if span / h > 690.0:
-        raise ValueError(
-            f"gauge factor dynamic range exp({span / h:.3g}) exceeds 1e300"
-        )
-    gauged = field2d.values * np.exp(dvals / h)
-    return replace(field2d, values=gauged)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Distance fields, level sets, and collar maps against quadrature oracles."""
+"""Distance fields and level sets against quadrature oracles."""
 
 import heapq
 import math
@@ -11,14 +11,16 @@ from scipy.optimize import brentq
 from agmonlab.agmon import (
     DistanceField,
     agmon_distance,
-    collar_map,
-    distance_quadrature_oracle,
-    eikonal_residual,
     level_set_at,
     separable_collar,
     separable_level_set,
 )
-from agmonlab.models import domain_axes, make_model, potential_grid
+from agmonlab.models import (
+    domain_axes,
+    make_model,
+    potential_grid,
+    transverse_potential,
+)
 
 
 # --------------------------------------------------------------------------
@@ -180,6 +182,20 @@ class TestSeparableCollar:
 # --------------------------------------------------------------------------
 
 
+def _distance_quadrature_oracle(model, x: float) -> float:
+    """Independent oracle: adaptive quadrature of sqrt(V - E) along the normal.
+
+    Valid for models whose barrier depends on the normal variable only.
+    """
+    profile = transverse_potential(model)
+
+    def integrand(t: float) -> float:
+        return math.sqrt(max(float(profile(np.array([t]))[0]) - model.energy, 0.0))
+
+    value, _ = quad(integrand, 0.0, abs(x), limit=200)
+    return float(value)
+
+
 class TestAgmonDistance:
     def test_linear_weight_is_exact(self):
         # trapezoid edge weights are exact for an affine integrand, so the
@@ -193,7 +209,7 @@ class TestAgmonDistance:
         model = make_model("barrier-1d")
         field = agmon_distance(model, source="boundary", grid_sizes=(129,))
         j = 96
-        oracle = distance_quadrature_oracle(model, float(field.axes[0][j]))
+        oracle = _distance_quadrature_oracle(model, float(field.axes[0][j]))
         assert field.values[j] == pytest.approx(oracle, abs=1e-10)
 
     def test_constant_weight_halfplane(self):
@@ -279,23 +295,47 @@ class TestAgmonDistance:
 # --------------------------------------------------------------------------
 
 
+def _eikonal_residual(field: DistanceField) -> float:
+    """Max over interior collar nodes of | |grad d|^2 - (V - E) |.
+
+    First-order distances make this O(grid spacing) on product models; the
+    gradient is ambient (flat metric) central differencing.
+    """
+    model = field.model
+    axes = field.axes
+    grads = np.gradient(field.values, *axes, edge_order=1)
+    if model.ndim == 1:
+        grads = [grads]
+    grad2 = sum(g**2 for g in grads)
+    barrier = potential_grid(model, *axes) - model.energy
+    if model.ndim == 1:
+        barrier = barrier.reshape(-1)
+    xn = axes[-1]
+    lo = 2 * field.spacing[-1]
+    hi = model.collar_width_ambient - 2 * field.spacing[-1]
+    interior = (xn >= lo) & (xn <= hi)
+    if model.ndim == 1:
+        return float(np.max(np.abs(grad2[interior] - barrier[interior])))
+    return float(np.max(np.abs(grad2[:, interior] - barrier[:, interior])))
+
+
 class TestEikonalResidual:
     def test_linear_distance_has_float_level_residual(self):
         model = make_model("halfplane-unit")
         field = agmon_distance(model, grid_sizes=(16, 129))
-        assert eikonal_residual(field) <= 1e-10
+        assert _eikonal_residual(field) <= 1e-10
 
     def test_quadratic_distance_exact_under_central_differences(self):
         model = make_model("barrier-1d")
         field = agmon_distance(model, grid_sizes=(257,))
-        assert eikonal_residual(field) <= 1e-9
+        assert _eikonal_residual(field) <= 1e-9
 
     def test_torus_residual_small_and_refining(self):
         model = make_model("separable-torus")
         res = []
         for n in (128, 256):
             field = agmon_distance(model, grid_sizes=(8, n))
-            res.append(eikonal_residual(field))
+            res.append(_eikonal_residual(field))
         assert res[0] <= 5e-3
         assert res[0] / res[1] >= 1.5
 
@@ -409,64 +449,3 @@ class TestLevelSets:
         level = separable_level_set(model, 0.3)
         with pytest.raises(ValueError):
             level.ambient_weights[0] = 2.0
-
-
-# --------------------------------------------------------------------------
-# collar maps
-# --------------------------------------------------------------------------
-
-
-class TestCollarMap:
-    def test_roundtrip_torus(self):
-        model = make_model("separable-torus")
-        field = agmon_distance(model, grid_sizes=(32, 128))
-        cmap = collar_map(model, field)
-        assert cmap.exact
-        rng = np.random.default_rng(20260815)
-        pts = np.column_stack(
-            [
-                rng.uniform(0.0, 2.0 * math.pi, size=1000),
-                rng.uniform(0.01, 0.95 * model.collar_width_ambient, size=1000),
-            ]
-        )
-        back = cmap.from_collar(cmap.to_collar(pts))
-        np.testing.assert_allclose(back, pts, atol=1e-6)
-
-    def test_roundtrip_strip_is_consistent(self):
-        model = make_model("strip-2d")
-        field = agmon_distance(model, grid_sizes=(32, 129))
-        cmap = collar_map(model, field)
-        assert not cmap.exact
-        rng = np.random.default_rng(5)
-        pts = np.column_stack(
-            [
-                rng.uniform(0.0, 2.0 * math.pi, size=200),
-                rng.uniform(0.01, 0.9 * model.collar_width_ambient, size=200),
-            ]
-        )
-        back = cmap.from_collar(cmap.to_collar(pts))
-        np.testing.assert_allclose(back, pts, atol=1e-9)
-
-    def test_arclength_labels_match_collar(self):
-        model = make_model("separable-torus")
-        field = agmon_distance(model, grid_sizes=(16, 128))
-        cmap = collar_map(model, field)
-        collar = separable_collar(model)
-        pts = np.array([[1.0, 0.3], [4.0, 0.55]])
-        labels = cmap.to_collar(pts)
-        np.testing.assert_allclose(
-            labels[:, 1], collar.rho_of_s(pts[:, 1]), atol=1e-10
-        )
-        np.testing.assert_allclose(labels[:, 0], pts[:, 0], atol=0)
-
-    def test_requires_boundary_source(self):
-        model = make_model("separable-torus")
-        field = agmon_distance(model, source="caustic", grid_sizes=(8, 128))
-        with pytest.raises(ValueError, match="hypersurface"):
-            collar_map(model, field)
-
-    def test_rejects_too_coarse_grid(self):
-        model = make_model("separable-torus")
-        field = agmon_distance(model, grid_sizes=(8, 16))
-        with pytest.raises(ValueError, match="cells"):
-            collar_map(model, field)

@@ -28,10 +28,7 @@ from agmonlab.halfplane import BoundaryFunction, apply_halfplane_poisson
 from agmonlab.hjphase import (
     agmon_metric_taylor,
     apply_poisson_parametrix,
-    check_large_frequency,
-    check_small_frequency,
     evaluate_phase,
-    metric_equivalence,
     mode_frequencies,
     phase_function,
     phase_residual,
@@ -127,6 +124,31 @@ def torus_rho_of_s(s: float) -> float:
 
 def torus_s_of_rho(rho: float) -> float:
     return brentq(lambda s: torus_rho_of_s(s) - rho, 0.0, 2.0 * math.pi / 3 - 1e-9)
+
+
+def small_frequency_ratios(series, depths):
+    """(phi_1 - phi_1|_{xi'=0}) / xi'^2 per depth at the two smallest nonzero
+    levels of |xi'| on STRUCT_FREQS, 0.001 and 0.002, each the sup over the
+    tangent and the frequency sign."""
+    phi = evaluate_phase(series, depths)
+    reduced = np.abs(phi - phi[:, :, STRUCT_FREQS == 0.0])
+    return tuple(
+        np.max(reduced[:, :, np.abs(STRUCT_FREQS) == level], axis=(1, 2)) / level**2
+        for level in (0.001, 0.002)
+    )
+
+
+def leading_term_constant(series, depths) -> float:
+    """Smallest C with |phi_1 - x_n (sqrt(1 + |xi'|_0^2) - 1)| <= C x_n^2 |xi'|_0
+    over the nonzero frequencies, where |xi'|_0 = sqrt(T(0)) |xi'| is the
+    metric norm at the hypersurface."""
+    xi = series.frequencies
+    keep = xi != 0.0
+    norm0 = math.sqrt(float(series.meta["taylor_table"][0])) * np.abs(xi[keep])
+    lead = np.sqrt(1.0 + norm0**2) - 1.0
+    phi = evaluate_phase(series, depths)[:, :, keep]
+    x = np.asarray(depths)[:, None, None]
+    return float(np.max(np.abs(phi - x * lead) / (x**2 * norm0)))
 
 
 class TestMetricTaylor:
@@ -382,80 +404,112 @@ class TestPhaseResidual:
 
 
 class TestFrequencyRegimes:
+    """The phase series near the zero section and its leading term.
+
+    Small frequencies: (phi_1 - phi_1|_{xi'=0}) / xi'^2 stays bounded as
+    xi' -> 0.  Large frequencies: phi_1 deviates from its leading term
+    x_n (sqrt(1 + |xi'|_0^2) - 1) by O(x_n^2 |xi'|_0).
+    """
+
     def test_flat_small_frequency_profile(self):
         series = solve_phase_series(FLAT, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
-        report = check_small_frequency(series)
-        assert report.bounded
-        assert report.zero_row_max == 0.0
-        assert report.profile == pytest.approx(report.depths / 2.0, rel=1e-5)
+        depths = np.linspace(0.1, 0.5, 5) * series.meta["collar_limit"]
+        assert np.max(np.abs(evaluate_phase(series, depths)[:, :, 0])) == 0.0
+        smallest, next_level = small_frequency_ratios(series, depths)
+        assert 0.25 <= np.max(smallest) / np.max(next_level) <= 4.0
+        # x_n (sqrt(1 + xi^2) - 1) / xi^2 -> x_n / 2 as xi -> 0
+        assert smallest == pytest.approx(depths / 2.0, rel=1e-5)
 
     def test_torus_small_frequency_bounded(self):
         series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
-        report = check_small_frequency(series)
-        assert report.bounded
-        assert 0.25 <= report.ratios[0] / report.ratios[1] <= 4.0
+        depths = np.linspace(0.1, 0.5, 5) * series.meta["collar_limit"]
+        smallest, next_level = small_frequency_ratios(series, depths)
+        assert 0.25 <= np.max(smallest) / np.max(next_level) <= 4.0
+
+    def test_torus_small_frequency_ratio_is_quadratic(self):
+        # a phase c |xi'|^p gives the ratio 2^(2 - p) between the levels
+        # 0.001 and 0.002: 1 for p = 2, 2 for p = 1 and 1/2 for p = 3.  The
+        # quadratic law leaves only its O(xi'^2) correction, about 5e-7.
+        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        depths = np.linspace(0.1, 0.5, 5) * series.meta["collar_limit"]
+        smallest, next_level = small_frequency_ratios(series, depths)
+        np.testing.assert_allclose(smallest / next_level, 1.0, atol=1e-4)
+
+    def test_torus_small_frequency_profile_matches_collar_quadrature(self):
+        # w = d phi_1 / d x_n solves w^2 + 2 w = T(x_n) xi'^2, so
+        # phi_1 / xi'^2 -> (1/2) int_0^{x_n} T = (1/2) int_0^{s(x_n)} A^(-1/2) ds
+        # with A(s) = 0.5 + cos s the barrier height and s the ambient depth
+        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        depths = np.linspace(0.1, 0.5, 5) * series.meta["collar_limit"]
+        smallest, _ = small_frequency_ratios(series, depths)
+        oracle = [
+            0.5 * quad(lambda s: torus_height(s) ** -0.5, 0.0, torus_s_of_rho(d))[0]
+            for d in depths
+        ]
+        assert smallest == pytest.approx(oracle, rel=1e-5)
 
     def test_ambient_small_frequency_subtracts_distance(self):
         series = solve_phase_series(
             TORUS, "ambient", 6, (np.array([0.0]), STRUCT_FREQS)
         )
-        report = check_small_frequency(series, depths=np.linspace(0.01, 0.1, 5))
-        assert report.bounded
+        depths = np.linspace(0.01, 0.1, 5)
+        smallest, next_level = small_frequency_ratios(series, depths)
+        assert 0.25 <= np.max(smallest) / np.max(next_level) <= 4.0
         # the limit profile is x_n / (2 sqrt(A(0))) to leading order
-        assert report.profile == pytest.approx(
-            report.depths / (2.0 * math.sqrt(1.5)), rel=1e-2
-        )
-
-    def test_small_frequency_needs_fine_grid(self):
-        series = solve_phase_series(
-            FLAT, "agmon", 4, (np.array([0.0]), np.array([0.5, 1.0]))
-        )
-        with pytest.raises(ValueError, match="0.1"):
-            check_small_frequency(series)
+        assert smallest == pytest.approx(depths / (2.0 * math.sqrt(1.5)), rel=1e-2)
 
     def test_flat_large_frequency_constant_zero(self):
         series = solve_phase_series(FLAT, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
-        report = check_large_frequency(series)
-        assert report.constant < 1e-10
+        depths = np.linspace(0.05, 0.5, 10) * series.meta["collar_limit"]
+        assert leading_term_constant(series, depths) < 1e-10
 
     def test_torus_large_frequency_stable_under_refinement(self):
+        # the deviation from the leading term is O(x_n^2 |xi'|_0): its
+        # constant is positive and stable as the depth samples refine
         series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
         limit = series.meta["collar_limit"]
-        coarse = check_large_frequency(series, depths=np.linspace(0.05, 0.5, 10) * limit)
-        fine = check_large_frequency(series, depths=np.linspace(0.05, 0.5, 21) * limit)
-        assert coarse.constant > 0.0
-        assert fine.constant == pytest.approx(coarse.constant, rel=0.2)
-
-    def test_large_frequency_requires_gauged_kind(self):
-        series = solve_phase_series(
-            TORUS, "ambient", 4, (np.array([0.0]), STRUCT_FREQS)
-        )
-        with pytest.raises(ValueError, match="gauged"):
-            check_large_frequency(series)
+        coarse = leading_term_constant(series, np.linspace(0.05, 0.5, 10) * limit)
+        fine = leading_term_constant(series, np.linspace(0.05, 0.5, 21) * limit)
+        assert coarse > 0.0
+        assert fine == pytest.approx(coarse, rel=0.2)
 
 
 class TestMetricEquivalence:
-    def test_flat_constants_are_unit(self):
-        lo, hi = metric_equivalence(FLAT, np.linspace(0.0, 0.5, 6))
-        assert lo == pytest.approx(1.0, abs=1e-12)
-        assert hi == pytest.approx(1.0, abs=1e-12)
+    """C |xi'|^2 <= T(x_n) |xi'|^2 <= C' |xi'|^2 on the collar, for the
+    truncated metric series the phase recursion uses."""
 
-    def test_torus_constants_match_quadrature(self):
-        depths = np.linspace(0.0, 0.5, 11)
-        lo, hi = metric_equivalence(TORUS, depths)
-        assert lo == pytest.approx(1.0 / 1.5, rel=1e-9)
-        s_half = torus_s_of_rho(0.5)
-        assert hi == pytest.approx(1.0 / (0.5 + math.cos(s_half)), rel=1e-7)
-        # sampled squared norms from the series fall inside [lo, hi] * xi^2
-        series = solve_phase_series(
-            TORUS, "agmon", 6, (np.array([0.0]), np.array([1.0]))
-        )
+    @staticmethod
+    def _sampled_metric(series, depths):
         t = series.meta["taylor_table"]
-        for rho in depths[1:]:
+        out = []
+        for rho in depths:
             val = 0.0
             for coef in t[::-1]:
                 val = val * float(rho) + float(coef)
-            assert lo - 1e-5 <= val <= hi + 1e-5
+            out.append(val)
+        return np.array(out)
+
+    def test_flat_constants_are_unit(self):
+        series = solve_phase_series(
+            FLAT, "agmon", 6, (np.array([0.0]), np.array([1.0]))
+        )
+        sampled = self._sampled_metric(series, np.linspace(0.0, 0.5, 6))
+        np.testing.assert_allclose(sampled, 1.0, rtol=0, atol=1e-12)
+
+    def test_torus_constants_match_quadrature(self):
+        # T(x_n) = 1/A(s(x_n)) with A = 0.5 + cos s decreasing on the
+        # collar, so the constants are 1/A(0) and 1/A(s(0.5))
+        depths = np.linspace(0.0, 0.5, 11)
+        lo = 1.0 / 1.5
+        hi = 1.0 / (0.5 + math.cos(torus_s_of_rho(0.5)))
+        series = solve_phase_series(
+            TORUS, "agmon", 6, (np.array([0.0]), np.array([1.0]))
+        )
+        sampled = self._sampled_metric(series, depths)
+        assert sampled[0] == pytest.approx(lo, rel=1e-9)
+        assert sampled[-1] == pytest.approx(hi, rel=1e-8)
+        assert np.all(np.diff(sampled) > 0.0)
+        assert np.all((lo - 1e-5 <= sampled[1:]) & (sampled[1:] <= hi + 1e-5))
 
 
 class TestPoissonParametrix:

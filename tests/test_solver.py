@@ -29,7 +29,6 @@ from scipy.sparse.linalg import spsolve
 
 from agmonlab import solver
 from agmonlab.agmon import (
-    DistanceField,
     LevelSet,
     agmon_distance,
     level_set_at,
@@ -45,8 +44,6 @@ from agmonlab.solver import (
     TransverseWell,
     assemble_separable_mode,
     decay_fit,
-    decay_profile_1d,
-    gauge_transform,
     normal_derivative_trace,
     poisson_bvp,
     solve_transverse_modes,
@@ -56,7 +53,6 @@ from agmonlab.solver import (
 
 TORUS = make_model("separable-torus")
 FLAT = make_model("halfplane-unit")
-BARRIER = make_model("barrier-1d")
 STRIP = make_model("strip-2d")
 
 
@@ -474,6 +470,33 @@ class TestPoissonBVP:
         with pytest.raises(ValueError, match="weighted depth"):
             poisson_bvp(TORUS, phi2, 0.05, far=0.3, n_normal=101, rho_max=0.5)
 
+    def test_far_boundary_depth_on_product_model_is_the_collar_distance(self):
+        # the torus barrier is 0.5 + cos(x_n) on every column
+        oracle, _ = quad(lambda t: math.sqrt(0.5 + math.cos(t)), 0.0, 1.0)
+        assert solver._agmon_depth(TORUS, 1.0) == pytest.approx(oracle, rel=1e-10)
+
+    def test_far_boundary_depth_is_a_lower_bound_on_every_column(self):
+        # the strip's barrier varies along the tangent; columns between the
+        # probe nodes of the minimum must not fall below it either
+        depth = solver._agmon_depth(STRIP, 1.0)
+        columns = np.linspace(0.0, STRIP.lengths[0], 97)[:-1] + 0.013
+
+        def column_depth(x):
+            def weight(t):
+                v = potential_grid(STRIP, np.array([x]), np.array([t]))[0, 0]
+                return math.sqrt(max(float(v) - STRIP.energy, 0.0))
+
+            return quad(weight, 0.0, 1.0, limit=200)[0]
+
+        depths = np.array([column_depth(x) for x in columns])
+        assert np.all(depths >= depth)
+        assert np.min(depths) == pytest.approx(depth, rel=1e-4)
+
+    def test_one_dimensional_model_rejected(self):
+        phi = BoundaryFunction(np.ones(8), 2.0 * math.pi, 0.05)
+        with pytest.raises(ValueError, match="requires a 2D model"):
+            poisson_bvp(make_model("barrier-1d"), phi, 0.05, far=1.0, n_normal=11)
+
     def test_indefinite_operator_rejected(self):
         nx = 64
         phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, 0.05)
@@ -487,32 +510,6 @@ class TestPoissonBVP:
         phi2 = BoundaryFunction(np.ones(64), 2.0 * math.pi, 0.1)
         with pytest.raises(ValueError, match="does not match the solve"):
             poisson_bvp(FLAT, phi2, 0.05, far=1.0, n_normal=101)
-
-
-class TestDecayProfile1D:
-    def test_wkb_slope_at_small_h(self):
-        h = 0.02
-        profile = decay_profile_1d(BARRIER, h, far=1.0, n=4001, rho_max=0.5)
-        rhos = [0.1, 0.2, 0.3, 0.4, 0.5]
-        traces = [
-            trace_at(profile, separable_level_set(BARRIER, r)) for r in rhos
-        ]
-        fit = decay_fit(traces, rhos, h)
-        assert abs(fit.slope_times_h + 1.0) < 0.05
-
-    def test_decaying_branch_condition_at_origin(self):
-        # the discrete derivative at the hypersurface matches the decaying
-        # branch -sqrt(V - E)/h to O(h) relative accuracy
-        h = 0.02
-        profile = decay_profile_1d(BARRIER, h, far=1.0, n=4001, rho_max=0.5)
-        d = profile.nodes[1] - profile.nodes[0]
-        deriv = (profile.values[2] - profile.values[0]) / (2.0 * d)
-        w1 = 1.0 + profile.nodes[1]
-        assert deriv == pytest.approx(-w1 / h * profile.values[1], rel=0.1)
-
-    def test_requires_1d_model(self):
-        with pytest.raises(ValueError, match="1D"):
-            decay_profile_1d(TORUS, 0.05)
 
 
 class TestTraces:
@@ -777,14 +774,10 @@ class TestKeptSlopes:
         level = level_set_at(distance, 0.1)
         trace_at(field, level)
         built = sum(spline_builds)
-        dist = DistanceField(
-            values=xn[None, :] * (1.0 + 0.2 * np.cos(xp))[:, None],
-            axes=field.axes,
-            source="boundary",
-            spacing=(xp[1] - xp[0], xn[1] - xn[0]),
-            model=STRIP,
-        )
-        gauged = gauge_transform(field, dist, field.h)
+        # a field derived by replace: the field gauged by exp(d / h) for a
+        # tangentially varying distance d
+        d = xn[None, :] * (1.0 + 0.2 * np.cos(xp))[:, None]
+        gauged = replace(field, values=field.values * np.exp(d / field.h))
         assert "_spline_slopes" not in vars(gauged)
         assert np.array_equal(
             trace_at(gauged, level).values,
@@ -854,54 +847,6 @@ class TestNormalDerivative:
         level = separable_level_set(FLAT, 0.005, n_tangential=nx)
         with pytest.raises(ValueError, match="two cells"):
             normal_derivative_trace(field, level, h)
-
-
-class TestGaugeTransform:
-    def test_gauged_profile_follows_amplitude_law(self):
-        h = 0.05
-        profile = decay_profile_1d(BARRIER, h, far=1.0, n=4001, rho_max=0.5)
-        exact = profile.nodes + profile.nodes**2 / 2.0
-        dist = DistanceField(
-            values=exact,
-            axes=(profile.nodes,),
-            source="boundary",
-            spacing=(profile.nodes[1] - profile.nodes[0],),
-            model=BARRIER,
-        )
-        gauged = gauge_transform(profile, dist, h)
-        mid = 2000  # x = 0.5
-        ratio = gauged.values[mid] / gauged.values[0]
-        amplitude = (1.0 / (1.0 + 0.5) ** 2) ** 0.25
-        assert ratio == pytest.approx(amplitude, rel=0.06)
-        # the raw profile spans ~ exp(-0.625/h); the gauged one is O(1)
-        assert profile.values[mid] < 1e-5
-        assert 0.5 < gauged.values[mid] < 1.0
-
-    def test_overflow_guard(self):
-        profile = decay_profile_1d(BARRIER, 0.05, far=1.0, n=1001, rho_max=0.5)
-        exact = profile.nodes + profile.nodes**2 / 2.0
-        dist = DistanceField(
-            values=exact,
-            axes=(profile.nodes,),
-            source="boundary",
-            spacing=(profile.nodes[1] - profile.nodes[0],),
-            model=BARRIER,
-        )
-        with pytest.raises(ValueError, match="dynamic range"):
-            gauge_transform(profile, dist, 0.002)
-
-    def test_grid_mismatch_rejected(self):
-        profile = decay_profile_1d(BARRIER, 0.05, far=1.0, n=1001, rho_max=0.5)
-        other = np.linspace(0.0, 1.0, 501)
-        dist = DistanceField(
-            values=other,
-            axes=(other,),
-            source="boundary",
-            spacing=(other[1] - other[0],),
-            model=BARRIER,
-        )
-        with pytest.raises(ValueError, match="grids"):
-            gauge_transform(profile, dist, 0.05)
 
 
 class TestDecayFit:
