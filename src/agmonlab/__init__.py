@@ -9,21 +9,13 @@ estimates, all validated against discrete eigenfunction and boundary-value
 solves on closed-form model potentials.
 """
 
-from agmonlab.models import (
-    ModelProblem,
-    PotentialSpec,
-    SemiclassicalParams,
-    make_model,
-    eval_potential,
-)
+from agmonlab.models import ModelProblem, PotentialSpec, make_model
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ModelProblem",
     "PotentialSpec",
-    "SemiclassicalParams",
     "make_model",
-    "eval_potential",
     "__version__",
 ]

@@ -36,8 +36,8 @@ __all__ = [
 class DistanceField:
     """Distance to a source set in the barrier-weighted metric.
 
-    ``values[i, j]`` (2D) or ``values[j]`` (1D) is the graph-geodesic
-    distance from grid node to the source under edge weight
+    ``values[i, j]`` is the graph-geodesic distance from grid node
+    (tangential i, normal j) to the source under edge weight
     ``avg(sqrt((V-E)_+)) * edge length``.  Zero exactly on source nodes.
     """
 
@@ -55,8 +55,8 @@ class DistanceField:
 class LevelSet:
     """Samples of one level {distance = rho} with line-element weights.
 
-    ``points`` has shape (m, ndim).  ``ambient_weights`` are ambient-metric
-    line elements per sample (a single 1.0 for point sets in 1D);
+    ``points`` has shape (m, 2), rows (tangential, normal).
+    ``ambient_weights`` are ambient-metric line elements per sample;
     ``weighted_weights`` carry the extra conformal factor sqrt(V - E) per
     tangential direction, so squared-norm ratios of traces stay between the
     min and max of sqrt(V - E) over the level.
@@ -105,7 +105,6 @@ class SeparableCollar:
         self.rho_max = float(rho[-1])
         self._rho_of_s = CubicSpline(s, rho)
         self._s_of_rho = CubicSpline(rho, s)
-        self._weight_of_s = CubicSpline(s, weight)
 
     def rho_of_s(self, s):
         """Weighted arclength from the hypersurface to normal coordinate s."""
@@ -117,10 +116,6 @@ class SeparableCollar:
         if np.any(rho < 0) or np.any(rho > self.rho_max):
             raise ValueError(f"arclength outside [0, {self.rho_max:g}]")
         return self._s_of_rho(rho)
-
-    def weight_of_s(self, s):
-        """sqrt(W - E) at normal coordinate s (the metric line density)."""
-        return self._weight_of_s(np.abs(s))
 
 
 @lru_cache(maxsize=32)
@@ -138,15 +133,10 @@ def separable_collar(model: ModelProblem) -> SeparableCollar:
 # --------------------------------------------------------------------------
 
 
-def _edge_offsets(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
-    if len(shape) == 1:
-        return [(1,), (-1,)]
-    return [
-        (di, dj)
-        for di in (-1, 0, 1)
-        for dj in (-1, 0, 1)
-        if (di, dj) != (0, 0)
-    ]
+# the 8 neighbour steps (tangential, normal) of a grid node
+_EDGE_OFFSETS = tuple(
+    (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
+)
 
 
 def _grid_graph(
@@ -154,18 +144,17 @@ def _grid_graph(
 ) -> csr_matrix:
     """The weighted grid graph over the C-order flattened nodes.
 
-    Row i lists node i's neighbours in the order of :func:`_edge_offsets`,
+    Row i lists node i's neighbours in the order of ``_EDGE_OFFSETS``,
     wrapping around periodic axes and dropping steps off the others; an
     edge costs the endpoint average of the weight times the Euclidean edge
     length.  Zero-cost edges are stored explicitly, so they stay edges.
     """
     shape = weight.shape
     flat = weight.ravel()
-    offsets = _edge_offsets(shape)
-    cols = np.empty((flat.size, len(offsets)), dtype=np.int64)
+    cols = np.empty((flat.size, len(_EDGE_OFFSETS)), dtype=np.int64)
     cost = np.empty(cols.shape)
     valid = np.ones(cols.shape, dtype=bool)
-    for k, off in enumerate(offsets):
+    for k, off in enumerate(_EDGE_OFFSETS):
         nbr = np.zeros(shape, dtype=np.int64)
         inside = np.ones(shape, dtype=bool)
         for axis, o in enumerate(off):
@@ -194,8 +183,8 @@ def agmon_distance(
     """Distance field from the hypersurface or from the allowed set.
 
     Dijkstra label-setting from every source node at once, run by
-    ``scipy.sparse.csgraph.dijkstra`` on the grid graph with 2 neighbours
-    in 1D and 8 in 2D (periodic axes wrap); edge weight is the endpoint
+    ``scipy.sparse.csgraph.dijkstra`` on the grid graph with 8 neighbours
+    per node (periodic axes wrap); edge weight is the endpoint
     average of sqrt((V-E)_+) times the Euclidean edge length, first-order
     accurate against the quadrature oracle on product models.  ``source``
     is "boundary" (the hypersurface {normal = 0}) or "caustic" (every node
@@ -205,19 +194,16 @@ def agmon_distance(
         raise ValueError(f"unknown source descriptor {source!r}")
     axes = domain_axes(model, grid_sizes)
     weight = np.sqrt(np.maximum(potential_grid(model, *axes) - model.energy, 0.0))
-    if model.ndim == 1:
-        weight = weight.reshape(-1)
     shape = weight.shape
     spacing = tuple(float(ax[1] - ax[0]) for ax in axes)
 
     if source == "boundary":
-        normal_axis = model.ndim - 1
-        j0 = int(np.argmin(np.abs(axes[normal_axis])))
-        if abs(axes[normal_axis][j0]) > 1e-12:
+        j0 = int(np.argmin(np.abs(axes[1])))
+        if abs(axes[1][j0]) > 1e-12:
             raise ValueError("grid has no node on the hypersurface")
         # the normal axis is the last one, so its node j0 is every
-        # shape[-1]-th entry of the flattened grid
-        seeds = np.arange(j0, weight.size, shape[-1])
+        # shape[1]-th entry of the flattened grid
+        seeds = np.arange(j0, weight.size, shape[1])
     else:
         allowed = potential_grid(model, *axes) - model.energy <= 0.0
         seeds = np.flatnonzero(allowed)
@@ -245,23 +231,17 @@ def _barrier_at_points(model: ModelProblem, points: np.ndarray) -> np.ndarray:
     from agmonlab.models import _value_fn  # closed-form dispatch
 
     fn = _value_fn(model)
-    if model.ndim == 1:
-        return np.asarray(fn(points[:, 0]), dtype=float) - model.energy
     return np.asarray(fn(points[:, 0], points[:, 1]), dtype=float) - model.energy
 
 
-def _weights_for_curve(model: ModelProblem, points: np.ndarray, d_xp: float | None):
+def _weights_for_curve(model: ModelProblem, points: np.ndarray, d_xp: float):
     """Ambient and weighted line elements for level samples.
 
-    1D level sets are single points with unit counting weight in both
-    metrics (no tangential direction).  2D level curves parametrized by the
-    tangential node spacing get a tilt factor sqrt(1 + slope^2) in the
-    ambient element and the conformal factor sqrt(V-E) on top of it.
+    Level curves parametrized by the tangential node spacing get a tilt
+    factor sqrt(1 + slope^2) in the ambient element and the conformal factor
+    sqrt(V-E) on top of it.
     """
     m = points.shape[0]
-    if model.ndim == 1:
-        ones = np.ones(m)
-        return ones, ones.copy()
     heights = points[:, 1]
     slope = np.gradient(heights, d_xp) if m > 2 else np.zeros(m)
     ambient = np.sqrt(1.0 + slope**2) * d_xp
@@ -282,19 +262,17 @@ def level_set_at(field: DistanceField, rho: float) -> LevelSet:
         raise ValueError(
             f"level {rho:g} outside the collar (0, {model.collar_width:g})"
         )
-    xn = field.axes[model.ndim - 1]
+    xn = field.axes[1]
     pos = xn >= -1e-15
     order = np.argsort(xn[pos])
     x = xn[pos][order]
     # one row per normal column, ordered by increasing normal coordinate;
     # each row's first crossing is its first a < len - 1 with f[a] = rho or
     # a sign change of f - rho between a and a + 1
-    g = field.values.reshape(-1, xn.size)[:, pos][:, order] - rho
+    g = field.values[:, pos][:, order] - rho
     hit = (g[:, :-1] == 0.0) | (g[:, :-1] * g[:, 1:] < 0.0)
     missed = np.flatnonzero(~hit.any(axis=1))
     if missed.size:
-        if model.ndim == 1:
-            raise ValueError(f"level {rho:g} not reached along the axis")
         i = int(missed[0])
         raise ValueError(
             f"level {rho:g} not reached along column {i} "
@@ -306,13 +284,9 @@ def level_set_at(field: DistanceField, rho: float) -> LevelSet:
     t = np.divide(fa, fa - fb, out=np.zeros_like(fa), where=fa != 0.0)
     heights = np.where(fa == 0.0, x[a], x[a] + t * (x[a + 1] - x[a]))
 
-    if model.ndim == 1:
-        points = heights.reshape(1, 1)
-        d_xp = None
-    else:
-        xp = field.axes[0]
-        points = np.column_stack([xp, heights])
-        d_xp = float(xp[1] - xp[0])
+    xp = field.axes[0]
+    points = np.column_stack([xp, heights])
+    d_xp = float(xp[1] - xp[0])
 
     ambient, weighted = _weights_for_curve(model, points, d_xp)
     return LevelSet(
@@ -337,14 +311,10 @@ def separable_level_set(
     if not 0.0 <= rho <= collar.rho_max:
         raise ValueError(f"level {rho:g} outside [0, {collar.rho_max:g}]")
     s_star = float(collar.s_of_rho(rho))
-    if model.ndim == 1:
-        points = np.array([[s_star]])
-        d_xp = None
-    else:
-        L = model.lengths[0]
-        xp = np.linspace(0.0, L, n_tangential, endpoint=False)
-        points = np.column_stack([xp, np.full(n_tangential, s_star)])
-        d_xp = L / n_tangential
+    L = model.lengths[0]
+    xp = np.linspace(0.0, L, n_tangential, endpoint=False)
+    points = np.column_stack([xp, np.full(n_tangential, s_star)])
+    d_xp = L / n_tangential
     ambient, weighted = _weights_for_curve(model, points, d_xp)
     return LevelSet(
         rho=float(rho),

@@ -233,8 +233,6 @@ def boundary_operator(
     the matrix is the periodic three-point stencil times h^2.  Symmetric
     positive semidefinite, with Fourier modes as exact eigenvectors.
     """
-    if model.ndim != 2:
-        raise ValueError("boundary operator requires a 2D model")
     if h <= 0.0:
         raise ValueError("h must be positive")
     if n < 4:
@@ -529,8 +527,6 @@ def hs_apply(
 
 def surface_level(model: ModelProblem, n_tangential: int = 64) -> LevelSet:
     """The distinguished hypersurface as a level set at depth zero."""
-    if model.ndim != 2:
-        raise ValueError("surface level requires a 2D model")
     length = model.lengths[0]
     xp = length / n_tangential * np.arange(n_tangential)
     points = np.column_stack([xp, np.zeros(n_tangential)])
@@ -577,8 +573,6 @@ def exterior_mass(
     selects the eigendecomposition realization ("spectral") or the Cauchy
     integral realization ("hs").  The value lies in [0, ||u||^2].
     """
-    if model.ndim != 2:
-        raise ValueError("exterior mass requires a 2D model")
     if trace.rho != 0.0 or float(np.max(np.abs(trace.level.points[:, -1]))) > 1e-12:
         raise ValueError("trace must sit on the surface level (depth 0)")
     norm_sq = trace.ambient_norm**2

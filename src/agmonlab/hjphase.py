@@ -132,7 +132,7 @@ def agmon_metric_taylor(model: ModelProblem, order: int) -> np.ndarray:
     T(x_n) = 1/A(s(x_n)), so the squared metric norm of a cotangent
     frequency at depth x_n is T(x_n) |xi'|^2.
     """
-    if model.ndim != 2 or model.potential.kind not in _AGMON_KINDS:
+    if model.potential.kind not in _AGMON_KINDS:
         raise ValueError(
             f"model {model.name!r} has no tangentially invariant product "
             "barrier; the distance-gauged series is only built for those"
@@ -243,7 +243,7 @@ def solve_phase_series(
     """Build the decaying-branch phase series on a boundary phase-space grid.
 
     ``grid`` is (tangential nodes, frequency samples).  The distance-gauged
-    kind requires a tangentially invariant 2D barrier (its coefficients do
+    kind requires a tangentially invariant barrier (its coefficients do
     not depend on the tangent); the ambient kind accepts every shipped
     model and varies with the tangent where the barrier does.
     """

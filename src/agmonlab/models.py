@@ -1,18 +1,18 @@
 """Model problem catalogue: potentials, energies, geometry, and validation.
 
 A model fixes a closed-form potential V, an energy E strictly below the
-barrier on a collar of the distinguished hypersurface, a product geometry
-(interval, periodic cylinder, torus, or periodic strip), and the hypersurface
-itself, always the axis-aligned level set {normal coordinate = 0}.  Every
-quantity a model exposes -- values, gradients, Taylor data in the normal
-variable -- is closed form, so downstream constructions can be validated
-against quadrature and finite-difference oracles.
+barrier on a collar of the distinguished hypersurface, a 2D product geometry
+(periodic cylinder, torus, or periodic strip), and the hypersurface itself,
+always the axis-aligned level set {normal coordinate = 0}.  Every quantity a
+model exposes -- values and Taylor data in the normal variable -- is closed
+form, so downstream constructions can be validated against quadrature
+oracles.
 
 Coordinate conventions
 ----------------------
-1D geometries have a single (normal) axis.  2D geometries order axes as
-(tangential, normal); the tangential axis is always a periodic circle.
-Fields sampled on 2D grids are indexed ``values[tangential, normal]``.
+Every geometry orders its two axes as (tangential, normal); the tangential
+axis is always a periodic circle.  Fields sampled on grids are indexed
+``values[tangential, normal]``.
 """
 
 from __future__ import annotations
@@ -27,25 +27,18 @@ from scipy.integrate import quad
 __all__ = [
     "PotentialSpec",
     "ModelProblem",
-    "SemiclassicalParams",
     "GEOMETRIES",
     "POTENTIAL_KINDS",
     "KNOWN_MODELS",
     "make_model",
-    "eval_potential",
     "potential_grid",
     "normal_taylor_coefficients",
     "transverse_potential",
     "domain_axes",
 ]
 
-GEOMETRIES = ("interval-1d", "halfplane-cylinder", "separable-torus", "strip-2d")
-POTENTIAL_KINDS = (
-    "constant-barrier",
-    "polynomial-barrier",
-    "cosine-well",
-    "separable-product",
-)
+GEOMETRIES = ("halfplane-cylinder", "separable-torus", "strip-2d")
+POTENTIAL_KINDS = ("constant-barrier", "cosine-well", "separable-product")
 
 # Probe resolution used when validating invariants at construction time.
 _PROBE_NORMAL = 2049
@@ -96,71 +89,27 @@ class ModelProblem:
     def __post_init__(self) -> None:
         if self.geometry not in GEOMETRIES:
             raise ValueError(f"unknown geometry {self.geometry!r}")
-        if len(self.lengths) != len(self.periodic):
-            raise ValueError("lengths and periodicity flags must align")
+        if len(self.lengths) != 2 or len(self.periodic) != 2 or not self.periodic[0]:
+            raise ValueError(
+                f"model {self.name!r} needs exactly two axes, (tangential, "
+                "normal), with a periodic tangential axis; got lengths "
+                f"{self.lengths} and periodic flags {self.periodic}"
+            )
         if any(L <= 0 for L in self.lengths):
             raise ValueError("axis lengths must be positive")
-
-    @property
-    def ndim(self) -> int:
-        return len(self.lengths)
 
     def axis_bounds(self, axis: int) -> tuple[float, float]:
         """Coordinate range of one axis.
 
-        Periodic normal axes and all tangential axes are centred circles;
-        the interval-1d and cylinder normal axes start at the hypersurface.
+        The tangential circle starts at 0; the cylinder normal axis starts at
+        the hypersurface and the other normal axes are centred on it.
         """
         L = self.lengths[axis]
-        if self.geometry == "interval-1d":
-            return (0.0, L)
         if axis == 0:  # tangential circle
             return (0.0, L)
         if self.geometry == "halfplane-cylinder":
             return (0.0, L)
         return (-L / 2.0, L / 2.0)
-
-
-@dataclass(frozen=True)
-class SemiclassicalParams:
-    """Scale parameters for one experiment family.
-
-    ``h`` is the semiclassical parameter, ``lam`` the frequency-cutoff scale,
-    ``M`` the cutoff plateau scale, ``delta`` the zero-section cutoff width,
-    ``zeta`` the plateau floor of the decay cutoff, ``rho_grid`` the levels at
-    which traces are taken, and ``grid_sizes`` the per-axis resolutions.
-    """
-
-    h: float
-    lam: float
-    M: float
-    delta: float
-    zeta: float
-    rho_grid: tuple[float, ...]
-    grid_sizes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.h <= 0 or self.lam <= 0 or self.M <= 0 or self.delta <= 0:
-            raise ValueError("h, lam, M, delta must all be positive")
-        low, high = math.exp(-self.M), math.exp(-self.M / 2.0)
-        if not low < self.zeta < high:
-            raise ValueError(
-                f"zeta={self.zeta:g} must lie strictly inside "
-                f"(exp(-M), exp(-M/2)) = ({low:g}, {high:g})"
-            )
-        rho = self.rho_grid
-        if any(r <= 0 for r in rho) or any(b <= a for a, b in zip(rho, rho[1:])):
-            raise ValueError("rho_grid must be strictly increasing and positive")
-        if any(n < 16 for n in self.grid_sizes):
-            raise ValueError("all grid sizes must be at least 16")
-
-    def check_for_model(self, model: ModelProblem) -> None:
-        """Verify the level grid stays inside the model's validated collar."""
-        if self.rho_grid and self.rho_grid[-1] >= model.collar_width:
-            raise ValueError(
-                f"rho_grid reaches {self.rho_grid[-1]:g}, beyond the collar "
-                f"width {model.collar_width:g} of model {model.name!r}"
-            )
 
 
 # --------------------------------------------------------------------------
@@ -174,14 +123,10 @@ def _value_fn(model: ModelProblem) -> Callable[..., np.ndarray]:
     kind = model.potential.kind
     if kind == "constant-barrier":
         return lambda *x: np.broadcast_to(E + c[0], np.broadcast(*x).shape).copy()
-    if kind == "polynomial-barrier":
-        return lambda x: E + (c[0] + c[1] * np.asarray(x, dtype=float)) ** 2
     if kind == "cosine-well":
-        if model.ndim == 2:
-            return lambda xp, xn: (
-                c[0] + c[1] * np.cos(np.asarray(xn, dtype=float))
-            ) + 0.0 * np.asarray(xp, dtype=float)
-        return lambda x: c[0] + c[1] * np.cos(np.asarray(x, dtype=float))
+        return lambda xp, xn: (
+            c[0] + c[1] * np.cos(np.asarray(xn, dtype=float))
+        ) + 0.0 * np.asarray(xp, dtype=float)
     if kind == "separable-product":
         a, cc = c
         return lambda xp, xn: E + (1.0 + a * np.cos(np.asarray(xp, dtype=float))) * (
@@ -190,71 +135,14 @@ def _value_fn(model: ModelProblem) -> Callable[..., np.ndarray]:
     raise AssertionError(kind)
 
 
-def _gradient_fn(model: ModelProblem) -> Callable[..., tuple[np.ndarray, ...]]:
-    c = model.potential.coefficients
-    kind = model.potential.kind
-    if kind == "constant-barrier":
-        def grad(*x):
-            shape = np.broadcast(*x).shape
-            return tuple(np.zeros(shape) for _ in x)
-        return grad
-    if kind == "polynomial-barrier":
-        return lambda x: (2.0 * c[1] * (c[0] + c[1] * np.asarray(x, dtype=float)),)
-    if kind == "cosine-well":
-        if model.ndim == 2:
-            def grad2(xp, xn):
-                xp = np.asarray(xp, dtype=float)
-                xn = np.asarray(xn, dtype=float)
-                shape = np.broadcast(xp, xn).shape
-                return (np.zeros(shape), np.broadcast_to(-c[1] * np.sin(xn), shape).copy())
-            return grad2
-        return lambda x: (-c[1] * np.sin(np.asarray(x, dtype=float)),)
-    if kind == "separable-product":
-        a, cc = c
-        def gradp(xp, xn):
-            xp = np.asarray(xp, dtype=float)
-            xn = np.asarray(xn, dtype=float)
-            gp = -a * np.sin(xp) * (1.0 + cc * xn**2)
-            gn = (1.0 + a * np.cos(xp)) * 2.0 * cc * xn
-            shape = np.broadcast(xp, xn).shape
-            return (np.broadcast_to(gp, shape).copy(), np.broadcast_to(gn, shape).copy())
-        return gradp
-    raise AssertionError(kind)
-
-
 def potential_grid(model: ModelProblem, *axes) -> np.ndarray:
     """Vectorized V on the outer product of the given per-axis coordinates.
 
-    For a 2D model, returns an array of shape (len(tangential), len(normal)).
+    Returns an array of shape (len(tangential), len(normal)).
     """
-    fn = _value_fn(model)
-    if model.ndim == 1:
-        return np.asarray(fn(np.asarray(axes[0], dtype=float)), dtype=float)
     xp = np.asarray(axes[0], dtype=float)[:, None]
     xn = np.asarray(axes[1], dtype=float)[None, :]
-    return np.asarray(fn(xp, xn), dtype=float)
-
-
-def eval_potential(model: ModelProblem, point) -> tuple[float, np.ndarray]:
-    """Closed-form value and gradient of V at one point.
-
-    Raises ``ValueError`` if the point leaves the domain box along a
-    non-periodic axis; periodic coordinates are accepted as given.
-    """
-    pt = np.atleast_1d(np.asarray(point, dtype=float))
-    if pt.shape != (model.ndim,):
-        raise ValueError(f"expected a point with {model.ndim} coordinates")
-    for axis, (x, per) in enumerate(zip(pt, model.periodic)):
-        if per:
-            continue
-        lo, hi = model.axis_bounds(axis)
-        if not lo - 1e-12 <= x <= hi + 1e-12:
-            raise ValueError(
-                f"coordinate {x:g} outside [{lo:g}, {hi:g}] on axis {axis}"
-            )
-    value = float(np.asarray(_value_fn(model)(*pt)))
-    grad = np.array([float(np.asarray(g)) for g in _gradient_fn(model)(*pt)])
-    return value, grad
+    return np.asarray(_value_fn(model)(xp, xn), dtype=float)
 
 
 def normal_taylor_coefficients(
@@ -263,8 +151,8 @@ def normal_taylor_coefficients(
     """Taylor coefficients in the normal variable of the barrier V - E.
 
     Returns an array of shape (order+1, n_tangential) with row j holding the
-    coefficient of (normal coordinate)^j at each tangential node; 1D models
-    and tangentially constant barriers return n_tangential = 1.
+    coefficient of (normal coordinate)^j at each tangential node;
+    tangentially constant barriers return n_tangential = 1.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -274,12 +162,6 @@ def normal_taylor_coefficients(
     if kind == "constant-barrier":
         out = np.zeros((order + 1, 1))
         out[0, 0] = c[0]
-        return out
-    if kind == "polynomial-barrier":
-        out = np.zeros((order + 1, 1))
-        full = [c[0] ** 2, 2.0 * c[0] * c[1], c[1] ** 2]
-        for j, v in enumerate(full[: order + 1]):
-            out[j, 0] = v
         return out
     if kind == "cosine-well":
         out = np.zeros((order + 1, 1))
@@ -314,8 +196,6 @@ def transverse_potential(model: ModelProblem) -> Callable[[np.ndarray], np.ndarr
             "no one-dimensional transverse profile exists"
         )
     fn = _value_fn(model)
-    if model.ndim == 1:
-        return lambda s: np.asarray(fn(np.asarray(s, dtype=float)), dtype=float)
     return lambda s: np.asarray(
         fn(np.zeros_like(np.asarray(s, dtype=float)), np.asarray(s, dtype=float)),
         dtype=float,
@@ -330,9 +210,9 @@ def domain_axes(model: ModelProblem, grid_sizes) -> tuple[np.ndarray, ...]:
     normal size is bumped to the next odd integer so 0 is a node.
     """
     sizes = tuple(int(n) for n in np.atleast_1d(grid_sizes))
-    if len(sizes) == 1 and model.ndim == 2:
+    if len(sizes) == 1:
         sizes = (sizes[0], sizes[0])
-    if len(sizes) != model.ndim:
+    if len(sizes) != 2:
         raise ValueError("one grid size per axis is required")
     axes = []
     for axis, n in enumerate(sizes):
@@ -371,21 +251,6 @@ def _builder_halfplane_unit(params: Mapping[str, float]):
     return spec
 
 
-def _builder_barrier_1d(params: Mapping[str, float]):
-    a = float(params.get("a", 1.0))
-    length = float(params.get("length", 1.0))
-    energy = float(params.get("E", 0.0))
-    return dict(
-        potential_kind="polynomial-barrier",
-        coefficients=(1.0, a),
-        energy=energy,
-        geometry="interval-1d",
-        lengths=(length,),
-        periodic=(False,),
-        params=(("E", energy), ("a", a), ("length", length)),
-    )
-
-
 def _builder_separable_torus(params: Mapping[str, float]):
     energy = float(params.get("E", 0.5))
     return dict(
@@ -417,7 +282,6 @@ def _builder_strip_2d(params: Mapping[str, float]):
 
 KNOWN_MODELS: dict[str, Callable[[Mapping[str, float]], dict]] = {
     "halfplane-unit": _builder_halfplane_unit,
-    "barrier-1d": _builder_barrier_1d,
     "separable-torus": _builder_separable_torus,
     "strip-2d": _builder_strip_2d,
 }
@@ -427,8 +291,7 @@ def _positive_extent(model: ModelProblem) -> float:
     """Extent of the normal axis on the positive side of the hypersurface."""
     if model.geometry == "separable-torus":
         return model.lengths[1] / 2.0
-    lo, hi = model.axis_bounds(model.ndim - 1)
-    return hi
+    return model.axis_bounds(1)[1]
 
 
 def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, float]:
@@ -445,20 +308,12 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, flo
 
     extent = _positive_extent(model)
     s = np.linspace(0.0, extent, _PROBE_NORMAL)
-    if model.ndim == 1:
-        xp = np.zeros(1)
-        barrier = potential_grid(model, s)[None, :] - model.energy
+    xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
+    barrier = potential_grid(model, xp, s) - model.energy
 
-        def least_barrier(t: float) -> float:
-            return float(potential_grid(model, np.array([t]))[0]) - model.energy
-
-    else:
-        xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
-        barrier = potential_grid(model, xp, s) - model.energy
-
-        def least_barrier(t: float) -> float:
-            vals = potential_grid(model, xp, np.array([t]))[:, 0]
-            return float(vals.min()) - model.energy
+    def least_barrier(t: float) -> float:
+        vals = potential_grid(model, xp, np.array([t]))[:, 0]
+        return float(vals.min()) - model.energy
 
     on_surface = barrier[:, 0]
     if on_surface.min() <= 0.0:
@@ -489,10 +344,7 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, flo
     forbidden_extent = extent if zero_crossing is None else zero_crossing
 
     s_collar = np.linspace(0.0, r0_ambient, _PROBE_NORMAL)
-    if model.ndim == 1:
-        collar_barrier = potential_grid(model, s_collar)[None, :] - model.energy
-    else:
-        collar_barrier = potential_grid(model, xp, s_collar) - model.energy
+    collar_barrier = potential_grid(model, xp, s_collar) - model.energy
     margin = float(collar_barrier.min())
     if margin <= 0.0:
         i, j = np.unravel_index(np.argmin(collar_barrier), collar_barrier.shape)

@@ -92,9 +92,8 @@ class TransverseWell:
 def transverse_well_from_model(model: ModelProblem) -> TransverseWell:
     """The normal-variable well of a product-form model."""
     profile = transverse_potential(model)
-    axis = model.ndim - 1
-    lo, hi = model.axis_bounds(axis)
-    boundary = "periodic" if model.periodic[axis] else "dirichlet"
+    lo, hi = model.axis_bounds(1)
+    boundary = "periodic" if model.periodic[1] else "dirichlet"
     return TransverseWell(
         profile=profile, length=hi - lo, boundary=boundary, lo=lo
     )
@@ -427,8 +426,6 @@ def poisson_bvp(
     solve that misses the stopping test within the iteration cap raises
     instead of returning.
     """
-    if model.ndim != 2:
-        raise ValueError("poisson_bvp requires a 2D model")
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
         raise ValueError("boundary data circle length does not match the model")

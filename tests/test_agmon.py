@@ -19,7 +19,6 @@ from agmonlab.models import (
     domain_axes,
     make_model,
     potential_grid,
-    transverse_potential,
 )
 
 
@@ -42,36 +41,26 @@ def torus_s_oracle(rho: float) -> float:
     return brentq(lambda s: torus_rho_oracle(s) - rho, 0.0, 2.0 * math.pi / 3.0)
 
 
-# Linear-weight barrier (1 + x): distance is x + x^2/2 in closed form, and
-# the level {distance = 0.3} sits at the positive root of x^2/2 + x = 0.3.
-BARRIER_1D_LEVEL_03 = math.sqrt(1.6) - 1.0  # = 0.2649110640673518
-
-
 def reference_dijkstra(model, source, grid_sizes):
     """Independent oracle: heap-based label-setting on the same grid graph.
 
-    Pops nodes in order of tentative distance and relaxes the 2 (1D) or 8
-    (2D) neighbours of each, wrapping periodic axes, with edge weight
+    Pops nodes in order of tentative distance and relaxes the 8 neighbours
+    of each, wrapping periodic axes, with edge weight
     0.5 * (w_i + w_j) * |edge| and w = sqrt((V - E)_+).
     """
     axes = domain_axes(model, grid_sizes)
     weight = np.sqrt(np.maximum(potential_grid(model, *axes) - model.energy, 0.0))
-    if model.ndim == 1:
-        weight = weight.reshape(-1)
     shape = weight.shape
     spacing = tuple(float(ax[1] - ax[0]) for ax in axes)
     if source == "boundary":
-        j0 = int(np.argmin(np.abs(axes[-1])))
-        seeds = [(j0,)] if model.ndim == 1 else [(i, j0) for i in range(shape[0])]
+        j0 = int(np.argmin(np.abs(axes[1])))
+        seeds = [(i, j0) for i in range(shape[0])]
     else:
-        allowed = (potential_grid(model, *axes) - model.energy <= 0.0).reshape(shape)
+        allowed = potential_grid(model, *axes) - model.energy <= 0.0
         seeds = [tuple(idx) for idx in np.argwhere(allowed)]
-    if model.ndim == 1:
-        offsets = [(1,), (-1,)]
-    else:
-        offsets = [
-            (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
-        ]
+    offsets = [
+        (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
+    ]
 
     dist = np.full(shape, np.inf)
     done = np.zeros(shape, dtype=bool)
@@ -145,12 +134,6 @@ class TestSeparableCollar:
         for s in (0.05, 0.3, 0.7, 1.2):
             assert collar.rho_of_s(s) == pytest.approx(torus_rho_oracle(s), abs=1e-9)
 
-    def test_barrier_1d_closed_form(self):
-        model = make_model("barrier-1d")
-        collar = separable_collar(model)
-        x = np.linspace(0.0, 0.9, 11)
-        np.testing.assert_allclose(collar.rho_of_s(x), x + x**2 / 2.0, atol=1e-10)
-
     def test_roundtrip_property(self):
         model = make_model("separable-torus")
         collar = separable_collar(model)
@@ -158,13 +141,6 @@ class TestSeparableCollar:
         s = rng.uniform(0.0, 0.9 * collar.s_max, size=1000)
         back = collar.s_of_rho(collar.rho_of_s(s))
         np.testing.assert_allclose(back, s, atol=1e-7)
-
-    def test_weight_matches_barrier(self):
-        model = make_model("separable-torus")
-        collar = separable_collar(model)
-        s = np.linspace(0.0, 1.5, 7)
-        expected = np.sqrt(np.maximum(0.5 + np.cos(s), 0.0))
-        np.testing.assert_allclose(collar.weight_of_s(s), expected, atol=1e-9)
 
     def test_out_of_range_arclength_rejected(self):
         model = make_model("separable-torus")
@@ -182,36 +158,7 @@ class TestSeparableCollar:
 # --------------------------------------------------------------------------
 
 
-def _distance_quadrature_oracle(model, x: float) -> float:
-    """Independent oracle: adaptive quadrature of sqrt(V - E) along the normal.
-
-    Valid for models whose barrier depends on the normal variable only.
-    """
-    profile = transverse_potential(model)
-
-    def integrand(t: float) -> float:
-        return math.sqrt(max(float(profile(np.array([t]))[0]) - model.energy, 0.0))
-
-    value, _ = quad(integrand, 0.0, abs(x), limit=200)
-    return float(value)
-
-
 class TestAgmonDistance:
-    def test_linear_weight_is_exact(self):
-        # trapezoid edge weights are exact for an affine integrand, so the
-        # 1D label-setting pass reproduces x + x^2/2 to rounding
-        model = make_model("barrier-1d")
-        field = agmon_distance(model, source="boundary", grid_sizes=(129,))
-        x = field.axes[0]
-        np.testing.assert_allclose(field.values, x + x**2 / 2.0, atol=1e-12)
-
-    def test_matches_quadrature_oracle(self):
-        model = make_model("barrier-1d")
-        field = agmon_distance(model, source="boundary", grid_sizes=(129,))
-        j = 96
-        oracle = _distance_quadrature_oracle(model, float(field.axes[0][j]))
-        assert field.values[j] == pytest.approx(oracle, abs=1e-10)
-
     def test_constant_weight_halfplane(self):
         model = make_model("halfplane-unit")
         field = agmon_distance(model, source="boundary", grid_sizes=(32, 65))
@@ -261,7 +208,6 @@ class TestAgmonDistance:
             ("strip-2d", "boundary", (128, 129)),
             ("separable-torus", "boundary", (16, 128)),
             ("separable-torus", "caustic", (8, 256)),
-            ("barrier-1d", "boundary", (129,)),
             ("halfplane-unit", "boundary", (32, 65)),
         ],
     )
@@ -279,15 +225,15 @@ class TestAgmonDistance:
             agmon_distance(model, source="caustic", grid_sizes=(16, 33))
 
     def test_unknown_source_rejected(self):
-        model = make_model("barrier-1d")
+        model = make_model("halfplane-unit")
         with pytest.raises(ValueError, match="source"):
             agmon_distance(model, source="interior")
 
     def test_values_are_frozen(self):
-        model = make_model("barrier-1d")
+        model = make_model("halfplane-unit")
         field = agmon_distance(model, grid_sizes=(65,))
         with pytest.raises(ValueError):
-            field.values[0] = 1.0
+            field.values[0, 0] = 1.0
 
 
 # --------------------------------------------------------------------------
@@ -304,18 +250,12 @@ def _eikonal_residual(field: DistanceField) -> float:
     model = field.model
     axes = field.axes
     grads = np.gradient(field.values, *axes, edge_order=1)
-    if model.ndim == 1:
-        grads = [grads]
     grad2 = sum(g**2 for g in grads)
     barrier = potential_grid(model, *axes) - model.energy
-    if model.ndim == 1:
-        barrier = barrier.reshape(-1)
-    xn = axes[-1]
-    lo = 2 * field.spacing[-1]
-    hi = model.collar_width_ambient - 2 * field.spacing[-1]
+    xn = axes[1]
+    lo = 2 * field.spacing[1]
+    hi = model.collar_width_ambient - 2 * field.spacing[1]
     interior = (xn >= lo) & (xn <= hi)
-    if model.ndim == 1:
-        return float(np.max(np.abs(grad2[interior] - barrier[interior])))
     return float(np.max(np.abs(grad2[:, interior] - barrier[:, interior])))
 
 
@@ -326,7 +266,9 @@ class TestEikonalResidual:
         assert _eikonal_residual(field) <= 1e-10
 
     def test_quadratic_distance_exact_under_central_differences(self):
-        model = make_model("barrier-1d")
+        # central differences are exact on polynomials of degree <= 2, such
+        # as the half-plane distance x_n; (257,) is the one-size shorthand
+        model = make_model("halfplane-unit")
         field = agmon_distance(model, grid_sizes=(257,))
         assert _eikonal_residual(field) <= 1e-9
 
@@ -346,13 +288,6 @@ class TestEikonalResidual:
 
 
 class TestLevelSets:
-    def test_barrier_1d_level_has_closed_form(self):
-        model = make_model("barrier-1d")
-        field = agmon_distance(model, grid_sizes=(129,))
-        level = level_set_at(field, 0.3)
-        assert level.points.shape == (1, 1)
-        assert level.points[0, 0] == pytest.approx(BARRIER_1D_LEVEL_03, abs=1e-4)
-
     def test_torus_level_matches_collar_inverse(self):
         model = make_model("separable-torus")
         field = agmon_distance(model, grid_sizes=(16, 128))
@@ -437,7 +372,7 @@ class TestLevelSets:
             level_set_at(flat, 0.1)
 
     def test_levels_outside_collar_rejected(self):
-        model = make_model("barrier-1d")
+        model = make_model("halfplane-unit")
         field = agmon_distance(model, grid_sizes=(65,))
         with pytest.raises(ValueError, match="collar"):
             level_set_at(field, model.collar_width * 1.5)

@@ -83,20 +83,14 @@ SMALL_RUNS = {
 }
 # Every catalogue model a kind cannot run on, rejected before any compute.
 UNSUPPORTED = [
-    ("decay-sandwich", "barrier-1d"),
     ("decay-sandwich", "strip-2d"),
     ("exterior-mass", "halfplane-unit"),
-    ("exterior-mass", "barrier-1d"),
     ("exterior-mass", "strip-2d"),
-    ("phase-residual", "barrier-1d"),
     ("phase-residual", "strip-2d"),
-    ("symbol-class", "barrier-1d"),
     ("symbol-class", "strip-2d"),
     ("mass-profile", "halfplane-unit"),
-    ("mass-profile", "barrier-1d"),
     ("mass-profile", "strip-2d"),
     ("parametrix-consistency", "halfplane-unit"),
-    ("parametrix-consistency", "barrier-1d"),
     ("parametrix-consistency", "strip-2d"),
 ]
 

@@ -408,8 +408,6 @@ class TestBoundaryOperator:
         boundary_operator(TORUS, 0.5, 0.05)  # inside the collar
 
     def test_input_validation(self):
-        with pytest.raises(ValueError, match="2D"):
-            boundary_operator(make_model("barrier-1d"), 0.0, 0.05)
         with pytest.raises(ValueError, match="at least 4"):
             boundary_operator(FLAT, 0.0, 0.05, n=3)
         with pytest.raises(ValueError, match="h must be positive"):
@@ -716,10 +714,6 @@ class TestSurfaceLevelAndTrace:
         assert np.allclose(level.points[:, 1], 0.0)
         assert np.allclose(level.ambient_weights, spacing)
         assert np.allclose(level.weighted_weights, spacing * math.sqrt(barrier))
-
-    def test_surface_level_requires_2d(self):
-        with pytest.raises(ValueError, match="2D"):
-            surface_level(make_model("barrier-1d"))
 
     def test_trace_of_assembled_mode(self, torus_mode_detailed):
         trace = surface_trace_of_mode(torus_mode_detailed, TORUS)

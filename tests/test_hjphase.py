@@ -2,8 +2,8 @@
 
 Oracles used here:
   * closed forms for the flat barrier: phi_1 = x_n (sqrt(1 + xi^2) - 1)
-    (gauged) and x_n sqrt(1 + xi^2) (ambient), and for the 1D quadratic
-    barrier (1 + x)^2: ambient phase x + x^2/2 exactly;
+    (gauged) and x_n sqrt(1 + xi^2) (ambient), and for the quadratic
+    barrier (1 + x)^2 at zero frequency: ambient phase x + x^2/2 exactly;
   * the collar quadrature/spline inverse as an independent check of the
     metric Taylor data and of the ambient zero-frequency column;
   * the exact composition identity: ambient phase at ambient depth s =
@@ -39,7 +39,6 @@ from agmonlab.solver import poisson_bvp, trace_at
 
 TORUS = make_model("separable-torus")
 FLAT = make_model("halfplane-unit")
-BARRIER = make_model("barrier-1d")
 STRIP = make_model("strip-2d")
 
 STRUCT_FREQS = np.array([0.0, 0.001, -0.001, 0.002, 0.1, 0.5, -0.5, 1.0, 2.0, -2.0])
@@ -170,8 +169,6 @@ class TestMetricTaylor:
     def test_rejects_tangentially_varying_barrier(self):
         with pytest.raises(ValueError, match="tangentially invariant"):
             agmon_metric_taylor(STRIP, 6)
-        with pytest.raises(ValueError, match="tangentially invariant"):
-            agmon_metric_taylor(BARRIER, 6)
 
 
 class TestSolvePhaseSeries:
@@ -227,16 +224,18 @@ class TestSolvePhaseSeries:
         )
 
     def test_barrier_1d_ambient_is_exact(self):
-        series = solve_phase_series(
-            BARRIER, "ambient", 5, (np.array([0.0]), np.array([0.0]))
-        )
-        c = series.coefficients[:, 0, 0].astype(float)
+        # the one check of odd normal Taylor terms: at zero frequency the
+        # Taylor table of the one-variable barrier (1 + x)^2 gives w = 1 + x,
+        # so the phase coefficients w_m / (m + 1) are (1, 1/2, 0, ...) exactly
+        from agmonlab.hjphase import _ambient_recursion
+
+        q = np.zeros((6, 1, 1), dtype=np.longdouble)
+        q[:3, 0, 0] = [1.0, 2.0, 1.0]
+        w = _ambient_recursion(q, 5)
+        c = (w[:, 0, 0] / np.arange(1, 7, dtype=np.longdouble)).astype(float)
         assert c[0] == 1.0
         assert c[1] == 0.5
         assert np.max(np.abs(c[2:])) == 0.0
-        report = phase_residual(series, [0.01, 0.1, 0.3, 0.5])
-        assert np.max(report.max_residual) < 1e-18
-        assert report.validity_radius == 0.5
 
     def test_ambient_zero_frequency_column_is_distance(self):
         series = solve_phase_series(

@@ -8,16 +8,15 @@ from scipy.optimize import brentq
 
 from agmonlab.models import (
     ModelProblem,
-    SemiclassicalParams,
+    PotentialSpec,
     domain_axes,
-    eval_potential,
     make_model,
     normal_taylor_coefficients,
     potential_grid,
     transverse_potential,
 )
 
-ALL_MODELS = ["halfplane-unit", "barrier-1d", "separable-torus", "strip-2d"]
+ALL_MODELS = ["halfplane-unit", "separable-torus", "strip-2d"]
 
 
 # --------------------------------------------------------------------------
@@ -31,16 +30,6 @@ def test_halfplane_unit_is_constant_barrier():
     xn = np.linspace(0, 2.0, 13)
     barrier = potential_grid(model, xp, xn) - model.energy
     assert np.all(barrier == 1.0)
-
-
-def test_barrier_1d_valid_and_positive_on_grid():
-    model = make_model("barrier-1d", {"a": 1.0})
-    x = np.linspace(0.0, 1.0, 501)
-    barrier = potential_grid(model, x) - model.energy
-    # oracle: direct evaluation of (1 + x)^2 > 0
-    assert np.all(barrier > 0)
-    assert np.allclose(barrier, (1.0 + x) ** 2, rtol=0, atol=1e-15)
-    assert model.potential.margin == pytest.approx(1.0)
 
 
 def test_separable_torus_collar_halfwidth_matches_root_find():
@@ -66,73 +55,40 @@ def test_unknown_model_name_reports_catalogue():
 
 
 def test_models_are_hashable_and_frozen():
-    model = make_model("barrier-1d")
+    model = make_model("halfplane-unit")
     hash(model)
     with pytest.raises(AttributeError):
         model.energy = 1.0  # type: ignore[misc]
 
 
-# --------------------------------------------------------------------------
-# eval_potential
-# --------------------------------------------------------------------------
+def _hand_built(lengths, periodic):
+    return ModelProblem(
+        name="hand-built",
+        potential=PotentialSpec("constant-barrier", (1.0,), margin=1.0),
+        energy=0.0,
+        geometry="halfplane-cylinder",
+        lengths=lengths,
+        periodic=periodic,
+        collar_width=0.5,
+        collar_width_ambient=0.5,
+        forbidden_extent=1.0,
+        params=(),
+    )
 
 
-def test_eval_potential_halfplane_any_point():
-    model = make_model("halfplane-unit")
-    value, grad = eval_potential(model, [1.3, 0.7])
-    assert value == pytest.approx(model.energy + 1.0)
-    assert np.all(grad == 0.0)
-
-
-def test_eval_potential_barrier_at_zero():
-    model = make_model("barrier-1d", {"a": 1.0})
-    value, grad = eval_potential(model, [0.0])
-    assert value == pytest.approx(model.energy + 1.0)
-    assert grad[0] == pytest.approx(2.0)  # d/dx (1+x)^2 at 0
-
-
-def test_eval_potential_torus_interior_of_allowed_region():
-    model = make_model("separable-torus", {"E": 0.5})
-    value, grad = eval_potential(model, [0.0, math.pi])
-    assert value == pytest.approx(0.0, abs=1e-14)
-    assert np.allclose(grad, 0.0, atol=1e-14)
-    assert value < model.energy  # allowed-region interior
-
-
-def test_eval_potential_outside_domain_errors():
-    model = make_model("barrier-1d")
-    with pytest.raises(ValueError, match="outside"):
-        eval_potential(model, [2.5])
-    strip = make_model("strip-2d")
-    with pytest.raises(ValueError, match="outside"):
-        eval_potential(strip, [0.0, 1.5])
-
-
-@pytest.mark.parametrize("name", ALL_MODELS)
-def test_gradient_matches_central_differences(name):
-    """Closed-form gradients vs the finite-difference oracle.
-
-    100 random interior points, spacing 1e-4, relative error <= 1e-6.
-    """
-    model = make_model(name)
-    rng = np.random.default_rng(20260815)
-    step = 1e-4
-    for _ in range(100):
-        point = []
-        for axis in range(model.ndim):
-            lo, hi = model.axis_bounds(axis)
-            point.append(rng.uniform(lo + 2 * step, hi - 2 * step))
-        value, grad = eval_potential(model, point)
-        scale = max(abs(value), 1.0)
-        for axis in range(model.ndim):
-            plus = list(point)
-            minus = list(point)
-            plus[axis] += step
-            minus[axis] -= step
-            fd = (eval_potential(model, plus)[0] - eval_potential(model, minus)[0]) / (
-                2 * step
-            )
-            assert abs(fd - grad[axis]) <= 1e-6 * max(abs(grad[axis]), scale)
+@pytest.mark.parametrize(
+    "lengths, periodic",
+    [
+        ((1.0,), (False,)),
+        ((6.0, 2.0, 1.0), (True, False, False)),
+        ((6.0, 2.0), (False, False)),
+    ],
+    ids=["one-axis", "three-axes", "bounded-tangential-axis"],
+)
+def test_model_needs_two_axes_with_a_periodic_tangent(lengths, periodic):
+    _hand_built((6.0, 2.0), (True, False))  # a (circle, normal) collar builds
+    with pytest.raises(ValueError, match="needs exactly two axes"):
+        _hand_built(lengths, periodic)
 
 
 # --------------------------------------------------------------------------
@@ -146,50 +102,9 @@ def test_collar_margin_positive_and_attained(name):
     assert model.potential.margin > 0
     # recompute the collar minimum on an independent probe grid
     s = np.linspace(0.0, model.collar_width_ambient, 701)
-    if model.ndim == 1:
-        barrier = potential_grid(model, s) - model.energy
-    else:
-        xp = np.linspace(0.0, model.lengths[0], 97, endpoint=False)
-        barrier = potential_grid(model, xp, s) - model.energy
+    xp = np.linspace(0.0, model.lengths[0], 97, endpoint=False)
+    barrier = potential_grid(model, xp, s) - model.energy
     assert barrier.min() >= model.potential.margin - 1e-9
-
-
-# --------------------------------------------------------------------------
-# semiclassical parameter validation
-# --------------------------------------------------------------------------
-
-
-def _params(**overrides):
-    base = dict(
-        h=0.05,
-        lam=8.0,
-        M=8.0,
-        delta=0.5,
-        zeta=math.exp(-6.0),
-        rho_grid=(0.1, 0.2, 0.3),
-        grid_sizes=(64, 64),
-    )
-    base.update(overrides)
-    return SemiclassicalParams(**base)
-
-
-def test_params_zeta_window_enforced():
-    _params()  # e^{-3M/4} sits inside the window
-    with pytest.raises(ValueError, match="zeta"):
-        _params(zeta=math.exp(-8.5))
-    with pytest.raises(ValueError, match="zeta"):
-        _params(zeta=math.exp(-3.9))
-
-
-def test_params_rho_grid_and_sizes():
-    with pytest.raises(ValueError, match="rho_grid"):
-        _params(rho_grid=(0.2, 0.1))
-    with pytest.raises(ValueError, match="grid sizes"):
-        _params(grid_sizes=(8, 64))
-    model = make_model("separable-torus")
-    _params().check_for_model(model)
-    with pytest.raises(ValueError, match="collar"):
-        _params(rho_grid=(0.1, 0.9)).check_for_model(model)
 
 
 # --------------------------------------------------------------------------
@@ -228,6 +143,3 @@ def test_domain_axes_put_node_on_hypersurface():
     strip = make_model("strip-2d")
     _, sn = domain_axes(strip, (16, 16))
     assert 0.0 in sn
-    bar = make_model("barrier-1d")
-    (x,) = domain_axes(bar, (33,))
-    assert x[0] == 0.0 and x[-1] == pytest.approx(1.0)

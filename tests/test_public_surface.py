@@ -4,8 +4,9 @@ A name in a layer module's ``__all__`` must be referenced somewhere other
 than its own definition and its ``__all__`` entry: by another part of the
 package, by the acceptance suite, or by the benchmark harness.  A name that
 only its own unit tests call yields no verdict; it is either given a caller
-or deleted.  References are found in the syntax tree, so strings, comments
-and docstrings do not count, and neither does a use inside the name's own
+or deleted.  A re-export in the package ``__init__`` is not a caller.
+References are found in the syntax tree, so strings, comments and
+docstrings do not count, and neither does a use inside the name's own
 function or class body.
 """
 
@@ -22,8 +23,8 @@ PACKAGE = ROOT / "src" / "agmonlab"
 LAYERS = tuple(
     sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
 )
-CALLERS = (
-    *sorted(PACKAGE.glob("*.py")),
+# callers outside the package; inside it, every module but __init__ counts
+EXTERNAL_CALLERS = (
     ROOT / "tests" / "test_acceptance.py",
     *sorted((ROOT / "perfbench").glob("*.py")),
 )
@@ -89,17 +90,19 @@ def uncalled(layers: dict[str, ast.Module], others: list[ast.Module]) -> list[st
     ]
 
 
-def _package_trees() -> tuple[dict[str, ast.Module], list[ast.Module]]:
+def _package_trees(
+    package: Path = PACKAGE, external: tuple[Path, ...] = EXTERNAL_CALLERS
+) -> tuple[dict[str, ast.Module], list[ast.Module]]:
+    """The layer modules of ``package`` by name, and the other callers: its
+    private modules other than ``__init__``, then ``external``."""
+
     def parse(path: Path) -> ast.Module:
         return ast.parse(path.read_text(), str(path))
 
-    layers = {layer: parse(PACKAGE / f"{layer}.py") for layer in LAYERS}
-    others = [
-        parse(path)
-        for path in CALLERS
-        if path.parent != PACKAGE or path.stem not in layers
-    ]
-    return layers, others
+    modules = sorted(package.glob("*.py"))
+    layers = {p.stem: parse(p) for p in modules if not p.stem.startswith("_")}
+    private = [p for p in modules if p.stem.startswith("_") and p.stem != "__init__"]
+    return layers, [parse(p) for p in (*private, *external)]
 
 
 def test_every_exported_name_has_a_caller():
@@ -186,3 +189,11 @@ def test_use_by_a_sibling_in_the_same_module_is_a_caller():
 def test_reference_in_another_module_is_a_caller(caller):
     # g keeps no caller; names outside __all__, such as _helper, are not checked
     assert _flagged(_LAYER_A, caller) == ["a.g"]
+
+
+def test_reexport_in_a_package_init_is_not_a_caller(tmp_path):
+    # a private module's import is a use; the package __init__'s is not
+    (tmp_path / "a.py").write_text(_LAYER_A)
+    (tmp_path / "__init__.py").write_text("from pkg.a import f, g\n")
+    (tmp_path / "_helpers.py").write_text("from pkg.a import g\n")
+    assert uncalled(*_package_trees(tmp_path, external=())) == ["a.f"]

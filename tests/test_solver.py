@@ -492,11 +492,6 @@ class TestPoissonBVP:
         assert np.all(depths >= depth)
         assert np.min(depths) == pytest.approx(depth, rel=1e-4)
 
-    def test_one_dimensional_model_rejected(self):
-        phi = BoundaryFunction(np.ones(8), 2.0 * math.pi, 0.05)
-        with pytest.raises(ValueError, match="requires a 2D model"):
-            poisson_bvp(make_model("barrier-1d"), phi, 0.05, far=1.0, n_normal=11)
-
     def test_indefinite_operator_rejected(self):
         nx = 64
         phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, 0.05)
