@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from agmonlab._numerics import Spline, cumulative_simpson
 from agmonlab.models import ModelProblem, domain_axes, potential_grid, transverse_potential
 
 __all__ = [
@@ -88,7 +87,9 @@ class SeparableCollar:
     For barriers depending on the normal variable only, the weighted distance
     from the hypersurface along the normal direction is
     ``rho(s) = integral_0^s sqrt(W(t) - E) dt``; this class tabulates the map
-    and its inverse with spline accuracy on the forbidden extent.
+    on the forbidden extent by cumulative Simpson and interpolates it and its
+    inverse by not-a-knot cubic splines (the ``_numerics`` ports, bitwise
+    scipy's ``cumulative_simpson`` and ``CubicSpline``).
     """
 
     _NODES = 8193
@@ -99,16 +100,19 @@ class SeparableCollar:
             s_max = model.forbidden_extent
         s = np.linspace(0.0, s_max, self._NODES)
         weight = np.sqrt(np.maximum(profile(s) - model.energy, 0.0))
-        rho = cumulative_simpson(weight, x=s, initial=0.0)
+        rho = cumulative_simpson(weight, s)
         self.model = model
         self.s_max = float(s_max)
         self.rho_max = float(rho[-1])
-        self._rho_of_s = CubicSpline(s, rho)
-        self._s_of_rho = CubicSpline(rho, s)
+        self._rho_of_s = Spline(s, rho)
+        self._s_of_rho = Spline(rho, s)
 
     def rho_of_s(self, s):
         """Weighted arclength from the hypersurface to normal coordinate s."""
-        return self._rho_of_s(np.abs(s))
+        s = np.abs(np.asarray(s, dtype=float))
+        if np.any(s > self.s_max):
+            raise ValueError(f"normal coordinate outside [-{self.s_max:g}, {self.s_max:g}]")
+        return self._rho_of_s(s)
 
     def s_of_rho(self, rho):
         """Ambient normal coordinate at weighted arclength rho."""

@@ -40,9 +40,9 @@ from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 import scipy
-from scipy.optimize import isotonic_regression
 
 from agmonlab import __version__
+from agmonlab._numerics import isotonic_fit
 from agmonlab._svg import Series, render_plot
 from agmonlab.agmon import separable_collar, separable_level_set
 from agmonlab.fcalc import (
@@ -544,7 +544,7 @@ def _variation_factor(values: np.ndarray) -> float:
 
 def _isotonic_rise(values: np.ndarray) -> float:
     """Total rise of the best nondecreasing fit (monotone regression)."""
-    fit = isotonic_regression(values, increasing=True).x
+    fit = isotonic_fit(values)
     return float(fit[-1] - fit[0])
 
 

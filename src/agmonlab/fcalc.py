@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import hessenberg
 
+from agmonlab._numerics import Spline
 from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import LevelSet
 from agmonlab.models import ModelProblem, potential_grid
@@ -552,7 +552,7 @@ def surface_trace_of_mode(mode: EigenMode, model: ModelProblem) -> BoundaryTrace
     """
     if mode.tangential_mode is None or mode.values.ndim != 2:
         raise ValueError("an assembled separable 2D mode is required")
-    spline = CubicSpline(mode.axes[1], mode.values, axis=1)
+    spline = Spline(mode.axes[1], mode.values.T)
     values = spline(0.0)
     level = surface_level(model, n_tangential=mode.values.shape[0])
     return BoundaryTrace(values=values, level=level, rho=0.0, h=mode.h)
@@ -888,7 +888,7 @@ def mass_profile_comparison(
     n_tangential = mode.values.shape[0]
     length = model.lengths[0]
     spacing = length / n_tangential
-    spline = CubicSpline(mode.axes[1], mode.values, axis=1)
+    spline = Spline(mode.axes[1], mode.values.T)
 
     surface_values = spline(0.0)
     norm_sq = spacing * float(np.sum(np.abs(surface_values) ** 2))

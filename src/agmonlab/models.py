@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.integrate import quad
+
+from agmonlab._numerics import brentq, gauss_legendre
 
 __all__ = [
     "PotentialSpec",
@@ -304,8 +305,6 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, flo
     take half the available extent.  Rejects models whose hypersurface
     touches the classically allowed set.
     """
-    from scipy.optimize import brentq
-
     extent = _positive_extent(model)
     s = np.linspace(0.0, extent, _PROBE_NORMAL)
     xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
@@ -355,10 +354,10 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, flo
 
     # collar width in arclength of the weighted metric, measured along the
     # normal direction at the tangentially least favourable position
-    width, _ = quad(
-        lambda t: math.sqrt(max(least_barrier(t), 0.0)), 0.0, r0_ambient, limit=200
-    )
-    return margin, r0_ambient, float(width), forbidden_extent
+    t, w = gauss_legendre(0.0, r0_ambient)
+    least = potential_grid(model, xp, t).min(axis=0) - model.energy
+    width = float(w @ np.sqrt(np.maximum(least, 0.0)))
+    return margin, r0_ambient, width, forbidden_extent
 
 
 def make_model(name: str, params: Mapping[str, float] | None = None) -> ModelProblem:

@@ -20,10 +20,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
+from agmonlab._numerics import Spline, brentq, cumulative_simpson
 from agmonlab._smooth import mollifier_fall
 from agmonlab.halfplane import BoundaryFunction
 from agmonlab.hjphase import PhaseSeries, evaluate_phase, mode_frequencies, phase_function
@@ -124,7 +122,7 @@ class CutoffProfile:
     nodes: np.ndarray
     values: np.ndarray
     derivative_ratios: tuple[float, float]
-    _bend: CubicSpline = field(repr=False, compare=False, default=None)
+    _bend: Spline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if not math.exp(-self.span) < self.plateau < math.exp(-self.span / 2.0):
@@ -158,7 +156,10 @@ def build_cutoff_profile(span: float) -> CutoffProfile:
 
     The bend keeps log-slope between -1 and 0 (a smooth step integrated in
     log scale), so monotonicity and the exp(-x) lower bound hold by
-    construction; they are re-measured on the sample grid regardless.
+    construction; they are re-measured on the sample grid regardless.  The
+    log-profile is integrated by cumulative Simpson and interpolated by a
+    cubic spline clamped to slopes 1 and 0, the ``_numerics`` ports (bitwise
+    scipy's ``cumulative_simpson`` and ``CubicSpline``).
     """
     if span < _MIN_SPAN:
         raise ValueError(
@@ -168,10 +169,10 @@ def build_cutoff_profile(span: float) -> CutoffProfile:
     t = np.linspace(0.0, 1.0, _BRIDGE_NODES)
     slope = mollifier_fall(t)  # log-slope magnitude along the bend
     x_nodes = span / 2.0 + t * (span / 2.0)
-    log_vals = span / 2.0 + cumulative_simpson(slope, x=x_nodes, initial=0.0)
+    log_vals = span / 2.0 + cumulative_simpson(slope, x_nodes)
     log_vals = np.maximum.accumulate(log_vals)
     plateau = float(np.exp(-log_vals[-1]))
-    bend = CubicSpline(x_nodes, log_vals, bc_type=((1, 1.0), (1, 0.0)))
+    bend = Spline(x_nodes, log_vals, end_slopes=(1.0, 0.0))
 
     values = np.exp(-log_vals)
     # measured derivative bounds |b'| <= C1 b, |b''| <= C2 b on the bend:

@@ -22,11 +22,17 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, zpttrs
 
+from agmonlab._numerics import (
+    brentq,
+    cubic_value,
+    edge_smoothed_gauss_legendre,
+    gauss_legendre,
+    hermite_leading,
+    spline_slopes,
+)
 from agmonlab.agmon import LevelSet
 from agmonlab.halfplane import BoundaryFunction
 from agmonlab.models import ModelProblem, potential_grid, transverse_potential
@@ -49,6 +55,9 @@ __all__ = [
 _MIN_NODES = 256
 _RESOLVABILITY = 4.0  # require h >= this multiple of the grid spacing
 _CONTAMINATION_TOL = 1e-6
+# _agmon_depth looks for turning points of the least barrier on this many
+# evenly spaced points of [0, far]
+_DEPTH_SAMPLES = 257
 # poisson_bvp's CG stops once max|A u - b| / max|u| <= _PCG_TOL * ||A||_inf.
 # Rounding alone leaves about 2.5e-16 there, so the exact preconditioner of a
 # tangentially constant potential passes before the first iteration.
@@ -319,7 +328,8 @@ class Field2D:
     """A solved field on the tangential-circle x normal-interval grid.
 
     Off-node traces interpolate each tangential column along the normal by
-    a not-a-knot cubic spline.  The first such trace builds the splines of
+    a not-a-knot cubic spline (the ``_numerics`` port, bitwise scipy's
+    ``CubicSpline``).  The first such trace builds the splines of
     every column, block by block, and the field keeps only what a later
     trace cannot recompute bitwise from its values: the slope at the left
     node of every normal interval and the last interval's two leading
@@ -355,11 +365,12 @@ class Field2D:
         block = max(1, _SPLINE_BLOCK_BYTES // (xn.size * self.values.itemsize))
         for start in range(0, nx, block):
             cols = slice(start, start + block)
-            # a column's spline coefficients do not depend on the other
-            # columns batched with it
-            c = CubicSpline(xn, np.ascontiguousarray(self.values[cols].T)).c
-            slopes[cols] = c[2].T
-            last[:, cols] = c[:2, -1]
+            y = np.ascontiguousarray(self.values[cols].T)
+            # a column's spline slopes do not depend on the other columns
+            # batched with it
+            d = spline_slopes(xn, y)
+            slopes[cols] = d[:-1].T
+            last[:, cols] = hermite_leading(y[-2], y[-1], d[-2], d[-1], xn[-1] - xn[-2])
         slopes.setflags(write=False)
         last.setflags(write=False)
         return slopes, last
@@ -367,15 +378,32 @@ class Field2D:
 
 def _agmon_depth(model: ModelProblem, far: float) -> float:
     """Weighted arclength from the hypersurface to the far boundary,
-    minimized over the tangent (a lower bound on every column's depth)."""
+    minimized over the tangent (a lower bound on every column's depth).
+
+    Only where the least barrier is positive counts.  Its sign changes on
+    [0, far] are found on a sample grid and refined by Brent's method.
+    Without one, the 32-point Gauss-Legendre rule covers [0, far]; with
+    some, each positive stretch gets the rule in the variable
+    ``edge_smoothed_gauss_legendre`` uses, which takes the square-root edge
+    off a turning point.
+    """
     probe = np.linspace(0.0, model.lengths[0], 65)
 
-    def weight(t):
-        vals = potential_grid(model, probe, np.array([t]))[:, 0]
-        return math.sqrt(max(float(np.min(vals)) - model.energy, 0.0))
+    def least(t: np.ndarray) -> np.ndarray:
+        return potential_grid(model, probe, t).min(axis=0) - model.energy
 
-    value, _ = quad(weight, 0.0, far, limit=200)
-    return float(value)
+    def weighted(t: np.ndarray, w: np.ndarray) -> float:
+        return float(w @ np.sqrt(np.maximum(least(t), 0.0)))
+
+    s = np.linspace(0.0, far, _DEPTH_SAMPLES)
+    positive = least(s) > 0.0
+    flips = np.nonzero(positive[1:] != positive[:-1])[0]
+    if not flips.size:
+        return weighted(*gauss_legendre(0.0, far))
+    turns = [brentq(lambda t: float(least(np.array([t]))[0]), s[i], s[i + 1]) for i in flips]
+    ends = [0.0, *turns, far]
+    stretches = zip(ends[:-1], ends[1:], positive[np.r_[0, flips + 1]])
+    return sum(weighted(*edge_smoothed_gauss_legendre(a, b)) for a, b, up in stretches if up)
 
 
 def _check_far_boundary(model, far, h, rho_max) -> float:
@@ -654,20 +682,13 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     y1 = field2d.values[cols, k + 1]
     d0 = slopes[cols, k]
     d1 = slopes[cols, np.minimum(k + 1, xn.size - 2)]
-    dx = np.diff(xn)[k]
-    # the interval's leading coefficients in scipy's CubicHermiteSpline
-    # arithmetic; the slope at the last node is not kept, so the last
-    # interval's come from the cache instead
-    slope = (y1 - y0) / dx
-    t = (d0 + d1 - 2 * slope) / dx
-    c0 = t / dx
-    c1 = (slope - d0) / dx - t
+    # the interval's leading coefficients; the slope at the last node is
+    # not kept, so the last interval's come from the cache instead
+    c0, c1 = hermite_leading(y0, y1, d0, d1, np.diff(xn)[k])
     final = np.flatnonzero(k == xn.size - 2)
     c0[final] = last[0, cols[final]]
     c1[final] = last[1, cols[final]]
-    # summed in ascending powers as scipy's PPoly evaluator does
-    d = s - xn[k]
-    out[off] = y0 + d0 * d + c1 * (d * d) + c0 * (d * d * d)
+    out[off] = cubic_value((c0, c1, d0, y0), s - xn[k])
     return out
 
 

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import isotonic_regression
 
 from agmonlab.agmon import separable_collar, separable_level_set

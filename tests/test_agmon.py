@@ -148,6 +148,14 @@ class TestSeparableCollar:
         with pytest.raises(ValueError, match="arclength"):
             collar.s_of_rho(collar.rho_max * 1.01)
 
+    def test_out_of_range_normal_coordinate_rejected(self):
+        model = make_model("separable-torus")
+        collar = separable_collar(model)
+        assert collar.rho_of_s(-collar.s_max) == collar.rho_of_s(collar.s_max)
+        for s in (3.0, -3.0, [0.5, collar.s_max * 1.01]):
+            with pytest.raises(ValueError, match="normal coordinate"):
+                collar.rho_of_s(s)
+
     def test_shared_instance_is_cached(self):
         model = make_model("separable-torus")
         assert separable_collar(model) is separable_collar(model)

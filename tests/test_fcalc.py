@@ -19,12 +19,10 @@ from agmonlab import fcalc
 from agmonlab._smooth import polyramp, polyramp_derivative
 from agmonlab.agmon import LevelSet
 from agmonlab.fcalc import (
-    AlmostAnalyticExtension,
     _resolvent_weighted_sum,
     almost_analytic_extension,
     boundary_operator,
     comparison_solution,
-    derivative_family,
     expected_circle_eigenvalue,
     exterior_mass,
     family_derivative_norms,

@@ -19,7 +19,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "agmonlab"
-# the public modules; _smooth and _svg are private helpers of the layers
+# the public modules; _numerics, _smooth and _svg are private helpers of the layers
 LAYERS = tuple(
     sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
 )

@@ -23,7 +23,6 @@ from agmonlab.hjphase import (
 from agmonlab.models import make_model
 from agmonlab.quantize import (
     CutoffProfile,
-    FrameBoundReport,
     Symbol,
     apply_quantized,
     build_cutoff_profile,

@@ -24,7 +24,6 @@ import pytest
 import scipy.sparse as sparse
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh
 from scipy.sparse.linalg import spsolve
 
 from agmonlab import solver
@@ -38,7 +37,6 @@ from agmonlab.agmon import (
 from agmonlab.halfplane import BoundaryFunction, apply_halfplane_poisson
 from agmonlab.models import make_model, potential_grid
 from agmonlab.solver import (
-    BoundaryTrace,
     EigenMode,
     Field2D,
     TransverseWell,
@@ -675,14 +673,15 @@ def level_at_heights(heights):
 
 @pytest.fixture
 def spline_builds(monkeypatch):
-    """Column counts of every CubicSpline the solver builds."""
+    """Column counts of every batch of column splines the solver builds."""
     columns = []
+    build = solver.spline_slopes
 
     def counted(x, y, *args, **kwargs):
         columns.append(np.shape(y)[1])
-        return CubicSpline(x, y, *args, **kwargs)
+        return build(x, y, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "CubicSpline", counted)
+    monkeypatch.setattr(solver, "spline_slopes", counted)
     return columns
 
 
@@ -943,8 +942,6 @@ class TestTorusSandwich:
             well, h=h, target=TORUS.energy, count=1, n=1024, parity="even"
         )
         spline_nodes = mode.axes[0]
-        from scipy.interpolate import CubicSpline
-
         spl = CubicSpline(spline_nodes, mode.values)
         collar = separable_collar(TORUS)
         gamma_val = abs(float(spl(0.0)))
