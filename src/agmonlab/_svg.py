@@ -8,9 +8,9 @@ base-10 logarithms of the data and label ticks with the original values.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 __all__ = ["Series", "render_plot"]
 
@@ -28,6 +28,11 @@ _PALETTE = (
     "#e377c2",
 )
 _STYLES = ("line", "scatter", "dashed")
+
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for SVG text content; quotes are left as they are."""
+    return html.escape(text, quote=False)
 
 
 @dataclass(frozen=True)
@@ -151,14 +156,14 @@ def render_plot(
         'fill="none" stroke="#333333" stroke-width="1"/>',
         f'<text x="{_fmt((_LEFT + _RIGHT) / 2)}" y="24.00" '
         'font-family="monospace" font-size="15" text-anchor="middle">'
-        f"{escape(title)}</text>",
+        f"{_escape(title)}</text>",
         f'<text x="{_fmt((_LEFT + _RIGHT) / 2)}" y="{_fmt(_HEIGHT - 14.0)}" '
         'font-family="monospace" font-size="13" text-anchor="middle">'
-        f"{escape(xlabel)}</text>",
+        f"{_escape(xlabel)}</text>",
         f'<text x="20.00" y="{_fmt((_TOP + _BOTTOM) / 2)}" '
         'font-family="monospace" font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 20.00 {_fmt((_TOP + _BOTTOM) / 2)})">'
-        f"{escape(ylabel)}</text>",
+        f"{_escape(ylabel)}</text>",
     ]
 
     for tick in _tick_positions(x_lo, x_hi):
@@ -170,7 +175,7 @@ def render_plot(
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(_BOTTOM + 18.0)}" '
             'font-family="monospace" font-size="11" text-anchor="middle">'
-            f"{escape(_tick_label(tick, logx))}</text>"
+            f"{_escape(_tick_label(tick, logx))}</text>"
         )
     for tick in _tick_positions(y_lo, y_hi):
         y = py(tick)
@@ -181,7 +186,7 @@ def render_plot(
         parts.append(
             f'<text x="{_fmt(_LEFT - 8.0)}" y="{_fmt(y + 4.0)}" '
             'font-family="monospace" font-size="11" text-anchor="end">'
-            f"{escape(_tick_label(tick, logy))}</text>"
+            f"{_escape(_tick_label(tick, logy))}</text>"
         )
 
     for index, (item, tx, ty) in enumerate(transformed):
@@ -212,7 +217,7 @@ def render_plot(
         parts.append(
             f'<text x="{_fmt(_RIGHT - 120.0)}" y="{_fmt(y)}" '
             'font-family="monospace" font-size="11">'
-            f"{escape(item.label)}</text>"
+            f"{_escape(item.label)}</text>"
         )
 
     parts.append("</svg>")

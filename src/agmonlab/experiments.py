@@ -892,9 +892,10 @@ def _phase_grid(model: ModelProblem, config: ExperimentConfig):
 def _ambient_phase_point(
     config: ExperimentConfig, model: ModelProblem, nodes, xi
 ) -> ReportRecord:
-    series = solve_phase_series(model, "ambient", _PHASE_ORDER, (nodes, xi))
+    series = solve_phase_series(model, "ambient", _PHASE_ORDER, xi)
     barrier = potential_grid(model, nodes, np.zeros(1))[:, 0] - model.energy
     target = np.sqrt(barrier[:, None] + xi[None, :] ** 2)
+    # the one leading coefficient row against the barrier at every node
     deviation = float(np.max(np.abs(series.coefficients[0] - target)))
     verdict = _bound_verdict("ambient-leading-coefficient", deviation, 0.0, 1e-8)
     measured = {"leading_deviation": deviation}
@@ -902,9 +903,9 @@ def _ambient_phase_point(
 
 
 def _gauged_phase_point(
-    config: ExperimentConfig, model: ModelProblem, nodes, xi, depths: tuple
+    config: ExperimentConfig, model: ModelProblem, xi, depths: tuple
 ) -> ReportRecord:
-    series = solve_phase_series(model, "agmon", _PHASE_ORDER, (nodes, xi))
+    series = solve_phase_series(model, "agmon", _PHASE_ORDER, xi)
     report = phase_residual(series, depths)
     measured = {
         "depth": depths,
@@ -919,7 +920,7 @@ def _gauged_phase_point(
                 np.max(
                     np.abs(
                         evaluate_phase(series, s)
-                        - s * (np.sqrt(1.0 + xi**2) - 1.0)[None, :]
+                        - s * (np.sqrt(1.0 + xi**2) - 1.0)
                     )
                 )
             )
@@ -945,7 +946,7 @@ def _run_phase_residual(config: ExperimentConfig, jobs: int) -> list[ReportRecor
     model = config.build_model()
     nodes, xi = _phase_grid(model, config)
     depths = tuple(sorted(config.rho_grid))
-    gauged = partial(_gauged_phase_point, config, model, nodes, xi, depths)
+    gauged = partial(_gauged_phase_point, config, model, xi, depths)
     ambient = partial(_ambient_phase_point, config, model, nodes, xi)
     points = [((config.model, "gauged"), gauged), ((config.model, "ambient"), ambient)]
     return _map_points(config.kind, points, jobs)
@@ -1012,10 +1013,7 @@ def _run_symbol_class(config: ExperimentConfig, jobs: int) -> list[ReportRecord]
 
     def builder(h: float):
         series = solve_phase_series(
-            model,
-            "agmon",
-            _PHASE_ORDER,
-            (np.array([0.0]), mode_frequencies(n_xi, length, h)),
+            model, "agmon", _PHASE_ORDER, mode_frequencies(n_xi, length, h)
         )
         return build_phase_cutoff(series, profile, rho, h)
 
@@ -1227,7 +1225,7 @@ def _parametrix_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
 
 
 def _parametrix_point(
-    config: ExperimentConfig, model: ModelProblem, nodes, level, rho: float, h: float
+    config: ExperimentConfig, model: ModelProblem, level, rho: float, h: float
 ) -> ReportRecord:
     n_tangential, n_normal = config.grid[0], config.grid[1]
     length = model.lengths[0]
@@ -1240,10 +1238,7 @@ def _parametrix_point(
         h,
     )
     series = solve_phase_series(
-        model,
-        "agmon",
-        _PARAMETRIX_ORDER,
-        (nodes, mode_frequencies(n_tangential, length, h)),
+        model, "agmon", _PARAMETRIX_ORDER, mode_frequencies(n_tangential, length, h)
     )
     parametrix = apply_poisson_parametrix(series, phi, rho)
     bvp = poisson_bvp(
@@ -1264,10 +1259,9 @@ def _run_parametrix_consistency(
     n_tangential, n_normal = config.grid[0], config.grid[1]
     s_star = _PARAMETRIX_DEPTH_STEPS * _PARAMETRIX_FAR / (n_normal - 1)
     rho = float(separable_collar(model).rho_of_s(s_star))
-    nodes = model.lengths[0] / n_tangential * np.arange(n_tangential)
     level = separable_level_set(model, rho, n_tangential=n_tangential)
 
-    point = partial(_parametrix_point, config, model, nodes, level, rho)
+    point = partial(_parametrix_point, config, model, level, rho)
     points = [((config.model, h, rho), partial(point, h)) for h in config.h_sweep]
     records = _map_points(config.kind, points, jobs)
 

@@ -53,6 +53,13 @@ _DEFAULT_AREA_CELLS = (256, 256)
 _DEFAULT_EDGE_CELLS = 1024
 _MIN_AREA_CELLS = (32, 16)
 _DENSE_LIMIT = 256
+# hs_apply rejects its grid when the window projection has an eigenvalue
+# this far outside [0, 1].
+_SPECTRUM_TOL = 1e-3
+# mass_profile_comparison samples the depth window [0, lam h] at this many
+# points and integrates the comparison ODE across it in this many steps.
+_PROFILE_DEPTHS = 65
+_PROFILE_ODE_STEPS = 8000
 # Taylor order of the almost analytic extension in the imaginary part.  On
 # the 20 matrices of acceptance criterion 05, with the default cells, the
 # worst operator-norm error of hs_apply against spectral_calculus is 6.1e-7
@@ -432,7 +439,6 @@ def hs_apply(
     *,
     area_cells: tuple[int, int] = _DEFAULT_AREA_CELLS,
     edge_cells: int = _DEFAULT_EDGE_CELLS,
-    spectrum_tol: float = 1e-3,
 ) -> np.ndarray:
     """Windowed projection of P through the Cauchy integral of the extension.
 
@@ -515,7 +521,7 @@ def hs_apply(
     result = 0.5 * (result + result.T)
 
     window = np.linalg.eigvalsh(result)
-    if window.min() < -spectrum_tol or window.max() > 1.0 + spectrum_tol:
+    if window.min() < -_SPECTRUM_TOL or window.max() > 1.0 + _SPECTRUM_TOL:
         raise ValueError(_COARSE_GRID_MESSAGE)
     return result
 
@@ -847,9 +853,6 @@ def mass_profile_comparison(
     model: ModelProblem,
     lam: float,
     h: float,
-    *,
-    n_r: int = 65,
-    ode_steps: int = 8000,
 ) -> MassProfile:
     """Windowed trace mass of a separable mode across the depth window.
 
@@ -909,9 +912,9 @@ def mass_profile_comparison(
     w, u = np.linalg.eigh(operator)
     window_weights = step_profile(w / scale)
 
-    r_grid = np.linspace(0.0, scale, n_r)
-    mass_values = np.empty(n_r)
-    trace_sq = np.empty(n_r)
+    r_grid = np.linspace(0.0, scale, _PROFILE_DEPTHS)
+    mass_values = np.empty(_PROFILE_DEPTHS)
+    trace_sq = np.empty(_PROFILE_DEPTHS)
     for j, depth in enumerate(r_grid):
         trace = spline(depth)
         coeffs = u.T @ trace
@@ -942,7 +945,7 @@ def mass_profile_comparison(
         t_constant,
         h,
         r_grid,
-        steps=ode_steps,
+        steps=_PROFILE_ODE_STEPS,
     )
     ode_scale = float(np.max(np.abs(comparison_values)))
     ode_agreement = (
@@ -952,10 +955,8 @@ def mass_profile_comparison(
     )
 
     delta = r_grid[1] - r_grid[0]
-    slope = (
-        (-3.0 * mass_values[0] + 4.0 * mass_values[1] - mass_values[2]) / (2.0 * delta)
-        if n_r >= 3
-        else (mass_values[1] - mass_values[0]) / delta
+    slope = (-3.0 * mass_values[0] + 4.0 * mass_values[1] - mass_values[2]) / (
+        2.0 * delta
     )
 
     mass_floor = max(float(np.max(mass_values)), float(np.max(np.abs(comparison_values))))

@@ -1,7 +1,7 @@
 """Formal power-series solutions of the collar Hamilton-Jacobi equations.
 
 Two conjugation conventions are supported for the imaginary phase
-phi_1(x', x_n, xi') with phi = <x', xi'> + i phi_1:
+phi_1(x_n, xi') with phi = <x', xi'> + i phi_1:
 
 * "agmon" - the distance-gauged equation in weighted arclength
   coordinates, (d phi_1)^2 + 2 d phi_1 - r = 0 with r the squared metric
@@ -16,17 +16,17 @@ order divides by 2(1 + w_0) (agmon) or 2 sqrt(V - E + |xi'|^2) (ambient),
 both bounded away from zero on the shipped barriers, so the recursion is
 well posed and the decaying branch is selected by the principal root.
 
-The recursion, the phase evaluation and the residual check run once per
-distinct row of the normal Taylor table: one row for a tangentially
-invariant barrier (and for every gauged series), one per tangential node
-for a separable-product barrier.  The tangent axis of the coefficient
-array and of evaluated phases is a read-only broadcast view of those rows.
+Both kinds are built only for barriers that do not depend on the tangent,
+so every phase is tangent-invariant: one column of Taylor data per
+frequency, and a parametrix that acts as a Fourier multiplier.  A
+tangent-dependent barrier is rejected by ``models`` before any recursion
+runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,8 +121,6 @@ def _series_revert(f: np.ndarray, m: int) -> np.ndarray:
 # metric Taylor data
 # --------------------------------------------------------------------------
 
-_AGMON_KINDS = ("constant-barrier", "cosine-well")
-
 
 def agmon_metric_taylor(model: ModelProblem, order: int) -> np.ndarray:
     """Taylor coefficients of the inverse barrier height in weighted arclength.
@@ -130,14 +128,10 @@ def agmon_metric_taylor(model: ModelProblem, order: int) -> np.ndarray:
     For a product barrier A(s) the weighted arclength is
     rho(s) = integral of sqrt(A); the returned series T satisfies
     T(x_n) = 1/A(s(x_n)), so the squared metric norm of a cotangent
-    frequency at depth x_n is T(x_n) |xi'|^2.
+    frequency at depth x_n is T(x_n) |xi'|^2.  A barrier that depends on
+    the tangent has no such series and is rejected.
     """
-    if model.potential.kind not in _AGMON_KINDS:
-        raise ValueError(
-            f"model {model.name!r} has no tangentially invariant product "
-            "barrier; the distance-gauged series is only built for those"
-        )
-    a = normal_taylor_coefficients(model, order)[:, 0].astype(_LD)
+    a = normal_taylor_coefficients(model, order).astype(_LD)
     u = _series_sqrt(a, order)
     rho = _series_integrate(u, order)
     s_of = _series_revert(rho, order)
@@ -152,52 +146,34 @@ def agmon_metric_taylor(model: ModelProblem, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PhaseSeries:
-    """Truncated series phi_1 = sum_{j=1}^{K+1} c_j(x', xi') x_n^j.
+    """Truncated series phi_1 = sum_{j=1}^{K+1} c_j(xi') x_n^j.
 
-    ``coefficients`` has shape (K+1, n_tangential, n_frequencies) holding
-    c_1..c_{K+1} in extended precision; ``kind`` selects the conjugation
+    ``coefficients`` has shape (K+1, n_frequencies) holding c_1..c_{K+1}
+    in extended precision, read-only; ``kind`` selects the conjugation
     convention.  The derivative coefficients w_m = (m+1) c_{m+1} satisfy
     the order-by-order recursion of the corresponding equation through
     order K, leaving a residual O(x_n^{K+2-1}).
-
-    The series is built from its distinct Taylor rows: the array passed as
-    ``coefficients`` may hold one row (a tangentially invariant phase) or
-    one per tangential node.  It is kept, read-only, as
-    ``row_coefficients``, and ``coefficients`` is a read-only broadcast
-    view of it over the tangential nodes.
     """
 
     order: int
     coefficients: np.ndarray
     kind: str
-    tangential_nodes: np.ndarray
     frequencies: np.ndarray
     model: ModelProblem
     meta: dict
-    row_coefficients: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("agmon", "ambient"):
             raise ValueError(f"unknown series kind {self.kind!r}")
-        rows = self.coefficients
-        if np.iscomplexobj(rows):
+        if np.iscomplexobj(self.coefficients):
             raise ValueError("phase series must be real (decaying branch)")
-        expected = (
-            self.order + 1,
-            self.tangential_nodes.size,
-            self.frequencies.size,
-        )
-        n_rows = rows.shape[1] if rows.ndim == 3 else 0
-        if n_rows not in (1, expected[1]) or rows.shape != (
-            expected[0], n_rows, expected[2]
-        ):
+        expected = (self.order + 1, self.frequencies.size)
+        if self.coefficients.shape != expected:
             raise ValueError(
-                f"coefficient array shape {rows.shape} does not match "
-                f"(K+1, 1 or n_tangential, n_frequencies) for {expected}"
+                f"coefficient array shape {self.coefficients.shape} does not "
+                f"match (K+1, n_frequencies) = {expected}"
             )
-        rows.setflags(write=False)
-        object.__setattr__(self, "row_coefficients", rows)
-        object.__setattr__(self, "coefficients", np.broadcast_to(rows, expected))
+        self.coefficients.setflags(write=False)
 
 
 def _agmon_recursion(r: np.ndarray, k_order: int) -> np.ndarray:
@@ -235,47 +211,34 @@ def _ambient_recursion(q: np.ndarray, k_order: int) -> np.ndarray:
 
 
 def solve_phase_series(
-    model: ModelProblem,
-    kind: str,
-    order: int,
-    grid: tuple[np.ndarray, np.ndarray],
+    model: ModelProblem, kind: str, order: int, frequencies
 ) -> PhaseSeries:
-    """Build the decaying-branch phase series on a boundary phase-space grid.
+    """Build the decaying-branch phase series at the given frequency samples.
 
-    ``grid`` is (tangential nodes, frequency samples).  The distance-gauged
-    kind requires a tangentially invariant barrier (its coefficients do
-    not depend on the tangent); the ambient kind accepts every shipped
-    model and varies with the tangent where the barrier does.
+    Both kinds require a barrier that does not depend on the tangent; a
+    tangent-dependent model is rejected before any recursion runs.
     """
     if order < 2:
         raise ValueError("series order must be at least 2")
-    xp = np.atleast_1d(np.asarray(grid[0], dtype=float))
-    xi = np.atleast_1d(np.asarray(grid[1], dtype=float))
+    if kind not in ("agmon", "ambient"):
+        raise ValueError(f"unknown series kind {kind!r}")
+    xi = np.atleast_1d(np.asarray(frequencies, dtype=float))
     k_ext = order + _EXTRA_ORDERS
-    xi_ld = xi.astype(_LD)
+    xi2 = xi.astype(_LD) ** 2
     if kind == "agmon":
-        t_taylor = agmon_metric_taylor(model, k_ext)
-        r = t_taylor[:, None, None] * xi_ld[None, None, :] ** 2
-        w = _agmon_recursion(r, order)
+        table = agmon_metric_taylor(model, k_ext)
+        w = _agmon_recursion(table[:, None] * xi2[None, :], order)
         divisor_min = float(np.min(2.0 * (1.0 + w[0])))
-        table = t_taylor
         collar_limit = model.collar_width
-    elif kind == "ambient":
-        rows = normal_taylor_coefficients(model, k_ext, tangential_nodes=xp) if (
-            model.potential.kind == "separable-product"
-        ) else normal_taylor_coefficients(model, k_ext)
-        rows = rows.astype(_LD)
-        q = rows[:, :, None] * np.ones((1, 1, xi.size), dtype=_LD)
-        q[0] = q[0] + xi_ld[None, :] ** 2
+    else:
+        table = normal_taylor_coefficients(model, k_ext).astype(_LD)
+        q = np.repeat(table[:, None], xi.size, axis=1)
+        q[0] = q[0] + xi2
         w = _ambient_recursion(q, order)
         divisor_min = float(np.min(2.0 * w[0]))
-        table = rows
         collar_limit = model.collar_width_ambient
-    else:
-        raise ValueError(f"unknown series kind {kind!r}")
 
     powers = np.arange(1, order + 2, dtype=_LD)
-    coefficients = w / powers[:, None, None]
     meta = {
         "divisor_min": divisor_min,
         "taylor_table": table,
@@ -284,48 +247,42 @@ def solve_phase_series(
     }
     return PhaseSeries(
         order=order,
-        coefficients=coefficients,
+        coefficients=w / powers[:, None],
         kind=kind,
-        tangential_nodes=xp,
         frequencies=xi,
         model=model,
         meta=meta,
     )
 
 
-def _phase_on_rows(series: PhaseSeries, x: np.ndarray) -> np.ndarray:
-    """phi_1 on the distinct Taylor rows: shape (x.size, n_rows, n_frequencies)."""
-    c = series.row_coefficients
-    out = np.zeros((x.size,) + c.shape[1:], dtype=_LD)
-    for row in c[::-1]:
-        out = (out + row[None]) * x[:, None, None]
+def _phase_at(series: PhaseSeries, x: np.ndarray) -> np.ndarray:
+    """phi_1 at the depths x: shape (x.size, n_frequencies)."""
+    out = np.zeros((x.size, series.frequencies.size), dtype=_LD)
+    for row in series.coefficients[::-1]:
+        out = (out + row[None]) * x[:, None]
     return out.astype(float)
 
 
 def evaluate_phase(series: PhaseSeries, x_n) -> np.ndarray:
-    """phi_1 at depth x_n: shape (n_tangential, n_frequencies) per scalar.
+    """phi_1 at depth x_n: shape (n_frequencies,) per scalar.
 
-    Vector x_n returns a stacked leading axis.  The result is a read-only
-    view, broadcast over the tangent where the phase does not depend on it.
+    Vector x_n returns a stacked leading axis.  The result is read-only,
+    like the coefficients it is evaluated from.
     """
     x = np.asarray(x_n, dtype=_LD)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    result = np.broadcast_to(
-        _phase_on_rows(series, x), (x.size,) + series.coefficients.shape[1:]
-    )
-    return result[0] if scalar else result
+    result = _phase_at(series, np.atleast_1d(x))
+    result.setflags(write=False)
+    return result[0] if x.ndim == 0 else result
 
 
-def phase_function(model: ModelProblem, kind: str, order: int):
-    """A callable phi_1(x_n, xi') evaluating the same recursion on demand.
+def phase_function(model: ModelProblem, order: int):
+    """A callable gauged phi_1(x_n, xi') evaluating the same recursion on demand.
 
     Returns a closure vectorized over arbitrary frequency arrays, agreeing
-    with :func:`solve_phase_series` at matching sample points; used where
-    the phase must be a continuous function of frequency (root finding).
+    with :func:`solve_phase_series` of the "agmon" kind at matching sample
+    points; used where the phase must be a continuous function of
+    frequency (root finding).
     """
-    if kind != "agmon":
-        raise ValueError("on-demand phase evaluation is for the gauged kind")
     t_taylor = agmon_metric_taylor(model, order + _EXTRA_ORDERS)
 
     def phi1(x_n, xi):
@@ -363,26 +320,21 @@ class PhaseResidualReport:
 
 
 def _residual_arrays(series: PhaseSeries, x: np.ndarray):
-    """|equation residual| per (sample, Taylor row, frequency), extended precision."""
-    c = series.row_coefficients
-    order = series.order
-    w_coeff = c * np.arange(1, order + 2, dtype=_LD)[:, None, None]
-    w_val = np.zeros((x.size,) + c.shape[1:], dtype=_LD)
+    """|equation residual| per (sample, frequency), extended precision."""
+    c = series.coefficients
+    w_coeff = c * np.arange(1, series.order + 2, dtype=_LD)[:, None]
+    w_val = np.zeros((x.size, c.shape[1]), dtype=_LD)
     for row in w_coeff[::-1]:
-        w_val = w_val * x[:, None, None] + row[None]
-    table = series.meta["taylor_table"]
-    xi2 = series.frequencies.astype(_LD)[None, None, :] ** 2
+        w_val = w_val * x[:, None] + row[None]
+    t_val = np.zeros(x.size, dtype=_LD)
+    for coef in series.meta["taylor_table"][::-1]:
+        t_val = t_val * x + coef
+    xi2 = series.frequencies.astype(_LD)[None, :] ** 2
     if series.kind == "agmon":
-        t_val = np.zeros(x.size, dtype=_LD)
-        for coef in table[::-1]:
-            t_val = t_val * x + coef
-        rhs = t_val[:, None, None] * xi2
+        rhs = t_val[:, None] * xi2
         residual = w_val**2 + 2.0 * w_val - rhs
     else:
-        vals = np.zeros((x.size, table.shape[1]), dtype=_LD)
-        for row in table[::-1]:
-            vals = vals * x[:, None] + row[None]
-        rhs = vals[:, :, None] + xi2
+        rhs = t_val[:, None] + xi2
         residual = w_val**2 - rhs
     return np.abs(residual), np.abs(rhs)
 
@@ -403,8 +355,8 @@ def phase_residual(series: PhaseSeries, samples) -> PhaseResidualReport:
         raise ValueError(f"depth samples beyond the collar limit {limit:g}")
     x = np.sort(x)
     resid, rhs_mag = _residual_arrays(series, x)
-    max_res = np.max(resid, axis=(1, 2)).astype(float)
-    rel = np.max(resid / np.maximum(1.0, rhs_mag), axis=(1, 2)).astype(float)
+    max_res = np.max(resid, axis=1).astype(float)
+    rel = np.max(resid / np.maximum(1.0, rhs_mag), axis=1).astype(float)
     positive = max_res > 0.0
     if np.count_nonzero(positive) >= 2:
         slope = float(
@@ -438,18 +390,14 @@ def mode_frequencies(n: int, length: float, h: float) -> np.ndarray:
 
 
 def apply_poisson_parametrix(
-    series: PhaseSeries,
-    phi: BoundaryFunction,
-    rho: float,
-    method: str | None = None,
+    series: PhaseSeries, phi: BoundaryFunction, rho: float
 ) -> BoundaryTrace:
     """Gauged parametrix trace at weighted depth rho.
 
-    Applies the mode-wise multiplier exp(-phi_1(x', rho, xi'_k)/h) to the
-    boundary data (unit amplitude); when the phase depends on the tangent
-    the full oscillatory double sum is evaluated instead.  The gauged
-    multiplier already includes the exp(rho/h) factor relative to the
-    ungauged extension, so the returned trace is O(1) for flat data.
+    Applies the mode-wise multiplier exp(-phi_1(rho, xi'_k)/h) to the
+    boundary data (unit amplitude).  The gauged multiplier already
+    includes the exp(rho/h) factor relative to the ungauged extension, so
+    the returned trace is O(1) for flat data.
     """
     if series.kind != "agmon":
         raise ValueError("parametrix application requires the gauged kind")
@@ -471,28 +419,7 @@ def apply_poisson_parametrix(
         return BoundaryTrace(
             values=phi.values.copy(), level=level, rho=0.0, h=phi.h
         )
-    phi1 = _phase_on_rows(series, np.array([rho], dtype=_LD))[0]  # (n_rows, nxi)
-    tangent_spread = float(np.max(np.ptp(phi1, axis=0)))
-    if method is None:
-        method = "multiplier" if tangent_spread <= 1e-13 else "oscillatory"
+    mult = np.exp(-_phase_at(series, np.array([rho], dtype=_LD))[0] / phi.h)
     coeff = np.fft.fftshift(np.fft.fft(phi.values))
-    if method == "multiplier":
-        mult = np.exp(-phi1[0] / phi.h)
-        values = np.fft.ifft(np.fft.ifftshift(coeff * mult))
-    elif method == "oscillatory":
-        nodes = level.points[:, 0]
-        if series.tangential_nodes.size != n or np.max(
-            np.abs(series.tangential_nodes - nodes)
-        ) > 1e-12:
-            raise ValueError(
-                "tangent-dependent phase requires the series tangential grid "
-                "to match the data nodes"
-            )
-        modes = np.arange(-(n // 2), n - n // 2)
-        osc = np.exp(
-            2j * math.pi * modes[None, :] * nodes[:, None] / phi.length
-        )
-        values = (osc * np.exp(-phi1 / phi.h) * coeff[None, :]).sum(axis=1) / n
-    else:
-        raise ValueError(f"unknown parametrix method {method!r}")
+    values = np.fft.ifft(np.fft.ifftshift(coeff * mult))
     return BoundaryTrace(values=values, level=level, rho=float(rho), h=phi.h)

@@ -146,42 +146,33 @@ def potential_grid(model: ModelProblem, *axes) -> np.ndarray:
     return np.asarray(_value_fn(model)(xp, xn), dtype=float)
 
 
-def normal_taylor_coefficients(
-    model: ModelProblem, order: int, tangential_nodes=None
-) -> np.ndarray:
+def _require_tangent_invariant(model: ModelProblem) -> None:
+    if model.potential.kind == "separable-product":
+        raise ValueError(
+            f"model {model.name!r} depends on the tangential variable; "
+            "no one-dimensional transverse profile or normal Taylor series exists"
+        )
+
+
+def normal_taylor_coefficients(model: ModelProblem, order: int) -> np.ndarray:
     """Taylor coefficients in the normal variable of the barrier V - E.
 
-    Returns an array of shape (order+1, n_tangential) with row j holding the
-    coefficient of (normal coordinate)^j at each tangential node;
-    tangentially constant barriers return n_tangential = 1.
+    Returns an array of shape (order+1,) with entry j holding the
+    coefficient of (normal coordinate)^j.  Raises for the periodic strip
+    model, whose barrier depends on the tangential variable.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    kind = model.potential.kind
+    _require_tangent_invariant(model)
     c = model.potential.coefficients
-    E = model.energy
-    if kind == "constant-barrier":
-        out = np.zeros((order + 1, 1))
-        out[0, 0] = c[0]
+    out = np.zeros(order + 1)
+    if model.potential.kind == "constant-barrier":
+        out[0] = c[0]
         return out
-    if kind == "cosine-well":
-        out = np.zeros((order + 1, 1))
-        out[0, 0] = c[0] + c[1] - E
-        for m in range(1, order // 2 + 1):
-            out[2 * m, 0] = c[1] * (-1.0) ** m / math.factorial(2 * m)
-        return out
-    if kind == "separable-product":
-        if tangential_nodes is None:
-            raise ValueError("separable-product Taylor data needs tangential nodes")
-        xp = np.asarray(tangential_nodes, dtype=float)
-        a, cc = c
-        base = 1.0 + a * np.cos(xp)
-        out = np.zeros((order + 1, xp.size))
-        out[0] = base
-        if order >= 2:
-            out[2] = cc * base
-        return out
-    raise AssertionError(kind)
+    out[0] = c[0] + c[1] - model.energy
+    for m in range(1, order // 2 + 1):
+        out[2 * m] = c[1] * (-1.0) ** m / math.factorial(2 * m)
+    return out
 
 
 def transverse_potential(model: ModelProblem) -> Callable[[np.ndarray], np.ndarray]:
@@ -190,12 +181,7 @@ def transverse_potential(model: ModelProblem) -> Callable[[np.ndarray], np.ndarr
     Raises for the periodic strip model, whose potential genuinely depends
     on the tangential variable.
     """
-    kind = model.potential.kind
-    if kind == "separable-product":
-        raise ValueError(
-            f"model {model.name!r} depends on the tangential variable; "
-            "no one-dimensional transverse profile exists"
-        )
+    _require_tangent_invariant(model)
     fn = _value_fn(model)
     return lambda s: np.asarray(
         fn(np.zeros_like(np.asarray(s, dtype=float)), np.asarray(s, dtype=float)),

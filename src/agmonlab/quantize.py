@@ -9,9 +9,9 @@ boundary operator that is invertible from below (the plateau provides a
 frame bound) while its deviation from the pure decay multiplier is
 supported at semiclassically large frequencies.
 
-Quantization is realized mode-wise: a frequency-only symbol acts as a
-discrete Fourier multiplier; a tangent-dependent symbol acts by summing
-modes against its sampled values at each node.
+The collar phase does not depend on the tangent, so every symbol here is
+a function of frequency alone and quantizes as a discrete Fourier
+multiplier.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
 
 _BRIDGE_NODES = 8193
 _MIN_SPAN = 4.0
-_CHUNK_ROWS = 256
 _EDGE_SLACK = 1.0 - 1e-9  # shrink measured regions before exactness claims
 
 
@@ -55,10 +54,9 @@ _EDGE_SLACK = 1.0 - 1e-9  # shrink measured regions before exactness claims
 
 @dataclass(frozen=True)
 class Symbol:
-    """A sampled boundary phase-space symbol a(x', xi').
+    """A sampled frequency symbol a(xi'), the same at every tangential point.
 
-    ``values`` has shape (n_x, n_xi); a single tangential node means the
-    symbol does not depend on the tangent and quantizes as a multiplier.
+    ``values`` has shape (n_xi,) and quantizes as a Fourier multiplier.
     ``baseline`` is the constant the symbol equals outside its ``support``
     frequency window (symbols here are compactly supported only after
     subtracting their plateau).  ``class_exponent`` is the claimed growth
@@ -66,7 +64,6 @@ class Symbol:
     """
 
     values: np.ndarray
-    x_nodes: np.ndarray
     frequencies: np.ndarray
     h: float
     class_exponent: float
@@ -79,10 +76,10 @@ class Symbol:
         object.__setattr__(self, "values", values)
         if not 0.0 <= self.class_exponent < 1.0:
             raise ValueError("class exponent must lie in [0, 1)")
-        if values.shape != (self.x_nodes.size, self.frequencies.size):
+        if values.shape != self.frequencies.shape:
             raise ValueError(
                 f"symbol values shape {values.shape} does not match "
-                f"(n_x, n_xi) = {(self.x_nodes.size, self.frequencies.size)}"
+                f"(n_xi,) = {self.frequencies.shape}"
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("symbol values must be finite")
@@ -90,7 +87,7 @@ class Symbol:
             lo, hi = self.support
             outside = (self.frequencies < lo) | (self.frequencies > hi)
             if outside.any():
-                dev = np.max(np.abs(values[:, outside] - self.baseline))
+                dev = np.max(np.abs(values[outside] - self.baseline))
                 scale = max(float(np.max(np.abs(values))), 1e-300)
                 if dev > 1e-12 * scale:
                     raise ValueError(
@@ -98,13 +95,6 @@ class Symbol:
                         f"declared support window by {dev:.3g}"
                     )
         values.setflags(write=False)
-
-    @property
-    def tangent_independent(self) -> bool:
-        if self.x_nodes.size == 1:
-            return True
-        spread = float(np.max(np.abs(self.values - self.values[:1])))
-        return spread <= 1e-13 * max(float(np.max(np.abs(self.values))), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -168,22 +158,22 @@ def build_cutoff_profile(span: float) -> CutoffProfile:
         )
     t = np.linspace(0.0, 1.0, _BRIDGE_NODES)
     slope = mollifier_fall(t)  # log-slope magnitude along the bend
-    x_nodes = span / 2.0 + t * (span / 2.0)
-    log_vals = span / 2.0 + cumulative_simpson(slope, x_nodes)
+    bend_nodes = span / 2.0 + t * (span / 2.0)
+    log_vals = span / 2.0 + cumulative_simpson(slope, bend_nodes)
     log_vals = np.maximum.accumulate(log_vals)
     plateau = float(np.exp(-log_vals[-1]))
-    bend = Spline(x_nodes, log_vals, end_slopes=(1.0, 0.0))
+    bend = Spline(bend_nodes, log_vals, end_slopes=(1.0, 0.0))
 
     values = np.exp(-log_vals)
     # measured derivative bounds |b'| <= C1 b, |b''| <= C2 b on the bend:
     # b'/b = -slope, b''/b = slope^2 - slope'
-    slope_deriv = np.gradient(slope, x_nodes)
+    slope_deriv = np.gradient(slope, bend_nodes)
     c1 = max(1.0, float(np.max(np.abs(slope))))
     c2 = max(1.0, float(np.max(np.abs(slope**2 - slope_deriv))))
     return CutoffProfile(
         span=float(span),
         plateau=plateau,
-        nodes=x_nodes,
+        nodes=bend_nodes,
         values=values,
         derivative_ratios=(c1, c2),
         _bend=bend,
@@ -192,7 +182,7 @@ def build_cutoff_profile(span: float) -> CutoffProfile:
 
 def _phase_level_frequency(series: PhaseSeries, rho: float, target: float) -> float:
     """|xi'| at which the gauged phase at depth rho reaches the target."""
-    fn = phase_function(series.model, "agmon", series.order)
+    fn = phase_function(series.model, series.order)
     hi = 1.0
     for _ in range(80):
         if fn(rho, hi) > target:
@@ -220,8 +210,8 @@ def build_phase_cutoff(
         raise ValueError(f"depth {rho:g} outside the collar (0, {limit:g}]")
     if h <= 0.0:
         raise ValueError("h must be positive")
-    scaled = evaluate_phase(series, rho) / h  # (n_x, n_xi)
-    values = profile(scaled.ravel()).reshape(scaled.shape)
+    scaled = evaluate_phase(series, rho) / h
+    values = profile(scaled)
 
     span = profile.span
     xi_inner = _phase_level_frequency(series, rho, span * h / 2.0)
@@ -234,10 +224,10 @@ def build_phase_cutoff(
     xi2 = series.frequencies**2
     region_in = xi2 <= inner_c * span * h * _EDGE_SLACK
     region_out = xi2 >= outer_c * span * h / _EDGE_SLACK
-    if not np.array_equal(values[:, region_in], np.exp(-scaled[:, region_in])):
+    if not np.array_equal(values[region_in], np.exp(-scaled[region_in])):
         raise ValueError("cutoff failed to match the decay multiplier inside")
     if region_out.any():
-        dev = np.max(np.abs(values[:, region_out] - profile.plateau))
+        dev = np.max(np.abs(values[region_out] - profile.plateau))
         if dev > 1e-9 * profile.plateau:
             raise ValueError("cutoff failed to reach the plateau outside")
     if float(np.min(values)) < profile.plateau * (1.0 - 1e-12):
@@ -247,7 +237,6 @@ def build_phase_cutoff(
     window = min(xi_outer / _EDGE_SLACK, xi_max)
     return Symbol(
         values=values,
-        x_nodes=series.tangential_nodes,
         frequencies=series.frequencies,
         h=float(h),
         class_exponent=0.5,
@@ -278,17 +267,16 @@ def split_in_out(
     outer_vals = 1.0 - inner_vals
     window = math.sqrt(scale)
     common = dict(
-        x_nodes=np.array([0.0]),
         frequencies=frequencies,
         h=float(h),
         class_exponent=0.5,
         meta={"span": span, "inner_constant": inner_constant},
     )
     chi_in = Symbol(
-        values=inner_vals[None, :], baseline=0.0, support=(-window, window), **common
+        values=inner_vals, baseline=0.0, support=(-window, window), **common
     )
     chi_out = Symbol(
-        values=outer_vals[None, :], baseline=1.0, support=(-window, window), **common
+        values=outer_vals, baseline=1.0, support=(-window, window), **common
     )
     return chi_in, chi_out
 
@@ -316,34 +304,10 @@ def _check_compatible(symbol: Symbol, u: BoundaryFunction) -> None:
 
 
 def apply_quantized(symbol: Symbol, u: BoundaryFunction) -> BoundaryFunction:
-    """Quantize the symbol and apply it to boundary data.
-
-    Frequency-only symbols act as discrete Fourier multipliers; otherwise
-    each output node sums the data modes against the symbol sampled at
-    that node (the discrete oscillatory-integral realization).
-    """
+    """Quantize the symbol and apply it to boundary data as a Fourier multiplier."""
     _check_compatible(symbol, u)
-    n = u.values.size
     coeff = np.fft.fftshift(np.fft.fft(u.values))
-    if symbol.tangent_independent:
-        out = np.fft.ifft(np.fft.ifftshift(coeff * symbol.values[0]))
-        return BoundaryFunction(out, u.length, u.h)
-    nodes = u.length * np.arange(n) / n
-    if symbol.x_nodes.size != n or np.max(np.abs(symbol.x_nodes - nodes)) > 1e-12:
-        raise ValueError(
-            "grid mismatch: tangent-dependent symbol must be sampled on the "
-            "data nodes"
-        )
-    modes = np.arange(-(n // 2), n - n // 2)
-    out = np.empty(n, dtype=complex)
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
-        osc = np.exp(
-            2j * math.pi * modes[None, :] * nodes[start:stop, None] / u.length
-        )
-        out[start:stop] = (
-            osc * symbol.values[start:stop] * coeff[None, :]
-        ).sum(axis=1) / n
+    out = np.fft.ifft(np.fft.ifftshift(coeff * symbol.values))
     return BoundaryFunction(out, u.length, u.h)
 
 
@@ -391,14 +355,12 @@ class SymbolClassReport:
 _CLASS_INDICES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _derivative_sup(values: np.ndarray, dx: float, dxi: float, alpha: int, beta: int):
+def _derivative_sup(values: np.ndarray, dxi: float, alpha: int, beta: int):
+    if alpha:
+        return 0.0  # a frequency-only symbol has no tangential derivative
     arr = values.astype(complex)
-    for _ in range(alpha):
-        if arr.shape[0] < 3:
-            return 0.0
-        arr = np.gradient(arr, dx, axis=0)
     for _ in range(beta):
-        arr = np.gradient(arr, dxi, axis=1)
+        arr = np.gradient(arr, dxi)
     return float(np.max(np.abs(arr)))
 
 
@@ -411,7 +373,8 @@ def symbol_class_check(
     the finite-difference derivative is regressed against h in log-log
     scale; the index passes when its fitted exponent is at least
     -class_exponent * beta - 0.1.  Identically vanishing derivative rows
-    pass with an infinite exponent.
+    pass with an infinite exponent; the tangential rows (alpha > 0) of a
+    frequency-only symbol are recorded as 0.
     """
     h_values = np.asarray(h_values, dtype=float)
     if h_values.size < 4:
@@ -420,13 +383,9 @@ def symbol_class_check(
     for j, h in enumerate(h_values):
         sym = builder(float(h))
         vals = sym.values - shift
-        if sym.x_nodes.size > 1:
-            dx = float(sym.x_nodes[1] - sym.x_nodes[0])
-        else:
-            dx = 1.0
         dxi = float(sym.frequencies[1] - sym.frequencies[0])
         for i, (alpha, beta) in enumerate(_CLASS_INDICES):
-            sups[i, j] = _derivative_sup(vals, dx, dxi, alpha, beta)
+            sups[i, j] = _derivative_sup(vals, dxi, alpha, beta)
     exponents = np.empty(len(_CLASS_INDICES))
     for i in range(len(_CLASS_INDICES)):
         row = sups[i]
@@ -464,9 +423,9 @@ def frame_lower_bound_check(
 ) -> FrameBoundReport:
     """Measure the frame lower constant of the quantized cutoff.
 
-    The plateau keeps the symbol >= floor pointwise, so on the multiplier
-    path every ratio is at least one; the minimum over the probe set is the
-    measured frame constant for this h.
+    The plateau keeps the symbol >= floor pointwise, so every ratio is at
+    least one; the minimum over the probe set is the measured frame
+    constant for this h.
     """
     probes = list(probes)
     if not probes:
@@ -485,8 +444,7 @@ def frame_lower_bound_check(
 class TailBoundReport:
     """Size of the cutoff minus the pure decay multiplier, as an operator."""
 
-    constant: float  # operator norm of the difference divided by the floor
-    sup_ratio: float  # sup of the difference symbol divided by the floor
+    constant: float  # operator norm (= sup) of the difference divided by the floor
     vanishes_inside: bool
     factorization_ok: bool
     probe_ratios: np.ndarray
@@ -499,8 +457,9 @@ def tail_operator_bound(
 
     Rebuilds the decay multiplier from the same phase series (bitwise
     identical arithmetic), verifies the difference vanishes on the inner
-    frequency ball and stays below the floor in sup norm, measures the
-    operator norm on probes, and checks the difference operator factors
+    frequency ball, reports its sup over the floor as the operator-norm
+    constant (exact for a Fourier multiplier), records the probe ratios
+    that constant bounds, and checks the difference operator factors
     through the outer radial cutoff.
     """
     rho = symbol.meta["rho"]
@@ -513,12 +472,11 @@ def tail_operator_bound(
 
     xi2 = symbol.frequencies**2
     region_in = xi2 <= inner_c * span * symbol.h * _EDGE_SLACK
-    vanishes = bool(np.all(diff[:, region_in] == 0.0))
-    sup_ratio = float(np.max(np.abs(diff))) / floor
+    vanishes = bool(np.all(diff[region_in] == 0.0))
+    op_norm = float(np.max(np.abs(diff)))
 
     diff_symbol = Symbol(
         values=diff,
-        x_nodes=symbol.x_nodes,
         frequencies=symbol.frequencies,
         h=symbol.h,
         class_exponent=symbol.class_exponent,
@@ -534,16 +492,6 @@ def tail_operator_bound(
     if not probes:
         raise ValueError("probe set must be nonempty")
 
-    if diff_symbol.tangent_independent:
-        op_norm = float(np.max(np.abs(diff)))
-    else:
-        op_norm = 0.0
-        for u in probes:
-            op_norm = max(
-                op_norm,
-                _weighted_norm(apply_quantized(diff_symbol, u)) / _weighted_norm(u),
-            )
-
     _, chi_out = split_in_out(span, symbol.h, inner_c, symbol.frequencies)
     ratios, factor_ok = [], True
     for u in probes:
@@ -556,7 +504,6 @@ def tail_operator_bound(
             factor_ok = False
     return TailBoundReport(
         constant=op_norm / floor,
-        sup_ratio=sup_ratio,
         vanishes_inside=vanishes,
         factorization_ok=factor_ok,
         probe_ratios=np.array(ratios),

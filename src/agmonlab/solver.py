@@ -692,9 +692,7 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     return out
 
 
-def trace_at(
-    field2d: Field2D, level: LevelSet, rho: float | None = None
-) -> BoundaryTrace:
+def trace_at(field2d: Field2D, level: LevelSet) -> BoundaryTrace:
     """Restrict a solved field to a level set.
 
     Samples within 1e-12 of a grid node copy that node's value exactly; the
@@ -706,9 +704,8 @@ def trace_at(
     size again plus 2 * nx entries; every later trace of that field only
     evaluates, bitwise as a fresh spline would.
     """
-    rho_val = level.rho if rho is None else rho
     values = _column_values(field2d, level)
-    return BoundaryTrace(values=values, level=level, rho=rho_val, h=field2d.h)
+    return BoundaryTrace(values=values, level=level, rho=level.rho, h=field2d.h)
 
 
 def normal_derivative_trace(

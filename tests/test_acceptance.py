@@ -270,28 +270,27 @@ def test_07_phase_series_closed_form_residual_and_leading_symbol(capsys):
     order = 4
     xi = np.linspace(-0.75, 0.75, 65)
     depths = (0.05, 0.1, 0.15, 0.2)
-    flat_series = solve_phase_series(FLAT, "agmon", order, (np.array([0.0]), xi))
+    flat_series = solve_phase_series(FLAT, "agmon", order, xi)
     flat_dev = max(
         float(
             np.max(
                 np.abs(
                     evaluate_phase(flat_series, s)
-                    - s * (np.sqrt(1.0 + xi**2) - 1.0)[None, :]
+                    - s * (np.sqrt(1.0 + xi**2) - 1.0)
                 )
             )
         )
         for s in depths
     )
-    torus_series = solve_phase_series(TORUS, "agmon", order, (np.array([0.0]), xi))
+    torus_series = solve_phase_series(TORUS, "agmon", order, xi)
     residual = phase_residual(torus_series, depths)
     leading_dev = 0.0
     for model in (FLAT, TORUS):
-        nodes = np.array([0.0])
-        ambient = solve_phase_series(model, "ambient", order, (nodes, xi))
-        barrier = potential_grid(model, nodes, np.zeros(1))[0, 0] - model.energy
+        ambient = solve_phase_series(model, "ambient", order, xi)
+        barrier = potential_grid(model, np.zeros(1), np.zeros(1))[0, 0] - model.energy
         target = np.sqrt(barrier + xi**2)
         leading_dev = max(
-            leading_dev, float(np.max(np.abs(ambient.coefficients[0][0] - target)))
+            leading_dev, float(np.max(np.abs(ambient.coefficients[0] - target)))
         )
     elapsed = time.perf_counter() - start
     ok = (
@@ -319,9 +318,7 @@ def test_08_frequency_cutoff_derivative_decay_exponents(capsys):
     h_values = (0.1, 0.05, 0.025, 0.0125)
 
     def builder(h):
-        series = solve_phase_series(
-            FLAT, "agmon", 4, (np.array([0.0]), mode_frequencies(n, LENGTH, h))
-        )
+        series = solve_phase_series(FLAT, "agmon", 4, mode_frequencies(n, LENGTH, h))
         return build_phase_cutoff(series, profile, rho, h)
 
     report = symbol_class_check(builder, profile.plateau, 0.5, h_values)
@@ -349,9 +346,7 @@ def test_09_frame_and_tail_constants_uniform_in_h(capsys):
     profile = build_cutoff_profile(span)
     frame_constants, tail_constants, inside_ok = [], [], []
     for h in (0.1, 0.05, 0.025, 0.0125):
-        series = solve_phase_series(
-            FLAT, "agmon", 6, (np.array([0.0]), mode_frequencies(n, LENGTH, h))
-        )
+        series = solve_phase_series(FLAT, "agmon", 6, mode_frequencies(n, LENGTH, h))
         sym = build_phase_cutoff(series, profile, rho, h)
         frame = frame_lower_bound_check(
             sym, random_band_probes(n, LENGTH, h, count=6), profile.plateau
@@ -389,9 +384,7 @@ def test_10_parametrix_tracks_discrete_extension_at_rate_h(capsys):
     errors = []
     for h in h_values:
         phi = BoundaryFunction(data, LENGTH, h)
-        series = solve_phase_series(
-            TORUS, "agmon", 8, (np.array([0.0]), mode_frequencies(nx, LENGTH, h))
-        )
+        series = solve_phase_series(TORUS, "agmon", 8, mode_frequencies(nx, LENGTH, h))
         param = apply_poisson_parametrix(series, phi, rho_star)
         field = poisson_bvp(TORUS, phi, h, far=far, n_normal=ny, rho_max=rho_star)
         oracle = trace_at(field, level).values * math.exp(rho_star / h)

@@ -12,7 +12,7 @@ Oracles used here:
     parametrix oracles;
   * ``reference_phase_series``: the recursion, Horner evaluation and
     equation residual run at every (tangent, frequency) node, against
-    which the distinct-row path must agree bitwise.
+    which the one tangent-invariant row must agree bitwise at every node.
 """
 
 import dataclasses
@@ -60,12 +60,10 @@ def reference_phase_series(model, kind, order, nodes, freqs):
     k_ext = order + 9
     xi2 = np.asarray(freqs, dtype=ld) ** 2
     if kind == "agmon":
-        table = agmon_metric_taylor(model, k_ext)[:, None]
+        table = agmon_metric_taylor(model, k_ext)
     else:
-        table = normal_taylor_coefficients(
-            model, k_ext, tangential_nodes=nodes
-        ).astype(ld)
-    table = np.broadcast_to(table, (k_ext + 1, nodes.size)).copy()
+        table = normal_taylor_coefficients(model, k_ext).astype(ld)
+    table = np.repeat(table[:, None], nodes.size, axis=1)
     if kind == "agmon":
         data = table[:, :, None] * xi2[None, None, :]
     else:
@@ -128,11 +126,11 @@ def torus_s_of_rho(rho: float) -> float:
 def small_frequency_ratios(series, depths):
     """(phi_1 - phi_1|_{xi'=0}) / xi'^2 per depth at the two smallest nonzero
     levels of |xi'| on STRUCT_FREQS, 0.001 and 0.002, each the sup over the
-    tangent and the frequency sign."""
+    frequency sign."""
     phi = evaluate_phase(series, depths)
-    reduced = np.abs(phi - phi[:, :, STRUCT_FREQS == 0.0])
+    reduced = np.abs(phi - phi[:, STRUCT_FREQS == 0.0])
     return tuple(
-        np.max(reduced[:, :, np.abs(STRUCT_FREQS) == level], axis=(1, 2)) / level**2
+        np.max(reduced[:, np.abs(STRUCT_FREQS) == level], axis=1) / level**2
         for level in (0.001, 0.002)
     )
 
@@ -145,8 +143,8 @@ def leading_term_constant(series, depths) -> float:
     keep = xi != 0.0
     norm0 = math.sqrt(float(series.meta["taylor_table"][0])) * np.abs(xi[keep])
     lead = np.sqrt(1.0 + norm0**2) - 1.0
-    phi = evaluate_phase(series, depths)[:, :, keep]
-    x = np.asarray(depths)[:, None, None]
+    phi = evaluate_phase(series, depths)[:, keep]
+    x = np.asarray(depths)[:, None]
     return float(np.max(np.abs(phi - x * lead) / (x**2 * norm0)))
 
 
@@ -167,58 +165,54 @@ class TestMetricTaylor:
             assert val == pytest.approx(exact, rel=1e-6)
 
     def test_rejects_tangentially_varying_barrier(self):
-        with pytest.raises(ValueError, match="tangentially invariant"):
+        with pytest.raises(ValueError, match="'strip-2d' depends on the tangential"):
             agmon_metric_taylor(STRIP, 6)
 
 
 class TestSolvePhaseSeries:
     def test_flat_closed_form(self):
         xi = np.array([0.0, 0.3, -0.7, 1.5])
-        series = solve_phase_series(FLAT, "agmon", 6, (np.array([0.0]), xi))
+        series = solve_phase_series(FLAT, "agmon", 6, xi)
         lead = np.sqrt(1.0 + xi**2) - 1.0
         c = series.coefficients.astype(float)
-        assert c.shape == (7, 1, 4)
-        assert c[0, 0] == pytest.approx(lead, abs=1e-15)
+        assert c.shape == (7, 4)
+        assert c[0] == pytest.approx(lead, abs=1e-15)
         assert np.max(np.abs(c[1:])) < 1e-18
         phi = evaluate_phase(series, 0.4)
-        assert phi[0] == pytest.approx(0.4 * lead, rel=1e-14)
+        assert phi == pytest.approx(0.4 * lead, rel=1e-14)
 
     def test_zero_frequency_column_vanishes(self):
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        series = solve_phase_series(TORUS, "agmon", 6, STRUCT_FREQS)
         col = np.where(STRUCT_FREQS == 0.0)[0][0]
-        assert np.max(np.abs(series.coefficients[:, :, col].astype(float))) == 0.0
+        assert np.max(np.abs(series.coefficients[:, col].astype(float))) == 0.0
 
     def test_even_in_frequency(self):
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        series = solve_phase_series(TORUS, "agmon", 6, STRUCT_FREQS)
         c = series.coefficients
         for plus, minus in ((1, 2), (5, 6), (8, 9)):
-            assert np.array_equal(c[:, :, plus], c[:, :, minus])
+            assert np.array_equal(c[:, plus], c[:, minus])
 
     def test_positivity_on_collar(self):
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        series = solve_phase_series(TORUS, "agmon", 6, STRUCT_FREQS)
         depths = np.linspace(0.05, 0.5, 12) * series.meta["collar_limit"]
         phi = evaluate_phase(series, depths)
         nonzero = STRUCT_FREQS != 0.0
-        assert np.min(phi[:, :, nonzero]) > 0.0
-        assert np.max(np.abs(phi[:, :, ~nonzero])) == 0.0
+        assert np.min(phi[:, nonzero]) > 0.0
+        assert np.max(np.abs(phi[:, ~nonzero])) == 0.0
 
     def test_divisor_bounds(self):
-        gauged = solve_phase_series(TORUS, "agmon", 4, (np.array([0.0]), STRUCT_FREQS))
+        gauged = solve_phase_series(TORUS, "agmon", 4, STRUCT_FREQS)
         assert gauged.meta["divisor_min"] == pytest.approx(2.0)
-        ambient = solve_phase_series(
-            TORUS, "ambient", 4, (np.array([0.0]), STRUCT_FREQS)
-        )
+        ambient = solve_phase_series(TORUS, "ambient", 4, STRUCT_FREQS)
         # barrier height at the mid-barrier hypersurface is 1.5
         assert ambient.meta["divisor_min"] == pytest.approx(2.0 * math.sqrt(1.5))
         assert ambient.meta["divisor_min"] >= 1.0
 
     def test_ambient_leading_coefficient(self):
-        xp = np.linspace(0.0, 2.0 * math.pi, 9, endpoint=False)
+        # the torus barrier height on the hypersurface is 0.5 + cos 0 = 1.5
         xi = np.array([0.0, 0.5, 1.0])
-        series = solve_phase_series(STRIP, "ambient", 4, (xp, xi))
-        expected = np.sqrt(
-            (1.0 + 0.2 * np.cos(xp))[:, None] + (xi**2)[None, :]
-        )
+        series = solve_phase_series(TORUS, "ambient", 4, xi)
+        expected = np.sqrt(1.5 + xi**2)
         assert series.coefficients[0].astype(float) == pytest.approx(
             expected, rel=1e-14
         )
@@ -229,83 +223,84 @@ class TestSolvePhaseSeries:
         # so the phase coefficients w_m / (m + 1) are (1, 1/2, 0, ...) exactly
         from agmonlab.hjphase import _ambient_recursion
 
-        q = np.zeros((6, 1, 1), dtype=np.longdouble)
-        q[:3, 0, 0] = [1.0, 2.0, 1.0]
+        q = np.zeros((6, 1), dtype=np.longdouble)
+        q[:3, 0] = [1.0, 2.0, 1.0]
         w = _ambient_recursion(q, 5)
-        c = (w[:, 0, 0] / np.arange(1, 7, dtype=np.longdouble)).astype(float)
+        c = (w[:, 0] / np.arange(1, 7, dtype=np.longdouble)).astype(float)
         assert c[0] == 1.0
         assert c[1] == 0.5
         assert np.max(np.abs(c[2:])) == 0.0
 
     def test_ambient_zero_frequency_column_is_distance(self):
-        series = solve_phase_series(
-            TORUS, "ambient", 10, (np.array([0.0]), np.array([0.0]))
-        )
+        series = solve_phase_series(TORUS, "ambient", 10, np.array([0.0]))
         collar = separable_collar(TORUS)
         for s in (0.02, 0.05, 0.1):
-            phi = float(evaluate_phase(series, s)[0, 0])
+            phi = float(evaluate_phase(series, s)[0])
             assert phi == pytest.approx(float(collar.rho_of_s(s)), abs=1e-10)
 
     def test_ambient_equals_distance_plus_gauged(self):
         # exact identity: ambient phase at ambient depth s equals
         # rho(s) + gauged phase at weighted depth rho(s)
         xi = np.array([0.0, 0.4, 1.0])
-        ambient = solve_phase_series(TORUS, "ambient", 10, (np.array([0.0]), xi))
-        gauged = solve_phase_series(TORUS, "agmon", 10, (np.array([0.0]), xi))
+        ambient = solve_phase_series(TORUS, "ambient", 10, xi)
+        gauged = solve_phase_series(TORUS, "agmon", 10, xi)
         collar = separable_collar(TORUS)
         for s in (0.02, 0.05, 0.1):
             rho = float(collar.rho_of_s(s))
-            lhs = evaluate_phase(ambient, s)[0]
-            rhs = rho + evaluate_phase(gauged, rho)[0]
+            lhs = evaluate_phase(ambient, s)
+            rhs = rho + evaluate_phase(gauged, rho)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_branch_ambiguity_rejected(self):
         from agmonlab.hjphase import _ambient_recursion
 
-        q = np.zeros((3, 1, 2), dtype=np.longdouble)
-        q[0, 0] = [0.0, 1.0]
+        q = np.zeros((3, 2), dtype=np.longdouble)
+        q[0] = [0.0, 1.0]
         with pytest.raises(ValueError, match="branch ambiguity"):
             _ambient_recursion(q, 2)
 
     def test_order_guard(self):
         with pytest.raises(ValueError, match="at least 2"):
-            solve_phase_series(FLAT, "agmon", 1, (np.array([0.0]), np.array([0.5])))
+            solve_phase_series(FLAT, "agmon", 1, np.array([0.5]))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            solve_phase_series(FLAT, "fermi", 4, (np.array([0.0]), np.array([0.5])))
+            solve_phase_series(FLAT, "fermi", 4, np.array([0.5]))
 
     def test_coefficients_frozen(self):
-        series = solve_phase_series(
-            FLAT, "agmon", 4, (np.array([0.0]), np.array([0.5]))
-        )
+        series = solve_phase_series(FLAT, "agmon", 4, np.array([0.5]))
         with pytest.raises(ValueError):
-            series.coefficients[0, 0, 0] = 1.0
+            series.coefficients[0, 0] = 1.0
 
 
 class TestDistinctRows:
-    """The distinct-row path against the full-grid ``reference_phase_series``."""
+    """The one tangent-invariant row against the full-grid
+    ``reference_phase_series``, which runs the recursion at every node."""
 
     NODES = 2.0 * math.pi / 64 * np.arange(64)
     FREQS = mode_frequencies(64, 2.0 * math.pi, 0.05)
     ORDER = 8
 
     def _check_against_reference(self, model, kind, fractions):
-        series = solve_phase_series(model, kind, self.ORDER, (self.NODES, self.FREQS))
+        series = solve_phase_series(model, kind, self.ORDER, self.FREQS)
         coeff, phase, residual = reference_phase_series(
             model, kind, self.ORDER, self.NODES, self.FREQS
         )
-        assert series.coefficients.shape == (self.ORDER + 1, 64, 64)
-        assert np.array_equal(series.coefficients, coeff)
+        assert series.coefficients.shape == (self.ORDER + 1, 64)
+        assert np.array_equal(
+            np.broadcast_to(series.coefficients[:, None, :], coeff.shape), coeff
+        )
         depths = np.asarray(fractions) * series.meta["collar_limit"]
         expected = phase(depths)
         stacked = evaluate_phase(series, depths)
-        assert stacked.shape == (depths.size, 64, 64)
-        assert np.array_equal(stacked, expected)
+        assert stacked.shape == (depths.size, 64)
+        assert np.array_equal(
+            np.broadcast_to(stacked[:, None, :], expected.shape), expected
+        )
         for d, want in zip(depths, expected):
             got = evaluate_phase(series, d)
-            assert got.shape == (64, 64)
-            assert np.array_equal(got, want)
+            assert got.shape == (64,)
+            assert np.array_equal(np.broadcast_to(got, want.shape), want)
 
         report = phase_residual(series, depths)
         x = np.sort(depths.astype(np.longdouble))
@@ -323,51 +318,50 @@ class TestDistinctRows:
         assert np.array_equal(report.relative_residual, rel)
         assert report.fitted_exponent == slope
         assert report.validity_radius == radius
-        return series
 
     @pytest.mark.parametrize("kind", ["agmon", "ambient"])
     def test_torus_matches_full_grid_reference(self, kind):
-        series = self._check_against_reference(
-            TORUS, kind, [0.01, 0.05, 0.2, 0.5, 0.9]
-        )
-        assert series.row_coefficients.shape == (self.ORDER + 1, 1, 64)
+        self._check_against_reference(TORUS, kind, [0.01, 0.05, 0.2, 0.5, 0.9])
 
-    def test_strip_ambient_rows_differ_and_match_reference(self):
-        series = self._check_against_reference(
-            STRIP, "ambient", [0.02, 0.1, 0.3, 0.6]
-        )
-        assert series.row_coefficients.shape == (self.ORDER + 1, 64, 64)
-        assert np.min(np.ptp(series.coefficients[0].astype(float), axis=0)) > 0.1
+    @pytest.mark.parametrize("kind", ["agmon", "ambient"])
+    def test_strip_rejected_before_recursion(self, kind, monkeypatch):
+        import agmonlab.hjphase as hjphase
 
-    @pytest.mark.parametrize("model,kind", [(TORUS, "agmon"), (STRIP, "ambient")])
+        def never(*args):
+            raise AssertionError("the phase recursion ran on a strip-2d barrier")
+
+        monkeypatch.setattr(hjphase, "_agmon_recursion", never)
+        monkeypatch.setattr(hjphase, "_ambient_recursion", never)
+        with pytest.raises(ValueError, match="'strip-2d' depends on the tangential"):
+            solve_phase_series(STRIP, kind, 4, self.FREQS)
+
+    @pytest.mark.parametrize("model,kind", [(TORUS, "agmon"), (TORUS, "ambient")])
     def test_coefficients_and_phase_read_only(self, model, kind):
-        series = solve_phase_series(model, kind, 4, (self.NODES, self.FREQS))
+        series = solve_phase_series(model, kind, 4, self.FREQS)
         assert not series.coefficients.flags.writeable
-        assert not series.row_coefficients.flags.writeable
         with pytest.raises(ValueError):
-            series.coefficients[0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            series.row_coefficients[0, 0, 0] = 1.0
+            series.coefficients[0, 0] = 1.0
         assert not evaluate_phase(series, 0.1).flags.writeable
+        assert not evaluate_phase(series, [0.1, 0.2]).flags.writeable
 
-    def test_row_count_must_be_one_or_n_tangential(self):
-        series = solve_phase_series(STRIP, "ambient", 4, (self.NODES, self.FREQS))
-        with pytest.raises(ValueError, match="shape"):
-            dataclasses.replace(
-                series, coefficients=np.array(series.row_coefficients[:, :2])
-            )
+    def test_coefficients_must_have_no_tangential_axis(self):
+        series = solve_phase_series(TORUS, "ambient", 4, self.FREQS)
+        rows = np.repeat(np.array(series.coefficients)[:, None, :], 64, axis=1)
+        for bad in (rows, rows[:, :1], np.array(series.coefficients[:, :2])):
+            with pytest.raises(ValueError, match="shape"):
+                dataclasses.replace(series, coefficients=bad)
 
 
 class TestPhaseResidual:
     def test_flat_residual_is_rounding_level(self):
         xi = np.array([0.0, 0.5, 1.0, 2.0])
-        series = solve_phase_series(FLAT, "agmon", 4, (np.array([0.0]), xi))
+        series = solve_phase_series(FLAT, "agmon", 4, xi)
         report = phase_residual(series, np.geomspace(1e-3, 0.5, 10))
         assert np.max(report.max_residual) < 1e-15
 
     def test_torus_truncation_order(self):
         xi = np.array([0.3, 1.0, 2.0])
-        series = solve_phase_series(TORUS, "agmon", 4, (np.array([0.0]), xi))
+        series = solve_phase_series(TORUS, "agmon", 4, xi)
         report = phase_residual(series, np.geomspace(1e-3, 1e-1, 25))
         assert report.fitted_exponent >= 4.5
 
@@ -375,10 +369,10 @@ class TestPhaseResidual:
         xi = np.array([0.3, 1.0, 2.0])
         samples = np.geomspace(1e-3, 1e-1, 25)
         k2 = phase_residual(
-            solve_phase_series(TORUS, "agmon", 2, (np.array([0.0]), xi)), samples
+            solve_phase_series(TORUS, "agmon", 2, xi), samples
         )
         k4 = phase_residual(
-            solve_phase_series(TORUS, "agmon", 4, (np.array([0.0]), xi)), samples
+            solve_phase_series(TORUS, "agmon", 4, xi), samples
         )
         assert np.all(k4.max_residual < k2.max_residual)
         assert k2.fitted_exponent >= 2.5
@@ -386,15 +380,13 @@ class TestPhaseResidual:
 
     def test_validity_radius_reported(self):
         xi = np.array([0.5, 1.0, 2.0])
-        series = solve_phase_series(TORUS, "agmon", 4, (np.array([0.0]), xi))
+        series = solve_phase_series(TORUS, "agmon", 4, xi)
         limit = series.meta["collar_limit"]
         report = phase_residual(series, np.linspace(0.01, 1.0, 40) * limit)
         assert 0.0 < report.validity_radius <= limit
 
     def test_sample_guards(self):
-        series = solve_phase_series(
-            TORUS, "agmon", 4, (np.array([0.0]), np.array([0.5]))
-        )
+        series = solve_phase_series(TORUS, "agmon", 4, np.array([0.5]))
         with pytest.raises(ValueError, match="positive"):
             phase_residual(series, [0.0, 0.1])
         limit = series.meta["collar_limit"]
@@ -411,16 +403,16 @@ class TestFrequencyRegimes:
     """
 
     def test_flat_small_frequency_profile(self):
-        series = solve_phase_series(FLAT, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        series = solve_phase_series(FLAT, "agmon", 6, STRUCT_FREQS)
         depths = np.linspace(0.1, 0.5, 5) * series.meta["collar_limit"]
-        assert np.max(np.abs(evaluate_phase(series, depths)[:, :, 0])) == 0.0
+        assert np.max(np.abs(evaluate_phase(series, depths)[:, 0])) == 0.0
         smallest, next_level = small_frequency_ratios(series, depths)
         assert 0.25 <= np.max(smallest) / np.max(next_level) <= 4.0
         # x_n (sqrt(1 + xi^2) - 1) / xi^2 -> x_n / 2 as xi -> 0
         assert smallest == pytest.approx(depths / 2.0, rel=1e-5)
 
     def test_torus_small_frequency_bounded(self):
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        series = solve_phase_series(TORUS, "agmon", 6, STRUCT_FREQS)
         depths = np.linspace(0.1, 0.5, 5) * series.meta["collar_limit"]
         smallest, next_level = small_frequency_ratios(series, depths)
         assert 0.25 <= np.max(smallest) / np.max(next_level) <= 4.0
@@ -429,7 +421,7 @@ class TestFrequencyRegimes:
         # a phase c |xi'|^p gives the ratio 2^(2 - p) between the levels
         # 0.001 and 0.002: 1 for p = 2, 2 for p = 1 and 1/2 for p = 3.  The
         # quadratic law leaves only its O(xi'^2) correction, about 5e-7.
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        series = solve_phase_series(TORUS, "agmon", 6, STRUCT_FREQS)
         depths = np.linspace(0.1, 0.5, 5) * series.meta["collar_limit"]
         smallest, next_level = small_frequency_ratios(series, depths)
         np.testing.assert_allclose(smallest / next_level, 1.0, atol=1e-4)
@@ -438,7 +430,7 @@ class TestFrequencyRegimes:
         # w = d phi_1 / d x_n solves w^2 + 2 w = T(x_n) xi'^2, so
         # phi_1 / xi'^2 -> (1/2) int_0^{x_n} T = (1/2) int_0^{s(x_n)} A^(-1/2) ds
         # with A(s) = 0.5 + cos s the barrier height and s the ambient depth
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        series = solve_phase_series(TORUS, "agmon", 6, STRUCT_FREQS)
         depths = np.linspace(0.1, 0.5, 5) * series.meta["collar_limit"]
         smallest, _ = small_frequency_ratios(series, depths)
         oracle = [
@@ -448,9 +440,7 @@ class TestFrequencyRegimes:
         assert smallest == pytest.approx(oracle, rel=1e-5)
 
     def test_ambient_small_frequency_subtracts_distance(self):
-        series = solve_phase_series(
-            TORUS, "ambient", 6, (np.array([0.0]), STRUCT_FREQS)
-        )
+        series = solve_phase_series(TORUS, "ambient", 6, STRUCT_FREQS)
         depths = np.linspace(0.01, 0.1, 5)
         smallest, next_level = small_frequency_ratios(series, depths)
         assert 0.25 <= np.max(smallest) / np.max(next_level) <= 4.0
@@ -458,14 +448,14 @@ class TestFrequencyRegimes:
         assert smallest == pytest.approx(depths / (2.0 * math.sqrt(1.5)), rel=1e-2)
 
     def test_flat_large_frequency_constant_zero(self):
-        series = solve_phase_series(FLAT, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        series = solve_phase_series(FLAT, "agmon", 6, STRUCT_FREQS)
         depths = np.linspace(0.05, 0.5, 10) * series.meta["collar_limit"]
         assert leading_term_constant(series, depths) < 1e-10
 
     def test_torus_large_frequency_stable_under_refinement(self):
         # the deviation from the leading term is O(x_n^2 |xi'|_0): its
         # constant is positive and stable as the depth samples refine
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), STRUCT_FREQS))
+        series = solve_phase_series(TORUS, "agmon", 6, STRUCT_FREQS)
         limit = series.meta["collar_limit"]
         coarse = leading_term_constant(series, np.linspace(0.05, 0.5, 10) * limit)
         fine = leading_term_constant(series, np.linspace(0.05, 0.5, 21) * limit)
@@ -489,9 +479,7 @@ class TestMetricEquivalence:
         return np.array(out)
 
     def test_flat_constants_are_unit(self):
-        series = solve_phase_series(
-            FLAT, "agmon", 6, (np.array([0.0]), np.array([1.0]))
-        )
+        series = solve_phase_series(FLAT, "agmon", 6, np.array([1.0]))
         sampled = self._sampled_metric(series, np.linspace(0.0, 0.5, 6))
         np.testing.assert_allclose(sampled, 1.0, rtol=0, atol=1e-12)
 
@@ -501,9 +489,7 @@ class TestMetricEquivalence:
         depths = np.linspace(0.0, 0.5, 11)
         lo = 1.0 / 1.5
         hi = 1.0 / (0.5 + math.cos(torus_s_of_rho(0.5)))
-        series = solve_phase_series(
-            TORUS, "agmon", 6, (np.array([0.0]), np.array([1.0]))
-        )
+        series = solve_phase_series(TORUS, "agmon", 6, np.array([1.0]))
         sampled = self._sampled_metric(series, depths)
         assert sampled[0] == pytest.approx(lo, rel=1e-9)
         assert sampled[-1] == pytest.approx(hi, rel=1e-8)
@@ -514,7 +500,7 @@ class TestMetricEquivalence:
 class TestPoissonParametrix:
     def _flat_series(self, n, h, order=6):
         freqs = mode_frequencies(n, 2.0 * math.pi, h)
-        return solve_phase_series(FLAT, "agmon", order, (np.array([0.0]), freqs))
+        return solve_phase_series(FLAT, "agmon", order, freqs)
 
     def test_matches_halfplane_gauge_composition(self):
         n, h, rho = 128, 0.05, 0.2
@@ -534,17 +520,6 @@ class TestPoissonParametrix:
         trace = apply_poisson_parametrix(series, phi, 0.0)
         assert np.array_equal(trace.values, phi.values)
 
-    def test_multiplier_and_oscillatory_paths_agree(self):
-        n, h, rho = 64, 0.05, 0.3
-        nodes = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        freqs = mode_frequencies(n, 2.0 * math.pi, h)
-        series = solve_phase_series(TORUS, "agmon", 6, (nodes, freqs))
-        data = 1.0 + 0.3 * np.cos(2.0 * nodes)
-        phi = BoundaryFunction(data, 2.0 * math.pi, h)
-        a = apply_poisson_parametrix(series, phi, rho, method="multiplier")
-        b = apply_poisson_parametrix(series, phi, rho, method="oscillatory")
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
-
     def test_torus_trace_converges_to_bvp_at_rate_h(self):
         nx, ny, far = 64, 24001, 1.0
         s_star = 80.0 / (ny - 1)  # node-aligned ambient depth
@@ -557,7 +532,7 @@ class TestPoissonParametrix:
         for h in hs:
             phi = BoundaryFunction(data, 2.0 * math.pi, h)
             freqs = mode_frequencies(nx, 2.0 * math.pi, h)
-            series = solve_phase_series(TORUS, "agmon", 8, (np.array([0.0]), freqs))
+            series = solve_phase_series(TORUS, "agmon", 8, freqs)
             param = apply_poisson_parametrix(series, phi, rho_star)
             field = poisson_bvp(
                 TORUS, phi, h, far=far, n_normal=ny, rho_max=rho_star
@@ -573,7 +548,7 @@ class TestPoissonParametrix:
         n, h = 64, 0.05
         phi = BoundaryFunction(np.ones(n), 2.0 * math.pi, h)
         ambient = solve_phase_series(
-            TORUS, "ambient", 4, (np.array([0.0]), mode_frequencies(n, 2.0 * math.pi, h))
+            TORUS, "ambient", 4, mode_frequencies(n, 2.0 * math.pi, h)
         )
         with pytest.raises(ValueError, match="gauged"):
             apply_poisson_parametrix(ambient, phi, 0.1)
@@ -581,7 +556,7 @@ class TestPoissonParametrix:
         with pytest.raises(ValueError, match="collar"):
             apply_poisson_parametrix(series, phi, FLAT.collar_width + 0.5)
         mismatched = solve_phase_series(
-            FLAT, "agmon", 4, (np.array([0.0]), mode_frequencies(n, 2.0 * math.pi, 0.1))
+            FLAT, "agmon", 4, mode_frequencies(n, 2.0 * math.pi, 0.1)
         )
         with pytest.raises(ValueError, match="frequency grid"):
             apply_poisson_parametrix(mismatched, phi, 0.1)
@@ -590,17 +565,17 @@ class TestPoissonParametrix:
 class TestPhaseFunction:
     def test_matches_series_samples(self):
         xi = np.array([0.0, 0.35, 1.2])
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), xi))
-        fn = phase_function(TORUS, "agmon", 6)
+        series = solve_phase_series(TORUS, "agmon", 6, xi)
+        fn = phase_function(TORUS, 6)
         direct = fn(0.3, xi)
-        sampled = evaluate_phase(series, 0.3)[0]
+        sampled = evaluate_phase(series, 0.3)
         assert direct == pytest.approx(sampled, rel=1e-15, abs=1e-18)
 
     def test_scalar_frequency(self):
-        fn = phase_function(FLAT, "agmon", 4)
+        fn = phase_function(FLAT, 4)
         val = fn(0.25, 0.8)
         assert val == pytest.approx(0.25 * (math.sqrt(1.64) - 1.0), rel=1e-14)
 
-    def test_requires_gauged_kind(self):
-        with pytest.raises(ValueError, match="gauged"):
-            phase_function(TORUS, "ambient", 4)
+    def test_rejects_tangent_dependent_barrier(self):
+        with pytest.raises(ValueError, match="'strip-2d' depends on the tangential"):
+            phase_function(STRIP, 4)

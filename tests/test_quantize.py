@@ -41,7 +41,7 @@ LENGTH = 2.0 * math.pi
 
 def flat_series(n, h, order=6):
     freqs = mode_frequencies(n, LENGTH, h)
-    return solve_phase_series(FLAT, "agmon", order, (np.array([0.0]), freqs))
+    return solve_phase_series(FLAT, "agmon", order, freqs)
 
 
 def flat_inner_constant(span, h, rho):
@@ -64,8 +64,7 @@ def brute_quantize(symbol: Symbol, u: BoundaryFunction) -> np.ndarray:
             uhat = 0.0 + 0.0j
             for j in range(n):
                 uhat += u.values[j] * np.exp(-2j * math.pi * k * j / n)
-            row = 0 if symbol.x_nodes.size == 1 else i
-            acc += symbol.values[row, ki] * uhat * np.exp(
+            acc += symbol.values[ki] * uhat * np.exp(
                 2j * math.pi * k * nodes[i] / u.length
             )
         out[i] = acc / n
@@ -162,7 +161,7 @@ class TestPhaseCutoff:
         series = flat_series(256, 0.05)
         sym = build_phase_cutoff(series, profile, 0.25, 0.05)
         col = np.where(series.frequencies == 0.0)[0][0]
-        assert sym.values[0, col] == 1.0
+        assert sym.values[col] == 1.0
 
     def test_inner_region_matches_decay_multiplier_bitwise(self):
         span, h, rho = 8.0, 0.05, 0.25
@@ -175,7 +174,7 @@ class TestPhaseCutoff:
         c = sym.meta["inner_constant"]
         region = series.frequencies**2 <= c * span * h * (1.0 - 1e-9)
         assert region.sum() > 3
-        assert np.array_equal(sym.values[:, region], np.exp(-scaled[:, region]))
+        assert np.array_equal(sym.values[region], np.exp(-scaled[region]))
 
     def test_outer_region_equals_plateau(self):
         span, h, rho = 8.0, 0.05, 0.25
@@ -184,7 +183,7 @@ class TestPhaseCutoff:
         sym = build_phase_cutoff(series, profile, rho, h)
         region = series.frequencies**2 >= sym.meta["outer_constant"] * span * h
         assert region.sum() > 3
-        assert np.all(sym.values[:, region] == profile.plateau)
+        assert np.all(sym.values[region] == profile.plateau)
 
     def test_dominates_plateau_and_monotone_in_frequency(self):
         profile = build_cutoff_profile(8.0)
@@ -192,14 +191,14 @@ class TestPhaseCutoff:
         sym = build_phase_cutoff(series, profile, 0.25, 0.05)
         assert np.min(sym.values) >= profile.plateau * (1.0 - 1e-12)
         order = np.argsort(np.abs(series.frequencies), kind="stable")
-        sorted_vals = sym.values[0, order]
+        sorted_vals = sym.values[order]
         assert np.all(np.diff(sorted_vals) <= 1e-14)
 
     def test_torus_constants_positive_and_ordered(self):
         profile = build_cutoff_profile(8.0)
         h = 0.05
         freqs = mode_frequencies(256, LENGTH, h)
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), freqs))
+        series = solve_phase_series(TORUS, "agmon", 6, freqs)
         sym = build_phase_cutoff(series, profile, 0.3, h)
         assert 0.0 < sym.meta["inner_constant"] < sym.meta["outer_constant"]
         assert sym.class_exponent == 0.5
@@ -208,7 +207,7 @@ class TestPhaseCutoff:
         profile = build_cutoff_profile(8.0)
         h = 0.05
         freqs = mode_frequencies(64, LENGTH, h)
-        ambient = solve_phase_series(TORUS, "ambient", 4, (np.array([0.0]), freqs))
+        ambient = solve_phase_series(TORUS, "ambient", 4, freqs)
         with pytest.raises(ValueError, match="gauged"):
             build_phase_cutoff(ambient, profile, 0.2, h)
         series = flat_series(64, h)
@@ -232,15 +231,15 @@ class TestSplitInOut:
 
     def test_zero_frequency(self):
         col = np.where(self.freqs == 0.0)[0][0]
-        assert self.chi_in.values[0, col] == 1.0
-        assert self.chi_out.values[0, col] == 0.0
+        assert self.chi_in.values[col] == 1.0
+        assert self.chi_out.values[col] == 0.0
 
     def test_outside_twice_the_scale(self):
         scale = self.c * self.span * self.h
         region = self.freqs**2 >= 2.0 * scale
         assert region.sum() > 3
-        assert np.all(self.chi_out.values[:, region] == 1.0)
-        assert np.all(self.chi_in.values[:, region] == 0.0)
+        assert np.all(self.chi_out.values[region] == 1.0)
+        assert np.all(self.chi_in.values[region] == 0.0)
 
     def test_partition_of_unity(self):
         total = self.chi_in.values + self.chi_out.values
@@ -249,10 +248,10 @@ class TestSplitInOut:
     def test_inner_plateau_inside_half_scale(self):
         scale = self.c * self.span * self.h
         region = self.freqs**2 <= scale / 2.0
-        assert np.all(self.chi_in.values[:, region] == 1.0)
+        assert np.all(self.chi_in.values[region] == 1.0)
         strict = (self.freqs**2 > scale / 2.0) & (self.freqs**2 < scale)
         assert strict.sum() > 0
-        band = self.chi_in.values[0, strict]
+        band = self.chi_in.values[strict]
         assert np.all((band > 0.0) & (band < 1.0))
 
     def test_outer_passes_exterior_mode_through(self):
@@ -271,8 +270,7 @@ class TestApplyQuantized:
         rng = np.random.default_rng(3)
         u = BoundaryFunction(rng.standard_normal(n), LENGTH, h)
         sym = Symbol(
-            values=np.ones((1, n)),
-            x_nodes=np.array([0.0]),
+            values=np.ones(n),
             frequencies=mode_frequencies(n, LENGTH, h),
             h=h,
             class_exponent=0.0,
@@ -289,8 +287,7 @@ class TestApplyQuantized:
             rng.standard_normal(n) + 1j * rng.standard_normal(n), LENGTH, h
         )
         sym = Symbol(
-            values=a[None, :],
-            x_nodes=np.array([0.0]),
+            values=a,
             frequencies=freqs,
             h=h,
             class_exponent=0.0,
@@ -300,30 +297,11 @@ class TestApplyQuantized:
         oracle = brute_quantize(sym, u)
         assert np.max(np.abs(out.values - oracle)) <= 1e-10 * norm_of(u)
 
-    def test_tangent_dependent_symbol_matches_double_sum(self):
-        n, h = 64, 0.1
-        freqs = mode_frequencies(n, LENGTH, h)
-        nodes = LENGTH * np.arange(n) / n
-        box = np.abs(freqs) <= 0.5 * np.max(np.abs(freqs))
-        values = np.outer(nodes, freqs) * box[None, :]
-        sym = Symbol(
-            values=values,
-            x_nodes=nodes,
-            frequencies=freqs,
-            h=h,
-            class_exponent=0.0,
-        )
-        u = BoundaryFunction(np.exp(1j * 3.0 * nodes), LENGTH, h)
-        out = apply_quantized(sym, u)
-        oracle = brute_quantize(sym, u)
-        assert np.max(np.abs(out.values - oracle)) <= 1e-8 * norm_of(u)
-
     def test_linearity(self):
         n, h = 128, 0.05
         freqs = mode_frequencies(n, LENGTH, h)
         sym = Symbol(
-            values=np.cos(freqs)[None, :],
-            x_nodes=np.array([0.0]),
+            values=np.cos(freqs),
             frequencies=freqs,
             h=h,
             class_exponent=0.0,
@@ -342,8 +320,7 @@ class TestApplyQuantized:
         n, h = 128, 0.05
         freqs = mode_frequencies(n, LENGTH, h)
         sym = Symbol(
-            values=(1.0 / (1.0 + freqs**2))[None, :],
-            x_nodes=np.array([0.0]),
+            values=1.0 / (1.0 + freqs**2),
             frequencies=freqs,
             h=h,
             class_exponent=0.0,
@@ -366,8 +343,7 @@ class TestApplyQuantized:
 
         def mk(vals):
             return Symbol(
-                values=vals[None, :],
-                x_nodes=np.array([0.0]),
+                values=vals,
                 frequencies=freqs,
                 h=h,
                 class_exponent=0.0,
@@ -375,7 +351,7 @@ class TestApplyQuantized:
 
         a = mk(np.exp(-np.abs(freqs)))
         b = mk(1.0 + 0.5 * np.sin(freqs))
-        ab = mk(a.values[0] * b.values[0])
+        ab = mk(a.values * b.values)
         rng = np.random.default_rng(13)
         u = BoundaryFunction(rng.standard_normal(n), LENGTH, h)
         chained = apply_quantized(a, apply_quantized(b, u))
@@ -387,8 +363,7 @@ class TestApplyQuantized:
         freqs = mode_frequencies(n, LENGTH, h)
         a = np.sin(3.0 * freqs) * np.exp(-0.1 * freqs**2)
         sym = Symbol(
-            values=a[None, :],
-            x_nodes=np.array([0.0]),
+            values=a,
             frequencies=freqs,
             h=h,
             class_exponent=0.0,
@@ -401,8 +376,7 @@ class TestApplyQuantized:
         n, h = 64, 0.05
         freqs = mode_frequencies(n, LENGTH, h)
         sym = Symbol(
-            values=np.ones((1, n)),
-            x_nodes=np.array([0.0]),
+            values=np.ones(n),
             frequencies=freqs,
             h=h,
             class_exponent=0.0,
@@ -411,42 +385,36 @@ class TestApplyQuantized:
             apply_quantized(sym, BoundaryFunction(np.ones(32), LENGTH, h))
         with pytest.raises(ValueError, match="grid mismatch"):
             apply_quantized(sym, BoundaryFunction(np.ones(n), LENGTH, 0.1))
-        nodes = LENGTH * np.arange(n) / n
-        bad = Symbol(
-            values=np.outer(np.cos(nodes), np.ones(n)),
-            x_nodes=nodes + 0.1,
-            frequencies=freqs,
-            h=h,
-            class_exponent=0.0,
-        )
-        with pytest.raises(ValueError, match="grid mismatch"):
-            apply_quantized(bad, BoundaryFunction(np.ones(n), LENGTH, h))
 
     def test_symbol_invariants(self):
         n, h = 32, 0.05
         freqs = mode_frequencies(n, LENGTH, h)
         with pytest.raises(ValueError, match="class exponent"):
             Symbol(
-                values=np.ones((1, n)),
-                x_nodes=np.array([0.0]),
+                values=np.ones(n),
                 frequencies=freqs,
                 h=h,
                 class_exponent=1.0,
             )
         with pytest.raises(ValueError, match="finite"):
-            vals = np.ones((1, n))
-            vals[0, 0] = np.inf
+            vals = np.ones(n)
+            vals[0] = np.inf
             Symbol(
                 values=vals,
-                x_nodes=np.array([0.0]),
+                frequencies=freqs,
+                h=h,
+                class_exponent=0.0,
+            )
+        with pytest.raises(ValueError, match="shape"):
+            Symbol(
+                values=np.ones((1, n)),
                 frequencies=freqs,
                 h=h,
                 class_exponent=0.0,
             )
         with pytest.raises(ValueError, match="support"):
             Symbol(
-                values=np.ones((1, n)),
-                x_nodes=np.array([0.0]),
+                values=np.ones(n),
                 frequencies=freqs,
                 h=h,
                 class_exponent=0.0,
@@ -461,8 +429,7 @@ class TestSymbolClass:
 
         def builder(h):
             return Symbol(
-                values=np.full((1, n), 0.7),
-                x_nodes=np.array([0.0]),
+                values=np.full(n, 0.7),
                 frequencies=mode_frequencies(n, LENGTH, h),
                 h=h,
                 class_exponent=0.0,
@@ -497,8 +464,7 @@ class TestSymbolClass:
             freqs = mode_frequencies(n, LENGTH, h)
             # wide transition so every sweep member resolves the profile
             return Symbol(
-                values=zero_section_cutoff(freqs, 4.0)[None, :],
-                x_nodes=np.array([0.0]),
+                values=zero_section_cutoff(freqs, 4.0),
                 frequencies=freqs,
                 h=h,
                 class_exponent=0.0,
@@ -519,8 +485,7 @@ class TestFrameLowerBound:
         n, h = 128, 0.05
         plateau = math.exp(-6.0)
         sym = Symbol(
-            values=np.full((1, n), plateau),
-            x_nodes=np.array([0.0]),
+            values=np.full(n, plateau),
             frequencies=mode_frequencies(n, LENGTH, h),
             h=h,
             class_exponent=0.0,
@@ -560,7 +525,7 @@ class TestFrameLowerBound:
         report = frame_lower_bound_check(sym, [u], profile.plateau)
         spec = np.fft.fftshift(np.fft.fft(u.values))
         oracle = math.sqrt(
-            float(np.sum(np.abs(sym.values[0] * spec) ** 2))
+            float(np.sum(np.abs(sym.values * spec) ** 2))
             / float(np.sum(np.abs(spec) ** 2))
         ) / profile.plateau
         assert report.minimum == pytest.approx(oracle, rel=1e-12)
@@ -568,8 +533,7 @@ class TestFrameLowerBound:
     def test_guards(self):
         n, h = 64, 0.05
         sym = Symbol(
-            values=np.ones((1, n)),
-            x_nodes=np.array([0.0]),
+            values=np.ones(n),
             frequencies=mode_frequencies(n, LENGTH, h),
             h=h,
             class_exponent=0.0,
@@ -593,7 +557,6 @@ class TestTailOperatorBound:
         profile, series, sym = self.build(0.05)
         report = tail_operator_bound(sym, series, profile.plateau)
         assert report.vanishes_inside
-        assert report.sup_ratio <= 1.0
         assert 0.0 < report.constant <= 1.0
 
     def test_factorizes_through_outer_cutoff(self):
@@ -620,11 +583,11 @@ class TestTailOperatorBound:
         profile = build_cutoff_profile(8.0)
         h = 0.05
         freqs = mode_frequencies(256, LENGTH, h)
-        series = solve_phase_series(TORUS, "agmon", 6, (np.array([0.0]), freqs))
+        series = solve_phase_series(TORUS, "agmon", 6, freqs)
         sym = build_phase_cutoff(series, profile, 0.3, h)
         report = tail_operator_bound(sym, series, profile.plateau)
         assert report.vanishes_inside
-        assert report.sup_ratio <= 1.0
+        assert report.constant <= 1.0
         assert report.factorization_ok
 
     def test_shape_mismatch(self):
@@ -673,7 +636,6 @@ class TestReconstructionChain:
 
             sigma = Symbol(
                 values=np.exp(-evaluate_phase_for(series, rho) / h),
-                x_nodes=series.tangential_nodes,
                 frequencies=freqs,
                 h=h,
                 class_exponent=0.5,
@@ -698,7 +660,6 @@ class TestReconstructionChain:
         phi = BoundaryFunction(1.0 + 0.4 * np.cos(nodes), LENGTH, h)
         sigma = Symbol(
             values=np.exp(-evaluate_phase_for(series, rho) / h),
-            x_nodes=series.tangential_nodes,
             frequencies=freqs,
             h=h,
             class_exponent=0.5,
