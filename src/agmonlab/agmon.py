@@ -94,15 +94,13 @@ class SeparableCollar:
 
     _NODES = 8193
 
-    def __init__(self, model: ModelProblem, s_max: float | None = None):
+    def __init__(self, model: ModelProblem):
         profile = transverse_potential(model)
-        if s_max is None:
-            s_max = model.forbidden_extent
-        s = np.linspace(0.0, s_max, self._NODES)
+        s = np.linspace(0.0, model.forbidden_extent, self._NODES)
         weight = np.sqrt(np.maximum(profile(s) - model.energy, 0.0))
         rho = cumulative_simpson(weight, s)
         self.model = model
-        self.s_max = float(s_max)
+        self.s_max = float(model.forbidden_extent)
         self.rho_max = float(rho[-1])
         self._rho_of_s = Spline(s, rho)
         self._s_of_rho = Spline(rho, s)

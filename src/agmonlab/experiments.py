@@ -813,9 +813,7 @@ def _run_exterior_mass(config: ExperimentConfig, jobs: int) -> list[ReportRecord
     h = config.h_sweep[0]
     n_transverse, n_tangential = config.grid[0], config.grid[1]
 
-    transverse = solve_transverse_modes(
-        model, h, model.energy, 1, n=n_transverse, parity="even"
-    )[0]
+    transverse = solve_transverse_modes(model, h, model.energy, 1, n=n_transverse)[0]
     traces = []
     for k in _EXTERIOR_MODES:
         mode = assemble_separable_mode(
@@ -1163,9 +1161,7 @@ def _run_mass_profile(config: ExperimentConfig, jobs: int) -> list[ReportRecord]
     model = config.build_model()
     h = config.h_sweep[0]
     n_transverse, n_tangential = config.grid[0], config.grid[1]
-    transverse = solve_transverse_modes(
-        model, h, model.energy, 1, n=n_transverse, parity="even"
-    )[0]
+    transverse = solve_transverse_modes(model, h, model.energy, 1, n=n_transverse)[0]
 
     points = []
     for lam in config.lambda_sweep:

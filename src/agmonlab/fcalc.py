@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -49,9 +50,12 @@ __all__ = [
 
 _PROFILE_SUP_NODES = 20001
 _SUPPORT_WEIGHT_FLOOR = 1e-6
-_DEFAULT_AREA_CELLS = (256, 256)
-_DEFAULT_EDGE_CELLS = 1024
-_MIN_AREA_CELLS = (32, 16)
+# hs_apply's midpoint grids: (real, imaginary) cells over the support band
+# [scale, 2 scale] x [-scale, scale], whose upper half is summed, and cells
+# per edge of the enclosing rectangle, an even count so that no contour node
+# sits on the real axis
+_AREA_CELLS = (256, 256)
+_EDGE_CELLS = 1024
 _DENSE_LIMIT = 256
 # hs_apply rejects its grid when the window projection has an eigenvalue
 # this far outside [0, 1].
@@ -61,7 +65,7 @@ _SPECTRUM_TOL = 1e-3
 _PROFILE_DEPTHS = 65
 _PROFILE_ODE_STEPS = 8000
 # Taylor order of the almost analytic extension in the imaginary part.  On
-# the 20 matrices of acceptance criterion 05, with the default cells, the
+# the 20 matrices of acceptance criterion 05, on the hs_apply grids above, the
 # worst operator-norm error of hs_apply against spectral_calculus is 6.1e-7
 # at order 2, against 2.5e-5 at order 1 and 1.1e-4 at order 3.
 _EXTENSION_ORDER = 2
@@ -79,9 +83,6 @@ _COMPLEX_BYTES = np.dtype(complex).itemsize
 # factor in _block_weighted_sum; panels of 16, 32 and 64 rows timed alike
 # on dense n = 96 and 128.
 _PANEL_ROWS = 32
-_COARSE_GRID_MESSAGE = (
-    "quadrature grid too coarse (resolvent condition number check fails)"
-)
 
 
 # --------------------------------------------------------------------------
@@ -98,11 +99,6 @@ def step_profile(t, order: int = 0):
     return polyramp_derivative(np.asarray(t, dtype=float) - 1.0, order)
 
 
-def _profile_derivative_sup(order: int) -> float:
-    grid = np.linspace(1.0, 2.0, _PROFILE_SUP_NODES)
-    return float(np.max(np.abs(step_profile(grid, order))))
-
-
 # --------------------------------------------------------------------------
 # almost analytic extension of the window profile
 # --------------------------------------------------------------------------
@@ -117,23 +113,13 @@ class AlmostAnalyticExtension:
     conjugate-derivative defect, supported in the closed vertical band
     Re z in [scale, 2 scale] and vanishing to order ``order`` on the real
     axis.  ``c_measured`` is the measured constant of the defect bound
-    |dbar(z)| <= c_measured * scale^-(order+1) * |Im z|^order.
+    |dbar(z)| <= c_measured * scale^-(order+1) * |Im z|^order.  ``value``
+    and ``dbar`` are closed forms in z; the extension holds no samples.
     """
 
     order: int
-    lam: float
-    h: float
     scale: float
     c_measured: float
-    x_samples: np.ndarray
-    y_samples: np.ndarray
-    f_samples: np.ndarray
-    dbar_samples: np.ndarray
-    meta: dict = field(repr=False)
-
-    def __post_init__(self) -> None:
-        for arr in (self.x_samples, self.y_samples, self.f_samples, self.dbar_samples):
-            arr.setflags(write=False)
 
     def value(self, z) -> np.ndarray:
         """Extension values at complex points (vectorized)."""
@@ -162,66 +148,47 @@ class AlmostAnalyticExtension:
         )
 
 
-def almost_analytic_extension(lam: float, h: float) -> AlmostAnalyticExtension:
-    """Build the order-2 extension for the window [lam*h, 2*lam*h].
+@lru_cache(maxsize=1)
+def _defect_constant() -> float:
+    """The measured defect constant of the order-2 extension, once per process.
 
-    The defect constant is measured as the sup of the third profile
-    derivative over the transition band divided by 2 * 2!, and the sampled
-    rectangle invariants (real-axis restriction, band support, defect
-    bound) are checked eagerly.
+    It is the sup of the third profile derivative over the transition band,
+    sampled at ``_PROFILE_SUP_NODES`` nodes, divided by 2 * 2!.  The
+    unit-scale extension is then checked on a 257 x 129 sample of the
+    rectangle [1, 2] x [-1, 1]: its restriction to the real axis is the
+    profile, and |dbar| stays within the defect bound.  Both checks are
+    invariant under z -> scale * z, so they hold for the extension at every
+    window scale.
     """
     order = _EXTENSION_ORDER
-    scale = float(lam) * float(h)
-    if not scale > 0.0:
-        raise ValueError("the window scale lam * h must be positive")
-    sup_derivative = _profile_derivative_sup(order + 1)
-    c_measured = sup_derivative / (2.0 * math.factorial(order))
-
-    x_samples = np.linspace(scale, 2.0 * scale, 257)
-    y_samples = np.linspace(-scale, scale, 129)
-    zz = x_samples[:, None] + 1j * y_samples[None, :]
-
-    ext = AlmostAnalyticExtension(
-        order=order,
-        lam=float(lam),
-        h=float(h),
-        scale=scale,
-        c_measured=c_measured,
-        x_samples=x_samples,
-        y_samples=y_samples,
-        f_samples=np.zeros_like(zz),
-        dbar_samples=np.zeros_like(zz),
-        meta={},
-    )
-    f_samples = ext.value(zz)
-    dbar_samples = ext.dbar(zz)
-
-    axis_error = float(
-        np.max(np.abs(ext.value(x_samples + 0j) - step_profile(x_samples / scale)))
-    )
+    band = np.linspace(1.0, 2.0, _PROFILE_SUP_NODES)
+    sup = float(np.max(np.abs(step_profile(band, order + 1))))
+    c_measured = sup / (2.0 * math.factorial(order))
+    unit = AlmostAnalyticExtension(order=order, scale=1.0, c_measured=c_measured)
+    x = np.linspace(1.0, 2.0, 257)
+    zz = x[:, None] + 1j * np.linspace(-1.0, 1.0, 129)[None, :]
+    axis_error = float(np.max(np.abs(unit.value(x + 0j) - step_profile(x))))
     if axis_error > 1e-10:
         raise AssertionError(
             f"real-axis restriction deviates by {axis_error:.3g} from the profile"
         )
-    bound = c_measured * scale ** -(order + 1) * np.abs(zz.imag) ** order
-    excess = np.max(np.abs(dbar_samples) - bound * (1.0 + 1e-12))
-    if excess > 0.0:
+    bound = c_measured * np.abs(zz.imag) ** order
+    if np.max(np.abs(unit.dbar(zz)) - bound * (1.0 + 1e-12)) > 0.0:
         raise AssertionError("defect bound violated on the sample rectangle")
+    return c_measured
 
+
+def almost_analytic_extension(lam: float, h: float) -> AlmostAnalyticExtension:
+    """The order-2 extension for the window [lam*h, 2*lam*h].
+
+    Its defect constant and the rectangle checks behind it come from
+    :func:`_defect_constant`, computed on the first call.
+    """
+    scale = float(lam) * float(h)
+    if not scale > 0.0:
+        raise ValueError("the window scale lam * h must be positive")
     return AlmostAnalyticExtension(
-        order=order,
-        lam=float(lam),
-        h=float(h),
-        scale=scale,
-        c_measured=c_measured,
-        x_samples=x_samples,
-        y_samples=y_samples,
-        f_samples=f_samples,
-        dbar_samples=dbar_samples,
-        meta={
-            "profile_sup_derivative": sup_derivative,
-            "real_axis_error": axis_error,
-        },
+        order=_EXTENSION_ORDER, scale=scale, c_measured=_defect_constant()
     )
 
 
@@ -433,35 +400,30 @@ def _count_below(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
     return count
 
 
-def hs_apply(
-    P: np.ndarray,
-    ext: AlmostAnalyticExtension,
-    *,
-    area_cells: tuple[int, int] = _DEFAULT_AREA_CELLS,
-    edge_cells: int = _DEFAULT_EDGE_CELLS,
-) -> np.ndarray:
+def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
     """Windowed projection of P through the Cauchy integral of the extension.
 
     The complement profile (1 at the far left, 0 past the window) is
     reproduced exactly by its boundary contour integral plus the area
     integral of the extension defect over the support band; the window
     projection is the identity minus that.  Midpoint quadrature: the area
-    grid covers the band with ``area_cells`` cells, the contour runs over
-    the enclosing rectangle with ``edge_cells`` cells per edge.  For real
+    grid covers the band with ``_AREA_CELLS`` cells, the contour runs over
+    the enclosing rectangle with ``_EDGE_CELLS`` cells per edge.  For real
     symmetric P the resolvent obeys R(conj z) = conj R(z) and the extension
     is conjugate-symmetric, so the lower half of the band, the top edge and
     the lower half of the left edge contribute the conjugates of the upper
     half, the bottom edge and the upper half of the left edge: all three
-    are folded in as doubled weights (an odd ``edge_cells`` leaves one left
-    edge node on the real axis, which keeps its single weight).  The area
-    and contour nodes then go through one resolvent sum that returns only
-    the real part the projection needs, on the tridiagonal the Hessenberg
-    reduction of P gives; every unreduced block of it takes the same
-    principal-minor kernel (:func:`_block_weighted_sum`), whatever its
-    norm against the window scale.  Positive semidefiniteness is checked
-    by a Sturm count on that tridiagonal, so no eigendecomposition of P
-    enters the path the spectral oracle checks.  Nodes are accumulated in
-    a fixed order, so results are bytewise reproducible.
+    are folded in as doubled weights.  The area and contour nodes then go
+    through one resolvent sum that returns only the real part the
+    projection needs, on the tridiagonal the Hessenberg reduction of P
+    gives; every unreduced block of it takes the same principal-minor
+    kernel (:func:`_block_weighted_sum`), whatever its norm against the
+    window scale.  Positive semidefiniteness is checked by a Sturm count on
+    that tridiagonal, so no eigendecomposition of P enters the path the
+    spectral oracle checks.  Nodes are accumulated in a fixed order, so
+    results are bytewise reproducible.  The grid is rejected as too coarse
+    when the projection has an eigenvalue more than ``_SPECTRUM_TOL``
+    outside [0, 1].
     """
     P = np.asarray(P, dtype=float)
     _check_symmetric(P)
@@ -480,16 +442,11 @@ def hs_apply(
         off = 0.5 * (tri.diagonal(-1) + tri.diagonal(1))
     if _count_below(diag, off, -1e-8 * max(1.0, float(np.max(np.abs(P))))):
         raise ValueError("operator must be positive semidefinite")
-    nx, ny_full = area_cells
-    if nx < _MIN_AREA_CELLS[0] or ny_full < 2 * _MIN_AREA_CELLS[1] or edge_cells < 64:
-        raise ValueError(_COARSE_GRID_MESSAGE)
-    if ny_full % 2:
-        raise ValueError("area cell count across the band must be even")
 
     scale = ext.scale
 
     # area: defect integral over the upper half of the support band
-    ny = ny_full // 2
+    nx, ny = _AREA_CELLS[0], _AREA_CELLS[1] // 2
     dx = scale / nx
     dy = scale / ny
     x_mid = scale + (np.arange(nx) + 0.5) * dx
@@ -500,19 +457,14 @@ def hs_apply(
     # contour: enclosing rectangle [-scale, 2 scale] x [-scale, scale];
     # the right edge carries an identically zero integrand and is skipped,
     # the top edge is the reflected bottom edge, and the left edge keeps
-    # its midpoints with Im z >= 0
-    m = edge_cells
+    # its midpoints with Im z > 0
+    m = _EDGE_CELLS
     tx = -scale + (np.arange(m) + 0.5) * (3.0 * scale / m)
-    ty = (np.arange((m + 1) // 2) + 0.5 * (1 - m % 2)) * (2.0 * scale / m)
+    ty = (np.arange(m // 2) + 0.5) * (2.0 * scale / m)
     bottom = tx - 1j * scale
     left = -scale + 1j * ty
     bottom_weights = (6.0 * scale / m) * (1.0 - ext.value(bottom)) / (2j * math.pi)
-    left_weights = (
-        np.where(ty > 0.0, 2.0, 1.0)
-        * (-2j * scale / m)
-        * (1.0 - ext.value(left))
-        / (2j * math.pi)
-    )
+    left_weights = 2.0 * (-2j * scale / m) * (1.0 - ext.value(left)) / (2j * math.pi)
 
     nodes = np.concatenate([zz, bottom, left])
     weights = np.concatenate([2.0 * area_weights, bottom_weights, left_weights])
@@ -522,7 +474,9 @@ def hs_apply(
 
     window = np.linalg.eigvalsh(result)
     if window.min() < -_SPECTRUM_TOL or window.max() > 1.0 + _SPECTRUM_TOL:
-        raise ValueError(_COARSE_GRID_MESSAGE)
+        raise ValueError(
+            "quadrature grid too coarse (resolvent condition number check fails)"
+        )
     return result
 
 
@@ -649,7 +603,6 @@ def family_derivative_norms(
     *,
     family: Callable[[float], np.ndarray] | None = None,
     n: int = 64,
-    step: float | None = None,
 ) -> DerivativeNormReport:
     """Operator norms of depth derivatives of the windowed projection.
 
@@ -658,6 +611,8 @@ def family_derivative_norms(
     catalogue level-circle family, which is constant in depth).  ``lam``
     may be a scalar or a sweep; a sweep additionally fits the log-log
     exponent of the norm in lam and compares it with -order within 0.3.
+    The difference step is 3e-4 (order 1) or 3e-3 (order 2) times the
+    window scale lam h; the report records it for a scalar lam only.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1, or 2, got {order}")
@@ -668,13 +623,9 @@ def family_derivative_norms(
         family = derivative_family(model, h, n)
 
     norms = []
-    used_step = step
     for one_lam in lams:
         scale = float(one_lam) * h
-        if step is None:
-            used_step = (3e-4 if order == 1 else 3e-3) * scale
-        if used_step <= 0.0 or used_step < 1e-12 * scale:
-            raise ValueError(f"step size underflow: {used_step:g}")
+        step = (3e-4 if order == 1 else 3e-3) * scale
         ext = almost_analytic_extension(one_lam, h)
 
         def project(r: float) -> np.ndarray:
@@ -683,10 +634,10 @@ def family_derivative_norms(
         if order == 0:
             derivative = project(0.0)
         elif order == 1:
-            derivative = (project(used_step) - project(-used_step)) / (2.0 * used_step)
+            derivative = (project(step) - project(-step)) / (2.0 * step)
         else:
-            plus, center, minus = project(used_step), project(0.0), project(-used_step)
-            derivative = (plus - 2.0 * center + minus) / used_step**2
+            plus, center, minus = project(step), project(0.0), project(-step)
+            derivative = (plus - 2.0 * center + minus) / step**2
         norms.append(float(np.linalg.norm(derivative, 2)))
 
     norms_arr = np.asarray(norms)
@@ -707,7 +658,7 @@ def family_derivative_norms(
         fitted_exponent=fitted,
         expected_exponent=-float(order),
         exponent_ok=ok,
-        step=used_step if step is None and lams.size == 1 else step,
+        step=step if lams.size == 1 else None,
     )
 
 
@@ -825,20 +776,20 @@ def _step_power_increment(d: np.ndarray, m: int) -> np.ndarray:
 
 def _support_subspace_floor(
     operator: np.ndarray,
+    eigenpairs: tuple[np.ndarray, np.ndarray],
     scale: float,
     surface_potential: np.ndarray,
     mode_energy: float,
 ) -> tuple[float, int]:
     """Min of (P + V - E(h)) restricted to the window-support subspace.
 
-    The support subspace is spanned by eigenvectors of P whose window
-    weight exceeds the floor; if none qualify, the infimum over the
-    abstract support (window edge plus the surface barrier minimum) is
-    returned with support dimension 0.
+    ``eigenpairs`` is ``np.linalg.eigh(operator)``.  The support subspace
+    is spanned by eigenvectors of P whose window weight exceeds the floor;
+    if none qualify, the infimum over the abstract support (window edge
+    plus the surface barrier minimum) is returned with support dimension 0.
     """
-    w, u = np.linalg.eigh(operator)
-    weights = step_profile(w / scale)
-    keep = weights > _SUPPORT_WEIGHT_FLOOR
+    w, u = eigenpairs
+    keep = step_profile(w / scale) > _SUPPORT_WEIGHT_FLOOR
     barrier_floor = float(np.min(surface_potential)) - mode_energy
     if not np.any(keep):
         return scale + barrier_floor, 0
@@ -926,7 +877,7 @@ def mass_profile_comparison(
     xp = length / n_tangential * np.arange(n_tangential)
     surface_potential = potential_grid(model, xp, np.zeros(1))[:, 0]
     t_constant, support_dim = _support_subspace_floor(
-        operator, scale, surface_potential, mode.energy
+        operator, (w, u), scale, surface_potential, mode.energy
     )
     if t_constant <= 0.0:
         raise ValueError(

@@ -317,10 +317,11 @@ def _weighted_norm(u: BoundaryFunction) -> float:
 
 
 def random_band_probes(
-    n: int, length: float, h: float, count: int = 8, seed: int = 0
+    n: int, length: float, h: float, count: int = 8
 ) -> list[BoundaryFunction]:
-    """Deterministic band-limited random probes for operator-norm estimates."""
-    rng = np.random.default_rng(seed)
+    """Deterministic band-limited random probes for operator-norm estimates
+    (generator seed 0)."""
+    rng = np.random.default_rng(0)
     band = max(1, n // 3)
     probes = []
     for _ in range(count):
@@ -451,7 +452,7 @@ class TailBoundReport:
 
 
 def tail_operator_bound(
-    symbol: Symbol, series: PhaseSeries, floor: float, probes=None
+    symbol: Symbol, series: PhaseSeries, floor: float
 ) -> TailBoundReport:
     """Bound the quantized difference between the cutoff and the multiplier.
 
@@ -486,11 +487,7 @@ def tail_operator_bound(
     n = symbol.frequencies.size
     spacing = float(symbol.frequencies[1] - symbol.frequencies[0])
     length = 2.0 * math.pi * symbol.h / spacing
-    if probes is None:
-        probes = random_band_probes(n, length, symbol.h)
-    probes = list(probes)
-    if not probes:
-        raise ValueError("probe set must be nonempty")
+    probes = random_band_probes(n, length, symbol.h)
 
     _, chi_out = split_in_out(span, symbol.h, inner_c, symbol.frequencies)
     ratios, factor_ok = [], True

@@ -2,9 +2,10 @@
 
 Second-order symmetric finite differences throughout: they preserve
 self-adjointness and the discrete maximum principle that the verification
-suite leans on.  Transverse wells are solved as 1D eigenproblems (with an
-exact even-parity reduction for symmetric periodic wells), separable 2D
-modes are assembled mode-by-mode, and the Poisson operator is realized as
+suite leans on.  The normal well of a model with a periodic normal circle
+is solved for its even-parity modes only, through the exact half-interval
+reduction to one tridiagonal eigenproblem; separable 2D modes are
+assembled mode-by-mode, and the Poisson operator is realized as
 a boundary-value solve with a far Dirichlet closure whose influence is
 certified by an explicit tunneling bound.  That solve has one kernel, in
 real arithmetic: conjugate gradients preconditioned by the tangential-mean
@@ -17,12 +18,11 @@ preconditioner is exact and no iteration runs.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, zpttrs
 
 from agmonlab._numerics import (
@@ -38,12 +38,10 @@ from agmonlab.halfplane import BoundaryFunction
 from agmonlab.models import ModelProblem, potential_grid, transverse_potential
 
 __all__ = [
-    "TransverseWell",
     "EigenMode",
     "Field2D",
     "BoundaryTrace",
     "DecayFit",
-    "transverse_well_from_model",
     "solve_transverse_modes",
     "assemble_separable_mode",
     "poisson_bvp",
@@ -78,44 +76,13 @@ _SPLINE_BLOCK_BYTES = 2**17
 
 
 @dataclass(frozen=True)
-class TransverseWell:
-    """A 1D potential for the transverse eigenproblem.
-
-    ``boundary`` is "periodic" (circle of the given length), "dirichlet",
-    or "neumann" (ghost-point reflection); ``lo`` is the left end of the
-    coordinate interval.
-    """
-
-    profile: Callable[[np.ndarray], np.ndarray]
-    length: float
-    boundary: str
-    lo: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.boundary not in ("periodic", "dirichlet", "neumann"):
-            raise ValueError(f"unknown boundary kind {self.boundary!r}")
-        if self.length <= 0.0:
-            raise ValueError("length must be positive")
-
-
-def transverse_well_from_model(model: ModelProblem) -> TransverseWell:
-    """The normal-variable well of a product-form model."""
-    profile = transverse_potential(model)
-    lo, hi = model.axis_bounds(1)
-    boundary = "periodic" if model.periodic[1] else "dirichlet"
-    return TransverseWell(
-        profile=profile, length=hi - lo, boundary=boundary, lo=lo
-    )
-
-
-@dataclass(frozen=True)
 class EigenMode:
     """A normalized discrete eigenpair.
 
     1D transverse modes carry ``tangential_mode=None``; assembled separable
     2D modes carry the integer tangential index.  ``record`` holds the
     normalization and consistency measurements (norm, equation residual,
-    odd-part norm for symmetric wells, resolution ratio h/spacing).
+    odd-part norm, resolution ratio h/spacing).
     """
 
     energy: float
@@ -133,83 +100,63 @@ class EigenMode:
         return tuple(float(ax[1] - ax[0]) for ax in self.axes)
 
 
-def _well_nodes(well: TransverseWell, n: int) -> np.ndarray:
-    d = well.length / n
-    if well.boundary == "periodic":
-        return well.lo + (np.arange(n) + 0.5) * d  # cell-centered circle
-    return np.linspace(well.lo, well.lo + well.length, n)
-
-
-def _dense_matrix(well: TransverseWell, h: float, nodes: np.ndarray) -> np.ndarray:
-    n = nodes.size
-    d = nodes[1] - nodes[0]
-    w = np.asarray(well.profile(nodes), dtype=float)
-    sub = -(h**2) / d**2
-    mat = np.diag(2.0 * (h**2) / d**2 + w)
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] = sub
-    mat[idx + 1, idx] = sub
-    if well.boundary == "periodic":
-        mat[0, n - 1] = sub
-        mat[n - 1, 0] = sub
-    elif well.boundary == "neumann":
-        mat[0, 0] = (h**2) / d**2 + w[0]  # symmetric reflection rows
-        mat[n - 1, n - 1] = (h**2) / d**2 + w[n - 1]
-    return mat
-
-
-def _even_parity_modes(well: TransverseWell, h: float, n: int):
+def _even_parity_modes(profile, lo: float, length: float, h: float, n: int):
     """Even-about-zero eigenpairs of a symmetric periodic well.
 
     The even subspace of the cell-centered periodic problem on [lo, lo+L)
     is exactly the half-interval problem with reflection closure at both
     ends, so the reduced tridiagonal spectrum is a subset of the full one.
     """
-    if well.boundary != "periodic":
-        raise ValueError("parity reduction requires a periodic well")
-    if abs(well.lo + well.length / 2.0) > 1e-12:
-        raise ValueError("parity reduction requires a circle centred at 0")
-    if n % 2:
-        raise ValueError("parity reduction requires an even node count")
     m = n // 2
-    d = well.length / n
+    d = length / n
     half = (np.arange(m) + 0.5) * d
-    w = np.asarray(well.profile(half), dtype=float)
+    w = np.asarray(profile(half), dtype=float)
     diag = 2.0 * (h**2) / d**2 + w
     diag[0] -= (h**2) / d**2
     diag[m - 1] -= (h**2) / d**2
     off = np.full(m - 1, -(h**2) / d**2)
     vals, vecs = eigh_tridiagonal(diag, off)
-    nodes = well.lo + (np.arange(n) + 0.5) * d
+    nodes = lo + (np.arange(n) + 0.5) * d
     full = np.concatenate([vecs[::-1], vecs], axis=0)  # even extension
     return vals, full, nodes
 
 
 def solve_transverse_modes(
-    problem,
+    model: ModelProblem,
     h: float,
     target: float,
     count: int,
     *,
     n: int = 1024,
-    parity: str | None = None,
+    parity: str = "even",
 ) -> list[EigenMode]:
-    """The `count` discrete eigenpairs nearest `target` for a 1D well.
+    """The `count` even-parity eigenpairs nearest `target` of the model's
+    normal well.
 
-    `problem` is a TransverseWell or a product-form ModelProblem (its
-    normal well is extracted).  parity="even" restricts a symmetric
-    periodic well to even modes via the exact half-interval reduction.
-    Eigenvalues are sorted by |E(h) - target| with ties broken by lower
-    index; each mode is unit-normalized with line element = grid spacing.
+    The well is the model's transverse potential on its periodic normal
+    circle, which must be centred at 0; its even modes come from the exact
+    half-interval reduction on n cell-centred nodes (n even).  "even" is the
+    only parity.  Eigenvalues are sorted by |E(h) - target| with ties broken
+    by lower index; each mode is unit-normalized with line element = grid
+    spacing.
     """
-    well = (
-        transverse_well_from_model(problem)
-        if isinstance(problem, ModelProblem)
-        else problem
-    )
+    if parity != "even":
+        raise ValueError(f"unknown parity {parity!r}; only 'even' is supported")
+    profile = transverse_potential(model)
+    lo, hi = model.axis_bounds(1)
+    if not model.periodic[1]:
+        raise ValueError(
+            f"model {model.name!r} has no periodic normal axis; the even-parity "
+            "reduction needs a normal circle"
+        )
+    length = hi - lo
+    if abs(lo + length / 2.0) > 1e-12:
+        raise ValueError("parity reduction requires a circle centred at 0")
     if n < _MIN_NODES:
         raise ValueError(f"grid of {n} nodes is below the minimum {_MIN_NODES}")
-    d = well.length / n if well.boundary == "periodic" else well.length / (n - 1)
+    if n % 2:
+        raise ValueError("parity reduction requires an even node count")
+    d = length / n
     if h < _RESOLVABILITY * d:
         raise ValueError(
             f"resolvability violated: h={h:g} is below {_RESOLVABILITY:g} grid "
@@ -218,30 +165,20 @@ def solve_transverse_modes(
     if count < 1:
         raise ValueError("count must be at least 1")
 
-    if parity == "even":
-        vals, vecs, nodes = _even_parity_modes(well, h, n)
-    elif parity is None:
-        nodes = _well_nodes(well, n)
-        vals, vecs = eigh(_dense_matrix(well, h, nodes))
-    else:
-        raise ValueError(f"unknown parity {parity!r}")
-
+    vals, vecs, nodes = _even_parity_modes(profile, lo, length, h, n)
     order = np.argsort(np.abs(vals - target), kind="stable")[:count]
-    w = np.asarray(well.profile(nodes), dtype=float)
+    w = np.asarray(profile(nodes), dtype=float)
     spacing = float(nodes[1] - nodes[0])
     modes = []
     for idx in order:
         v = vecs[:, idx] / math.sqrt(spacing * float(np.sum(vecs[:, idx] ** 2)))
         energy = float(vals[idx])
-        residual = _transverse_residual(v, w, energy, h, spacing, well.boundary)
         odd = v - v[::-1]
         record = {
             "norm": math.sqrt(spacing * float(np.sum(v**2))),
-            "residual": residual,
+            "residual": _transverse_residual(v, w, energy, h, spacing),
             "odd_part_norm": math.sqrt(spacing * float(np.sum(odd**2))) / 2.0,
             "resolution": h / spacing,
-            "boundary": well.boundary,
-            "parity": parity or "full",
         }
         modes.append(
             EigenMode(
@@ -256,18 +193,9 @@ def solve_transverse_modes(
     return modes
 
 
-def _transverse_residual(v, w, energy, h, d, boundary) -> float:
-    if boundary == "periodic":
-        lap = np.roll(v, 1) - 2.0 * v + np.roll(v, -1)
-    else:
-        lap = np.zeros_like(v)
-        lap[1:-1] = v[:-2] - 2.0 * v[1:-1] + v[2:]
-        if boundary == "neumann":
-            lap[0] = v[1] - v[0]
-            lap[-1] = v[-2] - v[-1]
-        else:  # ghost nodes one spacing outside hold the zero condition
-            lap[0] = -2.0 * v[0] + v[1]
-            lap[-1] = v[-2] - 2.0 * v[-1]
+def _transverse_residual(v, w, energy, h, d) -> float:
+    """L2 residual of the periodic 3-point eigen-equation."""
+    lap = np.roll(v, 1) - 2.0 * v + np.roll(v, -1)
     res = -(h**2) / d**2 * lap + (w - energy) * v
     return math.sqrt(d * float(np.sum(res**2)))
 
@@ -306,7 +234,6 @@ def assemble_separable_mode(
         "tangential_dispersion_continuum": disp_continuum,
         "odd_part_norm": odd,
         "residual": transverse.record["residual"],
-        "boundary": transverse.record["boundary"],
     }
     return EigenMode(
         energy=transverse.energy + disp_discrete,

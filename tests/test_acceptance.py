@@ -178,9 +178,7 @@ def test_04_window_mass_bounded_across_lambda_sweep(capsys):
     """
     start = time.perf_counter()
     h, lams = 0.05, (4.0, 8.0, 16.0, 32.0)
-    transverse = solve_transverse_modes(
-        TORUS, h, TORUS.energy, 1, n=512, parity="even"
-    )[0]
+    transverse = solve_transverse_modes(TORUS, h, TORUS.energy, 1, n=512)[0]
     traces = []
     for k in (0, 1, 2, 3):
         mode = assemble_separable_mode(transverse, k, TORUS, n_tangential=256)

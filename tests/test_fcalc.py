@@ -228,14 +228,14 @@ def reference_hs_apply(P, ext, area_cells=(256, 256), edge_cells=1024):
 @pytest.fixture(scope="module")
 def torus_transverse_coarse():
     return solve_transverse_modes(
-        TORUS, 0.1375, target=0.5, count=1, n=2048, parity="even"
+        TORUS, 0.1375, target=0.5, count=1, n=2048
     )[0]
 
 
 @pytest.fixture(scope="module")
 def torus_transverse_sweep():
     return solve_transverse_modes(
-        TORUS, 0.1, target=0.5, count=1, n=2048, parity="even"
+        TORUS, 0.1, target=0.5, count=1, n=2048
     )[0]
 
 
@@ -312,13 +312,18 @@ class TestAlmostAnalyticExtension:
         assert np.max(ratios) / np.min(ratios) - 1.0 < 1e-9
 
     def test_defect_bound_is_sharp_on_samples(self):
-        ext = almost_analytic_extension(4.0, 0.05)
-        zz = ext.x_samples[:, None] + 1j * ext.y_samples[None, :]
-        bound = ext.c_measured * ext.scale ** -(ext.order + 1) * np.abs(zz.imag) ** ext.order
-        mask = bound > 0.0
-        ratio = np.abs(ext.dbar_samples)[mask] / bound[mask]
-        assert float(np.max(ratio)) <= 1.0 + 1e-12
-        assert float(np.max(ratio)) > 0.99
+        # lam h = 0.2, 0.4, 0.6 and 0.55: the window scales of the configs,
+        # the acceptance suite and the mass-profile fixture below
+        for lam, h in ((4.0, 0.05), (4.0, 0.1), (6.0, 0.1), (4.0, 0.1375)):
+            ext = almost_analytic_extension(lam, h)
+            s = ext.scale
+            x, y = np.linspace(s, 2.0 * s, 257), np.linspace(-s, s, 129)
+            zz = x[:, None] + 1j * y[None, :]
+            bound = ext.c_measured * s**-3 * np.abs(zz.imag) ** 2
+            mask = bound > 0.0
+            ratio = np.abs(ext.dbar(zz))[mask] / bound[mask]
+            assert float(np.max(ratio)) <= 1.0 + 1e-12
+            assert float(np.max(ratio)) > 0.99
 
     def test_measured_constant_matches_independent_grid(self):
         ext = almost_analytic_extension(4.0, 0.05)
@@ -348,13 +353,24 @@ class TestAlmostAnalyticExtension:
         with pytest.raises(ValueError, match="must be positive"):
             almost_analytic_extension(0.0, 0.05)
 
-    def test_samples_are_frozen_and_consistent(self):
-        ext = almost_analytic_extension(4.0, 0.05)
-        zz = ext.x_samples[:, None] + 1j * ext.y_samples[None, :]
-        assert np.array_equal(ext.f_samples, ext.value(zz))
-        assert np.array_equal(ext.dbar_samples, ext.dbar(zz))
-        with pytest.raises(ValueError):
-            ext.f_samples[0, 0] = 1.0
+    def test_constant_is_measured_once(self):
+        almost_analytic_extension(4.0, 0.05)
+        before = fcalc._defect_constant.cache_info()
+        for lam, h in ((2.0, 0.1), (1e3, 1e-2), (3.0, 1e-7)):
+            assert almost_analytic_extension(lam, h).c_measured == 19.6875
+        after = fcalc._defect_constant.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits + 3)
+
+    def test_defect_check_rejects_an_underestimated_constant(self, monkeypatch):
+        # sampled at the band's two ends only, where the third derivative
+        # vanishes, the sup reads 0 and the defect bound fails off the axis
+        monkeypatch.setattr(fcalc, "_PROFILE_SUP_NODES", 2)
+        fcalc._defect_constant.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="defect bound violated"):
+                almost_analytic_extension(4.0, 0.05)
+        finally:
+            fcalc._defect_constant.cache_clear()
 
 
 # --------------------------------------------------------------------------
@@ -525,15 +541,15 @@ class TestHsApply:
         P = boundary_operator(FLAT, 0.0, 0.05, n=32)
         assert np.array_equal(hs_apply(P, ext), hs_apply(P, ext))
 
-    def test_coarse_quadrature_rejected(self):
+    def test_coarse_quadrature_rejected(self, monkeypatch):
+        # a complement sum of -I makes the window 2 I, far outside [0, 1]
         ext = almost_analytic_extension(4.0, 0.05)
         P = boundary_operator(FLAT, 0.0, 0.05, n=16)
+        monkeypatch.setattr(
+            fcalc, "_resolvent_weighted_sum", lambda diag, *_: -np.eye(diag.size)
+        )
         with pytest.raises(ValueError, match="too coarse"):
-            hs_apply(P, ext, area_cells=(8, 8))
-        with pytest.raises(ValueError, match="too coarse"):
-            hs_apply(P, ext, edge_cells=32)
-        with pytest.raises(ValueError, match="must be even"):
-            hs_apply(P, ext, area_cells=(64, 33))
+            hs_apply(P, ext)
 
     @pytest.mark.parametrize("operator", ["circle n=32", "dense n=128"])
     def test_reflected_contour_matches_three_edge_reference(self, operator):
@@ -544,12 +560,6 @@ class TestHsApply:
             P = seeded_dense_operator(128, ext.scale, seed=8)
         F = hs_apply(P, ext)
         assert np.max(np.abs(F - reference_hs_apply(P, ext))) <= 1e-13
-
-    def test_odd_edge_cells_keep_the_real_axis_node_once(self):
-        ext = almost_analytic_extension(4.0, 0.05)
-        P = boundary_operator(FLAT, 0.0, 0.05, n=32)
-        F = hs_apply(P, ext, edge_cells=1023)
-        assert np.max(np.abs(F - reference_hs_apply(P, ext, edge_cells=1023))) <= 1e-13
 
     def test_peak_memory_bounded_on_dense_n128(self):
         ext = almost_analytic_extension(4.0, 0.05)
@@ -891,8 +901,6 @@ class TestFamilyDerivativeNorms:
     def test_input_validation(self):
         with pytest.raises(ValueError, match="order must be 0, 1, or 2"):
             family_derivative_norms(FLAT, 4.0, 0.05, 3)
-        with pytest.raises(ValueError, match="underflow"):
-            family_derivative_norms(FLAT, 4.0, 0.05, 1, step=0.0)
         with pytest.raises(ValueError, match="positive"):
             family_derivative_norms(FLAT, (4.0, -1.0), 0.05, 1)
 

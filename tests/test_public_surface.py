@@ -1,4 +1,4 @@
-"""Public-surface guard: every exported name of a layer module has a caller.
+"""Public-surface guard: every exported name and every option has a caller.
 
 A name in a layer module's ``__all__`` must be referenced somewhere other
 than its own definition and its ``__all__`` entry: by another part of the
@@ -8,6 +8,11 @@ or deleted.  A re-export in the package ``__init__`` is not a caller.
 References are found in the syntax tree, so strings, comments and
 docstrings do not count, and neither does a use inside the name's own
 function or class body.
+
+The same callers must pass every option: each defaulted parameter of an
+exported function, and of the explicit ``__init__`` of an exported class,
+is passed by some call by that name, by keyword or by position.  An option
+that every caller leaves at its default is a constant.
 """
 
 import ast
@@ -34,6 +39,19 @@ EXEMPT = {
         "the closed-form flat-case oracle for the level-circle operator's "
         "spectrum, kept for the non-separable eigenfunction model to check "
         "against"
+    ),
+}
+
+# (module, function, parameter): why the option stays without a caller
+OPTION_EXEMPT = {
+    ("agmon", "agmon_distance", "source"): (
+        '"caustic" gives the distance to the classically allowed region at '
+        "the energy E(h), which the reverse Agmon verdict on eigenfunctions "
+        "needs"
+    ),
+    ("cli", "main", "argv"): (
+        "the console script calls main() with no arguments, so argparse "
+        "reads sys.argv"
     ),
 }
 
@@ -105,6 +123,79 @@ def _package_trees(
     return layers, [parse(p) for p in (*private, *external)]
 
 
+def _options(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(name, parameter, position) for each defaulted parameter of an
+    exported function, or of an exported class's explicit ``__init__``;
+    position is the index among the positional arguments a call passes
+    (``self`` aside), None for a keyword-only parameter."""
+    exported = set(_exports(tree))
+    options = []
+    for node in tree.body:
+        if not isinstance(node, _DEFINITIONS) or node.name not in exported:
+            continue
+        function, skip = node, 0
+        if isinstance(node, ast.ClassDef):
+            inits = [
+                item
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            ]
+            if not inits:
+                continue
+            function, skip = inits[0], 1
+        args = function.args
+        positional = [*args.posonlyargs, *args.args][skip:]
+        first = len(positional) - len(args.defaults)
+        options.extend(
+            (node.name, arg.arg, index)
+            for index, arg in enumerate(positional)
+            if index >= first
+        )
+        options.extend(
+            (node.name, arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        )
+    return options
+
+
+def _calls(trees: list[ast.Module]) -> tuple[set[tuple[str, str]], dict[str, int]]:
+    """The (callee name, keyword) pairs of every call in ``trees`` to a plain
+    or dotted name, and the most positional arguments any such call passes
+    per callee name (a starred argument counts for none)."""
+    keywords, most = set(), defaultdict(int)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if isinstance(callee, ast.Name):
+                name = callee.id
+            elif isinstance(callee, ast.Attribute):
+                name = callee.attr
+            else:
+                continue
+            keywords.update((name, kw.arg) for kw in node.keywords if kw.arg)
+            count = sum(not isinstance(a, ast.Starred) for a in node.args)
+            most[name] = max(most[name], count)
+    return keywords, most
+
+
+def options_without_caller(
+    layers: dict[str, ast.Module], others: list[ast.Module]
+) -> list[str]:
+    """``layer.name(parameter=)`` for each option that no call in a layer
+    module or in ``others`` passes, by keyword or by position."""
+    keywords, most = _calls([*layers.values(), *others])
+    return [
+        f"{layer}.{name}({parameter}=)"
+        for layer, tree in layers.items()
+        for name, parameter, position in _options(tree)
+        if (name, parameter) not in keywords
+        and (position is None or most[name] <= position)
+    ]
+
+
 def test_every_exported_name_has_a_caller():
     missing = [
         qualified
@@ -127,6 +218,31 @@ def test_exemptions_are_current():
         if name not in _exports(layers[layer]) or f"{layer}.{name}" not in flagged
     ]
     assert not stale, f"exemptions to drop: {', '.join(stale)}"
+
+
+def test_every_option_has_a_caller():
+    missing = [
+        flagged
+        for flagged in options_without_caller(*_package_trees())
+        if _option_key(flagged) not in OPTION_EXEMPT
+    ]
+    assert not missing, (
+        "options that every caller leaves at their default (make each a "
+        f"constant or give it a caller): {', '.join(missing)}"
+    )
+
+
+def _option_key(flagged: str) -> tuple[str, str, str]:
+    qualified, parameter = flagged[:-2].split("(")
+    layer, name = qualified.split(".")
+    return layer, name, parameter
+
+
+def test_option_exemptions_are_current():
+    # an exemption whose option is gone, or now has a caller, is dropped
+    flagged = {_option_key(f) for f in options_without_caller(*_package_trees())}
+    stale = [".".join(key) for key in OPTION_EXEMPT if key not in flagged]
+    assert not stale, f"option exemptions to drop: {', '.join(stale)}"
 
 
 def test_every_export_is_defined():
@@ -197,3 +313,38 @@ def test_reexport_in_a_package_init_is_not_a_caller(tmp_path):
     (tmp_path / "__init__.py").write_text("from pkg.a import f, g\n")
     (tmp_path / "_helpers.py").write_text("from pkg.a import g\n")
     assert uncalled(*_package_trees(tmp_path, external=())) == ["a.f"]
+
+
+_LAYER_B = """
+__all__ = ["f", "K"]
+
+
+def f(a, b=1, *, c=2):
+    return a + b + c
+
+
+def _g(d=0):
+    return d
+
+
+class K:
+    def __init__(self, x, y=0.0):
+        self.x, self.y = x, y
+"""
+
+
+@pytest.mark.parametrize(
+    "caller, flagged",
+    [
+        ("f(0)\nK(1)\n", ["b.f(b=)", "b.f(c=)", "b.K(y=)"]),
+        ("f(0, 5)\nK(1, 2.0)\n", ["b.f(c=)"]),
+        ("f(0, c=3)\nK(1, y=2.0)\n", ["b.f(b=)"]),
+        ("f(0, *rest)\nb.K(1, 2.0)\n", ["b.f(b=)", "b.f(c=)"]),
+    ],
+    ids=["defaults", "positional", "keyword", "starred-and-dotted"],
+)
+def test_option_passed_by_keyword_or_position_has_a_caller(caller, flagged):
+    # private helpers such as _g are not checked; a starred argument passes
+    # nothing that the scan can count
+    layers = {"b": ast.parse(_LAYER_B)}
+    assert options_without_caller(layers, [ast.parse(caller)]) == flagged

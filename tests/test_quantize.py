@@ -368,7 +368,7 @@ class TestApplyQuantized:
             h=h,
             class_exponent=0.0,
         )
-        for u in random_band_probes(n, LENGTH, h, count=6, seed=21):
+        for u in random_band_probes(n, LENGTH, h, count=6):
             lhs = norm_of(apply_quantized(sym, u))
             assert lhs <= np.max(np.abs(a)) * norm_of(u) * (1.0 + 1e-12)
 
@@ -521,7 +521,7 @@ class TestFrameLowerBound:
         profile = build_cutoff_profile(8.0)
         series = flat_series(n, h)
         sym = build_phase_cutoff(series, profile, 0.25, h)
-        u = random_band_probes(n, LENGTH, h, count=1, seed=2)[0]
+        u = random_band_probes(n, LENGTH, h, count=1)[0]
         report = frame_lower_bound_check(sym, [u], profile.plateau)
         spec = np.fft.fftshift(np.fft.fft(u.values))
         oracle = math.sqrt(

@@ -5,8 +5,8 @@ Oracles used here:
     (4 h^2/dx^2) sin^2(pi k / n), and the exact decay rate of the
     constant-coefficient tridiagonal recurrence
     arccosh(1 + dx^2 c / (2 h^2)) / dx;
-  * the harmonic-well spectrum (2m+1) h of -h^2 d^2 + x^2;
-  * an independently assembled dense matrix for the cosine well;
+  * an independently assembled dense periodic matrix for the cosine well,
+    whose spectrum contains every even-parity mode's energy;
   * a sparse direct solve of the full 5-point Poisson system, assembled
     here with Kronecker products (independent of the CG kernel);
   * the Liouville-Green decay law exp(-weighted distance / h) with
@@ -35,29 +35,21 @@ from agmonlab.agmon import (
     separable_level_set,
 )
 from agmonlab.halfplane import BoundaryFunction, apply_halfplane_poisson
-from agmonlab.models import make_model, potential_grid
+from agmonlab.models import make_model, potential_grid, transverse_potential
 from agmonlab.solver import (
     EigenMode,
     Field2D,
-    TransverseWell,
     assemble_separable_mode,
     decay_fit,
     normal_derivative_trace,
     poisson_bvp,
     solve_transverse_modes,
     trace_at,
-    transverse_well_from_model,
 )
 
 TORUS = make_model("separable-torus")
 FLAT = make_model("halfplane-unit")
 STRIP = make_model("strip-2d")
-
-
-def free_circle_energy(h: float, length: float, n: int, k: int) -> float:
-    """Exact discrete eigenvalue of the free periodic 3-point Laplacian."""
-    dx = length / n
-    return 4.0 * h**2 / dx**2 * math.sin(math.pi * k / n) ** 2
 
 
 def discrete_rate(c: float, h: float, dx: float) -> float:
@@ -120,135 +112,52 @@ def torus_weight(s):
     return np.sqrt(0.5 + np.cos(s))
 
 
-class TestTransverseWell:
-    def test_from_torus_model(self):
-        well = transverse_well_from_model(TORUS)
-        assert well.boundary == "periodic"
-        assert well.lo == pytest.approx(-math.pi)
-        assert well.length == pytest.approx(2.0 * math.pi)
-        s = np.array([0.0, 1.0])
-        assert well.profile(s) == pytest.approx(1.0 + np.cos(s))
-
-    def test_rejects_bad_boundary(self):
-        with pytest.raises(ValueError, match="boundary"):
-            TransverseWell(profile=lambda s: s, length=1.0, boundary="robin")
-
-
 class TestTransverseModes:
-    def test_free_circle_matches_discrete_dispersion(self):
-        well = TransverseWell(
-            profile=lambda s: np.zeros_like(s),
-            length=2.0 * math.pi,
-            boundary="periodic",
-            lo=-math.pi,
-        )
-        modes = solve_transverse_modes(well, h=0.1, target=1.0, count=4, n=512)
-        e10 = free_circle_energy(0.1, 2.0 * math.pi, 512, 10)
-        e9 = free_circle_energy(0.1, 2.0 * math.pi, 512, 9)
-        assert modes[0].energy == pytest.approx(e10, abs=1e-10)
-        assert modes[1].energy == pytest.approx(e10, abs=1e-10)
-        assert modes[2].energy == pytest.approx(e9, abs=1e-10)
-        assert modes[3].energy == pytest.approx(e9, abs=1e-10)
-        # within 1% of the continuum value h^2 k^2 = 1
-        assert abs(modes[0].energy - 1.0) < 0.01
-
-    def test_free_circle_even_parity_subset(self):
-        well = TransverseWell(
-            profile=lambda s: np.zeros_like(s),
-            length=2.0 * math.pi,
-            boundary="periodic",
-            lo=-math.pi,
-        )
-        full = solve_transverse_modes(well, h=0.1, target=1.0, count=2, n=512)
-        even = solve_transverse_modes(
-            well, h=0.1, target=1.0, count=1, n=512, parity="even"
-        )
-        assert even[0].energy == pytest.approx(full[0].energy, abs=1e-9)
-        assert even[0].record["odd_part_norm"] == 0.0
-
-    def test_harmonic_well_level(self):
-        well = TransverseWell(
-            profile=lambda x: x**2, length=12.0, boundary="dirichlet", lo=-6.0
-        )
-        h = 0.05
-        [mode] = solve_transverse_modes(well, h=h, target=3.0 * h, count=1, n=1024)
-        assert mode.energy == pytest.approx(3.0 * h, rel=0.02)
-
-    def test_cosine_well_matches_dense_oracle(self):
-        well = transverse_well_from_model(TORUS)
-        modes = solve_transverse_modes(well, h=0.05, target=0.5, count=5, n=768)
-        oracle = dense_periodic_oracle(
-            well.profile, well.length, well.lo, 0.05, 768
-        )
-        for mode in modes:
-            assert np.min(np.abs(oracle - mode.energy)) < 1e-8
-
     def test_cosine_well_parity_subset_of_full_spectrum(self):
-        well = transverse_well_from_model(TORUS)
         oracle = dense_periodic_oracle(
-            well.profile, well.length, well.lo, 0.05, 768
+            transverse_potential(TORUS), 2.0 * math.pi, -math.pi, 0.05, 768
         )
-        even = solve_transverse_modes(
-            well, h=0.05, target=0.5, count=4, n=768, parity="even"
-        )
+        even = solve_transverse_modes(TORUS, h=0.05, target=0.5, count=4, n=768)
         for mode in even:
             assert np.min(np.abs(oracle - mode.energy)) < 1e-9
             assert mode.record["odd_part_norm"] == 0.0
 
     def test_normalization_and_residual(self):
-        well = transverse_well_from_model(TORUS)
-        modes = solve_transverse_modes(well, h=0.05, target=0.5, count=3, n=512)
+        modes = solve_transverse_modes(TORUS, h=0.05, target=0.5, count=3, n=512)
         for mode in modes:
             assert abs(mode.record["norm"] - 1.0) < 1e-10
             assert mode.record["residual"] < 1e-8
 
-    def test_assembled_matrix_symmetric_real_spectrum(self):
-        from agmonlab.solver import _dense_matrix, _well_nodes
-
-        for boundary in ("periodic", "dirichlet", "neumann"):
-            well = TransverseWell(
-                profile=lambda s: 1.0 + 0.3 * np.sin(s),
-                length=2.0 * math.pi,
-                boundary=boundary,
-                lo=-math.pi,
-            )
-            nodes = _well_nodes(well, 300)
-            mat = _dense_matrix(well, 0.1, nodes)
-            assert np.max(np.abs(mat - mat.T)) == 0.0
-            assert np.max(np.abs(np.imag(np.linalg.eigvals(mat)))) < 1e-9
-
     def test_resolvability_guard(self):
-        well = transverse_well_from_model(TORUS)
         with pytest.raises(ValueError, match="resolvability"):
-            solve_transverse_modes(well, h=0.01, target=0.5, count=1, n=512)
+            solve_transverse_modes(TORUS, h=0.01, target=0.5, count=1, n=512)
 
     def test_minimum_grid_guard(self):
-        well = transverse_well_from_model(TORUS)
         with pytest.raises(ValueError, match="below the minimum"):
-            solve_transverse_modes(well, h=0.5, target=0.5, count=1, n=128)
+            solve_transverse_modes(TORUS, h=0.5, target=0.5, count=1, n=128)
 
     def test_parity_requires_periodic(self):
-        well = TransverseWell(
-            profile=lambda x: x**2, length=12.0, boundary="dirichlet", lo=-6.0
-        )
-        with pytest.raises(ValueError, match="periodic"):
+        with pytest.raises(ValueError, match="'halfplane-unit' has no periodic normal"):
+            solve_transverse_modes(FLAT, h=0.05, target=0.15, count=1, n=1024)
+        # the strip has no normal circle either, but no transverse well first
+        with pytest.raises(ValueError, match="'strip-2d' depends on the tangential"):
+            solve_transverse_modes(STRIP, h=0.05, target=0.15, count=1, n=1024)
+
+    def test_rejects_odd_parity(self):
+        with pytest.raises(ValueError, match="unknown parity 'odd'"):
             solve_transverse_modes(
-                well, h=0.05, target=0.15, count=1, n=1024, parity="even"
+                TORUS, h=0.05, target=0.5, count=1, n=1024, parity="odd"
             )
 
     def test_values_frozen(self):
-        well = transverse_well_from_model(TORUS)
-        [mode] = solve_transverse_modes(well, h=0.05, target=0.5, count=1, n=512)
+        [mode] = solve_transverse_modes(TORUS, h=0.05, target=0.5, count=1, n=512)
         with pytest.raises(ValueError):
             mode.values[0] = 1.0
 
 
 class TestAssembleSeparableMode:
     def _even_mode(self, h=0.05, n=768):
-        well = transverse_well_from_model(TORUS)
-        [mode] = solve_transverse_modes(
-            well, h=h, target=TORUS.energy, count=1, n=n, parity="even"
-        )
+        [mode] = solve_transverse_modes(TORUS, h=h, target=TORUS.energy, count=1, n=n)
         return mode
 
     def test_energy_adds_discrete_dispersion(self):
@@ -937,10 +846,7 @@ class TestTorusSandwich:
 
     def test_even_mode_obeys_lower_bound_but_grows(self):
         h = 0.05
-        well = transverse_well_from_model(TORUS)
-        [mode] = solve_transverse_modes(
-            well, h=h, target=TORUS.energy, count=1, n=1024, parity="even"
-        )
+        [mode] = solve_transverse_modes(TORUS, h, TORUS.energy, count=1, n=1024)
         spline_nodes = mode.axes[0]
         spl = CubicSpline(spline_nodes, mode.values)
         collar = separable_collar(TORUS)
