@@ -44,7 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this experiment kind from the config",
     )
     run_parser.add_argument(
-        "--seed", type=int, default=None, help="seed override recorded in provenance"
+        "--seed",
+        type=int,
+        default=None,
+        help="seed override echoed in each summary's config block",
     )
     run_parser.add_argument(
         "--jobs", type=int, default=1, help="concurrent sweep points (default 1)"

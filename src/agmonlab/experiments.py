@@ -176,18 +176,21 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class Verdict:
-    """One pass/fail check with its tolerance and measured margin.
+    """One check: its tolerance and its measured margin.
 
-    Convention: ``margin`` is the signed distance to the pass boundary
-    with the slack already folded in, so ``passed == (margin >= 0)`` up to
-    float rounding at the exact boundary; ``tolerance`` records the slack
-    (or threshold) that was granted.
+    ``margin`` is the signed distance to the pass boundary with the slack
+    already folded in, as the checker hands it over; ``tolerance`` records
+    the slack (or threshold) that was granted.  The verdict passes iff
+    ``margin >= 0``; a NaN margin fails.
     """
 
     name: str
-    passed: bool
     tolerance: float
     margin: float
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,6 @@ class ReportRecord:
     key: tuple
     measured: Mapping[str, object]
     verdicts: tuple[Verdict, ...]
-    provenance: Mapping[str, object]
 
     @property
     def passed(self) -> bool:
@@ -482,23 +484,9 @@ def parse_config(
 def _record(
     config: ExperimentConfig, key: tuple, measured: Mapping, verdicts=()
 ) -> ReportRecord:
-    """A record of the config's kind, carrying the config's provenance."""
-    provenance = {
-        "grid": list(config.grid),
-        "seed": config.seed,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "agmonlab": __version__,
-        },
-    }
+    """A record of the config's kind."""
     return ReportRecord(
-        kind=config.kind,
-        key=key,
-        measured=measured,
-        verdicts=tuple(verdicts),
-        provenance=provenance,
+        kind=config.kind, key=key, measured=measured, verdicts=tuple(verdicts)
     )
 
 
@@ -527,8 +515,7 @@ def _map_points(
 
 def _bound_verdict(name: str, measured: float, bound: float, tol: float) -> Verdict:
     """measured <= bound + tol, margin = bound + tol - measured."""
-    margin = bound + tol - measured
-    return Verdict(name=name, passed=bool(margin >= 0.0), tolerance=tol, margin=margin)
+    return Verdict(name, tol, bound + tol - measured)
 
 
 def _variation_factor(values: np.ndarray) -> float:
@@ -592,26 +579,7 @@ def _chain_point(
 ) -> ReportRecord:
     phi = _chain_boundary_data(model, config.grid[0], h)
     report = verify_lower_chain(phi, rho, config.delta, _CHAIN_EPSILON)
-    # Tolerances mirror the chain checker's own slacks: 1e-10 on the
-    # transform identity, relative 1e-12 on the two exact spectral steps,
-    # none on the final measured bound.
-    verdicts = []
-    for step in report.steps:
-        if step.name == "plancherel":
-            tolerance, margin = 1e-10, float(step.margin)
-        elif step.name in ("zero-section-mass", "multiplier-floor"):
-            tolerance = 1e-12 * float(step.rhs)
-            margin = float(step.margin) + tolerance
-        else:
-            tolerance, margin = 0.0, float(step.margin)
-        verdicts.append(
-            Verdict(
-                name=step.name,
-                passed=step.passed,
-                tolerance=tolerance,
-                margin=margin,
-            )
-        )
+    verdicts = [Verdict(s.name, s.tolerance, s.margin) for s in report.steps]
     measured = {
         "exterior_fraction": report.exterior,
         "measured_ratio": report.measured_ratio,
@@ -931,10 +899,7 @@ def _gauged_phase_point(
     else:
         floor = _PHASE_ORDER + 0.5
         verdict = Verdict(
-            name="residual-order",
-            passed=bool(report.fitted_exponent >= floor),
-            tolerance=floor,
-            margin=float(report.fitted_exponent - floor),
+            "residual-order", floor, float(report.fitted_exponent - floor)
         )
         name = "residual-order"
     return _record(config, (config.model, name), measured, (verdict,))
@@ -1029,19 +994,10 @@ def _run_symbol_class(config: ExperimentConfig, jobs: int) -> list[ReportRecord]
         verdicts.append(
             _bound_verdict(f"xi-derivative-exponent-beta-{beta}", deviation, 0.0, 0.1)
         )
-    finite = [
-        exp - thr
-        for exp, thr in zip(report.exponents, report.thresholds)
-        if math.isfinite(exp)
-    ]
-    verdicts.append(
-        Verdict(
-            name="class-bound",
-            passed=bool(report.passed),
-            tolerance=0.1,
-            margin=float(min(finite)) if finite else math.inf,
-        )
-    )
+    # every row counts: a +inf exponent (an exactly vanishing sup) never
+    # binds, and a -inf one fails the bound
+    margin = float(np.min(report.exponents - report.thresholds))
+    verdicts.append(Verdict("class-bound", 0.1, margin))
     measured = {
         "h": h_values,
         "indices": tuple(f"a{a}b{b}" for a, b in report.indices),
@@ -1101,45 +1057,12 @@ def _mass_profile_point(
     mode = assemble_separable_mode(transverse, k, model, n_tangential=config.grid[1])
     profile = mass_profile_comparison(mode, model, lam, h)
     verdict_map = profile.verdict
-    floor = max(
-        float(np.max(profile.mass_values)),
-        float(np.max(np.abs(profile.comparison_values))),
-        1e-300,
-    )
-    # Margins mirror the profile checker's relative 1e-9 slacks.
-    comparison_margin = 1e-9 + float(
-        np.min(profile.mass_values - profile.comparison_values) / floor
-    )
-    trivial_margin = (
-        verdict_map["trace_growth"] * (1.0 + 1e-9)
-        - verdict_map["trivial_bound_constant"]
-    )
-    l0_margin = (1.0 + 1e-9) - (
-        verdict_map["exterior_ratio"] / verdict_map["l0_bound_ratio"]
-        if verdict_map["l0_bound_ratio"] > 0.0
-        else math.inf
-    )
     verdicts = (
         _bound_verdict("neumann-precondition", verdict_map["neumann_ratio"], 0.0, 1e-8),
         _bound_verdict("ode-oracle-agreement", verdict_map["ode_agreement"], 0.0, 1e-8),
-        Verdict(
-            name="comparison-lower-bound",
-            passed=bool(verdict_map["comparison_holds"]),
-            tolerance=1e-9,
-            margin=comparison_margin,
-        ),
-        Verdict(
-            name="windowed-trivial-bound",
-            passed=bool(verdict_map["trivial_bound_holds"]),
-            tolerance=1e-9,
-            margin=float(trivial_margin),
-        ),
-        Verdict(
-            name="initial-mass-bound",
-            passed=bool(verdict_map["l0_bound_holds"]),
-            tolerance=1e-9,
-            margin=float(l0_margin),
-        ),
+        Verdict("comparison-lower-bound", 1e-9, verdict_map["comparison_margin"]),
+        Verdict("windowed-trivial-bound", 1e-9, verdict_map["trivial_bound_margin"]),
+        Verdict("initial-mass-bound", 1e-9, verdict_map["l0_bound_margin"]),
     )
     measured = {
         "r": tuple(float(v) for v in profile.r_grid),
@@ -1269,12 +1192,7 @@ def _run_parametrix_consistency(
         "rel_error": tuple(float(e) for e in errors),
         "fitted_order": order,
     }
-    verdict = Verdict(
-        name="consistency-order",
-        passed=bool(order >= 0.7),
-        tolerance=0.7,
-        margin=order - 0.7,
-    )
+    verdict = Verdict("consistency-order", 0.7, order - 0.7)
     records.append(
         _record(config, (config.model, "order-fit"), sweep_measured, (verdict,))
     )
@@ -1419,11 +1337,25 @@ def _json_value(value):
     return value
 
 
+def _provenance() -> dict:
+    """Package versions and the BLAS numpy was built against."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "agmonlab": __version__,
+        },
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+    }
+
+
 def write_summary_json(
     records: tuple[ReportRecord, ...], config: ExperimentConfig, path: Path
 ) -> bool:
-    """The JSON summary: config echo, provenance, all verdicts.  Returns
-    whether every verdict passed."""
+    """The JSON summary: config echo (with the grid and seed), provenance
+    once, all verdicts.  Returns whether every verdict passed."""
     all_passed = all(rec.passed for rec in records)
     payload = {
         "kind": config.kind,
@@ -1439,6 +1371,7 @@ def write_summary_json(
             "grid": list(config.grid),
             "seed": config.seed,
         },
+        "provenance": _provenance(),
         "records": [
             {
                 "key": _json_value(rec.key),
@@ -1452,7 +1385,6 @@ def write_summary_json(
                     }
                     for v in rec.verdicts
                 ],
-                "provenance": _json_value(rec.provenance),
             }
             for rec in records
         ],

@@ -194,14 +194,25 @@ def exterior_mass_fraction(phi: BoundaryFunction, delta: float) -> float:
 
 @dataclass(frozen=True)
 class ChainStep:
-    """One verified inequality: pass iff margin >= 0."""
+    """One verified inequality with its slack folded into the margin.
+
+    ``tolerance`` is the slack the step grants (absolute on the Plancherel
+    deviation, 1e-12 * rhs on the two exact spectral steps, 0 on the
+    measured bound); ``margin`` is the signed distance to the pass boundary
+    with that slack included, so the step passes iff ``margin >= 0`` (a NaN
+    margin fails).
+    """
 
     name: str
     claim: str
     lhs: float
     rhs: float
+    tolerance: float
     margin: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -263,8 +274,8 @@ def verify_lower_chain(
         claim="frequency-side norm equals sqrt(2 pi h) times node-side norm",
         lhs=lhs1,
         rhs=rhs1,
+        tolerance=_IDENTITY_TOL,
         margin=_IDENTITY_TOL - dev,
-        passed=dev <= _IDENTITY_TOL,
     )
 
     inside = np.abs(spec.frequencies) <= delta
@@ -275,8 +286,8 @@ def verify_lower_chain(
         claim="mass on |xi'| <= delta is at least (1 - epsilon^2) of total",
         lhs=lhs2,
         rhs=rhs2,
-        margin=lhs2 - rhs2,
-        passed=lhs2 >= rhs2 * (1.0 - 1e-12),
+        tolerance=1e-12 * rhs2,
+        margin=(lhs2 - rhs2) + 1e-12 * rhs2,
     )
 
     floor = math.exp(-(rho / h) * math.sqrt(delta**2 + 1.0))
@@ -286,8 +297,8 @@ def verify_lower_chain(
         claim="damping on the band is at least exp(-(rho/h) sqrt(delta^2+1))",
         lhs=lhs3,
         rhs=floor,
-        margin=lhs3 - floor,
-        passed=lhs3 >= floor * (1.0 - 1e-12),
+        tolerance=1e-12 * floor,
+        margin=(lhs3 - floor) + 1e-12 * floor,
     )
 
     trace = apply_halfplane_poisson(phi, rho)
@@ -298,8 +309,8 @@ def verify_lower_chain(
         "sqrt(delta^2+1)) times the data norm",
         lhs=trace.norm,
         rhs=rhs4,
+        tolerance=0.0,
         margin=trace.norm - rhs4,
-        passed=trace.norm >= rhs4,
     )
 
     return ChainReport(

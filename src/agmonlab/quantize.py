@@ -342,15 +342,20 @@ def random_band_probes(
 
 @dataclass(frozen=True)
 class SymbolClassReport:
-    """Fitted h-growth exponents of derivative sups, per multi-index."""
+    """Fitted h-growth exponents of derivative sups, per multi-index.
+
+    The class bound holds iff every exponent is at least its threshold.
+    """
 
     h_values: np.ndarray
     indices: tuple[tuple[int, int], ...]
     sups: np.ndarray  # (n_indices, n_h)
     exponents: np.ndarray
     thresholds: np.ndarray
-    per_index_pass: np.ndarray
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return bool(np.all(self.exponents >= self.thresholds))
 
 
 _CLASS_INDICES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -399,15 +404,12 @@ def symbol_class_check(
     thresholds = np.array(
         [-class_exponent * beta - 0.1 for (_, beta) in _CLASS_INDICES]
     )
-    per_index = exponents >= thresholds
     return SymbolClassReport(
         h_values=h_values,
         indices=_CLASS_INDICES,
         sups=sups,
         exponents=exponents,
         thresholds=thresholds,
-        per_index_pass=per_index,
-        passed=bool(per_index.all()),
     )
 
 

@@ -217,10 +217,12 @@ class TestFlags:
         summary = json.loads(
             (tmp_path / "out" / "halfplane-chain.json").read_text()
         )
+        # the config echo carries the seed and grid; provenance is written
+        # once, at the top, and no record repeats it
         assert summary["config"]["seed"] == 17
-        assert all(
-            rec["provenance"]["seed"] == 17 for rec in summary["records"]
-        )
+        assert summary["config"]["grid"] == [256]
+        assert set(summary["provenance"]) == {"versions", "blas"}
+        assert not any("provenance" in rec for rec in summary["records"])
 
     def test_verbose_prints_verdict_lines(self, tmp_path, capsys):
         path = write_config(tmp_path)

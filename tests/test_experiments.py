@@ -1,12 +1,14 @@
 """Tests for the config-driven experiment runners and their reports."""
 
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from agmonlab import experiments, fcalc
 from agmonlab.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -493,6 +495,91 @@ class TestRunExperiment:
             run_experiment(config, jobs=0)
 
 
+def _small_run(tmp_path, kind):
+    overrides = {**SMALL_RUNS[kind], "kind": kind}
+    (config,) = parse_config(payload(out=str(tmp_path), **overrides))
+    return run_experiment(config)
+
+
+def assert_summary_schema(path, overrides):
+    """The summary schema: the config echo holds the grid and seed, one
+    provenance block sits at the top, no record carries its own, and each
+    verdict's "passed" is its margin >= 0 ("inf"/"-inf" strings decoded)."""
+    text = path.read_text()
+    summary = json.loads(text)
+    assert summary["csv_schema"] == 1
+    assert summary["config"]["seed"] == 0
+    assert summary["config"]["grid"] == overrides.get("grid", [256])
+    assert text.count('"provenance"') == 1
+    provenance = summary["provenance"]
+    assert set(provenance["versions"]) == {"python", "numpy", "scipy", "agmonlab"}
+    assert set(provenance["blas"]) == {"name", "version"}
+    records = summary["records"]
+    assert all(set(rec) == {"key", "measured", "verdicts"} for rec in records)
+    verdicts = [v for rec in records for v in rec["verdicts"]]
+    for verdict in verdicts:
+        margin = verdict["margin"]
+        margin = float(margin) if isinstance(margin, str) else margin
+        assert verdict["passed"] == (margin >= 0.0)
+    assert summary["all_passed"] == all(v["passed"] for v in verdicts)
+
+
+class TestVerdictRule:
+    """A verdict passes iff its margin is >= 0, and the checkers' own
+    failures reach the verdict's margin."""
+
+    def test_verdict_passes_iff_margin_nonnegative(self):
+        assert Verdict("zero", 0.0, 0.0).passed
+        assert not Verdict("below", 1.0, -1e-300).passed
+        assert not Verdict("nan", 0.0, math.nan).passed
+        assert not Verdict("minus-inf", 0.1, -math.inf).passed
+        assert Verdict("plus-inf", 0.1, math.inf).passed
+
+    def test_class_bound_fails_on_a_minus_inf_exponent(self, tmp_path, monkeypatch):
+        real_check = experiments.symbol_class_check
+
+        def one_minus_inf(*args, **kwargs):
+            report = real_check(*args, **kwargs)
+            exponents = report.exponents.copy()
+            exponents[-1] = -math.inf
+            return dataclasses.replace(report, exponents=exponents)
+
+        monkeypatch.setattr(experiments, "symbol_class_check", one_minus_inf)
+        result = _small_run(tmp_path, "symbol-class")
+        (record,) = result.records
+        bound = record.verdicts[-1]
+        assert bound.name == "class-bound"
+        assert bound.margin == -math.inf
+        assert not bound.passed
+        assert not result.passed
+        summary = json.loads(result.summary_path.read_text())
+        written = summary["records"][0]["verdicts"][-1]
+        assert written == {
+            "name": "class-bound",
+            "passed": False,
+            "tolerance": 0.1,
+            "margin": "-inf",
+        }
+
+    def test_failed_comparison_reads_a_negative_margin(self, tmp_path, monkeypatch):
+        real_solution = fcalc.comparison_solution
+
+        def above_the_mass(*args):
+            return 1e3 * real_solution(*args)
+
+        monkeypatch.setattr(fcalc, "comparison_solution", above_the_mass)
+        result = _small_run(tmp_path, "mass-profile")
+        assert not result.passed
+        for record in result.records:
+            by_name = {v.name: v for v in record.verdicts}
+            assert not by_name["comparison-lower-bound"].passed
+            assert by_name["comparison-lower-bound"].margin < 0.0
+            # the surface-mass bound does not use the comparison solution
+            assert by_name["initial-mass-bound"].passed
+            for verdict in record.verdicts:
+                assert verdict.passed == (verdict.margin >= 0.0)
+
+
 class TestEmitPlots:
     def _records(self, out_dir, **overrides):
         (config,) = parse_config(payload(out=str(out_dir), **overrides))
@@ -515,8 +602,7 @@ class TestEmitPlots:
             kind="parametrix-consistency",
             key=("separable-torus", 0.1, 0.02),
             measured={"rel_error": 1e-3, "rho": 0.02},
-            verdicts=(Verdict("demo", True, 0.0, 1.0),),
-            provenance={},
+            verdicts=(Verdict("demo", 0.0, 1.0),),
         )
         (path,) = emit_plots([record], "parametrix-consistency", tmp_path)
         text = path.read_text()
@@ -546,16 +632,13 @@ class TestEmitPlots:
 
     @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
     def test_every_kind_writes_its_artifacts(self, tmp_path, kind):
-        overrides = {**SMALL_RUNS[kind], "kind": kind}
-        (config,) = parse_config(payload(out=str(tmp_path), **overrides))
-        result = run_experiment(config)
+        result = _small_run(tmp_path, kind)
         lines = result.csv_path.read_text().splitlines()
         assert lines[0] == KIND_COLUMNS[kind]
         width = len(KIND_COLUMNS[kind].split(","))
         rows = list(csv.reader(lines[1:]))
         assert rows
         assert all(len(row) == width for row in rows)
-        summary = json.loads(result.summary_path.read_text())
-        assert summary["csv_schema"] == 1
+        assert_summary_schema(result.summary_path, SMALL_RUNS[kind])
         assert result.plot_paths == (tmp_path / f"{kind}.svg",)
         assert result.plot_paths[0].exists()

@@ -17,7 +17,7 @@ from scipy.linalg import hessenberg
 
 from agmonlab import fcalc
 from agmonlab._smooth import polyramp, polyramp_derivative
-from agmonlab.agmon import LevelSet
+from agmonlab.agmon import LevelSet, separable_level_set
 from agmonlab.fcalc import (
     _resolvent_weighted_sum,
     almost_analytic_extension,
@@ -31,7 +31,6 @@ from agmonlab.fcalc import (
     mass_profile_comparison,
     spectral_calculus,
     step_profile,
-    surface_level,
     surface_trace_of_mode,
 )
 from agmonlab.models import make_model, potential_grid
@@ -368,6 +367,24 @@ class TestAlmostAnalyticExtension:
         fcalc._defect_constant.cache_clear()
         try:
             with pytest.raises(AssertionError, match="defect bound violated"):
+                almost_analytic_extension(4.0, 0.05)
+        finally:
+            fcalc._defect_constant.cache_clear()
+
+    def test_extension_check_rejects_a_missing_taylor_term(self, monkeypatch):
+        # without its k = 2 term the extension still restricts to the profile
+        # on the real axis and dbar still meets the defect bound, but the
+        # centred conjugate derivative of value no longer matches dbar
+        def truncated(self, z):
+            z = np.asarray(z, dtype=complex)
+            x = z.real / self.scale
+            iy = 1j * (z.imag / self.scale)
+            return step_profile(x, 0) + step_profile(x, 1) * iy
+
+        monkeypatch.setattr(fcalc.AlmostAnalyticExtension, "value", truncated)
+        fcalc._defect_constant.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match="centred conjugate derivative"):
                 almost_analytic_extension(4.0, 0.05)
         finally:
             fcalc._defect_constant.cache_clear()
@@ -715,7 +732,7 @@ class TestResolventWeightedSum:
 
 class TestSurfaceLevelAndTrace:
     def test_surface_level_weights(self):
-        level = surface_level(TORUS, n_tangential=64)
+        level = separable_level_set(TORUS, 0.0, n_tangential=64)
         spacing = 2.0 * math.pi / 64
         barrier = 2.0 - TORUS.energy  # cosine crest minus the energy
         assert level.rho == 0.0
@@ -745,7 +762,7 @@ class TestSurfaceLevelAndTrace:
 
 
 def _flat_surface_trace(values: np.ndarray, h: float) -> BoundaryTrace:
-    level = surface_level(FLAT, n_tangential=values.size)
+    level = separable_level_set(FLAT, 0.0, n_tangential=values.size)
     return BoundaryTrace(values=values, level=level, rho=0.0, h=h)
 
 
@@ -1003,10 +1020,10 @@ class TestMassProfileComparison:
         root = math.sqrt(profile.t_constant)
         expected = profile.mass_values[0] * np.cosh(root / 0.1375 * profile.r_grid)
         assert np.allclose(profile.comparison_values, expected, rtol=1e-12)
-        assert v["comparison_holds"] is True
+        assert v["comparison_margin"] >= 0.0
         assert v["ode_agreement"] <= 1e-8
-        assert v["trivial_bound_holds"] is True
-        assert v["l0_bound_holds"] is True
+        assert v["trivial_bound_margin"] >= 0.0
+        assert v["l0_bound_margin"] >= 0.0
         l0_expected = v["integral_value"] * root / 0.1375 / math.sinh(root * 4.0)
         assert v["l0_bound"] == pytest.approx(l0_expected, rel=1e-12)
         assert profile.mass_values[0] <= v["l0_bound"] * (1.0 + 1e-9)
@@ -1032,9 +1049,9 @@ class TestMassProfileComparison:
             )
             profile = mass_profile_comparison(mode, TORUS, lam=lam, h=h)
             v = profile.verdict
-            assert v["comparison_holds"] is True
-            assert v["trivial_bound_holds"] is True
-            assert v["l0_bound_holds"] is True
+            assert v["comparison_margin"] >= 0.0
+            assert v["trivial_bound_margin"] >= 0.0
+            assert v["l0_bound_margin"] >= 0.0
             assert v["traces_monotone"] is False
             assert v["ode_agreement"] <= 1e-8
             mu = oracle_circle_eigenvalue(2.0 * math.pi, 256, h, k)
