@@ -61,13 +61,15 @@ _DEPTH_SAMPLES = 257
 # tangentially constant potential passes before the first iteration.
 _PCG_TOL = 1e-14
 _PCG_MAX_ITER = 200
-# A field builds its column splines in blocks of about this many bytes of
-# field values, one batched cubic spline per block.  On 128x801 and 512x512
-# complex fields (2 cores, one BLAS thread), 128 KiB blocks built in 10-17
-# and 37 ms against 14-17 and 40 ms for 512 KiB blocks, with a transient
-# peak of 3.6 and 6.0 MiB instead of 9.4 and 12.0 MiB (tracemalloc, kept
-# slopes included); 32 KiB blocks took twice as long.
-_SPLINE_BLOCK_BYTES = 2**17
+# Both blocked loops, a field's column splines and poisson_bvp's stencil,
+# take about this many bytes of field values per block.  On 128x801 and
+# 512x512 complex fields (2 cores, one BLAS thread), 128 KiB spline blocks
+# built in 10-17 and 37 ms against 14-17 and 40 ms for 512 KiB blocks, with
+# a transient peak of 3.6 and 6.0 MiB instead of 9.4 and 12.0 MiB
+# (tracemalloc, kept slopes included); 32 KiB blocks took twice as long.
+# The stencil in 128 KiB blocks took 14.5 ms against 32.5 ms in one pass on
+# a real 64x24001 stack, and 1.9 against 2.4 ms on a complex 128x801 one.
+_BLOCK_BYTES = 2**17
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +291,7 @@ class Field2D:
         dtype = complex if np.iscomplexobj(self.values) else float
         slopes = np.empty((nx, xn.size - 1), dtype=dtype)
         last = np.empty((2, nx), dtype=dtype)
-        block = max(1, _SPLINE_BLOCK_BYTES // (xn.size * self.values.itemsize))
+        block = max(1, _BLOCK_BYTES // (xn.size * self.values.itemsize))
         for start in range(0, nx, block):
             cols = slice(start, start + block)
             y = np.ascontiguousarray(self.values[cols].T)
@@ -380,6 +382,13 @@ def poisson_bvp(
     iteration count and the final true residual max|A u - b| / max|u|; a
     solve that misses the stopping test within the iteration cap raises
     instead of returning.
+
+    Memory, in fields of nx * n_normal float64: on the direct path
+    (0 iterations) with real data the solve peaks at the returned complex
+    field plus about 1.5 fields (3.61 fields in all at nx = 64), when V - E,
+    the mode factor and the transformed data are live before the field
+    exists, and keeps only the returned field.  Iterating adds CG's vectors
+    and a second factor of the preconditioner.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -394,7 +403,8 @@ def poisson_bvp(
     nx = phi.values.size
     xp = L / nx * np.arange(nx)
     xn = np.linspace(0.0, far, n_normal)
-    v_grid = potential_grid(model, xp, xn) - model.energy
+    v_grid = potential_grid(model, xp, xn)
+    v_grid -= model.energy
     if np.min(v_grid) <= 0.0:
         j = np.unravel_index(int(np.argmin(v_grid)), v_grid.shape)
         raise ValueError(
@@ -404,7 +414,11 @@ def poisson_bvp(
 
     cn = h**2 / (xn[1] - xn[0]) ** 2
     cp = h**2 / (L / nx) ** 2
-    values, iterations, residual = _mode_pcg(phi.values, v_grid, cn, cp)
+    parts, iterations, residual = _mode_pcg(phi.values, v_grid, cn, cp)
+    del v_grid  # before the complex copy of the field
+    values = np.empty((nx, n_normal), dtype=complex)
+    values.real = parts[0]
+    values.imag = parts[1] if len(parts) == 2 else 0.0
     meta = {
         "far": far,
         "contamination_bound": contamination,
@@ -429,14 +443,16 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
 
     The blocks are stacked mode-major into one symmetric positive definite
     tridiagonal with zero coupling between blocks and factored once as
-    L D L^T.  The returned function solves for a complex right-hand side
-    of shape (..., modes, w.size), in place when it is C-contiguous; the
-    leading axes are independent right-hand sides.
+    L D L^T, in place of the assembled diagonals.  The returned function
+    solves for a complex right-hand side of shape (..., modes, w.size), in
+    place when it is C-contiguous; the leading axes are independent
+    right-hand sides.  It holds the factor (about 1.5 fields) until it is
+    dropped.
     """
     diag = (2.0 * cn + w)[None, :] + dispersion[:, None]
     off = np.full(diag.shape, -cn)
     off[:, -1] = 0.0
-    d, e, info = dpttrf(diag.ravel(), off.ravel()[:-1])
+    d, e, info = dpttrf(diag.ravel(), off.ravel()[:-1], overwrite_d=1, overwrite_e=1)
     if info:
         raise ValueError(f"mode operator is not positive definite (info={info})")
     e = e.astype(complex)
@@ -448,21 +464,49 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
     return solve
 
 
-def _stencil(u: np.ndarray, w: np.ndarray, cn: float, cp: float) -> np.ndarray:
+def _stencil(
+    u: np.ndarray, w: np.ndarray, cn: float, cp: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """The 5-point operator at the interior rows of u, shaped (..., nx, ny)
     with the tangent on axis -2; the first and last normal rows hold the
-    Dirichlet values, and w is V - E at the interior rows."""
-    out = w * u[..., 1:-1]
-    tmp = np.add(u[..., :-2], u[..., 2:])
-    tmp *= -cn
-    out += tmp
-    np.multiply(u[..., 1:-1], 2.0 * (cn + cp), out=tmp)
-    out += tmp
-    np.add(u[..., :-2, 1:-1], u[..., 2:, 1:-1], out=tmp[..., 1:-1, :])
-    np.add(u[..., -1, 1:-1], u[..., 1, 1:-1], out=tmp[..., 0, :])
-    np.add(u[..., -2, 1:-1], u[..., 0, 1:-1], out=tmp[..., -1, :])
-    tmp *= -cp
-    out += tmp
+    Dirichlet values, and w is V - E at the interior rows.
+
+    Written to ``out`` (u's shape less the two Dirichlet rows) when given.
+    The tangent is cut into blocks of whole normal columns u[..., i, :],
+    about _BLOCK_BYTES of u per block, so the scratch is one block and
+    each block's columns and their neighbours stay in cache; every entry
+    takes the same float operations in the same order whatever the block
+    size.
+    """
+    nx = u.shape[-2]
+    if out is None:
+        out = np.empty(u.shape[:-1] + (u.shape[-1] - 2,))
+    step = max(1, _BLOCK_BYTES // (u[..., 0, :].size * u.itemsize))
+    scratch = np.empty(u.shape[:-2] + (min(step, nx), u.shape[-1] - 2))
+    for a in range(0, nx, step):
+        b = min(a + step, nx)
+        o = out[..., a:b, :]
+        t = scratch[..., : b - a, :]
+        c = u[..., a:b, 1:-1]
+        np.multiply(w[a:b], c, out=o)
+        np.add(u[..., a:b, :-2], u[..., a:b, 2:], out=t)
+        t *= -cn
+        o += t
+        np.multiply(c, 2.0 * (cn + cp), out=t)
+        o += t
+        # tangential neighbours; the circle closes at columns 0 and nx - 1
+        lo, hi = max(a, 1), min(b, nx - 1)
+        np.add(
+            u[..., lo - 1 : hi - 1, 1:-1],
+            u[..., lo + 1 : hi + 1, 1:-1],
+            out=t[..., lo - a : hi - a, :],
+        )
+        if a == 0:
+            np.add(u[..., -1, 1:-1], u[..., 1, 1:-1], out=t[..., 0, :])
+        if b == nx:
+            np.add(u[..., -2, 1:-1], u[..., 0, 1:-1], out=t[..., -1, :])
+        t *= -cp
+        o += t
     return out
 
 
@@ -487,8 +531,11 @@ def _mode_pcg(phi, w, cn, cp):
     Iteration stops when the true residual max|r| / max|u| (complex
     moduli) is within _PCG_TOL of the operator's infinity norm (a normwise
     backward error, so the test is reachable at every grid size); the
-    recursive residual only triggers that check.  Returns (complex values,
-    iterations, residual).
+    recursive residual only triggers that check.
+
+    The first preconditioner solve drops its factor before the field is
+    allocated, and CG factors again only when it has to iterate.  Returns
+    (the real parts, shaped (parts, nx, ny), iterations, residual).
     """
     nx, ny = w.shape
     w = w[:, 1:-1]
@@ -497,24 +544,32 @@ def _mode_pcg(phi, w, cn, cp):
     else:
         data = np.real(phi)[None]
     dispersion = 4.0 * cp * np.sin(math.pi * np.arange(nx // 2 + 1) / nx) ** 2
-    solve = _dirichlet_modes(np.mean(w, axis=0), cn, dispersion)
+    row_mean = np.mean(w, axis=0)
     bound = _PCG_TOL * (4.0 * (cn + cp) + float(np.max(w)))
-    values = np.zeros((len(data), nx, ny))
-    values[..., 0] = data
 
     def relative(r):
         scale = _modulus_max(values)
         return _modulus_max(r) / scale if scale else 0.0
 
+    solve = _dirichlet_modes(row_mean, cn, dispersion)
     # b is cn * phi on the first interior row only, so its transform is too
     rhs = np.zeros((len(data), nx // 2 + 1, ny - 2), dtype=complex)
     rhs[..., 0] = cn * np.fft.rfft(data)
-    values[..., 1:-1] = np.fft.irfft(solve(rhs), nx, axis=-2)
+    rhs = solve(rhs)
+    del solve  # the factor goes before the field is allocated
+    values = np.zeros((len(data), nx, ny))
+    values[..., 0] = data
+    np.fft.irfft(rhs, nx, axis=-2, out=values[..., 1:-1])
     del rhs
     r = _stencil(values, w, cn, cp)
     residual = relative(r)
     iterations = 0
+    if residual <= bound:
+        return values, iterations, residual
+    solve = _dirichlet_modes(row_mean, cn, dispersion)
     p = np.zeros(values.shape)
+    q = np.empty(r.shape)
+    z = np.empty(r.shape)
     rz = 1.0  # any finite value: p starts at zero
     while residual > bound:
         if iterations == _PCG_MAX_ITER:
@@ -523,25 +578,22 @@ def _mode_pcg(phi, w, cn, cp):
                 f"residual {residual:.3g} > {bound:.3g} after {iterations} "
                 "iterations"
             )
-        z = np.fft.irfft(solve(np.fft.rfft(r, axis=-2)), nx, axis=-2)
+        np.fft.irfft(solve(np.fft.rfft(r, axis=-2)), nx, axis=-2, out=z)
         rz_next = float(np.vdot(r, z))
         p[..., 1:-1] *= rz_next / rz
         p[..., 1:-1] += z
         rz = rz_next
-        q = _stencil(p, w, cn, cp)
+        _stencil(p, w, cn, cp, out=q)
         alpha = rz / float(np.vdot(p[..., 1:-1], q))
-        values[..., 1:-1] -= alpha * p[..., 1:-1]
-        r -= alpha * q
+        np.multiply(p[..., 1:-1], alpha, out=z)  # z is free until the next solve
+        values[..., 1:-1] -= z
+        q *= alpha
+        r -= q
         iterations += 1
         residual = relative(r)
         if residual <= bound:  # confirm on the true residual
-            r = _stencil(values, w, cn, cp)
-            residual = relative(r)
-    del r, p  # before the complex copy of the field
-    out = np.empty((nx, ny), dtype=complex)
-    out.real = values[0]
-    out.imag = values[1] if len(values) == 2 else 0.0
-    return out, iterations, residual
+            residual = relative(_stencil(values, w, cn, cp, out=r))
+    return values, iterations, residual
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ Oracles used here:
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -91,6 +92,23 @@ def sparse_direct_oracle(model, phi, h, far, n_normal):
     rhs = np.zeros((nx, m), dtype=complex)
     rhs[:, 0] = cn * phi.values
     return spsolve(mat.tocsc(), rhs.ravel()).reshape(nx, m)
+
+
+def single_pass_stencil(u, w, cn, cp):
+    """The 5-point operator at the interior normal rows of u, in one pass
+    over the whole array: the reference for the blocked solver._stencil."""
+    out = w * u[..., 1:-1]
+    tmp = np.add(u[..., :-2], u[..., 2:])
+    tmp *= -cn
+    out += tmp
+    np.multiply(u[..., 1:-1], 2.0 * (cn + cp), out=tmp)
+    out += tmp
+    np.add(u[..., :-2, 1:-1], u[..., 2:, 1:-1], out=tmp[..., 1:-1, :])
+    np.add(u[..., -1, 1:-1], u[..., 1, 1:-1], out=tmp[..., 0, :])
+    np.add(u[..., -2, 1:-1], u[..., 0, 1:-1], out=tmp[..., -1, :])
+    tmp *= -cp
+    out += tmp
+    return out
 
 
 def per_column_spline_oracle(values, xp, xn, level):
@@ -356,6 +374,73 @@ class TestPoissonBVP:
         with pytest.raises(ValueError, match=r"32 x 41 grid: residual .* after 2"):
             poisson_bvp(STRIP, phi, 0.05, far=0.5, n_normal=41)
 
+    @pytest.mark.parametrize(
+        "model, far, n_normal, factors, iterations",
+        [(TORUS, 1.2, 101, 1, 0), (STRIP, 0.5, 41, 2, 11)],
+        ids=["separable-torus", "strip-2d"],
+    )
+    def test_factorizations(self, monkeypatch, model, far, n_normal, factors, iterations):
+        # the first preconditioner solve drops its factor before the field
+        # is allocated; CG factors again only when it has to iterate
+        calls = []
+        factor = solver._dirichlet_modes
+
+        def counted(*args):
+            calls.append(args)
+            return factor(*args)
+
+        monkeypatch.setattr(solver, "_dirichlet_modes", counted)
+        nx = 32
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        data = 1.0 + 0.3 * np.cos(2.0 * xp) + 0.2j * np.sin(3.0 * xp)
+        phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)
+        field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
+        assert len(calls) == factors
+        assert field.meta["iterations"] == iterations
+
+    @pytest.mark.parametrize("n_normal", [4001, 24001])
+    def test_direct_solve_peak_memory(self, n_normal):
+        # V - E, the mode factor and the transformed data are live together
+        # before the field exists: the returned complex field plus about
+        # 1.5 fields, 3.61 in all at nx = 64
+        nx = 64
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        data = 1.0 + 0.4 * np.cos(xp) + 0.2 * np.cos(2.0 * xp)
+        phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)
+        field_bytes = nx * n_normal * 8
+        tracemalloc.start()
+        try:
+            field = poisson_bvp(
+                TORUS, phi, 0.05, far=1.0, n_normal=n_normal, rho_max=0.1
+            )
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.meta["iterations"] == 0
+        assert peak <= 3.7 * field_bytes
+        assert abs(retained / field_bytes - 2.0) <= 0.05  # the complex field
+
+    @pytest.mark.parametrize("parts", [1, 2], ids=["real-data", "complex-data"])
+    @pytest.mark.parametrize("block_columns", [0, 1, 5, 7, 13])
+    def test_blocked_stencil_is_the_single_pass_stencil(
+        self, monkeypatch, parts, block_columns
+    ):
+        # 0 columns' worth of bytes still makes one-column blocks; 5 and 7
+        # do not divide nx = 12, and 13 is one block
+        nx, ny = 12, 9
+        rng = np.random.default_rng(19)
+        u = rng.standard_normal((parts, nx, ny))
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        xn = np.linspace(0.0, 0.5, ny)
+        w = potential_grid(STRIP, xp, xn)[:, 1:-1] - STRIP.energy
+        cn, cp = 0.05**2 / (xn[1] - xn[0]) ** 2, 0.05**2 / (xp[1] - xp[0]) ** 2
+        monkeypatch.setattr(solver, "_BLOCK_BYTES", block_columns * parts * ny * 8)
+        expected = single_pass_stencil(u, w, cn, cp)
+        assert np.array_equal(solver._stencil(u, w, cn, cp), expected)
+        out = np.full(expected.shape, np.nan)
+        assert solver._stencil(u, w, cn, cp, out=out) is out
+        assert np.array_equal(out, expected)
+
     def test_doubling_far_boundary_is_negligible(self):
         nx = 64
         phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, 0.05)
@@ -525,7 +610,7 @@ class TestTraceOracle:
         if block_columns:  # 64 columns in blocks of 5, the last one short
             column_bytes = field.values.shape[1] * field.values.itemsize
             monkeypatch.setattr(
-                solver, "_SPLINE_BLOCK_BYTES", block_columns * column_bytes
+                solver, "_BLOCK_BYTES", block_columns * column_bytes
             )
         level = level_set_at(distance, rho)
         heights = level.points[:, 1]
@@ -649,7 +734,7 @@ class TestKeptSlopes:
         for fresh in (replace(field), replace(field)):
             for level in levels:
                 trace_at(fresh, level)
-        block = solver._SPLINE_BLOCK_BYTES // (
+        block = solver._BLOCK_BYTES // (
             field.values.shape[1] * field.values.itemsize
         )
         assert block < nx  # the build really runs in several blocks
