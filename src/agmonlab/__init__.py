@@ -9,13 +9,12 @@ estimates, all validated against discrete eigenfunction and boundary-value
 solves on closed-form model potentials.
 """
 
-from agmonlab.models import ModelProblem, PotentialSpec, make_model
+from agmonlab.models import ModelProblem, make_model
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ModelProblem",
-    "PotentialSpec",
     "make_model",
     "__version__",
 ]

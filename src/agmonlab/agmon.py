@@ -18,7 +18,13 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from agmonlab._numerics import Spline, cumulative_simpson
-from agmonlab.models import ModelProblem, domain_axes, potential_grid, transverse_potential
+from agmonlab.models import (
+    ModelProblem,
+    domain_axes,
+    potential_at,
+    potential_grid,
+    transverse_potential,
+)
 
 __all__ = [
     "DistanceField",
@@ -229,13 +235,6 @@ def agmon_distance(
 # --------------------------------------------------------------------------
 
 
-def _barrier_at_points(model: ModelProblem, points: np.ndarray) -> np.ndarray:
-    from agmonlab.models import _value_fn  # closed-form dispatch
-
-    fn = _value_fn(model)
-    return np.asarray(fn(points[:, 0], points[:, 1]), dtype=float) - model.energy
-
-
 def _weights_for_curve(model: ModelProblem, points: np.ndarray, d_xp: float):
     """Ambient and weighted line elements for level samples.
 
@@ -247,7 +246,7 @@ def _weights_for_curve(model: ModelProblem, points: np.ndarray, d_xp: float):
     heights = points[:, 1]
     slope = np.gradient(heights, d_xp) if m > 2 else np.zeros(m)
     ambient = np.sqrt(1.0 + slope**2) * d_xp
-    barrier = _barrier_at_points(model, points)
+    barrier = potential_at(model, points[:, 0], points[:, 1]) - model.energy
     weighted = ambient * np.sqrt(np.maximum(barrier, 0.0))
     return ambient, weighted
 

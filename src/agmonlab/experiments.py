@@ -11,7 +11,7 @@ Seven experiment kinds map the package modules onto reproducible runs:
 * ``parametrix-consistency`` -- phase parametrix against the discrete solver
 
 A kind is defined by its one ``_KindSpec`` entry in ``_KINDS``: its runner,
-CSV columns, row flattener, plot builder, the geometries it supports (with
+CSV columns, row flattener, plot builder, the models it supports (with
 the grid sizes each needs), its sweep-length minimums, its least node
 counts and the limits its grid and depths must keep.  The generic code
 below only reads that entry, so adding a kind means adding one entry.  A
@@ -63,8 +63,8 @@ from agmonlab.hjphase import (
     solve_phase_series,
 )
 from agmonlab.models import (
-    GEOMETRIES,
     KNOWN_MODELS,
+    TANGENT_INVARIANT_MODELS,
     ModelProblem,
     make_model,
     potential_grid,
@@ -122,7 +122,7 @@ _PARAMETRIX_ORDER = 8
 # Taylor convergence region of every shipped tangentially invariant model).
 _XI_MAX = 0.75
 # Far-boundary closures for the discrete extension solves, certified by the
-# solver's contamination guard for the shipped periodic-torus geometry.
+# solver's contamination guard on the separable-torus model.
 _DECAY_FAR = 1.9
 _PARAMETRIX_FAR = 1.0
 # The parametrix comparison depth, in normal-grid steps: node-aligned (no
@@ -252,7 +252,7 @@ _LimitsCheck = Callable[
 class _KindSpec:
     """Everything the generic config, run and report code knows of a kind.
 
-    ``geometries`` maps each supported model geometry to the number of
+    ``models`` maps each supported catalogue model to the number of
     ``grid`` entries the kind needs there; ``minimums`` maps a sweep key to
     the least number of distinct values it must hold and what they are;
     ``grid_minimums`` holds the least value of each leading ``grid`` entry
@@ -266,7 +266,7 @@ class _KindSpec:
     columns: tuple[str, ...]
     rows: Callable[[Sequence[ReportRecord]], Iterator[tuple]]
     plot: Callable[[Sequence[ReportRecord]], _Plot]
-    geometries: Mapping[str, int]
+    models: Mapping[str, int]
     minimums: Mapping[str, tuple[int, str]] = field(default_factory=dict)
     grid_minimums: tuple[tuple[int, str], ...] = ()
     limits_check: _LimitsCheck | None = None
@@ -313,16 +313,11 @@ def _float_tuple(raw, name, errors, *, distinct=False) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _unsupported_model(kind: str, spec: _KindSpec, model: str, geometry: str) -> str:
-    models = [
-        name
-        for name, build in KNOWN_MODELS.items()
-        if build({})["geometry"] in spec.geometries
-    ]
+def _unsupported_model(kind: str, spec: _KindSpec, model: str) -> str:
     return (
-        f"{kind} does not run on {model!r} ({geometry} geometry); it supports "
-        f"models {', '.join(models)} (geometries {', '.join(spec.geometries)}): "
-        f"set model to one of them or drop {kind} from kind"
+        f"{kind} does not run on {model!r}; it supports models "
+        f"{', '.join(spec.models)}: set model to one of them or drop {kind} "
+        "from kind"
     )
 
 
@@ -374,7 +369,8 @@ def parse_config(
             built = make_model(model, dict(params))
         except ValueError as exc:
             errors["model"] = str(exc)
-    geometry = built.geometry if built is not None else None
+    # only a built model is checked against each kind's models
+    model_name = model if built is not None else None
 
     h_sweep = _float_tuple(payload.get("h_sweep"), "h_sweep", errors, distinct=True)
     rho_grid = _float_tuple(payload.get("rho_grid"), "rho_grid", errors)
@@ -439,10 +435,10 @@ def parse_config(
         for name, (least, what) in spec.minimums.items():
             if sweeps[name] and len(set(sweeps[name])) < least:
                 errors[name] = f"{kind} needs at least {least} {what}"
-        if geometry is not None and geometry not in spec.geometries:
-            errors["model"] = _unsupported_model(kind, spec, str(model), geometry)
-        # an unsupported or unknown geometry is checked against the least need
-        sizes = spec.geometries.get(geometry, min(spec.geometries.values()))
+        if model_name is not None and model_name not in spec.models:
+            errors["model"] = _unsupported_model(kind, spec, model_name)
+        # an unsupported or unknown model is checked against the least need
+        sizes = spec.models.get(model_name, min(spec.models.values()))
         if grid and len(grid) < sizes:
             errors["grid"] = f"{kind} needs {sizes} grid sizes"
         for entry, (least, what) in enumerate(spec.grid_minimums[: len(grid)]):
@@ -450,7 +446,7 @@ def parse_config(
                 errors["grid"] = (
                     f"{kind} needs at least {least} {what} in grid[{entry}]"
                 )
-        if spec.limits_check is not None and geometry in spec.geometries:
+        if spec.limits_check is not None and model_name in spec.models:
             usable = grid if len(grid) >= sizes and "grid" not in errors else ()
             for name, problem in spec.limits_check(built, usable, sweeps).items():
                 errors.setdefault(name, problem)
@@ -657,7 +653,7 @@ def _decay_point(
 ) -> ReportRecord:
     n_t = config.grid[0]
     phi = make_boundary_function(lambda x: np.ones_like(x), n_t, model.lengths[0], h)
-    if model.geometry == "halfplane-cylinder":
+    if model.name == "halfplane-unit":
         tolerance = 1e-6
         traces = [apply_halfplane_poisson(phi, r) for r in rho]
         base = phi.norm
@@ -706,7 +702,7 @@ def _decay_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
     solver's own check, at the largest h, where the bound is weakest."""
     del grid  # the far boundary is fixed, whatever the normal grid
     rho, h = sweeps["rho_grid"], sweeps["h_sweep"]
-    if model.geometry == "halfplane-cylinder" or not rho or not h:
+    if model.name == "halfplane-unit" or not rho or not h:
         return {}
     try:
         _check_far_boundary(model, _DECAY_FAR, max(h), max(rho))
@@ -880,7 +876,7 @@ def _gauged_phase_point(
         "fitted_exponent": float(report.fitted_exponent),
         "validity_radius": float(report.validity_radius),
     }
-    if model.geometry == "halfplane-cylinder":
+    if model.name == "halfplane-unit":
         closed = [
             float(
                 np.max(
@@ -1225,10 +1221,8 @@ def _parametrix_plot(records: Sequence[ReportRecord]) -> _Plot:
 # the kind table
 # --------------------------------------------------------------------------
 
-# The distance-gauged phase series needs a tangentially invariant product
-# barrier; the separable-torus kinds need its transverse modes or collar.
-_TANGENTIAL_INVARIANT = ("halfplane-cylinder", "separable-torus")
-
+# The phase kinds run on every tangent-invariant model; the separable-torus
+# kinds need its transverse modes or collar.
 _KINDS: dict[str, _KindSpec] = {
     "halfplane-chain": _KindSpec(
         run=_run_halfplane_chain,
@@ -1245,14 +1239,14 @@ _KINDS: dict[str, _KindSpec] = {
         ),
         rows=_chain_rows,
         plot=_chain_plot,
-        geometries=dict.fromkeys(GEOMETRIES, 1),
+        models=dict.fromkeys(KNOWN_MODELS, 1),
     ),
     "decay-sandwich": _KindSpec(
         run=_run_decay_sandwich,
         columns=("h", "rho", "norm_ratio", "slope_times_h", "fit_residual"),
         rows=_decay_rows,
         plot=_decay_plot,
-        geometries={"halfplane-cylinder": 1, "separable-torus": 2},
+        models={"halfplane-unit": 1, "separable-torus": 2},
         minimums={"rho_grid": (4, "distinct depths")},
         limits_check=_decay_limits,
     ),
@@ -1261,7 +1255,7 @@ _KINDS: dict[str, _KindSpec] = {
         columns=("lam", "k", "mass", "norm_sq", "fraction", "lambda_mass"),
         rows=_exterior_rows,
         plot=_exterior_plot,
-        geometries={"separable-torus": 2},
+        models={"separable-torus": 2},
         grid_minimums=(_TRANSVERSE_NODES, _LEVEL_CIRCLE_NODES),
     ),
     "phase-residual": _KindSpec(
@@ -1269,7 +1263,7 @@ _KINDS: dict[str, _KindSpec] = {
         columns=("check", "depth", "max_residual", "relative_residual"),
         rows=_phase_rows,
         plot=_phase_plot,
-        geometries=dict.fromkeys(_TANGENTIAL_INVARIANT, 2),
+        models=dict.fromkeys(TANGENT_INVARIANT_MODELS, 2),
         limits_check=_phase_limits,
     ),
     "symbol-class": _KindSpec(
@@ -1277,7 +1271,7 @@ _KINDS: dict[str, _KindSpec] = {
         columns=("alpha", "beta", "h", "sup"),
         rows=_symbol_rows,
         plot=_symbol_plot,
-        geometries=dict.fromkeys(_TANGENTIAL_INVARIANT, 2),
+        models=dict.fromkeys(TANGENT_INVARIANT_MODELS, 2),
         minimums={"h_sweep": (4, "dyadic h values")},
     ),
     "mass-profile": _KindSpec(
@@ -1285,7 +1279,7 @@ _KINDS: dict[str, _KindSpec] = {
         columns=("lam", "h", "k", "r", "mass", "comparison"),
         rows=_mass_profile_rows,
         plot=_mass_profile_plot,
-        geometries={"separable-torus": 2},
+        models={"separable-torus": 2},
         grid_minimums=(_TRANSVERSE_NODES,),
     ),
     "parametrix-consistency": _KindSpec(
@@ -1293,7 +1287,7 @@ _KINDS: dict[str, _KindSpec] = {
         columns=("h", "rho", "rel_error", "fitted_order"),
         rows=_parametrix_rows,
         plot=_parametrix_plot,
-        geometries={"separable-torus": 2},
+        models={"separable-torus": 2},
         minimums={"h_sweep": (2, "h values")},
         limits_check=_parametrix_limits,
     ),

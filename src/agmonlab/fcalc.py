@@ -208,8 +208,9 @@ def boundary_operator(
 ) -> np.ndarray:
     """Scaled tangential Laplacian on the level circle at ambient depth r.
 
-    All catalogue geometries have straight level circles, so the induced
-    line element equals the tangential spacing and the metric weight is 1;
+    Every catalogue model's level circles {normal = r} are straight, so the
+    induced line element equals the tangential spacing and the metric
+    weight is 1;
     the matrix is the periodic three-point stencil times h^2.  Symmetric
     positive semidefinite, with Fourier modes as exact eigenvectors.
     """

@@ -1,16 +1,19 @@
-"""Model problem catalogue: potentials, energies, geometry, and validation.
+"""Model problem catalogue: potentials, energies, domains, and validation.
 
 A model fixes a closed-form potential V, an energy E strictly below the
-barrier on a collar of the distinguished hypersurface, a 2D product geometry
+barrier on a collar of the distinguished hypersurface, a 2D product domain
 (periodic cylinder, torus, or periodic strip), and the hypersurface itself,
-always the axis-aligned level set {normal coordinate = 0}.  Every quantity a
-model exposes -- values and Taylor data in the normal variable -- is closed
-form, so downstream constructions can be validated against quadrature
-oracles.
+always the axis-aligned level set {normal coordinate = 0}.  Each model is
+one entry of ``KNOWN_MODELS``: the builder of its parameters, energy,
+lengths and periodic flags, its closed-form V, and its Taylor data in the
+normal variable, which it has exactly when V does not depend on the
+tangent.  Other modules ask this one what a model is and derive nothing
+themselves.  Every quantity a model exposes is closed form, so downstream
+constructions can be validated against quadrature oracles.
 
 Coordinate conventions
 ----------------------
-Every geometry orders its two axes as (tangential, normal); the tangential
+Every model orders its two axes as (tangential, normal); the tangential
 axis is always a periodic circle.  Fields sampled on grids are indexed
 ``values[tangential, normal]``.
 """
@@ -18,7 +21,7 @@ axis is always a periodic circle.  Fields sampled on grids are indexed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -26,20 +29,16 @@ import numpy as np
 from agmonlab._numerics import brentq, gauss_legendre
 
 __all__ = [
-    "PotentialSpec",
     "ModelProblem",
-    "GEOMETRIES",
-    "POTENTIAL_KINDS",
     "KNOWN_MODELS",
+    "TANGENT_INVARIANT_MODELS",
     "make_model",
+    "potential_at",
     "potential_grid",
     "normal_taylor_coefficients",
     "transverse_potential",
     "domain_axes",
 ]
-
-GEOMETRIES = ("halfplane-cylinder", "separable-torus", "strip-2d")
-POTENTIAL_KINDS = ("constant-barrier", "cosine-well", "separable-product")
 
 # Probe resolution used when validating invariants at construction time.
 _PROBE_NORMAL = 2049
@@ -47,49 +46,29 @@ _PROBE_TANGENTIAL = 128
 
 
 @dataclass(frozen=True)
-class PotentialSpec:
-    """Closed-form potential with its recorded barrier margin.
-
-    ``margin`` is the minimum of V - E over the validated collar of the
-    distinguished hypersurface; construction fails unless it is positive.
-    """
-
-    kind: str
-    coefficients: tuple[float, ...]
-    margin: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in POTENTIAL_KINDS:
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-        if not all(math.isfinite(c) for c in self.coefficients):
-            raise ValueError("potential coefficients must be finite")
-
-
-@dataclass(frozen=True)
 class ModelProblem:
-    """A validated potential/energy/geometry triple.
+    """A validated catalogue model: its potential, energy and domain.
 
     Instances are immutable and safe to share across concurrently running
-    experiments.  ``collar_width`` is measured in arclength of the degenerate
-    conformal metric (V - E) g (the units in which decay rates are stated);
-    ``collar_width_ambient`` is the same collar measured in the ambient
-    normal coordinate.
+    experiments.  ``margin`` is the minimum of V - E over the validated
+    collar of the distinguished hypersurface; ``collar_width`` is measured
+    in arclength of the degenerate conformal metric (V - E) g (the units in
+    which decay rates are stated); ``collar_width_ambient`` is the same
+    collar measured in the ambient normal coordinate.
     """
 
     name: str
-    potential: PotentialSpec
     energy: float
-    geometry: str
     lengths: tuple[float, ...]
     periodic: tuple[bool, ...]
+    margin: float
     collar_width: float
     collar_width_ambient: float
     forbidden_extent: float
     params: tuple[tuple[str, float], ...]
 
     def __post_init__(self) -> None:
-        if self.geometry not in GEOMETRIES:
-            raise ValueError(f"unknown geometry {self.geometry!r}")
+        _entry(self.name)
         if len(self.lengths) != 2 or len(self.periodic) != 2 or not self.periodic[0]:
             raise ValueError(
                 f"model {self.name!r} needs exactly two axes, (tangential, "
@@ -98,17 +77,17 @@ class ModelProblem:
             )
         if any(L <= 0 for L in self.lengths):
             raise ValueError("axis lengths must be positive")
+        if not all(math.isfinite(value) for _, value in self.params):
+            raise ValueError("model parameters must be finite")
 
     def axis_bounds(self, axis: int) -> tuple[float, float]:
         """Coordinate range of one axis.
 
-        The tangential circle starts at 0; the cylinder normal axis starts at
+        The tangential circle starts at 0; a one-sided normal axis starts at
         the hypersurface and the other normal axes are centred on it.
         """
         L = self.lengths[axis]
-        if axis == 0:  # tangential circle
-            return (0.0, L)
-        if self.geometry == "halfplane-cylinder":
+        if axis == 0 or KNOWN_MODELS[self.name].one_sided:
             return (0.0, L)
         return (-L / 2.0, L / 2.0)
 
@@ -118,83 +97,63 @@ class ModelProblem:
 # --------------------------------------------------------------------------
 
 
-def _value_fn(model: ModelProblem) -> Callable[..., np.ndarray]:
-    E = model.energy
-    c = model.potential.coefficients
-    kind = model.potential.kind
-    if kind == "constant-barrier":
-        return lambda *x: np.broadcast_to(E + c[0], np.broadcast(*x).shape).copy()
-    if kind == "cosine-well":
-        return lambda xp, xn: (
-            c[0] + c[1] * np.cos(np.asarray(xn, dtype=float))
-        ) + 0.0 * np.asarray(xp, dtype=float)
-    if kind == "separable-product":
-        a, cc = c
-        return lambda xp, xn: E + (1.0 + a * np.cos(np.asarray(xp, dtype=float))) * (
-            1.0 + cc * np.asarray(xn, dtype=float) ** 2
-        )
-    raise AssertionError(kind)
+def potential_at(model: ModelProblem, xp, xn) -> np.ndarray:
+    """Closed-form V at the points (tangential xp, normal xn), broadcast
+    against each other."""
+    value = KNOWN_MODELS[model.name].value
+    xp = np.asarray(xp, dtype=float)
+    xn = np.asarray(xn, dtype=float)
+    return np.asarray(value(dict(model.params), model.energy, xp, xn), dtype=float)
 
 
-def potential_grid(model: ModelProblem, *axes) -> np.ndarray:
-    """Vectorized V on the outer product of the given per-axis coordinates.
+def potential_grid(model: ModelProblem, tangential, normal) -> np.ndarray:
+    """V on the outer product of the tangential and normal coordinates.
 
     Returns an array of shape (len(tangential), len(normal)).
     """
-    xp = np.asarray(axes[0], dtype=float)[:, None]
-    xn = np.asarray(axes[1], dtype=float)[None, :]
-    return np.asarray(_value_fn(model)(xp, xn), dtype=float)
+    xp = np.asarray(tangential, dtype=float)[:, None]
+    return potential_at(model, xp, np.asarray(normal, dtype=float)[None, :])
 
 
-def _require_tangent_invariant(model: ModelProblem) -> None:
-    if model.potential.kind == "separable-product":
+def _normal_taylor(model: ModelProblem) -> Callable[..., np.ndarray]:
+    """The model's normal Taylor data; raises when V depends on the tangent."""
+    taylor = KNOWN_MODELS[model.name].taylor
+    if taylor is None:
         raise ValueError(
             f"model {model.name!r} depends on the tangential variable; "
             "no one-dimensional transverse profile or normal Taylor series exists"
         )
+    return taylor
 
 
 def normal_taylor_coefficients(model: ModelProblem, order: int) -> np.ndarray:
     """Taylor coefficients in the normal variable of the barrier V - E.
 
     Returns an array of shape (order+1,) with entry j holding the
-    coefficient of (normal coordinate)^j.  Raises for the periodic strip
-    model, whose barrier depends on the tangential variable.
+    coefficient of (normal coordinate)^j.  Raises for a model whose barrier
+    depends on the tangential variable.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    _require_tangent_invariant(model)
-    c = model.potential.coefficients
-    out = np.zeros(order + 1)
-    if model.potential.kind == "constant-barrier":
-        out[0] = c[0]
-        return out
-    out[0] = c[0] + c[1] - model.energy
-    for m in range(1, order // 2 + 1):
-        out[2 * m] = c[1] * (-1.0) ** m / math.factorial(2 * m)
-    return out
+    return _normal_taylor(model)(dict(model.params), model.energy, order)
 
 
 def transverse_potential(model: ModelProblem) -> Callable[[np.ndarray], np.ndarray]:
     """The barrier profile W(normal) for models independent of the tangent.
 
-    Raises for the periodic strip model, whose potential genuinely depends
-    on the tangential variable.
+    Raises for a model whose potential genuinely depends on the tangential
+    variable.
     """
-    _require_tangent_invariant(model)
-    fn = _value_fn(model)
-    return lambda s: np.asarray(
-        fn(np.zeros_like(np.asarray(s, dtype=float)), np.asarray(s, dtype=float)),
-        dtype=float,
-    )
+    _normal_taylor(model)
+    return lambda s: potential_at(model, np.zeros(np.shape(s)), s)
 
 
 def domain_axes(model: ModelProblem, grid_sizes) -> tuple[np.ndarray, ...]:
     """Grid axes guaranteeing a node exactly on the hypersurface.
 
     Periodic axes carry n equispaced nodes with the endpoint omitted; bounded
-    axes carry n nodes including both endpoints.  On the strip geometry the
-    normal size is bumped to the next odd integer so 0 is a node.
+    axes carry n nodes including both endpoints.  On a centred bounded
+    normal axis the size is bumped to the next odd integer so 0 is a node.
     """
     sizes = tuple(int(n) for n in np.atleast_1d(grid_sizes))
     if len(sizes) == 1:
@@ -223,62 +182,110 @@ def domain_axes(model: ModelProblem, grid_sizes) -> tuple[np.ndarray, ...]:
 # --------------------------------------------------------------------------
 
 
-def _builder_halfplane_unit(params: Mapping[str, float]):
+@dataclass(frozen=True)
+class _Entry:
+    """One catalogue model.
+
+    ``build`` maps the user's parameters to the model's ``energy``,
+    ``lengths``, ``periodic`` flags and recorded ``params``.  ``value(p, E,
+    xp, xn)`` is the closed-form V at broadcast points, reading the recorded
+    params ``p``.  ``taylor(p, E, order)`` gives the normal Taylor
+    coefficients of V - E; it is None exactly when V depends on the tangent.
+    A ``one_sided`` normal axis starts on the hypersurface instead of being
+    centred on it.
+    """
+
+    build: Callable[[Mapping[str, float]], dict]
+    value: Callable[..., np.ndarray]
+    taylor: Callable[[Mapping[str, float], float, int], np.ndarray] | None
+    one_sided: bool = False
+
+
+def _build_halfplane_unit(params: Mapping[str, float]) -> dict:
     height = float(params.get("height", 2.0))
     length = float(params.get("length", 2.0 * math.pi))
-    spec = dict(
-        potential_kind="constant-barrier",
-        coefficients=(1.0,),
+    return dict(
         energy=0.0,
-        geometry="halfplane-cylinder",
         lengths=(length, height),
         periodic=(True, False),
         params=(("height", height), ("length", length)),
     )
-    return spec
 
 
-def _builder_separable_torus(params: Mapping[str, float]):
+def _halfplane_taylor(p: Mapping[str, float], E: float, order: int) -> np.ndarray:
+    out = np.zeros(order + 1)
+    out[0] = 1.0
+    return out
+
+
+def _build_separable_torus(params: Mapping[str, float]) -> dict:
     energy = float(params.get("E", 0.5))
     return dict(
-        potential_kind="cosine-well",
-        coefficients=(1.0, 1.0),
         energy=energy,
-        geometry="separable-torus",
         lengths=(2.0 * math.pi, 2.0 * math.pi),
         periodic=(True, True),
         params=(("E", energy),),
     )
 
 
-def _builder_strip_2d(params: Mapping[str, float]):
+def _torus_taylor(p: Mapping[str, float], E: float, order: int) -> np.ndarray:
+    out = np.zeros(order + 1)
+    out[0] = 2.0 - E
+    for m in range(1, order // 2 + 1):
+        out[2 * m] = (-1.0) ** m / math.factorial(2 * m)
+    return out
+
+
+def _build_strip_2d(params: Mapping[str, float]) -> dict:
     a = float(params.get("a", 0.2))
     c = float(params.get("c", 1.0))
     energy = float(params.get("E", 0.0))
     half_width = float(params.get("half_width", 0.8))
     return dict(
-        potential_kind="separable-product",
-        coefficients=(a, c),
         energy=energy,
-        geometry="strip-2d",
         lengths=(2.0 * math.pi, 2.0 * half_width),
         periodic=(True, False),
         params=(("E", energy), ("a", a), ("c", c), ("half_width", half_width)),
     )
 
 
-KNOWN_MODELS: dict[str, Callable[[Mapping[str, float]], dict]] = {
-    "halfplane-unit": _builder_halfplane_unit,
-    "separable-torus": _builder_separable_torus,
-    "strip-2d": _builder_strip_2d,
+KNOWN_MODELS: dict[str, _Entry] = {
+    # V = E + 1: a flat barrier over a one-sided cylinder collar
+    "halfplane-unit": _Entry(
+        build=_build_halfplane_unit,
+        value=lambda p, E, xp, xn: np.broadcast_to(
+            E + 1.0, np.broadcast(xp, xn).shape
+        ).copy(),
+        taylor=_halfplane_taylor,
+        one_sided=True,
+    ),
+    # V = 1 + cos(xn): a cosine well across the torus
+    "separable-torus": _Entry(
+        build=_build_separable_torus,
+        value=lambda p, E, xp, xn: (1.0 + np.cos(xn)) + 0.0 * xp,
+        taylor=_torus_taylor,
+    ),
+    # V = E + (1 + a cos xp)(1 + c xn^2): a product barrier on a periodic strip
+    "strip-2d": _Entry(
+        build=_build_strip_2d,
+        value=lambda p, E, xp, xn: E
+        + (1.0 + p["a"] * np.cos(xp)) * (1.0 + p["c"] * xn**2),
+        taylor=None,
+    ),
 }
 
+# The models whose potential does not depend on the tangent: the only ones
+# with a transverse profile, normal Taylor data and a collar phase series.
+TANGENT_INVARIANT_MODELS = tuple(
+    name for name, entry in KNOWN_MODELS.items() if entry.taylor is not None
+)
 
-def _positive_extent(model: ModelProblem) -> float:
-    """Extent of the normal axis on the positive side of the hypersurface."""
-    if model.geometry == "separable-torus":
-        return model.lengths[1] / 2.0
-    return model.axis_bounds(1)[1]
+
+def _entry(name: str) -> _Entry:
+    if name not in KNOWN_MODELS:
+        known = ", ".join(sorted(KNOWN_MODELS))
+        raise ValueError(f"unknown model {name!r}; known models: {known}")
+    return KNOWN_MODELS[name]
 
 
 def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, float]:
@@ -291,7 +298,7 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, flo
     take half the available extent.  Rejects models whose hypersurface
     touches the classically allowed set.
     """
-    extent = _positive_extent(model)
+    extent = model.axis_bounds(1)[1]
     s = np.linspace(0.0, extent, _PROBE_NORMAL)
     xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
     barrier = potential_grid(model, xp, s) - model.energy
@@ -353,40 +360,20 @@ def make_model(name: str, params: Mapping[str, float] | None = None) -> ModelPro
     break the barrier positivity required on the collar, reporting the
     offending grid point.
     """
-    if name not in KNOWN_MODELS:
-        known = ", ".join(sorted(KNOWN_MODELS))
-        raise ValueError(f"unknown model {name!r}; known models: {known}")
-    spec = KNOWN_MODELS[name](params or {})
+    unmeasured = float("nan")
     provisional = ModelProblem(
         name=name,
-        potential=PotentialSpec(
-            kind=spec["potential_kind"],
-            coefficients=spec["coefficients"],
-            margin=float("nan"),
-        ),
-        energy=spec["energy"],
-        geometry=spec["geometry"],
-        lengths=spec["lengths"],
-        periodic=spec["periodic"],
-        collar_width=float("nan"),
-        collar_width_ambient=float("nan"),
-        forbidden_extent=float("nan"),
-        params=spec["params"],
+        margin=unmeasured,
+        collar_width=unmeasured,
+        collar_width_ambient=unmeasured,
+        forbidden_extent=unmeasured,
+        **_entry(name).build(params or {}),
     )
     margin, r0_ambient, r0, forbidden = _validate_and_measure(provisional)
-    return ModelProblem(
-        name=name,
-        potential=PotentialSpec(
-            kind=spec["potential_kind"],
-            coefficients=spec["coefficients"],
-            margin=margin,
-        ),
-        energy=spec["energy"],
-        geometry=spec["geometry"],
-        lengths=spec["lengths"],
-        periodic=spec["periodic"],
+    return replace(
+        provisional,
+        margin=margin,
         collar_width=r0,
         collar_width_ambient=r0_ambient,
         forbidden_extent=forbidden,
-        params=spec["params"],
     )

@@ -311,11 +311,6 @@ def apply_quantized(symbol: Symbol, u: BoundaryFunction) -> BoundaryFunction:
     return BoundaryFunction(out, u.length, u.h)
 
 
-def _weighted_norm(u: BoundaryFunction) -> float:
-    dx = u.length / u.values.size
-    return math.sqrt(dx * float(np.sum(np.abs(u.values) ** 2)))
-
-
 def random_band_probes(
     n: int, length: float, h: float, count: int = 8
 ) -> list[BoundaryFunction]:
@@ -435,10 +430,10 @@ def frame_lower_bound_check(
         raise ValueError("probe set must be nonempty")
     ratios = []
     for u in probes:
-        denom = _weighted_norm(u)
+        denom = u.norm
         if denom == 0.0:
             raise ValueError("probe inputs must be nonzero")
-        ratios.append(_weighted_norm(apply_quantized(symbol, u)) / (floor * denom))
+        ratios.append(apply_quantized(symbol, u).norm / (floor * denom))
     ratios = np.array(ratios)
     return FrameBoundReport(ratios=ratios, minimum=float(ratios.min()))
 
@@ -495,11 +490,11 @@ def tail_operator_bound(
     ratios, factor_ok = [], True
     for u in probes:
         direct = apply_quantized(diff_symbol, u)
-        ratios.append(_weighted_norm(direct) / _weighted_norm(u))
+        ratios.append(direct.norm / u.norm)
         routed = apply_quantized(diff_symbol, apply_quantized(chi_out, u))
         dev = np.max(np.abs(direct.values - routed.values))
         scale = max(float(np.max(np.abs(direct.values))), 1e-300)
-        if dev > 1e-12 * max(scale, _weighted_norm(u)):
+        if dev > 1e-12 * max(scale, u.norm):
             factor_ok = False
     return TailBoundReport(
         constant=op_norm / floor,

@@ -579,12 +579,12 @@ def _mode_pcg(phi, w, cn, cp):
                 "iterations"
             )
         np.fft.irfft(solve(np.fft.rfft(r, axis=-2)), nx, axis=-2, out=z)
-        rz_next = float(np.vdot(r, z))
+        rz_next = float(np.einsum("ijk,ijk->", r, z))
         p[..., 1:-1] *= rz_next / rz
         p[..., 1:-1] += z
         rz = rz_next
         _stencil(p, w, cn, cp, out=q)
-        alpha = rz / float(np.vdot(p[..., 1:-1], q))
+        alpha = rz / float(np.einsum("ijk,ijk->", p[..., 1:-1], q))
         np.multiply(p[..., 1:-1], alpha, out=z)  # z is free until the next solve
         values[..., 1:-1] -= z
         q *= alpha

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from agmonlab import hjphase
+from agmonlab.experiments import ConfigError, parse_config
 from agmonlab.models import (
+    KNOWN_MODELS,
+    TANGENT_INVARIANT_MODELS,
     ModelProblem,
-    PotentialSpec,
     domain_axes,
     make_model,
     normal_taylor_coefficients,
@@ -16,7 +19,7 @@ from agmonlab.models import (
     transverse_potential,
 )
 
-ALL_MODELS = ["halfplane-unit", "separable-torus", "strip-2d"]
+ALL_MODELS = sorted(KNOWN_MODELS)
 
 
 # --------------------------------------------------------------------------
@@ -49,6 +52,12 @@ def test_degenerate_model_rejected_not_clamped():
         make_model("separable-torus", {"E": 2.0})
 
 
+@pytest.mark.parametrize("name, param", [("strip-2d", "a"), ("separable-torus", "E")])
+def test_non_finite_parameter_rejected(name, param):
+    with pytest.raises(ValueError, match="finite"):
+        make_model(name, {param: float("nan")})
+
+
 def test_unknown_model_name_reports_catalogue():
     with pytest.raises(ValueError, match="known models"):
         make_model("no-such-model")
@@ -63,12 +72,11 @@ def test_models_are_hashable_and_frozen():
 
 def _hand_built(lengths, periodic):
     return ModelProblem(
-        name="hand-built",
-        potential=PotentialSpec("constant-barrier", (1.0,), margin=1.0),
+        name="halfplane-unit",
         energy=0.0,
-        geometry="halfplane-cylinder",
         lengths=lengths,
         periodic=periodic,
+        margin=1.0,
         collar_width=0.5,
         collar_width_ambient=0.5,
         forbidden_extent=1.0,
@@ -99,12 +107,12 @@ def test_model_needs_two_axes_with_a_periodic_tangent(lengths, periodic):
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_collar_margin_positive_and_attained(name):
     model = make_model(name)
-    assert model.potential.margin > 0
+    assert model.margin > 0
     # recompute the collar minimum on an independent probe grid
     s = np.linspace(0.0, model.collar_width_ambient, 701)
     xp = np.linspace(0.0, model.lengths[0], 97, endpoint=False)
     barrier = potential_grid(model, xp, s) - model.energy
-    assert barrier.min() >= model.potential.margin - 1e-9
+    assert barrier.min() >= model.margin - 1e-9
 
 
 # --------------------------------------------------------------------------
@@ -141,3 +149,70 @@ def test_domain_axes_put_node_on_hypersurface():
     strip = make_model("strip-2d")
     _, sn = domain_axes(strip, (16, 16))
     assert 0.0 in sn
+
+
+# --------------------------------------------------------------------------
+# each entry's declaration against its potential
+# --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_taylor_data_declared_exactly_when_tangent_invariant(name):
+    model = make_model(name)
+    xp = np.linspace(0.0, model.lengths[0], 64, endpoint=False)
+    lo, hi = model.axis_bounds(1)
+    values = potential_grid(model, xp, np.linspace(lo, hi, 33))
+    varies = bool(np.any(values.max(axis=0) > values.min(axis=0)))
+    assert varies == (KNOWN_MODELS[name].taylor is None)
+    assert (name in TANGENT_INVARIANT_MODELS) == (not varies)
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_tangent_dependent_models_rejected_before_any_recursion(name, monkeypatch):
+    calls = []
+    for helper in ("_series_sqrt", "_agmon_recursion", "_ambient_recursion"):
+        original = getattr(hjphase, helper)
+
+        def counted(*args, _original=original, _helper=helper):
+            calls.append(_helper)
+            return _original(*args)
+
+        monkeypatch.setattr(hjphase, helper, counted)
+    model = make_model(name)
+    xi = np.linspace(-0.5, 0.5, 5)
+    uses = {
+        "normal_taylor_coefficients": lambda: normal_taylor_coefficients(model, 4),
+        "transverse_potential": lambda: transverse_potential(model),
+        "agmon series": lambda: hjphase.solve_phase_series(model, "agmon", 4, xi),
+        "ambient series": lambda: hjphase.solve_phase_series(model, "ambient", 4, xi),
+    }
+    if name in TANGENT_INVARIANT_MODELS:
+        for use in uses.values():
+            use()
+        assert calls  # the series ran their recursions
+        return
+    for use in uses.values():
+        with pytest.raises(ValueError, match=f"{name!r} depends on the tangential"):
+            use()
+    assert not calls
+
+
+@pytest.mark.parametrize("kind", ["phase-residual", "symbol-class"])
+def test_phase_kinds_support_exactly_the_tangent_invariant_models(kind, tmp_path):
+    supported = []
+    for name in KNOWN_MODELS:
+        payload = {
+            "kind": kind,
+            "model": name,
+            "h_sweep": [0.1, 0.05, 0.025, 0.0125],
+            "rho_grid": [0.05],
+            "grid": [16, 128],
+            "out": str(tmp_path),
+        }
+        try:
+            parse_config(payload)
+        except ConfigError as exc:
+            if "does not run on" in exc.field_errors.get("model", ""):
+                continue
+        supported.append(name)
+    assert tuple(supported) == TANGENT_INVARIANT_MODELS

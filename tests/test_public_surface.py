@@ -13,6 +13,10 @@ The same callers must pass every option: each defaulted parameter of an
 exported function, and of the explicit ``__init__`` of an exported class,
 is passed by some call by that name, by keyword or by position.  An option
 that every caller leaves at its default is a constant.
+
+No layer module imports an underscore name from another layer module, at
+module level or inside a function: what one layer needs of another is part
+of that layer's public surface.
 """
 
 import ast
@@ -52,6 +56,18 @@ OPTION_EXEMPT = {
     ("cli", "main", "argv"): (
         "the console script calls main() with no arguments, so argparse "
         "reads sys.argv"
+    ),
+}
+
+# (importing layer, imported layer, name): why the private import stays
+PRIVATE_IMPORT_EXEMPT = {
+    ("experiments", "solver", "_MIN_NODES"): (
+        "config validation rejects a grid below the solver's own node "
+        "minimum, so the two limits cannot drift apart"
+    ),
+    ("experiments", "solver", "_check_far_boundary"): (
+        "config validation runs the solver's own far-boundary certificate, "
+        "so a config is rejected exactly when the solve would be"
     ),
 }
 
@@ -255,6 +271,45 @@ def test_every_export_is_defined():
     assert not undefined, f"__all__ names with no definition: {', '.join(undefined)}"
 
 
+def private_imports(layers: dict[str, ast.Module]) -> list[tuple[str, str, str]]:
+    """(importing layer, imported layer, name) for each underscore name that
+    one layer module imports from another, anywhere in its syntax tree."""
+    found = []
+    for layer, tree in layers.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            source = node.module.split(".")[-1]
+            if source == layer or source not in layers:
+                continue
+            found.extend(
+                (layer, source, alias.name)
+                for alias in node.names
+                if alias.name.startswith("_")
+            )
+    return found
+
+
+def test_no_layer_imports_a_private_name_of_another():
+    layers, _ = _package_trees()
+    crossing = [
+        f"{layer} imports {source}.{name}"
+        for layer, source, name in private_imports(layers)
+        if (layer, source, name) not in PRIVATE_IMPORT_EXEMPT
+    ]
+    assert not crossing, (
+        "private names used across layers (make each public in its layer or "
+        f"ask that layer for the decision): {', '.join(crossing)}"
+    )
+
+
+def test_private_import_exemptions_are_current():
+    layers, _ = _package_trees()
+    found = set(private_imports(layers))
+    stale = [".".join(key) for key in PRIVATE_IMPORT_EXEMPT if key not in found]
+    assert not stale, f"private-import exemptions to drop: {', '.join(stale)}"
+
+
 # --------------------------------------------------------------------------
 # the guard on small synthetic modules
 # --------------------------------------------------------------------------
@@ -348,3 +403,22 @@ def test_option_passed_by_keyword_or_position_has_a_caller(caller, flagged):
     # nothing that the scan can count
     layers = {"b": ast.parse(_LAYER_B)}
     assert options_without_caller(layers, [ast.parse(caller)]) == flagged
+
+
+def test_private_import_found_inside_a_function():
+    # a function-local import counts; public names, the module's own
+    # names and names from non-layer modules do not
+    layers = {
+        "a": ast.parse(_LAYER_A),
+        "b": ast.parse(
+            "from pkg.a import f\n"
+            "from pkg._helpers import _h\n"
+            "\n"
+            "\n"
+            "def g():\n"
+            "    from pkg.a import _helper\n"
+            "    from .b import _own\n"
+            "    return _helper() + _own() + _h() + f(1)\n"
+        ),
+    }
+    assert private_imports(layers) == [("b", "a", "_helper")]

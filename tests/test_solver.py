@@ -17,8 +17,12 @@ Oracles used here:
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import spsolve
 
+import agmonlab
 from agmonlab import solver
 from agmonlab.agmon import (
     LevelSet,
@@ -397,6 +402,40 @@ class TestPoissonBVP:
         field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
         assert len(calls) == factors
         assert field.meta["iterations"] == iterations
+
+    def test_iterated_solve_is_the_same_at_any_blas_thread_count(self):
+        # CG's inner products must not take their summation order from the
+        # BLAS thread count: the same field and residual at one and two
+        code = "\n".join(
+            [
+                "import hashlib, math",
+                "import numpy as np",
+                "from agmonlab.halfplane import BoundaryFunction",
+                "from agmonlab.models import make_model",
+                "from agmonlab.solver import poisson_bvp",
+                "xp = 2.0 * math.pi / 128 * np.arange(128)",
+                "data = 1.0 + 0.3 * np.cos(2.0 * xp) + 0.2j * np.sin(3.0 * xp)",
+                "phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)",
+                "field = poisson_bvp(make_model('strip-2d'), phi, 0.05, far=0.8,"
+                " n_normal=801)",
+                "print(hashlib.sha256(field.values.tobytes()).hexdigest(),"
+                " repr(field.meta['residual']), field.meta['iterations'])",
+            ]
+        )
+        src = str(Path(agmonlab.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+                check=True,
+            ).stdout.split()
+            for threads in ("1", "2")
+        ]
+        assert int(runs[0][2]) > 0  # CG iterated
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_direct_solve_peak_memory(self, n_normal):
