@@ -10,6 +10,10 @@ Seven experiment kinds map the package modules onto reproducible runs:
 * ``mass-profile``         -- windowed-mass growth against the comparison ODE
 * ``parametrix-consistency`` -- phase parametrix against the discrete solver
 
+``parse_config`` builds and validates the config's catalogue model once,
+and every per-kind ``ExperimentConfig`` carries that one ``ModelProblem``:
+runners and sweep points read it from the config and never rebuild it.
+
 A kind is defined by its one ``_KindSpec`` entry in ``_KINDS``: its runner,
 CSV columns, row flattener, plot builder, the models it supports (with
 the grid sizes each needs), its sweep-length minimums, its least node
@@ -75,6 +79,7 @@ from agmonlab.solver import (
     _check_far_boundary,
     assemble_separable_mode,
     decay_fit,
+    expected_circle_eigenvalue,
     poisson_bvp,
     solve_transverse_modes,
     trace_at,
@@ -209,10 +214,15 @@ class ReportRecord:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment kind with its sweeps, sizes, and output location."""
+    """One experiment kind with its sweeps, sizes, and output location.
+
+    ``model`` is the validated catalogue model that ``parse_config`` built
+    from the config's ``model`` name and ``params``; the configs of one
+    ``parse_config`` call share it.  ``params`` echoes the user's input.
+    """
 
     kind: str
-    model: str
+    model: ModelProblem
     params: tuple[tuple[str, float], ...]
     h_sweep: tuple[float, ...]
     rho_grid: tuple[float, ...]
@@ -222,9 +232,6 @@ class ExperimentConfig:
     grid: tuple[int, ...]
     out_dir: Path
     seed: int
-
-    def build_model(self) -> ModelProblem:
-        return make_model(self.model, dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -453,11 +460,11 @@ def parse_config(
 
     if errors:
         raise ConfigError(errors)
-    assert out_path is not None
+    assert out_path is not None and built is not None
     return tuple(
         ExperimentConfig(
             kind=kind,
-            model=str(model),
+            model=built,
             params=params,
             h_sweep=h_sweep,
             rho_grid=rho_grid,
@@ -570,10 +577,8 @@ def _chain_boundary_data(model: ModelProblem, n: int, h: float):
     return make_boundary_function(data, n, length, h)
 
 
-def _chain_point(
-    config: ExperimentConfig, model: ModelProblem, h: float, rho: float
-) -> ReportRecord:
-    phi = _chain_boundary_data(model, config.grid[0], h)
+def _chain_point(config: ExperimentConfig, h: float, rho: float) -> ReportRecord:
+    phi = _chain_boundary_data(config.model, config.grid[0], h)
     report = verify_lower_chain(phi, rho, config.delta, _CHAIN_EPSILON)
     verdicts = [Verdict(s.name, s.tolerance, s.margin) for s in report.steps]
     measured = {
@@ -583,13 +588,12 @@ def _chain_point(
         "epsilon": report.epsilon,
         "delta": report.delta,
     }
-    return _record(config, (config.model, h, rho), measured, verdicts)
+    return _record(config, (config.model.name, h, rho), measured, verdicts)
 
 
 def _run_halfplane_chain(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
-    model = config.build_model()
     points = [
-        ((config.model, h, rho), partial(_chain_point, config, model, h, rho))
+        ((config.model.name, h, rho), partial(_chain_point, config, h, rho))
         for h in config.h_sweep
         for rho in config.rho_grid
     ]
@@ -648,9 +652,8 @@ def _chain_plot(records: Sequence[ReportRecord]) -> _Plot:
 # --------------------------------------------------------------------------
 
 
-def _decay_point(
-    config: ExperimentConfig, model: ModelProblem, rho: tuple, h: float
-) -> ReportRecord:
+def _decay_point(config: ExperimentConfig, rho: tuple, h: float) -> ReportRecord:
+    model = config.model
     n_t = config.grid[0]
     phi = make_boundary_function(lambda x: np.ones_like(x), n_t, model.lengths[0], h)
     if model.name == "halfplane-unit":
@@ -684,14 +687,13 @@ def _decay_point(
         "fit_residual": fit.residual,
     }
     verdict = _bound_verdict("decay-slope", deviation, 0.0, tolerance)
-    return _record(config, (config.model, h), measured, (verdict,))
+    return _record(config, (model.name, h), measured, (verdict,))
 
 
 def _run_decay_sandwich(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
-    model = config.build_model()
     rho = tuple(sorted(config.rho_grid))
     points = [
-        ((config.model, h), partial(_decay_point, config, model, rho, h))
+        ((config.model.name, h), partial(_decay_point, config, rho, h))
         for h in config.h_sweep
     ]
     return _map_points(config.kind, points, jobs)
@@ -751,10 +753,10 @@ def _decay_plot(records: Sequence[ReportRecord]) -> _Plot:
 
 
 def _exterior_point(
-    config: ExperimentConfig, model: ModelProblem, traces: list, h: float, lam: float
+    config: ExperimentConfig, traces: list, h: float, lam: float
 ) -> ReportRecord:
     masses = tuple(
-        float(exterior_mass(trace, model, lam, h)) for _, trace, _ in traces
+        float(exterior_mass(trace, config.model, lam, h)) for _, trace, _ in traces
     )
     norms = tuple(norm_sq for _, _, norm_sq in traces)
     fractions = tuple(m / n for m, n in zip(masses, norms))
@@ -769,11 +771,11 @@ def _exterior_point(
         "fractions": fractions,
         "lambda_mass": lambda_mass,
     }
-    return _record(config, (config.model, lam), measured, (verdict,))
+    return _record(config, (config.model.name, lam), measured, (verdict,))
 
 
 def _run_exterior_mass(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
-    model = config.build_model()
+    model = config.model
     h = config.h_sweep[0]
     n_transverse, n_tangential = config.grid[0], config.grid[1]
 
@@ -787,7 +789,7 @@ def _run_exterior_mass(config: ExperimentConfig, jobs: int) -> list[ReportRecord
         traces.append((k, trace, float(trace.ambient_norm**2)))
 
     points = [
-        ((config.model, lam), partial(_exterior_point, config, model, traces, h, lam))
+        ((model.name, lam), partial(_exterior_point, config, traces, h, lam))
         for lam in config.lambda_sweep
     ]
     records = _map_points(config.kind, points, jobs)
@@ -807,7 +809,7 @@ def _run_exterior_mass(config: ExperimentConfig, jobs: int) -> list[ReportRecord
         _bound_verdict("no-growth-trend", rise, 0.0, rise_tol),
     )
     records.append(
-        _record(config, (config.model, "lambda-sweep"), sweep_measured, sweep_verdicts)
+        _record(config, (model.name, "lambda-sweep"), sweep_measured, sweep_verdicts)
     )
     return records
 
@@ -843,17 +845,16 @@ def _exterior_plot(records: Sequence[ReportRecord]) -> _Plot:
 # --------------------------------------------------------------------------
 
 
-def _phase_grid(model: ModelProblem, config: ExperimentConfig):
+def _phase_grid(config: ExperimentConfig):
     n_x, n_xi = config.grid[0], config.grid[1]
-    length = model.lengths[0]
+    length = config.model.lengths[0]
     nodes = length / n_x * np.arange(n_x)
     xi = np.linspace(-_XI_MAX, _XI_MAX, n_xi)
     return nodes, xi
 
 
-def _ambient_phase_point(
-    config: ExperimentConfig, model: ModelProblem, nodes, xi
-) -> ReportRecord:
+def _ambient_phase_point(config: ExperimentConfig, nodes, xi) -> ReportRecord:
+    model = config.model
     series = solve_phase_series(model, "ambient", _PHASE_ORDER, xi)
     barrier = potential_grid(model, nodes, np.zeros(1))[:, 0] - model.energy
     target = np.sqrt(barrier[:, None] + xi[None, :] ** 2)
@@ -861,12 +862,11 @@ def _ambient_phase_point(
     deviation = float(np.max(np.abs(series.coefficients[0] - target)))
     verdict = _bound_verdict("ambient-leading-coefficient", deviation, 0.0, 1e-8)
     measured = {"leading_deviation": deviation}
-    return _record(config, (config.model, "ambient-leading"), measured, (verdict,))
+    return _record(config, (model.name, "ambient-leading"), measured, (verdict,))
 
 
-def _gauged_phase_point(
-    config: ExperimentConfig, model: ModelProblem, xi, depths: tuple
-) -> ReportRecord:
+def _gauged_phase_point(config: ExperimentConfig, xi, depths: tuple) -> ReportRecord:
+    model = config.model
     series = solve_phase_series(model, "agmon", _PHASE_ORDER, xi)
     report = phase_residual(series, depths)
     measured = {
@@ -898,16 +898,16 @@ def _gauged_phase_point(
             "residual-order", floor, float(report.fitted_exponent - floor)
         )
         name = "residual-order"
-    return _record(config, (config.model, name), measured, (verdict,))
+    return _record(config, (model.name, name), measured, (verdict,))
 
 
 def _run_phase_residual(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
-    model = config.build_model()
-    nodes, xi = _phase_grid(model, config)
+    nodes, xi = _phase_grid(config)
     depths = tuple(sorted(config.rho_grid))
-    gauged = partial(_gauged_phase_point, config, model, xi, depths)
-    ambient = partial(_ambient_phase_point, config, model, nodes, xi)
-    points = [((config.model, "gauged"), gauged), ((config.model, "ambient"), ambient)]
+    gauged = partial(_gauged_phase_point, config, xi, depths)
+    ambient = partial(_ambient_phase_point, config, nodes, xi)
+    name = config.model.name
+    points = [((name, "gauged"), gauged), ((name, "ambient"), ambient)]
     return _map_points(config.kind, points, jobs)
 
 
@@ -963,7 +963,7 @@ def _phase_plot(records: Sequence[ReportRecord]) -> _Plot:
 
 def _run_symbol_class(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
     del jobs  # one aggregate check; the h sweep is a single fit
-    model = config.build_model()
+    model = config.model
     n_xi = config.grid[1]
     length = model.lengths[0]
     rho = config.rho_grid[0]
@@ -976,11 +976,9 @@ def _run_symbol_class(config: ExperimentConfig, jobs: int) -> list[ReportRecord]
         )
         return build_phase_cutoff(series, profile, rho, h)
 
-    key = (config.model, rho)
-    try:
-        report = symbol_class_check(builder, profile.plateau, 0.5, h_values)
-    except Exception as exc:
-        raise ExperimentError(config.kind, key, exc) from exc
+    key = (model.name, rho)
+    check = partial(symbol_class_check, builder, profile.plateau, 0.5, h_values)
+    report = _guarded(config.kind, key, check)
 
     by_index = dict(zip(report.indices, report.exponents))
     verdicts = []
@@ -1032,10 +1030,10 @@ def _symbol_plot(records: Sequence[ReportRecord]) -> _Plot:
 
 def _window_mode(model: ModelProblem, lam: float, h: float, n_tangential: int) -> int:
     """The tangential mode whose eigenvalue best hits the window interior."""
-    length = model.lengths[0]
-    spacing = length / n_tangential
     k = np.arange(1, n_tangential // 2)
-    mu = (2.0 * h / spacing * np.sin(math.pi * k / n_tangential)) ** 2
+    mu = np.array(
+        [expected_circle_eigenvalue(model, h, int(j), n_tangential) for j in k]
+    )
     ratio = mu / (lam * h)
     inside = (ratio > 1.0) & (ratio < 2.0)
     if not np.any(inside):
@@ -1048,8 +1046,9 @@ def _window_mode(model: ModelProblem, lam: float, h: float, n_tangential: int) -
 
 
 def _mass_profile_point(
-    config: ExperimentConfig, model: ModelProblem, transverse, h: float, lam, k: int
+    config: ExperimentConfig, transverse, h: float, lam, k: int
 ) -> ReportRecord:
+    model = config.model
     mode = assemble_separable_mode(transverse, k, model, n_tangential=config.grid[1])
     profile = mass_profile_comparison(mode, model, lam, h)
     verdict_map = profile.verdict
@@ -1073,25 +1072,23 @@ def _mass_profile_point(
         "mass_slope_at_zero": profile.mass_slope_at_zero,
         "mode_energy": profile.meta["mode_energy"],
     }
-    return _record(config, (config.model, lam, h, k), measured, verdicts)
+    return _record(config, (model.name, lam, h, k), measured, verdicts)
 
 
 def _run_mass_profile(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
-    model = config.build_model()
+    model = config.model
     h = config.h_sweep[0]
     n_transverse, n_tangential = config.grid[0], config.grid[1]
     transverse = solve_transverse_modes(model, h, model.energy, 1, n=n_transverse)[0]
 
     points = []
     for lam in config.lambda_sweep:
-        try:
-            k = _window_mode(model, lam, h, n_tangential)
-        except ValueError as exc:
-            raise ExperimentError(config.kind, (config.model, lam, h), exc) from exc
+        pick = partial(_window_mode, model, lam, h, n_tangential)
+        k = _guarded(config.kind, (model.name, lam, h), pick)
         points.append(
             (
-                (config.model, lam, h, k),
-                partial(_mass_profile_point, config, model, transverse, h, lam, k),
+                (model.name, lam, h, k),
+                partial(_mass_profile_point, config, transverse, h, lam, k),
             )
         )
     return _map_points(config.kind, points, jobs)
@@ -1140,8 +1137,9 @@ def _parametrix_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
 
 
 def _parametrix_point(
-    config: ExperimentConfig, model: ModelProblem, level, rho: float, h: float
+    config: ExperimentConfig, level, rho: float, h: float
 ) -> ReportRecord:
+    model = config.model
     n_tangential, n_normal = config.grid[0], config.grid[1]
     length = model.lengths[0]
     phi = make_boundary_function(
@@ -1164,20 +1162,20 @@ def _parametrix_point(
         np.linalg.norm(parametrix.values - oracle) / np.linalg.norm(oracle)
     )
     measured = {"rel_error": rel_error, "rho": rho}
-    return _record(config, (config.model, h, rho), measured)
+    return _record(config, (model.name, h, rho), measured)
 
 
 def _run_parametrix_consistency(
     config: ExperimentConfig, jobs: int
 ) -> list[ReportRecord]:
-    model = config.build_model()
+    model = config.model
     n_tangential, n_normal = config.grid[0], config.grid[1]
     s_star = _PARAMETRIX_DEPTH_STEPS * _PARAMETRIX_FAR / (n_normal - 1)
     rho = float(separable_collar(model).rho_of_s(s_star))
     level = separable_level_set(model, rho, n_tangential=n_tangential)
 
-    point = partial(_parametrix_point, config, model, level, rho)
-    points = [((config.model, h, rho), partial(point, h)) for h in config.h_sweep]
+    point = partial(_parametrix_point, config, level, rho)
+    points = [((model.name, h, rho), partial(point, h)) for h in config.h_sweep]
     records = _map_points(config.kind, points, jobs)
 
     h_values = np.array(config.h_sweep)
@@ -1190,7 +1188,7 @@ def _run_parametrix_consistency(
     }
     verdict = Verdict("consistency-order", 0.7, order - 0.7)
     records.append(
-        _record(config, (config.model, "order-fit"), sweep_measured, (verdict,))
+        _record(config, (model.name, "order-fit"), sweep_measured, (verdict,))
     )
     return records
 
@@ -1355,7 +1353,7 @@ def write_summary_json(
         "kind": config.kind,
         "csv_schema": _CSV_SCHEMA_VERSION,
         "config": {
-            "model": config.model,
+            "model": config.model.name,
             "params": dict(config.params),
             "h_sweep": list(config.h_sweep),
             "rho_grid": list(config.rho_grid),
@@ -1437,7 +1435,7 @@ def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> ExperimentResu
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     run = partial(_KINDS[config.kind].run, config, jobs)
-    records = tuple(_guarded(config.kind, (config.model,), run))
+    records = tuple(_guarded(config.kind, (config.model.name,), run))
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{config.kind}.csv"

@@ -35,8 +35,6 @@ __all__ = [
     "almost_analytic_extension",
     "boundary_operator",
     "comparison_solution",
-    "derivative_family",
-    "expected_circle_eigenvalue",
     "exterior_mass",
     "family_derivative_norms",
     "hs_apply",
@@ -231,12 +229,6 @@ def boundary_operator(
     mat[idx, (idx + 1) % n] = -k
     mat[idx, (idx - 1) % n] = -k
     return mat
-
-
-def expected_circle_eigenvalue(model: ModelProblem, h: float, k: int, n: int) -> float:
-    """Exact eigenvalue of :func:`boundary_operator` on Fourier mode k."""
-    spacing = model.lengths[0] / n
-    return 4.0 * h**2 / spacing**2 * math.sin(math.pi * k / n) ** 2
 
 
 # --------------------------------------------------------------------------
@@ -577,13 +569,6 @@ class DerivativeNormReport:
     step: float | None
 
 
-def derivative_family(
-    model: ModelProblem, h: float, n: int
-) -> Callable[[float], np.ndarray]:
-    """The catalogue depth family: the level-circle operator at depth r."""
-    return lambda r: boundary_operator(model, r, h, n=n)
-
-
 def family_derivative_norms(
     model: ModelProblem,
     lam,
@@ -609,7 +594,7 @@ def family_derivative_norms(
     if np.any(lams <= 0.0):
         raise ValueError("window multipliers must be positive")
     if family is None:
-        family = derivative_family(model, h, n)
+        family = lambda r: boundary_operator(model, r, h, n=n)
 
     norms = []
     for one_lam in lams:

@@ -44,6 +44,7 @@ __all__ = [
     "DecayFit",
     "solve_transverse_modes",
     "assemble_separable_mode",
+    "expected_circle_eigenvalue",
     "poisson_bvp",
     "trace_at",
     "normal_derivative_trace",
@@ -202,6 +203,14 @@ def _transverse_residual(v, w, energy, h, d) -> float:
     return math.sqrt(d * float(np.sum(res**2)))
 
 
+def expected_circle_eigenvalue(model: ModelProblem, h: float, k: int, n: int) -> float:
+    """Exact eigenvalue on Fourier mode k of the periodic 3-point h^2
+    Laplacian on n nodes of the tangential circle (the level-circle
+    operator, ``fcalc.boundary_operator``)."""
+    spacing = model.lengths[0] / n
+    return 4.0 * h**2 / spacing**2 * math.sin(math.pi * k / n) ** 2
+
+
 def assemble_separable_mode(
     transverse: EigenMode, k: int, model: ModelProblem, *, n_tangential: int = 256
 ) -> EigenMode:
@@ -222,7 +231,7 @@ def assemble_separable_mode(
     xp = L / n_tangential * np.arange(n_tangential)
     dxp = L / n_tangential
     h = transverse.h
-    disp_discrete = 4.0 * h**2 / dxp**2 * math.sin(math.pi * k / n_tangential) ** 2
+    disp_discrete = expected_circle_eigenvalue(model, h, k, n_tangential)
     disp_continuum = h**2 * (2.0 * math.pi * k / L) ** 2
     values = np.exp(2j * math.pi * k * xp / L)[:, None] * transverse.values[None, :]
     d_n = transverse.spacing[0]

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from agmonlab.experiments import (
     parse_config,
     run_experiment,
 )
+from agmonlab.models import ModelProblem, make_model
 
 
 def payload(**overrides):
@@ -95,6 +97,9 @@ UNSUPPORTED = [
     ("parametrix-consistency", "halfplane-unit"),
     ("parametrix-consistency", "strip-2d"),
 ]
+SHIPPED_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.json")
+)
 
 
 @pytest.fixture
@@ -235,6 +240,36 @@ class TestParseConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestConfigModel:
+    """A parsed config carries its validated model, built once per file."""
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_each_model_is_built_once_per_config_file(
+        self, path, tmp_path, monkeypatch
+    ):
+        built = []
+
+        def counting_make_model(name, params=None):
+            built.append(name)
+            return make_model(name, params)
+
+        monkeypatch.setattr(experiments, "make_model", counting_make_model)
+        raw = load_config(path)
+        configs = parse_config(raw, out_dir=tmp_path)
+        for config in configs:
+            assert run_experiment(config).passed
+        assert built == [raw["model"]]
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_configs_of_one_parse_share_one_model(self, path, tmp_path):
+        raw = load_config(path)
+        configs = parse_config(raw, out_dir=tmp_path)
+        model = configs[0].model
+        assert isinstance(model, ModelProblem)
+        assert model.name == raw["model"]
+        assert all(config.model is model for config in configs)
 
 
 class TestSweepStatistics:

@@ -23,7 +23,6 @@ from agmonlab.fcalc import (
     almost_analytic_extension,
     boundary_operator,
     comparison_solution,
-    expected_circle_eigenvalue,
     exterior_mass,
     family_derivative_norms,
     hs_apply,
@@ -39,6 +38,7 @@ from agmonlab.solver import (
     BoundaryTrace,
     EigenMode,
     assemble_separable_mode,
+    expected_circle_eigenvalue,
     poisson_bvp,
     solve_transverse_modes,
 )

@@ -38,13 +38,7 @@ EXTERNAL_CALLERS = (
     *sorted((ROOT / "perfbench").glob("*.py")),
 )
 # (module, name): why the name stays exported without a caller
-EXEMPT = {
-    ("fcalc", "expected_circle_eigenvalue"): (
-        "the closed-form flat-case oracle for the level-circle operator's "
-        "spectrum, kept for the non-separable eigenfunction model to check "
-        "against"
-    ),
-}
+EXEMPT: dict[tuple[str, str], str] = {}
 
 # (module, function, parameter): why the option stays without a caller
 OPTION_EXEMPT = {
