@@ -25,6 +25,9 @@ within 1e-12 relative.
 * ``gauss_legendre`` and ``edge_smoothed_gauss_legendre`` -- the nodes and
   weights of a 32-point rule, the second for integrands with square-root
   edges at the ends.
+
+One helper is no port: ``count_below``, the Sturm count of a symmetric
+tridiagonal, which ``fcalc`` and ``solver`` share.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "isotonic_fit",
     "gauss_legendre",
     "edge_smoothed_gauss_legendre",
+    "count_below",
 ]
 
 
@@ -228,8 +232,20 @@ def edge_smoothed_gauss_legendre(a: float, b: float) -> tuple[np.ndarray, np.nda
 
 
 # --------------------------------------------------------------------------
-# root finding and monotone regression
+# Sturm count, root finding and monotone regression
 # --------------------------------------------------------------------------
+
+
+def count_below(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
+    """Sturm count: the number of eigenvalues below ``shift`` of the real
+    symmetric tridiagonal (diag, off), as the negative pivots of the LDL^T
+    factorization of T - shift I; a zero pivot divides as a tiny positive
+    one, as at a shift just below."""
+    count, pivot = 0, 1.0
+    for a, b2 in zip(diag.tolist(), [0.0, *(off**2).tolist()]):
+        pivot = (a - shift) - b2 / (pivot or np.finfo(float).tiny)
+        count += pivot < 0.0
+    return count
 
 
 _BRENT_MAXITER = 100

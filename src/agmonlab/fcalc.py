@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import hessenberg
 
-from agmonlab._numerics import Spline
+from agmonlab._numerics import Spline, count_below
 from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import separable_level_set
 from agmonlab.models import ModelProblem, potential_grid
@@ -387,18 +387,6 @@ def _block_weighted_sum(
             )
 
 
-def _count_below(diag: np.ndarray, off: np.ndarray, shift: float) -> int:
-    """Sturm count: the number of eigenvalues below ``shift`` of the real
-    symmetric tridiagonal (diag, off), as the negative pivots of the LDL^T
-    factorization of T - shift I; a zero pivot divides as a tiny positive
-    one, as at a shift just below."""
-    count, pivot = 0, 1.0
-    for a, b2 in zip(diag.tolist(), [0.0, *(off**2).tolist()]):
-        pivot = (a - shift) - b2 / (pivot or np.finfo(float).tiny)
-        count += pivot < 0.0
-    return count
-
-
 def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
     """Windowed projection of P through the Cauchy integral of the extension.
 
@@ -439,7 +427,7 @@ def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
         tri, q = hessenberg(P, calc_q=True)
         diag = tri.diagonal().copy()
         off = 0.5 * (tri.diagonal(-1) + tri.diagonal(1))
-    if _count_below(diag, off, -1e-8 * max(1.0, float(np.max(np.abs(P))))):
+    if count_below(diag, off, -1e-8 * max(1.0, float(np.max(np.abs(P))))):
         raise ValueError("operator must be positive semidefinite")
 
     scale = ext.scale

@@ -4,15 +4,17 @@ Second-order symmetric finite differences throughout: they preserve
 self-adjointness and the discrete maximum principle that the verification
 suite leans on.  The normal well of a model with a periodic normal circle
 is solved for its even-parity modes only, through the exact half-interval
-reduction to one tridiagonal eigenproblem; separable 2D modes are
-assembled mode-by-mode, and the Poisson operator is realized as
+reduction to one tridiagonal eigenproblem, windowed around a Sturm count
+at the target so that only the requested modes are formed; separable 2D
+modes are assembled mode-by-mode, and the Poisson operator is realized as
 a boundary-value solve with a far Dirichlet closure whose influence is
 certified by an explicit tunneling bound.  That solve has one kernel, in
 real arithmetic: conjugate gradients preconditioned by the tangential-mean
-operator, which a real FFT along the tangent splits into one Dirichlet
-tridiagonal per distinct mode; complex data is solved by linearity as its
-real and imaginary parts.  For tangentially constant potentials the
-preconditioner is exact and no iteration runs.
+operator, which a real FFT along the tangent splits into one real
+Dirichlet tridiagonal per distinct mode; complex data is solved by
+linearity as its real and imaginary parts, and real data gives a real
+field.  For tangentially constant potentials the preconditioner is exact,
+no iteration runs and V - E is held as one normal column.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, zpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from agmonlab._numerics import (
     brentq,
+    count_below,
     cubic_value,
     edge_smoothed_gauss_legendre,
     gauss_legendre,
@@ -35,7 +38,12 @@ from agmonlab._numerics import (
 )
 from agmonlab.agmon import LevelSet
 from agmonlab.halfplane import BoundaryFunction
-from agmonlab.models import ModelProblem, potential_grid, transverse_potential
+from agmonlab.models import (
+    TANGENT_INVARIANT_MODELS,
+    ModelProblem,
+    potential_grid,
+    transverse_potential,
+)
 
 __all__ = [
     "EigenMode",
@@ -62,12 +70,13 @@ _DEPTH_SAMPLES = 257
 # tangentially constant potential passes before the first iteration.
 _PCG_TOL = 1e-14
 _PCG_MAX_ITER = 200
-# Both blocked loops, a field's column splines and poisson_bvp's stencil,
-# take about this many bytes of field values per block.  On 128x801 and
-# 512x512 complex fields (2 cores, one BLAS thread), 128 KiB spline blocks
-# built in 10-17 and 37 ms against 14-17 and 40 ms for 512 KiB blocks, with
-# a transient peak of 3.6 and 6.0 MiB instead of 9.4 and 12.0 MiB
-# (tracemalloc, kept slopes included); 32 KiB blocks took twice as long.
+# The blocked loops -- a field's column splines, and poisson_bvp's stencil,
+# inverse transform and complex residual moduli -- take about this many
+# bytes of field values per block.  On 128x801 and 512x512 complex fields
+# (2 cores, one BLAS thread), 128 KiB spline blocks built in 10-17 and
+# 37 ms against 14-17 and 40 ms for 512 KiB blocks, with a transient peak
+# of 3.6 and 6.0 MiB instead of 9.4 and 12.0 MiB (tracemalloc, kept slopes
+# included); 32 KiB blocks took twice as long.
 # The stencil in 128 KiB blocks took 14.5 ms against 32.5 ms in one pass on
 # a real 64x24001 stack, and 1.9 against 2.4 ms on a complex 128x801 one.
 _BLOCK_BYTES = 2**17
@@ -103,12 +112,20 @@ class EigenMode:
         return tuple(float(ax[1] - ax[0]) for ax in self.axes)
 
 
-def _even_parity_modes(profile, lo: float, length: float, h: float, n: int):
-    """Even-about-zero eigenpairs of a symmetric periodic well.
+def _even_parity_modes(
+    profile, lo: float, length: float, h: float, n: int, target: float, count: int
+):
+    """The `count` even-about-zero eigenpairs nearest `target` of a
+    symmetric periodic well, sorted by |E - target| with ties to the lower
+    index.
 
     The even subspace of the cell-centered periodic problem on [lo, lo+L)
     is exactly the half-interval problem with reflection closure at both
     ends, so the reduced tridiagonal spectrum is a subset of the full one.
+    The nearest `count` eigenvalues have indices within `count` of the
+    Sturm count at `target`, so only that window is computed (bisection and
+    inverse iteration, one index of slack each side for a count misplaced
+    by rounding) and only its vectors are extended, in O(n * count) memory.
     """
     m = n // 2
     d = length / n
@@ -118,7 +135,11 @@ def _even_parity_modes(profile, lo: float, length: float, h: float, n: int):
     diag[0] -= (h**2) / d**2
     diag[m - 1] -= (h**2) / d**2
     off = np.full(m - 1, -(h**2) / d**2)
-    vals, vecs = eigh_tridiagonal(diag, off)
+    below = count_below(diag, off, target)
+    window = (max(0, below - count - 1), min(m, below + count + 1) - 1)
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=window)
+    order = np.argsort(np.abs(vals - target), kind="stable")[:count]
+    vals, vecs = vals[order], vecs[:, order]
     nodes = lo + (np.arange(n) + 0.5) * d
     full = np.concatenate([vecs[::-1], vecs], axis=0)  # even extension
     return vals, full, nodes
@@ -138,8 +159,9 @@ def solve_transverse_modes(
 
     The well is the model's transverse potential on its periodic normal
     circle, which must be centred at 0; its even modes come from the exact
-    half-interval reduction on n cell-centred nodes (n even).  "even" is the
-    only parity.  Eigenvalues are sorted by |E(h) - target| with ties broken
+    half-interval reduction on n cell-centred nodes (n even), and only the
+    modes near `target` are computed, in O(n) memory per mode.  "even" is
+    the only parity.  Eigenvalues are sorted by |E(h) - target| with ties broken
     by lower index; each mode is unit-normalized with line element = grid
     spacing.
     """
@@ -168,12 +190,11 @@ def solve_transverse_modes(
     if count < 1:
         raise ValueError("count must be at least 1")
 
-    vals, vecs, nodes = _even_parity_modes(profile, lo, length, h, n)
-    order = np.argsort(np.abs(vals - target), kind="stable")[:count]
+    vals, vecs, nodes = _even_parity_modes(profile, lo, length, h, n, target, count)
     w = np.asarray(profile(nodes), dtype=float)
     spacing = float(nodes[1] - nodes[0])
     modes = []
-    for idx in order:
+    for idx in range(vals.size):
         v = vecs[:, idx] / math.sqrt(spacing * float(np.sum(vecs[:, idx] ** 2)))
         energy = float(vals[idx])
         odd = v - v[::-1]
@@ -272,9 +293,10 @@ class Field2D:
     trace cannot recompute bitwise from its values: the slope at the left
     node of every normal interval and the last interval's two leading
     coefficients.  That is the field's own size plus 2 * nx entries, in
-    the spline dtype (float64 or complex128).  A field traced only on grid
-    nodes never builds them, and a field derived by ``replace`` starts
-    without them.
+    the dtype of the values: float64 for a solve of real data (data whose
+    imaginary part is exactly zero), complex128 for complex data.  A field
+    traced only on grid nodes never builds them, and a field derived by
+    ``replace`` starts without them.
     """
 
     values: np.ndarray
@@ -380,9 +402,11 @@ def poisson_bvp(
     Fourier modes with the exact discrete dispersion, one Dirichlet
     tridiagonal per mode.  The operator is real and so is the kernel
     (float64 over the nx // 2 + 1 rfft modes): complex data is solved by
-    linearity as its real and imaginary parts, and real data gives a field
-    whose imaginary part is exactly zero.  For potentials independent of the
-    tangent the preconditioner is the exact inverse and its first iterate
+    linearity as its real and imaginary parts into a complex128 field, and
+    data whose imaginary part is exactly zero gives a float64 field.  For
+    potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``),
+    V - E is evaluated on one normal column and read through a broadcast
+    view, the preconditioner is the exact inverse and its first iterate
     already meets the stopping test (0 iterations); otherwise the iteration
     count is governed by max/min of V - E over its row mean, e.g.
     (1+a)/(1-a) on strip-2d.  The far Dirichlet closure's influence on
@@ -393,11 +417,13 @@ def poisson_bvp(
     instead of returning.
 
     Memory, in fields of nx * n_normal float64: on the direct path
-    (0 iterations) with real data the solve peaks at the returned complex
-    field plus about 1.5 fields (3.61 fields in all at nx = 64), when V - E,
-    the mode factor and the transformed data are live before the field
-    exists, and keeps only the returned field.  Iterating adds CG's vectors
-    and a second factor of the preconditioner.
+    (0 iterations) with real data the solve peaks at about 2 fields (2.11
+    to 2.14 traced at nx = 64), first the real mode factor and the
+    transformed data's real rows, then those rows and the field, and keeps
+    only the returned field.  Complex data doubles the data-sized arrays and
+    assembles the complex field from its two parts, about 4.1 fields in
+    all.  A tangent-dependent V - E is held on the full grid, and iterating
+    adds CG's vectors and a second factor of the preconditioner.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -412,8 +438,11 @@ def poisson_bvp(
     nx = phi.values.size
     xp = L / nx * np.arange(nx)
     xn = np.linspace(0.0, far, n_normal)
-    v_grid = potential_grid(model, xp, xn)
+    # a tangent-invariant V - E is one column, read through a broadcast view
+    columns = xp[:1] if model.name in TANGENT_INVARIANT_MODELS else xp
+    v_grid = potential_grid(model, columns, xn)
     v_grid -= model.energy
+    v_grid = np.broadcast_to(v_grid, (nx, n_normal))
     if np.min(v_grid) <= 0.0:
         j = np.unravel_index(int(np.argmin(v_grid)), v_grid.shape)
         raise ValueError(
@@ -424,10 +453,11 @@ def poisson_bvp(
     cn = h**2 / (xn[1] - xn[0]) ** 2
     cp = h**2 / (L / nx) ** 2
     parts, iterations, residual = _mode_pcg(phi.values, v_grid, cn, cp)
-    del v_grid  # before the complex copy of the field
-    values = np.empty((nx, n_normal), dtype=complex)
-    values.real = parts[0]
-    values.imag = parts[1] if len(parts) == 2 else 0.0
+    if len(parts) == 1:
+        values = parts[0]
+    else:
+        values = np.empty((nx, n_normal), dtype=complex)
+        values.real, values.imag = parts
     meta = {
         "far": far,
         "contamination_bound": contamination,
@@ -452,11 +482,12 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
 
     The blocks are stacked mode-major into one symmetric positive definite
     tridiagonal with zero coupling between blocks and factored once as
-    L D L^T, in place of the assembled diagonals.  The returned function
-    solves for a complex right-hand side of shape (..., modes, w.size), in
-    place when it is C-contiguous; the leading axes are independent
-    right-hand sides.  It holds the factor (about 1.5 fields) until it is
-    dropped.
+    L D L^T, in place of the assembled diagonals.  The factor is real, and
+    so is the returned function: it solves for a real right-hand side of
+    shape (..., modes, w.size), in place when it is C-contiguous, and the
+    leading axes are independent right-hand sides (the real and imaginary
+    parts of transformed data among them).  It holds the factor (about one
+    field) until it is dropped.
     """
     diag = (2.0 * cn + w)[None, :] + dispersion[:, None]
     off = np.full(diag.shape, -cn)
@@ -464,10 +495,9 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
     d, e, info = dpttrf(diag.ravel(), off.ravel()[:-1], overwrite_d=1, overwrite_e=1)
     if info:
         raise ValueError(f"mode operator is not positive definite (info={info})")
-    e = e.astype(complex)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x, _ = zpttrs(d, e, rhs.reshape(-1, d.size).T, overwrite_b=1)
+        x, _ = dpttrs(d, e, rhs.reshape(-1, d.size).T, overwrite_b=1)
         return x.T.reshape(rhs.shape)
 
     return solve
@@ -520,10 +550,34 @@ def _stencil(
 
 
 def _modulus_max(a: np.ndarray) -> float:
-    """max |a_re + i a_im| over a real stack of one or two parts."""
+    """max |a_re + i a_im| over a real stack of one or two parts, shaped
+    (parts, nx, ...); two parts are taken in blocks of whole columns
+    a[:, i], about _BLOCK_BYTES per part, so no field-sized modulus is
+    formed."""
     if len(a) == 1:
         return float(max(np.max(a), -np.min(a)))
-    return float(np.max(np.hypot(a[0], a[1])))
+    step = max(1, _BLOCK_BYTES // a[0, 0].nbytes)
+    # np.max, not max(): a NaN in any block must reach the stopping test
+    blocks = range(0, a.shape[1], step)
+    return float(np.max([np.max(np.hypot(*a[:, i : i + step])) for i in blocks]))
+
+
+def _irfft_rows(rhs: np.ndarray, out: np.ndarray) -> None:
+    """irfft along axis -2 of rhs[0] + i rhs[1], written to out.
+
+    The complex spectrum is assembled a block of normal columns at a time,
+    about _BLOCK_BYTES of it per block, so only the real rows are ever held
+    whole; each column transforms on its own, whatever the block size.
+    """
+    ny = rhs.shape[-1]
+    step = max(1, _BLOCK_BYTES // (rhs[0, ..., 0].size * 16))
+    block = np.empty(rhs.shape[1:-1] + (min(step, ny),), dtype=complex)
+    for a in range(0, ny, step):
+        b = min(a + step, ny)
+        spectrum = block[..., : b - a]
+        spectrum.real = rhs[0, ..., a:b]
+        spectrum.imag = rhs[1, ..., a:b]
+        np.fft.irfft(spectrum, out.shape[-2], axis=-2, out=out[..., a:b])
 
 
 def _mode_pcg(phi, w, cn, cp):
@@ -535,7 +589,8 @@ def _mode_pcg(phi, w, cn, cp):
     parts -- the real part of the complex inner product, so the iterates
     are those of complex CG.  The preconditioner takes rfft along the
     tangent and solves the nx // 2 + 1 distinct mode tridiagonals (the
-    dispersion is symmetric under k -> nx - k).  The residual is kept as
+    dispersion is symmetric under k -> nx - k) on the real and imaginary
+    rows of the transform, with one real factor.  The residual is kept as
     r = A u - b, evaluated on the full array with the data row in place.
     Iteration stops when the true residual max|r| / max|u| (complex
     moduli) is within _PCG_TOL of the operator's infinity norm (a normwise
@@ -561,14 +616,17 @@ def _mode_pcg(phi, w, cn, cp):
         return _modulus_max(r) / scale if scale else 0.0
 
     solve = _dirichlet_modes(row_mean, cn, dispersion)
-    # b is cn * phi on the first interior row only, so its transform is too
-    rhs = np.zeros((len(data), nx // 2 + 1, ny - 2), dtype=complex)
-    rhs[..., 0] = cn * np.fft.rfft(data)
+    # b is cn * phi on the first interior row only, so its transform is too;
+    # it is solved as real rows, the real parts then the imaginary parts
+    b = cn * np.fft.rfft(data)
+    rhs = np.zeros((2, len(data), nx // 2 + 1, ny - 2))
+    rhs[0, ..., 0] = b.real
+    rhs[1, ..., 0] = b.imag
     rhs = solve(rhs)
     del solve  # the factor goes before the field is allocated
     values = np.zeros((len(data), nx, ny))
     values[..., 0] = data
-    np.fft.irfft(rhs, nx, axis=-2, out=values[..., 1:-1])
+    _irfft_rows(rhs, values[..., 1:-1])
     del rhs
     r = _stencil(values, w, cn, cp)
     residual = relative(r)
@@ -579,6 +637,10 @@ def _mode_pcg(phi, w, cn, cp):
     p = np.zeros(values.shape)
     q = np.empty(r.shape)
     z = np.empty(r.shape)
+    # r's transform; z is free until it is solved, so z's memory holds the
+    # transform's real or imaginary part for the real factor
+    spectrum = np.empty((len(data), nx // 2 + 1, ny - 2), dtype=complex)
+    part = z.reshape(-1)[: spectrum.size].reshape(spectrum.shape)
     rz = 1.0  # any finite value: p starts at zero
     while residual > bound:
         if iterations == _PCG_MAX_ITER:
@@ -587,7 +649,11 @@ def _mode_pcg(phi, w, cn, cp):
                 f"residual {residual:.3g} > {bound:.3g} after {iterations} "
                 "iterations"
             )
-        np.fft.irfft(solve(np.fft.rfft(r, axis=-2)), nx, axis=-2, out=z)
+        np.fft.rfft(r, axis=-2, out=spectrum)
+        for rows in (spectrum.real, spectrum.imag):
+            part[...] = rows
+            rows[...] = solve(part)
+        np.fft.irfft(spectrum, nx, axis=-2, out=z)
         rz_next = float(np.einsum("ijk,ijk->", r, z))
         p[..., 1:-1] *= rz_next / rz
         p[..., 1:-1] += z

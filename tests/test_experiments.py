@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,23 @@ class TestSweepStatistics:
 
 
 class TestRunExperiment:
+    def test_shipped_parametrix_run_peaks_near_two_fields(self, tmp_path):
+        # on its own 64 x 24,001 grid each of its four direct solves peaks
+        # at about 2 fields, and a traced field keeps its spline slopes, one
+        # field more: 2.17 fields traced for the whole run, 3.67 with a
+        # complex field and a full V - E grid
+        path = Path(__file__).resolve().parents[1] / "configs" / "parametrix.json"
+        (config,) = parse_config(json.loads(path.read_text()), out_dir=tmp_path)
+        assert config.grid == (64, 24001)
+        tracemalloc.start()
+        try:
+            result = run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak <= 2.4 * 64 * 24001 * 8
+
     def test_chain_records_and_files(self, out_dir):
         (config,) = parse_config(payload(out=str(out_dir)))
         result = run_experiment(config)

@@ -609,18 +609,6 @@ class TestHsApply:
         with pytest.raises(ValueError, match="operator must be finite"):
             hs_apply(non_finite_operator(entry), ext)
 
-    def test_sturm_count_matches_eigenvalue_count(self):
-        rng = np.random.default_rng(4)
-        diag, off = rng.normal(size=40), rng.normal(size=39)
-        w = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        for shift in np.concatenate([[w[0] - 1.0], 0.5 * (w[1:] + w[:-1]), [w[-1] + 1.0]]):
-            assert fcalc._count_below(diag, off, shift) == np.sum(w < shift)
-        # exact zero pivots at the shift 0: eigenvalues -sqrt 2, 0, sqrt 2;
-        # -0.80, 0.55, 2.25; and 0 four times
-        for diag, below in (([0.0, 0.0, 0.0], 1), ([1.0, 1.0, 0.0], 1), ([0.0] * 4, 0)):
-            off = np.ones(len(diag) - 1) if below else np.zeros(len(diag) - 1)
-            assert fcalc._count_below(np.array(diag), off, 0.0) == below
-
 
 class TestResolventWeightedSum:
     def test_split_tridiagonal_matches_dense_inverse(self):

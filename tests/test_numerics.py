@@ -26,6 +26,7 @@ import agmonlab
 from agmonlab import _numerics, models, quantize
 from agmonlab._numerics import (
     Spline,
+    count_below,
     cumulative_simpson,
     edge_smoothed_gauss_legendre,
     gauss_legendre,
@@ -182,7 +183,7 @@ class TestGaussLegendre:
 
 
 # --------------------------------------------------------------------------
-# root finding and monotone regression
+# Sturm count, root finding and monotone regression
 # --------------------------------------------------------------------------
 
 
@@ -270,6 +271,20 @@ class TestIsotonicFit:
         assert abs((ours[-1] - ours[0]) - (theirs[-1] - theirs[0])) <= 1e-15 * scale
         np.testing.assert_allclose(ours, theirs, rtol=0.0, atol=1e-15 * scale)
         assert np.all(np.diff(ours) >= 0.0)
+
+
+class TestCountBelow:
+    def test_sturm_count_matches_eigenvalue_count(self):
+        rng = np.random.default_rng(4)
+        diag, off = rng.normal(size=40), rng.normal(size=39)
+        w = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        for shift in np.concatenate([[w[0] - 1.0], 0.5 * (w[1:] + w[:-1]), [w[-1] + 1.0]]):
+            assert count_below(diag, off, shift) == np.sum(w < shift)
+        # exact zero pivots at the shift 0: eigenvalues -sqrt 2, 0, sqrt 2;
+        # -0.80, 0.55, 2.25; and 0 four times
+        for diag, below in (([0.0, 0.0, 0.0], 1), ([1.0, 1.0, 0.0], 1), ([0.0] * 4, 0)):
+            off = np.ones(len(diag) - 1) if below else np.zeros(len(diag) - 1)
+            assert count_below(np.array(diag), off, 0.0) == below
 
 
 # --------------------------------------------------------------------------
