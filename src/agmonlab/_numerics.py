@@ -7,9 +7,9 @@ of a whole run, for five small routines.  Each port below repeats the
 arithmetic of the scipy routine it replaces in the same order, so its
 results are bitwise scipy's; the tests keep scipy as the oracle.  Two
 stand-ins are not bitwise: the monotone fit, which agrees with scipy's
-within 1e-15 of the data's scale, and the Gauss-Legendre rules, which
-replace adaptive quadrature on the collar integrals and agree with it
-within 1e-12 relative.
+within 1e-15 of the data's scale, and the Gauss-Legendre rule, which
+replaces adaptive quadrature on the weighted-depth integral and agrees with
+it within 1e-12 relative.
 
 * ``Spline`` and ``spline_slopes`` -- scipy's ``CubicSpline`` with
   not-a-knot or clamped first-derivative ends: knot slopes from one banded
@@ -22,9 +22,8 @@ within 1e-12 relative.
   iteration cap.
 * ``isotonic_fit`` -- a pool-adjacent-violators fit in place of scipy's
   ``isotonic_regression`` (unit weights, nondecreasing).
-* ``gauss_legendre`` and ``edge_smoothed_gauss_legendre`` -- the nodes and
-  weights of a 32-point rule, the second for integrands with square-root
-  edges at the ends.
+* ``gauss_legendre`` -- the nodes and weights of a 32-point rule, for the
+  weighted depth of ``models.weighted_depth``.
 
 One helper is no port: ``count_below``, the Sturm count of a symmetric
 tridiagonal, which ``fcalc`` and ``solver`` share.
@@ -47,7 +46,6 @@ __all__ = [
     "brentq",
     "isotonic_fit",
     "gauss_legendre",
-    "edge_smoothed_gauss_legendre",
     "count_below",
 ]
 
@@ -217,18 +215,6 @@ def gauss_legendre(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 32-point Gauss-Legendre rule on [a, b]."""
     half = 0.5 * (b - a)
     return a + half * (_GL_NODES + 1.0), half * _GL_WEIGHTS
-
-
-def edge_smoothed_gauss_legendre(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [a, b] of the 32-point rule in theta on [0, pi],
-    where t = a + (b - a)(1 - cos theta) / 2.
-
-    Near either end t moves as theta squared, so sqrt(f(t)) for an f with a
-    simple zero at that end becomes smooth in theta.
-    """
-    theta, w = gauss_legendre(0.0, math.pi)
-    half = 0.5 * (b - a)
-    return a + half * (1.0 - np.cos(theta)), half * np.sin(theta) * w
 
 
 # --------------------------------------------------------------------------

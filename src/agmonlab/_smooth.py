@@ -5,9 +5,10 @@ Two families are provided:
 * ``mollifier_rise`` / ``mollifier_fall`` -- the classical ramp built from the
   ``exp(-1/t)`` bump.  C-infinity, every one-sided derivative vanishes at the
   endpoints.  Used where only smoothness, monotonicity and support matter.
-* ``polyramp`` -- a degree-9 polynomial ramp that is C^4 across its endpoints
-  with all derivatives up to order 4 available exactly as polynomials.  Used
-  where derivative jets up to fourth order are required in closed form.
+* ``polyramp_derivative`` -- a degree-9 polynomial ramp (order 0) that is C^4
+  across its endpoints, with all derivatives up to order 4 available exactly
+  as polynomials.  Used where derivative jets up to fourth order are
+  required in closed form.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from numpy.polynomial import polynomial as _poly
 __all__ = [
     "mollifier_rise",
     "mollifier_fall",
-    "polyramp",
     "polyramp_derivative",
     "POLYRAMP_MAX_DERIVATIVE",
 ]
@@ -73,13 +73,9 @@ for _ in range(POLYRAMP_MAX_DERIVATIVE):
     _POLYRAMP_DERIVS.append(_poly.polyder(_POLYRAMP_DERIVS[-1]))
 
 
-def polyramp(u):
-    """C^4 polynomial ramp: 0 for u <= 0, 1 for u >= 1."""
-    return polyramp_derivative(u, 0)
-
-
 def polyramp_derivative(u, order: int):
-    """Exact derivative of :func:`polyramp` of the given order (0..4).
+    """Exact derivative of the given order (0..4) of the C^4 polynomial
+    ramp, 0 for u <= 0 and 1 for u >= 1; order 0 is the ramp itself.
 
     Orders 1 through 4 vanish identically outside (0, 1), matching the
     one-sided limits of the interior polynomial, so the returned function

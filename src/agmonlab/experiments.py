@@ -71,6 +71,7 @@ from agmonlab.models import (
     TANGENT_INVARIANT_MODELS,
     ModelProblem,
     make_model,
+    potential_at,
     potential_grid,
 )
 from agmonlab.quantize import build_cutoff_profile, build_phase_cutoff, symbol_class_check
@@ -700,11 +701,22 @@ def _run_decay_sandwich(config: ExperimentConfig, jobs: int) -> list[ReportRecor
 
 
 def _decay_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
-    """On the torus every level must certify against the far closure: the
+    """On the torus the far closure must lie in the forbidden region, which
+    the energy decides, and every level must certify against it: the
     solver's own check, at the largest h, where the bound is weakest."""
     del grid  # the far boundary is fixed, whatever the normal grid
     rho, h = sweeps["rho_grid"], sweeps["h_sweep"]
-    if model.name == "halfplane-unit" or not rho or not h:
+    if model.name == "halfplane-unit":
+        return {}
+    if _DECAY_FAR > model.forbidden_extent:
+        # decay-sandwich runs only on tangent-invariant models
+        v_far = float(potential_at(model, 0.0, _DECAY_FAR))
+        return {
+            "params": f"E must stay below V at x_n = {_DECAY_FAR:g}, where "
+            f"decay-sandwich closes its solve, that is below {v_far:.3g}; "
+            f"E = {model.energy:g} is not"
+        }
+    if not rho or not h:
         return {}
     try:
         _check_far_boundary(model, _DECAY_FAR, max(h), max(rho))

@@ -419,14 +419,9 @@ def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
         raise ValueError(
             f"dense resolvent path is limited to {_DENSE_LIMIT} rows, got {n}"
         )
-    if n <= 2:
-        diag = P.diagonal().copy()
-        off = P.diagonal(-1).copy()
-        q = np.eye(n)
-    else:
-        tri, q = hessenberg(P, calc_q=True)
-        diag = tri.diagonal().copy()
-        off = 0.5 * (tri.diagonal(-1) + tri.diagonal(1))
+    tri, q = hessenberg(P, calc_q=True)
+    diag = tri.diagonal().copy()
+    off = 0.5 * (tri.diagonal(-1) + tri.diagonal(1))
     if count_below(diag, off, -1e-8 * max(1.0, float(np.max(np.abs(P))))):
         raise ValueError("operator must be positive semidefinite")
 

@@ -11,16 +11,18 @@ phi_1(x_n, xi') with phi = <x', xi'> + i phi_1:
   the ambient normal coordinate; its zero-frequency column reproduces the
   weighted distance itself.
 
-Series are built coefficient-by-coefficient in extended precision; each
-order divides by 2(1 + w_0) (agmon) or 2 sqrt(V - E + |xi'|^2) (ambient),
-both bounded away from zero on the shipped barriers, so the recursion is
-well posed and the decaying branch is selected by the principal root.
+Both kinds run one recursion, coefficient by coefficient in extended
+precision; each order divides by 2(1 + w_0) (agmon) or
+2 sqrt(V - E + |xi'|^2) (ambient), both bounded away from zero on the
+shipped barriers, so the recursion is well posed and the decaying branch
+is selected by the principal root.  A series keeps the Taylor table it was
+built from, and one Horner rule evaluates it and its residual.
 
 Both kinds are built only for barriers that do not depend on the tangent,
 so every phase is tangent-invariant: one column of Taylor data per
-frequency, and a parametrix that acts as a Fourier multiplier.  A
-tangent-dependent barrier is rejected by ``models`` before any recursion
-runs.
+frequency, and a parametrix that acts as a Fourier multiplier, applied by
+:func:`apply_multiplier` as ``quantize``'s symbols are.  A tangent-dependent
+barrier is rejected by ``models`` before any recursion runs.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "evaluate_phase",
     "phase_function",
     "phase_residual",
+    "apply_multiplier",
     "apply_poisson_parametrix",
     "mode_frequencies",
 ]
@@ -176,38 +179,50 @@ class PhaseSeries:
         self.coefficients.setflags(write=False)
 
 
-def _agmon_recursion(r: np.ndarray, k_order: int) -> np.ndarray:
-    """Derivative coefficients w_0..w_K of (w)^2 + 2 w - r(x_n) = 0."""
-    shape = r.shape[1:]
-    w = np.zeros((k_order + 1,) + shape, dtype=r.dtype)
-    # w_0 = sqrt(1 + r_0) - 1, written to avoid cancellation near xi' = 0
-    w[0] = r[0] / (1.0 + np.sqrt(1.0 + r[0]))
-    divisor = 2.0 * (1.0 + w[0])
-    for m in range(1, k_order + 1):
-        acc = np.zeros(shape, dtype=r.dtype)
-        for i in range(1, m):
-            acc = acc + w[i] * w[m - i]
-        w[m] = (r[m] - acc) / divisor
-    return w
+def _recursion(
+    rhs: np.ndarray, w0: np.ndarray, divisor: np.ndarray, order: int
+) -> np.ndarray:
+    """Derivative coefficients w_0..w_K of both equations from their order-0 root.
 
-
-def _ambient_recursion(q: np.ndarray, k_order: int) -> np.ndarray:
-    """Derivative coefficients of (w)^2 = q(x_n), principal branch."""
-    if np.min(q[0]) <= 0.0:
+    The gauged equation (w)^2 + 2 w = r and the ambient one (w)^2 = q share
+    the order-m relation divisor * w_m + sum_{0<i<m} w_i w_{m-i} = rhs_m,
+    with divisor 2 (1 + w_0) or 2 w_0.  A divisor that is not positive
+    leaves the decaying branch undetermined and is rejected.
+    """
+    if not np.all(divisor > 0.0):
         raise ValueError(
             "branch ambiguity: the barrier vanishes on the sampled grid "
             "(V = E), so the leading square root is not determined"
         )
-    shape = q.shape[1:]
-    w = np.zeros((k_order + 1,) + shape, dtype=q.dtype)
-    w[0] = np.sqrt(q[0])
-    divisor = 2.0 * w[0]
-    for m in range(1, k_order + 1):
-        acc = np.zeros(shape, dtype=q.dtype)
+    w = np.zeros((order + 1,) + w0.shape, dtype=rhs.dtype)
+    w[0] = w0
+    for m in range(1, order + 1):
+        acc = np.zeros(w0.shape, dtype=rhs.dtype)
         for i in range(1, m):
             acc = acc + w[i] * w[m - i]
-        w[m] = (q[m] - acc) / divisor
+        w[m] = (rhs[m] - acc) / divisor
     return w
+
+
+def _phase_coefficients(
+    kind: str, table: np.ndarray, xi: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """c_1..c_{K+1} at the frequencies xi, one column each, and the divisor,
+    from the Taylor table T of :func:`agmon_metric_taylor` (gauged, right-hand
+    side T xi'^2) or of V - E (ambient, right-hand side V - E + xi'^2)."""
+    xi2 = xi.astype(_LD) ** 2
+    if kind == "agmon":
+        rhs = table[: order + 1, None] * xi2[None, :]
+        # w_0 = sqrt(1 + r_0) - 1, written to avoid cancellation near xi' = 0
+        w0 = rhs[0] / (1.0 + np.sqrt(1.0 + rhs[0]))
+        divisor = 2.0 * (1.0 + w0)
+    else:
+        rhs = np.repeat(table[: order + 1, None], xi.size, axis=1)
+        rhs[0] = rhs[0] + xi2
+        w0 = np.sqrt(rhs[0])
+        divisor = 2.0 * w0
+    w = _recursion(rhs, w0, divisor, order)
+    return w / np.arange(1, order + 2, dtype=_LD)[:, None], divisor
 
 
 def solve_phase_series(
@@ -224,30 +239,22 @@ def solve_phase_series(
         raise ValueError(f"unknown series kind {kind!r}")
     xi = np.atleast_1d(np.asarray(frequencies, dtype=float))
     k_ext = order + _EXTRA_ORDERS
-    xi2 = xi.astype(_LD) ** 2
     if kind == "agmon":
         table = agmon_metric_taylor(model, k_ext)
-        w = _agmon_recursion(table[:, None] * xi2[None, :], order)
-        divisor_min = float(np.min(2.0 * (1.0 + w[0])))
         collar_limit = model.collar_width
     else:
         table = normal_taylor_coefficients(model, k_ext).astype(_LD)
-        q = np.repeat(table[:, None], xi.size, axis=1)
-        q[0] = q[0] + xi2
-        w = _ambient_recursion(q, order)
-        divisor_min = float(np.min(2.0 * w[0]))
         collar_limit = model.collar_width_ambient
-
-    powers = np.arange(1, order + 2, dtype=_LD)
+    coefficients, divisor = _phase_coefficients(kind, table, xi, order)
     meta = {
-        "divisor_min": divisor_min,
+        "divisor_min": float(np.min(divisor)),
         "taylor_table": table,
         "extended_order": k_ext,
         "collar_limit": float(collar_limit),
     }
     return PhaseSeries(
         order=order,
-        coefficients=w / powers[:, None],
+        coefficients=coefficients,
         kind=kind,
         frequencies=xi,
         model=model,
@@ -255,12 +262,13 @@ def solve_phase_series(
     )
 
 
-def _phase_at(series: PhaseSeries, x: np.ndarray) -> np.ndarray:
-    """phi_1 at the depths x: shape (x.size, n_frequencies)."""
-    out = np.zeros((x.size, series.frequencies.size), dtype=_LD)
-    for row in series.coefficients[::-1]:
-        out = (out + row[None]) * x[:, None]
-    return out.astype(float)
+def _horner(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j coefficients[j] x^j by Horner's rule, in extended precision;
+    x broadcasts against each coefficient row."""
+    out = np.zeros(np.broadcast_shapes(np.shape(x), coefficients.shape[1:]), dtype=_LD)
+    for row in coefficients[::-1]:
+        out = out * x + row
+    return out
 
 
 def evaluate_phase(series: PhaseSeries, x_n) -> np.ndarray:
@@ -270,34 +278,29 @@ def evaluate_phase(series: PhaseSeries, x_n) -> np.ndarray:
     like the coefficients it is evaluated from.
     """
     x = np.asarray(x_n, dtype=_LD)
-    result = _phase_at(series, np.atleast_1d(x))
+    depths = np.atleast_1d(x)[:, None]
+    result = (depths * _horner(series.coefficients, depths)).astype(float)
     result.setflags(write=False)
     return result[0] if x.ndim == 0 else result
 
 
-def phase_function(model: ModelProblem, order: int):
-    """A callable gauged phi_1(x_n, xi') evaluating the same recursion on demand.
+def phase_function(series: PhaseSeries):
+    """The series' phi_1(x_n, xi') as a callable at arbitrary frequencies.
 
-    Returns a closure vectorized over arbitrary frequency arrays, agreeing
-    with :func:`solve_phase_series` of the "agmon" kind at matching sample
-    points; used where the phase must be a continuous function of
-    frequency (root finding).
+    Runs the series' own recursion on its own Taylor table, so at the
+    series' sample frequencies it agrees with :func:`evaluate_phase`
+    bitwise; used where the phase must be a continuous function of
+    frequency (root finding).  Returns a float for a scalar frequency and
+    an array of the frequencies' shape otherwise.
     """
-    t_taylor = agmon_metric_taylor(model, order + _EXTRA_ORDERS)
+    table = series.meta["taylor_table"]
 
     def phi1(x_n, xi):
-        xi_arr = np.asarray(xi, dtype=_LD)
-        shape = xi_arr.shape
-        flat = np.atleast_1d(xi_arr).ravel()
-        r = t_taylor[: order + 1, None] * flat[None, :] ** 2
-        w = _agmon_recursion(r, order)
-        powers = np.arange(1, order + 2, dtype=_LD)
-        coeff = w / powers[:, None]
+        shape = np.shape(xi)
+        flat = np.ravel(xi)
+        coefficients, _ = _phase_coefficients(series.kind, table, flat, series.order)
         x = _LD(x_n)
-        acc = np.zeros_like(flat)
-        for row in coeff[::-1]:
-            acc = (acc + row) * x
-        out = acc.astype(float).reshape(shape)
+        out = (x * _horner(coefficients, x)).astype(float).reshape(shape)
         return float(out) if shape == () else out
 
     return phi1
@@ -323,12 +326,8 @@ def _residual_arrays(series: PhaseSeries, x: np.ndarray):
     """|equation residual| per (sample, frequency), extended precision."""
     c = series.coefficients
     w_coeff = c * np.arange(1, series.order + 2, dtype=_LD)[:, None]
-    w_val = np.zeros((x.size, c.shape[1]), dtype=_LD)
-    for row in w_coeff[::-1]:
-        w_val = w_val * x[:, None] + row[None]
-    t_val = np.zeros(x.size, dtype=_LD)
-    for coef in series.meta["taylor_table"][::-1]:
-        t_val = t_val * x + coef
+    w_val = _horner(w_coeff, x[:, None])
+    t_val = _horner(series.meta["taylor_table"], x)
     xi2 = series.frequencies.astype(_LD)[None, :] ** 2
     if series.kind == "agmon":
         rhs = t_val[:, None] * xi2
@@ -389,15 +388,36 @@ def mode_frequencies(n: int, length: float, h: float) -> np.ndarray:
     return h * 2.0 * math.pi * np.arange(-(n // 2), n - n // 2) / length
 
 
+def apply_multiplier(
+    phi: BoundaryFunction, multiplier: np.ndarray, frequencies: np.ndarray
+) -> np.ndarray:
+    """Values of the Fourier multiplier applied to boundary data.
+
+    ``multiplier[k]`` scales the data's circle mode of semiclassical
+    frequency ``frequencies[k]``, in the centred ordering of
+    :func:`mode_frequencies`; those frequencies must be the data's own.
+    """
+    n = phi.values.size
+    expected = mode_frequencies(n, phi.length, phi.h)
+    if frequencies.size != n or np.max(np.abs(frequencies - expected)) > 1e-12:
+        raise ValueError(
+            f"grid mismatch: a frequency grid of {frequencies.size} modes does "
+            f"not match the data's {n} mode frequencies at h = {phi.h:g}"
+        )
+    coeff = np.fft.fftshift(np.fft.fft(phi.values))
+    return np.fft.ifft(np.fft.ifftshift(coeff * multiplier))
+
+
 def apply_poisson_parametrix(
     series: PhaseSeries, phi: BoundaryFunction, rho: float
 ) -> BoundaryTrace:
     """Gauged parametrix trace at weighted depth rho.
 
     Applies the mode-wise multiplier exp(-phi_1(rho, xi'_k)/h) to the
-    boundary data (unit amplitude).  The gauged multiplier already
-    includes the exp(rho/h) factor relative to the ungauged extension, so
-    the returned trace is O(1) for flat data.
+    boundary data (unit amplitude); at rho = 0 the trace is the data
+    itself.  The gauged multiplier already includes the exp(rho/h) factor
+    relative to the ungauged extension, so the returned trace is O(1) for
+    flat data.
     """
     if series.kind != "agmon":
         raise ValueError("parametrix application requires the gauged kind")
@@ -406,20 +426,11 @@ def apply_poisson_parametrix(
         raise ValueError(
             f"depth {rho:g} outside the collar [0, {model.collar_width:g}]"
         )
-    n = phi.values.size
-    freqs = mode_frequencies(n, phi.length, phi.h)
-    if series.frequencies.size != n or np.max(
-        np.abs(series.frequencies - freqs)
-    ) > 1e-12:
-        raise ValueError(
-            "series frequency grid does not match the data's mode frequencies"
-        )
-    level = separable_level_set(model, rho, n_tangential=n)
+    level = separable_level_set(model, rho, n_tangential=phi.values.size)
     if rho == 0.0:
         return BoundaryTrace(
             values=phi.values.copy(), level=level, rho=0.0, h=phi.h
         )
-    mult = np.exp(-_phase_at(series, np.array([rho], dtype=_LD))[0] / phi.h)
-    coeff = np.fft.fftshift(np.fft.fft(phi.values))
-    values = np.fft.ifft(np.fft.ifftshift(coeff * mult))
+    multiplier = np.exp(-evaluate_phase(series, rho) / phi.h)
+    values = apply_multiplier(phi, multiplier, series.frequencies)
     return BoundaryTrace(values=values, level=level, rho=float(rho), h=phi.h)

@@ -33,6 +33,7 @@ __all__ = [
     "KNOWN_MODELS",
     "TANGENT_INVARIANT_MODELS",
     "make_model",
+    "weighted_depth",
     "potential_at",
     "potential_grid",
     "normal_taylor_coefficients",
@@ -345,12 +346,20 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, flo
             f"collar at (tangential={xp[i]:.6g}, normal={s_collar[j]:.6g})"
         )
 
-    # collar width in arclength of the weighted metric, measured along the
-    # normal direction at the tangentially least favourable position
-    t, w = gauss_legendre(0.0, r0_ambient)
+    return margin, r0_ambient, weighted_depth(model, r0_ambient), forbidden_extent
+
+
+def weighted_depth(model: ModelProblem, depth: float) -> float:
+    """Arclength of the weighted metric (V - E) g from the hypersurface to
+    the normal coordinate ``depth`` at the least favourable tangential
+    position: the 32-point Gauss-Legendre rule on sqrt(least V - E) over the
+    tangential validation probe, a negative barrier counting as zero.  It
+    gives ``collar_width`` and the depth of a far Dirichlet closure, a lower
+    bound on every column's."""
+    xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
+    t, w = gauss_legendre(0.0, depth)
     least = potential_grid(model, xp, t).min(axis=0) - model.energy
-    width = float(w @ np.sqrt(np.maximum(least, 0.0)))
-    return margin, r0_ambient, width, forbidden_extent
+    return float(w @ np.sqrt(np.maximum(least, 0.0)))
 
 
 def make_model(name: str, params: Mapping[str, float] | None = None) -> ModelProblem:

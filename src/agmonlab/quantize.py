@@ -11,7 +11,7 @@ supported at semiclassically large frequencies.
 
 The collar phase does not depend on the tangent, so every symbol here is
 a function of frequency alone and quantizes as a discrete Fourier
-multiplier.
+multiplier, applied by ``hjphase.apply_multiplier``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from agmonlab._numerics import Spline, brentq, cumulative_simpson
 from agmonlab._smooth import mollifier_fall
 from agmonlab.halfplane import BoundaryFunction
-from agmonlab.hjphase import PhaseSeries, evaluate_phase, mode_frequencies, phase_function
+from agmonlab.hjphase import PhaseSeries, apply_multiplier, evaluate_phase, phase_function
 
 __all__ = [
     "Symbol",
@@ -182,7 +182,7 @@ def build_cutoff_profile(span: float) -> CutoffProfile:
 
 def _phase_level_frequency(series: PhaseSeries, rho: float, target: float) -> float:
     """|xi'| at which the gauged phase at depth rho reaches the target."""
-    fn = phase_function(series.model, series.order)
+    fn = phase_function(series)
     hi = 1.0
     for _ in range(80):
         if fn(rho, hi) > target:
@@ -286,28 +286,9 @@ def split_in_out(
 # --------------------------------------------------------------------------
 
 
-def _check_compatible(symbol: Symbol, u: BoundaryFunction) -> None:
-    n = u.values.size
-    if symbol.frequencies.size != n:
-        raise ValueError(
-            f"grid mismatch: symbol has {symbol.frequencies.size} frequencies, "
-            f"data has {n} nodes"
-        )
-    expected = mode_frequencies(n, u.length, u.h)
-    if np.max(np.abs(symbol.frequencies - expected)) > 1e-12:
-        raise ValueError(
-            "grid mismatch: symbol frequencies do not match the data's "
-            "semiclassical mode grid"
-        )
-    if abs(symbol.h - u.h) > 1e-15 * abs(u.h):
-        raise ValueError("grid mismatch: symbol and data use different h")
-
-
 def apply_quantized(symbol: Symbol, u: BoundaryFunction) -> BoundaryFunction:
     """Quantize the symbol and apply it to boundary data as a Fourier multiplier."""
-    _check_compatible(symbol, u)
-    coeff = np.fft.fftshift(np.fft.fft(u.values))
-    out = np.fft.ifft(np.fft.ifftshift(coeff * symbol.values))
+    out = apply_multiplier(u, symbol.values, symbol.frequencies)
     return BoundaryFunction(out, u.length, u.h)
 
 

@@ -7,8 +7,9 @@ is solved for its even-parity modes only, through the exact half-interval
 reduction to one tridiagonal eigenproblem, windowed around a Sturm count
 at the target so that only the requested modes are formed; separable 2D
 modes are assembled mode-by-mode, and the Poisson operator is realized as
-a boundary-value solve with a far Dirichlet closure whose influence is
-certified by an explicit tunneling bound.  That solve has one kernel, in
+a boundary-value solve with a far Dirichlet closure inside the forbidden
+region, whose influence is certified by an explicit tunneling bound on the
+model's weighted depth.  That solve has one kernel, in
 real arithmetic: conjugate gradients preconditioned by the tangential-mean
 operator, which a real FFT along the tangent splits into one real
 Dirichlet tridiagonal per distinct mode; complex data is solved by
@@ -27,15 +28,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from agmonlab._numerics import (
-    brentq,
-    count_below,
-    cubic_value,
-    edge_smoothed_gauss_legendre,
-    gauss_legendre,
-    hermite_leading,
-    spline_slopes,
-)
+from agmonlab._numerics import count_below, cubic_value, hermite_leading, spline_slopes
 from agmonlab.agmon import LevelSet
 from agmonlab.halfplane import BoundaryFunction
 from agmonlab.models import (
@@ -43,6 +36,7 @@ from agmonlab.models import (
     ModelProblem,
     potential_grid,
     transverse_potential,
+    weighted_depth,
 )
 
 __all__ = [
@@ -62,9 +56,6 @@ __all__ = [
 _MIN_NODES = 256
 _RESOLVABILITY = 4.0  # require h >= this multiple of the grid spacing
 _CONTAMINATION_TOL = 1e-6
-# _agmon_depth looks for turning points of the least barrier on this many
-# evenly spaced points of [0, far]
-_DEPTH_SAMPLES = 257
 # poisson_bvp's CG stops once max|A u - b| / max|u| <= _PCG_TOL * ||A||_inf.
 # Rounding alone leaves about 2.5e-16 there, so the exact preconditioner of a
 # tangentially constant potential passes before the first iteration.
@@ -336,38 +327,17 @@ class Field2D:
         return slopes, last
 
 
-def _agmon_depth(model: ModelProblem, far: float) -> float:
-    """Weighted arclength from the hypersurface to the far boundary,
-    minimized over the tangent (a lower bound on every column's depth).
-
-    Only where the least barrier is positive counts.  Its sign changes on
-    [0, far] are found on a sample grid and refined by Brent's method.
-    Without one, the 32-point Gauss-Legendre rule covers [0, far]; with
-    some, each positive stretch gets the rule in the variable
-    ``edge_smoothed_gauss_legendre`` uses, which takes the square-root edge
-    off a turning point.
-    """
-    probe = np.linspace(0.0, model.lengths[0], 65)
-
-    def least(t: np.ndarray) -> np.ndarray:
-        return potential_grid(model, probe, t).min(axis=0) - model.energy
-
-    def weighted(t: np.ndarray, w: np.ndarray) -> float:
-        return float(w @ np.sqrt(np.maximum(least(t), 0.0)))
-
-    s = np.linspace(0.0, far, _DEPTH_SAMPLES)
-    positive = least(s) > 0.0
-    flips = np.nonzero(positive[1:] != positive[:-1])[0]
-    if not flips.size:
-        return weighted(*gauss_legendre(0.0, far))
-    turns = [brentq(lambda t: float(least(np.array([t]))[0]), s[i], s[i + 1]) for i in flips]
-    ends = [0.0, *turns, far]
-    stretches = zip(ends[:-1], ends[1:], positive[np.r_[0, flips + 1]])
-    return sum(weighted(*edge_smoothed_gauss_legendre(a, b)) for a, b, up in stretches if up)
-
-
 def _check_far_boundary(model, far, h, rho_max) -> float:
-    depth = _agmon_depth(model, far)
+    edge = model.forbidden_extent
+    if not 0.0 < far <= edge + 1e-12:
+        hi = model.axis_bounds(1)[1]
+        if far <= 0.0 or edge >= hi:
+            raise ValueError(f"far boundary {far:g} outside the normal range (0, {hi:g}]")
+        raise ValueError(
+            f"far boundary {far:g} lies past the forbidden edge x_n = {edge:.4g} "
+            "where V - E reaches 0; beyond it the operator is indefinite"
+        )
+    depth = weighted_depth(model, far)
     if depth <= rho_max:
         raise ValueError(
             f"far boundary at {far:g} has weighted depth {depth:.4g} <= the "
@@ -409,9 +379,10 @@ def poisson_bvp(
     view, the preconditioner is the exact inverse and its first iterate
     already meets the stopping test (0 iterations); otherwise the iteration
     count is governed by max/min of V - E over its row mean, e.g.
-    (1+a)/(1-a) on strip-2d.  The far Dirichlet closure's influence on
+    (1+a)/(1-a) on strip-2d.  The far Dirichlet closure must lie inside the
+    forbidden region, far <= ``model.forbidden_extent``, and its influence on
     traces at weighted depth <= rho_max is certified by the tunneling factor
-    exp(-2 (depth - rho_max)/h).  The metadata records that bound, the
+    exp(-2 (depth - rho_max)/h), with depth from ``models.weighted_depth``.  The metadata records that bound, the
     iteration count and the final true residual max|A u - b| / max|u|; a
     solve that misses the stopping test within the iteration cap raises
     instead of returning.
@@ -430,9 +401,6 @@ def poisson_bvp(
         raise ValueError("boundary data circle length does not match the model")
     if abs(phi.h - h) > 0.0:
         raise ValueError("boundary data h does not match the solve h")
-    hi = model.axis_bounds(1)[1]
-    if not 0.0 < far <= hi + 1e-12:
-        raise ValueError(f"far boundary {far:g} outside the normal range (0, {hi:g}]")
     contamination = _check_far_boundary(model, far, h, rho_max)
 
     nx = phi.values.size

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agmonlab import experiments, fcalc
+from agmonlab import experiments, fcalc, hjphase
 from agmonlab.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -164,6 +164,25 @@ class TestParseConfig:
         problem = excinfo.value.field_errors["rho_grid"]
         assert "keep the deepest level below 1.156" in problem
 
+    def test_decay_energy_past_the_far_closure_rejected_under_params(self, out_dir):
+        # V - E = 1 + cos(x_n) - E turns negative before the far closure at
+        # x_n = 1.9 once E exceeds 1 + cos 1.9
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(
+                payload(
+                    kind="decay-sandwich",
+                    model="separable-torus",
+                    params={"E": 0.9},
+                    rho_grid=[0.1, 0.2, 0.3, 0.4],
+                    grid=[64, 801],
+                    out=str(out_dir),
+                )
+            )
+        errors = excinfo.value.field_errors
+        assert set(errors) == {"params"}
+        assert "E must stay below V at x_n = 1.9" in errors["params"]
+        assert f"below {1.0 + math.cos(1.9):.3g}" in errors["params"]
+
     def test_reachable_depths_keep_other_rho_grid_errors(self, out_dir):
         with pytest.raises(ConfigError) as excinfo:
             parse_config(
@@ -271,6 +290,24 @@ class TestConfigModel:
         assert isinstance(model, ModelProblem)
         assert model.name == raw["model"]
         assert all(config.model is model for config in configs)
+
+
+def test_symbol_class_builds_one_taylor_table_per_h(tmp_path, monkeypatch):
+    # each h builds one gauged series; its phase function reads the series'
+    # own Taylor table instead of rebuilding it
+    calls = []
+    original = hjphase.agmon_metric_taylor
+
+    def counted(model, order):
+        calls.append(order)
+        return original(model, order)
+
+    monkeypatch.setattr(hjphase, "agmon_metric_taylor", counted)
+    raw = load_config(SHIPPED_CONFIGS[0].parent / "symbol-class.json")
+    (config,) = parse_config(raw, out_dir=tmp_path)
+    assert run_experiment(config).passed
+    assert len(raw["h_sweep"]) == 4
+    assert len(calls) == 4
 
 
 class TestSweepStatistics:

@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import hessenberg
 
 from agmonlab import fcalc
-from agmonlab._smooth import polyramp, polyramp_derivative
+from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import LevelSet, separable_level_set
 from agmonlab.fcalc import (
     _resolvent_weighted_sum,
@@ -55,7 +55,7 @@ TORUS = make_model("separable-torus")
 def oracle_projection(P: np.ndarray, scale: float) -> np.ndarray:
     """Windowed projection through an explicit eigendecomposition."""
     w, u = np.linalg.eigh(P)
-    return (u * polyramp(w / scale - 1.0)) @ u.T
+    return (u * polyramp_derivative(w / scale - 1.0, 0)) @ u.T
 
 
 def oracle_circle_eigenvalue(length: float, n: int, h: float, k: int) -> float:
@@ -66,7 +66,7 @@ def oracle_circle_eigenvalue(length: float, n: int, h: float, k: int) -> float:
 
 def oracle_window_weight(mu: float, scale: float) -> float:
     """Window value at one operator eigenvalue."""
-    return float(polyramp(mu / scale - 1.0))
+    return float(polyramp_derivative(mu / scale - 1.0, 0))
 
 
 def oracle_support_floor(model, tmode_energy, k_mode, n, h, scale) -> float:
@@ -75,7 +75,7 @@ def oracle_support_floor(model, tmode_energy, k_mode, n, h, scale) -> float:
     mus = np.array(
         [oracle_circle_eigenvalue(length, n, h, j) for j in range(n // 2 + 1)]
     )
-    supported = mus[polyramp(mus / scale - 1.0) > 1e-6]
+    supported = mus[polyramp_derivative(mus / scale - 1.0, 0) > 1e-6]
     barrier_top = float(potential_grid(model, np.zeros(1), np.zeros(1))[0, 0])
     e_h = tmode_energy + oracle_circle_eigenvalue(length, n, h, k_mode)
     return float(np.min(supported)) + barrier_top - e_h
@@ -520,6 +520,22 @@ class TestHsApply:
             F = hs_apply(P, ext)
             err = float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2))
             assert err <= 1e-6, name
+
+    def test_matches_spectral_oracle_on_one_and_two_rows(self):
+        # the Hessenberg reduction of a 1x1 or 2x2 matrix is the matrix itself
+        ext = almost_analytic_extension(4.0, 0.05)
+        c, s = math.cos(0.7), math.sin(0.7)
+        rotation = np.array([[c, -s], [s, c]])
+        operators = [np.array([[t * ext.scale]]) for t in (0.0, 0.5, 1.4, 3.0)]
+        operators += [
+            np.diag([0.3, 1.6]) * ext.scale,
+            (rotation * (ext.scale * np.array([0.3, 1.6]))) @ rotation.T,
+            (rotation * (ext.scale * np.array([1.2, 1.7]))) @ rotation.T,
+        ]
+        for P in operators:
+            P = 0.5 * (P + P.T)
+            err = float(np.linalg.norm(hs_apply(P, ext) - spectral_calculus(P, ext), 2))
+            assert err <= 1e-6, P
 
     def test_matches_spectral_oracle_on_level_circle(self):
         ext = almost_analytic_extension(4.0, 0.05)

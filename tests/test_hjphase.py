@@ -221,11 +221,11 @@ class TestSolvePhaseSeries:
         # the one check of odd normal Taylor terms: at zero frequency the
         # Taylor table of the one-variable barrier (1 + x)^2 gives w = 1 + x,
         # so the phase coefficients w_m / (m + 1) are (1, 1/2, 0, ...) exactly
-        from agmonlab.hjphase import _ambient_recursion
+        from agmonlab.hjphase import _recursion
 
         q = np.zeros((6, 1), dtype=np.longdouble)
         q[:3, 0] = [1.0, 2.0, 1.0]
-        w = _ambient_recursion(q, 5)
+        w = _recursion(q, np.sqrt(q[0]), 2.0 * np.sqrt(q[0]), 5)
         c = (w[:, 0] / np.arange(1, 7, dtype=np.longdouble)).astype(float)
         assert c[0] == 1.0
         assert c[1] == 0.5
@@ -252,12 +252,12 @@ class TestSolvePhaseSeries:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_branch_ambiguity_rejected(self):
-        from agmonlab.hjphase import _ambient_recursion
+        from agmonlab.hjphase import _recursion
 
         q = np.zeros((3, 2), dtype=np.longdouble)
         q[0] = [0.0, 1.0]
         with pytest.raises(ValueError, match="branch ambiguity"):
-            _ambient_recursion(q, 2)
+            _recursion(q, np.sqrt(q[0]), 2.0 * np.sqrt(q[0]), 2)
 
     def test_order_guard(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -330,8 +330,7 @@ class TestDistinctRows:
         def never(*args):
             raise AssertionError("the phase recursion ran on a strip-2d barrier")
 
-        monkeypatch.setattr(hjphase, "_agmon_recursion", never)
-        monkeypatch.setattr(hjphase, "_ambient_recursion", never)
+        monkeypatch.setattr(hjphase, "_recursion", never)
         with pytest.raises(ValueError, match="'strip-2d' depends on the tangential"):
             solve_phase_series(STRIP, kind, 4, self.FREQS)
 
@@ -566,16 +565,17 @@ class TestPhaseFunction:
     def test_matches_series_samples(self):
         xi = np.array([0.0, 0.35, 1.2])
         series = solve_phase_series(TORUS, "agmon", 6, xi)
-        fn = phase_function(TORUS, 6)
+        fn = phase_function(series)
         direct = fn(0.3, xi)
         sampled = evaluate_phase(series, 0.3)
-        assert direct == pytest.approx(sampled, rel=1e-15, abs=1e-18)
+        assert np.array_equal(direct, sampled)
 
     def test_scalar_frequency(self):
-        fn = phase_function(FLAT, 4)
+        fn = phase_function(solve_phase_series(FLAT, "agmon", 4, np.array([0.5])))
         val = fn(0.25, 0.8)
         assert val == pytest.approx(0.25 * (math.sqrt(1.64) - 1.0), rel=1e-14)
 
     def test_rejects_tangent_dependent_barrier(self):
+        # a phase function comes only from a series, which a strip cannot build
         with pytest.raises(ValueError, match="'strip-2d' depends on the tangential"):
-            phase_function(STRIP, 4)
+            phase_function(solve_phase_series(STRIP, "agmon", 4, np.array([0.5])))

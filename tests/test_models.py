@@ -170,7 +170,7 @@ def test_taylor_data_declared_exactly_when_tangent_invariant(name):
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_tangent_dependent_models_rejected_before_any_recursion(name, monkeypatch):
     calls = []
-    for helper in ("_series_sqrt", "_agmon_recursion", "_ambient_recursion"):
+    for helper in ("_series_sqrt", "_recursion"):
         original = getattr(hjphase, helper)
 
         def counted(*args, _original=original, _helper=helper):

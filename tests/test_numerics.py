@@ -28,16 +28,14 @@ from agmonlab._numerics import (
     Spline,
     count_below,
     cumulative_simpson,
-    edge_smoothed_gauss_legendre,
     gauss_legendre,
     isotonic_fit,
     spline_slopes,
 )
 from agmonlab.experiments import _DECAY_FAR, _PARAMETRIX_FAR
 from agmonlab.hjphase import mode_frequencies, solve_phase_series
-from agmonlab.models import KNOWN_MODELS, make_model, potential_grid
+from agmonlab.models import KNOWN_MODELS, make_model, potential_grid, weighted_depth
 from agmonlab.quantize import build_cutoff_profile, build_phase_cutoff
-from agmonlab.solver import _agmon_depth
 
 
 def bitwise(a, b) -> bool:
@@ -129,15 +127,16 @@ class TestCumulativeSimpson:
             cumulative_simpson(np.ones(4), np.array([0.0, 1.0, 0.5, 2.0]))
 
 
-def quad_least_barrier_arclength(model, probe, upper, points=None):
-    """The adaptive quadrature the Gauss-Legendre rule replaced; ``points``
-    are breakpoints for quad, where the weight has a square-root edge."""
+def quad_least_barrier_arclength(model, upper):
+    """The adaptive quadrature the Gauss-Legendre rule replaced, over the
+    models' tangential validation probe."""
+    probe = np.linspace(0.0, model.lengths[0], models._PROBE_TANGENTIAL, endpoint=False)
 
     def weight(t):
         vals = potential_grid(model, probe, np.array([t]))[:, 0]
         return math.sqrt(max(float(np.min(vals)) - model.energy, 0.0))
 
-    return quad(weight, 0.0, upper, points=points, limit=200)[0]
+    return quad(weight, 0.0, upper, limit=200)[0]
 
 
 class TestGaussLegendre:
@@ -146,40 +145,18 @@ class TestGaussLegendre:
         assert np.all((t > -1.0) & (t < 3.0))
         assert float(w @ t**63) == pytest.approx((3.0**64 - 1.0) / 64.0, rel=1e-13)
 
-    def test_edge_smoothed_rule_integrates_square_root_edges(self):
-        t, w = edge_smoothed_gauss_legendre(2.0, 3.0)
-        assert np.all((t > 2.0) & (t < 3.0))
-        half_disc = float(w @ np.sqrt((t - 2.0) * (3.0 - t)))
-        assert half_disc == pytest.approx(math.pi / 8.0, rel=1e-14)
-
     @pytest.mark.parametrize("name", sorted(KNOWN_MODELS))
     def test_collar_width_matches_quad(self, name):
         model = make_model(name)
-        probe = np.linspace(0.0, model.lengths[0], models._PROBE_TANGENTIAL, endpoint=False)
-        oracle = quad_least_barrier_arclength(model, probe, model.collar_width_ambient)
+        oracle = quad_least_barrier_arclength(model, model.collar_width_ambient)
         assert model.collar_width == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("far", [_DECAY_FAR, _PARAMETRIX_FAR])
     @pytest.mark.parametrize("name", sorted(KNOWN_MODELS))
     def test_far_boundary_depth_matches_quad(self, name, far):
         model = make_model(name)
-        probe = np.linspace(0.0, model.lengths[0], 65)
-        oracle = quad_least_barrier_arclength(model, probe, far)
-        assert _agmon_depth(model, far) == pytest.approx(oracle, rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "energy, far",
-        [(1.0, _DECAY_FAR), (1.5, _DECAY_FAR), (1.9, _PARAMETRIX_FAR), (1.0, 5.0)],
-        ids=["E1-decay-far", "E1.5-decay-far", "E1.9-parametrix-far", "E1-two-stretches"],
-    )
-    def test_far_boundary_depth_past_a_turning_point_matches_quad(self, energy, far):
-        # on separable-torus V - E = 1 + cos s - E vanishes at s = +-acos(E - 1)
-        model = make_model("separable-torus", {"E": energy})
-        turn = math.acos(energy - 1.0)
-        points = [p for p in (turn, 2.0 * math.pi - turn) if p < far]
-        probe = np.linspace(0.0, model.lengths[0], 65)
-        oracle = quad_least_barrier_arclength(model, probe, far, points)
-        assert _agmon_depth(model, far) == pytest.approx(oracle, rel=1e-12)
+        oracle = quad_least_barrier_arclength(model, far)
+        assert weighted_depth(model, far) == pytest.approx(oracle, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

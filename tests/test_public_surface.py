@@ -9,6 +9,11 @@ References are found in the syntax tree, so strings, comments and
 docstrings do not count, and neither does a use inside the name's own
 function or class body.
 
+The private helper modules ``_numerics``, ``_smooth`` and ``_svg`` serve
+the layers, so each name in their ``__all__`` needs a caller among the
+package modules; the acceptance suite and the benchmark harness do not
+count for them.
+
 The same callers must pass every option: each defaulted parameter of an
 exported function, and of the explicit ``__init__`` of an exported class,
 is passed by some call by that name, by keyword or by position.  An option
@@ -31,6 +36,10 @@ PACKAGE = ROOT / "src" / "agmonlab"
 # the public modules; _numerics, _smooth and _svg are private helpers of the layers
 LAYERS = tuple(
     sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
+)
+# the private helper modules, whose exports only package modules may call
+HELPERS = tuple(
+    sorted(p.stem for p in PACKAGE.glob("_*.py") if p.stem != "__init__")
 )
 # callers outside the package; inside it, every module but __init__ counts
 EXTERNAL_CALLERS = (
@@ -215,6 +224,15 @@ def test_every_exported_name_has_a_caller():
     assert not missing, (
         "exported names that nothing outside their own unit tests calls "
         f"(give each a caller or delete it): {', '.join(missing)}"
+    )
+
+
+def test_every_helper_export_has_a_package_caller():
+    layers, helpers = _package_trees(external=())
+    missing = uncalled(dict(zip(HELPERS, helpers)), list(layers.values()))
+    assert not missing, (
+        "helper exports that no package module calls (give each a caller or "
+        f"delete it): {', '.join(missing)}"
     )
 
 

@@ -41,7 +41,7 @@ from agmonlab.agmon import (
     separable_level_set,
 )
 from agmonlab.halfplane import BoundaryFunction, apply_halfplane_poisson
-from agmonlab.models import make_model, potential_grid, transverse_potential
+from agmonlab.models import make_model, potential_grid, transverse_potential, weighted_depth
 from agmonlab.solver import (
     EigenMode,
     Field2D,
@@ -566,16 +566,35 @@ class TestPoissonBVP:
         phi2 = BoundaryFunction(np.ones(nx), 2.0 * math.pi, 0.05)
         with pytest.raises(ValueError, match="weighted depth"):
             poisson_bvp(TORUS, phi2, 0.05, far=0.3, n_normal=101, rho_max=0.5)
+        # the flat barrier has no forbidden edge: the normal axis bounds far
+        for far in (0.0, 2.5):
+            with pytest.raises(ValueError, match=r"outside the normal range \(0, 2\]"):
+                poisson_bvp(FLAT, phi2, 0.05, far=far, n_normal=101)
+
+    @pytest.mark.parametrize(
+        "energy, far",
+        [(1.0, 1.9), (1.5, 1.9), (1.9, 1.0), (1.0, 5.0)],
+        ids=["E1-decay-far", "E1.5-decay-far", "E1.9-parametrix-far", "E1-two-stretches"],
+    )
+    def test_far_boundary_past_a_turning_point_rejected(self, energy, far):
+        # on separable-torus V - E = 1 + cos s - E vanishes at s = acos(E - 1),
+        # the forbidden edge; past it the operator is indefinite
+        model = make_model("separable-torus", {"E": energy})
+        edge = math.acos(energy - 1.0)
+        assert model.forbidden_extent == pytest.approx(edge, abs=1e-9)
+        phi = BoundaryFunction(np.ones(64), 2.0 * math.pi, 0.05)
+        with pytest.raises(ValueError, match=f"past the forbidden edge x_n = {edge:.4g} "):
+            poisson_bvp(model, phi, 0.05, far=far, n_normal=101)
 
     def test_far_boundary_depth_on_product_model_is_the_collar_distance(self):
         # the torus barrier is 0.5 + cos(x_n) on every column
         oracle, _ = quad(lambda t: math.sqrt(0.5 + math.cos(t)), 0.0, 1.0)
-        assert solver._agmon_depth(TORUS, 1.0) == pytest.approx(oracle, rel=1e-10)
+        assert weighted_depth(TORUS, 1.0) == pytest.approx(oracle, rel=1e-10)
 
     def test_far_boundary_depth_is_a_lower_bound_on_every_column(self):
         # the strip's barrier varies along the tangent; columns between the
         # probe nodes of the minimum must not fall below it either
-        depth = solver._agmon_depth(STRIP, 1.0)
+        depth = weighted_depth(STRIP, 1.0)
         columns = np.linspace(0.0, STRIP.lengths[0], 97)[:-1] + 0.013
 
         def column_depth(x):
@@ -590,10 +609,13 @@ class TestPoissonBVP:
         assert np.min(depths) == pytest.approx(depth, rel=1e-4)
 
     def test_indefinite_operator_rejected(self):
+        # a model that records no forbidden edge passes the far-boundary
+        # check and meets the solve's own check on V - E
         nx = 64
         phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, 0.05)
-        with pytest.raises(ValueError, match="indefinite"):
-            poisson_bvp(TORUS, phi, 0.05, far=2.5, n_normal=301)
+        unchecked = replace(TORUS, forbidden_extent=TORUS.axis_bounds(1)[1])
+        with pytest.raises(ValueError, match="operator is indefinite: V - E = "):
+            poisson_bvp(unchecked, phi, 0.05, far=2.5, n_normal=301)
 
     def test_mismatched_data_rejected(self):
         phi = BoundaryFunction(np.ones(64), 1.0, 0.05)
