@@ -137,17 +137,32 @@ class Spline:
     right)`` clamps the first derivative at the ends, as ``bc_type=((1,
     left), (1, right))`` does.
 
+    The spline keeps x, y and the knot slopes, one array of y's size, and
+    forms the Hermite coefficients of only the intervals a call lands in.
     ``c[k, i]`` multiplies ``(t - x[i]) ** (3 - k)`` on ``[x[i], x[i + 1]]``,
-    bitwise ``CubicSpline``'s ``c``; calls extrapolate from the end intervals.
+    formed on demand for every interval, bitwise ``CubicSpline``'s ``c``:
+    the arithmetic is elementwise, so a coefficient does not depend on
+    which other intervals are formed with it.  Calls extrapolate from the
+    end intervals.
     """
 
     def __init__(self, x, y, end_slopes=None):
         x, dx, y = _checked(x, y)
-        s = _slopes(x, dx, y, end_slopes)
-        dxr = dx.reshape((dx.size,) + (1,) * (y.ndim - 1))
-        c0, c1 = hermite_leading(y[:-1], y[1:], s[:-1], s[1:], dxr)
         self.x = x
-        self.c = np.stack((c0, c1, s[:-1], y[:-1]))
+        self._dx = dx
+        self._y = y
+        self._s = _slopes(x, dx, y, end_slopes)
+
+    def _coefficients(self, k: np.ndarray) -> np.ndarray:
+        """c[:, k], the coefficients of the intervals k."""
+        y, s = self._y, self._s
+        dx = self._dx[k].reshape(k.shape + (1,) * (y.ndim - 1))
+        c0, c1 = hermite_leading(y[k], y[k + 1], s[k], s[k + 1], dx)
+        return np.stack((c0, c1, s[k], y[k]))
+
+    @property
+    def c(self) -> np.ndarray:
+        return self._coefficients(np.arange(self.x.size - 1))
 
     def __call__(self, t, nu: int = 0):
         """Value (``nu=0``) or first derivative (``nu=1``) at t, summed in
@@ -156,8 +171,8 @@ class Spline:
         x = self.x
         # t's interval x[k] <= t < x[k + 1], the last one closed on the right
         k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, x.size - 2)
-        c = self.c[:, k]
-        d = (t - x[k]).reshape(t.shape + (1,) * (self.c.ndim - 2))
+        c = self._coefficients(k)
+        d = (t - x[k]).reshape(t.shape + (1,) * (self._y.ndim - 1))
         if nu == 0:
             return cubic_value(c, d)
         if nu == 1:

@@ -80,6 +80,9 @@ _COMPLEX_BYTES = np.dtype(complex).itemsize
 # factor in _block_weighted_sum; panels of 16, 32 and 64 rows timed alike
 # on dense n = 96 and 128.
 _PANEL_ROWS = 32
+# spectral_calculus and mass_profile_comparison keep the eigenpairs of this
+# many distinct operators: a torus-windows run projects one.
+_EIGH_MEMO_SIZE = 4
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +240,35 @@ def boundary_operator(
 
 
 def spectral_calculus(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
-    """Exact windowed projection through the eigendecomposition of P."""
+    """Exact windowed projection through the eigendecomposition of P.
+
+    P is checked for symmetry on every call; its eigenpairs come from
+    :func:`_eigenpairs`, so a run that projects one operator through many
+    windows or depths decomposes it once.
+    """
     _check_symmetric(P)
-    w, u = np.linalg.eigh(P)
+    w, u = _eigenpairs(P)
     f = (u * step_profile(w / ext.scale)) @ u.T
     return 0.5 * (f + f.T)
+
+
+def _eigenpairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(P)`` as read-only arrays, for a float64 copy of P.
+
+    The pairs of the last _EIGH_MEMO_SIZE distinct operators are kept,
+    keyed by shape and bytes, so an operator that changes in any entry (a
+    depth-dependent level-circle operator among them) is decomposed anew.
+    """
+    P = np.ascontiguousarray(P, dtype=float)
+    return _eigh_of(P.shape, P.tobytes())
+
+
+@lru_cache(maxsize=_EIGH_MEMO_SIZE)
+def _eigh_of(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    w, u = np.linalg.eigh(np.frombuffer(data).reshape(shape))
+    w.setflags(write=False)
+    u.setflags(write=False)
+    return w, u
 
 
 def _check_symmetric(P: np.ndarray) -> None:
@@ -741,7 +768,7 @@ def _support_subspace_floor(
 ) -> tuple[float, int]:
     """Min of (P + V - E(h)) restricted to the window-support subspace.
 
-    ``eigenpairs`` is ``np.linalg.eigh(operator)``.  The support subspace
+    ``eigenpairs`` is ``_eigenpairs(operator)``.  The support subspace
     is spanned by eigenvectors of P whose window weight exceeds the floor;
     if none qualify, the infimum over the abstract support (window edge
     plus the surface barrier minimum) is returned with support dimension 0.
@@ -821,7 +848,7 @@ def mass_profile_comparison(
         )
 
     operator = boundary_operator(model, 0.0, h, n=n_tangential)
-    w, u = np.linalg.eigh(operator)
+    w, u = _eigenpairs(operator)
     window_weights = step_profile(w / scale)
 
     r_grid = np.linspace(0.0, scale, _PROFILE_DEPTHS)

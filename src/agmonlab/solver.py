@@ -388,13 +388,15 @@ def poisson_bvp(
     instead of returning.
 
     Memory, in fields of nx * n_normal float64: on the direct path
-    (0 iterations) with real data the solve peaks at about 2 fields (2.11
-    to 2.14 traced at nx = 64), first the real mode factor and the
-    transformed data's real rows, then those rows and the field, and keeps
-    only the returned field.  Complex data doubles the data-sized arrays and
-    assembles the complex field from its two parts, about 4.1 fields in
-    all.  A tangent-dependent V - E is held on the full grid, and iterating
-    adds CG's vectors and a second factor of the preconditioner.
+    (0 iterations) with real data the solve peaks at about 1.5 fields (1.60
+    to 1.76 traced at nx = 64), first the real mode factor (one field at
+    nx // 2 + 1 modes) and one unit-row solve per mode (half a field), then
+    that solve and the field; the residual check runs block by block, and
+    only the returned field is kept.  Complex data shares the unit-row
+    solve and assembles the complex field from its two real parts, about
+    4.0 fields in all.  A tangent-dependent V - E is held on the full grid,
+    and iterating adds the residual, CG's vectors and a second factor of
+    the preconditioner.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -471,28 +473,29 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
     return solve
 
 
-def _stencil(
+def _stencil_blocks(
     u: np.ndarray, w: np.ndarray, cn: float, cp: float, out: np.ndarray | None = None
-) -> np.ndarray:
+):
     """The 5-point operator at the interior rows of u, shaped (..., nx, ny)
-    with the tangent on axis -2; the first and last normal rows hold the
+    with the tangent on axis -2, one block of whole normal columns
+    u[..., i, :] at a time; the first and last normal rows hold the
     Dirichlet values, and w is V - E at the interior rows.
 
-    Written to ``out`` (u's shape less the two Dirichlet rows) when given.
-    The tangent is cut into blocks of whole normal columns u[..., i, :],
-    about _BLOCK_BYTES of u per block, so the scratch is one block and
-    each block's columns and their neighbours stay in cache; every entry
-    takes the same float operations in the same order whatever the block
-    size.
+    Yields each block's values, written to its columns of ``out`` (u's
+    shape less the two Dirichlet rows) when given, else to one block of
+    scratch that the next block overwrites.  A block holds about
+    _BLOCK_BYTES of u, so the scratch is one block and each block's columns
+    and their neighbours stay in cache; every entry takes the same float
+    operations in the same order whatever the block size.
     """
     nx = u.shape[-2]
-    if out is None:
-        out = np.empty(u.shape[:-1] + (u.shape[-1] - 2,))
     step = max(1, _BLOCK_BYTES // (u[..., 0, :].size * u.itemsize))
-    scratch = np.empty(u.shape[:-2] + (min(step, nx), u.shape[-1] - 2))
+    shape = u.shape[:-2] + (min(step, nx), u.shape[-1] - 2)
+    scratch = np.empty(shape)
+    own = np.empty(shape) if out is None else None
     for a in range(0, nx, step):
         b = min(a + step, nx)
-        o = out[..., a:b, :]
+        o = own[..., : b - a, :] if out is None else out[..., a:b, :]
         t = scratch[..., : b - a, :]
         c = u[..., a:b, 1:-1]
         np.multiply(w[a:b], c, out=o)
@@ -514,6 +517,18 @@ def _stencil(
             np.add(u[..., -2, 1:-1], u[..., 0, 1:-1], out=t[..., -1, :])
         t *= -cp
         o += t
+        yield o
+
+
+def _stencil(
+    u: np.ndarray, w: np.ndarray, cn: float, cp: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The 5-point operator of :func:`_stencil_blocks` on the whole of u,
+    written to ``out`` when given."""
+    if out is None:
+        out = np.empty(u.shape[:-1] + (u.shape[-1] - 2,))
+    for _ in _stencil_blocks(u, w, cn, cp, out):
+        pass
     return out
 
 
@@ -530,22 +545,11 @@ def _modulus_max(a: np.ndarray) -> float:
     return float(np.max([np.max(np.hypot(*a[:, i : i + step])) for i in blocks]))
 
 
-def _irfft_rows(rhs: np.ndarray, out: np.ndarray) -> None:
-    """irfft along axis -2 of rhs[0] + i rhs[1], written to out.
-
-    The complex spectrum is assembled a block of normal columns at a time,
-    about _BLOCK_BYTES of it per block, so only the real rows are ever held
-    whole; each column transforms on its own, whatever the block size.
-    """
-    ny = rhs.shape[-1]
-    step = max(1, _BLOCK_BYTES // (rhs[0, ..., 0].size * 16))
-    block = np.empty(rhs.shape[1:-1] + (min(step, ny),), dtype=complex)
-    for a in range(0, ny, step):
-        b = min(a + step, ny)
-        spectrum = block[..., : b - a]
-        spectrum.real = rhs[0, ..., a:b]
-        spectrum.imag = rhs[1, ..., a:b]
-        np.fft.irfft(spectrum, out.shape[-2], axis=-2, out=out[..., a:b])
+def _residual_max(u: np.ndarray, w: np.ndarray, cn: float, cp: float) -> float:
+    """max |A u - b| over the interior, block by block of the stencil, so no
+    field-sized residual is formed; bitwise _modulus_max(_stencil(...))."""
+    blocks = _stencil_blocks(u, w, cn, cp)
+    return float(np.max([_modulus_max(o) for o in blocks]))
 
 
 def _mode_pcg(phi, w, cn, cp):
@@ -565,9 +569,15 @@ def _mode_pcg(phi, w, cn, cp):
     backward error, so the test is reachable at every grid size); the
     recursive residual only triggers that check.
 
-    The first preconditioner solve drops its factor before the field is
-    allocated, and CG factors again only when it has to iterate.  Returns
-    (the real parts, shaped (parts, nx, ny), iterations, residual).
+    The data enters b only on the first interior row, so the first iterate
+    needs one real solve per mode, g_k = T_k^{-1} e_0, half a field at
+    nx // 2 + 1 modes whatever the data.  The factor is dropped before the
+    field is allocated, and the field is synthesized a block of normal
+    columns at a time as irfft(cn rfft(phi)_k g_k).  Its true residual is
+    taken block by block of the stencil, so a first iterate that meets the
+    test forms no residual array; only one that misses it forms r, factors
+    again and iterates.  Returns (the real parts, shaped (parts, nx, ny),
+    iterations, residual).
     """
     nx, ny = w.shape
     w = w[:, 1:-1]
@@ -575,7 +585,8 @@ def _mode_pcg(phi, w, cn, cp):
         data = np.stack([phi.real, phi.imag])
     else:
         data = np.real(phi)[None]
-    dispersion = 4.0 * cp * np.sin(math.pi * np.arange(nx // 2 + 1) / nx) ** 2
+    modes = nx // 2 + 1
+    dispersion = 4.0 * cp * np.sin(math.pi * np.arange(modes) / nx) ** 2
     row_mean = np.mean(w, axis=0)
     bound = _PCG_TOL * (4.0 * (cn + cp) + float(np.max(w)))
 
@@ -584,23 +595,27 @@ def _mode_pcg(phi, w, cn, cp):
         return _modulus_max(r) / scale if scale else 0.0
 
     solve = _dirichlet_modes(row_mean, cn, dispersion)
-    # b is cn * phi on the first interior row only, so its transform is too;
-    # it is solved as real rows, the real parts then the imaginary parts
-    b = cn * np.fft.rfft(data)
-    rhs = np.zeros((2, len(data), nx // 2 + 1, ny - 2))
-    rhs[0, ..., 0] = b.real
-    rhs[1, ..., 0] = b.imag
-    rhs = solve(rhs)
+    unit = np.zeros((modes, ny - 2))
+    unit[:, 0] = 1.0
+    unit = solve(unit)
     del solve  # the factor goes before the field is allocated
+    b = cn * np.fft.rfft(data)  # the transform of b, nonzero on one row
     values = np.zeros((len(data), nx, ny))
     values[..., 0] = data
-    _irfft_rows(rhs, values[..., 1:-1])
-    del rhs
-    r = _stencil(values, w, cn, cp)
-    residual = relative(r)
+    step = max(1, _BLOCK_BYTES // b.nbytes)
+    block = np.empty(b.shape + (min(step, ny - 2),), dtype=complex)
+    for a in range(0, ny - 2, step):
+        spectrum = block[..., : min(step, ny - 2 - a)]
+        np.multiply(b[..., None], unit[:, a : a + step], out=spectrum)
+        columns = values[..., 1 + a : 1 + a + spectrum.shape[-1]]
+        np.fft.irfft(spectrum, nx, axis=-2, out=columns)
+    del unit, block
+    scale = _modulus_max(values)
+    residual = _residual_max(values, w, cn, cp) / scale if scale else 0.0
     iterations = 0
     if residual <= bound:
         return values, iterations, residual
+    r = _stencil(values, w, cn, cp)
     solve = _dirichlet_modes(row_mean, cn, dispersion)
     p = np.zeros(values.shape)
     q = np.empty(r.shape)

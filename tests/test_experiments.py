@@ -345,6 +345,26 @@ class TestRunExperiment:
         assert result.passed
         assert peak <= 2.4 * 64 * 24001 * 8
 
+    def test_shipped_torus_windows_run_decomposes_its_operator_once(
+        self, tmp_path, monkeypatch
+    ):
+        # exterior-mass and mass-profile project one 128 x 128 level-circle
+        # operator through every window and depth: one eigh, not 21
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        fcalc._eigh_of.cache_clear()
+        path = Path(__file__).resolve().parents[1] / "configs" / "torus-windows.json"
+        configs = parse_config(json.loads(path.read_text()), out_dir=tmp_path)
+        assert [c.kind for c in configs] == ["exterior-mass", "mass-profile"]
+        assert all(run_experiment(config).passed for config in configs)
+        assert calls == [(128, 128)]
+
     def test_chain_records_and_files(self, out_dir):
         (config,) = parse_config(payload(out=str(out_dir)))
         result = run_experiment(config)

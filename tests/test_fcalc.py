@@ -480,6 +480,38 @@ class TestSpectralCalculus:
         with pytest.raises(ValueError, match="operator must be finite"):
             spectral_calculus(non_finite_operator(entry), ext)
 
+    def test_one_decomposition_per_distinct_operator(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(np.array(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        fcalc._eigh_of.cache_clear()
+        P = boundary_operator(TORUS, 0.0, 0.1, n=32)
+        ext = almost_analytic_extension(4.0, 0.1)
+        first = spectral_calculus(P, ext)
+        assert np.array_equal(spectral_calculus(P.copy(), ext), first)
+        w, u = fcalc._eigenpairs(P)
+        assert len(calls) == 1
+        for pairs in (w, u):
+            with pytest.raises(ValueError, match="read-only"):
+                pairs[0] = 0.0
+        # one changed entry, still symmetric, misses the memo
+        changed = P.copy()
+        changed[3, 3] += 1e-9
+        spectral_calculus(changed, ext)
+        assert len(calls) == 2
+        assert np.array_equal(calls[1], changed)
+        # the symmetry check runs before any decomposition
+        skewed = P.copy()
+        skewed[0, 1] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_calculus(skewed, ext)
+        assert len(calls) == 2
+
 
 # --------------------------------------------------------------------------
 # windowed projection: Cauchy integral path

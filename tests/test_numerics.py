@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,22 @@ class TestSpline:
         assert bitwise(ours.c, theirs.c)
         t = np.linspace(4.0, 8.0, 777)
         assert bitwise(ours(t), theirs(t))
+
+    def test_one_point_forms_only_its_interval(self):
+        # the knot slopes are one array of y's size, and a call forms the
+        # coefficients of its own interval only: 4.13 times y's bytes
+        # measured, against 7.0 when every interval's were formed
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(-1.0, 1.0, 512))
+        y = rng.standard_normal((512, 128)) + 1j * rng.standard_normal((512, 128))
+        tracemalloc.start()
+        try:
+            value = Spline(x, y)(0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * y.nbytes
+        assert bitwise(value, CubicSpline(x, y)(0.0))
 
     def test_first_derivative_inside_the_nodes_matches_scipy_bitwise(self):
         x = np.linspace(-1.0, 1.0, 801)

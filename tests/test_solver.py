@@ -444,9 +444,11 @@ class TestPoissonBVP:
         assert len(calls) == factors
         assert field.meta["iterations"] == iterations
 
-    def test_iterated_solve_is_the_same_at_any_blas_thread_count(self):
-        # CG's inner products must not take their summation order from the
-        # BLAS thread count: the same field and residual at one and two
+    @staticmethod
+    def _solve_at_blas_thread_counts(setup):
+        """(sha256 of the field, repr of its residual, its iteration count)
+        of one solve, run in a fresh process at OPENBLAS_NUM_THREADS 1 and
+        at 2; ``setup`` is source that binds ``field``."""
         code = "\n".join(
             [
                 "import hashlib, math",
@@ -454,18 +456,14 @@ class TestPoissonBVP:
                 "from agmonlab.halfplane import BoundaryFunction",
                 "from agmonlab.models import make_model",
                 "from agmonlab.solver import poisson_bvp",
-                "xp = 2.0 * math.pi / 128 * np.arange(128)",
-                "data = 1.0 + 0.3 * np.cos(2.0 * xp) + 0.2j * np.sin(3.0 * xp)",
-                "phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)",
-                "field = poisson_bvp(make_model('strip-2d'), phi, 0.05, far=0.8,"
-                " n_normal=801)",
+                setup,
                 "print(hashlib.sha256(field.values.tobytes()).hexdigest(),"
                 " repr(field.meta['residual']), field.meta['iterations'])",
             ]
         )
         src = str(Path(agmonlab.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        runs = [
+        return [
             subprocess.run(
                 [sys.executable, "-c", code],
                 capture_output=True,
@@ -475,7 +473,33 @@ class TestPoissonBVP:
             ).stdout.split()
             for threads in ("1", "2")
         ]
+
+    def test_iterated_solve_is_the_same_at_any_blas_thread_count(self):
+        # CG's inner products must not take their summation order from the
+        # BLAS thread count: the same field and residual at one and two
+        runs = self._solve_at_blas_thread_counts(
+            "xp = 2.0 * math.pi / 128 * np.arange(128)\n"
+            "data = 1.0 + 0.3 * np.cos(2.0 * xp) + 0.2j * np.sin(3.0 * xp)\n"
+            "phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)\n"
+            "field = poisson_bvp(make_model('strip-2d'), phi, 0.05, far=0.8,"
+            " n_normal=801)"
+        )
         assert int(runs[0][2]) > 0  # CG iterated
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("imag", ["0.0", "0.3j"], ids=["real-data", "complex-data"])
+    def test_direct_solve_is_the_same_at_any_blas_thread_count(self, imag):
+        # the first iterate's synthesis and residual check must not go
+        # through a BLAS product, whose summation order follows the threads
+        runs = self._solve_at_blas_thread_counts(
+            "xp = 2.0 * math.pi / 64 * np.arange(64)\n"
+            "data = 1.0 + 0.4 * np.cos(xp) + 0.2 * np.cos(2.0 * xp)"
+            f" + {imag} * np.sin(xp)\n"
+            "phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)\n"
+            "field = poisson_bvp(make_model('separable-torus'), phi, 0.05, far=1.0,"
+            " n_normal=4001, rho_max=0.1)"
+        )
+        assert int(runs[0][2]) == 0  # the direct path
         assert runs[0] == runs[1]
 
     @staticmethod
@@ -500,18 +524,21 @@ class TestPoissonBVP:
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_direct_solve_peak_memory(self, n_normal):
-        # the mode factor and the transformed data's real rows are live
-        # together, then those rows and the field: about 2 fields, 2.11-2.14
-        # measured; V - E is one column
+        # the mode factor (one field at nx // 2 + 1 = 33 modes) and the
+        # unit-row solution (half a field) are live together, then that
+        # solution and the field: about 1.5 fields, 1.76 and 1.60 measured at
+        # 4,001 and 24,001 normal nodes; V - E is one column and the
+        # residual is checked block by block
         field, retained, peak = self._traced_direct_solve(n_normal, 0.0)
         assert field.values.dtype == np.float64
-        assert peak <= 2.3
+        assert peak <= 1.85
         assert abs(retained - 1.0) <= 0.05  # the real field
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_complex_direct_solve_peak_memory(self, n_normal):
-        # two parts of everything, then the parts and the complex field: 4.12
-        # and 4.18 fields measured, with the moduli taken block by block
+        # the factor and the unit-row solution, then that solution, the two
+        # parts and the complex field: 4.03 fields measured at both sizes,
+        # with the moduli and the residual taken block by block
         field, retained, peak = self._traced_direct_solve(n_normal, 0.3j)
         assert field.values.dtype == np.complex128
         assert peak <= 4.2
@@ -537,6 +564,11 @@ class TestPoissonBVP:
         out = np.full(expected.shape, np.nan)
         assert solver._stencil(u, w, cn, cp, out=out) is out
         assert np.array_equal(out, expected)
+        # the residual check takes the same blocks into its maximum
+        field = expected[0] + 1j * expected[1] if parts == 2 else expected
+        modulus = np.max(np.abs(field))
+        assert solver._residual_max(u, w, cn, cp) == solver._modulus_max(expected)
+        assert solver._residual_max(u, w, cn, cp) == pytest.approx(modulus, rel=1e-15)
         # a tangent-invariant V - E as one column read through a broadcast
         # view gives the stencil of the full grid, bitwise
         full = potential_grid(TORUS, xp, xn)[:, 1:-1] - TORUS.energy
