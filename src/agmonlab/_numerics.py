@@ -8,8 +8,9 @@ arithmetic of the scipy routine it replaces in the same order, so its
 results are bitwise scipy's; the tests keep scipy as the oracle.  Two
 stand-ins are not bitwise: the monotone fit, which agrees with scipy's
 within 1e-15 of the data's scale, and the Gauss-Legendre rule, which
-replaces adaptive quadrature on the weighted-depth integral and agrees with
-it within 1e-12 relative.
+replaces adaptive quadrature on the weighted-depth integral; after the
+substitution that ``models.weighted_depth`` applies it agrees with it
+within 1e-12 relative up to the forbidden edge.
 
 * ``Spline`` and ``spline_slopes`` -- scipy's ``CubicSpline`` with
   not-a-knot or clamped first-derivative ends: knot slopes from one banded
@@ -22,8 +23,9 @@ it within 1e-12 relative.
   iteration cap.
 * ``isotonic_fit`` -- a pool-adjacent-violators fit in place of scipy's
   ``isotonic_regression`` (unit weights, nondecreasing).
-* ``gauss_legendre`` -- the nodes and weights of a 32-point rule, for the
-  weighted depth of ``models.weighted_depth``.
+* ``gauss_legendre`` -- the nodes and weights of the plain 32-point rule
+  on an interval, which ``models.weighted_depth`` applies in the variable
+  sqrt(edge - t).
 
 One helper is no port: ``count_below``, the Sturm count of a symmetric
 tridiagonal, which ``fcalc`` and ``solver`` share.

@@ -4,33 +4,34 @@ The degenerate conformal metric (V - E)_+ g (ambient g flat in every shipped
 model) governs tunneling decay.  This module computes its distance field by
 label-setting shortest paths (Dijkstra, run by ``scipy.sparse.csgraph``) on
 a weighted grid graph, and extracts level sets with both ambient and
-weighted line elements.
+weighted line elements.  On a model independent of the tangent the level
+{distance = rho} from the hypersurface is the line {normal = s}, where s
+inverts ``models.weighted_depth``, the package's one rule for the weighted
+depth.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from agmonlab._numerics import Spline, cumulative_simpson
+from agmonlab._numerics import brentq
 from agmonlab.models import (
     ModelProblem,
     domain_axes,
     potential_at,
     potential_grid,
     transverse_potential,
+    weighted_depth,
 )
 
 __all__ = [
     "DistanceField",
     "LevelSet",
-    "SeparableCollar",
-    "separable_collar",
     "agmon_distance",
     "level_set_at",
     "separable_level_set",
@@ -80,60 +81,6 @@ class LevelSet:
     @property
     def length(self) -> float:
         return float(self.ambient_weights.sum())
-
-
-# --------------------------------------------------------------------------
-# separable collar reparametrization
-# --------------------------------------------------------------------------
-
-
-class SeparableCollar:
-    """Arclength reparametrization of the normal axis for product models.
-
-    For barriers depending on the normal variable only, the weighted distance
-    from the hypersurface along the normal direction is
-    ``rho(s) = integral_0^s sqrt(W(t) - E) dt``; this class tabulates the map
-    on the forbidden extent by cumulative Simpson and interpolates it and its
-    inverse by not-a-knot cubic splines (the ``_numerics`` ports, bitwise
-    scipy's ``cumulative_simpson`` and ``CubicSpline``).
-    """
-
-    _NODES = 8193
-
-    def __init__(self, model: ModelProblem):
-        profile = transverse_potential(model)
-        s = np.linspace(0.0, model.forbidden_extent, self._NODES)
-        weight = np.sqrt(np.maximum(profile(s) - model.energy, 0.0))
-        rho = cumulative_simpson(weight, s)
-        self.model = model
-        self.s_max = float(model.forbidden_extent)
-        self.rho_max = float(rho[-1])
-        self._rho_of_s = Spline(s, rho)
-        self._s_of_rho = Spline(rho, s)
-
-    def rho_of_s(self, s):
-        """Weighted arclength from the hypersurface to normal coordinate s."""
-        s = np.abs(np.asarray(s, dtype=float))
-        if np.any(s > self.s_max):
-            raise ValueError(f"normal coordinate outside [-{self.s_max:g}, {self.s_max:g}]")
-        return self._rho_of_s(s)
-
-    def s_of_rho(self, rho):
-        """Ambient normal coordinate at weighted arclength rho."""
-        rho = np.asarray(rho, dtype=float)
-        if np.any(rho < 0) or np.any(rho > self.rho_max):
-            raise ValueError(f"arclength outside [0, {self.rho_max:g}]")
-        return self._s_of_rho(rho)
-
-
-@lru_cache(maxsize=32)
-def _cached_collar(model: ModelProblem) -> SeparableCollar:
-    return SeparableCollar(model)
-
-
-def separable_collar(model: ModelProblem) -> SeparableCollar:
-    """Shared arclength map for a product-form model (cached per model)."""
-    return _cached_collar(model)
 
 
 # --------------------------------------------------------------------------
@@ -235,6 +182,11 @@ def agmon_distance(
 # --------------------------------------------------------------------------
 
 
+# separable_level_set's root find stops within this distance of the normal
+# coordinate of its level
+_LEVEL_XTOL = 1e-15
+
+
 def _weights_for_curve(model: ModelProblem, points: np.ndarray, d_xp: float):
     """Ambient and weighted line elements for level samples.
 
@@ -304,14 +256,21 @@ def separable_level_set(
 ) -> LevelSet:
     """Exact level set {normal = s(rho)} for product-form models.
 
-    Uses the arclength inverse instead of a sampled distance field; rho = 0
-    returns the hypersurface itself.  The fast path behind trace-based
-    experiments; agrees with :func:`level_set_at` to grid tolerance.
+    s(rho) inverts ``models.weighted_depth`` on [0, forbidden_extent] by a
+    Brent root find instead of sampling a distance field; rho = 0 returns
+    the hypersurface itself and the deepest level the forbidden edge.  The
+    fast path behind trace-based experiments; agrees with
+    :func:`level_set_at` to grid tolerance.  A model whose V depends on the
+    tangent is rejected before any compute.
     """
-    collar = separable_collar(model)
-    if not 0.0 <= rho <= collar.rho_max:
-        raise ValueError(f"level {rho:g} outside [0, {collar.rho_max:g}]")
-    s_star = float(collar.s_of_rho(rho))
+    transverse_potential(model)
+    edge = model.forbidden_extent
+    top = weighted_depth(model, edge)
+    if not 0.0 <= rho <= top:
+        raise ValueError(f"level {rho:g} outside [0, {top:g}]")
+    s_star = brentq(
+        lambda s: weighted_depth(model, s) - rho, 0.0, edge, xtol=_LEVEL_XTOL
+    )
     L = model.lengths[0]
     xp = np.linspace(0.0, L, n_tangential, endpoint=False)
     points = np.column_stack([xp, np.full(n_tangential, s_star)])

@@ -48,7 +48,7 @@ import scipy
 from agmonlab import __version__
 from agmonlab._numerics import isotonic_fit
 from agmonlab._svg import Series, render_plot
-from agmonlab.agmon import separable_collar, separable_level_set
+from agmonlab.agmon import separable_level_set
 from agmonlab.fcalc import (
     exterior_mass,
     mass_profile_comparison,
@@ -73,6 +73,7 @@ from agmonlab.models import (
     make_model,
     potential_at,
     potential_grid,
+    weighted_depth,
 )
 from agmonlab.quantize import build_cutoff_profile, build_phase_cutoff, symbol_class_check
 from agmonlab.solver import (
@@ -1183,7 +1184,7 @@ def _run_parametrix_consistency(
     model = config.model
     n_tangential, n_normal = config.grid[0], config.grid[1]
     s_star = _PARAMETRIX_DEPTH_STEPS * _PARAMETRIX_FAR / (n_normal - 1)
-    rho = float(separable_collar(model).rho_of_s(s_star))
+    rho = weighted_depth(model, s_star)
     level = separable_level_set(model, rho, n_tangential=n_tangential)
 
     point = partial(_parametrix_point, config, level, rho)

@@ -346,20 +346,30 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, flo
             f"collar at (tangential={xp[i]:.6g}, normal={s_collar[j]:.6g})"
         )
 
-    return margin, r0_ambient, weighted_depth(model, r0_ambient), forbidden_extent
+    measured = replace(model, forbidden_extent=forbidden_extent)
+    return margin, r0_ambient, weighted_depth(measured, r0_ambient), forbidden_extent
 
 
 def weighted_depth(model: ModelProblem, depth: float) -> float:
     """Arclength of the weighted metric (V - E) g from the hypersurface to
     the normal coordinate ``depth`` at the least favourable tangential
-    position: the 32-point Gauss-Legendre rule on sqrt(least V - E) over the
-    tangential validation probe, a negative barrier counting as zero.  It
-    gives ``collar_width`` and the depth of a far Dirichlet closure, a lower
-    bound on every column's."""
+    position: sqrt(least V - E) over the tangential validation probe, a
+    negative barrier counting as zero, integrated in u = sqrt(edge - t) with
+    edge = max(depth, ``forbidden_extent``) by the 32-point Gauss-Legendre
+    rule.  The substitution turns the square-root edge of sqrt(V - E) at
+    the forbidden edge into a smooth integrand, so the rule stays within
+    1e-15 of the integral all the way to the edge.  It gives
+    ``collar_width``, the depth of a far Dirichlet closure (a lower bound on
+    every column's) and the weighted depth of the separable level sets."""
     xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
-    t, w = gauss_legendre(0.0, depth)
-    least = potential_grid(model, xp, t).min(axis=0) - model.energy
-    return float(w @ np.sqrt(np.maximum(least, 0.0)))
+    edge = max(depth, model.forbidden_extent)
+    root = math.sqrt(edge)
+    # g = root - u runs over [0, root - sqrt(edge - depth)], written without
+    # cancellation; t = edge - u^2 = g (root + u)
+    g, w = gauss_legendre(0.0, depth / (root + math.sqrt(edge - depth)))
+    u = root - g
+    least = potential_grid(model, xp, g * (root + u)).min(axis=0) - model.energy
+    return float((2.0 * u * w) @ np.sqrt(np.maximum(least, 0.0)))
 
 
 def make_model(name: str, params: Mapping[str, float] | None = None) -> ModelProblem:

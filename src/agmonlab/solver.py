@@ -281,13 +281,12 @@ class Field2D:
     a not-a-knot cubic spline (the ``_numerics`` port, bitwise scipy's
     ``CubicSpline``).  The first such trace builds the splines of
     every column, block by block, and the field keeps only what a later
-    trace cannot recompute bitwise from its values: the slope at the left
-    node of every normal interval and the last interval's two leading
-    coefficients.  That is the field's own size plus 2 * nx entries, in
-    the dtype of the values: float64 for a solve of real data (data whose
-    imaginary part is exactly zero), complex128 for complex data.  A field
-    traced only on grid nodes never builds them, and a field derived by
-    ``replace`` starts without them.
+    trace cannot recompute bitwise from its values: the knot slopes of
+    every column.  That is the field's own size, in the dtype of the
+    values: float64 for a solve of real data (data whose imaginary part is
+    exactly zero), complex128 for complex data.  A field traced only on
+    grid nodes never builds them, and a field derived by ``replace``
+    starts without them.
     """
 
     values: np.ndarray
@@ -305,26 +304,20 @@ class Field2D:
         return (self.tangential_nodes, self.normal_nodes)
 
     @cached_property
-    def _spline_slopes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(c[2] per column, shape (nx, n - 1); the last interval's c[0]
-        and c[1] per column, shape (2, nx)) of the columns' splines."""
+    def _spline_slopes(self) -> np.ndarray:
+        """The knot slopes of the columns' splines, shape (nx, n)."""
         xn = self.normal_nodes
         nx = self.values.shape[0]
         dtype = complex if np.iscomplexobj(self.values) else float
-        slopes = np.empty((nx, xn.size - 1), dtype=dtype)
-        last = np.empty((2, nx), dtype=dtype)
+        slopes = np.empty((nx, xn.size), dtype=dtype)
         block = max(1, _BLOCK_BYTES // (xn.size * self.values.itemsize))
         for start in range(0, nx, block):
             cols = slice(start, start + block)
-            y = np.ascontiguousarray(self.values[cols].T)
             # a column's spline slopes do not depend on the other columns
             # batched with it
-            d = spline_slopes(xn, y)
-            slopes[cols] = d[:-1].T
-            last[:, cols] = hermite_leading(y[-2], y[-1], d[-2], d[-1], xn[-1] - xn[-2])
+            slopes[cols] = spline_slopes(xn, np.ascontiguousarray(self.values[cols].T)).T
         slopes.setflags(write=False)
-        last.setflags(write=False)
-        return slopes, last
+        return slopes
 
 
 def _check_far_boundary(model, far, h, rho_max) -> float:
@@ -710,21 +703,16 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     off = np.flatnonzero(~on_node)
     if off.size == 0:
         return out
-    slopes, last = field2d._spline_slopes
+    slopes = field2d._spline_slopes
     cols = idx[off]
     s = heights[off]
     # each sample on its own column's interval x[k] <= s < x[k + 1]
     k = np.clip(np.searchsorted(xn, s, side="right") - 1, 0, xn.size - 2)
     y0 = field2d.values[cols, k]
-    y1 = field2d.values[cols, k + 1]
     d0 = slopes[cols, k]
-    d1 = slopes[cols, np.minimum(k + 1, xn.size - 2)]
-    # the interval's leading coefficients; the slope at the last node is
-    # not kept, so the last interval's come from the cache instead
-    c0, c1 = hermite_leading(y0, y1, d0, d1, np.diff(xn)[k])
-    final = np.flatnonzero(k == xn.size - 2)
-    c0[final] = last[0, cols[final]]
-    c1[final] = last[1, cols[final]]
+    c0, c1 = hermite_leading(
+        y0, field2d.values[cols, k + 1], d0, slopes[cols, k + 1], np.diff(xn)[k]
+    )
     out[off] = cubic_value((c0, c1, d0, y0), s - xn[k])
     return out
 
@@ -737,9 +725,9 @@ def trace_at(field2d: Field2D, level: LevelSet) -> BoundaryTrace:
     splines, each column evaluated at its own height, so flat and curved
     levels take one path.  The first off-node trace of a Field2D builds the
     splines of all its columns (one batched spline per 128 KiB block of
-    field values) and the field keeps their left-node slopes, the field's
-    size again plus 2 * nx entries; every later trace of that field only
-    evaluates, bitwise as a fresh spline would.
+    field values) and the field keeps their knot slopes, the field's size
+    again; every later trace of that field only evaluates, bitwise as a
+    fresh spline would.
     """
     values = _column_values(field2d, level)
     return BoundaryTrace(values=values, level=level, rho=level.rho, h=field2d.h)

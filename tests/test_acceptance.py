@@ -12,7 +12,7 @@ import time
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from agmonlab.agmon import separable_collar, separable_level_set
+from agmonlab.agmon import separable_level_set
 from agmonlab.fcalc import (
     almost_analytic_extension,
     boundary_operator,
@@ -34,7 +34,7 @@ from agmonlab.hjphase import (
     phase_residual,
     solve_phase_series,
 )
-from agmonlab.models import make_model, potential_grid
+from agmonlab.models import make_model, potential_grid, weighted_depth
 from agmonlab.quantize import (
     build_cutoff_profile,
     build_phase_cutoff,
@@ -374,7 +374,7 @@ def test_10_parametrix_tracks_discrete_extension_at_rate_h(capsys):
     start = time.perf_counter()
     nx, ny, far = 64, 24001, 1.0
     s_star = 80.0 * far / (ny - 1)
-    rho_star = float(separable_collar(TORUS).rho_of_s(s_star))
+    rho_star = weighted_depth(TORUS, s_star)
     nodes = LENGTH / nx * np.arange(nx)
     data = 1.0 + 0.4 * np.cos(nodes) + 0.2 * np.cos(2.0 * nodes)
     level = separable_level_set(TORUS, rho_star, n_tangential=nx)

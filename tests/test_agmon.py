@@ -8,17 +8,19 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from agmonlab import agmon
 from agmonlab.agmon import (
     DistanceField,
     agmon_distance,
     level_set_at,
-    separable_collar,
     separable_level_set,
 )
 from agmonlab.models import (
+    TANGENT_INVARIANT_MODELS,
     domain_axes,
     make_model,
     potential_grid,
+    weighted_depth,
 )
 
 
@@ -121,44 +123,55 @@ def reference_crossing(xn, profile, rho):
 # --------------------------------------------------------------------------
 
 
+def normal_of(model, rho):
+    """The normal coordinate of the separable level at weighted depth rho."""
+    return float(separable_level_set(model, rho, n_tangential=4).points[0, 1])
+
+
 class TestSeparableCollar:
+    """The normal arclength map of a product model: ``weighted_depth``
+    forward, ``separable_level_set`` backward."""
+
     def test_torus_inverse_matches_quadrature_oracle(self):
         model = make_model("separable-torus")
-        collar = separable_collar(model)
-        s = collar.s_of_rho(0.1)
-        assert s == pytest.approx(torus_s_oracle(0.1), abs=1e-8)
+        for rho in (0.1, 0.35, 1.0):
+            assert normal_of(model, rho) == pytest.approx(torus_s_oracle(rho), abs=1e-12)
 
     def test_torus_forward_matches_quadrature_oracle(self):
         model = make_model("separable-torus")
-        collar = separable_collar(model)
         for s in (0.05, 0.3, 0.7, 1.2):
-            assert collar.rho_of_s(s) == pytest.approx(torus_rho_oracle(s), abs=1e-9)
+            assert weighted_depth(model, s) == pytest.approx(
+                torus_rho_oracle(s), rel=1e-13
+            )
 
     def test_roundtrip_property(self):
-        model = make_model("separable-torus")
-        collar = separable_collar(model)
-        rng = np.random.default_rng(20260815)
-        s = rng.uniform(0.0, 0.9 * collar.s_max, size=1000)
-        back = collar.s_of_rho(collar.rho_of_s(s))
-        np.testing.assert_allclose(back, s, atol=1e-7)
+        # the inverse is conditioned by 1 / sqrt(V - E), which grows without
+        # bound at the forbidden edge: s = edge - 1e-4 is about as close as
+        # 1e-13 holds, and the edge itself is returned exactly
+        for name in TANGENT_INVARIANT_MODELS:
+            model = make_model(name)
+            edge = model.forbidden_extent
+            s = np.concatenate([np.linspace(0.0, edge, 41), [edge - 1e-4]])
+            back = np.array([normal_of(model, weighted_depth(model, t)) for t in s])
+            np.testing.assert_allclose(back, s, rtol=0.0, atol=1e-13)
+            assert back[0] == 0.0
+            assert back[-2] == edge
 
     def test_out_of_range_arclength_rejected(self):
         model = make_model("separable-torus")
-        collar = separable_collar(model)
-        with pytest.raises(ValueError, match="arclength"):
-            collar.s_of_rho(collar.rho_max * 1.01)
+        top = weighted_depth(model, model.forbidden_extent)
+        for rho in (top * 1.01, -1e-3):
+            with pytest.raises(ValueError, match=rf"outside \[0, {top:g}\]"):
+                separable_level_set(model, rho)
 
-    def test_out_of_range_normal_coordinate_rejected(self):
-        model = make_model("separable-torus")
-        collar = separable_collar(model)
-        assert collar.rho_of_s(-collar.s_max) == collar.rho_of_s(collar.s_max)
-        for s in (3.0, -3.0, [0.5, collar.s_max * 1.01]):
-            with pytest.raises(ValueError, match="normal coordinate"):
-                collar.rho_of_s(s)
-
-    def test_shared_instance_is_cached(self):
-        model = make_model("separable-torus")
-        assert separable_collar(model) is separable_collar(model)
+    def test_strip_rejected_before_any_compute(self, monkeypatch):
+        # weighted_depth would invert the strip's least barrier without
+        # complaint; the tangent-dependent potential must be refused first
+        calls = []
+        monkeypatch.setattr(agmon, "weighted_depth", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="depends on the tangential variable"):
+            separable_level_set(make_model("strip-2d"), 0.1)
+        assert calls == []
 
 
 # --------------------------------------------------------------------------

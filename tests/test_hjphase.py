@@ -4,8 +4,8 @@ Oracles used here:
   * closed forms for the flat barrier: phi_1 = x_n (sqrt(1 + xi^2) - 1)
     (gauged) and x_n sqrt(1 + xi^2) (ambient), and for the quadratic
     barrier (1 + x)^2 at zero frequency: ambient phase x + x^2/2 exactly;
-  * the collar quadrature/spline inverse as an independent check of the
-    metric Taylor data and of the ambient zero-frequency column;
+  * the weighted depth ``models.weighted_depth`` as an independent check
+    of the metric Taylor data and of the ambient zero-frequency column;
   * the exact composition identity: ambient phase at ambient depth s =
     weighted distance rho(s) + gauged phase at depth rho(s);
   * the half-plane spectral multiplier and the boundary-value solver as
@@ -23,7 +23,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from agmonlab.agmon import separable_collar, separable_level_set
+from agmonlab.agmon import separable_level_set
 from agmonlab.halfplane import BoundaryFunction, apply_halfplane_poisson
 from agmonlab.hjphase import (
     agmon_metric_taylor,
@@ -34,7 +34,7 @@ from agmonlab.hjphase import (
     phase_residual,
     solve_phase_series,
 )
-from agmonlab.models import make_model, normal_taylor_coefficients
+from agmonlab.models import make_model, normal_taylor_coefficients, weighted_depth
 from agmonlab.solver import poisson_bvp, trace_at
 
 TORUS = make_model("separable-torus")
@@ -233,10 +233,9 @@ class TestSolvePhaseSeries:
 
     def test_ambient_zero_frequency_column_is_distance(self):
         series = solve_phase_series(TORUS, "ambient", 10, np.array([0.0]))
-        collar = separable_collar(TORUS)
         for s in (0.02, 0.05, 0.1):
             phi = float(evaluate_phase(series, s)[0])
-            assert phi == pytest.approx(float(collar.rho_of_s(s)), abs=1e-10)
+            assert phi == pytest.approx(weighted_depth(TORUS, s), abs=1e-10)
 
     def test_ambient_equals_distance_plus_gauged(self):
         # exact identity: ambient phase at ambient depth s equals
@@ -244,9 +243,8 @@ class TestSolvePhaseSeries:
         xi = np.array([0.0, 0.4, 1.0])
         ambient = solve_phase_series(TORUS, "ambient", 10, xi)
         gauged = solve_phase_series(TORUS, "agmon", 10, xi)
-        collar = separable_collar(TORUS)
         for s in (0.02, 0.05, 0.1):
-            rho = float(collar.rho_of_s(s))
+            rho = weighted_depth(TORUS, s)
             lhs = evaluate_phase(ambient, s)
             rhs = rho + evaluate_phase(gauged, rho)
             assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -522,8 +520,7 @@ class TestPoissonParametrix:
     def test_torus_trace_converges_to_bvp_at_rate_h(self):
         nx, ny, far = 64, 24001, 1.0
         s_star = 80.0 / (ny - 1)  # node-aligned ambient depth
-        collar = separable_collar(TORUS)
-        rho_star = float(collar.rho_of_s(s_star))
+        rho_star = weighted_depth(TORUS, s_star)
         nodes = 2.0 * math.pi / nx * np.arange(nx)
         data = 1.0 + 0.4 * np.cos(nodes) + 0.2 * np.cos(2.0 * nodes)
         errors, hs = [], [0.1, 0.05, 0.025]

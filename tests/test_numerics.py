@@ -35,7 +35,13 @@ from agmonlab._numerics import (
 )
 from agmonlab.experiments import _DECAY_FAR, _PARAMETRIX_FAR
 from agmonlab.hjphase import mode_frequencies, solve_phase_series
-from agmonlab.models import KNOWN_MODELS, make_model, potential_grid, weighted_depth
+from agmonlab.models import (
+    KNOWN_MODELS,
+    TANGENT_INVARIANT_MODELS,
+    make_model,
+    potential_grid,
+    weighted_depth,
+)
 from agmonlab.quantize import build_cutoff_profile, build_phase_cutoff
 
 
@@ -146,14 +152,14 @@ class TestCumulativeSimpson:
 
 def quad_least_barrier_arclength(model, upper):
     """The adaptive quadrature the Gauss-Legendre rule replaced, over the
-    models' tangential validation probe."""
+    models' tangential validation probe, asked for 1e-13 relative."""
     probe = np.linspace(0.0, model.lengths[0], models._PROBE_TANGENTIAL, endpoint=False)
 
     def weight(t):
         vals = potential_grid(model, probe, np.array([t]))[:, 0]
         return math.sqrt(max(float(np.min(vals)) - model.energy, 0.0))
 
-    return quad(weight, 0.0, upper, limit=200)[0]
+    return quad(weight, 0.0, upper, limit=200, epsabs=0.0, epsrel=1e-13)[0]
 
 
 class TestGaussLegendre:
@@ -174,6 +180,20 @@ class TestGaussLegendre:
         model = make_model(name)
         oracle = quad_least_barrier_arclength(model, far)
         assert weighted_depth(model, far) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("name", TANGENT_INVARIANT_MODELS)
+    def test_depth_matches_quad_up_to_the_edge(self, name):
+        # on separable-torus sqrt(V - E) has a square-root edge at the
+        # forbidden edge, the last depth of the grid, and a branch point
+        # just past the interval for the depths close below it
+        model = make_model(name)
+        edge = model.forbidden_extent
+        depths = np.concatenate(
+            [np.linspace(0.0, edge, 33)[1:], edge - np.logspace(-8.0, -1.0, 15)]
+        )
+        for depth in depths:
+            oracle = quad_least_barrier_arclength(model, depth)
+            assert weighted_depth(model, depth) == pytest.approx(oracle, rel=1e-12)
 
 
 # --------------------------------------------------------------------------
