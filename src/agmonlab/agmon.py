@@ -40,16 +40,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DistanceField:
-    """Distance to a source set in the barrier-weighted metric.
+    """Distance to the hypersurface in the barrier-weighted metric.
 
     ``values[i, j]`` is the graph-geodesic distance from grid node
-    (tangential i, normal j) to the source under edge weight
-    ``avg(sqrt((V-E)_+)) * edge length``.  Zero exactly on source nodes.
+    (tangential i, normal j) to the hypersurface row under edge weight
+    ``avg(sqrt((V-E)_+)) * edge length``.  Zero exactly on that row.
     """
 
     values: np.ndarray
     axes: tuple[np.ndarray, ...]
-    source: str  # "boundary" | "caustic"
     spacing: tuple[float, ...]
     model: ModelProblem
 
@@ -130,51 +129,30 @@ def _grid_graph(
     return csr_matrix((cost[valid], cols[valid], indptr), shape=(flat.size,) * 2)
 
 
-def agmon_distance(
-    model: ModelProblem,
-    source: str = "boundary",
-    grid_sizes=(129,),
-) -> DistanceField:
-    """Distance field from the hypersurface or from the allowed set.
+def agmon_distance(model: ModelProblem, grid_sizes=(129,)) -> DistanceField:
+    """Distance field from the hypersurface {normal = 0}.
 
-    Dijkstra label-setting from every source node at once, run by
+    Dijkstra label-setting from every hypersurface node at once, run by
     ``scipy.sparse.csgraph.dijkstra`` on the grid graph with 8 neighbours
     per node (periodic axes wrap); edge weight is the endpoint
     average of sqrt((V-E)_+) times the Euclidean edge length, first-order
-    accurate against the quadrature oracle on product models.  ``source``
-    is "boundary" (the hypersurface {normal = 0}) or "caustic" (every node
-    with V <= E, realizing distance to the boundary of the allowed set).
+    accurate against the quadrature oracle on product models.
     """
-    if source not in ("boundary", "caustic"):
-        raise ValueError(f"unknown source descriptor {source!r}")
     axes = domain_axes(model, grid_sizes)
     weight = np.sqrt(np.maximum(potential_grid(model, *axes) - model.energy, 0.0))
     shape = weight.shape
     spacing = tuple(float(ax[1] - ax[0]) for ax in axes)
 
-    if source == "boundary":
-        j0 = int(np.argmin(np.abs(axes[1])))
-        if abs(axes[1][j0]) > 1e-12:
-            raise ValueError("grid has no node on the hypersurface")
-        # the normal axis is the last one, so its node j0 is every
-        # shape[1]-th entry of the flattened grid
-        seeds = np.arange(j0, weight.size, shape[1])
-    else:
-        allowed = potential_grid(model, *axes) - model.energy <= 0.0
-        seeds = np.flatnonzero(allowed)
-        if not seeds.size:
-            raise ValueError(
-                f"model {model.name!r} has no allowed region on the grid; "
-                "the caustic source is empty"
-            )
-        if seeds.size == weight.size:
-            raise ValueError("the whole grid is allowed; no forbidden region")
+    j0 = int(np.argmin(np.abs(axes[1])))
+    if abs(axes[1][j0]) > 1e-12:
+        raise ValueError("grid has no node on the hypersurface")
+    # the normal axis is the last one, so its node j0 is every
+    # shape[1]-th entry of the flattened grid
+    seeds = np.arange(j0, weight.size, shape[1])
 
     graph = _grid_graph(weight, spacing, model.periodic)
     dist = dijkstra(graph, indices=seeds, min_only=True).reshape(shape)
-    return DistanceField(
-        values=dist, axes=axes, source=source, spacing=spacing, model=model
-    )
+    return DistanceField(values=dist, axes=axes, spacing=spacing, model=model)
 
 
 # --------------------------------------------------------------------------

@@ -57,12 +57,12 @@ from agmonlab.fcalc import (
 from agmonlab.halfplane import (
     apply_halfplane_poisson,
     make_boundary_function,
+    mode_frequencies,
     verify_lower_chain,
 )
 from agmonlab.hjphase import (
     apply_poisson_parametrix,
     evaluate_phase,
-    mode_frequencies,
     phase_residual,
     solve_phase_series,
 )

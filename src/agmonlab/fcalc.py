@@ -522,7 +522,7 @@ class DerivativeNormReport:
     ``c_values`` renormalizes each norm by scale^order so a derivative
     obeying the expected norm * (lam h)^order = const law gives flat
     values; ``fitted_exponent`` is the log-log slope of norm against lam
-    (None when degenerate), compared against ``expected_exponent``.
+    (None when degenerate).
     """
 
     order: int
@@ -531,8 +531,6 @@ class DerivativeNormReport:
     norms: tuple
     c_values: tuple
     fitted_exponent: float | None
-    expected_exponent: float
-    exponent_ok: bool | None
     step: float | None
 
 
@@ -551,7 +549,7 @@ def family_derivative_norms(
     :func:`spectral_calculus`, of the operator family (default: the
     catalogue level-circle family, which is constant in depth).  ``lam``
     may be a scalar or a sweep; a sweep additionally fits the log-log
-    exponent of the norm in lam and compares it with -order within 0.3.
+    exponent of the norm in lam, which should sit near -order.
     The difference step is 3e-4 (order 1) or 3e-3 (order 2) times the
     window scale lam h; the report records it for a scalar lam only.
     """
@@ -586,10 +584,8 @@ def family_derivative_norms(
         float(v * (one_lam * h) ** order) for v, one_lam in zip(norms_arr, lams)
     )
     fitted = None
-    ok: bool | None = None
     if lams.size >= 2 and np.all(norms_arr > 1e-300):
         fitted = float(np.polyfit(np.log(lams), np.log(norms_arr), 1)[0])
-        ok = bool(abs(fitted - (-float(order))) <= 0.3)
     return DerivativeNormReport(
         order=order,
         h=h,
@@ -597,8 +593,6 @@ def family_derivative_norms(
         norms=tuple(float(v) for v in norms_arr),
         c_values=c_values,
         fitted_exponent=fitted,
-        expected_exponent=-float(order),
-        exponent_ok=ok,
         step=step if lams.size == 1 else None,
     )
 

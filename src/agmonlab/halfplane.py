@@ -1,13 +1,21 @@
-"""Exact Poisson model on the flat half-plane cylinder.
+"""Boundary data on the circle, its Fourier layer, and the exact Poisson
+model on the flat half-plane cylinder.
+
+This module is the one place that knows the circle's Fourier convention:
+:func:`mode_frequencies` is the centred semiclassical frequency grid and
+:func:`apply_multiplier` applies a Fourier multiplier on it.  Every boundary
+operator in the package is such a multiplier: the half-plane extension
+here, the gauged parametrix in ``hjphase`` and the quantized symbols in
+``quantize``.
 
 With a constant unit barrier above a circle of length L, the decaying
 solution of (-h^2 Laplace + 1)u = 0 with boundary data phi is diagonal in
 the semiclassical Fourier basis: each mode is damped by
 exp(-(rho/h) sqrt(xi'^2 + 1)) at height rho.  Frequencies are discrete, so
 every inequality in the lower-bound chain can be checked mode-pointwise
-with no quadrature error.  This module houses the transform pair, the
-multiplier, the zero-section concentration measurement, and the
-four-step chain culminating in
+with no quadrature error.  The module also houses the transform, the
+zero-section concentration measurement, and the four-step chain
+culminating in
 
     |trace at rho| >= (1/2) exp(-(rho/h) sqrt(delta^2 + 1)) |phi|
 
@@ -26,12 +34,12 @@ from agmonlab._smooth import mollifier_fall
 
 __all__ = [
     "BoundaryFunction",
-    "Spectrum",
     "ChainStep",
     "ChainReport",
     "make_boundary_function",
+    "mode_frequencies",
     "fourier_h",
-    "inverse_fourier_h",
+    "apply_multiplier",
     "poisson_multiplier",
     "apply_halfplane_poisson",
     "zero_section_cutoff",
@@ -54,7 +62,7 @@ def _check_scales(length: float, h: float) -> None:
 class BoundaryFunction:
     """Complex data on N uniform nodes of a circle of length L at scale h.
 
-    N must be a power of two (the transform pair is an FFT).  ``norm`` is
+    N must be a power of two (the transform is an FFT).  ``norm`` is
     the discrete L^2 norm with line element L/N, frozen at construction.
     """
 
@@ -82,70 +90,49 @@ class BoundaryFunction:
         return self.length / n * np.arange(n)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Semiclassical Fourier coefficients on modes k = -N/2 .. N/2 - 1.
-
-    Mode k carries frequency xi'_k = h * 2 pi k / L with spectral line
-    element 2 pi h / L; ``norm`` is the frequency-side L^2 norm, equal to
-    sqrt(2 pi h) times the node-side norm (Plancherel).
-    """
-
-    coefficients: np.ndarray
-    length: float
-    h: float
-    norm: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        _check_scales(self.length, self.h)
-        coeff = np.ascontiguousarray(self.coefficients, dtype=complex)
-        n = coeff.size
-        if n < 2 or n & (n - 1):
-            raise ValueError(f"mode count {n} is not a power of two")
-        if not np.all(np.isfinite(coeff)):
-            raise ValueError("coefficients must be finite")
-        coeff.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeff)
-        norm = math.sqrt(self.spacing * float(np.sum(np.abs(coeff) ** 2)))
-        object.__setattr__(self, "norm", norm)
-
-    @property
-    def modes(self) -> np.ndarray:
-        n = self.coefficients.size
-        return np.arange(-(n // 2), n // 2)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.h * 2.0 * math.pi * self.modes / self.length
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * math.pi * self.h / self.length
-
-
 def make_boundary_function(fn, n: int, length: float, h: float) -> BoundaryFunction:
     """Sample a callable on the N uniform circle nodes."""
     nodes = length / n * np.arange(n)
     return BoundaryFunction(values=np.asarray(fn(nodes)), length=length, h=h)
 
 
-def fourier_h(u: BoundaryFunction) -> Spectrum:
-    """Semiclassical Fourier transform as a weighted DFT.
+def mode_frequencies(n: int, length: float, h: float) -> np.ndarray:
+    """Semiclassical frequencies of the circle modes, centred ordering."""
+    return h * 2.0 * math.pi * np.arange(-(n // 2), n - n // 2) / length
 
-    Coefficient k approximates integral of exp(-i x xi'_k / h) u(x) dx over
-    the circle; with xi'_k = h 2 pi k / L the phases are exactly the DFT
-    phases, so the quadrature is exact on band-limited data.
+
+def fourier_h(u: BoundaryFunction) -> np.ndarray:
+    """Semiclassical Fourier coefficients as a weighted DFT.
+
+    Entry k, in the centred ordering of :func:`mode_frequencies`,
+    approximates the integral of exp(-i x xi'_k / h) u(x) dx over the
+    circle; with xi'_k = h 2 pi k / L the phases are exactly the DFT phases,
+    so the quadrature is exact on band-limited data.  The spectral line
+    element is 2 pi h / L, so sqrt(2 pi h / L * sum |c_k|^2) is sqrt(2 pi h)
+    times the node-side norm (Plancherel).
     """
     n = u.values.size
-    coeff = u.length / n * np.fft.fftshift(np.fft.fft(u.values))
-    return Spectrum(coefficients=coeff, length=u.length, h=u.h)
+    return u.length / n * np.fft.fftshift(np.fft.fft(u.values))
 
 
-def inverse_fourier_h(spec: Spectrum) -> BoundaryFunction:
-    """Inverse transform; a two-sided identity with :func:`fourier_h`."""
-    n = spec.coefficients.size
-    values = n / spec.length * np.fft.ifft(np.fft.ifftshift(spec.coefficients))
-    return BoundaryFunction(values=values, length=spec.length, h=spec.h)
+def apply_multiplier(
+    phi: BoundaryFunction, multiplier: np.ndarray, frequencies: np.ndarray
+) -> np.ndarray:
+    """Values of the Fourier multiplier applied to boundary data.
+
+    ``multiplier[k]`` scales the data's circle mode of semiclassical
+    frequency ``frequencies[k]``, in the centred ordering of
+    :func:`mode_frequencies`; those frequencies must be the data's own.
+    """
+    n = phi.values.size
+    expected = mode_frequencies(n, phi.length, phi.h)
+    if frequencies.size != n or np.max(np.abs(frequencies - expected)) > 1e-12:
+        raise ValueError(
+            f"grid mismatch: a frequency grid of {frequencies.size} modes does "
+            f"not match the data's {n} mode frequencies at h = {phi.h:g}"
+        )
+    coeff = np.fft.fftshift(np.fft.fft(phi.values))
+    return np.fft.ifft(np.fft.ifftshift(coeff * multiplier))
 
 
 def poisson_multiplier(xi, rho: float, h: float):
@@ -162,11 +149,9 @@ def poisson_multiplier(xi, rho: float, h: float):
 
 def apply_halfplane_poisson(phi: BoundaryFunction, rho: float) -> BoundaryFunction:
     """Trace at height rho of the decaying solution with boundary data phi."""
-    spec = fourier_h(phi)
-    damped = spec.coefficients * poisson_multiplier(spec.frequencies, rho, phi.h)
-    return inverse_fourier_h(
-        Spectrum(coefficients=damped, length=phi.length, h=phi.h)
-    )
+    xi = mode_frequencies(phi.values.size, phi.length, phi.h)
+    values = apply_multiplier(phi, poisson_multiplier(xi, rho, phi.h), xi)
+    return BoundaryFunction(values=values, length=phi.length, h=phi.h)
 
 
 def zero_section_cutoff(xi, delta: float):
@@ -186,9 +171,9 @@ def exterior_mass_fraction(phi: BoundaryFunction, delta: float) -> float:
     """
     if phi.norm == 0.0:
         raise ValueError("boundary data vanishes identically")
-    spec = fourier_h(phi)
-    chi = zero_section_cutoff(spec.frequencies, delta)
-    weights = np.abs(spec.coefficients) ** 2
+    xi = mode_frequencies(phi.values.size, phi.length, phi.h)
+    chi = zero_section_cutoff(xi, delta)
+    weights = np.abs(fourier_h(phi)) ** 2
     return math.sqrt(float(np.sum((1.0 - chi) ** 2 * weights) / np.sum(weights)))
 
 
@@ -263,11 +248,14 @@ def verify_lower_chain(
         )
 
     h = phi.h
-    spec = fourier_h(phi)
-    weights = np.abs(spec.coefficients) ** 2 * spec.spacing
+    xi = mode_frequencies(phi.values.size, phi.length, h)
+    spacing = 2.0 * math.pi * h / phi.length
+    power = np.abs(fourier_h(phi)) ** 2
+    weights = power * spacing
     total = float(np.sum(weights))
 
-    lhs1, rhs1 = spec.norm, math.sqrt(2.0 * math.pi * h) * phi.norm
+    lhs1 = math.sqrt(spacing * float(np.sum(power)))
+    rhs1 = math.sqrt(2.0 * math.pi * h) * phi.norm
     dev = abs(lhs1 / rhs1 - 1.0)
     step1 = ChainStep(
         name="plancherel",
@@ -278,7 +266,7 @@ def verify_lower_chain(
         margin=_IDENTITY_TOL - dev,
     )
 
-    inside = np.abs(spec.frequencies) <= delta
+    inside = np.abs(xi) <= delta
     lhs2 = float(np.sum(weights[inside]))
     rhs2 = (1.0 - epsilon**2) * total
     step2 = ChainStep(
@@ -291,7 +279,7 @@ def verify_lower_chain(
     )
 
     floor = math.exp(-(rho / h) * math.sqrt(delta**2 + 1.0))
-    lhs3 = float(np.min(poisson_multiplier(spec.frequencies[inside], rho, h)))
+    lhs3 = float(np.min(poisson_multiplier(xi[inside], rho, h)))
     step3 = ChainStep(
         name="multiplier-floor",
         claim="damping on the band is at least exp(-(rho/h) sqrt(delta^2+1))",

@@ -20,9 +20,11 @@ built from, and one Horner rule evaluates it and its residual.
 
 Both kinds are built only for barriers that do not depend on the tangent,
 so every phase is tangent-invariant: one column of Taylor data per
-frequency, and a parametrix that acts as a Fourier multiplier, applied by
-:func:`apply_multiplier` as ``quantize``'s symbols are.  A tangent-dependent
-barrier is rejected by ``models`` before any recursion runs.
+frequency, and a parametrix that acts as a Fourier multiplier on the mode
+grid of ``halfplane.mode_frequencies``, applied by
+``halfplane.apply_multiplier`` as ``quantize``'s symbols are.  A
+tangent-dependent barrier is rejected by ``models`` before any recursion
+runs.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agmonlab.agmon import separable_level_set
-from agmonlab.halfplane import BoundaryFunction
+from agmonlab.halfplane import BoundaryFunction, apply_multiplier
 from agmonlab.models import ModelProblem, normal_taylor_coefficients
 from agmonlab.solver import BoundaryTrace
 
@@ -45,9 +47,7 @@ __all__ = [
     "evaluate_phase",
     "phase_function",
     "phase_residual",
-    "apply_multiplier",
     "apply_poisson_parametrix",
-    "mode_frequencies",
 ]
 
 _LD = np.longdouble
@@ -381,31 +381,6 @@ def phase_residual(series: PhaseSeries, samples) -> PhaseResidualReport:
 # --------------------------------------------------------------------------
 # parametrix application
 # --------------------------------------------------------------------------
-
-
-def mode_frequencies(n: int, length: float, h: float) -> np.ndarray:
-    """Semiclassical frequencies of the circle modes, centred ordering."""
-    return h * 2.0 * math.pi * np.arange(-(n // 2), n - n // 2) / length
-
-
-def apply_multiplier(
-    phi: BoundaryFunction, multiplier: np.ndarray, frequencies: np.ndarray
-) -> np.ndarray:
-    """Values of the Fourier multiplier applied to boundary data.
-
-    ``multiplier[k]`` scales the data's circle mode of semiclassical
-    frequency ``frequencies[k]``, in the centred ordering of
-    :func:`mode_frequencies`; those frequencies must be the data's own.
-    """
-    n = phi.values.size
-    expected = mode_frequencies(n, phi.length, phi.h)
-    if frequencies.size != n or np.max(np.abs(frequencies - expected)) > 1e-12:
-        raise ValueError(
-            f"grid mismatch: a frequency grid of {frequencies.size} modes does "
-            f"not match the data's {n} mode frequencies at h = {phi.h:g}"
-        )
-    coeff = np.fft.fftshift(np.fft.fft(phi.values))
-    return np.fft.ifft(np.fft.ifftshift(coeff * multiplier))
 
 
 def apply_poisson_parametrix(

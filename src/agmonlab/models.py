@@ -356,12 +356,18 @@ def weighted_depth(model: ModelProblem, depth: float) -> float:
     position: sqrt(least V - E) over the tangential validation probe, a
     negative barrier counting as zero, integrated in u = sqrt(edge - t) with
     edge = max(depth, ``forbidden_extent``) by the 32-point Gauss-Legendre
-    rule.  The substitution turns the square-root edge of sqrt(V - E) at
-    the forbidden edge into a smooth integrand, so the rule stays within
-    1e-15 of the integral all the way to the edge.  It gives
-    ``collar_width``, the depth of a far Dirichlet closure (a lower bound on
-    every column's) and the weighted depth of the separable level sets."""
+    rule.  A ``forbidden_extent`` inside the normal range is a zero of
+    V - E, past which the barrier adds nothing, so ``depth`` is first
+    clamped to it; one at the end of the range only marks where the domain
+    stops, and V - E may stay positive beyond it.  The substitution turns
+    the square-root edge of sqrt(V - E) at the forbidden edge into a smooth
+    integrand, so the rule stays within 1e-15 of the integral all the way
+    to the edge.  It gives ``collar_width``, the depth of a far Dirichlet
+    closure (a lower bound on every column's) and the weighted depth of the
+    separable level sets."""
     xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
+    if model.forbidden_extent < model.axis_bounds(1)[1]:
+        depth = min(depth, model.forbidden_extent)
     edge = max(depth, model.forbidden_extent)
     root = math.sqrt(edge)
     # g = root - u runs over [0, root - sqrt(edge - depth)], written without

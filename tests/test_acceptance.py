@@ -25,12 +25,12 @@ from agmonlab.fcalc import (
 from agmonlab.halfplane import (
     BoundaryFunction,
     apply_halfplane_poisson,
+    mode_frequencies,
     verify_lower_chain,
 )
 from agmonlab.hjphase import (
     apply_poisson_parametrix,
     evaluate_phase,
-    mode_frequencies,
     phase_residual,
     solve_phase_series,
 )

@@ -43,8 +43,9 @@ def torus_s_oracle(rho: float) -> float:
     return brentq(lambda s: torus_rho_oracle(s) - rho, 0.0, 2.0 * math.pi / 3.0)
 
 
-def reference_dijkstra(model, source, grid_sizes):
-    """Independent oracle: heap-based label-setting on the same grid graph.
+def reference_dijkstra(model, grid_sizes):
+    """Independent oracle: heap-based label-setting on the same grid graph,
+    seeded on the hypersurface row.
 
     Pops nodes in order of tentative distance and relaxes the 8 neighbours
     of each, wrapping periodic axes, with edge weight
@@ -54,12 +55,8 @@ def reference_dijkstra(model, source, grid_sizes):
     weight = np.sqrt(np.maximum(potential_grid(model, *axes) - model.energy, 0.0))
     shape = weight.shape
     spacing = tuple(float(ax[1] - ax[0]) for ax in axes)
-    if source == "boundary":
-        j0 = int(np.argmin(np.abs(axes[1])))
-        seeds = [(i, j0) for i in range(shape[0])]
-    else:
-        allowed = potential_grid(model, *axes) - model.energy <= 0.0
-        seeds = [tuple(idx) for idx in np.argwhere(allowed)]
+    j0 = int(np.argmin(np.abs(axes[1])))
+    seeds = [(i, j0) for i in range(shape[0])]
     offsets = [
         (di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)
     ]
@@ -157,6 +154,13 @@ class TestSeparableCollar:
             assert back[0] == 0.0
             assert back[-2] == edge
 
+    def test_depth_past_forbidden_edge_adds_nothing(self):
+        # V - E <= 0 beyond the edge, so the weighted depth stops growing
+        model = make_model("separable-torus")
+        top = weighted_depth(model, model.forbidden_extent)
+        for depth in (2.3, 2.8, 3.1, math.pi):
+            assert weighted_depth(model, depth) == pytest.approx(top, rel=1e-15)
+
     def test_out_of_range_arclength_rejected(self):
         model = make_model("separable-torus")
         top = weighted_depth(model, model.forbidden_extent)
@@ -182,7 +186,7 @@ class TestSeparableCollar:
 class TestAgmonDistance:
     def test_constant_weight_halfplane(self):
         model = make_model("halfplane-unit")
-        field = agmon_distance(model, source="boundary", grid_sizes=(32, 65))
+        field = agmon_distance(model, grid_sizes=(32, 65))
         assert field.values.shape == (32, 65)
         xn = field.axes[1]
         for i in (0, 7, 31):
@@ -190,7 +194,7 @@ class TestAgmonDistance:
 
     def test_torus_column_matches_quadrature(self):
         model = make_model("separable-torus")
-        field = agmon_distance(model, source="boundary", grid_sizes=(16, 128))
+        field = agmon_distance(model, grid_sizes=(16, 128))
         xn = field.axes[1]
         inside = np.abs(xn) <= 0.9 * model.collar_width_ambient
         oracle = np.array([torus_rho_oracle(abs(t)) for t in xn[inside]])
@@ -202,53 +206,37 @@ class TestAgmonDistance:
         model = make_model("separable-torus")
         errors = []
         for n in (64, 128):
-            field = agmon_distance(model, source="boundary", grid_sizes=(8, n))
+            field = agmon_distance(model, grid_sizes=(8, n))
             xn = field.axes[1]
             inside = (xn >= 0.0) & (xn <= 0.9 * model.collar_width_ambient)
             oracle = np.array([torus_rho_oracle(t) for t in xn[inside]])
             errors.append(np.max(np.abs(field.values[0, inside] - oracle)))
         assert errors[0] / errors[1] >= 1.5
 
-    def test_caustic_source_reaches_barrier_midpoint(self):
-        model = make_model("separable-torus")
-        field = agmon_distance(model, source="caustic", grid_sizes=(8, 256))
-        j0 = int(np.argmin(np.abs(field.axes[1])))
-        full_barrier = torus_rho_oracle(2.0 * math.pi / 3.0)
-        assert field.values[0, j0] == pytest.approx(full_barrier, rel=0.02)
-
-    def test_caustic_distance_vanishes_on_allowed_set(self):
-        model = make_model("separable-torus")
-        field = agmon_distance(model, source="caustic", grid_sizes=(8, 128))
-        xn = field.axes[1]
-        allowed = 0.5 + np.cos(xn) <= 0.0
-        assert np.max(field.values[:, allowed]) == 0.0
-
+    # explicit ids keep each case's test name stable
     @pytest.mark.parametrize(
-        "name, source, grid_sizes",
+        "name, grid_sizes",
         [
-            ("strip-2d", "boundary", (128, 129)),
-            ("separable-torus", "boundary", (16, 128)),
-            ("separable-torus", "caustic", (8, 256)),
-            ("halfplane-unit", "boundary", (32, 65)),
+            pytest.param(
+                "strip-2d", (128, 129), id="strip-2d-boundary-grid_sizes0"
+            ),
+            pytest.param(
+                "separable-torus",
+                (16, 128),
+                id="separable-torus-boundary-grid_sizes1",
+            ),
+            pytest.param(
+                "halfplane-unit", (32, 65), id="halfplane-unit-boundary-grid_sizes3"
+            ),
         ],
     )
-    def test_matches_reference_dijkstra_bitwise(self, name, source, grid_sizes):
+    def test_matches_reference_dijkstra_bitwise(self, name, grid_sizes):
         model = make_model(name)
-        field = agmon_distance(model, source=source, grid_sizes=grid_sizes)
-        oracle = reference_dijkstra(model, source, grid_sizes)
+        field = agmon_distance(model, grid_sizes=grid_sizes)
+        oracle = reference_dijkstra(model, grid_sizes)
         assert field.values.shape == oracle.shape
         assert np.all(np.isfinite(oracle))
         assert np.array_equal(field.values, oracle)
-
-    def test_empty_caustic_rejected(self):
-        model = make_model("halfplane-unit")
-        with pytest.raises(ValueError, match="allowed"):
-            agmon_distance(model, source="caustic", grid_sizes=(16, 33))
-
-    def test_unknown_source_rejected(self):
-        model = make_model("halfplane-unit")
-        with pytest.raises(ValueError, match="source"):
-            agmon_distance(model, source="interior")
 
     def test_values_are_frozen(self):
         model = make_model("halfplane-unit")
@@ -373,7 +361,7 @@ class TestLevelSets:
         # columns that cross each level several times: the first crossing
         # must be the one taken
         wavy = field.values * (1.0 + 0.9 * np.cos(40.0 * xn))
-        wavy = DistanceField(wavy, field.axes, field.source, field.spacing, model)
+        wavy = DistanceField(wavy, field.axes, field.spacing, model)
         node_level = float(field.values[5, 70])  # lands on a node in column 5
         for dist, rho in [(field, 0.05), (field, 0.2), (field, node_level),
                           (wavy, 0.05), (wavy, 0.1)]:
@@ -388,7 +376,7 @@ class TestLevelSets:
         field = agmon_distance(model, grid_sizes=(16, 129))
         values = np.array(field.values)
         values[[3, 9]] = 0.0
-        flat = DistanceField(values, field.axes, field.source, field.spacing, model)
+        flat = DistanceField(values, field.axes, field.spacing, model)
         with pytest.raises(ValueError, match="column 3 "):
             level_set_at(flat, 0.1)
 

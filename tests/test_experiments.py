@@ -292,6 +292,55 @@ class TestConfigModel:
         assert all(config.model is model for config in configs)
 
 
+# verdicts per (config file, experiment kind) of the shipped configs
+SHIPPED_VERDICTS = {
+    ("halfplane", "halfplane-chain"): 48,
+    ("halfplane", "decay-sandwich"): 3,
+    ("parametrix", "parametrix-consistency"): 1,
+    ("symbol-class", "symbol-class"): 3,
+    ("torus-decay", "decay-sandwich"): 1,
+    ("torus-decay", "phase-residual"): 2,
+    ("torus-windows", "exterior-mass"): 5,
+    ("torus-windows", "mass-profile"): 15,
+}
+
+
+def run_shipped_configs(out: Path) -> dict[tuple[str, str], list[Verdict]]:
+    """Every shipped config at seed 7, as ``agmonlab run --seed 7`` runs it."""
+    verdicts = {}
+    for path in SHIPPED_CONFIGS:
+        for config in parse_config(
+            load_config(path), out_dir=out / path.stem, seed=7
+        ):
+            result = run_experiment(config)
+            verdicts[(path.stem, config.kind)] = [
+                v for rec in result.records for v in rec.verdicts
+            ]
+    return verdicts
+
+
+def test_shipped_configs_pass_and_rerun_byte_identically(tmp_path):
+    first = run_shipped_configs(tmp_path / "first")
+    counts = {key: len(found) for key, found in first.items()}
+    assert counts == SHIPPED_VERDICTS
+    assert sum(counts.values()) == 78
+    failed = [
+        (key, v.name) for key, found in first.items() for v in found if not v.passed
+    ]
+    assert failed == []
+
+    run_shipped_configs(tmp_path / "second")
+    artifacts = sorted(
+        p.relative_to(tmp_path / "first")
+        for p in (tmp_path / "first").rglob("*")
+        if p.suffix in (".csv", ".json", ".svg")
+    )
+    assert len(artifacts) == 24
+    for rel in artifacts:
+        again = tmp_path / "second" / rel
+        assert again.read_bytes() == (tmp_path / "first" / rel).read_bytes(), rel
+
+
 def test_symbol_class_builds_one_taylor_table_per_h(tmp_path, monkeypatch):
     # each h builds one gauged series; its phase function reads the series'
     # own Taylor table instead of rebuilding it

@@ -865,7 +865,6 @@ class TestFamilyDerivativeNorms:
             report = family_derivative_norms(FLAT, 4.0, 0.05, order, n=64)
             assert report.norms == (0.0,)
             assert report.fitted_exponent is None
-            assert report.exponent_ok is None
 
     def test_order_zero_norm_is_the_window_sup(self):
         report = family_derivative_norms(FLAT, 4.0, 0.05, 0, n=64)
@@ -900,12 +899,10 @@ class TestFamilyDerivativeNorms:
             scale = lam * h
             oracle = float(np.max(np.abs(step_profile(w / scale, 1)))) / scale
             assert norm == pytest.approx(oracle, rel=1e-4)
-        assert first.exponent_ok is True
         assert first.fitted_exponent == pytest.approx(-1.0, abs=0.3)
         second = family_derivative_norms(
             FLAT, lams, h, 2, family=lambda r: P0 + r * np.eye(n), n=n
         )
-        assert second.exponent_ok is True
         assert second.fitted_exponent == pytest.approx(-2.0, abs=0.3)
 
     def test_renormalized_constants_are_scale_free(self):

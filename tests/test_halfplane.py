@@ -1,4 +1,4 @@
-"""Half-plane Poisson model: transform pair, multiplier, chain checks."""
+"""Half-plane Poisson model: Fourier layer, multiplier, chain checks."""
 
 import math
 
@@ -9,16 +9,22 @@ from scipy.integrate import quad
 from agmonlab.halfplane import (
     BoundaryFunction,
     apply_halfplane_poisson,
+    apply_multiplier,
     exterior_mass_fraction,
     fourier_h,
-    inverse_fourier_h,
     make_boundary_function,
+    mode_frequencies,
     poisson_multiplier,
     verify_lower_chain,
     zero_section_cutoff,
 )
 
 L = 2.0 * math.pi
+
+
+def modes(n: int) -> np.ndarray:
+    """Mode numbers k of the centred ordering, -N/2 .. N/2 - 1."""
+    return np.arange(-(n // 2), n // 2)
 
 
 def random_data(n=256, h=0.05, seed=20260815) -> BoundaryFunction:
@@ -54,41 +60,45 @@ class TestTypes:
             u.values[0] = 0.0
 
     def test_spectrum_frequencies(self):
-        spec = fourier_h(random_data(n=64, h=0.1))
-        assert spec.modes[0] == -32
-        assert spec.modes[-1] == 31
-        np.testing.assert_allclose(
-            spec.frequencies, 0.1 * spec.modes, atol=1e-15
-        )
-        assert spec.spacing == pytest.approx(0.1, rel=1e-15)
+        coeff = fourier_h(random_data(n=64, h=0.1))
+        freqs = mode_frequencies(64, L, 0.1)
+        assert coeff.shape == freqs.shape == (64,)
+        assert freqs[0] == pytest.approx(-3.2, rel=1e-15)
+        assert freqs[-1] == pytest.approx(3.1, rel=1e-15)
+        np.testing.assert_allclose(freqs, 0.1 * modes(64), atol=1e-15)
+        assert freqs[32] == 0.0
+        assert freqs[33] - freqs[32] == pytest.approx(0.1, rel=1e-15)
 
 
 # --------------------------------------------------------------------------
-# transform pair
+# transform and multiplier
 # --------------------------------------------------------------------------
 
 
 class TestFourier:
     def test_constant_hits_only_zero_mode(self):
         u = BoundaryFunction(values=np.ones(64), length=L, h=0.1)
-        spec = fourier_h(u)
-        k0 = np.nonzero(spec.modes == 0)[0][0]
-        assert spec.coefficients[k0] == pytest.approx(L, rel=1e-14)
-        others = np.abs(np.delete(spec.coefficients, k0))
+        coeff = fourier_h(u)
+        k0 = np.nonzero(modes(64) == 0)[0][0]
+        assert coeff[k0] == pytest.approx(L, rel=1e-14)
+        others = np.abs(np.delete(coeff, k0))
         assert others.max() <= 1e-12
 
     def test_plancherel(self):
         u = random_data()
-        spec = fourier_h(u)
-        assert spec.norm == pytest.approx(
+        coeff = fourier_h(u)
+        norm = math.sqrt(2.0 * math.pi * u.h / L * np.sum(np.abs(coeff) ** 2))
+        assert norm == pytest.approx(
             math.sqrt(2.0 * math.pi * u.h) * u.norm, rel=1e-12
         )
 
     def test_roundtrip_identity(self):
+        # the all-ones multiplier is the identity
         u = random_data()
-        back = inverse_fourier_h(fourier_h(u))
-        err = np.max(np.abs(back.values - u.values)) / np.max(np.abs(u.values))
-        assert err <= 1e-12
+        n = u.values.size
+        back = apply_multiplier(u, np.ones(n), mode_frequencies(n, L, u.h))
+        err = np.max(np.abs(back - u.values)) / np.max(np.abs(u.values))
+        assert err <= 1e-15
 
     def test_periodized_gaussian_against_quadrature_oracle(self):
         # coefficient k of the periodized Gaussian equals the line integral
@@ -103,11 +113,11 @@ class TestFourier:
             )
 
         u = make_boundary_function(periodized, n, L, h)
-        spec = fourier_h(u)
-        peak = np.max(np.abs(spec.coefficients))
+        coeff = fourier_h(u)
+        peak = np.max(np.abs(coeff))
         for k in range(-16, 17):
-            idx = np.nonzero(spec.modes == k)[0][0]
-            if abs(spec.coefficients[idx]) < 1e-3 * peak:
+            idx = np.nonzero(modes(n) == k)[0][0]
+            if abs(coeff[idx]) < 1e-3 * peak:
                 continue
             oracle, _ = quad(
                 lambda x: periodized(x) * math.cos(2.0 * math.pi * k * x / L),
@@ -115,10 +125,8 @@ class TestFourier:
                 L,
                 limit=300,
             )
-            assert spec.coefficients[idx].real == pytest.approx(
-                oracle, rel=1e-8
-            ), f"mode {k}"
-            assert abs(spec.coefficients[idx].imag) <= 1e-10 * peak
+            assert coeff[idx].real == pytest.approx(oracle, rel=1e-8), f"mode {k}"
+            assert abs(coeff[idx].imag) <= 1e-10 * peak
 
     def test_periodized_gaussian_profile(self):
         # the same coefficients follow sqrt(2 pi h) exp(-xi'^2 / (2h))
@@ -131,16 +139,12 @@ class TestFourier:
             L,
             h,
         )
-        spec = fourier_h(u)
-        dominant = np.abs(spec.coefficients) >= 1e-3 * np.max(
-            np.abs(spec.coefficients)
-        )
+        coeff = fourier_h(u)
+        dominant = np.abs(coeff) >= 1e-3 * np.max(np.abs(coeff))
         expected = math.sqrt(2.0 * math.pi * h) * np.exp(
-            -spec.frequencies[dominant] ** 2 / (2.0 * h)
+            -mode_frequencies(256, L, h)[dominant] ** 2 / (2.0 * h)
         )
-        np.testing.assert_allclose(
-            spec.coefficients[dominant].real, expected, rtol=1e-8
-        )
+        np.testing.assert_allclose(coeff[dominant].real, expected, rtol=1e-8)
 
 
 # --------------------------------------------------------------------------

@@ -24,12 +24,15 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from agmonlab.agmon import separable_level_set
-from agmonlab.halfplane import BoundaryFunction, apply_halfplane_poisson
+from agmonlab.halfplane import (
+    BoundaryFunction,
+    apply_halfplane_poisson,
+    mode_frequencies,
+)
 from agmonlab.hjphase import (
     agmon_metric_taylor,
     apply_poisson_parametrix,
     evaluate_phase,
-    mode_frequencies,
     phase_function,
     phase_residual,
     solve_phase_series,

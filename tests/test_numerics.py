@@ -34,7 +34,8 @@ from agmonlab._numerics import (
     spline_slopes,
 )
 from agmonlab.experiments import _DECAY_FAR, _PARAMETRIX_FAR
-from agmonlab.hjphase import mode_frequencies, solve_phase_series
+from agmonlab.halfplane import mode_frequencies
+from agmonlab.hjphase import solve_phase_series
 from agmonlab.models import (
     KNOWN_MODELS,
     TANGENT_INVARIANT_MODELS,

@@ -51,11 +51,6 @@ EXEMPT: dict[tuple[str, str], str] = {}
 
 # (module, function, parameter): why the option stays without a caller
 OPTION_EXEMPT = {
-    ("agmon", "agmon_distance", "source"): (
-        '"caustic" gives the distance to the classically allowed region at '
-        "the energy E(h), which the reverse Agmon verdict on eigenfunctions "
-        "needs"
-    ),
     ("cli", "main", "argv"): (
         "the console script calls main() with no arguments, so argparse "
         "reads sys.argv"

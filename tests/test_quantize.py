@@ -14,10 +14,14 @@ import math
 import numpy as np
 import pytest
 
-from agmonlab.halfplane import BoundaryFunction, zero_section_cutoff
+from agmonlab.halfplane import (
+    BoundaryFunction,
+    mode_frequencies,
+    zero_section_cutoff,
+)
 from agmonlab.hjphase import (
     apply_poisson_parametrix,
-    mode_frequencies,
+    evaluate_phase,
     solve_phase_series,
 )
 from agmonlab.models import make_model
@@ -168,8 +172,6 @@ class TestPhaseCutoff:
         profile = build_cutoff_profile(span)
         series = flat_series(256, h)
         sym = build_phase_cutoff(series, profile, rho, h)
-        from agmonlab.hjphase import evaluate_phase
-
         scaled = evaluate_phase(series, rho) / h
         c = sym.meta["inner_constant"]
         region = series.frequencies**2 <= c * span * h * (1.0 - 1e-9)
@@ -573,11 +575,40 @@ class TestTailOperatorBound:
         assert max(constants) / min(constants) <= 2.0
 
     def test_probe_ratios_below_operator_norm(self):
+        # the constant is read off the symbol; applied to probes, the
+        # difference multiplier never beats it (Plancherel)
         profile, series, sym = self.build(0.05)
         report = tail_operator_bound(sym, series, profile.plateau)
-        assert np.all(
-            report.probe_ratios <= report.constant * profile.plateau * (1 + 1e-12)
+        diff = Symbol(
+            values=sym.values - np.exp(-evaluate_phase(series, 0.25) / sym.h),
+            frequencies=sym.frequencies,
+            h=sym.h,
+            class_exponent=0.5,
         )
+        bound = report.constant * profile.plateau * (1 + 1e-12)
+        for u in random_band_probes(256, LENGTH, sym.h, count=6):
+            assert apply_quantized(diff, u).norm / u.norm <= bound
+
+    def test_factorization_fails_off_the_outer_cutoff(self):
+        # a difference that does not vanish where chi_out < 1 does not
+        # factor through chi_out
+        profile, series, sym = self.build(0.05)
+        scale = sym.meta["inner_constant"] * sym.meta["span"] * sym.h
+        k = int(np.argmin(np.abs(sym.frequencies**2 - 0.75 * scale)))
+        values = np.array(sym.values)
+        values[k] *= 1.5
+        bent = Symbol(
+            values=values,
+            frequencies=sym.frequencies,
+            h=sym.h,
+            class_exponent=sym.class_exponent,
+            baseline=sym.baseline,
+            support=sym.support,
+            meta=sym.meta,
+        )
+        report = tail_operator_bound(bent, series, profile.plateau)
+        assert not report.factorization_ok
+        assert tail_operator_bound(sym, series, profile.plateau).factorization_ok
 
     def test_torus_tail(self):
         profile = build_cutoff_profile(8.0)
