@@ -14,8 +14,10 @@ real arithmetic: conjugate gradients preconditioned by the tangential-mean
 operator, which a real FFT along the tangent splits into one real
 Dirichlet tridiagonal per distinct mode; complex data is solved by
 linearity as its real and imaginary parts, and real data gives a real
-field.  For tangentially constant potentials the preconditioner is exact,
-no iteration runs and V - E is held as one normal column.
+field.  For tangentially constant potentials the preconditioner is exact:
+V - E is held as one normal column, no iteration runs, and the field is
+returned in mode form, so a trace on grid nodes forms only the normal rows
+it reads; its residual is checked on the mode systems it solved.
 """
 
 from __future__ import annotations
@@ -56,13 +58,14 @@ __all__ = [
 _MIN_NODES = 256
 _RESOLVABILITY = 4.0  # require h >= this multiple of the grid spacing
 _CONTAMINATION_TOL = 1e-6
-# poisson_bvp's CG stops once max|A u - b| / max|u| <= _PCG_TOL * ||A||_inf.
-# Rounding alone leaves about 2.5e-16 there, so the exact preconditioner of a
-# tangentially constant potential passes before the first iteration.
+# poisson_bvp's residual test: max|A u - b| / max|u| <= _PCG_TOL * ||A||_inf,
+# where CG stops and which a mode-direct solve must meet.  Rounding alone
+# leaves about 2.5e-16 there, so the exact preconditioner of a tangentially
+# constant potential passes without iterating.
 _PCG_TOL = 1e-14
 _PCG_MAX_ITER = 200
 # The blocked loops -- a field's column splines, and poisson_bvp's stencil,
-# inverse transform and complex residual moduli -- take about this many
+# inverse transform, mode residual and complex moduli -- take about this many
 # bytes of field values per block.  On 128x801 and 512x512 complex fields
 # (2 cores, one BLAS thread), 128 KiB spline blocks built in 10-17 and
 # 37 ms against 14-17 and 40 ms for 512 KiB blocks, with a transient peak
@@ -277,6 +280,14 @@ def assemble_separable_mode(
 class Field2D:
     """A solved field on the tangential-circle x normal-interval grid.
 
+    A solve on a tangent-invariant model returns its field in mode form
+    (``values=None`` and a ``_ModeForm`` in ``modes``): each normal row is
+    irfft(b_k g_k[j]) along the tangent, and the first read of ``values``
+    forms every row, block by block, keeps the field and drops the mode
+    form.  A trace whose samples all lie on grid nodes forms only the
+    distinct rows it reads, bitwise those of the formed field, so it never
+    forms the field.
+
     Off-node traces interpolate each tangential column along the normal by
     a not-a-knot cubic spline (the ``_numerics`` port, bitwise scipy's
     ``CubicSpline``).  The first such trace builds the splines of
@@ -289,15 +300,31 @@ class Field2D:
     starts without them.
     """
 
-    values: np.ndarray
+    values: np.ndarray | None
     tangential_nodes: np.ndarray
     normal_nodes: np.ndarray
     h: float
     model: ModelProblem
     meta: dict
+    modes: _ModeForm | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.values.setflags(write=False)
+        if self.values is None:
+            object.__delattr__(self, "values")  # formed by __getattr__ on first read
+        else:
+            self.values.setflags(write=False)
+
+    def __getattr__(self, name: str):
+        # reached only for attributes that normal lookup misses, so for
+        # ``values`` only while it is unformed
+        if name != "values" or self.modes is None:
+            raise AttributeError(name)
+        parts = self.modes.parts()
+        object.__setattr__(self, "modes", None)  # gone before the parts are combined
+        values = _combine(parts)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        return values
 
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
@@ -359,37 +386,51 @@ def poisson_bvp(
     """Solve (-h^2 Laplace + V - E)u = 0, u(.,0) = phi, u(.,far) = 0.
 
     The operator must be positive on the strip (V > E everywhere).  The
-    5-point system is solved by conjugate gradients preconditioned with the
-    same operator for the tangential mean of V - E on each normal row
-    (Concus & Golub 1973): that operator block-diagonalizes over tangential
-    Fourier modes with the exact discrete dispersion, one Dirichlet
-    tridiagonal per mode.  The operator is real and so is the kernel
-    (float64 over the nx // 2 + 1 rfft modes): complex data is solved by
-    linearity as its real and imaginary parts into a complex128 field, and
-    data whose imaginary part is exactly zero gives a float64 field.  For
-    potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``),
-    V - E is evaluated on one normal column and read through a broadcast
-    view, the preconditioner is the exact inverse and its first iterate
-    already meets the stopping test (0 iterations); otherwise the iteration
-    count is governed by max/min of V - E over its row mean, e.g.
-    (1+a)/(1-a) on strip-2d.  The far Dirichlet closure must lie inside the
-    forbidden region, far <= ``model.forbidden_extent``, and its influence on
-    traces at weighted depth <= rho_max is certified by the tunneling factor
-    exp(-2 (depth - rho_max)/h), with depth from ``models.weighted_depth``.  The metadata records that bound, the
-    iteration count and the final true residual max|A u - b| / max|u|; a
-    solve that misses the stopping test within the iteration cap raises
-    instead of returning.
+    5-point operator is real and so is the kernel: complex data is solved
+    by linearity as its real and imaginary parts into a complex128 field,
+    and data whose imaginary part is exactly zero gives a float64 field.
+    A real FFT along the tangent splits the same operator for the
+    tangential mean of V - E on each normal row into one Dirichlet
+    tridiagonal T_k per distinct mode k (nx // 2 + 1 of them), with the
+    exact discrete dispersion.  The data enters only the first interior
+    row, so that operator's solution is irfft(b_k g_k) along the tangent,
+    with b = cn rfft(phi) and one real unit-row solve g_k = T_k^{-1} e_0
+    per mode.
 
-    Memory, in fields of nx * n_normal float64: on the direct path
-    (0 iterations) with real data the solve peaks at about 1.5 fields (1.60
-    to 1.76 traced at nx = 64), first the real mode factor (one field at
-    nx // 2 + 1 modes) and one unit-row solve per mode (half a field), then
-    that solve and the field; the residual check runs block by block, and
-    only the returned field is kept.  Complex data shares the unit-row
-    solve and assembles the complex field from its two real parts, about
-    4.0 fields in all.  A tangent-dependent V - E is held on the full grid,
-    and iterating adds the residual, CG's vectors and a second factor of
-    the preconditioner.
+    For potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``)
+    that is the solution (``meta["path"]`` "mode-direct"): V - E is one
+    normal column, and the field is returned in mode form (see
+    ``Field2D``), so a node-aligned trace forms only the rows it reads.
+    Its residual is that of the systems solved, r_k = T_k g_k - e_0 with
+    the operator's own V - E column, taken a block of modes at a time and
+    mapped to the field by the triangle bound (1/nx) sum_k m_k |b_k|
+    max_j |r_kj| (m_k = 1 at k = 0 and at the Nyquist mode, else 2; for
+    complex data the two parts' moduli summed), over max|phi|, which is
+    never above max|u|.  Otherwise (path "mode-pcg") that solution is the
+    first iterate of conjugate gradients preconditioned by the mean
+    operator (Concus & Golub 1973), the residual is the stencil's true
+    max|A u - b| / max|u|, and the iteration count is governed by max/min
+    of V - E over its row mean, e.g. (1+a)/(1-a) on strip-2d.  Either
+    residual must be within _PCG_TOL of the operator's infinity norm; a
+    mode-direct solve that misses it, or a CG solve that misses it within
+    the iteration cap, raises instead of returning.
+
+    The far Dirichlet closure must lie inside the forbidden region, far <=
+    ``model.forbidden_extent``, and its influence on traces at weighted
+    depth <= rho_max is certified by the tunneling factor
+    exp(-2 (depth - rho_max)/h), with depth from ``models.weighted_depth``.
+    The metadata records that bound, the path, the iteration count and the
+    residual.
+
+    Memory, in fields of nx * n_normal float64: a mode-direct solve peaks
+    at about 1.5 fields (1.59 traced at nx = 64), the real mode factor (one
+    field) next to g_k (half a field), and keeps only g_k, for real and
+    complex data alike.  The first read of ``values`` forms the field next
+    to g_k and then drops g_k: one field kept for real data (1.57 to 1.73
+    at the peak); complex data combines its two real parts into the
+    complex field, 4.02 fields at the peak and two kept.  A
+    tangent-dependent V - E is held on the full grid, and CG adds the
+    residual, its vectors and a second factor of the preconditioner.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -401,32 +442,51 @@ def poisson_bvp(
     nx = phi.values.size
     xp = L / nx * np.arange(nx)
     xn = np.linspace(0.0, far, n_normal)
-    # a tangent-invariant V - E is one column, read through a broadcast view
-    columns = xp[:1] if model.name in TANGENT_INVARIANT_MODELS else xp
-    v_grid = potential_grid(model, columns, xn)
+    invariant = model.name in TANGENT_INVARIANT_MODELS
+    # a tangent-invariant V - E is one column
+    v_grid = potential_grid(model, xp[:1] if invariant else xp, xn)
     v_grid -= model.energy
-    v_grid = np.broadcast_to(v_grid, (nx, n_normal))
     if np.min(v_grid) <= 0.0:
         j = np.unravel_index(int(np.argmin(v_grid)), v_grid.shape)
         raise ValueError(
             f"operator is indefinite: V - E = {v_grid[j]:.4g} <= 0 at "
             f"({xp[j[0]]:.4g}, {xn[j[1]]:.4g})"
         )
+    if np.any(np.imag(phi.values)):
+        data = np.stack([phi.values.real, phi.values.imag])
+    else:
+        data = np.real(phi.values)[None]
 
     cn = h**2 / (xn[1] - xn[0]) ** 2
     cp = h**2 / (L / nx) ** 2
-    parts, iterations, residual = _mode_pcg(phi.values, v_grid, cn, cp)
-    if len(parts) == 1:
-        values = parts[0]
+    w = v_grid[:, 1:-1]
+    bound = _PCG_TOL * (4.0 * (cn + cp) + float(np.max(w)))
+    dispersion = 4.0 * cp * np.sin(math.pi * np.arange(nx // 2 + 1) / nx) ** 2
+    row_mean = np.mean(np.broadcast_to(w, (nx, w.shape[1])), axis=0)
+    modes = _ModeForm(
+        data, cn * np.fft.rfft(data), _unit_rows(row_mean, cn, dispersion)
+    )
+    if invariant:
+        residual = _mode_residual(modes, w[0], cn, dispersion)
+        if not residual <= bound:
+            raise ValueError(
+                f"mode solve missed the residual test on the {nx} x {n_normal} "
+                f"grid: residual {residual:.3g} > {bound:.3g}"
+            )
+        values, iterations, path = None, 0, "mode-direct"
     else:
-        values = np.empty((nx, n_normal), dtype=complex)
-        values.real, values.imag = parts
+        first = modes.parts()
+        modes = None  # g_k goes before CG allocates
+        parts, iterations, residual = _mode_pcg(
+            first, w, cn, cp, row_mean, dispersion, bound
+        )
+        values, path = _combine(parts), "mode-pcg"
     meta = {
         "far": far,
         "contamination_bound": contamination,
         "residual": residual,
         "iterations": iterations,
-        "path": "mode-pcg",
+        "path": path,
         "rho_max": rho_max,
     }
     return Field2D(
@@ -436,7 +496,67 @@ def poisson_bvp(
         h=h,
         model=model,
         meta=meta,
+        modes=modes,
     )
+
+
+@dataclass(frozen=True)
+class _ModeForm:
+    """A field held in mode form, as a real stack of one or two parts.
+
+    ``data`` is the boundary row, shaped (parts, nx); ``b`` = cn rfft(data)
+    the transform of the first interior row's right-hand side; ``unit`` the
+    unit-row solutions g_k, shaped (nx // 2 + 1, ny - 2).  Row j of a part
+    is its data at j = 0, irfft(b_k g_k[j - 1]) inside and zero at
+    j = ny - 1.
+    """
+
+    data: np.ndarray
+    b: np.ndarray
+    unit: np.ndarray
+
+    def parts(self) -> np.ndarray:
+        """Every row, shaped (parts, nx, ny)."""
+        values = np.zeros(self.data.shape + (self.unit.shape[1] + 2,))
+        values[..., 0] = self.data
+        _synthesize(self.b, self.unit, values[..., 1:-1])
+        return values
+
+    def rows(self, rows: np.ndarray) -> np.ndarray:
+        """The field's columns at the sorted distinct normal rows ``rows``,
+        shaped (nx, rows.size), bitwise those of the formed field; only
+        these rows are synthesized."""
+        out = np.zeros(self.data.shape + (rows.size,))
+        lo = int(rows[0] == 0)
+        hi = rows.size - int(rows[-1] == self.unit.shape[1] + 1)
+        out[..., :lo] = self.data[..., None]
+        _synthesize(self.b, self.unit[:, rows[lo:hi] - 1], out[..., lo:hi])
+        return _combine(out)
+
+
+def _synthesize(b: np.ndarray, unit: np.ndarray, out: np.ndarray) -> None:
+    """out[..., c] = irfft(b_k unit[k, c]) along the tangent, for b shaped
+    (parts, modes) and out (parts, nx, unit.shape[1]), a block of normal
+    columns at a time.  No BLAS product, so the field is the same at any
+    BLAS thread count, and each column's transform is its own, so a column
+    is bitwise the same in any block."""
+    nx, m = out.shape[-2], unit.shape[1]
+    step = max(1, _BLOCK_BYTES // b.nbytes)
+    block = np.empty(b.shape + (min(step, m),), dtype=complex)
+    for a in range(0, m, step):
+        spectrum = block[..., : min(step, m - a)]
+        np.multiply(b[..., None], unit[:, a : a + step], out=spectrum)
+        np.fft.irfft(spectrum, nx, axis=-2, out=out[..., a : a + spectrum.shape[-1]])
+
+
+def _combine(parts: np.ndarray) -> np.ndarray:
+    """The field of a real stack of one or two parts: the part itself, or
+    the complex field of its real and imaginary parts."""
+    if len(parts) == 1:
+        return parts[0]
+    values = np.empty(parts.shape[1:], dtype=complex)
+    values.real, values.imag = parts
+    return values
 
 
 def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
@@ -466,29 +586,62 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
     return solve
 
 
-def _stencil_blocks(
+def _unit_rows(w: np.ndarray, cn: float, dispersion: np.ndarray) -> np.ndarray:
+    """g_k = T_k^{-1} e_0 for the tridiagonals of :func:`_dirichlet_modes`,
+    shaped (modes, w.size); the factor is dropped on return."""
+    unit = np.zeros((dispersion.size, w.size))
+    unit[:, 0] = 1.0
+    return _dirichlet_modes(w, cn, dispersion)(unit)
+
+
+def _mode_residual(modes: _ModeForm, w: np.ndarray, cn: float, dispersion) -> float:
+    """The bound on max|A u - b| / max|phi| of a mode-form field u from the
+    residuals r_k = T_k g_k - e_0 of its mode systems, with w the
+    operator's own V - E column; see :func:`poisson_bvp`.  The residuals
+    are taken a block of modes at a time, about _BLOCK_BYTES of g each."""
+    unit = modes.unit
+    nx = modes.data.shape[1]
+    worst = np.empty(unit.shape[0])
+    diag = 2.0 * cn + w
+    step = max(1, _BLOCK_BYTES // unit[0].nbytes)
+    for a in range(0, unit.shape[0], step):
+        g = unit[a : a + step]
+        r = (diag + dispersion[a : a + step, None]) * g
+        r[:, 1:] -= cn * g[:, :-1]
+        r[:, :-1] -= cn * g[:, 1:]
+        r[:, 0] -= 1.0
+        worst[a : a + step] = np.max(np.abs(r), axis=1)
+    # rfft modes other than k = 0 and the Nyquist mode stand for a pair
+    weight = np.full(unit.shape[0], 2.0)
+    weight[0] = 1.0
+    if nx % 2 == 0:
+        weight[-1] = 1.0
+    scale = _modulus_max(modes.data)
+    total = float(np.sum(weight * np.sum(np.abs(modes.b), axis=0) * worst)) / nx
+    return total / scale if scale else 0.0
+
+
+def _stencil(
     u: np.ndarray, w: np.ndarray, cn: float, cp: float, out: np.ndarray | None = None
-):
+) -> np.ndarray:
     """The 5-point operator at the interior rows of u, shaped (..., nx, ny)
-    with the tangent on axis -2, one block of whole normal columns
-    u[..., i, :] at a time; the first and last normal rows hold the
+    with the tangent on axis -2, written to ``out`` (u's shape less the two
+    Dirichlet rows) when given; the first and last normal rows hold the
     Dirichlet values, and w is V - E at the interior rows.
 
-    Yields each block's values, written to its columns of ``out`` (u's
-    shape less the two Dirichlet rows) when given, else to one block of
-    scratch that the next block overwrites.  A block holds about
-    _BLOCK_BYTES of u, so the scratch is one block and each block's columns
-    and their neighbours stay in cache; every entry takes the same float
-    operations in the same order whatever the block size.
+    It runs one block of whole normal columns u[..., i, :] at a time, about
+    _BLOCK_BYTES of u, so its one block of scratch and each block's
+    columns and their neighbours stay in cache; every entry takes the same
+    float operations in the same order whatever the block size.
     """
     nx = u.shape[-2]
+    if out is None:
+        out = np.empty(u.shape[:-1] + (u.shape[-1] - 2,))
     step = max(1, _BLOCK_BYTES // (u[..., 0, :].size * u.itemsize))
-    shape = u.shape[:-2] + (min(step, nx), u.shape[-1] - 2)
-    scratch = np.empty(shape)
-    own = np.empty(shape) if out is None else None
+    scratch = np.empty(u.shape[:-2] + (min(step, nx), u.shape[-1] - 2))
     for a in range(0, nx, step):
         b = min(a + step, nx)
-        o = own[..., : b - a, :] if out is None else out[..., a:b, :]
+        o = out[..., a:b, :]
         t = scratch[..., : b - a, :]
         c = u[..., a:b, 1:-1]
         np.multiply(w[a:b], c, out=o)
@@ -510,18 +663,6 @@ def _stencil_blocks(
             np.add(u[..., -2, 1:-1], u[..., 0, 1:-1], out=t[..., -1, :])
         t *= -cp
         o += t
-        yield o
-
-
-def _stencil(
-    u: np.ndarray, w: np.ndarray, cn: float, cp: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The 5-point operator of :func:`_stencil_blocks` on the whole of u,
-    written to ``out`` when given."""
-    if out is None:
-        out = np.empty(u.shape[:-1] + (u.shape[-1] - 2,))
-    for _ in _stencil_blocks(u, w, cn, cp, out):
-        pass
     return out
 
 
@@ -538,84 +679,44 @@ def _modulus_max(a: np.ndarray) -> float:
     return float(np.max([np.max(np.hypot(*a[:, i : i + step])) for i in blocks]))
 
 
-def _residual_max(u: np.ndarray, w: np.ndarray, cn: float, cp: float) -> float:
-    """max |A u - b| over the interior, block by block of the stencil, so no
-    field-sized residual is formed; bitwise _modulus_max(_stencil(...))."""
-    blocks = _stencil_blocks(u, w, cn, cp)
-    return float(np.max([_modulus_max(o) for o in blocks]))
+def _mode_pcg(values, w, cn, cp, row_mean, dispersion, bound):
+    """Mode-preconditioned CG for the interior of the Dirichlet strip
+    problem, from the first iterate ``values``, a real stack of one or two
+    parts shaped (parts, nx, ny) that it updates in place.
 
-
-def _mode_pcg(phi, w, cn, cp):
-    """Mode-preconditioned CG for the interior of the Dirichlet strip problem.
-
-    A real kernel: the operator is real, so complex data phi is solved by
-    linearity as a stack of its real and imaginary parts (one part when
-    phi.imag is exactly zero), with CG inner products summed over the
-    parts -- the real part of the complex inner product, so the iterates
-    are those of complex CG.  The preconditioner takes rfft along the
-    tangent and solves the nx // 2 + 1 distinct mode tridiagonals (the
-    dispersion is symmetric under k -> nx - k) on the real and imaginary
-    rows of the transform, with one real factor.  The residual is kept as
-    r = A u - b, evaluated on the full array with the data row in place.
-    Iteration stops when the true residual max|r| / max|u| (complex
-    moduli) is within _PCG_TOL of the operator's infinity norm (a normwise
+    A real kernel: the operator is real, so complex data is solved by
+    linearity as a stack of its real and imaginary parts, with CG inner
+    products summed over the parts -- the real part of the complex inner
+    product, so the iterates are those of complex CG.  The preconditioner
+    takes rfft along the tangent and solves the nx // 2 + 1 distinct mode
+    tridiagonals of ``row_mean`` and ``dispersion`` (the dispersion is
+    symmetric under k -> nx - k) on the real and imaginary rows of the
+    transform, with one real factor.  The residual is kept as r = A u - b,
+    evaluated on the full array with the data row in place.  Iteration
+    stops when the true residual max|r| / max|u| (complex moduli) is
+    within ``bound``, _PCG_TOL of the operator's infinity norm (a normwise
     backward error, so the test is reachable at every grid size); the
-    recursive residual only triggers that check.
-
-    The data enters b only on the first interior row, so the first iterate
-    needs one real solve per mode, g_k = T_k^{-1} e_0, half a field at
-    nx // 2 + 1 modes whatever the data.  The factor is dropped before the
-    field is allocated, and the field is synthesized a block of normal
-    columns at a time as irfft(cn rfft(phi)_k g_k).  Its true residual is
-    taken block by block of the stencil, so a first iterate that meets the
-    test forms no residual array; only one that misses it forms r, factors
-    again and iterates.  Returns (the real parts, shaped (parts, nx, ny),
+    recursive residual only triggers that check.  Returns (values,
     iterations, residual).
     """
-    nx, ny = w.shape
-    w = w[:, 1:-1]
-    if np.any(np.imag(phi)):
-        data = np.stack([phi.real, phi.imag])
-    else:
-        data = np.real(phi)[None]
-    modes = nx // 2 + 1
-    dispersion = 4.0 * cp * np.sin(math.pi * np.arange(modes) / nx) ** 2
-    row_mean = np.mean(w, axis=0)
-    bound = _PCG_TOL * (4.0 * (cn + cp) + float(np.max(w)))
+    nx, ny = values.shape[-2:]
 
     def relative(r):
         scale = _modulus_max(values)
         return _modulus_max(r) / scale if scale else 0.0
 
-    solve = _dirichlet_modes(row_mean, cn, dispersion)
-    unit = np.zeros((modes, ny - 2))
-    unit[:, 0] = 1.0
-    unit = solve(unit)
-    del solve  # the factor goes before the field is allocated
-    b = cn * np.fft.rfft(data)  # the transform of b, nonzero on one row
-    values = np.zeros((len(data), nx, ny))
-    values[..., 0] = data
-    step = max(1, _BLOCK_BYTES // b.nbytes)
-    block = np.empty(b.shape + (min(step, ny - 2),), dtype=complex)
-    for a in range(0, ny - 2, step):
-        spectrum = block[..., : min(step, ny - 2 - a)]
-        np.multiply(b[..., None], unit[:, a : a + step], out=spectrum)
-        columns = values[..., 1 + a : 1 + a + spectrum.shape[-1]]
-        np.fft.irfft(spectrum, nx, axis=-2, out=columns)
-    del unit, block
-    scale = _modulus_max(values)
-    residual = _residual_max(values, w, cn, cp) / scale if scale else 0.0
+    r = _stencil(values, w, cn, cp)
+    residual = relative(r)
     iterations = 0
     if residual <= bound:
         return values, iterations, residual
-    r = _stencil(values, w, cn, cp)
     solve = _dirichlet_modes(row_mean, cn, dispersion)
     p = np.zeros(values.shape)
     q = np.empty(r.shape)
     z = np.empty(r.shape)
     # r's transform; z is free until it is solved, so z's memory holds the
     # transform's real or imaginary part for the real factor
-    spectrum = np.empty((len(data), nx // 2 + 1, ny - 2), dtype=complex)
+    spectrum = np.empty((len(values), nx // 2 + 1, ny - 2), dtype=complex)
     part = z.reshape(-1)[: spectrum.size].reshape(spectrum.shape)
     rz = 1.0  # any finite value: p starts at zero
     while residual > bound:
@@ -699,8 +800,11 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     below = np.maximum(above - 1, 0)
     node = np.where(np.abs(xn[below] - heights) <= 1e-12, below, above)
     on_node = np.abs(xn[node] - heights) <= 1e-12
-    out = field2d.values[idx, node]
     off = np.flatnonzero(~on_node)
+    if off.size == 0 and field2d.modes is not None:
+        rows, inverse = np.unique(node, return_inverse=True)
+        return field2d.modes.rows(rows)[idx, inverse]
+    out = field2d.values[idx, node]
     if off.size == 0:
         return out
     slopes = field2d._spline_slopes
@@ -723,11 +827,14 @@ def trace_at(field2d: Field2D, level: LevelSet) -> BoundaryTrace:
     Samples within 1e-12 of a grid node copy that node's value exactly; the
     others are interpolated along their normal columns by not-a-knot cubic
     splines, each column evaluated at its own height, so flat and curved
-    levels take one path.  The first off-node trace of a Field2D builds the
-    splines of all its columns (one batched spline per 128 KiB block of
-    field values) and the field keeps their knot slopes, the field's size
-    again; every later trace of that field only evaluates, bitwise as a
-    fresh spline would.
+    levels take one path.  A field still in mode form (a tangent-invariant
+    solve) gives a trace whose samples all lie on nodes from the distinct
+    normal rows it reads, formed alone and bitwise as in the formed field;
+    any other trace reads ``values``, which forms the field.  The first
+    off-node trace of a Field2D builds the splines of all its columns (one
+    batched spline per 128 KiB block of field values) and the field keeps
+    their knot slopes, the field's size again; every later trace of that
+    field only evaluates, bitwise as a fresh spline would.
     """
     values = _column_values(field2d, level)
     return BoundaryTrace(values=values, level=level, rho=level.rho, h=field2d.h)

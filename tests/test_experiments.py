@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from agmonlab import experiments, fcalc, hjphase
+from agmonlab import experiments, fcalc, hjphase, solver
 from agmonlab.experiments import (
     EXPERIMENT_KINDS,
     ConfigError,
@@ -377,14 +377,18 @@ class TestSweepStatistics:
 
 
 class TestRunExperiment:
-    def test_shipped_parametrix_run_peaks_near_two_fields(self, tmp_path):
-        # on its own 64 x 24,001 grid each of its four direct solves peaks
-        # at about 2 fields, and a traced field keeps its spline slopes, one
-        # field more: 2.17 fields traced for the whole run, 3.67 with a
-        # complex field and a full V - E grid
+    @staticmethod
+    def _shipped_parametrix(tmp_path):
         path = Path(__file__).resolve().parents[1] / "configs" / "parametrix.json"
         (config,) = parse_config(json.loads(path.read_text()), out_dir=tmp_path)
         assert config.grid == (64, 24001)
+        return config
+
+    def test_shipped_parametrix_run_peaks_near_two_fields(self, tmp_path):
+        # on its own 64 x 24,001 grid each of its four direct solves peaks
+        # at 1.6 fields, the mode factor next to the unit-row solutions,
+        # and no trace forms a field: 1.60 fields traced for the whole run
+        config = self._shipped_parametrix(tmp_path)
         tracemalloc.start()
         try:
             result = run_experiment(config)
@@ -392,7 +396,37 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert result.passed
-        assert peak <= 2.4 * 64 * 24001 * 8
+        assert peak <= 1.7 * 64 * 24001 * 8
+
+    def test_shipped_parametrix_level_is_a_normal_node(self, tmp_path, monkeypatch):
+        # the comparison depth lands on normal node _PARAMETRIX_DEPTH_STEPS
+        # (1.4e-16 away), so the trace copies node values
+        traced = []
+        trace_at = experiments.trace_at
+
+        def recorded(field, level):
+            traced.append(level.points[:, 1] - field.normal_nodes[steps])
+            return trace_at(field, level)
+
+        steps = experiments._PARAMETRIX_DEPTH_STEPS
+        monkeypatch.setattr(experiments, "trace_at", recorded)
+        assert run_experiment(self._shipped_parametrix(tmp_path)).passed
+        assert len(traced) == 4
+        assert np.max(np.abs(traced)) <= 1e-12
+
+    def test_shipped_parametrix_run_forms_no_field(self, tmp_path, monkeypatch):
+        # its tangent-invariant solves stay in mode form: each trace forms
+        # only the one normal row it reads
+        formed = []
+        parts = solver._ModeForm.parts
+
+        def counted(self):
+            formed.append(self.unit.shape)
+            return parts(self)
+
+        monkeypatch.setattr(solver._ModeForm, "parts", counted)
+        assert run_experiment(self._shipped_parametrix(tmp_path)).passed
+        assert formed == []
 
     def test_shipped_torus_windows_run_decomposes_its_operator_once(
         self, tmp_path, monkeypatch

@@ -278,7 +278,7 @@ class TestPoissonBVP:
         )[None, :]
         assert np.max(np.abs(field.values - exact)) < 1e-6
         assert field.meta["residual"] < 1e-8
-        assert field.meta["path"] == "mode-pcg"
+        assert field.meta["path"] == "mode-direct"
         assert field.meta["iterations"] == 0
 
     def test_zero_data_gives_zero_field(self):
@@ -312,11 +312,12 @@ class TestPoissonBVP:
         assert np.array_equal(field.values[:, 0], data)
         assert np.all(field.values[:, -1] == 0.0)
         assert np.min(np.real(field.values)) >= -1e-10  # maximum principle
-        assert field.meta["path"] == "mode-pcg"
         assert field.meta["residual"] < 1e-8
         if model is TORUS:  # tangentially constant: the preconditioner is exact
+            assert field.meta["path"] == "mode-direct"
             assert field.meta["iterations"] == 0
         else:
+            assert field.meta["path"] == "mode-pcg"
             assert field.meta["iterations"] > 0
 
     def test_large_strip_solve_converges(self):
@@ -505,8 +506,9 @@ class TestPoissonBVP:
 
     @staticmethod
     def _traced_direct_solve(n_normal, imag):
-        """(field, retained, peak) of a direct solve on the torus, the
-        memory in fields of 64 x n_normal float64."""
+        """(field, solve, formed) of a direct solve on the torus: the
+        (retained, peak) memory of the solve and then of forming its values,
+        in fields of 64 x n_normal float64."""
         nx = 64
         xp = 2.0 * math.pi / nx * np.arange(nx)
         data = 1.0 + 0.4 * np.cos(xp) + 0.2 * np.cos(2.0 * xp) + imag * np.sin(xp)
@@ -517,33 +519,103 @@ class TestPoissonBVP:
             field = poisson_bvp(
                 TORUS, phi, 0.05, far=1.0, n_normal=n_normal, rho_max=0.1
             )
-            retained, peak = tracemalloc.get_traced_memory()
+            solve = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            field.values
+            formed = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert field.meta["path"] == "mode-direct"
         assert field.meta["iterations"] == 0
-        return field, retained / field_bytes, peak / field_bytes
+        return (
+            field,
+            tuple(x / field_bytes for x in solve),
+            tuple(x / field_bytes for x in formed),
+        )
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_direct_solve_peak_memory(self, n_normal):
         # the mode factor (one field at nx // 2 + 1 = 33 modes) and the
-        # unit-row solution (half a field) are live together, then that
-        # solution and the field: about 1.5 fields, 1.76 and 1.60 measured at
-        # 4,001 and 24,001 normal nodes; V - E is one column and the
-        # residual is checked block by block
-        field, retained, peak = self._traced_direct_solve(n_normal, 0.0)
+        # unit-row solutions g_k (half a field) are live together: 1.59
+        # fields measured at 4,001 and 24,001 normal nodes, and the solve
+        # keeps g_k; V - E is one column and the mode residual runs a block
+        # of modes at a time.  Forming the field next to g_k peaks at 1.73
+        # and 1.57 fields, and drops g_k.
+        field, (retained, peak), (formed, formed_peak) = self._traced_direct_solve(
+            n_normal, 0.0
+        )
         assert field.values.dtype == np.float64
-        assert peak <= 1.85
-        assert abs(retained - 1.0) <= 0.05  # the real field
+        assert peak <= 1.65
+        assert abs(retained - 0.53) <= 0.05  # g_k at 33 of 64 modes
+        assert formed_peak <= 1.8
+        assert abs(formed - 1.0) <= 0.05  # the real field
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_complex_direct_solve_peak_memory(self, n_normal):
-        # the factor and the unit-row solution, then that solution, the two
-        # parts and the complex field: 4.03 fields measured at both sizes,
-        # with the moduli and the residual taken block by block
-        field, retained, peak = self._traced_direct_solve(n_normal, 0.3j)
+        # the two data parts share g_k, so the solve is the real one; forming
+        # the field synthesizes the two parts next to g_k, drops g_k and
+        # combines them: 4.02 fields measured at both sizes
+        field, (retained, peak), (formed, formed_peak) = self._traced_direct_solve(
+            n_normal, 0.3j
+        )
         assert field.values.dtype == np.complex128
-        assert peak <= 4.2
-        assert abs(retained - 2.0) <= 0.05  # the complex field
+        assert peak <= 1.65
+        assert abs(retained - 0.53) <= 0.05
+        assert formed_peak <= 4.1
+        assert abs(formed - 2.0) <= 0.05  # the complex field
+
+    @pytest.mark.parametrize("imag", [0.0, 0.3j], ids=["real-data", "complex-data"])
+    def test_node_trace_of_a_mode_field_is_its_formed_row(self, imag):
+        # a node-aligned trace forms only the rows it reads, bitwise those
+        # of the field formed afterwards
+        nx, ny = 64, 4001
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        data = 1.0 + 0.4 * np.cos(xp) + 0.2 * np.cos(2.0 * xp) + imag * np.sin(xp)
+        phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)
+        field = poisson_bvp(TORUS, phi, 0.05, far=1.0, n_normal=ny, rho_max=0.1)
+        xn = field.normal_nodes
+        nodes = np.array([0, 1, 80, ny - 2, ny - 1])
+        traces = [
+            trace_at(field, level_at_heights(np.full(nx, xn[j]))) for j in nodes
+        ]
+        mixed = nodes[np.arange(nx) % nodes.size]
+        mixed_trace = trace_at(field, level_at_heights(xn[mixed]))
+        assert "values" not in vars(field)  # no trace formed the field
+        for j, trace in zip(nodes, traces):
+            assert np.array_equal(trace.values, field.values[:, j])
+        assert np.array_equal(mixed_trace.values, field.values[np.arange(nx), mixed])
+        assert np.array_equal(field.values[:, 0], data)
+        assert field.modes is None  # forming the field dropped the mode form
+
+    def test_mode_residual_can_fail(self, monkeypatch):
+        unit_rows = solver._unit_rows
+        monkeypatch.setattr(
+            solver, "_unit_rows", lambda *args: unit_rows(*args) * (1.0 + 1e-8)
+        )
+        phi = BoundaryFunction(np.ones(64), 2.0 * math.pi, 0.05)
+        with pytest.raises(
+            ValueError, match=r"mode solve missed the residual test on the 64 x 101 "
+        ):
+            poisson_bvp(TORUS, phi, 0.05, far=1.0, n_normal=101, rho_max=0.1)
+
+    @pytest.mark.parametrize("h", [0.1, 0.0125])
+    def test_shipped_grid_stencil_residual_within_the_bound(self, h):
+        # the formed field's own stencil residual, an oracle independent of
+        # the mode residual, stays within the bound that residual is held
+        # to: 6.3e-9 against 2.3e-7 at h = 0.1 on the parametrix grid
+        nx, ny, far = 64, 24001, 1.0
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        data = 1.0 + 0.4 * np.cos(xp) + 0.2 * np.cos(2.0 * xp)
+        phi = BoundaryFunction(data, 2.0 * math.pi, h)
+        field = poisson_bvp(TORUS, phi, h, far=far, n_normal=ny, rho_max=0.1)
+        xn = field.normal_nodes
+        w = potential_grid(TORUS, xp, xn)[:, 1:-1] - TORUS.energy
+        cn, cp = h**2 / (xn[1] - xn[0]) ** 2, h**2 / (xp[1] - xp[0]) ** 2
+        bound = solver._PCG_TOL * (4.0 * (cn + cp) + np.max(w))
+        u = field.values[None]
+        stencil = np.max(np.abs(solver._stencil(u, w, cn, cp))) / np.max(np.abs(u))
+        assert field.meta["residual"] <= bound
+        assert stencil <= bound
 
     @pytest.mark.parametrize("parts", [1, 2], ids=["real-data", "complex-data"])
     @pytest.mark.parametrize("block_columns", [0, 1, 5, 7, 13])
@@ -565,11 +637,6 @@ class TestPoissonBVP:
         out = np.full(expected.shape, np.nan)
         assert solver._stencil(u, w, cn, cp, out=out) is out
         assert np.array_equal(out, expected)
-        # the residual check takes the same blocks into its maximum
-        field = expected[0] + 1j * expected[1] if parts == 2 else expected
-        modulus = np.max(np.abs(field))
-        assert solver._residual_max(u, w, cn, cp) == solver._modulus_max(expected)
-        assert solver._residual_max(u, w, cn, cp) == pytest.approx(modulus, rel=1e-15)
         # a tangent-invariant V - E as one column read through a broadcast
         # view gives the stencil of the full grid, bitwise
         full = potential_grid(TORUS, xp, xn)[:, 1:-1] - TORUS.energy
