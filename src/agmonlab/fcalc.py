@@ -3,15 +3,22 @@
 The central object is the operator function f(P) of the discrete
 tangential Laplacian P on a collar level circle, where f rises smoothly
 from 0 to 1 across the spectral window [w, 2w] set by a window scale w.
-The projection is realized two ways: an eigendecomposition path, and a
-complex contour-plus-area Cauchy integral against an almost analytic
-extension of the window profile; the extension is closed form, and its
-conjugate-derivative defect and defect bound are checked by the test
-suite, not on every run.  On top of it sit the exterior-mass
-functional of surface traces, finite-difference norms for the depth
-derivatives of the projection family, and a mass-profile comparison that
-pits the measured per-depth trace mass against the cosh/sinh solution of
-its second-order comparison ODE.
+The projection is realized three ways.  On a level circle P is the
+periodic three-point stencil, a circulant: its eigenvectors are the DFT
+modes and its eigenvalues the closed form
+``solver.expected_circle_eigenvalue``, so the run path (the exterior mass
+and the mass profile) weighs the DFT of a trace by f at those
+eigenvalues and forms no matrix.  For an arbitrary symmetric operator,
+``spectral_calculus`` projects through a dense eigendecomposition; it is
+the oracle of the third realization, ``hs_apply``, a complex
+contour-plus-area Cauchy integral against an almost analytic extension
+of the window profile, which shares no matrix with it.  The extension is
+closed form, and its conjugate-derivative defect and defect bound are
+checked by the test suite, not on every run.  On top of them sit the
+exterior-mass functional of surface traces, finite-difference norms for
+the depth derivatives of the projection family, and a mass-profile
+comparison that pits the measured per-depth trace mass against the
+cosh/sinh solution of its second-order comparison ODE.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from scipy.linalg import hessenberg
 from agmonlab._numerics import Spline, count_below
 from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import separable_level_set
-from agmonlab.models import ModelProblem, potential_grid
-from agmonlab.solver import BoundaryTrace, EigenMode
+from agmonlab.models import ModelProblem, transverse_potential
+from agmonlab.solver import BoundaryTrace, EigenMode, expected_circle_eigenvalue
 
 __all__ = [
     "AlmostAnalyticExtension",
@@ -81,8 +88,10 @@ _COMPLEX_BYTES = np.dtype(complex).itemsize
 # factor in _block_weighted_sum; panels of 16, 32 and 64 rows timed alike
 # on dense n = 96 and 128.
 _PANEL_ROWS = 32
-# spectral_calculus and mass_profile_comparison keep the eigenpairs of this
-# many distinct operators: a torus-windows run projects one.
+# spectral_calculus keeps the eigenpairs of this many distinct operators: a
+# torus-windows run decomposes one, the level-circle operator that
+# family_derivative_norms differentiates; its window masses read the
+# closed-form circle eigenvalues and decompose none.
 _EIGH_MEMO_SIZE = 4
 
 
@@ -170,12 +179,10 @@ def boundary_operator(
     induced line element equals the tangential spacing and the metric
     weight is 1;
     the matrix is the periodic three-point stencil times h^2.  Symmetric
-    positive semidefinite, with Fourier modes as exact eigenvectors.
+    positive semidefinite, with Fourier modes as exact eigenvectors and
+    ``solver.expected_circle_eigenvalue`` as eigenvalues.
     """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    if n < 4:
-        raise ValueError("level circle needs at least 4 nodes")
+    _check_circle(h, n)
     limit = model.collar_width_ambient
     if abs(r) > limit + 1e-12:
         raise ValueError(
@@ -189,6 +196,14 @@ def boundary_operator(
     mat[idx, (idx + 1) % n] = -k
     mat[idx, (idx - 1) % n] = -k
     return mat
+
+
+def _check_circle(h: float, n: int) -> None:
+    """The checks of h and n of every level-circle computation."""
+    if h <= 0.0:
+        raise ValueError("h must be positive")
+    if n < 4:
+        raise ValueError("level circle needs at least 4 nodes")
 
 
 # --------------------------------------------------------------------------
@@ -478,8 +493,10 @@ def exterior_mass(
 
     The quadratic form of the windowed projection of the level-circle
     Laplacian against the trace, in the ambient line element.  ``path``
-    selects the eigendecomposition realization ("spectral") or the Cauchy
-    integral realization ("hs").  The value lies in [0, ||u||^2].
+    selects the exact DFT form ("spectral"), (L / n) / n sum_k
+    f(mu_k) |DFT(u)_k|^2 with mu_k the closed-form circle eigenvalues, or
+    the Cauchy integral realization on the dense operator ("hs").  The
+    value lies in [0, ||u||^2].
     """
     if trace.rho != 0.0 or float(np.max(np.abs(trace.level.points[:, -1]))) > 1e-12:
         raise ValueError("trace must sit on the surface level (depth 0)")
@@ -492,16 +509,18 @@ def exterior_mass(
     if float(np.max(np.abs(trace.level.points[:, 0] - expected))) > 1e-9:
         raise ValueError("trace grid does not match the level-circle operator grid")
 
-    operator = boundary_operator(model, 0.0, h, n=n)
+    spacing = model.lengths[0] / n
+    _check_circle(h, n)
     ext = almost_analytic_extension(lam, h)
     if path == "spectral":
-        projection = spectral_calculus(operator, ext)
+        mu = expected_circle_eigenvalue(model, h, np.arange(n), n)
+        weights = step_profile(mu / ext.scale)
+        mass = spacing / n * float(np.sum(weights * np.abs(np.fft.fft(values)) ** 2))
     elif path == "hs":
-        projection = hs_apply(operator, ext)
+        projection = hs_apply(boundary_operator(model, 0.0, h, n=n), ext)
+        mass = float(np.real(np.vdot(values, projection @ values))) * spacing
     else:
         raise ValueError(f"unknown path {path!r}; use 'spectral' or 'hs'")
-    spacing = model.lengths[0] / n
-    mass = float(np.real(np.vdot(values, projection @ values))) * spacing
     if mass < -1e-8 * norm_sq:
         raise AssertionError(f"mass {mass:.3g} fell below the nonnegativity floor")
     mass = max(mass, 0.0)
@@ -710,31 +729,6 @@ def _step_power_increment(d: np.ndarray, m: int) -> np.ndarray:
     return total
 
 
-def _support_subspace_floor(
-    operator: np.ndarray,
-    eigenpairs: tuple[np.ndarray, np.ndarray],
-    scale: float,
-    surface_potential: np.ndarray,
-    mode_energy: float,
-) -> tuple[float, int]:
-    """Min of (P + V - E(h)) restricted to the window-support subspace.
-
-    ``eigenpairs`` is ``_eigenpairs(operator)``.  The support subspace
-    is spanned by eigenvectors of P whose window weight exceeds the floor;
-    if none qualify, the infimum over the abstract support (window edge
-    plus the surface barrier minimum) is returned with support dimension 0.
-    """
-    w, u = eigenpairs
-    keep = step_profile(w / scale) > _SUPPORT_WEIGHT_FLOOR
-    barrier_floor = float(np.min(surface_potential)) - mode_energy
-    if not np.any(keep):
-        return scale + barrier_floor, 0
-    basis = u[:, keep]
-    shifted = operator + np.diag(surface_potential - mode_energy)
-    block = basis.T @ shifted @ basis
-    return float(np.linalg.eigvalsh(block).min()), int(keep.sum())
-
-
 def mass_profile_comparison(
     mode: EigenMode,
     model: ModelProblem,
@@ -743,12 +737,18 @@ def mass_profile_comparison(
 ) -> MassProfile:
     """Windowed trace mass of a separable mode across the depth window.
 
-    Requires an assembled separable 2D mode with numerically vanishing
+    Requires a tangent-invariant model (rejected otherwise before any
+    compute) and an assembled separable 2D mode with numerically vanishing
     normal derivative on the surface.  Computes the per-depth mass
-    h^2 <f(P) u_r, u_r> on [0, lam*h], the comparison solution with the
-    measured constants (T from the support-subspace minimum of
-    P + V - E(h) at depth 0, C from the first depth-derivative norm of the
-    projection family), cross-checks the closed form against fourth-order
+    h^2 <f(P) u_r, u_r> on [0, lam*h] in the exact DFT form of
+    :func:`exterior_mass`, all depths through one spline call and one FFT
+    along the tangent, and the comparison solution with the measured
+    constants: T is the minimum of P + V - E(h) at depth 0 on the span of
+    the DFT modes whose window weight exceeds ``_SUPPORT_WEIGHT_FLOOR``, in
+    closed form the least such circle eigenvalue plus the constant surface
+    barrier V - E(h) (with no such mode, the window edge lam h plus the
+    barrier); C is the first depth-derivative norm of the projection
+    family.  It cross-checks the closed form against fourth-order
     ODE integration, and records the measured inequality chain in
     ``verdict`` as margins, each with its relative 1e-9 slack folded in
     (an inequality holds iff its margin is >= 0):
@@ -764,6 +764,8 @@ def mass_profile_comparison(
       ``trivial_bound_constant``, ``l0_bound_ratio``) carry the measured
       constants behind each inequality.
     """
+    # V on the surface, constant along it; a tangent-dependent model raises
+    surface_potential = float(transverse_potential(model)(0.0))
     if mode.tangential_mode is None or mode.values.ndim != 2:
         raise ValueError("an assembled separable 2D mode is required")
     if abs(mode.h - h) > 1e-15 * max(1.0, h):
@@ -779,8 +781,7 @@ def mass_profile_comparison(
         )
 
     n_tangential = mode.values.shape[0]
-    length = model.lengths[0]
-    spacing = length / n_tangential
+    spacing = model.lengths[0] / n_tangential
     spline = Spline(mode.axes[1], mode.values.T)
 
     surface_values = spline(0.0)
@@ -798,26 +799,20 @@ def mass_profile_comparison(
             f"{neumann_ratio:.3g} exceeds 1e-08 on the surface"
         )
 
-    operator = boundary_operator(model, 0.0, h, n=n_tangential)
-    w, u = _eigenpairs(operator)
-    window_weights = step_profile(w / scale)
+    _check_circle(h, n_tangential)
+    mu = expected_circle_eigenvalue(model, h, np.arange(n_tangential), n_tangential)
+    window_weights = step_profile(mu / scale)
 
     r_grid = np.linspace(0.0, scale, _PROFILE_DEPTHS)
-    mass_values = np.empty(_PROFILE_DEPTHS)
-    trace_sq = np.empty(_PROFILE_DEPTHS)
-    for j, depth in enumerate(r_grid):
-        trace = spline(depth)
-        coeffs = u.T @ trace
-        trace_sq[j] = spacing * float(np.sum(np.abs(trace) ** 2))
-        mass_values[j] = h**2 * spacing * float(
-            np.sum(window_weights * np.abs(coeffs) ** 2)
-        )
+    traces = spline(r_grid)
+    trace_sq = spacing * np.sum(np.abs(traces) ** 2, axis=1)
+    power = np.abs(np.fft.fft(traces, axis=1)) ** 2
+    mass_values = h**2 * spacing / n_tangential * np.sum(window_weights * power, axis=1)
 
-    xp = length / n_tangential * np.arange(n_tangential)
-    surface_potential = potential_grid(model, xp, np.zeros(1))[:, 0]
-    t_constant, support_dim = _support_subspace_floor(
-        operator, (w, u), scale, surface_potential, mode.energy
-    )
+    support = window_weights > _SUPPORT_WEIGHT_FLOOR
+    support_dim = int(support.sum())
+    floor = float(np.min(mu[support])) if support_dim else scale
+    t_constant = floor + (surface_potential - mode.energy)
     if t_constant <= 0.0:
         raise ValueError(
             f"comparison constant T = {t_constant:g} is not positive; the "
@@ -895,8 +890,7 @@ def mass_profile_comparison(
         "mode_energy": float(mode.energy),
         "model_energy": float(model.energy),
         "spectral_shift_size": float(
-            abs(model.energy - mode.energy)
-            / (float(np.min(surface_potential)) - model.energy)
+            abs(model.energy - mode.energy) / (surface_potential - model.energy)
         ),
         "support_dim": support_dim,
         "surface_norm_sq": norm_sq,

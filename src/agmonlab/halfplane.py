@@ -6,7 +6,9 @@ This module is the one place that knows the circle's Fourier convention:
 :func:`apply_multiplier` applies a Fourier multiplier on it.  Every boundary
 operator in the package is such a multiplier: the half-plane extension
 here, the gauged parametrix in ``hjphase`` and the quantized symbols in
-``quantize``.
+``quantize``.  Grid operators are not: ``solver.poisson_bvp`` and
+``fcalc``'s window masses diagonalize circulant stencils by a plain
+``np.fft`` transform of grid values, in the stencil's own index order.
 
 With a constant unit barrier above a circle of length L, the decaying
 solution of (-h^2 Laplace + 1)u = 0 with boundary data phi is diagonal in

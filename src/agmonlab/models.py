@@ -355,20 +355,22 @@ def weighted_depth(model: ModelProblem, depth: float) -> float:
     the normal coordinate ``depth`` at the least favourable tangential
     position: sqrt(least V - E) over the tangential validation probe, a
     negative barrier counting as zero, integrated in u = sqrt(edge - t) with
-    edge = max(depth, ``forbidden_extent``) by the 32-point Gauss-Legendre
-    rule.  A ``forbidden_extent`` inside the normal range is a zero of
-    V - E, past which the barrier adds nothing, so ``depth`` is first
-    clamped to it; one at the end of the range only marks where the domain
-    stops, and V - E may stay positive beyond it.  The substitution turns
-    the square-root edge of sqrt(V - E) at the forbidden edge into a smooth
-    integrand, so the rule stays within 1e-15 of the integral all the way
-    to the edge.  It gives ``collar_width``, the depth of a far Dirichlet
-    closure (a lower bound on every column's) and the weighted depth of the
-    separable level sets."""
+    edge = ``forbidden_extent`` by the 32-point Gauss-Legendre rule.
+    ``depth`` must lie in [0, end of the normal range] (with the 1e-12
+    slack a far closure is allowed) and is clamped to the edge: a zero of
+    V - E inside the range, past which the barrier adds nothing, or the
+    range's end.  The substitution turns the square-root edge of
+    sqrt(V - E) at the forbidden edge into a smooth integrand, so the rule
+    stays within 1e-15 of the integral all the way to the edge.  It gives
+    ``collar_width``, the depth of a far Dirichlet closure (a lower bound
+    on every column's) and the weighted depth of the separable level
+    sets."""
+    end = model.axis_bounds(1)[1]
+    if not 0.0 <= depth <= end + 1e-12:
+        raise ValueError(f"depth {depth:g} outside the normal range [0, {end:g}]")
     xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
-    if model.forbidden_extent < model.axis_bounds(1)[1]:
-        depth = min(depth, model.forbidden_extent)
-    edge = max(depth, model.forbidden_extent)
+    edge = model.forbidden_extent
+    depth = min(depth, edge)
     root = math.sqrt(edge)
     # g = root - u runs over [0, root - sqrt(edge - depth)], written without
     # cancellation; t = edge - u^2 = g (root + u)

@@ -218,12 +218,18 @@ def _transverse_residual(v, w, energy, h, d) -> float:
     return math.sqrt(d * float(np.sum(res**2)))
 
 
-def expected_circle_eigenvalue(model: ModelProblem, h: float, k: int, n: int) -> float:
-    """Exact eigenvalue on Fourier mode k of the periodic 3-point h^2
-    Laplacian on n nodes of the tangential circle (the level-circle
-    operator, ``fcalc.boundary_operator``)."""
+def expected_circle_eigenvalue(
+    model: ModelProblem, h: float, k: int | np.ndarray, n: int
+) -> float | np.ndarray:
+    """Exact eigenvalue mu_k = 4 (h / dx)^2 sin^2(pi k / n) on Fourier mode
+    k of the periodic 3-point h^2 Laplacian on n nodes of the tangential
+    circle (the level-circle operator, ``fcalc.boundary_operator``, and the
+    tangential part of ``poisson_bvp``'s operator).  ``k`` may be an integer
+    or an array of them, any integers, so ``np.arange(n)`` gives the
+    eigenvalues in ``np.fft`` order; the one rule for the dispersion."""
     spacing = model.lengths[0] / n
-    return 4.0 * h**2 / spacing**2 * math.sin(math.pi * k / n) ** 2
+    cp = h**2 / spacing**2
+    return 4.0 * cp * np.sin(np.pi * np.asarray(k) / n) ** 2
 
 
 def assemble_separable_mode(
@@ -246,7 +252,7 @@ def assemble_separable_mode(
     xp = L / n_tangential * np.arange(n_tangential)
     dxp = L / n_tangential
     h = transverse.h
-    disp_discrete = expected_circle_eigenvalue(model, h, k, n_tangential)
+    disp_discrete = float(expected_circle_eigenvalue(model, h, k, n_tangential))
     disp_continuum = h**2 * (2.0 * math.pi * k / L) ** 2
     values = np.exp(2j * math.pi * k * xp / L)[:, None] * transverse.values[None, :]
     d_n = transverse.spacing[0]
@@ -392,10 +398,10 @@ def poisson_bvp(
     A real FFT along the tangent splits the same operator for the
     tangential mean of V - E on each normal row into one Dirichlet
     tridiagonal T_k per distinct mode k (nx // 2 + 1 of them), with the
-    exact discrete dispersion.  The data enters only the first interior
-    row, so that operator's solution is irfft(b_k g_k) along the tangent,
-    with b = cn rfft(phi) and one real unit-row solve g_k = T_k^{-1} e_0
-    per mode.
+    exact discrete dispersion (:func:`expected_circle_eigenvalue`), all
+    factored once.  The data enters only the first interior row, so that
+    operator's solution is irfft(b_k g_k) along the tangent, with b = cn
+    rfft(phi) and one real unit-row solve g_k = T_k^{-1} e_0 per mode.
 
     For potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``)
     that is the solution (``meta["path"]`` "mode-direct"): V - E is one
@@ -429,8 +435,8 @@ def poisson_bvp(
     to g_k and then drops g_k: one field kept for real data (1.57 to 1.73
     at the peak); complex data combines its two real parts into the
     complex field, 4.02 fields at the peak and two kept.  A
-    tangent-dependent V - E is held on the full grid, and CG adds the
-    residual, its vectors and a second factor of the preconditioner.
+    tangent-dependent V - E is held on the full grid, the mode factor is
+    kept as CG's preconditioner, and CG adds the residual and its vectors.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -461,12 +467,15 @@ def poisson_bvp(
     cp = h**2 / (L / nx) ** 2
     w = v_grid[:, 1:-1]
     bound = _PCG_TOL * (4.0 * (cn + cp) + float(np.max(w)))
-    dispersion = 4.0 * cp * np.sin(math.pi * np.arange(nx // 2 + 1) / nx) ** 2
+    dispersion = expected_circle_eigenvalue(model, h, np.arange(nx // 2 + 1), nx)
     row_mean = np.mean(np.broadcast_to(w, (nx, w.shape[1])), axis=0)
-    modes = _ModeForm(
-        data, cn * np.fft.rfft(data), _unit_rows(row_mean, cn, dispersion)
-    )
+    solve = _dirichlet_modes(row_mean, cn, dispersion)
+    unit = np.zeros((dispersion.size, row_mean.size))
+    unit[:, 0] = 1.0
+    modes = _ModeForm(data, cn * np.fft.rfft(data), solve(unit))
+    del unit  # solved in place into g_k, which only the mode form keeps
     if invariant:
+        solve = None  # the factor goes before the residual check
         residual = _mode_residual(modes, w[0], cn, dispersion)
         if not residual <= bound:
             raise ValueError(
@@ -477,9 +486,7 @@ def poisson_bvp(
     else:
         first = modes.parts()
         modes = None  # g_k goes before CG allocates
-        parts, iterations, residual = _mode_pcg(
-            first, w, cn, cp, row_mean, dispersion, bound
-        )
+        parts, iterations, residual = _mode_pcg(first, w, cn, cp, solve, bound)
         values, path = _combine(parts), "mode-pcg"
     meta = {
         "far": far,
@@ -586,14 +593,6 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
     return solve
 
 
-def _unit_rows(w: np.ndarray, cn: float, dispersion: np.ndarray) -> np.ndarray:
-    """g_k = T_k^{-1} e_0 for the tridiagonals of :func:`_dirichlet_modes`,
-    shaped (modes, w.size); the factor is dropped on return."""
-    unit = np.zeros((dispersion.size, w.size))
-    unit[:, 0] = 1.0
-    return _dirichlet_modes(w, cn, dispersion)(unit)
-
-
 def _mode_residual(modes: _ModeForm, w: np.ndarray, cn: float, dispersion) -> float:
     """The bound on max|A u - b| / max|phi| of a mode-form field u from the
     residuals r_k = T_k g_k - e_0 of its mode systems, with w the
@@ -679,7 +678,7 @@ def _modulus_max(a: np.ndarray) -> float:
     return float(np.max([np.max(np.hypot(*a[:, i : i + step])) for i in blocks]))
 
 
-def _mode_pcg(values, w, cn, cp, row_mean, dispersion, bound):
+def _mode_pcg(values, w, cn, cp, solve, bound):
     """Mode-preconditioned CG for the interior of the Dirichlet strip
     problem, from the first iterate ``values``, a real stack of one or two
     parts shaped (parts, nx, ny) that it updates in place.
@@ -689,15 +688,15 @@ def _mode_pcg(values, w, cn, cp, row_mean, dispersion, bound):
     products summed over the parts -- the real part of the complex inner
     product, so the iterates are those of complex CG.  The preconditioner
     takes rfft along the tangent and solves the nx // 2 + 1 distinct mode
-    tridiagonals of ``row_mean`` and ``dispersion`` (the dispersion is
-    symmetric under k -> nx - k) on the real and imaginary rows of the
-    transform, with one real factor.  The residual is kept as r = A u - b,
-    evaluated on the full array with the data row in place.  Iteration
-    stops when the true residual max|r| / max|u| (complex moduli) is
-    within ``bound``, _PCG_TOL of the operator's infinity norm (a normwise
-    backward error, so the test is reachable at every grid size); the
-    recursive residual only triggers that check.  Returns (values,
-    iterations, residual).
+    tridiagonals of the tangential mean (the dispersion is symmetric under
+    k -> nx - k) on the real and imaginary rows of the transform with
+    ``solve``, the real factor of :func:`_dirichlet_modes` that gave the
+    first iterate.  The residual is kept as r = A u - b, evaluated on the
+    full array with the data row in place.  Iteration stops when the true
+    residual max|r| / max|u| (complex moduli) is within ``bound``,
+    _PCG_TOL of the operator's infinity norm (a normwise backward error,
+    so the test is reachable at every grid size); the recursive residual
+    only triggers that check.  Returns (values, iterations, residual).
     """
     nx, ny = values.shape[-2:]
 
@@ -710,7 +709,6 @@ def _mode_pcg(values, w, cn, cp, row_mean, dispersion, bound):
     iterations = 0
     if residual <= bound:
         return values, iterations, residual
-    solve = _dirichlet_modes(row_mean, cn, dispersion)
     p = np.zeros(values.shape)
     q = np.empty(r.shape)
     z = np.empty(r.shape)

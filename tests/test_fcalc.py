@@ -86,6 +86,21 @@ def oracle_support_floor(model, tmode_energy, k_mode, n, h, scale) -> float:
     return float(np.min(supported)) + barrier_top - e_h
 
 
+def oracle_support_subspace_floor(P, scale, surface_potential, mode_energy):
+    """Min of P + V - E(h) restricted to the span of the eigenvectors of P
+    whose window weight exceeds 1e-6, by a dense eigendecomposition and
+    the restricted matrix's eigenvalues, with the support dimension; an
+    empty support gives the window edge plus the surface barrier minimum."""
+    w, u = np.linalg.eigh(P)
+    keep = polyramp_derivative(w / scale - 1.0, 0) > 1e-6
+    barrier_floor = float(np.min(surface_potential)) - mode_energy
+    if not np.any(keep):
+        return scale + barrier_floor, 0
+    basis = u[:, keep]
+    block = basis.T @ (P + np.diag(surface_potential - mode_energy)) @ basis
+    return float(np.linalg.eigvalsh(block).min()), int(keep.sum())
+
+
 def oracle_comparison_ode(l0, slope0, t_constant, h, r_grid) -> np.ndarray:
     """Independent high-accuracy integration of z'' = (T / h^2) z."""
     rate = t_constant / h**2
@@ -819,6 +834,28 @@ class TestExteriorMass:
         # wider windows keep less mass (up to the same roundoff floor)
         assert np.all(np.diff(masses) <= 1e-13 * trace.ambient_norm**2)
 
+    @pytest.mark.parametrize(
+        "n, h, lam", [(32, 0.05, 2.0), (48, 0.05, 4.0), (128, 0.05, 4.0)]
+    )
+    def test_dft_masses_match_the_dense_quadratic_form(self, n, h, lam):
+        # the exact DFT form against the dense eigendecomposition of the
+        # level-circle operator, on seeded complex traces
+        P = boundary_operator(FLAT, 0.0, h, n=n)
+        ext = almost_analytic_extension(lam, h)
+        weights = step_profile(np.linalg.eigvalsh(P) / ext.scale)
+        assert np.any((weights > 0.0) & (weights < 1.0))  # modes inside the band
+        projection = spectral_calculus(P, ext)
+        spacing = 2.0 * math.pi / n
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            values = rng.normal(size=n) + 1j * rng.normal(size=n)
+            trace = _flat_surface_trace(values, h)
+            norm_sq = trace.ambient_norm**2
+            dense = spacing * float(np.real(np.vdot(values, projection @ values)))
+            mass = exterior_mass(trace, FLAT, lam, h)
+            assert abs(mass - dense) <= 1e-12 * norm_sq
+            assert 0.0 < mass < norm_sq
+
     def test_cauchy_path_agrees_with_spectral_path(self):
         n, h, lam = 128, 0.05, 4.0
         x = 2.0 * math.pi / n * np.arange(n)
@@ -1061,6 +1098,41 @@ class TestMassProfileComparison:
                 TORUS, torus_transverse_sweep.energy, k, 256, h, lam * h
             )
             assert profile.t_constant == pytest.approx(t_oracle, rel=1e-6)
+
+    @pytest.mark.parametrize("n_tangential, lam", [(256, 4.0), (256, 2.0), (8, 4.0)])
+    def test_closed_form_floor_matches_the_eigenbasis_restriction(
+        self, torus_transverse_coarse, n_tangential, lam
+    ):
+        # at n = 8 every circle eigenvalue lies below the window: the
+        # support is empty and T falls back to the window edge
+        h = 0.1375
+        mode = assemble_separable_mode(
+            torus_transverse_coarse, k=1, model=TORUS, n_tangential=n_tangential
+        )
+        profile = mass_profile_comparison(mode, TORUS, lam=lam, h=h)
+        xp = 2.0 * math.pi / n_tangential * np.arange(n_tangential)
+        oracle, support_dim = oracle_support_subspace_floor(
+            boundary_operator(TORUS, 0.0, h, n=n_tangential),
+            lam * h,
+            potential_grid(TORUS, xp, np.zeros(1))[:, 0],
+            mode.energy,
+        )
+        assert profile.t_constant == pytest.approx(oracle, rel=1e-13)
+        assert profile.meta["support_dim"] == support_dim
+        assert (support_dim == 0) == (n_tangential == 8)
+
+    def test_tangent_dependent_model_rejected_before_any_compute(
+        self, torus_mode_detailed, monkeypatch
+    ):
+        # the closed-form floor needs a constant surface barrier; the window
+        # [0, 0.275] fits strip-2d's collar, so only the model is at fault
+        calls = []
+        monkeypatch.setattr(fcalc, "Spline", lambda *a: calls.append(a))
+        strip = make_model("strip-2d")
+        assert 2.0 * 0.1375 < strip.collar_width_ambient
+        with pytest.raises(ValueError, match="depends on the tangential variable"):
+            mass_profile_comparison(torus_mode_detailed, strip, lam=2.0, h=0.1375)
+        assert calls == []
 
     def test_window_leaving_collar_rejected(self, torus_transverse_sweep):
         mode = assemble_separable_mode(

@@ -17,6 +17,7 @@ from agmonlab.models import (
     normal_taylor_coefficients,
     potential_grid,
     transverse_potential,
+    weighted_depth,
 )
 
 ALL_MODELS = sorted(KNOWN_MODELS)
@@ -113,6 +114,19 @@ def test_collar_margin_positive_and_attained(name):
     xp = np.linspace(0.0, model.lengths[0], 97, endpoint=False)
     barrier = potential_grid(model, xp, s) - model.energy
     assert barrier.min() >= model.margin - 1e-9
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_weighted_depth_outside_the_normal_range_rejected(name):
+    # the normal range ends at 2 on halfplane-unit, pi on separable-torus
+    # and 0.8 on strip-2d; a far closure's 1e-12 slack is allowed
+    model = make_model(name)
+    end = model.axis_bounds(1)[1]
+    for depth in (-1e-9, end + 1e-9, end + 0.5):
+        with pytest.raises(ValueError, match="outside the normal range"):
+            weighted_depth(model, depth)
+    assert weighted_depth(model, end + 1e-13) == weighted_depth(model, end)
+    assert weighted_depth(model, 0.0) == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -424,12 +425,12 @@ class TestPoissonBVP:
 
     @pytest.mark.parametrize(
         "model, far, n_normal, factors, iterations",
-        [(TORUS, 1.2, 101, 1, 0), (STRIP, 0.5, 41, 2, 11)],
+        [(TORUS, 1.2, 101, 1, 0), (STRIP, 0.5, 41, 1, 11)],
         ids=["separable-torus", "strip-2d"],
     )
     def test_factorizations(self, monkeypatch, model, far, n_normal, factors, iterations):
-        # the first preconditioner solve drops its factor before the field
-        # is allocated; CG factors again only when it has to iterate
+        # one mode factor per solve: it gives the unit-row solutions, and a
+        # solve that iterates keeps it as CG's preconditioner
         calls = []
         factor = solver._dirichlet_modes
 
@@ -445,6 +446,36 @@ class TestPoissonBVP:
         field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
         assert len(calls) == factors
         assert field.meta["iterations"] == iterations
+
+    def test_iterating_solve_frees_the_unit_rows_before_cg(self, monkeypatch):
+        # the unit-row solutions g_k (half a field, solved in place into
+        # their right-hand side) are gone once the first iterate is formed,
+        # so CG's vectors never sit next to them
+        solved = []
+        entered = []
+        factor, pcg = solver._dirichlet_modes, solver._mode_pcg
+
+        def tracked(*args):
+            solve = factor(*args)
+
+            def tracked_solve(rhs):
+                solved.append(weakref.ref(rhs))
+                return solve(rhs)
+
+            return tracked_solve
+
+        def checked(*args):
+            entered.append(solved[0]() is None)
+            return pcg(*args)
+
+        monkeypatch.setattr(solver, "_dirichlet_modes", tracked)
+        monkeypatch.setattr(solver, "_mode_pcg", checked)
+        nx = 32
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        phi = BoundaryFunction(1.0 + 0.3 * np.cos(2.0 * xp), 2.0 * math.pi, 0.05)
+        field = poisson_bvp(STRIP, phi, 0.05, far=0.5, n_normal=41)
+        assert field.meta["iterations"] > 0
+        assert entered == [True]
 
     @staticmethod
     def _solve_at_blas_thread_counts(setup):
@@ -588,10 +619,13 @@ class TestPoissonBVP:
         assert field.modes is None  # forming the field dropped the mode form
 
     def test_mode_residual_can_fail(self, monkeypatch):
-        unit_rows = solver._unit_rows
-        monkeypatch.setattr(
-            solver, "_unit_rows", lambda *args: unit_rows(*args) * (1.0 + 1e-8)
-        )
+        factor = solver._dirichlet_modes
+
+        def perturbed(*args):
+            solve = factor(*args)
+            return lambda rhs: solve(rhs) * (1.0 + 1e-8)
+
+        monkeypatch.setattr(solver, "_dirichlet_modes", perturbed)
         phi = BoundaryFunction(np.ones(64), 2.0 * math.pi, 0.05)
         with pytest.raises(
             ValueError, match=r"mode solve missed the residual test on the 64 x 101 "
@@ -693,8 +727,9 @@ class TestPoissonBVP:
 
     def test_far_boundary_depth_is_a_lower_bound_on_every_column(self):
         # the strip's barrier varies along the tangent; columns between the
-        # probe nodes of the minimum must not fall below it either
-        depth = weighted_depth(STRIP, 1.0)
+        # probe nodes of the minimum must not fall below it either; 0.8 is
+        # the end of the strip's normal range
+        depth = weighted_depth(STRIP, 0.8)
         columns = np.linspace(0.0, STRIP.lengths[0], 97)[:-1] + 0.013
 
         def column_depth(x):
@@ -702,7 +737,7 @@ class TestPoissonBVP:
                 v = potential_grid(STRIP, np.array([x]), np.array([t]))[0, 0]
                 return math.sqrt(max(float(v) - STRIP.energy, 0.0))
 
-            return quad(weight, 0.0, 1.0, limit=200)[0]
+            return quad(weight, 0.0, 0.8, limit=200)[0]
 
         depths = np.array([column_depth(x) for x in columns])
         assert np.all(depths >= depth)
