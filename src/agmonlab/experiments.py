@@ -438,7 +438,7 @@ def parse_config(
     else:
         seed_val = int(seed_raw)
 
-    sweeps = {"h_sweep": h_sweep, "rho_grid": rho_grid}
+    sweeps = {"h_sweep": h_sweep, "rho_grid": rho_grid, "lambda_sweep": lambda_sweep}
     for kind in kinds:
         spec = _KINDS.get(kind)
         if spec is None:
@@ -1057,6 +1057,32 @@ def _window_mode(model: ModelProblem, lam: float, h: float, n_tangential: int) -
     return int(candidates[np.argmin(np.abs(ratio[inside] - _WINDOW_TARGET))])
 
 
+def _mass_profile_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
+    """At the one h the kind runs, the first of ``h_sweep``, every depth
+    window [0, lam h] must lie inside the ambient collar and every spectral
+    window must hold a tangential mode of the grid[1]-node level circle."""
+    lams, h_sweep = sweeps["lambda_sweep"], sweeps["h_sweep"]
+    if not lams or not h_sweep:
+        return {}
+    h, limit = h_sweep[0], model.collar_width_ambient
+    for lam in lams:
+        if lam * h > limit + 1e-12:
+            return {
+                "lambda_sweep": f"mass-profile needs every lam * h at most "
+                f"{limit:g}, the ambient collar width of {model.name}; lam = "
+                f"{lam:g} at h = {h:g} is not"
+            }
+        if grid:
+            try:
+                _window_mode(model, lam, h, grid[1])
+            except ValueError as exc:
+                return {
+                    "lambda_sweep": "mass-profile needs a tangential mode in "
+                    f"every window, but {exc}"
+                }
+    return {}
+
+
 def _mass_profile_point(
     config: ExperimentConfig, transverse, h: float, lam, k: int
 ) -> ReportRecord:
@@ -1290,7 +1316,8 @@ _KINDS: dict[str, _KindSpec] = {
         rows=_mass_profile_rows,
         plot=_mass_profile_plot,
         models={"separable-torus": 2},
-        grid_minimums=(_TRANSVERSE_NODES,),
+        grid_minimums=(_TRANSVERSE_NODES, _LEVEL_CIRCLE_NODES),
+        limits_check=_mass_profile_limits,
     ),
     "parametrix-consistency": _KindSpec(
         run=_run_parametrix_consistency,

@@ -16,16 +16,17 @@ of the window profile, which shares no matrix with it.  The extension is
 closed form, and its conjugate-derivative defect and defect bound are
 checked by the test suite, not on every run.  On top of them sit the
 exterior-mass functional of surface traces, finite-difference norms for
-the depth derivatives of the projection family, and a mass-profile
+the depth derivatives of a given projection family, and a mass-profile
 comparison that pits the measured per-depth trace mass against the
-cosh/sinh solution of its second-order comparison ODE.
+cosh/sinh solution of its second-order comparison ODE.  A catalogue level
+circle is the same at every depth, so its projection family is constant
+and the comparison's depth-derivative constant C is 0 by construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -88,11 +89,6 @@ _COMPLEX_BYTES = np.dtype(complex).itemsize
 # factor in _block_weighted_sum; panels of 16, 32 and 64 rows timed alike
 # on dense n = 96 and 128.
 _PANEL_ROWS = 32
-# spectral_calculus keeps the eigenpairs of this many distinct operators: a
-# torus-windows run decomposes one, the level-circle operator that
-# family_derivative_norms differentiates; its window masses read the
-# closed-form circle eigenvalues and decompose none.
-_EIGH_MEMO_SIZE = 4
 
 
 # --------------------------------------------------------------------------
@@ -170,24 +166,17 @@ def almost_analytic_extension(lam: float, h: float) -> AlmostAnalyticExtension:
 # --------------------------------------------------------------------------
 
 
-def boundary_operator(
-    model: ModelProblem, r: float, h: float, n: int = 64
-) -> np.ndarray:
-    """Scaled tangential Laplacian on the level circle at ambient depth r.
+def boundary_operator(model: ModelProblem, h: float, n: int = 64) -> np.ndarray:
+    """Scaled tangential Laplacian on a level circle of the collar.
 
     Every catalogue model's level circles {normal = r} are straight, so the
     induced line element equals the tangential spacing and the metric
-    weight is 1;
-    the matrix is the periodic three-point stencil times h^2.  Symmetric
+    weight is 1 at every depth r: one matrix serves them all, and it takes
+    no depth.  It is the periodic three-point stencil times h^2, symmetric
     positive semidefinite, with Fourier modes as exact eigenvectors and
     ``solver.expected_circle_eigenvalue`` as eigenvalues.
     """
     _check_circle(h, n)
-    limit = model.collar_width_ambient
-    if abs(r) > limit + 1e-12:
-        raise ValueError(
-            f"depth {r:g} outside the ambient collar [-{limit:g}, {limit:g}]"
-        )
     spacing = model.lengths[0] / n
     k = h**2 / spacing**2
     mat = np.zeros((n, n))
@@ -214,33 +203,12 @@ def _check_circle(h: float, n: int) -> None:
 def spectral_calculus(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
     """Exact windowed projection through the eigendecomposition of P.
 
-    P is checked for symmetry on every call; its eigenpairs come from
-    :func:`_eigenpairs`, so a run that projects one operator through many
-    windows or depths decomposes it once.
+    P is checked for symmetry, then decomposed, on every call.
     """
     _check_symmetric(P)
-    w, u = _eigenpairs(P)
+    w, u = np.linalg.eigh(np.asarray(P, dtype=float))
     f = (u * step_profile(w / ext.scale)) @ u.T
     return 0.5 * (f + f.T)
-
-
-def _eigenpairs(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(P)`` as read-only arrays, for a float64 copy of P.
-
-    The pairs of the last _EIGH_MEMO_SIZE distinct operators are kept,
-    keyed by shape and bytes, so an operator that changes in any entry (a
-    depth-dependent level-circle operator among them) is decomposed anew.
-    """
-    P = np.ascontiguousarray(P, dtype=float)
-    return _eigh_of(P.shape, P.tobytes())
-
-
-@lru_cache(maxsize=_EIGH_MEMO_SIZE)
-def _eigh_of(shape: tuple[int, int], data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    w, u = np.linalg.eigh(np.frombuffer(data).reshape(shape))
-    w.setflags(write=False)
-    u.setflags(write=False)
-    return w, u
 
 
 def _check_symmetric(P: np.ndarray) -> None:
@@ -517,7 +485,7 @@ def exterior_mass(
         weights = step_profile(mu / ext.scale)
         mass = spacing / n * float(np.sum(weights * np.abs(np.fft.fft(values)) ** 2))
     elif path == "hs":
-        projection = hs_apply(boundary_operator(model, 0.0, h, n=n), ext)
+        projection = hs_apply(boundary_operator(model, h, n=n), ext)
         mass = float(np.real(np.vdot(values, projection @ values))) * spacing
     else:
         raise ValueError(f"unknown path {path!r}; use 'spectral' or 'hs'")
@@ -550,35 +518,25 @@ class DerivativeNormReport:
     norms: tuple
     c_values: tuple
     fitted_exponent: float | None
-    step: float | None
 
 
 def family_derivative_norms(
-    model: ModelProblem,
-    lam,
-    h: float,
-    order: int,
-    *,
-    family: Callable[[float], np.ndarray] | None = None,
-    n: int = 64,
+    family: Callable[[float], np.ndarray], lam, h: float, order: int
 ) -> DerivativeNormReport:
     """Operator norms of depth derivatives of the windowed projection.
 
     Central finite differences at depth 0 of the projection, by
-    :func:`spectral_calculus`, of the operator family (default: the
-    catalogue level-circle family, which is constant in depth).  ``lam``
-    may be a scalar or a sweep; a sweep additionally fits the log-log
-    exponent of the norm in lam, which should sit near -order.
-    The difference step is 3e-4 (order 1) or 3e-3 (order 2) times the
-    window scale lam h; the report records it for a scalar lam only.
+    :func:`spectral_calculus`, of ``family``, which maps a depth r to a
+    symmetric operator.  ``lam`` may be a scalar or a sweep; a sweep
+    additionally fits the log-log exponent of the norm in lam, which should
+    sit near -order.  The difference step is 3e-4 (order 1) or 3e-3
+    (order 2) times the window scale lam h.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"derivative order must be 0, 1, or 2, got {order}")
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if np.any(lams <= 0.0):
         raise ValueError("window multipliers must be positive")
-    if family is None:
-        family = lambda r: boundary_operator(model, r, h, n=n)
 
     norms = []
     for one_lam in lams:
@@ -612,7 +570,6 @@ def family_derivative_norms(
         norms=tuple(float(v) for v in norms_arr),
         c_values=c_values,
         fitted_exponent=fitted,
-        step=step if lams.size == 1 else None,
     )
 
 
@@ -747,10 +704,11 @@ def mass_profile_comparison(
     the DFT modes whose window weight exceeds ``_SUPPORT_WEIGHT_FLOOR``, in
     closed form the least such circle eigenvalue plus the constant surface
     barrier V - E(h) (with no such mode, the window edge lam h plus the
-    barrier); C is the first depth-derivative norm of the projection
-    family.  It cross-checks the closed form against fourth-order
-    ODE integration, and records the measured inequality chain in
-    ``verdict`` as margins, each with its relative 1e-9 slack folded in
+    barrier); C, the first depth-derivative norm of the projection family,
+    is 0, since a catalogue level circle does not change with depth (see
+    :func:`boundary_operator`).  It cross-checks the closed form against
+    fourth-order ODE integration, and records the measured inequality chain
+    in ``verdict`` as margins, each with its relative 1e-9 slack folded in
     (an inequality holds iff its margin is >= 0):
 
     - ``comparison_margin``: 1e-9 plus the least of mass minus comparison
@@ -818,8 +776,9 @@ def mass_profile_comparison(
             f"comparison constant T = {t_constant:g} is not positive; the "
             "window overlaps the mode energy"
         )
-    derivative_report = family_derivative_norms(model, lam, h, 1, n=n_tangential)
-    c_constant = derivative_report.c_values[0]
+    # every catalogue level circle is the same at every depth, so the
+    # projection family is constant and its depth derivative C is 0
+    c_constant = 0.0
 
     comparison_values = comparison_solution(
         mass_values[0], c_constant, t_constant, lam, h, norm_sq, r_grid
@@ -894,7 +853,6 @@ def mass_profile_comparison(
         ),
         "support_dim": support_dim,
         "surface_norm_sq": norm_sq,
-        "derivative_step": derivative_report.step,
     }
     return MassProfile(
         r_grid=r_grid,

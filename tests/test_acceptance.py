@@ -241,12 +241,10 @@ def test_06_window_derivative_norms_scale_with_lambda(capsys):
     like the inverse window scale per derivative order."""
     start = time.perf_counter()
     n, h, lams = 256, 0.05, (4.0, 8.0, 16.0, 32.0)
-    P0 = boundary_operator(FLAT, 0.0, h, n=n)
+    P0 = boundary_operator(FLAT, h, n=n)
     deviations = {}
     for order in (1, 2):
-        report = family_derivative_norms(
-            FLAT, lams, h, order, family=lambda r: P0 + r * np.eye(n), n=n
-        )
+        report = family_derivative_norms(lambda r: P0 + r * np.eye(n), lams, h, order)
         deviations[order] = abs(report.fitted_exponent + order)
     elapsed = time.perf_counter() - start
     ok = all(dev <= 0.3 for dev in deviations.values()) and elapsed <= 60.0

@@ -428,30 +428,30 @@ class TestRunExperiment:
         assert run_experiment(self._shipped_parametrix(tmp_path)).passed
         assert formed == []
 
-    def test_shipped_torus_windows_run_decomposes_its_operator_once(
-        self, tmp_path, monkeypatch
-    ):
-        # the window masses of both kinds read the closed-form circle
-        # eigenvalues; only mass-profile's family_derivative_norms
-        # decomposes the 128 x 128 level-circle operator, once for all its
-        # windows
-        calls = []
-        eigh = np.linalg.eigh
+    def test_shipped_configs_decompose_no_operator(self, tmp_path, monkeypatch):
+        # the window masses read the closed-form circle eigenvalues and
+        # mass-profile states C = 0, so no shipped run projects a matrix
+        eigh_calls, spectral_calls = [], []
+        eigh, spectral = np.linalg.eigh, fcalc.spectral_calculus
 
-        def counted(a):
-            calls.append(np.shape(a))
+        def counted_eigh(a):
+            eigh_calls.append(np.shape(a))
             return eigh(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        fcalc._eigh_of.cache_clear()
-        path = Path(__file__).resolve().parents[1] / "configs" / "torus-windows.json"
-        configs = parse_config(json.loads(path.read_text()), out_dir=tmp_path)
-        assert [c.kind for c in configs] == ["exterior-mass", "mass-profile"]
-        exterior, profile = configs
-        assert run_experiment(exterior).passed
-        assert calls == []
-        assert run_experiment(profile).passed
-        assert calls == [(128, 128)]
+        def counted_spectral(P, ext):
+            spectral_calls.append(np.shape(P))
+            return spectral(P, ext)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(fcalc, "spectral_calculus", counted_spectral)
+        kinds = []
+        for path in SHIPPED_CONFIGS:
+            for config in parse_config(load_config(path), out_dir=tmp_path / path.stem):
+                assert run_experiment(config).passed
+                kinds.append(config.kind)
+        assert {"exterior-mass", "mass-profile"} <= set(kinds)
+        assert eigh_calls == []
+        assert spectral_calls == []
 
     def test_chain_records_and_files(self, out_dir):
         (config,) = parse_config(payload(out=str(out_dir)))
@@ -590,18 +590,54 @@ class TestRunExperiment:
             assert 1 <= k < 128 // 2
 
     def test_mass_profile_window_can_be_empty(self, out_dir):
-        (config,) = parse_config(
-            payload(
-                kind="mass-profile",
-                model="separable-torus",
-                h_sweep=[0.1],
-                lambda_sweep=[0.001],
-                grid=[512, 128],
-                out=str(out_dir),
+        # every circle eigenvalue lies above the window (1e-4, 2e-4)
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(
+                payload(
+                    kind="mass-profile",
+                    model="separable-torus",
+                    h_sweep=[0.1],
+                    lambda_sweep=[4.0, 0.001],
+                    grid=[512, 128],
+                    out=str(out_dir),
+                )
             )
-        )
-        with pytest.raises(ExperimentError, match="window"):
-            run_experiment(config)
+        assert set(excinfo.value.field_errors) == {"lambda_sweep"}
+        message = excinfo.value.field_errors["lambda_sweep"]
+        assert "no tangential mode" in message and "lam=0.001" in message
+
+    def test_mass_profile_window_must_fit_the_collar(self, out_dir):
+        # lam h = 1.2 at h = 0.1 leaves the torus collar [0, 0.659]; the
+        # window itself holds circle modes of the 128-node grid
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(
+                payload(
+                    kind="mass-profile",
+                    model="separable-torus",
+                    h_sweep=[0.1],
+                    lambda_sweep=[2.0, 12.0],
+                    grid=[512, 128],
+                    out=str(out_dir),
+                )
+            )
+        assert set(excinfo.value.field_errors) == {"lambda_sweep"}
+        message = excinfo.value.field_errors["lambda_sweep"]
+        assert "collar" in message and "lam = 12" in message
+
+    def test_mass_profile_needs_four_tangential_nodes(self, out_dir):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(
+                payload(
+                    kind="mass-profile",
+                    model="separable-torus",
+                    h_sweep=[0.1],
+                    lambda_sweep=[2.0],
+                    grid=[512, 3],
+                    out=str(out_dir),
+                )
+            )
+        assert set(excinfo.value.field_errors) == {"grid"}
+        assert "4 tangential nodes in grid[1]" in excinfo.value.field_errors["grid"]
 
     def test_phase_residual_torus_and_flat(self, out_dir):
         for model, check in (

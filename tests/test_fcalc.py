@@ -199,7 +199,7 @@ def seeded_psd_tridiagonal(n, norm, seed):
 def non_finite_operator(entry):
     """A symmetric level-circle operator with one NaN coupling pair or one
     infinite diagonal entry."""
-    P = boundary_operator(FLAT, 0.0, 0.05, n=16)
+    P = boundary_operator(FLAT, 0.05, n=16)
     if entry == "nan off-diagonal":
         P[2, 3] = P[3, 2] = np.nan
     else:
@@ -378,14 +378,14 @@ class TestAlmostAnalyticExtension:
 
 class TestBoundaryOperator:
     def test_symmetric_positive_semidefinite_with_constant_nullvector(self):
-        P = boundary_operator(FLAT, 0.3, 0.05, n=64)
+        P = boundary_operator(FLAT, 0.05, n=64)
         assert np.array_equal(P, P.T)
         assert float(np.linalg.eigvalsh(P).min()) >= -1e-12
         assert np.max(np.abs(P @ np.ones(64))) <= 1e-12
 
     def test_fourier_mode_is_exact_eigenvector(self):
         n, h, k = 64, 0.05, 3
-        P = boundary_operator(FLAT, 0.0, h, n=n)
+        P = boundary_operator(FLAT, h, n=n)
         x = 2.0 * math.pi / n * np.arange(n)
         vec = np.cos(k * x)
         mu = oracle_circle_eigenvalue(2.0 * math.pi, n, h, k)
@@ -412,18 +412,11 @@ class TestBoundaryOperator:
         ratio = err[0] / err[1]
         assert 3.5 < ratio < 4.5
 
-    def test_collar_guard(self):
-        with pytest.raises(ValueError, match="collar"):
-            boundary_operator(TORUS, 0.7, 0.05)
-        with pytest.raises(ValueError, match="collar"):
-            boundary_operator(FLAT, 1.01, 0.05)
-        boundary_operator(TORUS, 0.5, 0.05)  # inside the collar
-
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least 4"):
-            boundary_operator(FLAT, 0.0, 0.05, n=3)
+            boundary_operator(FLAT, 0.05, n=3)
         with pytest.raises(ValueError, match="h must be positive"):
-            boundary_operator(FLAT, 0.0, 0.0)
+            boundary_operator(FLAT, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -460,38 +453,6 @@ class TestSpectralCalculus:
         ext = almost_analytic_extension(4.0, 0.05)
         with pytest.raises(ValueError, match="operator must be finite"):
             spectral_calculus(non_finite_operator(entry), ext)
-
-    def test_one_decomposition_per_distinct_operator(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(a):
-            calls.append(np.array(a))
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        fcalc._eigh_of.cache_clear()
-        P = boundary_operator(TORUS, 0.0, 0.1, n=32)
-        ext = almost_analytic_extension(4.0, 0.1)
-        first = spectral_calculus(P, ext)
-        assert np.array_equal(spectral_calculus(P.copy(), ext), first)
-        w, u = fcalc._eigenpairs(P)
-        assert len(calls) == 1
-        for pairs in (w, u):
-            with pytest.raises(ValueError, match="read-only"):
-                pairs[0] = 0.0
-        # one changed entry, still symmetric, misses the memo
-        changed = P.copy()
-        changed[3, 3] += 1e-9
-        spectral_calculus(changed, ext)
-        assert len(calls) == 2
-        assert np.array_equal(calls[1], changed)
-        # the symmetry check runs before any decomposition
-        skewed = P.copy()
-        skewed[0, 1] += 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            spectral_calculus(skewed, ext)
-        assert len(calls) == 2
 
 
 # --------------------------------------------------------------------------
@@ -553,13 +514,13 @@ class TestHsApply:
     def test_matches_spectral_oracle_on_level_circle(self):
         ext = almost_analytic_extension(4.0, 0.05)
         for n in (32, 128):
-            P = boundary_operator(TORUS, 0.3, 0.05, n=n)
+            P = boundary_operator(TORUS, 0.05, n=n)
             F = hs_apply(P, ext)
             assert float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2)) <= 1e-6
 
     def test_output_exactly_symmetric_with_spectrum_in_unit_window(self):
         ext = almost_analytic_extension(4.0, 0.05)
-        P = boundary_operator(FLAT, 0.0, 0.05, n=32)
+        P = boundary_operator(FLAT, 0.05, n=32)
         F = hs_apply(P, ext)
         assert np.array_equal(F, F.T)
         window = np.linalg.eigvalsh(F)
@@ -567,7 +528,7 @@ class TestHsApply:
 
     def test_quadratic_forms_stay_in_unit_window(self):
         ext = almost_analytic_extension(4.0, 0.05)
-        F = hs_apply(boundary_operator(FLAT, 0.0, 0.05, n=32), ext)
+        F = hs_apply(boundary_operator(FLAT, 0.05, n=32), ext)
         rng = np.random.default_rng(11)
         for _ in range(100):
             v = rng.normal(size=32)
@@ -576,7 +537,7 @@ class TestHsApply:
 
     def test_window_support_starts_at_scale(self):
         ext = almost_analytic_extension(4.0, 0.05)
-        P = boundary_operator(FLAT, 0.0, 0.05, n=32)
+        P = boundary_operator(FLAT, 0.05, n=32)
         F = hs_apply(P, ext)
         w, u = np.linalg.eigh(P)
         diag = np.diag(u.T @ F @ u)
@@ -584,13 +545,13 @@ class TestHsApply:
 
     def test_bytewise_deterministic(self):
         ext = almost_analytic_extension(4.0, 0.05)
-        P = boundary_operator(FLAT, 0.0, 0.05, n=32)
+        P = boundary_operator(FLAT, 0.05, n=32)
         assert np.array_equal(hs_apply(P, ext), hs_apply(P, ext))
 
     def test_coarse_quadrature_rejected(self, monkeypatch):
         # a complement sum of -I makes the window 2 I, far outside [0, 1]
         ext = almost_analytic_extension(4.0, 0.05)
-        P = boundary_operator(FLAT, 0.0, 0.05, n=16)
+        P = boundary_operator(FLAT, 0.05, n=16)
         monkeypatch.setattr(
             fcalc, "_resolvent_weighted_sum", lambda diag, *_: -np.eye(diag.size)
         )
@@ -601,7 +562,7 @@ class TestHsApply:
     def test_reflected_contour_matches_three_edge_reference(self, operator):
         ext = almost_analytic_extension(4.0, 0.05)
         if operator == "circle n=32":
-            P = boundary_operator(FLAT, 0.0, 0.05, n=32)
+            P = boundary_operator(FLAT, 0.05, n=32)
         else:
             P = seeded_dense_operator(128, ext.scale, seed=8)
         F = hs_apply(P, ext)
@@ -840,7 +801,7 @@ class TestExteriorMass:
     def test_dft_masses_match_the_dense_quadratic_form(self, n, h, lam):
         # the exact DFT form against the dense eigendecomposition of the
         # level-circle operator, on seeded complex traces
-        P = boundary_operator(FLAT, 0.0, h, n=n)
+        P = boundary_operator(FLAT, h, n=n)
         ext = almost_analytic_extension(lam, h)
         weights = step_profile(np.linalg.eigvalsh(P) / ext.scale)
         assert np.any((weights > 0.0) & (weights < 1.0))  # modes inside the band
@@ -897,15 +858,31 @@ class TestExteriorMass:
 
 
 class TestFamilyDerivativeNorms:
-    def test_catalogue_family_is_depth_constant(self):
-        for order in (1, 2):
-            report = family_derivative_norms(FLAT, 4.0, 0.05, order, n=64)
+    def test_catalogue_family_is_depth_constant(self, detailed_profile):
+        # C's finite-difference oracle on the level-circle family of
+        # detailed_profile: every level circle of the window carries the
+        # same nodes and line elements, so the projection family does not
+        # move with depth, and its derivative norm is the C = 0 that
+        # mass_profile_comparison states
+        n, h, lam = 256, 0.1375, 4.0
+        for rho in (0.0, 0.1, 0.3):
+            level = separable_level_set(TORUS, rho, n_tangential=n)
+            assert np.array_equal(level.points[:, 0], 2.0 * math.pi / n * np.arange(n))
+            assert np.all(level.ambient_weights == 2.0 * math.pi / n)
+        first, second = (
+            family_derivative_norms(
+                lambda r: boundary_operator(TORUS, h, n), lam, h, order
+            )
+            for order in (1, 2)
+        )
+        for report in (first, second):
             assert report.norms == (0.0,)
             assert report.fitted_exponent is None
+        assert first.c_values == (detailed_profile.c_constant,)
 
     def test_order_zero_norm_is_the_window_sup(self):
-        report = family_derivative_norms(FLAT, 4.0, 0.05, 0, n=64)
-        P = boundary_operator(FLAT, 0.0, 0.05, n=64)
+        P = boundary_operator(FLAT, 0.05, n=64)
+        report = family_derivative_norms(lambda r: P, 4.0, 0.05, 0)
         w = np.linalg.eigvalsh(P)
         expected = float(np.max(step_profile(w / 0.2)))
         assert report.norms[0] == pytest.approx(expected, rel=1e-12)
@@ -914,48 +891,43 @@ class TestFamilyDerivativeNorms:
     def test_dilation_family_matches_chain_rule_oracle(self):
         n, h, lam = 64, 0.05, 4.0
         scale = lam * h
-        P0 = boundary_operator(FLAT, 0.0, h, n=n)
+        P0 = boundary_operator(FLAT, h, n=n)
         w, u = np.linalg.eigh(P0)
         oracle = float(
             np.max(np.abs(step_profile(w / scale, 1) * w / scale))
         )
-        report = family_derivative_norms(
-            FLAT, lam, h, 1, family=lambda r: (1.0 + r) * P0, n=n
-        )
+        report = family_derivative_norms(lambda r: (1.0 + r) * P0, lam, h, 1)
         assert report.norms[0] == pytest.approx(oracle, rel=1e-4)
 
     def test_shift_family_norms_and_window_exponents(self):
         n, h = 256, 0.05
-        P0 = boundary_operator(FLAT, 0.0, h, n=n)
+        P0 = boundary_operator(FLAT, h, n=n)
         w = np.linalg.eigvalsh(P0)
         lams = (4.0, 8.0, 16.0, 32.0)
-        first = family_derivative_norms(
-            FLAT, lams, h, 1, family=lambda r: P0 + r * np.eye(n), n=n
-        )
+        first = family_derivative_norms(lambda r: P0 + r * np.eye(n), lams, h, 1)
         for lam, norm in zip(lams, first.norms):
             scale = lam * h
             oracle = float(np.max(np.abs(step_profile(w / scale, 1)))) / scale
             assert norm == pytest.approx(oracle, rel=1e-4)
         assert first.fitted_exponent == pytest.approx(-1.0, abs=0.3)
-        second = family_derivative_norms(
-            FLAT, lams, h, 2, family=lambda r: P0 + r * np.eye(n), n=n
-        )
+        second = family_derivative_norms(lambda r: P0 + r * np.eye(n), lams, h, 2)
         assert second.fitted_exponent == pytest.approx(-2.0, abs=0.3)
 
     def test_renormalized_constants_are_scale_free(self):
         n, h = 256, 0.05
-        P0 = boundary_operator(FLAT, 0.0, h, n=n)
+        P0 = boundary_operator(FLAT, h, n=n)
         report = family_derivative_norms(
-            FLAT, (4.0, 8.0, 16.0), h, 1, family=lambda r: P0 + r * np.eye(n), n=n
+            lambda r: P0 + r * np.eye(n), (4.0, 8.0, 16.0), h, 1
         )
         c = np.asarray(report.c_values)
         assert np.max(c) / np.min(c) < 1.5
 
     def test_input_validation(self):
+        P = boundary_operator(FLAT, 0.05)
         with pytest.raises(ValueError, match="order must be 0, 1, or 2"):
-            family_derivative_norms(FLAT, 4.0, 0.05, 3)
+            family_derivative_norms(lambda r: P, 4.0, 0.05, 3)
         with pytest.raises(ValueError, match="positive"):
-            family_derivative_norms(FLAT, (4.0, -1.0), 0.05, 1)
+            family_derivative_norms(lambda r: P, (4.0, -1.0), 0.05, 1)
 
 
 # --------------------------------------------------------------------------
@@ -1112,7 +1084,7 @@ class TestMassProfileComparison:
         profile = mass_profile_comparison(mode, TORUS, lam=lam, h=h)
         xp = 2.0 * math.pi / n_tangential * np.arange(n_tangential)
         oracle, support_dim = oracle_support_subspace_floor(
-            boundary_operator(TORUS, 0.0, h, n=n_tangential),
+            boundary_operator(TORUS, h, n=n_tangential),
             lam * h,
             potential_grid(TORUS, xp, np.zeros(1))[:, 0],
             mode.energy,
@@ -1209,7 +1181,7 @@ class TestDecayingBranchMass:
         x = 2.0 * math.pi / n * np.arange(n)
         phi = BoundaryFunction(np.cos(10 * x) + 0.4 * np.cos(14 * x), 2.0 * math.pi, h)
         field = poisson_bvp(FLAT, phi, h, far=1.0, n_normal=801)
-        P = boundary_operator(FLAT, 0.0, h, n=n)
+        P = boundary_operator(FLAT, h, n=n)
         w, u = np.linalg.eigh(P)
         weights = step_profile(w / (lam * h))
         assert float(np.max(weights)) > 0.0

@@ -17,7 +17,9 @@ count for them.
 The same callers must pass every option: each defaulted parameter of an
 exported function, and of the explicit ``__init__`` of an exported class,
 is passed by some call by that name, by keyword or by position.  An option
-that every caller leaves at its default is a constant.
+that every caller leaves at its default is a constant.  And each parameter
+of those functions is read in its body: a parameter that nothing reads is
+left over from a use that is gone.
 
 No layer module imports an underscore name from another layer module, at
 module level or inside a function: what one layer needs of another is part
@@ -27,6 +29,7 @@ of that layer's public surface.
 import ast
 import importlib
 from collections import defaultdict
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -137,36 +140,40 @@ def _package_trees(
     return layers, [parse(p) for p in (*private, *external)]
 
 
+def _signatures(tree: ast.Module) -> Iterator[tuple[str, ast.FunctionDef, int]]:
+    """(name, function, leading parameters a call does not pass) for each
+    exported function (0) and each exported class's explicit ``__init__``
+    (1, for ``self``)."""
+    exported = set(_exports(tree))
+    for node in tree.body:
+        if not isinstance(node, _DEFINITIONS) or node.name not in exported:
+            continue
+        if not isinstance(node, ast.ClassDef):
+            yield node.name, node, 0
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                yield node.name, item, 1
+                break
+
+
 def _options(tree: ast.Module) -> list[tuple[str, str, int | None]]:
     """(name, parameter, position) for each defaulted parameter of an
     exported function, or of an exported class's explicit ``__init__``;
     position is the index among the positional arguments a call passes
     (``self`` aside), None for a keyword-only parameter."""
-    exported = set(_exports(tree))
     options = []
-    for node in tree.body:
-        if not isinstance(node, _DEFINITIONS) or node.name not in exported:
-            continue
-        function, skip = node, 0
-        if isinstance(node, ast.ClassDef):
-            inits = [
-                item
-                for item in node.body
-                if isinstance(item, ast.FunctionDef) and item.name == "__init__"
-            ]
-            if not inits:
-                continue
-            function, skip = inits[0], 1
+    for name, function, skip in _signatures(tree):
         args = function.args
         positional = [*args.posonlyargs, *args.args][skip:]
         first = len(positional) - len(args.defaults)
         options.extend(
-            (node.name, arg.arg, index)
+            (name, arg.arg, index)
             for index, arg in enumerate(positional)
             if index >= first
         )
         options.extend(
-            (node.name, arg.arg, None)
+            (name, arg.arg, None)
             for arg, default in zip(args.kwonlyargs, args.kw_defaults)
             if default is not None
         )
@@ -252,6 +259,39 @@ def test_every_option_has_a_caller():
     assert not missing, (
         "options that every caller leaves at their default (make each a "
         f"constant or give it a caller): {', '.join(missing)}"
+    )
+
+
+def unread_parameters(layers: dict[str, ast.Module]) -> list[str]:
+    """``layer.name(parameter)`` for each parameter of an exported function,
+    or of an exported class's explicit ``__init__``, that its body never
+    loads as a name."""
+    unread = []
+    for layer, tree in layers.items():
+        for name, function, _ in _signatures(tree):
+            args = function.args
+            parameters = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            parameters += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                node.id
+                for statement in function.body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread.extend(
+                f"{layer}.{name}({arg.arg})"
+                for arg in parameters
+                if arg.arg not in read
+            )
+    return unread
+
+
+def test_every_parameter_is_read():
+    layers, _ = _package_trees()
+    unread = unread_parameters(layers)
+    assert not unread, (
+        "parameters that their function never reads (delete each, with what "
+        f"its callers pass for it): {', '.join(unread)}"
     )
 
 
@@ -410,6 +450,38 @@ def test_option_passed_by_keyword_or_position_has_a_caller(caller, flagged):
     # nothing that the scan can count
     layers = {"b": ast.parse(_LAYER_B)}
     assert options_without_caller(layers, [ast.parse(caller)]) == flagged
+
+
+_LAYER_C = """
+__all__ = ["f", "K"]
+
+
+def f(a, b, *, c=1, **rest):
+    '''Reads a; b is named in this docstring only.'''
+    del c
+    return a + 1
+
+
+def _g(d):
+    return 0
+
+
+class K:
+    def __init__(self, x, y):
+        self.x = x
+        self.y = 0
+"""
+
+
+def test_unread_parameter_is_flagged():
+    # a docstring, a del or an attribute of the same name is not a read;
+    # private helpers such as _g are not checked
+    assert unread_parameters({"c": ast.parse(_LAYER_C)}) == [
+        "c.f(b)",
+        "c.f(c)",
+        "c.f(rest)",
+        "c.K(y)",
+    ]
 
 
 def test_private_import_found_inside_a_function():
