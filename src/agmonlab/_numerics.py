@@ -25,7 +25,7 @@ within 1e-12 relative up to the forbidden edge.
   ``isotonic_regression`` (unit weights, nondecreasing).
 * ``gauss_legendre`` -- the nodes and weights of the plain 32-point rule
   on an interval, which ``models.weighted_depth`` applies in the variable
-  sqrt(edge - t).
+  sqrt(edge - t) and ``fcalc.hs_apply`` applies on its contour panels.
 
 One helper is no port: ``count_below``, the Sturm count of a symmetric
 tridiagonal, which ``fcalc`` and ``solver`` share.

@@ -67,7 +67,6 @@ from agmonlab.hjphase import (
     solve_phase_series,
 )
 from agmonlab.models import (
-    KNOWN_MODELS,
     TANGENT_INVARIANT_MODELS,
     ModelProblem,
     make_model,
@@ -322,6 +321,15 @@ def _float_tuple(raw, name, errors, *, distinct=False) -> tuple[float, ...]:
         errors[name] = "values must be distinct"
         return ()
     return tuple(values)
+
+
+def _one_value(kind: str, key: str, model, grid, sweeps) -> dict[str, str]:
+    """The limits check of a kind that runs one value of the sweep ``key``."""
+    del model, grid
+    count = len(sweeps[key])
+    if count <= 1:
+        return {}
+    return {key: f"{kind} runs one value of {key}, got {count}: give {key} one value"}
 
 
 def _unsupported_model(kind: str, spec: _KindSpec, model: str) -> str:
@@ -791,7 +799,7 @@ def _exterior_point(
 
 def _run_exterior_mass(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
     model = config.model
-    h = config.h_sweep[0]
+    (h,) = config.h_sweep
     n_transverse, n_tangential = config.grid[0], config.grid[1]
 
     transverse = solve_transverse_modes(model, h, model.energy, 1, n=n_transverse)[0]
@@ -981,7 +989,7 @@ def _run_symbol_class(config: ExperimentConfig, jobs: int) -> list[ReportRecord]
     model = config.model
     n_xi = config.grid[1]
     length = model.lengths[0]
-    rho = config.rho_grid[0]
+    (rho,) = config.rho_grid
     profile = build_cutoff_profile(config.m_constant)
     h_values = tuple(sorted(config.h_sweep, reverse=True))
 
@@ -1058,12 +1066,13 @@ def _window_mode(model: ModelProblem, lam: float, h: float, n_tangential: int) -
 
 
 def _mass_profile_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
-    """At the one h the kind runs, the first of ``h_sweep``, every depth
-    window [0, lam h] must lie inside the ambient collar and every spectral
-    window must hold a tangential mode of the grid[1]-node level circle."""
+    """The kind runs one h.  At that h every depth window [0, lam h] must
+    lie inside the ambient collar and every spectral window must hold a
+    tangential mode of the grid[1]-node level circle."""
     lams, h_sweep = sweeps["lambda_sweep"], sweeps["h_sweep"]
-    if not lams or not h_sweep:
-        return {}
+    problems = _one_value("mass-profile", "h_sweep", model, grid, sweeps)
+    if problems or not lams or not h_sweep:
+        return problems
     h, limit = h_sweep[0], model.collar_width_ambient
     for lam in lams:
         if lam * h > limit + 1e-12:
@@ -1115,7 +1124,7 @@ def _mass_profile_point(
 
 def _run_mass_profile(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
     model = config.model
-    h = config.h_sweep[0]
+    (h,) = config.h_sweep
     n_transverse, n_tangential = config.grid[0], config.grid[1]
     transverse = solve_transverse_modes(model, h, model.energy, 1, n=n_transverse)[0]
 
@@ -1258,7 +1267,8 @@ def _parametrix_plot(records: Sequence[ReportRecord]) -> _Plot:
 # --------------------------------------------------------------------------
 
 # The phase kinds run on every tangent-invariant model; the separable-torus
-# kinds need its transverse modes or collar.
+# kinds need its transverse modes or collar.  halfplane-chain applies the
+# flat unit-barrier multiplier, so it runs on halfplane-unit alone.
 _KINDS: dict[str, _KindSpec] = {
     "halfplane-chain": _KindSpec(
         run=_run_halfplane_chain,
@@ -1275,7 +1285,7 @@ _KINDS: dict[str, _KindSpec] = {
         ),
         rows=_chain_rows,
         plot=_chain_plot,
-        models=dict.fromkeys(KNOWN_MODELS, 1),
+        models={"halfplane-unit": 1},
     ),
     "decay-sandwich": _KindSpec(
         run=_run_decay_sandwich,
@@ -1293,6 +1303,7 @@ _KINDS: dict[str, _KindSpec] = {
         plot=_exterior_plot,
         models={"separable-torus": 2},
         grid_minimums=(_TRANSVERSE_NODES, _LEVEL_CIRCLE_NODES),
+        limits_check=partial(_one_value, "exterior-mass", "h_sweep"),
     ),
     "phase-residual": _KindSpec(
         run=_run_phase_residual,
@@ -1309,6 +1320,7 @@ _KINDS: dict[str, _KindSpec] = {
         plot=_symbol_plot,
         models=dict.fromkeys(TANGENT_INVARIANT_MODELS, 2),
         minimums={"h_sweep": (4, "dyadic h values")},
+        limits_check=partial(_one_value, "symbol-class", "rho_grid"),
     ),
     "mass-profile": _KindSpec(
         run=_run_mass_profile,

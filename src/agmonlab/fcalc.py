@@ -30,9 +30,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import hessenberg
 
-from agmonlab._numerics import Spline, count_below
+from agmonlab._numerics import Spline, count_below, gauss_legendre
 from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import separable_level_set
 from agmonlab.models import ModelProblem, transverse_potential
@@ -56,14 +57,19 @@ __all__ = [
 ]
 
 _SUPPORT_WEIGHT_FLOOR = 1e-6
-# hs_apply's midpoint grids: (real, imaginary) cells over the support band
-# [scale, 2 scale] x [-scale, scale], whose upper half is summed, and cells
-# per edge of the enclosing rectangle, an even count so that no contour node
-# sits on the real axis
-_AREA_CELLS = (256, 256)
-_EDGE_CELLS = 1024
+# hs_apply's area rule over the upper half of the support band
+# [scale, 2 scale] x [0, scale]: midpoint cells in Re z, and in Im z the
+# 16-point Gauss-Legendre rule in u over [0, 1] graded toward the real axis
+# by y = scale u^3, stored as y / scale and dy / scale = 3 u^2 du.  The
+# defect vanishes to order 2 at both ends of the band, so the midpoint
+# cells leave almost no end error; the grading resolves the resolvent's
+# poles on the real axis.
+_AREA_X_CELLS = 256
+_GL16_NODES, _GL16_WEIGHTS = leggauss(16)
+_AREA_Y = (0.5 * (_GL16_NODES + 1.0)) ** 3
+_AREA_DY = 1.5 * (0.5 * (_GL16_NODES + 1.0)) ** 2 * _GL16_WEIGHTS
 _DENSE_LIMIT = 256
-# hs_apply rejects its grid when the window projection has an eigenvalue
+# hs_apply rejects its rule when the window projection has an eigenvalue
 # this far outside [0, 1].
 _SPECTRUM_TOL = 1e-3
 # mass_profile_comparison samples the depth window [0, lam h] at this many
@@ -71,18 +77,17 @@ _SPECTRUM_TOL = 1e-3
 _PROFILE_DEPTHS = 65
 _PROFILE_ODE_STEPS = 8000
 # Taylor order of the almost analytic extension in the imaginary part.  On
-# the 20 matrices of acceptance criterion 05, on the hs_apply grids above, the
-# worst operator-norm error of hs_apply against spectral_calculus is 6.1e-7
-# at order 2, against 2.5e-5 at order 1 and 1.1e-4 at order 3.
+# the 20 matrices of acceptance criterion 05, on hs_apply's rule above, the
+# worst operator-norm error of hs_apply against spectral_calculus is 4.2e-8
+# at order 2, against 1.2e-5 at order 1 and 1.1e-4 at order 3.
 _EXTENSION_ORDER = 2
 # The Cauchy resolvent sum streams its quadrature nodes in blocks whose
 # complex work buffers, x and y of the principal-minor recurrences, hold
 # about this many bytes.  Four hs_apply calls (dense n = 96 and 128, level
-# circles n = 32 and 48; 2 cores, one BLAS thread) take 0.35 s with 4 MiB
-# blocks against 0.45 s with 2 MiB and 0.33 s with 8 MiB (medians of 6);
-# one dense n = 128 call peaks at 6.9 MiB in tracemalloc (10.9 MiB with
-# 8 MiB blocks), and 8 MiB blocks raised a window-calculus pass's peak RSS
-# by 4 MB.
+# circles n = 32 and 48; 2 cores, one BLAS thread) take 0.046-0.053 s with
+# 4 MiB blocks against 0.049-0.062 s with 2 MiB, 0.061-0.090 s with 1 MiB
+# and 0.049-0.069 s with 8 MiB (medians of 25, three runs each); one dense
+# n = 128 call peaks at 5.1 MiB in tracemalloc (9.1 MiB with 8 MiB blocks).
 _NODE_BLOCK_BYTES = 2**22
 _COMPLEX_BYTES = np.dtype(complex).itemsize
 # Rows per panel of the real upper-triangle product and of the coupling
@@ -360,24 +365,26 @@ def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
     The complement profile (1 at the far left, 0 past the window) is
     reproduced exactly by its boundary contour integral plus the area
     integral of the extension defect over the support band; the window
-    projection is the identity minus that.  Midpoint quadrature: the area
-    grid covers the band with ``_AREA_CELLS`` cells, the contour runs over
-    the enclosing rectangle with ``_EDGE_CELLS`` cells per edge.  For real
-    symmetric P the resolvent obeys R(conj z) = conj R(z) and the extension
-    is conjugate-symmetric, so the lower half of the band, the top edge and
-    the lower half of the left edge contribute the conjugates of the upper
-    half, the bottom edge and the upper half of the left edge: all three
-    are folded in as doubled weights.  The area and contour nodes then go
-    through one resolvent sum that returns only the real part the
-    projection needs, on the tridiagonal the Hessenberg reduction of P
-    gives; every unreduced block of it takes the same principal-minor
-    kernel (:func:`_block_weighted_sum`), whatever its norm against the
-    window scale.  Positive semidefiniteness is checked by a Sturm count on
-    that tridiagonal, so no eigendecomposition of P enters the path the
-    spectral oracle checks.  Nodes are accumulated in a fixed order, so
-    results are bytewise reproducible.  The grid is rejected as too coarse
-    when the projection has an eigenvalue more than ``_SPECTRUM_TOL``
-    outside [0, 1].
+    projection is the identity minus that.  One tensor rule of 4,192 nodes:
+    the area takes ``_AREA_X_CELLS`` midpoint cells in Re z times the
+    16-point Gauss rule graded toward the real axis in Im z (``_AREA_Y``),
+    and the contour runs over the enclosing rectangle in 32-point
+    Gauss-Legendre panels, the bottom edge broken at Re z = scale where the
+    ramp starts.  For real symmetric P the resolvent obeys R(conj z) = conj
+    R(z) and the extension is conjugate-symmetric, so the lower half of the
+    band, the top edge and the lower half of the left edge contribute the
+    conjugates of the upper half, the bottom edge and the upper half of the
+    left edge: all three are folded in as doubled weights, and no node sits
+    on the real axis.  The area and contour nodes then go through one
+    resolvent sum that returns only the real part the projection needs, on
+    the tridiagonal the Hessenberg reduction of P gives; every unreduced
+    block of it takes the same principal-minor kernel
+    (:func:`_block_weighted_sum`), whatever its norm against the window
+    scale.  Positive semidefiniteness is checked by a Sturm count on that
+    tridiagonal, so no eigendecomposition of P enters the path the spectral
+    oracle checks.  Nodes are accumulated in a fixed order, so results are
+    bytewise reproducible.  The rule is rejected as too coarse when the
+    projection has an eigenvalue more than ``_SPECTRUM_TOL`` outside [0, 1].
     """
     P = np.asarray(P, dtype=float)
     _check_symmetric(P)
@@ -394,26 +401,27 @@ def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
 
     scale = ext.scale
 
-    # area: defect integral over the upper half of the support band
-    nx, ny = _AREA_CELLS[0], _AREA_CELLS[1] // 2
-    dx = scale / nx
-    dy = scale / ny
-    x_mid = scale + (np.arange(nx) + 0.5) * dx
-    y_mid = (np.arange(ny) + 0.5) * dy
-    zz = (x_mid[:, None] + 1j * y_mid[None, :]).ravel()
-    area_weights = (dx * dy / math.pi) * ext.dbar(zz)
+    # area: defect integral over the upper half of the support band,
+    # midpoint cells in Re z and the graded Gauss rule in Im z
+    dx = scale / _AREA_X_CELLS
+    x_mid = scale + (np.arange(_AREA_X_CELLS) + 0.5) * dx
+    zz = (x_mid[:, None] + 1j * (scale * _AREA_Y)[None, :]).ravel()
+    dy = np.tile(scale * _AREA_DY, _AREA_X_CELLS)
+    area_weights = (dx / math.pi) * dy * ext.dbar(zz)
 
     # contour: enclosing rectangle [-scale, 2 scale] x [-scale, scale];
     # the right edge carries an identically zero integrand and is skipped,
     # the top edge is the reflected bottom edge, and the left edge keeps
-    # its midpoints with Im z > 0
-    m = _EDGE_CELLS
-    tx = -scale + (np.arange(m) + 0.5) * (3.0 * scale / m)
-    ty = (np.arange(m // 2) + 0.5) * (2.0 * scale / m)
+    # its upper half.  Gauss-Legendre panels: the bottom edge breaks at
+    # Re z = scale, where the profile's ramp starts
+    tx, wx = np.concatenate(
+        [gauss_legendre(-scale, scale), gauss_legendre(scale, 2.0 * scale)], axis=1
+    )
+    ty, wy = gauss_legendre(0.0, scale)
     bottom = tx - 1j * scale
     left = -scale + 1j * ty
-    bottom_weights = (6.0 * scale / m) * (1.0 - ext.value(bottom)) / (2j * math.pi)
-    left_weights = 2.0 * (-2j * scale / m) * (1.0 - ext.value(left)) / (2j * math.pi)
+    bottom_weights = 2.0 * wx * (1.0 - ext.value(bottom)) / (2j * math.pi)
+    left_weights = -2j * wy * (1.0 - ext.value(left)) / (2j * math.pi)
 
     nodes = np.concatenate([zz, bottom, left])
     weights = np.concatenate([2.0 * area_weights, bottom_weights, left_weights])

@@ -88,6 +88,8 @@ SMALL_RUNS = {
 }
 # Every catalogue model a kind cannot run on, rejected before any compute.
 UNSUPPORTED = [
+    ("halfplane-chain", "separable-torus"),
+    ("halfplane-chain", "strip-2d"),
     ("decay-sandwich", "strip-2d"),
     ("exterior-mass", "halfplane-unit"),
     ("exterior-mass", "strip-2d"),
@@ -218,6 +220,24 @@ class TestParseConfig:
             )
         assert "h_sweep" in excinfo.value.field_errors
 
+    @pytest.mark.parametrize(
+        "kind, key, values",
+        [
+            ("exterior-mass", "h_sweep", [0.1, 0.05]),
+            ("mass-profile", "h_sweep", [0.1, 0.05]),
+            ("symbol-class", "rho_grid", [0.25, 0.5]),
+        ],
+    )
+    def test_kind_running_one_value_rejects_a_longer_sweep(
+        self, out_dir, kind, key, values
+    ):
+        overrides = {**SMALL_RUNS[kind], "kind": kind, key: values}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(payload(out=str(out_dir), **overrides))
+        assert set(excinfo.value.field_errors) == {key}
+        message = excinfo.value.field_errors[key]
+        assert kind in message and "one value" in message
+
     @pytest.mark.parametrize("kind, model", UNSUPPORTED)
     def test_unsupported_model_rejected_before_compute(self, out_dir, kind, model):
         overrides = {**SMALL_RUNS[kind], "kind": kind, "model": model}
@@ -226,7 +246,9 @@ class TestParseConfig:
         message = excinfo.value.field_errors["model"]
         assert kind in message
         assert model in message
-        assert "separable-torus" in message  # names a model that works
+        # names a model that works
+        works = "halfplane-unit" if kind == "halfplane-chain" else "separable-torus"
+        assert works in message
 
     def test_out_directory_is_left_to_the_run(self, tmp_path):
         nested = tmp_path / "a" / "b"
