@@ -15,13 +15,15 @@ and every per-kind ``ExperimentConfig`` carries that one ``ModelProblem``:
 runners and sweep points read it from the config and never rebuild it.
 
 A kind is defined by its one ``_KindSpec`` entry in ``_KINDS``: its runner,
-CSV columns, row flattener, plot builder, the models it supports (with
-the grid sizes each needs), its sweep-length minimums, its least node
-counts and the limits its grid and depths must keep.  The generic code
-below only reads that entry, so adding a kind means adding one entry.  A
-config that breaks a kind's static limits is rejected by ``parse_config``;
-any other module error, in a runner's set-up or at a sweep point, surfaces
-as an ``ExperimentError``.
+the config keys it reads, CSV columns, row flattener, plot builder, the
+models it supports (with the grid sizes each needs), its sweep-length
+minimums, its least node counts and the limits its grid and depths must
+keep.  The generic code below only reads that entry, so adding a kind
+means adding one entry.  A config holds the run keys (``kind``, ``model``,
+``params``, ``out``, ``seed``) and exactly the keys its kinds read, and a
+summary echoes only what its kind read.  A config that breaks a kind's
+static limits is rejected by ``parse_config``; any other module error, in
+a runner's set-up or at a sweep point, surfaces as an ``ExperimentError``.
 
 Each run emits one CSV per sweep, one JSON summary carrying every verdict
 with its tolerance and measured margin, and one SVG plot.  All outputs are
@@ -100,19 +102,8 @@ __all__ = [
     "run_experiment",
 ]
 
-_CONFIG_KEYS = (
-    "kind",
-    "model",
-    "params",
-    "h_sweep",
-    "rho_grid",
-    "lambda_sweep",
-    "M",
-    "delta",
-    "grid",
-    "out",
-    "seed",
-)
+# The keys every run reads; a config holds these plus what its kinds read.
+_RUN_KEYS = ("kind", "model", "params", "out", "seed")
 
 # Interior-mass hypothesis strength for the chain experiment: the boundary
 # data must keep its measured exterior fraction below this value, and the
@@ -222,19 +213,21 @@ class ExperimentConfig:
     ``model`` is the validated catalogue model that ``parse_config`` built
     from the config's ``model`` name and ``params``; the configs of one
     ``parse_config`` call share it.  ``params`` echoes the user's input.
+    The fields from ``h_sweep`` on are named after their config keys; one
+    that no kind of the config reads holds its default, ``()`` or ``None``.
     """
 
     kind: str
     model: ModelProblem
     params: tuple[tuple[str, float], ...]
-    h_sweep: tuple[float, ...]
-    rho_grid: tuple[float, ...]
-    lambda_sweep: tuple[float, ...]
-    m_constant: float
-    delta: float
-    grid: tuple[int, ...]
     out_dir: Path
     seed: int
+    h_sweep: tuple[float, ...] = ()
+    rho_grid: tuple[float, ...] = ()
+    lambda_sweep: tuple[float, ...] = ()
+    M: float | None = None
+    delta: float | None = None
+    grid: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -254,7 +247,7 @@ class ExperimentResult:
 
 _Plot = tuple[list[Series], str, str, bool, bool]
 _LimitsCheck = Callable[
-    [ModelProblem, tuple[int, ...], Mapping[str, tuple[float, ...]]], Mapping[str, str]
+    [ModelProblem, tuple[int, ...], Mapping[str, object]], Mapping[str, str]
 ]
 
 
@@ -262,17 +255,22 @@ _LimitsCheck = Callable[
 class _KindSpec:
     """Everything the generic config, run and report code knows of a kind.
 
-    ``models`` maps each supported catalogue model to the number of
+    ``reads`` holds the config keys beyond the run keys that the runner and
+    its limits check read: ``parse_config`` requires each of them, rejects
+    a key that no configured kind reads, and the JSON summary echoes only
+    these.  ``models`` maps each supported catalogue model to the number of
     ``grid`` entries the kind needs there; ``minimums`` maps a sweep key to
     the least number of distinct values it must hold and what they are;
     ``grid_minimums`` holds the least value of each leading ``grid`` entry
     and what that entry counts; ``limits_check`` maps each config key whose
     values the kind cannot reach on a given model to what is wrong with
     it.  It is given the grid only when the grid is otherwise valid (else
-    an empty tuple) and the sweeps by key (empty when invalid).
+    an empty tuple) and the parsed values of the config's reads by key (a
+    sweep is empty when invalid).
     """
 
     run: Callable[[ExperimentConfig, int], list[ReportRecord]]
+    reads: frozenset[str]
     columns: tuple[str, ...]
     rows: Callable[[Sequence[ReportRecord]], Iterator[tuple]]
     plot: Callable[[Sequence[ReportRecord]], _Plot]
@@ -301,26 +299,59 @@ def load_config(path) -> Mapping:
     return payload
 
 
+def _positive(raw) -> bool:
+    """Whether a config value is a positive finite number: JSON's NaN and
+    Infinity literals, and bools, are not."""
+    return (
+        isinstance(raw, (int, float))
+        and not isinstance(raw, bool)
+        and 0.0 < raw < math.inf
+    )
+
+
 def _float_tuple(raw, name, errors, *, distinct=False) -> tuple[float, ...]:
-    if raw is None:
-        errors[name] = "required key is missing"
-        return ()
     if not isinstance(raw, (list, tuple)) or len(raw) == 0:
         errors[name] = "must be a nonempty list of numbers"
         return ()
-    values = []
     for item in raw:
-        if not isinstance(item, (int, float)) or isinstance(item, bool):
-            errors[name] = f"entry {item!r} is not a number"
+        if not _positive(item):
+            errors[name] = f"entry {item!r} is not a positive finite number"
             return ()
-        if not float(item) > 0.0:
-            errors[name] = f"entry {item!r} is not positive"
-            return ()
-        values.append(float(item))
+    values = tuple(float(item) for item in raw)
     if distinct and len(set(values)) != len(values):
         errors[name] = "values must be distinct"
         return ()
-    return tuple(values)
+    return values
+
+
+def _positive_number(raw, name, errors) -> float | None:
+    if not _positive(raw):
+        errors[name] = "must be a positive finite number"
+        return None
+    return float(raw)
+
+
+def _grid_sizes(raw, name, errors) -> tuple[int, ...]:
+    if (
+        not isinstance(raw, (list, tuple))
+        or len(raw) == 0
+        or not all(isinstance(g, int) and not isinstance(g, bool) for g in raw)
+        or any(g <= 0 for g in raw)
+    ):
+        errors[name] = "must be a nonempty list of positive integers"
+        return ()
+    return tuple(int(g) for g in raw)
+
+
+# The parse of every key a kind may read, by its ExperimentConfig field.
+_PARSERS = {
+    "h_sweep": partial(_float_tuple, distinct=True),
+    "rho_grid": _float_tuple,
+    "lambda_sweep": _float_tuple,
+    "M": _positive_number,
+    "delta": _positive_number,
+    "grid": _grid_sizes,
+}
 
 
 def _one_value(kind: str, key: str, model, grid, sweeps) -> dict[str, str]:
@@ -345,15 +376,13 @@ def parse_config(
 ) -> tuple[ExperimentConfig, ...]:
     """Validate a configuration mapping into per-kind configs.
 
-    Every violated field is reported (collected into one ConfigError), not
-    just the first.  ``out_dir`` and ``seed`` override the corresponding
-    config keys when given.
+    A config holds the run keys plus the keys its kinds read, each of them
+    required; a key that no configured kind reads is an error.  Every
+    violated field is reported (collected into one ConfigError), not just
+    the first.  ``out_dir`` and ``seed`` override the corresponding config
+    keys when given.
     """
     errors: dict[str, str] = {}
-    for key in payload:
-        if key not in _CONFIG_KEYS:
-            errors[str(key)] = "unknown configuration key"
-
     raw_kind = payload.get("kind")
     if isinstance(raw_kind, str):
         kinds = (raw_kind,)
@@ -367,6 +396,18 @@ def parse_config(
             errors["kind"] = (
                 f"unknown kind {kind!r}; expected one of {', '.join(EXPERIMENT_KINDS)}"
             )
+    known = tuple(kind for kind in kinds if kind in EXPERIMENT_KINDS)
+    reads = frozenset().union(*(_KINDS[kind].reads for kind in known))
+    # the keys a config may hold follow from its kinds, all of them known
+    if "kind" not in errors:
+        for key in payload:
+            if key not in _RUN_KEYS and key not in reads:
+                errors[str(key)] = (
+                    f"no configured kind reads {key} ({', '.join(kinds)}): drop it"
+                )
+    for kind in known:
+        if known.count(kind) > 1:
+            errors["kind"] = f"{kind} is listed {known.count(kind)} times: list it once"
 
     model = payload.get("model")
     params_raw = payload.get("params", {})
@@ -391,38 +432,10 @@ def parse_config(
     # only a built model is checked against each kind's models
     model_name = model if built is not None else None
 
-    h_sweep = _float_tuple(payload.get("h_sweep"), "h_sweep", errors, distinct=True)
-    rho_grid = _float_tuple(payload.get("rho_grid"), "rho_grid", errors)
-    lambda_sweep = _float_tuple(payload.get("lambda_sweep"), "lambda_sweep", errors)
-
-    m_raw = payload.get("M", 8.0)
-    m_constant = 0.0
-    if not isinstance(m_raw, (int, float)) or isinstance(m_raw, bool) or m_raw <= 0:
-        errors["M"] = "must be a positive number"
-    else:
-        m_constant = float(m_raw)
-    delta_raw = payload.get("delta", 0.5)
-    delta = 0.0
-    if (
-        not isinstance(delta_raw, (int, float))
-        or isinstance(delta_raw, bool)
-        or delta_raw <= 0
-    ):
-        errors["delta"] = "must be a positive number"
-    else:
-        delta = float(delta_raw)
-
-    grid_raw = payload.get("grid")
-    grid: tuple[int, ...] = ()
-    if (
-        not isinstance(grid_raw, (list, tuple))
-        or len(grid_raw) == 0
-        or not all(isinstance(g, int) and not isinstance(g, bool) for g in grid_raw)
-        or any(g <= 0 for g in grid_raw)
-    ):
-        errors["grid"] = "must be a nonempty list of positive integers"
-    else:
-        grid = tuple(int(g) for g in grid_raw)
+    values = {key: _PARSERS[key](payload.get(key), key, errors) for key in reads}
+    for key in reads - payload.keys():
+        errors[key] = "required key is missing"
+    grid = values.get("grid", ())
 
     out_raw = out_dir if out_dir is not None else payload.get("out", "out")
     out_path = Path(out_raw) if isinstance(out_raw, (str, Path)) else None
@@ -446,13 +459,10 @@ def parse_config(
     else:
         seed_val = int(seed_raw)
 
-    sweeps = {"h_sweep": h_sweep, "rho_grid": rho_grid, "lambda_sweep": lambda_sweep}
-    for kind in kinds:
-        spec = _KINDS.get(kind)
-        if spec is None:
-            continue
+    for kind in known:
+        spec = _KINDS[kind]
         for name, (least, what) in spec.minimums.items():
-            if sweeps[name] and len(set(sweeps[name])) < least:
+            if values[name] and len(set(values[name])) < least:
                 errors[name] = f"{kind} needs at least {least} {what}"
         if model_name is not None and model_name not in spec.models:
             errors["model"] = _unsupported_model(kind, spec, model_name)
@@ -467,7 +477,7 @@ def parse_config(
                 )
         if spec.limits_check is not None and model_name in spec.models:
             usable = grid if len(grid) >= sizes and "grid" not in errors else ()
-            for name, problem in spec.limits_check(built, usable, sweeps).items():
+            for name, problem in spec.limits_check(built, usable, values).items():
                 errors.setdefault(name, problem)
 
     if errors:
@@ -478,14 +488,9 @@ def parse_config(
             kind=kind,
             model=built,
             params=params,
-            h_sweep=h_sweep,
-            rho_grid=rho_grid,
-            lambda_sweep=lambda_sweep,
-            m_constant=m_constant,
-            delta=delta,
-            grid=grid,
             out_dir=out_path,
             seed=seed_val,
+            **values,
         )
         for kind in kinds
     )
@@ -987,10 +992,10 @@ def _phase_plot(records: Sequence[ReportRecord]) -> _Plot:
 def _run_symbol_class(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
     del jobs  # one aggregate check; the h sweep is a single fit
     model = config.model
-    n_xi = config.grid[1]
+    n_xi = config.grid[0]
     length = model.lengths[0]
     (rho,) = config.rho_grid
-    profile = build_cutoff_profile(config.m_constant)
+    profile = build_cutoff_profile(config.M)
     h_values = tuple(sorted(config.h_sweep, reverse=True))
 
     def builder(h: float):
@@ -1021,7 +1026,7 @@ def _run_symbol_class(config: ExperimentConfig, jobs: int) -> list[ReportRecord]
         "sups": tuple(tuple(float(v) for v in row) for row in report.sups),
         "exponents": tuple(float(v) for v in report.exponents),
         "plateau": float(profile.plateau),
-        "span": float(config.m_constant),
+        "span": float(config.M),
     }
     return [_record(config, key, measured, verdicts)]
 
@@ -1272,6 +1277,7 @@ def _parametrix_plot(records: Sequence[ReportRecord]) -> _Plot:
 _KINDS: dict[str, _KindSpec] = {
     "halfplane-chain": _KindSpec(
         run=_run_halfplane_chain,
+        reads=frozenset({"h_sweep", "rho_grid", "delta", "grid"}),
         columns=(
             "h",
             "rho",
@@ -1289,6 +1295,7 @@ _KINDS: dict[str, _KindSpec] = {
     ),
     "decay-sandwich": _KindSpec(
         run=_run_decay_sandwich,
+        reads=frozenset({"h_sweep", "rho_grid", "grid"}),
         columns=("h", "rho", "norm_ratio", "slope_times_h", "fit_residual"),
         rows=_decay_rows,
         plot=_decay_plot,
@@ -1298,6 +1305,7 @@ _KINDS: dict[str, _KindSpec] = {
     ),
     "exterior-mass": _KindSpec(
         run=_run_exterior_mass,
+        reads=frozenset({"h_sweep", "lambda_sweep", "grid"}),
         columns=("lam", "k", "mass", "norm_sq", "fraction", "lambda_mass"),
         rows=_exterior_rows,
         plot=_exterior_plot,
@@ -1307,6 +1315,7 @@ _KINDS: dict[str, _KindSpec] = {
     ),
     "phase-residual": _KindSpec(
         run=_run_phase_residual,
+        reads=frozenset({"rho_grid", "grid"}),
         columns=("check", "depth", "max_residual", "relative_residual"),
         rows=_phase_rows,
         plot=_phase_plot,
@@ -1315,15 +1324,17 @@ _KINDS: dict[str, _KindSpec] = {
     ),
     "symbol-class": _KindSpec(
         run=_run_symbol_class,
+        reads=frozenset({"h_sweep", "rho_grid", "M", "grid"}),
         columns=("alpha", "beta", "h", "sup"),
         rows=_symbol_rows,
         plot=_symbol_plot,
-        models=dict.fromkeys(TANGENT_INVARIANT_MODELS, 2),
+        models=dict.fromkeys(TANGENT_INVARIANT_MODELS, 1),
         minimums={"h_sweep": (4, "dyadic h values")},
         limits_check=partial(_one_value, "symbol-class", "rho_grid"),
     ),
     "mass-profile": _KindSpec(
         run=_run_mass_profile,
+        reads=frozenset({"h_sweep", "lambda_sweep", "grid"}),
         columns=("lam", "h", "k", "r", "mass", "comparison"),
         rows=_mass_profile_rows,
         plot=_mass_profile_plot,
@@ -1333,6 +1344,7 @@ _KINDS: dict[str, _KindSpec] = {
     ),
     "parametrix-consistency": _KindSpec(
         run=_run_parametrix_consistency,
+        reads=frozenset({"h_sweep", "grid"}),
         columns=("h", "rho", "rel_error", "fitted_order"),
         rows=_parametrix_rows,
         plot=_parametrix_plot,
@@ -1397,8 +1409,9 @@ def _provenance() -> dict:
 def write_summary_json(
     records: tuple[ReportRecord, ...], config: ExperimentConfig, path: Path
 ) -> bool:
-    """The JSON summary: config echo (with the grid and seed), provenance
-    once, all verdicts.  Returns whether every verdict passed."""
+    """The JSON summary: config echo (the model, params, seed and the keys
+    the kind reads), provenance once, all verdicts.  Returns whether every
+    verdict passed."""
     all_passed = all(rec.passed for rec in records)
     payload = {
         "kind": config.kind,
@@ -1406,13 +1419,11 @@ def write_summary_json(
         "config": {
             "model": config.model.name,
             "params": dict(config.params),
-            "h_sweep": list(config.h_sweep),
-            "rho_grid": list(config.rho_grid),
-            "lambda_sweep": list(config.lambda_sweep),
-            "M": config.m_constant,
-            "delta": config.delta,
-            "grid": list(config.grid),
             "seed": config.seed,
+            **{
+                key: _json_value(getattr(config, key))
+                for key in _KINDS[config.kind].reads
+            },
         },
         "provenance": _provenance(),
         "records": [

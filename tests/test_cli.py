@@ -6,24 +6,15 @@ import sys
 
 import pytest
 
+from test_experiments import payload
+
 from agmonlab.cli import main
 
 
 def write_config(tmp_path, **overrides):
-    base = {
-        "kind": "halfplane-chain",
-        "model": "halfplane-unit",
-        "h_sweep": [0.1, 0.05],
-        "rho_grid": [0.1, 0.2],
-        "lambda_sweep": [2.0, 4.0],
-        "M": 8.0,
-        "delta": 0.5,
-        "grid": [256],
-        "out": str(tmp_path / "out"),
-    }
-    base.update(overrides)
+    """A config file holding exactly the keys its kinds read."""
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(base))
+    path.write_text(json.dumps(payload(out=str(tmp_path / "out"), **overrides)))
     return path
 
 
@@ -43,7 +34,6 @@ class TestExitCodes:
             tmp_path,
             kind="parametrix-consistency",
             model="separable-torus",
-            rho_grid=[0.25],
             grid=[32, 501],
         )
         assert main(["run", str(path)]) == 1
@@ -58,6 +48,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         for name in ("model", "h_sweep", "rho_grid"):
             assert f"config error: {name}:" in err
+
+    def test_unread_key_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, lambda_sweep=[2.0, 4.0])
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "config error: lambda_sweep: no configured kind reads lambda_sweep "
+            "(halfplane-chain): drop it" in err
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
@@ -142,7 +142,6 @@ class TestExitCodes:
             tmp_path,
             kind=kind,
             model="separable-torus",
-            h_sweep=[0.05],
             rho_grid=rho_grid,
             grid=grid,
         )

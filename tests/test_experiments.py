@@ -27,18 +27,36 @@ from agmonlab.experiments import (
 from agmonlab.models import ModelProblem, make_model
 
 
+# The config keys each kind reads beyond the run keys (kind, model, params,
+# out and seed), traced through its runner and limits check.  Written out
+# here, not taken from the package, so that the tests check the code's own
+# schema against it.
+READS = {
+    "halfplane-chain": ("h_sweep", "rho_grid", "delta", "grid"),
+    "decay-sandwich": ("h_sweep", "rho_grid", "grid"),
+    "exterior-mass": ("h_sweep", "lambda_sweep", "grid"),
+    "phase-residual": ("rho_grid", "grid"),
+    "symbol-class": ("h_sweep", "rho_grid", "M", "grid"),
+    "mass-profile": ("h_sweep", "lambda_sweep", "grid"),
+    "parametrix-consistency": ("h_sweep", "grid"),
+}
+# A value for every key some kind reads.
+READ_VALUES = {
+    "h_sweep": [0.1, 0.05],
+    "rho_grid": [0.1, 0.2],
+    "lambda_sweep": [2.0, 4.0],
+    "M": 8.0,
+    "delta": 0.5,
+    "grid": [256],
+}
+
+
 def payload(**overrides):
-    base = {
-        "kind": "halfplane-chain",
-        "model": "halfplane-unit",
-        "h_sweep": [0.1, 0.05],
-        "rho_grid": [0.1, 0.2],
-        "lambda_sweep": [2.0, 4.0],
-        "M": 8.0,
-        "delta": 0.5,
-        "grid": [256],
-        "out": "out",
-    }
+    """A halfplane-unit config that holds exactly the keys its kinds read."""
+    kind = overrides.get("kind", "halfplane-chain")
+    base = {"kind": "halfplane-chain", "model": "halfplane-unit", "out": "out"}
+    for name in [kind] if isinstance(kind, str) else kind:
+        base.update((key, READ_VALUES[key]) for key in READS.get(name, ()))
     base.update(overrides)
     return base
 
@@ -72,7 +90,7 @@ SMALL_RUNS = {
     "symbol-class": {
         "h_sweep": [0.1, 0.05, 0.025, 0.0125],
         "rho_grid": [0.25],
-        "grid": [1, 128],
+        "grid": [128],
     },
     "mass-profile": {
         "model": "separable-torus",
@@ -82,7 +100,6 @@ SMALL_RUNS = {
     },
     "parametrix-consistency": {
         "model": "separable-torus",
-        "rho_grid": [0.25],
         "grid": [32, 801],
     },
 }
@@ -132,8 +149,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as excinfo:
             parse_config({"kind": "decay-sandwich"})
         fields = excinfo.value.field_errors
-        for name in ("model", "h_sweep", "rho_grid", "lambda_sweep", "grid"):
-            assert name in fields
+        assert "model" in fields
+        for name in ("h_sweep", "rho_grid", "grid"):
+            assert fields[name] == "required key is missing"
+        # only the window kinds read lambda_sweep
+        assert "lambda_sweep" not in fields
 
     def test_empty_h_sweep_is_a_config_error(self, out_dir):
         with pytest.raises(ConfigError) as excinfo:
@@ -203,6 +223,79 @@ class TestParseConfig:
             parse_config(payload(epsilon=0.1, out=str(out_dir)))
         assert "epsilon" in excinfo.value.field_errors
 
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_key_no_configured_kind_reads_rejected(self, out_dir, kind):
+        unread = [key for key in READ_VALUES if key not in READS[kind]]
+        for key in [*unread, "epsilon"]:
+            overrides = {**SMALL_RUNS[kind], "kind": kind, key: 0.5}
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(payload(out=str(out_dir), **overrides))
+            assert excinfo.value.field_errors == {
+                key: f"no configured kind reads {key} ({kind}): drop it"
+            }
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_each_key_a_kind_reads_is_required(self, out_dir, kind):
+        for key in READS[kind]:
+            raw = payload(out=str(out_dir), **{**SMALL_RUNS[kind], "kind": kind})
+            del raw[key]
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(raw)
+            assert excinfo.value.field_errors == {key: "required key is missing"}
+
+    def test_a_key_one_configured_kind_reads_is_accepted(self, tmp_path):
+        # halfplane-chain reads delta, so its decay-sandwich neighbour in
+        # the shipped config carries it too; alone, decay-sandwich rejects it
+        raw = load_config(SHIPPED_CONFIGS[0].parent / "halfplane.json")
+        chain, decay = parse_config(raw, out_dir=tmp_path)
+        assert chain.delta == decay.delta == 0.5
+        # a field that no configured kind reads holds no value
+        assert chain.M is None and chain.lambda_sweep == ()
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({**raw, "kind": "decay-sandwich"}, out_dir=tmp_path)
+        assert excinfo.value.field_errors == {
+            "delta": "no configured kind reads delta (decay-sandwich): drop it"
+        }
+
+    def test_list_inside_kind_is_a_config_error(self, out_dir):
+        raw = {"kind": [["halfplane-chain"]], "model": "halfplane-unit"}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({**raw, "out": str(out_dir)})
+        assert set(excinfo.value.field_errors) == {"kind"}
+        assert "unknown kind" in excinfo.value.field_errors["kind"]
+
+    def test_kind_listed_twice_rejected(self, out_dir):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(
+                payload(kind=["halfplane-chain", "halfplane-chain"], out=str(out_dir))
+            )
+        assert set(excinfo.value.field_errors) == {"kind"}
+        message = excinfo.value.field_errors["kind"]
+        assert "halfplane-chain" in message and "once" in message
+
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("halfplane-chain", "delta", math.inf),
+            ("halfplane-chain", "delta", math.nan),
+            ("symbol-class", "M", math.nan),
+            ("symbol-class", "M", math.inf),
+            ("halfplane-chain", "h_sweep", [0.1, math.inf]),
+            ("halfplane-chain", "rho_grid", [math.inf]),
+            ("exterior-mass", "lambda_sweep", [2.0, math.inf]),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, kind, key, value):
+        # JSON's NaN and Infinity literals load as floats
+        overrides = {**SMALL_RUNS[kind], "kind": kind, key: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload(out=str(tmp_path), **overrides)))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(load_config(path))
+        assert set(excinfo.value.field_errors) == {key}
+        assert "finite" in excinfo.value.field_errors[key]
+
     def test_unknown_model_rejected(self, out_dir):
         with pytest.raises(ConfigError) as excinfo:
             parse_config(payload(model="no-such-model", out=str(out_dir)))
@@ -215,9 +308,7 @@ class TestParseConfig:
 
     def test_symbol_class_needs_four_h_values(self, out_dir):
         with pytest.raises(ConfigError) as excinfo:
-            parse_config(
-                payload(kind="symbol-class", grid=[1, 128], out=str(out_dir))
-            )
+            parse_config(payload(kind="symbol-class", grid=[128], out=str(out_dir)))
         assert "h_sweep" in excinfo.value.field_errors
 
     @pytest.mark.parametrize(
@@ -361,6 +452,41 @@ def test_shipped_configs_pass_and_rerun_byte_identically(tmp_path):
     for rel in artifacts:
         again = tmp_path / "second" / rel
         assert again.read_bytes() == (tmp_path / "first" / rel).read_bytes(), rel
+    # each config echo holds what its kind read, and nothing else
+    for rel in artifacts:
+        if rel.suffix == ".json":
+            summary = json.loads((tmp_path / "first" / rel).read_text())
+            echo = set(summary["config"])
+            assert echo == {"model", "params", "seed", *READS[summary["kind"]]}, rel
+
+
+class Unread:
+    """A config value that its kind does not declare: any use raises."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def _fail(self, *args):
+        raise AssertionError(f"the run used {self.key}, which its kind does not read")
+
+    __getattr__ = __getitem__ = __iter__ = __len__ = __bool__ = _fail
+    __float__ = __int__ = __index__ = __format__ = __hash__ = _fail
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _fail
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _fail
+    __truediv__ = __rtruediv__ = __neg__ = __abs__ = _fail
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_a_run_uses_only_the_keys_its_kind_reads(tmp_path, kind):
+    # every field outside the kind's reads is replaced by a value that
+    # raises on any use; the run must write the same CSV
+    overrides = {**SMALL_RUNS[kind], "kind": kind}
+    (config,) = parse_config(payload(out=str(tmp_path / "parsed"), **overrides))
+    unread = {key: Unread(key) for key in READ_VALUES if key not in READS[kind]}
+    assert unread
+    poisoned = dataclasses.replace(config, out_dir=tmp_path / "poisoned", **unread)
+    expected = run_experiment(config).csv_path.read_bytes()
+    assert run_experiment(poisoned).csv_path.read_bytes() == expected
 
 
 def test_symbol_class_builds_one_taylor_table_per_h(tmp_path, monkeypatch):
@@ -670,7 +796,6 @@ class TestRunExperiment:
                 payload(
                     kind="phase-residual",
                     model=model,
-                    h_sweep=[0.05],
                     rho_grid=[0.05, 0.1, 0.15, 0.2],
                     grid=[16, 33],
                     out=str(out_dir),
@@ -687,7 +812,7 @@ class TestRunExperiment:
                 kind="symbol-class",
                 h_sweep=[0.1, 0.05, 0.025, 0.0125],
                 rho_grid=[0.25],
-                grid=[1, 512],
+                grid=[512],
                 out=str(out_dir),
             )
         )
@@ -707,7 +832,6 @@ class TestRunExperiment:
                 kind="parametrix-consistency",
                 model="separable-torus",
                 h_sweep=[0.1, 0.05, 0.025],
-                rho_grid=[0.25],
                 grid=[32, 8001],
                 out=str(out_dir),
             )
@@ -758,12 +882,15 @@ def _small_run(tmp_path, kind):
 
 
 def assert_summary_schema(path, overrides):
-    """The summary schema: the config echo holds the grid and seed, one
+    """The summary schema: the config echo holds the model, params, seed
+    and the keys its kind reads, grid included, and nothing else; one
     provenance block sits at the top, no record carries its own, and each
     verdict's "passed" is its margin >= 0 ("inf"/"-inf" strings decoded)."""
     text = path.read_text()
     summary = json.loads(text)
     assert summary["csv_schema"] == 1
+    echo = set(summary["config"])
+    assert echo == {"model", "params", "seed", *READS[summary["kind"]]}
     assert summary["config"]["seed"] == 0
     assert summary["config"]["grid"] == overrides.get("grid", [256])
     assert text.count('"provenance"') == 1
