@@ -38,6 +38,7 @@ import json
 import math
 import os
 import platform
+import reprlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -301,12 +302,13 @@ def load_config(path) -> Mapping:
 
 def _positive(raw) -> bool:
     """Whether a config value is a positive finite number: JSON's NaN and
-    Infinity literals, and bools, are not."""
-    return (
-        isinstance(raw, (int, float))
-        and not isinstance(raw, bool)
-        and 0.0 < raw < math.inf
-    )
+    Infinity literals, bools and integers too large for a float are not."""
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        return False
+    try:
+        return 0.0 < float(raw) < math.inf
+    except OverflowError:
+        return False
 
 
 def _float_tuple(raw, name, errors, *, distinct=False) -> tuple[float, ...]:
@@ -315,7 +317,7 @@ def _float_tuple(raw, name, errors, *, distinct=False) -> tuple[float, ...]:
         return ()
     for item in raw:
         if not _positive(item):
-            errors[name] = f"entry {item!r} is not a positive finite number"
+            errors[name] = f"entry {reprlib.repr(item)} is not a positive finite number"
             return ()
     values = tuple(float(item) for item in raw)
     if distinct and len(set(values)) != len(values):
@@ -421,8 +423,8 @@ def parse_config(
             params = tuple(
                 (str(k), float(params_raw[k])) for k in sorted(params_raw)
             )
-        except (TypeError, ValueError):
-            errors["params"] = "parameter values must be numbers"
+        except (TypeError, ValueError, OverflowError):
+            errors["params"] = "parameter values must be numbers within float range"
     built = None
     if isinstance(model, str) and "model" not in errors:
         try:
@@ -459,6 +461,7 @@ def parse_config(
     else:
         seed_val = int(seed_raw)
 
+    reader, most = None, 0  # the kind that reads the most grid sizes
     for kind in known:
         spec = _KINDS[kind]
         for name, (least, what) in spec.minimums.items():
@@ -470,6 +473,8 @@ def parse_config(
         sizes = spec.models.get(model_name, min(spec.models.values()))
         if grid and len(grid) < sizes:
             errors["grid"] = f"{kind} needs {sizes} grid sizes"
+        if model_name in spec.models and sizes > most:
+            reader, most = kind, sizes
         for entry, (least, what) in enumerate(spec.grid_minimums[: len(grid)]):
             if grid[entry] < least:
                 errors["grid"] = (
@@ -479,6 +484,13 @@ def parse_config(
             usable = grid if len(grid) >= sizes and "grid" not in errors else ()
             for name, problem in spec.limits_check(built, usable, values).items():
                 errors.setdefault(name, problem)
+
+    if reader is not None and len(grid) > most:
+        errors.setdefault(
+            "grid",
+            f"{reader} reads {most} grid size{'s' if most > 1 else ''}, the most "
+            f"of its config's kinds, got {len(grid)}: drop the rest",
+        )
 
     if errors:
         raise ConfigError(errors)
@@ -884,9 +896,11 @@ def _phase_grid(config: ExperimentConfig):
 def _ambient_phase_point(config: ExperimentConfig, nodes, xi) -> ReportRecord:
     model = config.model
     series = solve_phase_series(model, "ambient", _PHASE_ORDER, xi)
-    barrier = potential_grid(model, nodes, np.zeros(1))[:, 0] - model.energy
+    # the one leading coefficient row against the barrier at every node;
+    # a node's deviation depends on its barrier alone, so each distinct
+    # barrier value (one on a tangent-invariant model) is taken once
+    barrier = np.unique(potential_grid(model, nodes, np.zeros(1))[:, 0] - model.energy)
     target = np.sqrt(barrier[:, None] + xi[None, :] ** 2)
-    # the one leading coefficient row against the barrier at every node
     deviation = float(np.max(np.abs(series.coefficients[0] - target)))
     verdict = _bound_verdict("ambient-leading-coefficient", deviation, 0.0, 1e-8)
     measured = {"leading_deviation": deviation}

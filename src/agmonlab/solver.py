@@ -64,13 +64,14 @@ _CONTAMINATION_TOL = 1e-6
 # constant potential passes without iterating.
 _PCG_TOL = 1e-14
 _PCG_MAX_ITER = 200
-# The blocked loops -- a field's column splines, and poisson_bvp's stencil,
-# inverse transform, mode residual and complex moduli -- take about this many
-# bytes of field values per block.  On 128x801 and 512x512 complex fields
-# (2 cores, one BLAS thread), 128 KiB spline blocks built in 10-17 and
-# 37 ms against 14-17 and 40 ms for 512 KiB blocks, with a transient peak
-# of 3.6 and 6.0 MiB instead of 9.4 and 12.0 MiB (tracemalloc, kept slopes
-# included); 32 KiB blocks took twice as long.
+# The blocked loops -- a field's column splines, and poisson_bvp's mode
+# factor and unit-row solve, stencil, inverse transform, mode residual and
+# complex moduli -- take about this many bytes of field values per block.
+# On 128x801 and 512x512 complex fields (2 cores, one BLAS thread), 128 KiB
+# spline blocks built in 10-17 and 37 ms against 14-17 and 40 ms for
+# 512 KiB blocks, with a transient peak of 3.6 and 6.0 MiB instead of 9.4
+# and 12.0 MiB (tracemalloc, kept slopes included); 32 KiB blocks took
+# twice as long.
 # The stencil in 128 KiB blocks took 14.5 ms against 32.5 ms in one pass on
 # a real 64x24001 stack, and 1.9 against 2.4 ms on a complex 128x801 one.
 _BLOCK_BYTES = 2**17
@@ -398,10 +399,11 @@ def poisson_bvp(
     A real FFT along the tangent splits the same operator for the
     tangential mean of V - E on each normal row into one Dirichlet
     tridiagonal T_k per distinct mode k (nx // 2 + 1 of them), with the
-    exact discrete dispersion (:func:`expected_circle_eigenvalue`), all
-    factored once.  The data enters only the first interior row, so that
-    operator's solution is irfft(b_k g_k) along the tangent, with b = cn
-    rfft(phi) and one real unit-row solve g_k = T_k^{-1} e_0 per mode.
+    exact discrete dispersion (:func:`expected_circle_eigenvalue`), each
+    factored once per solve.  The data enters only the first interior row,
+    so that operator's solution is irfft(b_k g_k) along the tangent, with
+    b = cn rfft(phi) and one real unit-row solve g_k = T_k^{-1} e_0 per
+    mode.
 
     For potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``)
     that is the solution (``meta["path"]`` "mode-direct"): V - E is one
@@ -428,15 +430,19 @@ def poisson_bvp(
     The metadata records that bound, the path, the iteration count and the
     residual.
 
-    Memory, in fields of nx * n_normal float64: a mode-direct solve peaks
-    at about 1.5 fields (1.59 traced at nx = 64), the real mode factor (one
-    field) next to g_k (half a field), and keeps only g_k, for real and
-    complex data alike.  The first read of ``values`` forms the field next
-    to g_k and then drops g_k: one field kept for real data (1.57 to 1.73
-    at the peak); complex data combines its two real parts into the
-    complex field, 4.02 fields at the peak and two kept.  A
-    tangent-dependent V - E is held on the full grid, the mode factor is
-    kept as CG's preconditioner, and CG adds the residual and its vectors.
+    Memory, in fields of nx * n_normal float64: a mode-direct solve
+    factors and solves its modes a block of about _BLOCK_BYTES of rows at
+    a time, dropping each block's factor before the next, so it peaks at
+    g_k (half a field) plus one block (0.63 fields traced at 64 x 24,001,
+    0.77 at 64 x 4,001), and keeps only g_k, for real and complex data
+    alike; g_k is bitwise that of one stacked factor at any block size
+    (see :func:`_mode_factor`).  The first read of ``values`` forms the
+    field next to g_k and then drops g_k: one field kept for real data
+    (1.57 to 1.73 at the peak); complex data combines its two real parts
+    into the complex field, 4.02 fields at the peak and two kept.  A
+    tangent-dependent V - E is held on the full grid, the whole mode
+    factor (one field) is kept as CG's preconditioner, and CG adds the
+    residual and its vectors.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -469,13 +475,23 @@ def poisson_bvp(
     bound = _PCG_TOL * (4.0 * (cn + cp) + float(np.max(w)))
     dispersion = expected_circle_eigenvalue(model, h, np.arange(nx // 2 + 1), nx)
     row_mean = np.mean(np.broadcast_to(w, (nx, w.shape[1])), axis=0)
-    solve = _dirichlet_modes(row_mean, cn, dispersion)
     unit = np.zeros((dispersion.size, row_mean.size))
     unit[:, 0] = 1.0
-    modes = _ModeForm(data, cn * np.fft.rfft(data), solve(unit))
+    if invariant:
+        # a block of modes at a time, each block's factor dropped once its
+        # unit rows are solved
+        step = max(1, _BLOCK_BYTES // unit[0].nbytes)
+        for a in range(0, unit.shape[0], step):
+            block = unit[a : a + step]
+            block[...] = _mode_solve(
+                _mode_factor(row_mean, cn, dispersion[a : a + step]), block
+            )
+    else:
+        factor = _mode_factor(row_mean, cn, dispersion)  # CG's preconditioner
+        unit = _mode_solve(factor, unit)
+    modes = _ModeForm(data, cn * np.fft.rfft(data), unit)
     del unit  # solved in place into g_k, which only the mode form keeps
     if invariant:
-        solve = None  # the factor goes before the residual check
         residual = _mode_residual(modes, w[0], cn, dispersion)
         if not residual <= bound:
             raise ValueError(
@@ -486,7 +502,7 @@ def poisson_bvp(
     else:
         first = modes.parts()
         modes = None  # g_k goes before CG allocates
-        parts, iterations, residual = _mode_pcg(first, w, cn, cp, solve, bound)
+        parts, iterations, residual = _mode_pcg(first, w, cn, cp, factor, bound)
         values, path = _combine(parts), "mode-pcg"
     meta = {
         "far": far,
@@ -566,18 +582,18 @@ def _combine(parts: np.ndarray) -> np.ndarray:
     return values
 
 
-def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
-    """Solver for the Dirichlet tridiagonals cn (2 u_j - u_{j-1} - u_{j+1})
-    + (w_j + dispersion[k]) u_j, one per mode k.
+def _mode_factor(w: np.ndarray, cn: float, dispersion: np.ndarray):
+    """The real L D L^T factor (d, e) of the Dirichlet tridiagonals
+    cn (2 u_j - u_{j-1} - u_{j+1}) + (w_j + dispersion[k]) u_j, one per
+    entry k of ``dispersion``, stacked mode-major into one symmetric
+    positive definite tridiagonal with zero coupling between modes and
+    factored by one ``dpttrf`` call in place of the assembled diagonals.
 
-    The blocks are stacked mode-major into one symmetric positive definite
-    tridiagonal with zero coupling between blocks and factored once as
-    L D L^T, in place of the assembled diagonals.  The factor is real, and
-    so is the returned function: it solves for a real right-hand side of
-    shape (..., modes, w.size), in place when it is C-contiguous, and the
-    leading axes are independent right-hand sides (the real and imaginary
-    parts of transformed data among them).  It holds the factor (about one
-    field) until it is dropped.
+    LAPACK's L D L^T sweep restarts exactly across a zero coupling: the
+    next pivot is its diagonal entry and the multiplier is zero.  So a
+    factor of a block of modes, and a solve with it, are bitwise the
+    slices of those of the whole stack, and the stack can be factored a
+    block of modes at a time.
     """
     diag = (2.0 * cn + w)[None, :] + dispersion[:, None]
     off = np.full(diag.shape, -cn)
@@ -585,12 +601,17 @@ def _dirichlet_modes(w: np.ndarray, cn: float, dispersion: np.ndarray):
     d, e, info = dpttrf(diag.ravel(), off.ravel()[:-1], overwrite_d=1, overwrite_e=1)
     if info:
         raise ValueError(f"mode operator is not positive definite (info={info})")
+    return d, e
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        x, _ = dpttrs(d, e, rhs.reshape(-1, d.size).T, overwrite_b=1)
-        return x.T.reshape(rhs.shape)
 
-    return solve
+def _mode_solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve the mode systems of ``factor`` (:func:`_mode_factor`) for a
+    real right-hand side shaped (..., modes, w.size), in place when it is
+    C-contiguous; the leading axes are independent right-hand sides (the
+    real and imaginary parts of transformed data among them)."""
+    d, e = factor
+    x, _ = dpttrs(d, e, rhs.reshape(-1, d.size).T, overwrite_b=1)
+    return x.T.reshape(rhs.shape)
 
 
 def _mode_residual(modes: _ModeForm, w: np.ndarray, cn: float, dispersion) -> float:
@@ -678,7 +699,7 @@ def _modulus_max(a: np.ndarray) -> float:
     return float(np.max([np.max(np.hypot(*a[:, i : i + step])) for i in blocks]))
 
 
-def _mode_pcg(values, w, cn, cp, solve, bound):
+def _mode_pcg(values, w, cn, cp, factor, bound):
     """Mode-preconditioned CG for the interior of the Dirichlet strip
     problem, from the first iterate ``values``, a real stack of one or two
     parts shaped (parts, nx, ny) that it updates in place.
@@ -690,7 +711,7 @@ def _mode_pcg(values, w, cn, cp, solve, bound):
     takes rfft along the tangent and solves the nx // 2 + 1 distinct mode
     tridiagonals of the tangential mean (the dispersion is symmetric under
     k -> nx - k) on the real and imaginary rows of the transform with
-    ``solve``, the real factor of :func:`_dirichlet_modes` that gave the
+    ``factor``, the real factor of :func:`_mode_factor` that gave the
     first iterate.  The residual is kept as r = A u - b, evaluated on the
     full array with the data row in place.  Iteration stops when the true
     residual max|r| / max|u| (complex moduli) is within ``bound``,
@@ -727,7 +748,7 @@ def _mode_pcg(values, w, cn, cp, solve, bound):
         np.fft.rfft(r, axis=-2, out=spectrum)
         for rows in (spectrum.real, spectrum.imag):
             part[...] = rows
-            rows[...] = solve(part)
+            rows[...] = _mode_solve(factor, part)
         np.fft.irfft(spectrum, nx, axis=-2, out=z)
         rz_next = float(np.einsum("ijk,ijk->", r, z))
         p[..., 1:-1] *= rz_next / rz

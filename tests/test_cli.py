@@ -59,6 +59,14 @@ class TestExitCodes:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_integer_beyond_float_range_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, h_sweep=[10**400])
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: h_sweep: entry 1000" in err
+        assert "is not a positive finite number" in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "config error" in capsys.readouterr().err

@@ -296,6 +296,63 @@ class TestParseConfig:
         assert set(excinfo.value.field_errors) == {key}
         assert "finite" in excinfo.value.field_errors[key]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("h_sweep", [10**400]), ("M", 10**400), ("params", {"E": 10**400})],
+        ids=["h_sweep", "M", "params"],
+    )
+    def test_integer_beyond_float_range_rejected(self, tmp_path, key, value):
+        # JSON integers load as Python ints of any size; one too large for
+        # a float is a config error, not an OverflowError
+        overrides = {**SMALL_RUNS["symbol-class"], "kind": "symbol-class", key: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload(out=str(tmp_path), **overrides)))
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(load_config(path))
+        assert set(excinfo.value.field_errors) == {key}
+
+    @pytest.mark.parametrize(
+        "kinds, model, accepted, grid, reader",
+        [
+            (
+                "halfplane-chain",
+                "halfplane-unit",
+                [256],
+                [256, 999],
+                "halfplane-chain reads 1 grid size,",
+            ),
+            (
+                "symbol-class",
+                "halfplane-unit",
+                [1024],
+                [1, 1024],
+                "symbol-class reads 1 grid size,",
+            ),
+            (
+                ["parametrix-consistency", "symbol-class"],
+                "separable-torus",
+                [32, 801],
+                [32, 801, 7],
+                "parametrix-consistency reads 2 grid sizes,",
+            ),
+        ],
+        ids=["halfplane-chain", "symbol-class-old-layout", "two-kinds"],
+    )
+    def test_grid_entry_no_kind_reads_rejected(
+        self, out_dir, kinds, model, accepted, grid, reader
+    ):
+        # the grid holds as many sizes as the configured kind that reads
+        # the most of them, and no more
+        config = payload(kind=kinds, model=model, out=str(out_dir))
+        if "symbol-class" in kinds:
+            config.update(SMALL_RUNS["symbol-class"])
+        parse_config({**config, "grid": accepted})
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({**config, "grid": grid})
+        assert set(excinfo.value.field_errors) == {"grid"}
+        message = excinfo.value.field_errors["grid"]
+        assert reader in message and f"got {len(grid)}" in message
+
     def test_unknown_model_rejected(self, out_dir):
         with pytest.raises(ConfigError) as excinfo:
             parse_config(payload(model="no-such-model", out=str(out_dir)))
@@ -418,17 +475,35 @@ SHIPPED_VERDICTS = {
 }
 
 
-def run_shipped_configs(out: Path) -> dict[tuple[str, str], list[Verdict]]:
-    """Every shipped config at seed 7, as ``agmonlab run --seed 7`` runs it."""
+# The traced peak memory every shipped config kind's run must stay under.
+# The largest measured is 7.35 MiB, parametrix-consistency's 64 x 24,001
+# mode solves (the unit-row solutions g_k and one block of the mode
+# factor); the next is torus-windows' 5.3 MiB.
+KIND_PEAK_CEILING = 8 * 2**20
+
+
+def run_shipped_configs(
+    out: Path, peaks: dict | None = None
+) -> dict[tuple[str, str], list[Verdict]]:
+    """Every shipped config at seed 7, as ``agmonlab run --seed 7`` runs it;
+    with ``peaks``, each kind's run is traced and its peak memory in bytes
+    recorded there by (config file, kind)."""
     verdicts = {}
     for path in SHIPPED_CONFIGS:
         for config in parse_config(
             load_config(path), out_dir=out / path.stem, seed=7
         ):
-            result = run_experiment(config)
-            verdicts[(path.stem, config.kind)] = [
-                v for rec in result.records for v in rec.verdicts
-            ]
+            key = (path.stem, config.kind)
+            if peaks is None:
+                result = run_experiment(config)
+            else:
+                tracemalloc.start()
+                try:
+                    result = run_experiment(config)
+                    peaks[key] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            verdicts[key] = [v for rec in result.records for v in rec.verdicts]
     return verdicts
 
 
@@ -458,6 +533,14 @@ def test_shipped_configs_pass_and_rerun_byte_identically(tmp_path):
             summary = json.loads((tmp_path / "first" / rel).read_text())
             echo = set(summary["config"])
             assert echo == {"model", "params", "seed", *READS[summary["kind"]]}, rel
+
+
+def test_each_shipped_kind_peaks_under_the_memory_ceiling(tmp_path):
+    peaks = {}
+    run_shipped_configs(tmp_path, peaks)
+    assert set(peaks) == set(SHIPPED_VERDICTS)
+    over = {key: peak for key, peak in peaks.items() if peak > KIND_PEAK_CEILING}
+    assert over == {}
 
 
 class Unread:
@@ -532,10 +615,11 @@ class TestRunExperiment:
         assert config.grid == (64, 24001)
         return config
 
-    def test_shipped_parametrix_run_peaks_near_two_fields(self, tmp_path):
+    def test_shipped_parametrix_run_peaks_near_half_a_field(self, tmp_path):
         # on its own 64 x 24,001 grid each of its four direct solves peaks
-        # at 1.6 fields, the mode factor next to the unit-row solutions,
-        # and no trace forms a field: 1.60 fields traced for the whole run
+        # at the unit-row solutions (0.53 fields) next to one block of the
+        # mode factor, and no trace forms a field: 0.63 fields traced for
+        # the whole run
         config = self._shipped_parametrix(tmp_path)
         tracemalloc.start()
         try:
@@ -544,7 +628,7 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert result.passed
-        assert peak <= 1.7 * 64 * 24001 * 8
+        assert peak <= 0.7 * 64 * 24001 * 8
 
     def test_shipped_parametrix_level_is_a_normal_node(self, tmp_path, monkeypatch):
         # the comparison depth lands on normal node _PARAMETRIX_DEPTH_STEPS
