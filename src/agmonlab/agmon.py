@@ -34,6 +34,7 @@ __all__ = [
     "LevelSet",
     "agmon_distance",
     "level_set_at",
+    "separable_level_height",
     "separable_level_set",
 ]
 
@@ -229,26 +230,31 @@ def level_set_at(field: DistanceField, rho: float) -> LevelSet:
     )
 
 
+def separable_level_height(model: ModelProblem, rho: float) -> float:
+    """s(rho), the normal coordinate at which ``models.weighted_depth``
+    reaches rho: a Brent root find on [0, forbidden_extent], so rho = 0
+    gives the hypersurface and the deepest level the forbidden edge."""
+    edge = model.forbidden_extent
+    top = weighted_depth(model, edge)
+    if not 0.0 <= rho <= top:
+        raise ValueError(f"level {rho:g} outside [0, {top:g}]")
+    return brentq(
+        lambda s: weighted_depth(model, s) - rho, 0.0, edge, xtol=_LEVEL_XTOL
+    )
+
+
 def separable_level_set(
     model: ModelProblem, rho: float, n_tangential: int = 64
 ) -> LevelSet:
     """Exact level set {normal = s(rho)} for product-form models.
 
-    s(rho) inverts ``models.weighted_depth`` on [0, forbidden_extent] by a
-    Brent root find instead of sampling a distance field; rho = 0 returns
-    the hypersurface itself and the deepest level the forbidden edge.  The
-    fast path behind trace-based experiments; agrees with
-    :func:`level_set_at` to grid tolerance.  A model whose V depends on the
-    tangent is rejected before any compute.
+    s(rho) is :func:`separable_level_height`, a root find instead of a
+    sampled distance field.  The fast path behind trace-based experiments;
+    agrees with :func:`level_set_at` to grid tolerance.  A model whose V
+    depends on the tangent is rejected before any compute.
     """
     transverse_potential(model)
-    edge = model.forbidden_extent
-    top = weighted_depth(model, edge)
-    if not 0.0 <= rho <= top:
-        raise ValueError(f"level {rho:g} outside [0, {top:g}]")
-    s_star = brentq(
-        lambda s: weighted_depth(model, s) - rho, 0.0, edge, xtol=_LEVEL_XTOL
-    )
+    s_star = separable_level_height(model, rho)
     L = model.lengths[0]
     xp = np.linspace(0.0, L, n_tangential, endpoint=False)
     points = np.column_stack([xp, np.full(n_tangential, s_star)])

@@ -337,10 +337,11 @@ def _grid_sizes(raw, name, errors) -> tuple[int, ...]:
     if (
         not isinstance(raw, (list, tuple))
         or len(raw) == 0
-        or not all(isinstance(g, int) and not isinstance(g, bool) for g in raw)
-        or any(g <= 0 for g in raw)
+        or not all(isinstance(g, int) and _positive(g) for g in raw)
     ):
-        errors[name] = "must be a nonempty list of positive integers"
+        errors[name] = (
+            "must be a nonempty list of positive integers within float range"
+        )
         return ()
     return tuple(int(g) for g in raw)
 

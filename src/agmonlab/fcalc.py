@@ -442,17 +442,31 @@ def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+def _separable_factors(
+    mode: EigenMode, model: ModelProblem
+) -> tuple[Spline, np.ndarray]:
+    """(profile, phase): the not-a-knot spline of an assembled separable
+    mode's one normal profile and its phase row e^{2 pi i k x' / L}, whose
+    outer product is the mode.  The profile is the mode's row 0, where the
+    phase is exactly 1 + 0j, and the phase row is the expression that
+    :func:`solver.assemble_separable_mode` assembles with."""
+    if mode.tangential_mode is None or mode.values.ndim != 2:
+        raise ValueError("an assembled separable 2D mode is required")
+    xp = mode.axes[0]
+    phase = np.exp(2j * math.pi * mode.tangential_mode * xp / model.lengths[0])
+    return Spline(mode.axes[1], mode.values[0]), phase
+
+
 def surface_trace_of_mode(mode: EigenMode, model: ModelProblem) -> BoundaryTrace:
     """Surface restriction of an assembled separable mode.
 
-    Values along the normal axis are interpolated to depth zero with a
-    cubic spline (the assembled grids are cell-centered and straddle the
-    surface).
+    The mode's normal profile is interpolated to depth zero with one cubic
+    spline (the assembled grids are cell-centered and straddle the
+    surface) and multiplied by the phase row: one spline, not one per
+    tangential column, equal to the column splines up to rounding.
     """
-    if mode.tangential_mode is None or mode.values.ndim != 2:
-        raise ValueError("an assembled separable 2D mode is required")
-    spline = Spline(mode.axes[1], mode.values.T)
-    values = spline(0.0)
+    profile, phase = _separable_factors(mode, model)
+    values = phase * profile(0.0)
     level = separable_level_set(model, 0.0, n_tangential=mode.values.shape[0])
     return BoundaryTrace(values=values, level=level, rho=0.0, h=mode.h)
 
@@ -706,9 +720,10 @@ def mass_profile_comparison(
     compute) and an assembled separable 2D mode with numerically vanishing
     normal derivative on the surface.  Computes the per-depth mass
     h^2 <f(P) u_r, u_r> on [0, lam*h] in the exact DFT form of
-    :func:`exterior_mass`, all depths through one spline call and one FFT
-    along the tangent, and the comparison solution with the measured
-    constants: T is the minimum of P + V - E(h) at depth 0 on the span of
+    :func:`exterior_mass`, all depths through one spline of the mode's
+    normal profile times its phase row (see :func:`surface_trace_of_mode`)
+    and one FFT along the tangent, and the comparison solution with the
+    measured constants: T is the minimum of P + V - E(h) at depth 0 on the span of
     the DFT modes whose window weight exceeds ``_SUPPORT_WEIGHT_FLOOR``, in
     closed form the least such circle eigenvalue plus the constant surface
     barrier V - E(h) (with no such mode, the window edge lam h plus the
@@ -732,8 +747,7 @@ def mass_profile_comparison(
     """
     # V on the surface, constant along it; a tangent-dependent model raises
     surface_potential = float(transverse_potential(model)(0.0))
-    if mode.tangential_mode is None or mode.values.ndim != 2:
-        raise ValueError("an assembled separable 2D mode is required")
+    profile, phase = _separable_factors(mode, model)
     if abs(mode.h - h) > 1e-15 * max(1.0, h):
         raise ValueError(f"mode was assembled at h={mode.h:g}, not h={h:g}")
     scale = float(lam) * h
@@ -748,13 +762,12 @@ def mass_profile_comparison(
 
     n_tangential = mode.values.shape[0]
     spacing = model.lengths[0] / n_tangential
-    spline = Spline(mode.axes[1], mode.values.T)
 
-    surface_values = spline(0.0)
+    surface_values = phase * profile(0.0)
     norm_sq = spacing * float(np.sum(np.abs(surface_values) ** 2))
     if norm_sq == 0.0:
         raise ValueError("mode trace vanishes on the surface")
-    derivative_values = spline(0.0, 1)
+    derivative_values = phase * profile(0.0, 1)
     neumann_ratio = math.sqrt(
         float(np.sum(np.abs(derivative_values) ** 2))
         / float(np.sum(np.abs(surface_values) ** 2))
@@ -770,7 +783,7 @@ def mass_profile_comparison(
     window_weights = step_profile(mu / scale)
 
     r_grid = np.linspace(0.0, scale, _PROFILE_DEPTHS)
-    traces = spline(r_grid)
+    traces = profile(r_grid)[:, None] * phase
     trace_sq = spacing * np.sum(np.abs(traces) ** 2, axis=1)
     power = np.abs(np.fft.fft(traces, axis=1)) ** 2
     mass_values = h**2 * spacing / n_tangential * np.sum(window_weights * power, axis=1)

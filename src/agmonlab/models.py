@@ -297,11 +297,15 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, flo
     coordinate where min over the tangent of V - E drops to half its value on
     the hypersurface, and take half that distance; if no such drop occurs,
     take half the available extent.  Rejects models whose hypersurface
-    touches the classically allowed set.
+    touches the classically allowed set.  A model with Taylor data does not
+    depend on the tangent, so one tangential column of the probe is all of
+    them.
     """
     extent = model.axis_bounds(1)[1]
     s = np.linspace(0.0, extent, _PROBE_NORMAL)
     xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
+    if _entry(model.name).taylor is not None:
+        xp = xp[:1]
     barrier = potential_grid(model, xp, s) - model.energy
 
     def least_barrier(t: float) -> float:

@@ -16,8 +16,9 @@ Dirichlet tridiagonal per distinct mode; complex data is solved by
 linearity as its real and imaginary parts, and real data gives a real
 field.  For tangentially constant potentials the preconditioner is exact:
 V - E is held as one normal column, no iteration runs, and the field is
-returned in mode form, so a trace on grid nodes forms only the normal rows
-it reads; its residual is checked on the mode systems it solved.
+returned in mode form, kept only down to the rows its certified traces
+read, so a trace forms only the normal rows it reads; its residual is
+checked on the mode systems it solved.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from agmonlab._numerics import count_below, cubic_value, hermite_leading, spline_slopes
-from agmonlab.agmon import LevelSet
+from agmonlab.agmon import LevelSet, separable_level_height
 from agmonlab.halfplane import BoundaryFunction
 from agmonlab.models import (
     TANGENT_INVARIANT_MODELS,
@@ -75,6 +76,13 @@ _PCG_MAX_ITER = 200
 # The stencil in 128 KiB blocks took 14.5 ms against 32.5 ms in one pass on
 # a real 64x24001 stack, and 1.9 against 2.4 ms on a complex 128x801 one.
 _BLOCK_BYTES = 2**17
+# A not-a-knot spline's end condition reaches about (2 - sqrt 3)^k ~ 0.268^k
+# of the way k knots in (de Boor, A Practical Guide to Splines, 1978, ch.
+# IV): 0.268^64 ~ 1e-37, far below rounding.  So a mode-form field keeps its
+# rows this far past the interval of its deepest certified level, and the
+# splines of those rows alone give that level's traces bitwise (on the
+# 512 x 512 torus-decay grid they already do from 24 rows on).
+_SPLINE_REACH = 64
 
 
 # --------------------------------------------------------------------------
@@ -289,18 +297,25 @@ class Field2D:
 
     A solve on a tangent-invariant model returns its field in mode form
     (``values=None`` and a ``_ModeForm`` in ``modes``): each normal row is
-    irfft(b_k g_k[j]) along the tangent, and the first read of ``values``
-    forms every row, block by block, keeps the field and drops the mode
-    form.  A trace whose samples all lie on grid nodes forms only the
-    distinct rows it reads, bitwise those of the formed field, so it never
-    forms the field.
+    irfft(b_k g_k[j]) along the tangent, and the mode form keeps g_k only
+    on the rows a trace at the solve's deepest certified level reads, down
+    to _SPLINE_REACH rows past that level's interval.  A trace whose
+    samples all lie on grid nodes forms only the distinct rows it reads,
+    bitwise those of the formed field, so it never forms the field; an
+    off-node trace within the kept rows forms them all once and splines
+    them alone, and the mode form keeps those rows and their slopes for
+    the next such trace.  The first read of ``values``, and any trace that
+    reaches past the kept rows, solves the unit rows past them again by
+    the same LAPACK calls, so every value is bitwise what the whole g_k
+    gives; ``values`` then forms every row, block by block, keeps the
+    field and drops the mode form.
 
     Off-node traces interpolate each tangential column along the normal by
     a not-a-knot cubic spline (the ``_numerics`` port, bitwise scipy's
-    ``CubicSpline``).  The first such trace builds the splines of
-    every column, block by block, and the field keeps only what a later
-    trace cannot recompute bitwise from its values: the knot slopes of
-    every column.  That is the field's own size, in the dtype of the
+    ``CubicSpline``).  The first such trace of a formed field builds the
+    splines of every column, block by block, and the field keeps only what
+    a later trace cannot recompute bitwise from its values: the knot slopes
+    of every column.  That is the field's own size, in the dtype of the
     values: float64 for a solve of real data (data whose imaginary part is
     exactly zero), complex128 for complex data.  A field traced only on
     grid nodes never builds them, and a field derived by ``replace``
@@ -340,18 +355,24 @@ class Field2D:
     @cached_property
     def _spline_slopes(self) -> np.ndarray:
         """The knot slopes of the columns' splines, shape (nx, n)."""
-        xn = self.normal_nodes
-        nx = self.values.shape[0]
-        dtype = complex if np.iscomplexobj(self.values) else float
-        slopes = np.empty((nx, xn.size), dtype=dtype)
-        block = max(1, _BLOCK_BYTES // (xn.size * self.values.itemsize))
-        for start in range(0, nx, block):
-            cols = slice(start, start + block)
-            # a column's spline slopes do not depend on the other columns
-            # batched with it
-            slopes[cols] = spline_slopes(xn, np.ascontiguousarray(self.values[cols].T)).T
-        slopes.setflags(write=False)
-        return slopes
+        return _column_slopes(self.normal_nodes, self.values)
+
+
+def _column_slopes(xn: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The knot slopes of the not-a-knot splines over ``xn`` of the columns
+    values[i, :], shaped like ``values``, built a block of about
+    _BLOCK_BYTES of columns at a time."""
+    nx = values.shape[0]
+    dtype = complex if np.iscomplexobj(values) else float
+    slopes = np.empty((nx, xn.size), dtype=dtype)
+    block = max(1, _BLOCK_BYTES // (xn.size * values.itemsize))
+    for start in range(0, nx, block):
+        cols = slice(start, start + block)
+        # a column's spline slopes do not depend on the other columns
+        # batched with it
+        slopes[cols] = spline_slopes(xn, np.ascontiguousarray(values[cols].T)).T
+    slopes.setflags(write=False)
+    return slopes
 
 
 def _check_far_boundary(model, far, h, rho_max) -> float:
@@ -408,10 +429,11 @@ def poisson_bvp(
     For potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``)
     that is the solution (``meta["path"]`` "mode-direct"): V - E is one
     normal column, and the field is returned in mode form (see
-    ``Field2D``), so a node-aligned trace forms only the rows it reads.
-    Its residual is that of the systems solved, r_k = T_k g_k - e_0 with
-    the operator's own V - E column, taken a block of modes at a time and
-    mapped to the field by the triangle bound (1/nx) sum_k m_k |b_k|
+    ``Field2D``), so a trace forms only the rows it reads.  Its residual
+    is that of the systems solved, r_k = T_k g_k - e_0 with the operator's
+    own V - E column, taken on every row a block of modes at a time, before
+    the block's rows past the kept ones are dropped, and mapped to the
+    field by the triangle bound (1/nx) sum_k m_k |b_k|
     max_j |r_kj| (m_k = 1 at k = 0 and at the Nyquist mode, else 2; for
     complex data the two parts' moduli summed), over max|phi|, which is
     never above max|u|.  Otherwise (path "mode-pcg") that solution is the
@@ -432,17 +454,21 @@ def poisson_bvp(
 
     Memory, in fields of nx * n_normal float64: a mode-direct solve
     factors and solves its modes a block of about _BLOCK_BYTES of rows at
-    a time, dropping each block's factor before the next, so it peaks at
-    g_k (half a field) plus one block (0.63 fields traced at 64 x 24,001,
-    0.77 at 64 x 4,001), and keeps only g_k, for real and complex data
-    alike; g_k is bitwise that of one stacked factor at any block size
-    (see :func:`_mode_factor`).  The first read of ``values`` forms the
-    field next to g_k and then drops g_k: one field kept for real data
-    (1.57 to 1.73 at the peak); complex data combines its two real parts
-    into the complex field, 4.02 fields at the peak and two kept.  A
-    tangent-dependent V - E is held on the full grid, the whole mode
-    factor (one field) is kept as CG's preconditioner, and CG adds the
-    residual and its vectors.
+    a time (:func:`_unit_rows`) and keeps g_k only on the rows that a trace
+    at weighted depth <= rho_max reads: down to node row J, the upper node
+    of the interval holding s(rho_max) (``agmon.separable_level_height``)
+    plus the spline reach _SPLINE_REACH.  Each block's factor and its rows
+    past J go before the next block, so the solve peaks at about one block
+    plus the kept rows and keeps (J / n_normal) / 2 fields (0.05 at 64 x
+    4,001 and rho_max = 0.1), for real and complex data alike; g_k is
+    bitwise that of one stacked factor at any block size (see
+    :func:`_mode_factor`).  The first read of ``values`` solves the unit
+    rows past J again (the rest of half a field), forms the field next to
+    all of g_k and then drops g_k: one field kept for real data (1.58 to
+    1.74 at the peak); complex data combines its two real parts into the
+    complex field, 4.02 fields at the peak and two kept.  A tangent-dependent V - E is held on
+    the full grid, the whole mode factor (one field) is kept as CG's
+    preconditioner, and CG adds the residual and its vectors.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -475,24 +501,19 @@ def poisson_bvp(
     bound = _PCG_TOL * (4.0 * (cn + cp) + float(np.max(w)))
     dispersion = expected_circle_eigenvalue(model, h, np.arange(nx // 2 + 1), nx)
     row_mean = np.mean(np.broadcast_to(w, (nx, w.shape[1])), axis=0)
-    unit = np.zeros((dispersion.size, row_mean.size))
-    unit[:, 0] = 1.0
+    b = cn * np.fft.rfft(data)
     if invariant:
-        # a block of modes at a time, each block's factor dropped once its
-        # unit rows are solved
-        step = max(1, _BLOCK_BYTES // unit[0].nbytes)
-        for a in range(0, unit.shape[0], step):
-            block = unit[a : a + step]
-            block[...] = _mode_solve(
-                _mode_factor(row_mean, cn, dispersion[a : a + step]), block
-            )
+        kept = _kept_rows(model, xn, rho_max)
+        unit, worst = _unit_rows(row_mean, cn, dispersion, slice(0, kept), w[0])
     else:
         factor = _mode_factor(row_mean, cn, dispersion)  # CG's preconditioner
+        unit = np.zeros((dispersion.size, row_mean.size))
+        unit[:, 0] = 1.0
         unit = _mode_solve(factor, unit)
-    modes = _ModeForm(data, cn * np.fft.rfft(data), unit)
-    del unit  # solved in place into g_k, which only the mode form keeps
+    modes = _ModeForm(data, b, unit, row_mean, cn, dispersion, xn)
+    del unit  # only the mode form keeps g_k
     if invariant:
-        residual = _mode_residual(modes, w[0], cn, dispersion)
+        residual = _mode_residual(modes, worst)
         if not residual <= bound:
             raise ValueError(
                 f"mode solve missed the residual test on the {nx} x {n_normal} "
@@ -523,38 +544,94 @@ def poisson_bvp(
     )
 
 
+def _kept_rows(model: ModelProblem, xn: np.ndarray, rho_max: float) -> int:
+    """How many unit rows a mode-form field keeps: those of field rows 1 to
+    J, J the upper node of the interval holding s(rho_max) plus
+    _SPLINE_REACH, or every one of the xn.size - 2 when J reaches the end."""
+    s = separable_level_height(model, max(rho_max, 0.0))
+    below = int(np.searchsorted(xn, s, side="right")) - 1
+    return min(below + 1 + _SPLINE_REACH, xn.size - 2)
+
+
 @dataclass(frozen=True)
 class _ModeForm:
     """A field held in mode form, as a real stack of one or two parts.
 
     ``data`` is the boundary row, shaped (parts, nx); ``b`` = cn rfft(data)
     the transform of the first interior row's right-hand side; ``unit`` the
-    unit-row solutions g_k, shaped (nx // 2 + 1, ny - 2).  Row j of a part
-    is its data at j = 0, irfft(b_k g_k[j - 1]) inside and zero at
-    j = ny - 1.
+    unit-row solutions g_k on their first ``unit.shape[1]`` rows, shaped
+    (nx // 2 + 1, kept) with kept <= ny - 2; ``w``, ``cn`` and
+    ``dispersion`` the mode systems, whose solve (:func:`_unit_rows`) gives
+    the rows past the kept ones again, bitwise; ``xn`` the ny normal nodes.
+    Row j of a part is its data at j = 0, irfft(b_k g_k[j - 1]) inside
+    and zero at j = ny - 1.
     """
 
     data: np.ndarray
     b: np.ndarray
     unit: np.ndarray
+    w: np.ndarray
+    cn: float
+    dispersion: np.ndarray
+    xn: np.ndarray
+
+    @property
+    def last(self) -> int:
+        """The deepest normal row that the kept unit rows form."""
+        kept, ny = self.unit.shape[1], self.xn.size
+        return ny - 1 if kept == ny - 2 else kept
+
+    def _rest(self) -> np.ndarray:
+        """The unit rows past the kept ones, solved again."""
+        kept = self.unit.shape[1]
+        return _unit_rows(self.w, self.cn, self.dispersion, slice(kept, None))[0]
 
     def parts(self) -> np.ndarray:
         """Every row, shaped (parts, nx, ny)."""
-        values = np.zeros(self.data.shape + (self.unit.shape[1] + 2,))
+        kept = self.unit.shape[1]
+        rest = self._rest() if kept < self.xn.size - 2 else None
+        values = np.zeros(self.data.shape + (self.xn.size,))
         values[..., 0] = self.data
-        _synthesize(self.b, self.unit, values[..., 1:-1])
+        _synthesize(self.b, self.unit, values[..., 1 : kept + 1])
+        if rest is not None:
+            _synthesize(self.b, rest, values[..., kept + 1 : -1])
         return values
 
     def rows(self, rows: np.ndarray) -> np.ndarray:
         """The field's columns at the sorted distinct normal rows ``rows``,
         shaped (nx, rows.size), bitwise those of the formed field; only
-        these rows are synthesized."""
-        out = np.zeros(self.data.shape + (rows.size,))
+        these rows are synthesized, and rows past the kept ones from a new
+        solve of the unit rows that lives only for this call."""
         lo = int(rows[0] == 0)
-        hi = rows.size - int(rows[-1] == self.unit.shape[1] + 1)
+        hi = rows.size - int(rows[-1] == self.xn.size - 1)
+        kept = self.unit.shape[1]
+        cols = rows[lo:hi] - 1
+        split = lo + int(np.searchsorted(cols, kept))
+        out = np.zeros(self.data.shape + (rows.size,))
         out[..., :lo] = self.data[..., None]
-        _synthesize(self.b, self.unit[:, rows[lo:hi] - 1], out[..., lo:hi])
+        _synthesize(self.b, self.unit[:, cols[: split - lo]], out[..., lo:split])
+        if split < hi:
+            rest = self._rest()[:, cols[split - lo :] - kept]
+            _synthesize(self.b, rest, out[..., split:hi])
         return _combine(out)
+
+    def spans(self, node: np.ndarray, below: np.ndarray) -> bool:
+        """Whether :attr:`head` gives, bitwise, the node values at rows
+        ``node`` and the spline values on the intervals ``below``: every
+        row is kept, or the rows reach _SPLINE_REACH rows past the deepest
+        interval's upper node."""
+        last = self.last
+        if last == self.xn.size - 1:
+            return True
+        deepest = int(np.max(below)) + 1 + _SPLINE_REACH
+        return int(np.max(node)) <= last and deepest <= last
+
+    @cached_property
+    def head(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, slopes): the field's columns on rows 0 to :attr:`last`
+        and the knot slopes of their splines over those rows alone."""
+        values = self.rows(np.arange(self.last + 1))
+        return values, _column_slopes(self.xn[: self.last + 1], values)
 
 
 def _synthesize(b: np.ndarray, unit: np.ndarray, out: np.ndarray) -> None:
@@ -614,25 +691,53 @@ def _mode_solve(factor, rhs: np.ndarray) -> np.ndarray:
     return x.T.reshape(rhs.shape)
 
 
-def _mode_residual(modes: _ModeForm, w: np.ndarray, cn: float, dispersion) -> float:
-    """The bound on max|A u - b| / max|phi| of a mode-form field u from the
-    residuals r_k = T_k g_k - e_0 of its mode systems, with w the
-    operator's own V - E column; see :func:`poisson_bvp`.  The residuals
-    are taken a block of modes at a time, about _BLOCK_BYTES of g each."""
-    unit = modes.unit
+def _unit_rows(
+    w: np.ndarray,
+    cn: float,
+    dispersion: np.ndarray,
+    rows: slice,
+    residual_w: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(g, worst): the unit-row solutions g_k = T_k^{-1} e_0 of the mode
+    systems of :func:`_mode_factor` on the unit rows ``rows`` (a slice of
+    the w.size rows), shaped (dispersion.size, rows), and with
+    ``residual_w`` (the operator's own V - E column) the largest entry
+    max_j |r_kj| of each mode's residual r_k = T_k g_k - e_0, else None.
+
+    The modes are factored and solved a block of about _BLOCK_BYTES of
+    rows at a time; each block's residual is taken on every row, and its
+    factor and its rows outside ``rows`` are dropped before the next
+    block.  The same calls in the same order on every call, so g is
+    bitwise the same on any ``rows``, and bitwise one stacked solve's."""
+    n = w.size
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    unit = np.empty((dispersion.size, len(range(n)[rows])))
+    worst = None if residual_w is None else np.empty(dispersion.size)
+    diag = None if residual_w is None else 2.0 * cn + residual_w
+    block = np.empty((min(step, dispersion.size), n))
+    for a in range(0, dispersion.size, step):
+        shifts = dispersion[a : a + step]
+        g = block[: shifts.size]
+        g[...] = 0.0
+        g[:, 0] = 1.0
+        g[...] = _mode_solve(_mode_factor(w, cn, shifts), g)
+        if worst is not None:
+            r = (diag + shifts[:, None]) * g
+            r[:, 1:] -= cn * g[:, :-1]
+            r[:, :-1] -= cn * g[:, 1:]
+            r[:, 0] -= 1.0
+            worst[a : a + step] = np.max(np.abs(r), axis=1)
+        unit[a : a + step] = g[:, rows]
+    return unit, worst
+
+
+def _mode_residual(modes: _ModeForm, worst: np.ndarray) -> float:
+    """The bound on max|A u - b| / max|phi| of a mode-form field u from
+    ``worst``, the largest residual entry of each of its mode systems
+    (:func:`_unit_rows`); see :func:`poisson_bvp`."""
     nx = modes.data.shape[1]
-    worst = np.empty(unit.shape[0])
-    diag = 2.0 * cn + w
-    step = max(1, _BLOCK_BYTES // unit[0].nbytes)
-    for a in range(0, unit.shape[0], step):
-        g = unit[a : a + step]
-        r = (diag + dispersion[a : a + step, None]) * g
-        r[:, 1:] -= cn * g[:, :-1]
-        r[:, :-1] -= cn * g[:, 1:]
-        r[:, 0] -= 1.0
-        worst[a : a + step] = np.max(np.abs(r), axis=1)
     # rfft modes other than k = 0 and the Nyquist mode stand for a pair
-    weight = np.full(unit.shape[0], 2.0)
+    weight = np.full(worst.size, 2.0)
     weight[0] = 1.0
     if nx % 2 == 0:
         weight[-1] = 1.0
@@ -820,21 +925,26 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     node = np.where(np.abs(xn[below] - heights) <= 1e-12, below, above)
     on_node = np.abs(xn[node] - heights) <= 1e-12
     off = np.flatnonzero(~on_node)
-    if off.size == 0 and field2d.modes is not None:
+    modes = field2d.modes
+    if off.size == 0 and modes is not None:
         rows, inverse = np.unique(node, return_inverse=True)
-        return field2d.modes.rows(rows)[idx, inverse]
-    out = field2d.values[idx, node]
-    if off.size == 0:
-        return out
-    slopes = field2d._spline_slopes
+        return modes.rows(rows)[idx, inverse]
     cols = idx[off]
     s = heights[off]
     # each sample on its own column's interval x[k] <= s < x[k + 1]
     k = np.clip(np.searchsorted(xn, s, side="right") - 1, 0, xn.size - 2)
-    y0 = field2d.values[cols, k]
+    if modes is not None and modes.spans(node, k):
+        values, slopes = modes.head
+    else:
+        values = field2d.values
+        slopes = field2d._spline_slopes if off.size else None
+    out = values[idx, node]
+    if off.size == 0:
+        return out
+    y0 = values[cols, k]
     d0 = slopes[cols, k]
     c0, c1 = hermite_leading(
-        y0, field2d.values[cols, k + 1], d0, slopes[cols, k + 1], np.diff(xn)[k]
+        y0, values[cols, k + 1], d0, slopes[cols, k + 1], np.diff(xn)[k]
     )
     out[off] = cubic_value((c0, c1, d0, y0), s - xn[k])
     return out
@@ -848,12 +958,15 @@ def trace_at(field2d: Field2D, level: LevelSet) -> BoundaryTrace:
     splines, each column evaluated at its own height, so flat and curved
     levels take one path.  A field still in mode form (a tangent-invariant
     solve) gives a trace whose samples all lie on nodes from the distinct
-    normal rows it reads, formed alone and bitwise as in the formed field;
-    any other trace reads ``values``, which forms the field.  The first
-    off-node trace of a Field2D builds the splines of all its columns (one
-    batched spline per 128 KiB block of field values) and the field keeps
-    their knot slopes, the field's size again; every later trace of that
-    field only evaluates, bitwise as a fresh spline would.
+    normal rows it reads, formed alone and bitwise as in the formed field.
+    Its off-node traces down to the solve's ``rho_max`` spline only the
+    rows it keeps, formed once and kept with their slopes, bitwise as the
+    whole columns' splines (see ``Field2D``); a deeper one, like any trace
+    of another field, reads ``values``, which forms the field.  The first
+    off-node trace of a formed Field2D builds the splines of all its
+    columns (one batched spline per 128 KiB block of field values) and the
+    field keeps their knot slopes, the field's size again; every later
+    trace of that field only evaluates, bitwise as a fresh spline would.
     """
     values = _column_values(field2d, level)
     return BoundaryTrace(values=values, level=level, rho=level.rho, h=field2d.h)

@@ -16,6 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import hessenberg
 
 from agmonlab import fcalc
+from agmonlab._numerics import Spline
 from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import LevelSet, separable_level_set
 from agmonlab.fcalc import (
@@ -765,6 +766,24 @@ class TestSurfaceLevelAndTrace:
         spacing = 2.0 * math.pi / 256
         norm_sq = spacing * float(np.sum(mods**2))
         assert trace.ambient_norm**2 == pytest.approx(norm_sq, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 7, 64])
+    def test_one_profile_spline_is_the_column_splines(self, torus_transverse_coarse, k):
+        # the mode is its normal profile times its phase row, so one spline
+        # of the profile gives every column's spline to rounding, across
+        # the mass profile's depth window and on the surface
+        mode = assemble_separable_mode(
+            torus_transverse_coarse, k=k, model=TORUS, n_tangential=256
+        )
+        columns = Spline(mode.axes[1], mode.values.T)
+        profile, phase = fcalc._separable_factors(mode, TORUS)
+        depths = np.linspace(0.0, 4.0 * mode.h, 65)
+        pairs = [
+            (profile(depths)[:, None] * phase, columns(depths)),
+            (surface_trace_of_mode(mode, TORUS).values, columns(0.0)),
+        ]
+        for one, every in pairs:
+            assert np.max(np.abs(one - every)) <= 1e-14 * np.max(np.abs(every))
 
     def test_trace_rejects_transverse_mode(self, torus_transverse_coarse):
         with pytest.raises(ValueError, match="separable 2D mode"):

@@ -1,6 +1,8 @@
 """Tests for the model catalogue: validation, evaluators, Taylor data."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +47,47 @@ def test_separable_torus_collar_halfwidth_matches_root_find():
     # collar rule: half the distance to the point where the barrier halves
     half = brentq(lambda s: 0.5 + math.cos(s) - 0.75, 0.5, 2.0, xtol=1e-13)
     assert model.collar_width_ambient == pytest.approx(half / 2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("halfplane-unit", {}),
+        ("halfplane-unit", {"height": 3.0}),
+        ("separable-torus", {}),
+        ("separable-torus", {"E": 1.2}),
+        ("separable-torus", {"E": -0.5}),
+        ("strip-2d", {}),
+    ],
+)
+def test_measurement_is_that_of_the_full_tangential_probe(name, params, monkeypatch):
+    # a model with Taylor data is validated on one tangential column; its
+    # margin, collar widths and forbidden extent are bitwise those of the
+    # 128-column probe, taken here by measuring with the Taylor data hidden
+    model = make_model(name, params)
+    xp = np.linspace(0.0, model.lengths[0], 128, endpoint=False)
+    s = np.linspace(0.0, model.axis_bounds(1)[1], 2049)
+    barrier = potential_grid(model, xp, s) - model.energy
+    if name in TANGENT_INVARIANT_MODELS:
+        assert np.array_equal(barrier.min(axis=0), barrier[0])
+    monkeypatch.setitem(
+        KNOWN_MODELS, name, replace(KNOWN_MODELS[name], taylor=None)
+    )
+    probed = make_model(name, params)
+    for key in ("margin", "collar_width", "collar_width_ambient", "forbidden_extent"):
+        assert getattr(model, key) == getattr(probed, key), key
+
+
+@pytest.mark.parametrize("name", list(TANGENT_INVARIANT_MODELS))
+def test_tangent_invariant_model_validates_in_a_small_footprint(name):
+    # one probe column of 2,049 normal nodes, not 128 of them (4.1 MiB)
+    tracemalloc.start()
+    try:
+        make_model(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * 2**20
 
 
 def test_degenerate_model_rejected_not_clamped():

@@ -40,6 +40,7 @@ from agmonlab.agmon import (
     LevelSet,
     agmon_distance,
     level_set_at,
+    separable_level_height,
     separable_level_set,
 )
 from agmonlab.experiments import parse_config, run_experiment
@@ -565,20 +566,32 @@ class TestPoissonBVP:
             tuple(x / field_bytes for x in formed),
         )
 
+    @staticmethod
+    def _kept_fraction(n_normal):
+        """What the traced direct solve keeps, in fields of 64 x n_normal:
+        g_k at 33 modes on field rows 1 to J, J the upper node of the
+        interval holding s(rho_max = 0.1) plus the spline reach, and the
+        normal nodes and the V - E column, one column each."""
+        xn = np.linspace(0.0, 1.0, n_normal)
+        s = separable_level_height(TORUS, 0.1)
+        last = int(np.searchsorted(xn, s, side="right")) + solver._SPLINE_REACH
+        return 33 * last / (64 * n_normal) + 2 / 64
+
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_direct_solve_peak_memory(self, n_normal):
-        # the unit-row solutions g_k (half a field at nx // 2 + 1 = 33
-        # modes) are live next to one block of the mode factor (four modes
-        # at 4,001 normal nodes, one at 24,001): 0.77 and 0.63 fields
-        # measured, and the solve keeps g_k; V - E is one column and the
-        # mode residual runs a block of modes at a time.  Forming the field
-        # next to g_k peaks at 1.73 and 1.57 fields, and drops g_k.
+        # the kept unit rows of g_k (0.05 and 0.04 fields, where all of g_k
+        # is half a field) are live next to one block of the mode factor
+        # (four modes at 4,001 normal nodes, one at 24,001): 0.37 and 0.17
+        # fields measured; V - E is one column and the mode residual runs
+        # a block of modes at a time.  Forming the field solves the other
+        # unit rows again, forms the field next to them, peaks at 1.74 and
+        # 1.58 fields, and drops g_k.
         field, (retained, peak), (formed, formed_peak) = self._traced_direct_solve(
             n_normal, 0.0
         )
         assert field.values.dtype == np.float64
-        assert peak <= {4001: 0.9, 24001: 0.7}[n_normal]
-        assert abs(retained - 0.53) <= 0.05  # g_k at 33 of 64 modes
+        assert peak <= {4001: 0.45, 24001: 0.25}[n_normal]
+        assert abs(retained - self._kept_fraction(n_normal)) <= 0.005
         assert formed_peak <= 1.8
         assert abs(formed - 1.0) <= 0.05  # the real field
 
@@ -591,8 +604,8 @@ class TestPoissonBVP:
             n_normal, 0.3j
         )
         assert field.values.dtype == np.complex128
-        assert peak <= {4001: 0.9, 24001: 0.7}[n_normal]
-        assert abs(retained - 0.53) <= 0.05
+        assert peak <= {4001: 0.45, 24001: 0.25}[n_normal]
+        assert abs(retained - self._kept_fraction(n_normal)) <= 0.005
         assert formed_peak <= 4.1
         assert abs(formed - 2.0) <= 0.05  # the complex field
 
@@ -618,6 +631,77 @@ class TestPoissonBVP:
         assert np.array_equal(mixed_trace.values, field.values[np.arange(nx), mixed])
         assert np.array_equal(field.values[:, 0], data)
         assert field.modes is None  # forming the field dropped the mode form
+
+    @staticmethod
+    def _kept_row_field(case):
+        """A mode-form field and the levels of its certified traces: the
+        shipped torus-decay solve (512 x 512, real data, rho_max = 0.4,
+        deepest level between rows 88 and 89) or a 64 x 4,001 one of
+        complex data."""
+        if case == "torus-decay":
+            h, nx = 0.02, 512
+            phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, h)
+            field = poisson_bvp(TORUS, phi, h, far=1.9, n_normal=512, rho_max=0.4)
+            return field, (0.1, 0.2, 0.3, 0.4)
+        nx = 64
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        data = 1.0 + 0.4 * np.cos(xp) + 0.3j * np.sin(2.0 * xp)
+        phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)
+        field = poisson_bvp(TORUS, phi, 0.05, far=1.0, n_normal=4001, rho_max=0.1)
+        return field, (0.025, 0.05, 0.075, 0.1)
+
+    @pytest.mark.parametrize("case", ["torus-decay", "complex-64x4001"])
+    def test_off_node_traces_within_the_kept_rows(self, case, spline_builds):
+        # every certified level splines the kept rows alone, built once and
+        # shared, and reads bitwise what a spline of the whole column gives
+        field, rhos = self._kept_row_field(case)
+        xp, xn = field.tangential_nodes, field.normal_nodes
+        kept = field.modes.unit.shape[1]
+        assert kept < xn.size - 2
+        levels = [separable_level_set(TORUS, r, n_tangential=xp.size) for r in rhos]
+        traces = [trace_at(field, level) for level in levels]
+        assert "values" not in vars(field)  # no trace formed the field
+        assert field.modes.head[0].shape == (xp.size, kept + 1)
+        assert sum(spline_builds) == xp.size  # one build pass over the columns
+        for level, trace in zip(levels, traces):
+            assert np.min(np.abs(xn - level.points[0, 1])) > 1e-12  # off node
+            assert np.array_equal(
+                trace.values, per_column_spline_oracle(field.values, xp, xn, level)
+            )
+
+    def test_traces_past_the_kept_rows_solve_the_rest_again(self, monkeypatch):
+        # a node row past the kept ones solves the other unit rows again
+        # for that trace alone; an off-node level within the spline reach of
+        # the kept rows' end, or past them, reads the field, formed by the
+        # same solve; every value is bitwise the formed field's
+        field, _ = self._kept_row_field("complex-64x4001")
+        xp, xn = field.tangential_nodes, field.normal_nodes
+        kept = field.modes.unit.shape[1]
+        calls = []
+        unit_rows = solver._unit_rows
+
+        def counted(w, cn, dispersion, rows, residual_w=None):
+            calls.append(rows)
+            return unit_rows(w, cn, dispersion, rows, residual_w)
+
+        monkeypatch.setattr(solver, "_unit_rows", counted)
+        node = trace_at(field, level_at_heights(np.full(xp.size, xn[kept + 1])))
+        assert calls == [slice(kept, None)]
+        assert "values" not in vars(field)
+        mid = 0.5 * (xn[kept - 10] + xn[kept - 9])  # 10 rows inside the kept ones
+        near_end = trace_at(field, level_at_heights(np.full(xp.size, mid)))
+        assert calls == [slice(kept, None)] * 2
+        assert field.modes is None  # the field is formed
+        deep = separable_level_set(TORUS, 0.3, n_tangential=xp.size)
+        assert deep.points[0, 1] > xn[kept]
+        deep_trace = trace_at(field, deep)
+        assert len(calls) == 2
+        assert np.array_equal(node.values, field.values[:, kept + 1])
+        for trace in (near_end, deep_trace):
+            assert np.array_equal(
+                trace.values,
+                per_column_spline_oracle(field.values, xp, xn, trace.level),
+            )
 
     def test_mode_residual_can_fail(self, monkeypatch):
         solve = solver._mode_solve
@@ -648,8 +732,9 @@ class TestPoissonBVP:
     )
     def test_blocked_mode_solve_is_the_stacked_solve(self, monkeypatch, block_modes):
         # 0 bytes still makes one-mode blocks, 4 modes do not divide the 33
-        # modes of nx = 64, and 64 modes' worth is one block: the unit rows
-        # and CG's preconditioner are bitwise those of one stacked solve
+        # modes of nx = 64, and 64 modes' worth is one block: the kept unit
+        # rows, the field formed by solving the others again, and CG's
+        # preconditioner are bitwise those of one stacked solve
         h, ny = 0.05, 1001
         factors = []
         pcg = solver._mode_pcg
@@ -674,10 +759,18 @@ class TestPoissonBVP:
             unit[:, 0] = 1.0
             unit, info = dpttrs(d, e, unit.ravel())
             assert info == 0
+            unit = unit.reshape(modes.size, -1)
             if model is TORUS:
                 assert field.meta["path"] == "mode-direct"
                 assert factors == []
-                assert np.array_equal(field.modes.unit, unit.reshape(modes.size, -1))
+                kept = field.modes.unit.shape[1]
+                assert kept == 1 + solver._SPLINE_REACH < ny - 2  # rho_max = 0
+                assert np.array_equal(field.modes.unit, unit[:, :kept])
+                data = np.real(phi.values)[None]
+                expected = np.zeros((1, nx, ny))
+                expected[..., 0] = data
+                solver._synthesize(cn * np.fft.rfft(data), unit, expected[..., 1:-1])
+                assert np.array_equal(field.values, expected[0])
                 continue
             assert field.meta["path"] == "mode-pcg"
             (factor,) = factors
