@@ -140,12 +140,10 @@ class Spline:
     left), (1, right))`` does.
 
     The spline keeps x, y and the knot slopes, one array of y's size, and
-    forms the Hermite coefficients of only the intervals a call lands in.
-    ``c[k, i]`` multiplies ``(t - x[i]) ** (3 - k)`` on ``[x[i], x[i + 1]]``,
-    formed on demand for every interval, bitwise ``CubicSpline``'s ``c``:
-    the arithmetic is elementwise, so a coefficient does not depend on
-    which other intervals are formed with it.  Calls extrapolate from the
-    end intervals.
+    forms the Hermite coefficients of only the intervals a call lands in,
+    bitwise those of ``CubicSpline``'s ``c``: the arithmetic is
+    elementwise, so a coefficient does not depend on which other intervals
+    are formed with it.  Calls extrapolate from the end intervals.
     """
 
     def __init__(self, x, y, end_slopes=None):
@@ -161,10 +159,6 @@ class Spline:
         dx = self._dx[k].reshape(k.shape + (1,) * (y.ndim - 1))
         c0, c1 = hermite_leading(y[k], y[k + 1], s[k], s[k + 1], dx)
         return np.stack((c0, c1, s[k], y[k]))
-
-    @property
-    def c(self) -> np.ndarray:
-        return self._coefficients(np.arange(self.x.size - 1))
 
     def __call__(self, t, nu: int = 0):
         """Value (``nu=0``) or first derivative (``nu=1``) at t, summed in

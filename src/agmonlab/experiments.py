@@ -300,15 +300,20 @@ def load_config(path) -> Mapping:
     return payload
 
 
-def _positive(raw) -> bool:
-    """Whether a config value is a positive finite number: JSON's NaN and
-    Infinity literals, bools and integers too large for a float are not."""
+def _finite(raw) -> bool:
+    """Whether a config value is a finite number: JSON's NaN and Infinity
+    literals, strings, bools and integers too large for a float are not."""
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         return False
     try:
-        return 0.0 < float(raw) < math.inf
+        return math.isfinite(float(raw))
     except OverflowError:
         return False
+
+
+def _positive(raw) -> bool:
+    """Whether a config value is a positive finite number."""
+    return _finite(raw) and float(raw) > 0.0
 
 
 def _float_tuple(raw, name, errors, *, distinct=False) -> tuple[float, ...]:
@@ -419,19 +424,25 @@ def parse_config(
         errors["model"] = "must be a model name string"
     if not isinstance(params_raw, Mapping):
         errors["params"] = "must be an object of numeric model parameters"
+    elif not all(_finite(value) for value in params_raw.values()):
+        errors["params"] = "parameter values must be finite numbers"
     else:
-        try:
-            params = tuple(
-                (str(k), float(params_raw[k])) for k in sorted(params_raw)
-            )
-        except (TypeError, ValueError, OverflowError):
-            errors["params"] = "parameter values must be numbers within float range"
+        params = tuple((str(k), float(params_raw[k])) for k in sorted(params_raw))
     built = None
     if isinstance(model, str) and "model" not in errors:
         try:
             built = make_model(model, dict(params))
         except ValueError as exc:
             errors["model"] = str(exc)
+    if built is not None:
+        # a model reads only the parameters it records
+        names = [name for name, _ in built.params]
+        unknown = sorted({name for name, _ in params} - set(names))
+        if unknown:
+            errors["params"] = (
+                f"{model} has no parameter {', '.join(unknown)}; "
+                f"its parameters are {', '.join(names)}"
+            )
     # only a built model is checked against each kind's models
     model_name = model if built is not None else None
 

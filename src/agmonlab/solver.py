@@ -17,8 +17,9 @@ linearity as its real and imaginary parts, and real data gives a real
 field.  For tangentially constant potentials the preconditioner is exact:
 V - E is held as one normal column, no iteration runs, and the field is
 returned in mode form, kept only down to the rows its certified traces
-read, so a trace forms only the normal rows it reads; its residual is
-checked on the mode systems it solved.
+read: a trace within those rows reads them, formed once, and any other
+read forms the field; its residual is checked on the mode systems it
+solved.
 """
 
 from __future__ import annotations
@@ -299,16 +300,14 @@ class Field2D:
     (``values=None`` and a ``_ModeForm`` in ``modes``): each normal row is
     irfft(b_k g_k[j]) along the tangent, and the mode form keeps g_k only
     on the rows a trace at the solve's deepest certified level reads, down
-    to _SPLINE_REACH rows past that level's interval.  A trace whose
-    samples all lie on grid nodes forms only the distinct rows it reads,
-    bitwise those of the formed field, so it never forms the field; an
-    off-node trace within the kept rows forms them all once and splines
-    them alone, and the mode form keeps those rows and their slopes for
-    the next such trace.  The first read of ``values``, and any trace that
-    reaches past the kept rows, solves the unit rows past them again by
-    the same LAPACK calls, so every value is bitwise what the whole g_k
-    gives; ``values`` then forms every row, block by block, keeps the
-    field and drops the mode form.
+    to _SPLINE_REACH rows past that level's interval.  One rule reads it:
+    a trace whose node rows, and whose spline intervals plus
+    _SPLINE_REACH, lie within the kept rows reads the head, those rows
+    formed once (g_k then goes), and splines them alone, their slopes
+    built on its first off-node read and kept for the next; every value
+    is bitwise the formed field's.  Any other read forms ``values``: it
+    solves every unit row again by the same LAPACK calls, forms every row,
+    block by block, keeps the field and drops the mode form.
 
     Off-node traces interpolate each tangential column along the normal by
     a not-a-knot cubic spline (the ``_numerics`` port, bitwise scipy's
@@ -429,11 +428,11 @@ def poisson_bvp(
     For potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``)
     that is the solution (``meta["path"]`` "mode-direct"): V - E is one
     normal column, and the field is returned in mode form (see
-    ``Field2D``), so a trace forms only the rows it reads.  Its residual
-    is that of the systems solved, r_k = T_k g_k - e_0 with the operator's
-    own V - E column, taken on every row a block of modes at a time, before
-    the block's rows past the kept ones are dropped, and mapped to the
-    field by the triangle bound (1/nx) sum_k m_k |b_k|
+    ``Field2D``), so a certified trace forms only the kept rows.  Its
+    residual is that of the systems solved, r_k = T_k g_k - e_0 with the
+    operator's own V - E column, taken on every row a block of modes at a
+    time, before the block's rows past the kept ones are dropped, and
+    mapped to the field by the triangle bound (1/nx) sum_k m_k |b_k|
     max_j |r_kj| (m_k = 1 at k = 0 and at the Nyquist mode, else 2; for
     complex data the two parts' moduli summed), over max|phi|, which is
     never above max|u|.  Otherwise (path "mode-pcg") that solution is the
@@ -462,11 +461,11 @@ def poisson_bvp(
     plus the kept rows and keeps (J / n_normal) / 2 fields (0.05 at 64 x
     4,001 and rho_max = 0.1), for real and complex data alike; g_k is
     bitwise that of one stacked factor at any block size (see
-    :func:`_mode_factor`).  The first read of ``values`` solves the unit
-    rows past J again (the rest of half a field), forms the field next to
-    all of g_k and then drops g_k: one field kept for real data (1.58 to
-    1.74 at the peak); complex data combines its two real parts into the
-    complex field, 4.02 fields at the peak and two kept.  A tangent-dependent V - E is held on
+    :func:`_mode_factor`).  The first read of ``values`` solves every
+    unit row again (half a field), forms the field next to them and then
+    drops them: one field kept for real data (1.58 to 1.74 at the peak);
+    complex data combines its two real parts into the complex field, 4.02
+    fields at the peak and two kept.  A tangent-dependent V - E is held on
     the full grid, the whole mode factor (one field) is kept as CG's
     preconditioner, and CG adds the residual and its vectors.
     """
@@ -505,26 +504,22 @@ def poisson_bvp(
     if invariant:
         kept = _kept_rows(model, xn, rho_max)
         unit, worst = _unit_rows(row_mean, cn, dispersion, slice(0, kept), w[0])
-    else:
-        factor = _mode_factor(row_mean, cn, dispersion)  # CG's preconditioner
-        unit = np.zeros((dispersion.size, row_mean.size))
-        unit[:, 0] = 1.0
-        unit = _mode_solve(factor, unit)
-    modes = _ModeForm(data, b, unit, row_mean, cn, dispersion, xn)
-    del unit  # only the mode form keeps g_k
-    if invariant:
-        residual = _mode_residual(modes, worst)
+        residual = _mode_residual(data, b, worst)
         if not residual <= bound:
             raise ValueError(
                 f"mode solve missed the residual test on the {nx} x {n_normal} "
                 f"grid: residual {residual:.3g} > {bound:.3g}"
             )
+        modes = _ModeForm(data, b, unit, row_mean, cn, dispersion, xn)
         values, iterations, path = None, 0, "mode-direct"
     else:
-        first = modes.parts()
-        modes = None  # g_k goes before CG allocates
+        factor = _mode_factor(row_mean, cn, dispersion)  # CG's preconditioner
+        unit = np.zeros((dispersion.size, row_mean.size))
+        unit[:, 0] = 1.0
+        first = _leading_rows(data, b, _mode_solve(factor, unit), n_normal)
+        del unit  # g_k goes before CG allocates
         parts, iterations, residual = _mode_pcg(first, w, cn, cp, factor, bound)
-        values, path = _combine(parts), "mode-pcg"
+        values, path, modes = _combine(parts), "mode-pcg", None
     meta = {
         "far": far,
         "contamination_bound": contamination,
@@ -560,78 +555,71 @@ class _ModeForm:
     ``data`` is the boundary row, shaped (parts, nx); ``b`` = cn rfft(data)
     the transform of the first interior row's right-hand side; ``unit`` the
     unit-row solutions g_k on their first ``unit.shape[1]`` rows, shaped
-    (nx // 2 + 1, kept) with kept <= ny - 2; ``w``, ``cn`` and
-    ``dispersion`` the mode systems, whose solve (:func:`_unit_rows`) gives
-    the rows past the kept ones again, bitwise; ``xn`` the ny normal nodes.
-    Row j of a part is its data at j = 0, irfft(b_k g_k[j - 1]) inside
-    and zero at j = ny - 1.
+    (nx // 2 + 1, kept) with kept <= ny - 2, until :attr:`head` forms them;
+    ``w``, ``cn`` and ``dispersion`` the mode systems, whose solve
+    (:func:`_unit_rows`) gives every unit row again, bitwise; ``xn`` the ny
+    normal nodes.  Row j of a part is its data at j = 0, irfft(b_k
+    g_k[j - 1]) inside and zero at j = ny - 1 (:func:`_leading_rows`).
     """
 
     data: np.ndarray
     b: np.ndarray
-    unit: np.ndarray
+    unit: np.ndarray | None
     w: np.ndarray
     cn: float
     dispersion: np.ndarray
     xn: np.ndarray
+    last: int = field(init=False)
 
-    @property
-    def last(self) -> int:
-        """The deepest normal row that the kept unit rows form."""
+    def __post_init__(self) -> None:
+        # the deepest normal row that the kept unit rows form
         kept, ny = self.unit.shape[1], self.xn.size
-        return ny - 1 if kept == ny - 2 else kept
-
-    def _rest(self) -> np.ndarray:
-        """The unit rows past the kept ones, solved again."""
-        kept = self.unit.shape[1]
-        return _unit_rows(self.w, self.cn, self.dispersion, slice(kept, None))[0]
+        object.__setattr__(self, "last", ny - 1 if kept == ny - 2 else kept)
 
     def parts(self) -> np.ndarray:
-        """Every row, shaped (parts, nx, ny)."""
-        kept = self.unit.shape[1]
-        rest = self._rest() if kept < self.xn.size - 2 else None
-        values = np.zeros(self.data.shape + (self.xn.size,))
-        values[..., 0] = self.data
-        _synthesize(self.b, self.unit, values[..., 1 : kept + 1])
-        if rest is not None:
-            _synthesize(self.b, rest, values[..., kept + 1 : -1])
-        return values
-
-    def rows(self, rows: np.ndarray) -> np.ndarray:
-        """The field's columns at the sorted distinct normal rows ``rows``,
-        shaped (nx, rows.size), bitwise those of the formed field; only
-        these rows are synthesized, and rows past the kept ones from a new
-        solve of the unit rows that lives only for this call."""
-        lo = int(rows[0] == 0)
-        hi = rows.size - int(rows[-1] == self.xn.size - 1)
-        kept = self.unit.shape[1]
-        cols = rows[lo:hi] - 1
-        split = lo + int(np.searchsorted(cols, kept))
-        out = np.zeros(self.data.shape + (rows.size,))
-        out[..., :lo] = self.data[..., None]
-        _synthesize(self.b, self.unit[:, cols[: split - lo]], out[..., lo:split])
-        if split < hi:
-            rest = self._rest()[:, cols[split - lo :] - kept]
-            _synthesize(self.b, rest, out[..., split:hi])
-        return _combine(out)
+        """Every row, shaped (parts, nx, ny), from every unit row solved
+        again."""
+        unit = _unit_rows(self.w, self.cn, self.dispersion, slice(None))[0]
+        return _leading_rows(self.data, self.b, unit, self.xn.size)
 
     def spans(self, node: np.ndarray, below: np.ndarray) -> bool:
         """Whether :attr:`head` gives, bitwise, the node values at rows
         ``node`` and the spline values on the intervals ``below``: every
         row is kept, or the rows reach _SPLINE_REACH rows past the deepest
         interval's upper node."""
-        last = self.last
-        if last == self.xn.size - 1:
+        if self.last == self.xn.size - 1:
             return True
-        deepest = int(np.max(below)) + 1 + _SPLINE_REACH
-        return int(np.max(node)) <= last and deepest <= last
+        deepest = int(np.max(node))
+        if below.size:
+            deepest = max(deepest, int(np.max(below)) + 1 + _SPLINE_REACH)
+        return deepest <= self.last
 
     @cached_property
-    def head(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, slopes): the field's columns on rows 0 to :attr:`last`
-        and the knot slopes of their splines over those rows alone."""
-        values = self.rows(np.arange(self.last + 1))
-        return values, _column_slopes(self.xn[: self.last + 1], values)
+    def head(self) -> np.ndarray:
+        """The field's columns on rows 0 to :attr:`last`.  Nothing else
+        reads the kept unit rows, so they go once these are formed."""
+        head = _combine(_leading_rows(self.data, self.b, self.unit, self.xn.size))
+        object.__setattr__(self, "unit", None)
+        head.setflags(write=False)
+        return head
+
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        """The knot slopes of the splines of :attr:`head`'s columns over its
+        rows alone."""
+        return _column_slopes(self.xn[: self.last + 1], self.head)
+
+
+def _leading_rows(
+    data: np.ndarray, b: np.ndarray, unit: np.ndarray, ny: int
+) -> np.ndarray:
+    """The rows 0 to m of the field of ``data`` (m = unit.shape[1], the unit
+    rows given), or all ny rows when m = ny - 2, shaped (parts, nx, rows)."""
+    m = unit.shape[1]
+    values = np.zeros(data.shape + (ny if m == ny - 2 else m + 1,))
+    values[..., 0] = data
+    _synthesize(b, unit, values[..., 1 : m + 1])
+    return values
 
 
 def _synthesize(b: np.ndarray, unit: np.ndarray, out: np.ndarray) -> None:
@@ -731,18 +719,19 @@ def _unit_rows(
     return unit, worst
 
 
-def _mode_residual(modes: _ModeForm, worst: np.ndarray) -> float:
-    """The bound on max|A u - b| / max|phi| of a mode-form field u from
-    ``worst``, the largest residual entry of each of its mode systems
-    (:func:`_unit_rows`); see :func:`poisson_bvp`."""
-    nx = modes.data.shape[1]
+def _mode_residual(data: np.ndarray, b: np.ndarray, worst: np.ndarray) -> float:
+    """The bound on max|A u - b| / max|phi| of the mode-form field u of
+    ``data`` (b = cn rfft(data)) from ``worst``, the largest residual entry
+    of each of its mode systems (:func:`_unit_rows`); see
+    :func:`poisson_bvp`."""
+    nx = data.shape[1]
     # rfft modes other than k = 0 and the Nyquist mode stand for a pair
     weight = np.full(worst.size, 2.0)
     weight[0] = 1.0
     if nx % 2 == 0:
         weight[-1] = 1.0
-    scale = _modulus_max(modes.data)
-    total = float(np.sum(weight * np.sum(np.abs(modes.b), axis=0) * worst)) / nx
+    scale = _modulus_max(data)
+    total = float(np.sum(weight * np.sum(np.abs(b), axis=0) * worst)) / nx
     return total / scale if scale else 0.0
 
 
@@ -923,24 +912,19 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     above = np.clip(np.searchsorted(xn, heights), 0, xn.size - 1)
     below = np.maximum(above - 1, 0)
     node = np.where(np.abs(xn[below] - heights) <= 1e-12, below, above)
-    on_node = np.abs(xn[node] - heights) <= 1e-12
-    off = np.flatnonzero(~on_node)
-    modes = field2d.modes
-    if off.size == 0 and modes is not None:
-        rows, inverse = np.unique(node, return_inverse=True)
-        return modes.rows(rows)[idx, inverse]
+    off = np.flatnonzero(np.abs(xn[node] - heights) > 1e-12)
     cols = idx[off]
     s = heights[off]
     # each sample on its own column's interval x[k] <= s < x[k + 1]
     k = np.clip(np.searchsorted(xn, s, side="right") - 1, 0, xn.size - 2)
-    if modes is not None and modes.spans(node, k):
-        values, slopes = modes.head
-    else:
-        values = field2d.values
-        slopes = field2d._spline_slopes if off.size else None
+    modes = field2d.modes
+    if modes is not None and not modes.spans(node, k):
+        modes = None  # reading values forms the field and drops the mode form
+    values = field2d.values if modes is None else modes.head
     out = values[idx, node]
     if off.size == 0:
         return out
+    slopes = field2d._spline_slopes if modes is None else modes.slopes
     y0 = values[cols, k]
     d0 = slopes[cols, k]
     c0, c1 = hermite_leading(
@@ -957,12 +941,10 @@ def trace_at(field2d: Field2D, level: LevelSet) -> BoundaryTrace:
     others are interpolated along their normal columns by not-a-knot cubic
     splines, each column evaluated at its own height, so flat and curved
     levels take one path.  A field still in mode form (a tangent-invariant
-    solve) gives a trace whose samples all lie on nodes from the distinct
-    normal rows it reads, formed alone and bitwise as in the formed field.
-    Its off-node traces down to the solve's ``rho_max`` spline only the
-    rows it keeps, formed once and kept with their slopes, bitwise as the
-    whole columns' splines (see ``Field2D``); a deeper one, like any trace
-    of another field, reads ``values``, which forms the field.  The first
+    solve) gives its traces down to the solve's ``rho_max`` from the rows
+    it keeps, formed once, and their splines alone, bitwise as the whole
+    field's (see ``Field2D``); a deeper one, like any trace of another
+    field, reads ``values``, which forms the field.  The first
     off-node trace of a formed Field2D builds the splines of all its
     columns (one batched spline per 128 KiB block of field values) and the
     field keeps their knot slopes, the field's size again; every later

@@ -312,6 +312,33 @@ class TestParseConfig:
         assert set(excinfo.value.field_errors) == {key}
 
     @pytest.mark.parametrize(
+        "params, problem",
+        [
+            ({"EE": 0.3}, "separable-torus has no parameter EE; its parameters are E"),
+            ({"E": "0.3"}, "parameter values must be finite numbers"),
+            ({"E": True}, "parameter values must be finite numbers"),
+        ],
+        ids=["unknown-key", "string", "bool"],
+    )
+    def test_model_params_rejected(self, out_dir, params, problem):
+        # a misspelt key would run at the model's default while the summary
+        # echoes it, and a string or a bool is not a JSON number
+        overrides = {**SMALL_RUNS["parametrix-consistency"], "params": params}
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(
+                payload(kind="parametrix-consistency", out=str(out_dir), **overrides)
+            )
+        assert excinfo.value.field_errors == {"params": problem}
+
+    def test_negative_model_param_is_a_number(self, out_dir):
+        # parameters take any sign; the model validates the values it reads
+        overrides = {**SMALL_RUNS["parametrix-consistency"], "params": {"E": -0.5}}
+        (config,) = parse_config(
+            payload(kind="parametrix-consistency", out=str(out_dir), **overrides)
+        )
+        assert config.model.energy == -0.5
+
+    @pytest.mark.parametrize(
         "kind, grid",
         [("halfplane-chain", [10**400]), ("parametrix-consistency", [32, 10**400])],
         ids=["halfplane-chain", "parametrix-consistency"],

@@ -56,12 +56,17 @@ def bitwise(a, b) -> bool:
 # --------------------------------------------------------------------------
 
 
+def coefficients(spline: Spline) -> np.ndarray:
+    """The Hermite coefficients of every interval, shaped as ``CubicSpline.c``."""
+    return spline._coefficients(np.arange(spline.x.size - 1))
+
+
 class TestSpline:
     def test_not_a_knot_real_matches_scipy_bitwise(self):
         x = np.linspace(0.0, 2.0, 8193)
         y = np.sqrt(np.abs(np.cos(x))) + x**3
         ours, theirs = Spline(x, y), CubicSpline(x, y)
-        assert bitwise(ours.c, theirs.c)
+        assert bitwise(coefficients(ours), theirs.c)
         t = np.random.default_rng(3).uniform(-0.5, 2.5, 1000)
         assert bitwise(ours(t), theirs(t))
         assert bitwise(ours(x), theirs(x))
@@ -71,7 +76,7 @@ class TestSpline:
         x = np.sort(rng.uniform(-1.0, 3.0, 512))
         y = rng.standard_normal((48, 512)) + 1j * rng.standard_normal((48, 512))
         ours, theirs = Spline(x, y.T), CubicSpline(x, y, axis=1)
-        assert bitwise(ours.c, theirs.c)
+        assert bitwise(coefficients(ours), theirs.c)
         for t in (0.0, 0.3, x[7]):
             assert bitwise(ours(t), theirs(t))
             assert bitwise(ours(t, 1), theirs(t, 1))
@@ -81,7 +86,7 @@ class TestSpline:
         y = 4.0 + np.cumsum(np.exp(-((x - 6.0) ** 2))) * (x[1] - x[0])
         ours = Spline(x, y, end_slopes=(1.0, 0.0))
         theirs = CubicSpline(x, y, bc_type=((1, 1.0), (1, 0.0)))
-        assert bitwise(ours.c, theirs.c)
+        assert bitwise(coefficients(ours), theirs.c)
         t = np.linspace(4.0, 8.0, 777)
         assert bitwise(ours(t), theirs(t))
 
