@@ -171,11 +171,11 @@ def _weights_for_curve(model: ModelProblem, points: np.ndarray, d_xp: float):
 
     Level curves parametrized by the tangential node spacing get a tilt
     factor sqrt(1 + slope^2) in the ambient element and the conformal factor
-    sqrt(V-E) on top of it.
+    sqrt(V-E) on top of it.  The tangent is a circle, so the slope is the
+    centred difference at every sample, the first and last included.
     """
-    m = points.shape[0]
     heights = points[:, 1]
-    slope = np.gradient(heights, d_xp) if m > 2 else np.zeros(m)
+    slope = (np.roll(heights, -1) - np.roll(heights, 1)) / (2.0 * d_xp)
     ambient = np.sqrt(1.0 + slope**2) * d_xp
     barrier = potential_at(model, points[:, 0], points[:, 1]) - model.energy
     weighted = ambient * np.sqrt(np.maximum(barrier, 0.0))

@@ -15,11 +15,10 @@ operator, which a real FFT along the tangent splits into one real
 Dirichlet tridiagonal per distinct mode; complex data is solved by
 linearity as its real and imaginary parts, and real data gives a real
 field.  For tangentially constant potentials the preconditioner is exact:
-V - E is held as one normal column, no iteration runs, and the field is
-returned in mode form, kept only down to the rows its certified traces
-read: a trace within those rows reads them, formed once, and any other
-read forms the field; its residual is checked on the mode systems it
-solved.
+V - E is held as one normal column, no iteration runs, the field is
+formed only on the rows its certified traces read, and its residual is
+checked on the mode systems it solved.  Every trace reads a field's
+``values`` and their column splines, whichever path solved it.
 """
 
 from __future__ import annotations
@@ -79,9 +78,9 @@ _PCG_MAX_ITER = 200
 _BLOCK_BYTES = 2**17
 # A not-a-knot spline's end condition reaches about (2 - sqrt 3)^k ~ 0.268^k
 # of the way k knots in (de Boor, A Practical Guide to Splines, 1978, ch.
-# IV): 0.268^64 ~ 1e-37, far below rounding.  So a mode-form field keeps its
-# rows this far past the interval of its deepest certified level, and the
-# splines of those rows alone give that level's traces bitwise (on the
+# IV): 0.268^64 ~ 1e-37, far below rounding.  So a mode-direct solve forms
+# rows this far past the interval of its deepest certified level, whose
+# traces their splines alone give bitwise as every row's would (on the
 # 512 x 512 torus-decay grid they already do from 24 rows on).
 _SPLINE_REACH = 64
 
@@ -296,22 +295,15 @@ def assemble_separable_mode(
 class Field2D:
     """A solved field on the tangential-circle x normal-interval grid.
 
-    A solve on a tangent-invariant model returns its field in mode form
-    (``values=None`` and a ``_ModeForm`` in ``modes``): each normal row is
-    irfft(b_k g_k[j]) along the tangent, and the mode form keeps g_k only
-    on the rows a trace at the solve's deepest certified level reads, down
-    to _SPLINE_REACH rows past that level's interval.  One rule reads it:
-    a trace whose node rows, and whose spline intervals plus
-    _SPLINE_REACH, lie within the kept rows reads the head, those rows
-    formed once (g_k then goes), and splines them alone, their slopes
-    built on its first off-node read and kept for the next; every value
-    is bitwise the formed field's.  Any other read forms ``values``: it
-    solves every unit row again by the same LAPACK calls, forms every row,
-    block by block, keeps the field and drops the mode form.
+    ``values`` holds the field on every row of ``normal_nodes``.  A solve
+    on a tangent-invariant model holds only the rows that its traces at
+    weighted depth <= ``meta["rho_max"]`` read, so its ``normal_nodes`` may
+    end short of the far boundary (see :func:`poisson_bvp`); a trace
+    deeper than that raises.
 
     Off-node traces interpolate each tangential column along the normal by
     a not-a-knot cubic spline (the ``_numerics`` port, bitwise scipy's
-    ``CubicSpline``).  The first such trace of a formed field builds the
+    ``CubicSpline``) over the rows held.  The first such trace builds the
     splines of every column, block by block, and the field keeps only what
     a later trace cannot recompute bitwise from its values: the knot slopes
     of every column.  That is the field's own size, in the dtype of the
@@ -321,31 +313,15 @@ class Field2D:
     starts without them.
     """
 
-    values: np.ndarray | None
+    values: np.ndarray
     tangential_nodes: np.ndarray
     normal_nodes: np.ndarray
     h: float
     model: ModelProblem
     meta: dict
-    modes: _ModeForm | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.values is None:
-            object.__delattr__(self, "values")  # formed by __getattr__ on first read
-        else:
-            self.values.setflags(write=False)
-
-    def __getattr__(self, name: str):
-        # reached only for attributes that normal lookup misses, so for
-        # ``values`` only while it is unformed
-        if name != "values" or self.modes is None:
-            raise AttributeError(name)
-        parts = self.modes.parts()
-        object.__setattr__(self, "modes", None)  # gone before the parts are combined
-        values = _combine(parts)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        return values
+        self.values.setflags(write=False)
 
     @property
     def axes(self) -> tuple[np.ndarray, ...]:
@@ -427,11 +403,11 @@ def poisson_bvp(
 
     For potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``)
     that is the solution (``meta["path"]`` "mode-direct"): V - E is one
-    normal column, and the field is returned in mode form (see
-    ``Field2D``), so a certified trace forms only the kept rows.  Its
-    residual is that of the systems solved, r_k = T_k g_k - e_0 with the
-    operator's own V - E column, taken on every row a block of modes at a
-    time, before the block's rows past the kept ones are dropped, and
+    normal column, and the field is formed only on the rows that its
+    traces at weighted depth <= rho_max read, which ``normal_nodes`` lists.
+    Its residual is that of the systems solved, r_k = T_k g_k - e_0 with
+    the operator's own V - E column, taken on every row a block of modes at
+    a time, before the block's rows past the formed ones are dropped, and
     mapped to the field by the triangle bound (1/nx) sum_k m_k |b_k|
     max_j |r_kj| (m_k = 1 at k = 0 and at the Nyquist mode, else 2; for
     complex data the two parts' moduli summed), over max|phi|, which is
@@ -448,26 +424,21 @@ def poisson_bvp(
     ``model.forbidden_extent``, and its influence on traces at weighted
     depth <= rho_max is certified by the tunneling factor
     exp(-2 (depth - rho_max)/h), with depth from ``models.weighted_depth``.
-    The metadata records that bound, the path, the iteration count and the
-    residual.
+    The metadata records that bound, the path, the iteration count, the
+    residual, rho_max and n_normal, the normal rows solved.
 
     Memory, in fields of nx * n_normal float64: a mode-direct solve
     factors and solves its modes a block of about _BLOCK_BYTES of rows at
     a time (:func:`_unit_rows`) and keeps g_k only on the rows that a trace
     at weighted depth <= rho_max reads: down to node row J, the upper node
     of the interval holding s(rho_max) (``agmon.separable_level_height``)
-    plus the spline reach _SPLINE_REACH.  Each block's factor and its rows
-    past J go before the next block, so the solve peaks at about one block
-    plus the kept rows and keeps (J / n_normal) / 2 fields (0.05 at 64 x
-    4,001 and rho_max = 0.1), for real and complex data alike; g_k is
-    bitwise that of one stacked factor at any block size (see
-    :func:`_mode_factor`).  The first read of ``values`` solves every
-    unit row again (half a field), forms the field next to them and then
-    drops them: one field kept for real data (1.58 to 1.74 at the peak);
-    complex data combines its two real parts into the complex field, 4.02
-    fields at the peak and two kept.  A tangent-dependent V - E is held on
-    the full grid, the whole mode factor (one field) is kept as CG's
-    preconditioner, and CG adds the residual and its vectors.
+    plus the spline reach _SPLINE_REACH, bitwise one stacked factor's at
+    any block size (see :func:`_mode_factor`).  It forms rows 0 to J in
+    place next to g_k, which then goes: J / n_normal fields kept, twice
+    that for complex data, and a peak at a factor block next to g_k (0.10,
+    0.20 and 0.37 at 64 x 4,001 and rho_max = 0.1).  A tangent-dependent
+    V - E is held on the full grid, the whole mode factor (one field) is
+    kept as CG's preconditioner, and CG adds the residual and its vectors.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -503,23 +474,29 @@ def poisson_bvp(
     b = cn * np.fft.rfft(data)
     if invariant:
         kept = _kept_rows(model, xn, rho_max)
-        unit, worst = _unit_rows(row_mean, cn, dispersion, slice(0, kept), w[0])
+        unit, worst = _unit_rows(row_mean, cn, dispersion, kept, w[0])
         residual = _mode_residual(data, b, worst)
         if not residual <= bound:
             raise ValueError(
                 f"mode solve missed the residual test on the {nx} x {n_normal} "
                 f"grid: residual {residual:.3g} > {bound:.3g}"
             )
-        modes = _ModeForm(data, b, unit, row_mean, cn, dispersion, xn)
-        values, iterations, path = None, 0, "mode-direct"
+        del v_grid, w, row_mean  # only g_k is live next to the formed rows
+        xn = xn[: kept + 1 if kept < n_normal - 2 else n_normal].copy()
+        values = np.zeros((nx, xn.size), dtype=complex if len(data) == 2 else float)
+        # formed in place through a view of its one or two real parts
+        parts = np.moveaxis(values.view(float).reshape(nx, xn.size, -1), -1, 0)
+        _leading_rows(data, b, unit, parts)
+        iterations, path = 0, "mode-direct"
     else:
         factor = _mode_factor(row_mean, cn, dispersion)  # CG's preconditioner
         unit = np.zeros((dispersion.size, row_mean.size))
         unit[:, 0] = 1.0
-        first = _leading_rows(data, b, _mode_solve(factor, unit), n_normal)
+        first = np.zeros(data.shape + (n_normal,))
+        _leading_rows(data, b, _mode_solve(factor, unit), first)
         del unit  # g_k goes before CG allocates
         parts, iterations, residual = _mode_pcg(first, w, cn, cp, factor, bound)
-        values, path, modes = _combine(parts), "mode-pcg", None
+        values, path = _combine(parts), "mode-pcg"
     meta = {
         "far": far,
         "contamination_bound": contamination,
@@ -527,6 +504,7 @@ def poisson_bvp(
         "iterations": iterations,
         "path": path,
         "rho_max": rho_max,
+        "n_normal": n_normal,
     }
     return Field2D(
         values=values,
@@ -535,91 +513,26 @@ def poisson_bvp(
         h=h,
         model=model,
         meta=meta,
-        modes=modes,
     )
 
 
 def _kept_rows(model: ModelProblem, xn: np.ndarray, rho_max: float) -> int:
-    """How many unit rows a mode-form field keeps: those of field rows 1 to
-    J, J the upper node of the interval holding s(rho_max) plus
+    """How many unit rows a mode-direct solve forms: those of field rows 1
+    to J, J the upper node of the interval holding s(rho_max) plus
     _SPLINE_REACH, or every one of the xn.size - 2 when J reaches the end."""
     s = separable_level_height(model, max(rho_max, 0.0))
     below = int(np.searchsorted(xn, s, side="right")) - 1
     return min(below + 1 + _SPLINE_REACH, xn.size - 2)
 
 
-@dataclass(frozen=True)
-class _ModeForm:
-    """A field held in mode form, as a real stack of one or two parts.
-
-    ``data`` is the boundary row, shaped (parts, nx); ``b`` = cn rfft(data)
-    the transform of the first interior row's right-hand side; ``unit`` the
-    unit-row solutions g_k on their first ``unit.shape[1]`` rows, shaped
-    (nx // 2 + 1, kept) with kept <= ny - 2, until :attr:`head` forms them;
-    ``w``, ``cn`` and ``dispersion`` the mode systems, whose solve
-    (:func:`_unit_rows`) gives every unit row again, bitwise; ``xn`` the ny
-    normal nodes.  Row j of a part is its data at j = 0, irfft(b_k
-    g_k[j - 1]) inside and zero at j = ny - 1 (:func:`_leading_rows`).
-    """
-
-    data: np.ndarray
-    b: np.ndarray
-    unit: np.ndarray | None
-    w: np.ndarray
-    cn: float
-    dispersion: np.ndarray
-    xn: np.ndarray
-    last: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        # the deepest normal row that the kept unit rows form
-        kept, ny = self.unit.shape[1], self.xn.size
-        object.__setattr__(self, "last", ny - 1 if kept == ny - 2 else kept)
-
-    def parts(self) -> np.ndarray:
-        """Every row, shaped (parts, nx, ny), from every unit row solved
-        again."""
-        unit = _unit_rows(self.w, self.cn, self.dispersion, slice(None))[0]
-        return _leading_rows(self.data, self.b, unit, self.xn.size)
-
-    def spans(self, node: np.ndarray, below: np.ndarray) -> bool:
-        """Whether :attr:`head` gives, bitwise, the node values at rows
-        ``node`` and the spline values on the intervals ``below``: every
-        row is kept, or the rows reach _SPLINE_REACH rows past the deepest
-        interval's upper node."""
-        if self.last == self.xn.size - 1:
-            return True
-        deepest = int(np.max(node))
-        if below.size:
-            deepest = max(deepest, int(np.max(below)) + 1 + _SPLINE_REACH)
-        return deepest <= self.last
-
-    @cached_property
-    def head(self) -> np.ndarray:
-        """The field's columns on rows 0 to :attr:`last`.  Nothing else
-        reads the kept unit rows, so they go once these are formed."""
-        head = _combine(_leading_rows(self.data, self.b, self.unit, self.xn.size))
-        object.__setattr__(self, "unit", None)
-        head.setflags(write=False)
-        return head
-
-    @cached_property
-    def slopes(self) -> np.ndarray:
-        """The knot slopes of the splines of :attr:`head`'s columns over its
-        rows alone."""
-        return _column_slopes(self.xn[: self.last + 1], self.head)
-
-
 def _leading_rows(
-    data: np.ndarray, b: np.ndarray, unit: np.ndarray, ny: int
-) -> np.ndarray:
-    """The rows 0 to m of the field of ``data`` (m = unit.shape[1], the unit
-    rows given), or all ny rows when m = ny - 2, shaped (parts, nx, rows)."""
-    m = unit.shape[1]
-    values = np.zeros(data.shape + (ny if m == ny - 2 else m + 1,))
-    values[..., 0] = data
-    _synthesize(b, unit, values[..., 1 : m + 1])
-    return values
+    data: np.ndarray, b: np.ndarray, unit: np.ndarray, out: np.ndarray
+) -> None:
+    """Write the rows 0 to m of the field of ``data`` (m = unit.shape[1],
+    the unit rows given) to ``out``, a real stack of zeros shaped (parts,
+    nx, rows), rows > m, whose rows past m stay zero."""
+    out[..., 0] = data
+    _synthesize(b, unit, out[..., 1 : unit.shape[1] + 1])
 
 
 def _synthesize(b: np.ndarray, unit: np.ndarray, out: np.ndarray) -> None:
@@ -629,7 +542,9 @@ def _synthesize(b: np.ndarray, unit: np.ndarray, out: np.ndarray) -> None:
     BLAS thread count, and each column's transform is its own, so a column
     is bitwise the same in any block."""
     nx, m = out.shape[-2], unit.shape[1]
-    step = max(1, _BLOCK_BYTES // b.nbytes)
+    # the product casts and broadcasts through numpy's buffers, which take
+    # two more spectra of up to 128 KiB, so a spectrum takes a quarter block
+    step = max(1, _BLOCK_BYTES // (4 * b.nbytes))
     block = np.empty(b.shape + (min(step, m),), dtype=complex)
     for a in range(0, m, step):
         spectrum = block[..., : min(step, m - a)]
@@ -683,25 +598,25 @@ def _unit_rows(
     w: np.ndarray,
     cn: float,
     dispersion: np.ndarray,
-    rows: slice,
-    residual_w: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    kept: int,
+    residual_w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """(g, worst): the unit-row solutions g_k = T_k^{-1} e_0 of the mode
-    systems of :func:`_mode_factor` on the unit rows ``rows`` (a slice of
-    the w.size rows), shaped (dispersion.size, rows), and with
-    ``residual_w`` (the operator's own V - E column) the largest entry
-    max_j |r_kj| of each mode's residual r_k = T_k g_k - e_0, else None.
+    systems of :func:`_mode_factor` on their first ``kept`` of the w.size
+    rows, shaped (dispersion.size, kept), and the largest entry max_j
+    |r_kj| of each mode's residual r_k = T_k g_k - e_0, taken with
+    ``residual_w``, the operator's own V - E column.
 
     The modes are factored and solved a block of about _BLOCK_BYTES of
     rows at a time; each block's residual is taken on every row, and its
-    factor and its rows outside ``rows`` are dropped before the next
-    block.  The same calls in the same order on every call, so g is
-    bitwise the same on any ``rows``, and bitwise one stacked solve's."""
+    factor and its rows past ``kept`` are dropped before the next block.
+    The same calls in the same order on every call, so g is bitwise the
+    same for any ``kept``, and bitwise one stacked solve's."""
     n = w.size
     step = max(1, _BLOCK_BYTES // (8 * n))
-    unit = np.empty((dispersion.size, len(range(n)[rows])))
-    worst = None if residual_w is None else np.empty(dispersion.size)
-    diag = None if residual_w is None else 2.0 * cn + residual_w
+    unit = np.empty((dispersion.size, kept))
+    worst = np.empty(dispersion.size)
+    diag = 2.0 * cn + residual_w
     block = np.empty((min(step, dispersion.size), n))
     for a in range(0, dispersion.size, step):
         shifts = dispersion[a : a + step]
@@ -709,18 +624,17 @@ def _unit_rows(
         g[...] = 0.0
         g[:, 0] = 1.0
         g[...] = _mode_solve(_mode_factor(w, cn, shifts), g)
-        if worst is not None:
-            r = (diag + shifts[:, None]) * g
-            r[:, 1:] -= cn * g[:, :-1]
-            r[:, :-1] -= cn * g[:, 1:]
-            r[:, 0] -= 1.0
-            worst[a : a + step] = np.max(np.abs(r), axis=1)
-        unit[a : a + step] = g[:, rows]
+        r = (diag + shifts[:, None]) * g
+        r[:, 1:] -= cn * g[:, :-1]
+        r[:, :-1] -= cn * g[:, 1:]
+        r[:, 0] -= 1.0
+        worst[a : a + step] = np.max(np.abs(r), axis=1)
+        unit[a : a + step] = g[:, :kept]
     return unit, worst
 
 
 def _mode_residual(data: np.ndarray, b: np.ndarray, worst: np.ndarray) -> float:
-    """The bound on max|A u - b| / max|phi| of the mode-form field u of
+    """The bound on max|A u - b| / max|phi| of the mode-direct field u of
     ``data`` (b = cn rfft(data)) from ``worst``, the largest residual entry
     of each of its mode systems (:func:`_unit_rows`); see
     :func:`poisson_bvp`."""
@@ -906,7 +820,15 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
             "build the level with the field's tangential resolution"
         )
     if np.min(pts[:, 1]) < xn[0] - 1e-12 or np.max(pts[:, 1]) > xn[-1] + 1e-12:
-        raise ValueError("level leaves the field's normal range")
+        rho_max = field2d.meta.get("rho_max")
+        fix = "" if rho_max is None else (
+            f", the rows of its traces at weighted depth <= rho_max = {rho_max:g}"
+            "; solve with rho_max at least the level's depth"
+        )
+        raise ValueError(
+            f"level leaves the field's normal range: the field holds x_n <= "
+            f"{xn[-1]:.4g}{fix}"
+        )
     heights = pts[:, 1]
     # the node nearest a height is one of the two that bracket it
     above = np.clip(np.searchsorted(xn, heights), 0, xn.size - 1)
@@ -917,14 +839,11 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     s = heights[off]
     # each sample on its own column's interval x[k] <= s < x[k + 1]
     k = np.clip(np.searchsorted(xn, s, side="right") - 1, 0, xn.size - 2)
-    modes = field2d.modes
-    if modes is not None and not modes.spans(node, k):
-        modes = None  # reading values forms the field and drops the mode form
-    values = field2d.values if modes is None else modes.head
+    values = field2d.values
     out = values[idx, node]
     if off.size == 0:
         return out
-    slopes = field2d._spline_slopes if modes is None else modes.slopes
+    slopes = field2d._spline_slopes
     y0 = values[cols, k]
     d0 = slopes[cols, k]
     c0, c1 = hermite_leading(
@@ -940,12 +859,11 @@ def trace_at(field2d: Field2D, level: LevelSet) -> BoundaryTrace:
     Samples within 1e-12 of a grid node copy that node's value exactly; the
     others are interpolated along their normal columns by not-a-knot cubic
     splines, each column evaluated at its own height, so flat and curved
-    levels take one path.  A field still in mode form (a tangent-invariant
-    solve) gives its traces down to the solve's ``rho_max`` from the rows
-    it keeps, formed once, and their splines alone, bitwise as the whole
-    field's (see ``Field2D``); a deeper one, like any trace of another
-    field, reads ``values``, which forms the field.  The first
-    off-node trace of a formed Field2D builds the splines of all its
+    levels take one path, which reads ``values`` and the splines of its
+    columns over the rows held.  A tangent-invariant solve holds the rows
+    of its traces at weighted depth <= ``rho_max``, whose values are
+    bitwise those of a solve holding every row; a deeper level raises.
+    The first off-node trace of a Field2D builds the splines of all its
     columns (one batched spline per 128 KiB block of field values) and the
     field keeps their knot slopes, the field's size again; every later
     trace of that field only evaluates, bitwise as a fresh spline would.

@@ -336,6 +336,25 @@ class TestLevelSets:
             level.weighted_weights / level.ambient_weights, expected, atol=1e-9
         )
 
+    def test_level_slope_wraps_around_the_circle(self):
+        # a cosine graph over the tangent circle: the ambient weight at the
+        # first and last samples is sqrt(1 + f'^2) d_xp to O(dx^2), as
+        # inside, where one-sided end slopes leave O(dx), 2.4e-4 at m = 64
+        model = make_model("separable-torus")
+        errors = []
+        for m in (64, 128):
+            d_xp = 2.0 * math.pi / m
+            x = d_xp * np.arange(m)
+            heights = 0.3 + 0.1 * np.cos(x + 0.7)
+            exact = np.sqrt(1.0 + (0.1 * np.sin(x + 0.7)) ** 2) * d_xp
+            ambient, _ = agmon._weights_for_curve(
+                model, np.column_stack([x, heights]), d_xp
+            )
+            ends = np.abs(ambient - exact)[[0, -1]] / d_xp
+            assert np.all(ends <= 0.01 * d_xp**2)
+            errors.append(ends)
+        assert np.all(errors[1] <= 0.3 * errors[0])  # second order
+
     def test_trace_norm_ratio_bracketed_on_strip(self):
         # squared-norm ratio of any trace sits between the extremes of
         # sqrt(V - E) over the level curve

@@ -520,7 +520,7 @@ SHIPPED_VERDICTS = {
 
 # The traced peak memory every shipped config kind's run must stay under.
 # The largest measured is exterior-mass's 3.04 MiB (its 128 assembled
-# complex modes); a mode-form Poisson field keeps only the rows its
+# complex modes); a mode-direct Poisson solve forms only the rows its
 # certified traces read and a separable mode is splined as its one normal
 # profile, so parametrix-consistency's 64 x 24,001 solves peak at 1.7 MiB,
 # torus decay-sandwich at 1.8 MiB and mass-profile at 2.0 MiB.
@@ -662,9 +662,9 @@ class TestRunExperiment:
 
     def test_shipped_parametrix_run_peaks_near_half_a_field(self, tmp_path):
         # on its own 64 x 24,001 grid each of its four direct solves peaks
-        # at the unit-row solutions (0.53 fields) next to one block of the
-        # mode factor, and no trace forms a field: 0.63 fields traced for
-        # the whole run
+        # at one block of the mode factor next to the kept unit rows, and
+        # forms only the rows its trace reads: 0.13 fields traced for the
+        # whole run
         config = self._shipped_parametrix(tmp_path)
         tracemalloc.start()
         try:
@@ -692,18 +692,20 @@ class TestRunExperiment:
         assert np.max(np.abs(traced)) <= 1e-12
 
     def test_shipped_parametrix_run_forms_no_field(self, tmp_path, monkeypatch):
-        # its tangent-invariant solves stay in mode form: each trace forms
-        # only the one normal row it reads
-        formed = []
-        parts = solver._ModeForm.parts
+        # its tangent-invariant solves form only the rows that their traces
+        # read, a small share of the rows they solve
+        held = []
+        bvp = experiments.poisson_bvp
 
-        def counted(self):
-            formed.append(self.unit.shape)
-            return parts(self)
+        def recorded(*args, **kwargs):
+            field = bvp(*args, **kwargs)
+            held.append(field.normal_nodes.size / field.meta["n_normal"])
+            return field
 
-        monkeypatch.setattr(solver._ModeForm, "parts", counted)
+        monkeypatch.setattr(experiments, "poisson_bvp", recorded)
         assert run_experiment(self._shipped_parametrix(tmp_path)).passed
-        assert formed == []
+        assert len(held) == 4
+        assert max(held) <= 0.01  # 146 of 24,001 rows
 
     def test_shipped_configs_decompose_no_operator(self, tmp_path, monkeypatch):
         # the window masses read the closed-form circle eigenvalues and

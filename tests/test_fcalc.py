@@ -1236,7 +1236,7 @@ class TestDecayingBranchMass:
         n, h, lam = 256, 0.05, 4.0
         x = 2.0 * math.pi / n * np.arange(n)
         phi = BoundaryFunction(np.cos(10 * x) + 0.4 * np.cos(14 * x), 2.0 * math.pi, h)
-        field = poisson_bvp(FLAT, phi, h, far=1.0, n_normal=801)
+        field = poisson_bvp(FLAT, phi, h, far=1.0, n_normal=801, rho_max=0.4)
         P = boundary_operator(FLAT, h, n=n)
         w, u = np.linalg.eigh(P)
         weights = step_profile(w / (lam * h))

@@ -80,8 +80,9 @@ def dense_periodic_oracle(profile, length, lo, h, n):
 
 
 def sparse_direct_oracle(model, phi, h, far, n_normal):
-    """Interior of the Dirichlet strip solve by a sparse direct factorization
-    of the full 5-point system, u(., 0) = phi and u(., far) = 0."""
+    """Every row of the Dirichlet strip solve, u(., 0) = phi and u(., far)
+    = 0, its interior by a sparse direct factorization of the full 5-point
+    system."""
     length = model.lengths[0]
     nx, m = phi.values.size, n_normal - 2
     xp = length / nx * np.arange(nx)
@@ -100,7 +101,10 @@ def sparse_direct_oracle(model, phi, h, far, n_normal):
     )
     rhs = np.zeros((nx, m), dtype=complex)
     rhs[:, 0] = cn * phi.values
-    return spsolve(mat.tocsc(), rhs.ravel()).reshape(nx, m)
+    u = np.zeros((nx, n_normal), dtype=complex)
+    u[:, 0] = phi.values
+    u[:, 1:-1] = spsolve(mat.tocsc(), rhs.ravel()).reshape(nx, m)
+    return u
 
 
 def single_pass_stencil(u, w, cn, cp):
@@ -311,17 +315,19 @@ class TestPoissonBVP:
         phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)
         field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
         oracle = sparse_direct_oracle(model, phi, 0.05, far, n_normal)
-        assert np.max(np.abs(field.values[:, 1:-1] - oracle)) < 1e-10
+        held = field.normal_nodes.size  # the rows returned
+        assert np.max(np.abs(field.values - oracle[:, :held])) < 1e-10
         assert np.array_equal(field.values[:, 0], data)
-        assert np.all(field.values[:, -1] == 0.0)
         assert np.min(np.real(field.values)) >= -1e-10  # maximum principle
         assert field.meta["residual"] < 1e-8
         if model is TORUS:  # tangentially constant: the preconditioner is exact
             assert field.meta["path"] == "mode-direct"
             assert field.meta["iterations"] == 0
+            assert held < n_normal
         else:
             assert field.meta["path"] == "mode-pcg"
             assert field.meta["iterations"] > 0
+            assert np.all(field.values[:, -1] == 0.0)
 
     def test_large_strip_solve_converges(self):
         # 128 x 1999 = 255,872 interior unknowns, tangentially varying V
@@ -346,7 +352,8 @@ class TestPoissonBVP:
             phi = BoundaryFunction(values, 2.0 * math.pi, 0.05)
             field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
             oracle = sparse_direct_oracle(model, phi, 0.05, far, n_normal)
-            assert np.max(np.abs(field.values[:, 1:-1] - oracle)) < 1e-10
+            held = field.normal_nodes.size  # the rows returned
+            assert np.max(np.abs(field.values - oracle[:, :held])) < 1e-10
 
     @pytest.mark.parametrize(
         "model, far, n_normal",
@@ -539,9 +546,8 @@ class TestPoissonBVP:
 
     @staticmethod
     def _traced_direct_solve(n_normal, imag):
-        """(field, solve, formed) of a direct solve on the torus: the
-        (retained, peak) memory of the solve and then of forming its values,
-        in fields of 64 x n_normal float64."""
+        """(field, (retained, peak)) of a direct solve on the torus: its
+        memory in fields of 64 x n_normal float64."""
         nx = 64
         xp = 2.0 * math.pi / nx * np.arange(nx)
         data = 1.0 + 0.4 * np.cos(xp) + 0.2 * np.cos(2.0 * xp) + imag * np.sin(xp)
@@ -553,29 +559,21 @@ class TestPoissonBVP:
                 TORUS, phi, 0.05, far=1.0, n_normal=n_normal, rho_max=0.1
             )
             solve = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            field.values
-            formed = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert field.meta["path"] == "mode-direct"
         assert field.meta["iterations"] == 0
-        return (
-            field,
-            tuple(x / field_bytes for x in solve),
-            tuple(x / field_bytes for x in formed),
-        )
+        return field, tuple(x / field_bytes for x in solve)
 
     @staticmethod
-    def _kept_fraction(n_normal):
+    def _held_fraction(n_normal, parts):
         """What the traced direct solve keeps, in fields of 64 x n_normal:
-        g_k at 33 modes on field rows 1 to J, J the upper node of the
-        interval holding s(rho_max = 0.1) plus the spline reach, and the
-        normal nodes and the V - E column, one column each."""
+        its rows 0 to J, J the upper node of the interval holding s(rho_max
+        = 0.1) plus the spline reach, in one or two real parts."""
         xn = np.linspace(0.0, 1.0, n_normal)
         s = separable_level_height(TORUS, 0.1)
         last = int(np.searchsorted(xn, s, side="right")) + solver._SPLINE_REACH
-        return 33 * last / (64 * n_normal) + 2 / 64
+        return parts * (last + 1) / n_normal
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_direct_solve_peak_memory(self, n_normal):
@@ -583,105 +581,101 @@ class TestPoissonBVP:
         # is half a field) are live next to one block of the mode factor
         # (four modes at 4,001 normal nodes, one at 24,001): 0.37 and 0.17
         # fields measured; V - E is one column and the mode residual runs
-        # a block of modes at a time.  Forming the field solves the other
-        # unit rows again, forms the field next to them, peaks at 1.74 and
-        # 1.58 fields, and drops g_k.
-        field, (retained, peak), (formed, formed_peak) = self._traced_direct_solve(
-            n_normal, 0.0
-        )
+        # a block of modes at a time.  The held rows are then formed next
+        # to g_k alone, and only they are kept (0.10 and 0.08 fields)
+        field, (retained, peak) = self._traced_direct_solve(n_normal, 0.0)
         assert field.values.dtype == np.float64
         assert peak <= {4001: 0.45, 24001: 0.25}[n_normal]
-        assert abs(retained - self._kept_fraction(n_normal)) <= 0.005
-        assert formed_peak <= 1.8
-        assert abs(formed - 1.0) <= 0.05  # the real field
+        assert abs(retained - self._held_fraction(n_normal, 1)) <= 0.005
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_complex_direct_solve_peak_memory(self, n_normal):
-        # the two data parts share g_k, so the solve is the real one; forming
-        # the field synthesizes the two parts next to g_k, drops g_k and
-        # combines them: 4.02 fields measured at both sizes
-        field, (retained, peak), (formed, formed_peak) = self._traced_direct_solve(
-            n_normal, 0.3j
-        )
+        # the two data parts share g_k, so the mode solve is the real one;
+        # the complex rows are formed in place, twice the real ones: 0.37
+        # and 0.22 fields at the peak measured
+        field, (retained, peak) = self._traced_direct_solve(n_normal, 0.3j)
         assert field.values.dtype == np.complex128
         assert peak <= {4001: 0.45, 24001: 0.25}[n_normal]
-        assert abs(retained - self._kept_fraction(n_normal)) <= 0.005
-        assert formed_peak <= 4.1
-        assert abs(formed - 2.0) <= 0.05  # the complex field
+        assert abs(retained - self._held_fraction(n_normal, 2)) <= 0.005
+
+    @staticmethod
+    def _every_row(*args, **kwargs):
+        """The same mode-direct solve holding every normal row: poisson_bvp
+        with every unit row kept, the kernel otherwise unchanged."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_kept_rows", lambda model, xn, rho: xn.size - 2)
+            field = poisson_bvp(*args, **kwargs)
+        assert field.normal_nodes.size == field.meta["n_normal"]
+        return field
 
     @pytest.mark.parametrize("imag", [0.0, 0.3j], ids=["real-data", "complex-data"])
     def test_node_trace_of_a_mode_field_is_its_formed_row(self, imag):
-        # a node-aligned trace within the kept rows reads the formed head
-        # and forms no field; one at row ny - 2 or ny - 1, past the kept
-        # rows, forms it; every value is bitwise the formed field's
+        # a node-aligned trace copies a held row, bitwise that row of the
+        # field of every row; the rows held are bitwise its leading rows
         nx, ny = 64, 4001
         xp = 2.0 * math.pi / nx * np.arange(nx)
         data = 1.0 + 0.4 * np.cos(xp) + 0.2 * np.cos(2.0 * xp) + imag * np.sin(xp)
         phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)
-        field = poisson_bvp(TORUS, phi, 0.05, far=1.0, n_normal=ny, rho_max=0.1)
+        solve = dict(far=1.0, n_normal=ny, rho_max=0.1)
+        field = poisson_bvp(TORUS, phi, 0.05, **solve)
+        whole = self._every_row(TORUS, phi, 0.05, **solve).values
         xn = field.normal_nodes
-        inside = np.array([0, 1, 80])
-        assert field.modes.last < ny - 2
-        traces = [
-            trace_at(field, level_at_heights(np.full(nx, xn[j]))) for j in inside
-        ]
-        mixed = inside[np.arange(nx) % inside.size]
+        held = xn.size
+        assert held < ny - 1
+        assert np.array_equal(xn, np.linspace(0.0, 1.0, ny)[:held])
+        assert np.array_equal(field.values, whole[:, :held])
+        nodes = np.array([0, 1, 80, held - 1])
+        traces = [trace_at(field, level_at_heights(np.full(nx, xn[j]))) for j in nodes]
+        mixed = nodes[np.arange(nx) % nodes.size]
         mixed_trace = trace_at(field, level_at_heights(xn[mixed]))
-        assert "values" not in vars(field)  # no trace formed the field
-        assert field.modes.head.shape == (nx, field.modes.last + 1)
-        past = np.array([ny - 2, ny - 1])
-        traces.append(trace_at(field, level_at_heights(np.full(nx, xn[past[0]]))))
-        assert field.modes is None  # forming the field dropped the mode form
-        traces.append(trace_at(field, level_at_heights(np.full(nx, xn[past[1]]))))
-        nodes = np.concatenate([inside, past])
         for j, trace in zip(nodes, traces):
-            assert np.array_equal(trace.values, field.values[:, j])
-        assert np.array_equal(mixed_trace.values, field.values[np.arange(nx), mixed])
+            assert np.array_equal(trace.values, whole[:, j])
+        assert np.array_equal(mixed_trace.values, whole[np.arange(nx), mixed])
         assert np.array_equal(field.values[:, 0], data)
 
     @staticmethod
-    def _kept_row_field(case):
-        """A mode-form field and the levels of its certified traces: the
+    def _kept_row_field(case, solve=poisson_bvp):
+        """A mode-direct field and the levels of its certified traces: the
         shipped torus-decay solve (512 x 512, real data, rho_max = 0.4,
         deepest level between rows 88 and 89) or a 64 x 4,001 one of
-        complex data."""
+        complex data, solved by ``solve``."""
         if case == "torus-decay":
             h, nx = 0.02, 512
             phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, h)
-            field = poisson_bvp(TORUS, phi, h, far=1.9, n_normal=512, rho_max=0.4)
+            field = solve(TORUS, phi, h, far=1.9, n_normal=512, rho_max=0.4)
             return field, (0.1, 0.2, 0.3, 0.4)
         nx = 64
         xp = 2.0 * math.pi / nx * np.arange(nx)
         data = 1.0 + 0.4 * np.cos(xp) + 0.3j * np.sin(2.0 * xp)
         phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)
-        field = poisson_bvp(TORUS, phi, 0.05, far=1.0, n_normal=4001, rho_max=0.1)
+        field = solve(TORUS, phi, 0.05, far=1.0, n_normal=4001, rho_max=0.1)
         return field, (0.025, 0.05, 0.075, 0.1)
 
     @pytest.mark.parametrize("case", ["torus-decay", "complex-64x4001"])
     def test_off_node_traces_within_the_kept_rows(self, case, spline_builds):
-        # every certified level splines the kept rows alone, built once and
-        # shared, and reads bitwise what a spline of the whole column gives
+        # every certified level splines the held rows alone, built once and
+        # shared, and reads bitwise what the field of every row gives
         field, rhos = self._kept_row_field(case)
         xp, xn = field.tangential_nodes, field.normal_nodes
-        kept = field.modes.unit.shape[1]
-        assert kept < xn.size - 2
+        assert xn.size < field.meta["n_normal"] - 1
         levels = [separable_level_set(TORUS, r, n_tangential=xp.size) for r in rhos]
         traces = [trace_at(field, level) for level in levels]
-        assert "values" not in vars(field)  # no trace formed the field
-        assert field.modes.head.shape == (xp.size, kept + 1)
         assert sum(spline_builds) == xp.size  # one build pass over the columns
+        whole, _ = self._kept_row_field(case, self._every_row)
         for level, trace in zip(levels, traces):
             assert np.min(np.abs(xn - level.points[0, 1])) > 1e-12  # off node
+            assert np.array_equal(trace.values, trace_at(whole, level).values)
             assert np.array_equal(
-                trace.values, per_column_spline_oracle(field.values, xp, xn, level)
+                trace.values,
+                per_column_spline_oracle(whole.values, xp, whole.normal_nodes, level),
             )
 
-    def test_traced_field_keeps_its_head_and_not_its_unit_rows(self):
-        # once the head is formed nothing reads the kept unit rows, so the
-        # torus-decay solve and its five traces keep the head and its
-        # slopes (1.20 MiB) and little else: 1.24 MiB retained and 2.02 MiB
-        # at the peak measured, where keeping g_k too (0.30 MiB) retained
-        # 1.54 and peaked at 2.32
+    def test_traced_field_keeps_its_rows_and_slopes(self):
+        # the solve drops g_k once the held rows are formed, so the
+        # torus-decay solve and its five traces keep those rows and their
+        # slopes (1.20 MiB) and little else: 1.23 MiB retained and 2.01 MiB
+        # at the peak measured, where keeping g_k too (0.30 MiB) would
+        # retain 1.53
         h, nx = 0.02, 512
         levels = [
             separable_level_set(TORUS, r, n_tangential=nx)
@@ -696,43 +690,65 @@ class TestPoissonBVP:
         finally:
             tracemalloc.stop()
         assert all(norm > 0.0 for norm in norms)
-        modes = field.modes
-        assert modes.unit is None
-        kept = modes.head.nbytes + modes.slopes.nbytes
+        kept = field.values.nbytes + field._spline_slopes.nbytes
         assert retained - kept <= 0.1 * 2**20
         assert peak <= 2.15 * 2**20
 
-    def test_traces_past_the_kept_rows_solve_the_rest_again(self, monkeypatch):
-        # an off-node level within the spline reach of the kept rows' end
-        # forms the field, by one solve of every unit row; a node row past
-        # the kept ones, or a level past them, then reads that field; every
-        # value is bitwise the formed field's
+    def test_traces_past_the_held_rows_raise(self):
+        # an off-node level within the spline reach of the held rows' end
+        # splines the held rows; a node row or a level past them raises
         field, _ = self._kept_row_field("complex-64x4001")
         xp, xn = field.tangential_nodes, field.normal_nodes
-        kept = field.modes.unit.shape[1]
-        calls = []
-        unit_rows = solver._unit_rows
-
-        def counted(w, cn, dispersion, rows, residual_w=None):
-            calls.append(rows)
-            return unit_rows(w, cn, dispersion, rows, residual_w)
-
-        monkeypatch.setattr(solver, "_unit_rows", counted)
-        mid = 0.5 * (xn[kept - 10] + xn[kept - 9])  # 10 rows inside the kept ones
+        held = xn.size
+        mid = 0.5 * (xn[held - 10] + xn[held - 9])  # 10 rows inside the held ones
         near_end = trace_at(field, level_at_heights(np.full(xp.size, mid)))
-        assert calls == [slice(None)]
-        assert field.modes is None  # the field is formed
-        node = trace_at(field, level_at_heights(np.full(xp.size, xn[kept + 1])))
+        assert np.array_equal(
+            near_end.values,
+            per_column_spline_oracle(field.values, xp, xn, near_end.level),
+        )
+        past = np.linspace(0.0, 1.0, field.meta["n_normal"])[held]
         deep = separable_level_set(TORUS, 0.3, n_tangential=xp.size)
-        assert deep.points[0, 1] > xn[kept]
-        deep_trace = trace_at(field, deep)
-        assert calls == [slice(None)]  # formed once
-        assert np.array_equal(node.values, field.values[:, kept + 1])
-        for trace in (near_end, deep_trace):
-            assert np.array_equal(
-                trace.values,
-                per_column_spline_oracle(field.values, xp, xn, trace.level),
-            )
+        for level in (level_at_heights(np.full(xp.size, past)), deep):
+            with pytest.raises(ValueError, match="leaves the field's normal range"):
+                trace_at(field, level)
+
+    def test_too_deep_trace_names_rho_max(self):
+        # the message gives the last row held, the solve's rho_max and the
+        # fix; a hand-built field, with no rho_max, gives the row alone
+        nx = 64
+        phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, 0.05)
+        field = poisson_bvp(TORUS, phi, 0.05, far=1.0, n_normal=4001, rho_max=0.1)
+        deep = separable_level_set(TORUS, 0.3, n_tangential=nx)
+        last = f"x_n <= {field.normal_nodes[-1]:.4g}"
+        with pytest.raises(ValueError) as raised:
+            trace_at(field, deep)
+        message = str(raised.value)
+        assert last in message
+        assert "rho_max = 0.1" in message
+        assert "solve with rho_max at least the level's depth" in message
+        bare = replace(field, meta={})
+        with pytest.raises(ValueError, match=r"holds x_n <= [\d.]+$"):
+            trace_at(bare, deep)
+
+    @pytest.mark.parametrize(
+        "model, far, n_normal",
+        [(TORUS, 1.2, 41), (TORUS, 1.0, 4001), (STRIP, 0.5, 41)],
+        ids=["separable-torus-all-rows", "separable-torus", "strip-2d"],
+    )
+    def test_meta_records_the_normal_rows_solved(self, model, far, n_normal):
+        # normal_nodes ends at the rows held, so meta keeps the rows solved
+        nx = 32
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        phi = BoundaryFunction(1.0 + 0.3 * np.cos(2.0 * xp), 2.0 * math.pi, 0.05)
+        field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
+        held = field.normal_nodes.size
+        assert field.meta["n_normal"] == n_normal
+        assert field.values.shape == (nx, held)
+        if n_normal == 4001:  # rho_max = 0: row 1 and the spline reach
+            assert held == 2 + solver._SPLINE_REACH
+        else:
+            assert held == n_normal
+            assert np.all(field.values[:, -1] == 0.0)
 
     def test_mode_residual_can_fail(self, monkeypatch):
         solve = solver._mode_solve
@@ -763,9 +779,8 @@ class TestPoissonBVP:
     )
     def test_blocked_mode_solve_is_the_stacked_solve(self, monkeypatch, block_modes):
         # 0 bytes still makes one-mode blocks, 4 modes do not divide the 33
-        # modes of nx = 64, and 64 modes' worth is one block: the kept unit
-        # rows, the field formed by solving the others again, and CG's
-        # preconditioner are bitwise those of one stacked solve
+        # modes of nx = 64, and 64 modes' worth is one block: the rows held
+        # and CG's preconditioner are bitwise those of one stacked solve
         h, ny = 0.05, 1001
         factors = []
         pcg = solver._mode_pcg
@@ -780,7 +795,7 @@ class TestPoissonBVP:
             xp = 2.0 * math.pi / nx * np.arange(nx)
             phi = BoundaryFunction(1.0 + 0.3 * np.cos(2.0 * xp), 2.0 * math.pi, h)
             field = poisson_bvp(model, phi, h, far=far, n_normal=ny)
-            xn = field.normal_nodes
+            xn = np.linspace(0.0, far, ny)
             w = np.mean(potential_grid(model, xp, xn)[:, 1:-1] - model.energy, axis=0)
             cn = h**2 / (xn[1] - xn[0]) ** 2
             modes = np.arange(nx // 2 + 1)
@@ -794,14 +809,13 @@ class TestPoissonBVP:
             if model is TORUS:
                 assert field.meta["path"] == "mode-direct"
                 assert factors == []
-                kept = field.modes.unit.shape[1]
-                assert kept == 1 + solver._SPLINE_REACH < ny - 2  # rho_max = 0
-                assert np.array_equal(field.modes.unit, unit[:, :kept])
+                held = field.normal_nodes.size
+                assert held == 2 + solver._SPLINE_REACH < ny  # rho_max = 0
                 data = np.real(phi.values)[None]
                 expected = np.zeros((1, nx, ny))
                 expected[..., 0] = data
                 solver._synthesize(cn * np.fft.rfft(data), unit, expected[..., 1:-1])
-                assert np.array_equal(field.values, expected[0])
+                assert np.array_equal(field.values, expected[0, :, :held])
                 continue
             assert field.meta["path"] == "mode-pcg"
             (factor,) = factors
