@@ -25,6 +25,7 @@ and the comparison's depth-derivative constant C is 0 by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -63,11 +64,22 @@ _SUPPORT_WEIGHT_FLOOR = 1e-6
 # by y = scale u^3, stored as y / scale and dy / scale = 3 u^2 du.  The
 # defect vanishes to order 2 at both ends of the band, so the midpoint
 # cells leave almost no end error; the grading resolves the resolvent's
-# poles on the real axis.
+# poles on the real axis.  The seven lowest levels evaluate the resolvent
+# at all 256 midpoints, the nine upper ones at Chebyshev points that carry
+# the midpoint weights (_unit_rule).
 _AREA_X_CELLS = 256
 _GL16_NODES, _GL16_WEIGHTS = leggauss(16)
 _AREA_Y = (0.5 * (_GL16_NODES + 1.0)) ** 3
 _AREA_DY = 1.5 * (0.5 * (_GL16_NODES + 1.0)) ** 2 * _GL16_WEIGHTS
+# On the level Im z = y (unit scale) the resolvent of a real symmetric
+# operator is analytic in Re z inside the Bernstein ellipse of [1, 2] that
+# passes through its nearest possible pole, a real eigenvalue at height y
+# below the level: the ellipse parameter is rho = exp(asinh(2 y)) at worst.
+# Interpolation at L Chebyshev points then errs by about rho^-L, so
+# L = ceil(_CHEBYSHEV_EXPONENT / asinh(2 y)) leaves e^-40 = 4e-18 of the
+# resolvent's size, below double rounding even after the Lebesgue constant
+# of the interpolant, about 4 at these L.
+_CHEBYSHEV_EXPONENT = 40.0
 _DENSE_LIMIT = 256
 # hs_apply rejects its rule when the window projection has an eigenvalue
 # this far outside [0, 1].
@@ -84,10 +96,10 @@ _EXTENSION_ORDER = 2
 # The Cauchy resolvent sum streams its quadrature nodes in blocks whose
 # complex work buffers, x and y of the principal-minor recurrences, hold
 # about this many bytes.  Four hs_apply calls (dense n = 96 and 128, level
-# circles n = 32 and 48; 2 cores, one BLAS thread) take 0.046-0.053 s with
-# 4 MiB blocks against 0.049-0.062 s with 2 MiB, 0.061-0.090 s with 1 MiB
-# and 0.049-0.069 s with 8 MiB (medians of 25, three runs each); one dense
-# n = 128 call peaks at 5.1 MiB in tracemalloc (9.1 MiB with 8 MiB blocks).
+# circles n = 32 and 48; 2 cores, one BLAS thread) take 0.025-0.030 s with
+# 4 MiB blocks against 0.028-0.030 s with 2 MiB, 0.035-0.036 s with 1 MiB
+# and 0.027-0.028 s with 8 MiB (medians of 25, six runs each); one dense
+# n = 128 call peaks at 4.9 MiB in tracemalloc (8.9 MiB with 8 MiB blocks).
 _NODE_BLOCK_BYTES = 2**22
 _COMPLEX_BYTES = np.dtype(complex).itemsize
 # Rows per panel of the real upper-triangle product and of the coupling
@@ -359,32 +371,98 @@ def _block_weighted_sum(
             )
 
 
+def _chebyshev_lagrange(points: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind Chebyshev points on [1, 2], and the values at ``x`` of
+    their Lagrange basis, one row per x, by the barycentric formula
+    (Berrut & Trefethen 2004).  No midpoint x = 1 + (2k + 1) / 512 is a
+    Chebyshev point, whose cosines are irrational off 0, +-1/2 and +-1
+    (Niven), so no term divides by zero."""
+    theta = (np.arange(points) + 0.5) * (math.pi / points)
+    cheb = 1.5 + 0.5 * np.cos(theta)
+    terms = (-1.0) ** np.arange(points) * np.sin(theta) / (x[:, None] - cheb)
+    return cheb, terms / np.sum(terms, axis=1, keepdims=True)
+
+
+@functools.cache
+def _unit_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of :func:`hs_apply`'s rule at window scale 1 for
+    the extension of the given order, built on first use.
+
+    At scale s the nodes and the weights are s times these.  The area takes
+    the 16 levels of ``_AREA_Y``.  A level Im z = y with
+    L = ceil(_CHEBYSHEV_EXPONENT / asinh(2 y)) below ``_AREA_X_CELLS``
+    evaluates the resolvent at L Chebyshev points in Re z, and each point
+    weighs the midpoint weights by its Lagrange basis at the midpoints: the
+    sum of the level's interpolant over the midpoint cells.  The others
+    keep their midpoint cells.  The contour runs over the enclosing
+    rectangle in 32-point Gauss-Legendre panels.
+    """
+    ext = AlmostAnalyticExtension(order=order, scale=1.0)
+
+    # area: defect integral over the upper half of the support band,
+    # midpoint cells in Re z and the graded Gauss rule in Im z
+    dx = 1.0 / _AREA_X_CELLS
+    x_mid = 1.0 + (np.arange(_AREA_X_CELLS) + 0.5) * dx
+    nodes, weights = [], []
+    for y, dy in zip(_AREA_Y, _AREA_DY):
+        x = x_mid
+        level_weights = (2.0 * dx * dy / math.pi) * ext.dbar(x_mid + 1j * y)
+        points = math.ceil(_CHEBYSHEV_EXPONENT / math.asinh(2.0 * y))
+        if points < _AREA_X_CELLS:
+            x, lagrange = _chebyshev_lagrange(points, x_mid)
+            level_weights = level_weights @ lagrange
+        nodes.append(x + 1j * y)
+        weights.append(level_weights)
+
+    # contour: enclosing rectangle [-1, 2] x [-1, 1]; the right edge
+    # carries an identically zero integrand and is skipped, the top edge is
+    # the reflected bottom edge, and the left edge keeps its upper half.
+    # Gauss-Legendre panels: the bottom edge breaks at Re z = 1, where the
+    # profile's ramp starts
+    tx, wx = np.concatenate(
+        [gauss_legendre(-1.0, 1.0), gauss_legendre(1.0, 2.0)], axis=1
+    )
+    ty, wy = gauss_legendre(0.0, 1.0)
+    bottom = tx - 1j
+    left = -1.0 + 1j * ty
+    nodes += [bottom, left]
+    weights += [
+        2.0 * wx * (1.0 - ext.value(bottom)) / (2j * math.pi),
+        -2j * wy * (1.0 - ext.value(left)) / (2j * math.pi),
+    ]
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
 def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
     """Windowed projection of P through the Cauchy integral of the extension.
 
     The complement profile (1 at the far left, 0 past the window) is
     reproduced exactly by its boundary contour integral plus the area
     integral of the extension defect over the support band; the window
-    projection is the identity minus that.  One tensor rule of 4,192 nodes:
-    the area takes ``_AREA_X_CELLS`` midpoint cells in Re z times the
-    16-point Gauss rule graded toward the real axis in Im z (``_AREA_Y``),
-    and the contour runs over the enclosing rectangle in 32-point
-    Gauss-Legendre panels, the bottom edge broken at Re z = scale where the
-    ramp starts.  For real symmetric P the resolvent obeys R(conj z) = conj
-    R(z) and the extension is conjugate-symmetric, so the lower half of the
-    band, the top edge and the lower half of the left edge contribute the
-    conjugates of the upper half, the bottom edge and the upper half of the
-    left edge: all three are folded in as doubled weights, and no node sits
-    on the real axis.  The area and contour nodes then go through one
-    resolvent sum that returns only the real part the projection needs, on
-    the tridiagonal the Hessenberg reduction of P gives; every unreduced
-    block of it takes the same principal-minor kernel
-    (:func:`_block_weighted_sum`), whatever its norm against the window
-    scale.  Positive semidefiniteness is checked by a Sturm count on that
-    tridiagonal, so no eigendecomposition of P enters the path the spectral
-    oracle checks.  Nodes are accumulated in a fixed order, so results are
-    bytewise reproducible.  The rule is rejected as too coarse when the
-    projection has an eigenvalue more than ``_SPECTRUM_TOL`` outside [0, 1].
+    projection is the identity minus that.  One rule of 2,538 nodes at
+    order 2, built once per extension order at window scale 1
+    (:func:`_unit_rule`) and scaled: the area takes the 16-point Gauss rule
+    graded toward the real axis in Im z (``_AREA_Y``) times, in Re z,
+    ``_AREA_X_CELLS`` midpoint cells on the seven lowest levels and their
+    Chebyshev interpolant's weights on the nine upper ones, where the
+    resolvent is analytic far around the band; the contour runs over the
+    enclosing rectangle in 32-point Gauss-Legendre panels, the bottom edge
+    broken at Re z = scale where the ramp starts.  For real symmetric P
+    the resolvent obeys R(conj z) = conj R(z) and the extension is
+    conjugate-symmetric, so the lower half of the band, the top edge and
+    the lower half of the left edge contribute the conjugates of the upper
+    half, the bottom edge and the upper half of the left edge: all three
+    are folded in as doubled weights, and no node sits on the real axis.
+    The area and contour nodes then go through one resolvent sum that
+    returns only the real part the projection needs, on the tridiagonal
+    the Hessenberg reduction of P gives; every unreduced block of it takes
+    the same principal-minor kernel (:func:`_block_weighted_sum`), whatever
+    its norm against the window scale.  Positive semidefiniteness is
+    checked by a Sturm count on that tridiagonal, so no eigendecomposition
+    of P enters the path the spectral oracle checks.  Nodes are
+    accumulated in a fixed order, so results are bytewise reproducible.
+    The rule is rejected as too coarse when the projection has an
+    eigenvalue more than ``_SPECTRUM_TOL`` outside [0, 1].
     """
     P = np.asarray(P, dtype=float)
     _check_symmetric(P)
@@ -399,33 +477,10 @@ def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
     if count_below(diag, off, -1e-8 * max(1.0, float(np.max(np.abs(P))))):
         raise ValueError("operator must be positive semidefinite")
 
-    scale = ext.scale
-
-    # area: defect integral over the upper half of the support band,
-    # midpoint cells in Re z and the graded Gauss rule in Im z
-    dx = scale / _AREA_X_CELLS
-    x_mid = scale + (np.arange(_AREA_X_CELLS) + 0.5) * dx
-    zz = (x_mid[:, None] + 1j * (scale * _AREA_Y)[None, :]).ravel()
-    dy = np.tile(scale * _AREA_DY, _AREA_X_CELLS)
-    area_weights = (dx / math.pi) * dy * ext.dbar(zz)
-
-    # contour: enclosing rectangle [-scale, 2 scale] x [-scale, scale];
-    # the right edge carries an identically zero integrand and is skipped,
-    # the top edge is the reflected bottom edge, and the left edge keeps
-    # its upper half.  Gauss-Legendre panels: the bottom edge breaks at
-    # Re z = scale, where the profile's ramp starts
-    tx, wx = np.concatenate(
-        [gauss_legendre(-scale, scale), gauss_legendre(scale, 2.0 * scale)], axis=1
+    nodes, weights = _unit_rule(ext.order)
+    complement_mat = _resolvent_weighted_sum(
+        diag, off, ext.scale * nodes, ext.scale * weights
     )
-    ty, wy = gauss_legendre(0.0, scale)
-    bottom = tx - 1j * scale
-    left = -scale + 1j * ty
-    bottom_weights = 2.0 * wx * (1.0 - ext.value(bottom)) / (2j * math.pi)
-    left_weights = -2j * wy * (1.0 - ext.value(left)) / (2j * math.pi)
-
-    nodes = np.concatenate([zz, bottom, left])
-    weights = np.concatenate([2.0 * area_weights, bottom_weights, left_weights])
-    complement_mat = _resolvent_weighted_sum(diag, off, nodes, weights)
     result = q @ (np.eye(n) - complement_mat) @ q.T
     result = 0.5 * (result + result.T)
 

@@ -20,6 +20,7 @@ from agmonlab._numerics import Spline
 from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import LevelSet, separable_level_set
 from agmonlab.fcalc import (
+    AlmostAnalyticExtension,
     _resolvent_weighted_sum,
     almost_analytic_extension,
     boundary_operator,
@@ -185,6 +186,27 @@ def seeded_dense_operator(n, scale, seed):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     P = (q * rng.uniform(0.0, 4.0 * scale, n)) @ q.T
     return 0.5 * (P + P.T)
+
+
+def oracle_test_operators(scale):
+    """The seeded operators that hs_apply must match the spectral oracle on:
+    a dense n = 16 one, a graded n = 256 one and four tridiagonals."""
+    rng = np.random.default_rng(42)
+    q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    P = (q * rng.uniform(0.0, 4.0 * scale, 16)) @ q.T
+    operators = {"dense n=16": 0.5 * (P + P.T)}
+    # eigenvalues log-spaced over six decades: the Hessenberg tridiagonal
+    # is graded, its diagonal and couplings falling by decades down the rows
+    q, _ = np.linalg.qr(rng.normal(size=(256, 256)))
+    P = (q * (scale * np.logspace(-3.0, 3.0, 256))) @ q.T
+    operators["graded n=256"] = 0.5 * (P + P.T)
+    # norms far below the window scale
+    for rel in (1e-4, 1e-2):
+        for n in (128, 256):
+            operators[f"tridiagonal {rel:g}*scale n={n}"] = seeded_psd_tridiagonal(
+                n, rel * scale, seed=n
+            )
+    return operators
 
 
 def seeded_psd_tridiagonal(n, norm, seed):
@@ -483,22 +505,7 @@ class TestHsApply:
     def test_matches_spectral_oracle_on_random_operator(self):
         lam, h = 4.0, 0.05
         ext = almost_analytic_extension(lam, h)
-        rng = np.random.default_rng(42)
-        q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
-        P = (q * rng.uniform(0.0, 4.0 * ext.scale, 16)) @ q.T
-        operators = {"dense n=16": 0.5 * (P + P.T)}
-        # eigenvalues log-spaced over six decades: the Hessenberg tridiagonal
-        # is graded, its diagonal and couplings falling by decades down the rows
-        q, _ = np.linalg.qr(rng.normal(size=(256, 256)))
-        P = (q * (ext.scale * np.logspace(-3.0, 3.0, 256))) @ q.T
-        operators["graded n=256"] = 0.5 * (P + P.T)
-        # norms far below the window scale
-        for rel in (1e-4, 1e-2):
-            for n in (128, 256):
-                operators[f"tridiagonal {rel:g}*scale n={n}"] = seeded_psd_tridiagonal(
-                    n, rel * ext.scale, seed=n
-                )
-        for name, P in operators.items():
+        for name, P in oracle_test_operators(ext.scale).items():
             F = hs_apply(P, ext)
             err = float(np.linalg.norm(F - oracle_projection(P, ext.scale), 2))
             assert err <= 1e-6, name
@@ -566,9 +573,10 @@ class TestHsApply:
         with pytest.raises(ValueError, match="too coarse"):
             hs_apply(P, ext)
 
-    def test_rule_evaluates_a_quarter_of_the_midpoint_nodes(self, monkeypatch):
-        # the 256 x 256 midpoint area cells (folded to 32,768) and 1,024
-        # cells per contour edge took 34,304 nodes
+    def test_order_two_rule_evaluates_2538_nodes(self, monkeypatch):
+        # 16 area levels of 256 midpoint cells and 96 contour nodes took
+        # 4,192; the nine upper levels take 218, 124, 80, 57, 44, 37, 32, 30
+        # and 28 Chebyshev points
         sizes = []
         kernel = fcalc._resolvent_weighted_sum
 
@@ -580,7 +588,7 @@ class TestHsApply:
         ext = almost_analytic_extension(4.0, 0.05)
         hs_apply(boundary_operator(FLAT, 0.05, n=32), ext)
         hs_apply(seeded_dense_operator(64, ext.scale, seed=3), ext)
-        assert len(sizes) == 2 and max(sizes) <= 34_304 // 4
+        assert sizes == [2_538, 2_538]
 
     def test_acceptance_matrices_within_1e_7(self):
         # acceptance criterion 05's 20 seeded matrices, whose bound is 1e-6
@@ -596,15 +604,48 @@ class TestHsApply:
             worst = max(worst, float(np.linalg.norm(err, 2)))
         assert worst <= 1e-7
 
-    @pytest.mark.parametrize("operator", ["circle n=32", "dense n=128"])
+    @pytest.mark.parametrize(
+        "operator",
+        [
+            "circle n=32",
+            "dense n=128",
+            "clustered in window n=128",
+            "graded n=256",
+            "nearly diagonal n=64",
+        ],
+    )
     def test_reflected_contour_matches_three_edge_reference(self, operator):
+        # the reference evaluates all 256 midpoints on every area level, so
+        # this also bounds the Chebyshev compression of the upper levels
         ext = almost_analytic_extension(4.0, 0.05)
+        rng = np.random.default_rng(8)
         if operator == "circle n=32":
             P = boundary_operator(FLAT, 0.05, n=32)
-        else:
+        elif operator == "dense n=128":
             P = seeded_dense_operator(128, ext.scale, seed=8)
+        elif operator == "clustered in window n=128":
+            q, _ = np.linalg.qr(rng.normal(size=(128, 128)))
+            P = (q * rng.uniform(ext.scale, 2.0 * ext.scale, 128)) @ q.T
+        elif operator == "graded n=256":
+            P = oracle_test_operators(ext.scale)["graded n=256"]
+        else:
+            couplings = rng.normal(size=(64, 64))
+            P = np.diag(rng.uniform(0.0, 4.0 * ext.scale, 64))
+            P += 1e-6 * ext.scale * couplings
+        P = 0.5 * (P + P.T)
         F = hs_apply(P, ext)
         assert np.max(np.abs(F - reference_hs_apply(P, ext))) <= 1e-13
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_rule_follows_the_extension_order(self, order):
+        # the rule is built once per order; each order integrates its own defect
+        ext = AlmostAnalyticExtension(order=order, scale=0.2)
+        for P in (
+            boundary_operator(FLAT, 0.05, n=32),
+            seeded_dense_operator(64, ext.scale, seed=5),
+        ):
+            F = hs_apply(P, ext)
+            assert np.max(np.abs(F - reference_hs_apply(P, ext))) <= 1e-13
 
     def test_peak_memory_bounded_on_dense_n128(self):
         ext = almost_analytic_extension(4.0, 0.05)
