@@ -256,7 +256,10 @@ def _resolvent_weighted_sum(
     exactly 0.  A level circle splits at n/2 this way: the Krylov space of
     e_1 is the even subspace.  Each unreduced block adds its upper triangle
     through :func:`_block_weighted_sum`, 1x1 blocks by the closed form; a
-    block whose sum is not finite raises a ValueError naming its rows.  The
+    block whose sum is not finite raises a ValueError naming its rows and
+    the likely cause: on a tightly clustered spectrum theta_n(z) of
+    :func:`_block_weighted_sum` can underflow on the lowest area level next
+    to the cluster, whose gauge guards only far nodes (left open).  The
     lower triangle is mirrored in after the kernel's buffers are freed.
     """
     n = diag.size
@@ -276,7 +279,9 @@ def _resolvent_weighted_sum(
         if not np.all(np.isfinite(np.triu(upper[lo:hi, lo:hi]))):
             raise ValueError(
                 f"resolvent sum of the tridiagonal block at rows {lo}..{hi - 1} "
-                "is not finite"
+                "is not finite; the likely cause is the last principal minor "
+                "theta_n(z) = prod_k (z - lambda_k) / sigma underflowing on a "
+                "node next to a tight cluster of eigenvalues"
             )
     upper = np.triu(upper)
     return upper + np.triu(upper, 1).T

@@ -395,25 +395,35 @@ def poisson_bvp(
     A real FFT along the tangent splits the same operator for the
     tangential mean of V - E on each normal row into one Dirichlet
     tridiagonal T_k per distinct mode k (nx // 2 + 1 of them), with the
-    exact discrete dispersion (:func:`expected_circle_eigenvalue`), each
-    factored once per solve.  The data enters only the first interior row,
-    so that operator's solution is irfft(b_k g_k) along the tangent, with
-    b = cn rfft(phi) and one real unit-row solve g_k = T_k^{-1} e_0 per
-    mode.
+    exact discrete dispersion (:func:`expected_circle_eigenvalue`).  The
+    data enters only the first interior row, so that operator's solution
+    is irfft(b_k g_k) along the tangent, with b = cn rfft(phi) and one real
+    unit-row solve g_k = T_k^{-1} e_0 per mode.
 
     For potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``)
     that is the solution (``meta["path"]`` "mode-direct"): V - E is one
     normal column, and the field is formed only on the rows that its
     traces at weighted depth <= rho_max read, which ``normal_nodes`` lists.
+    Such a solve factors only the modes its data carries
+    (:func:`_carried_modes`): 0 <= g_k <= g_k[0] < 1/cn on every row (see
+    :func:`_unit_rows`), so mode k moves no field value by more than
+    (m_k/nx) |b_k|/cn (m_k = 1 at k = 0 and at the Nyquist mode, else 2;
+    for complex data the two parts' moduli summed), and the modes whose
+    bounds, smallest first, sum to at most eps log2(nx) max|phi| -- the
+    synthesis FFT's own rounding (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 24.1) -- keep g_k = 0, exact zeros
+    always among them.  ``meta["modes"]`` counts the modes factored.
     Its residual is that of the systems solved, r_k = T_k g_k - e_0 with
     the operator's own V - E column, taken on every row a block of modes at
     a time, before the block's rows past the formed ones are dropped, and
-    mapped to the field by the triangle bound (1/nx) sum_k m_k |b_k|
-    max_j |r_kj| (m_k = 1 at k = 0 and at the Nyquist mode, else 2; for
-    complex data the two parts' moduli summed), over max|phi|, which is
-    never above max|u|.  Otherwise (path "mode-pcg") that solution is the
-    first iterate of conjugate gradients preconditioned by the mean
-    operator (Concus & Golub 1973), the residual is the stencil's true
+    r_k = -e_0 for a mode left out, mapped to the field by the triangle
+    bound (1/nx) sum_k m_k |b_k| max_j |r_kj| over max|phi|, which is never
+    above max|u|.  The modes left out add at most eps log2(nx) cn to it,
+    under 0.0055 log2(nx) of the bound below (3.3 % at nx = 64), so only a
+    solve that passes with every mode by less than that could fail for
+    them.  Otherwise (path "mode-pcg") every mode is factored, and that
+    solution is the first iterate of conjugate gradients preconditioned by
+    the mean operator (Concus & Golub 1973), the residual is the stencil's true
     max|A u - b| / max|u|, and the iteration count is governed by max/min
     of V - E over its row mean, e.g. (1+a)/(1-a) on strip-2d.  Either
     residual must be within _PCG_TOL of the operator's infinity norm; a
@@ -425,7 +435,8 @@ def poisson_bvp(
     depth <= rho_max is certified by the tunneling factor
     exp(-2 (depth - rho_max)/h), with depth from ``models.weighted_depth``.
     The metadata records that bound, the path, the iteration count, the
-    residual, rho_max and n_normal, the normal rows solved.
+    residual, the modes factored, rho_max and n_normal, the normal rows
+    solved.
 
     Memory, in fields of nx * n_normal float64: a mode-direct solve
     factors and solves its modes a block of about _BLOCK_BYTES of rows at
@@ -436,9 +447,10 @@ def poisson_bvp(
     any block size (see :func:`_mode_factor`).  It forms rows 0 to J in
     place next to g_k, which then goes: J / n_normal fields kept, twice
     that for complex data, and a peak at a factor block next to g_k (0.10,
-    0.20 and 0.37 at 64 x 4,001 and rho_max = 0.1).  A tangent-dependent
-    V - E is held on the full grid, the whole mode factor (one field) is
-    kept as CG's preconditioner, and CG adds the residual and its vectors.
+    0.20 and 0.24 at 64 x 4,001, rho_max = 0.1 and three modes carried).
+    A tangent-dependent V - E is held on the full grid, the whole mode
+    factor (one field) is kept as CG's preconditioner, and CG adds the
+    residual and its vectors.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -474,8 +486,9 @@ def poisson_bvp(
     b = cn * np.fft.rfft(data)
     if invariant:
         kept = _kept_rows(model, xn, rho_max)
-        unit, worst = _unit_rows(row_mean, cn, dispersion, kept, w[0])
-        residual = _mode_residual(data, b, worst)
+        modes = _carried_modes(data, b, cn)
+        unit, worst = _unit_rows(row_mean, cn, dispersion[modes], kept, w[0])
+        residual = _mode_residual(data, b, modes, worst)
         if not residual <= bound:
             raise ValueError(
                 f"mode solve missed the residual test on the {nx} x {n_normal} "
@@ -486,14 +499,15 @@ def poisson_bvp(
         values = np.zeros((nx, xn.size), dtype=complex if len(data) == 2 else float)
         # formed in place through a view of its one or two real parts
         parts = np.moveaxis(values.view(float).reshape(nx, xn.size, -1), -1, 0)
-        _leading_rows(data, b, unit, parts)
+        _leading_rows(data, b, modes, unit, parts)
         iterations, path = 0, "mode-direct"
     else:
+        modes = np.arange(dispersion.size)
         factor = _mode_factor(row_mean, cn, dispersion)  # CG's preconditioner
         unit = np.zeros((dispersion.size, row_mean.size))
         unit[:, 0] = 1.0
         first = np.zeros(data.shape + (n_normal,))
-        _leading_rows(data, b, _mode_solve(factor, unit), first)
+        _leading_rows(data, b, modes, _mode_solve(factor, unit), first)
         del unit  # g_k goes before CG allocates
         parts, iterations, residual = _mode_pcg(first, w, cn, cp, factor, bound)
         values, path = _combine(parts), "mode-pcg"
@@ -503,6 +517,7 @@ def poisson_bvp(
         "residual": residual,
         "iterations": iterations,
         "path": path,
+        "modes": modes.size,
         "rho_max": rho_max,
         "n_normal": n_normal,
     }
@@ -525,30 +540,53 @@ def _kept_rows(model: ModelProblem, xn: np.ndarray, rho_max: float) -> int:
     return min(below + 1 + _SPLINE_REACH, xn.size - 2)
 
 
+def _carried_modes(data: np.ndarray, b: np.ndarray, cn: float) -> np.ndarray:
+    """The rfft modes, in increasing order, that a mode-direct solve of
+    ``data`` (b = cn rfft(data)) factors: all but the longest run of the
+    smallest bounds (m_k/nx) |b_k|/cn on what mode k moves in the field
+    that sum to at most eps log2(nx) max|phi|; see :func:`poisson_bvp`.
+    Zero bounds sort first and the budget is not negative, so exact zeros
+    are always left out."""
+    nx = data.shape[1]
+    reach = _pair_weights(nx) * np.sum(np.abs(b), axis=0) / (nx * cn)
+    budget = np.finfo(float).eps * math.log2(nx) * _modulus_max(data)
+    order = np.argsort(reach, kind="stable")
+    left_out = int(np.count_nonzero(np.cumsum(reach[order]) <= budget))
+    return np.sort(order[left_out:])
+
+
 def _leading_rows(
-    data: np.ndarray, b: np.ndarray, unit: np.ndarray, out: np.ndarray
+    data: np.ndarray,
+    b: np.ndarray,
+    modes: np.ndarray,
+    unit: np.ndarray,
+    out: np.ndarray,
 ) -> None:
     """Write the rows 0 to m of the field of ``data`` (m = unit.shape[1],
-    the unit rows given) to ``out``, a real stack of zeros shaped (parts,
-    nx, rows), rows > m, whose rows past m stay zero."""
+    the unit rows given for ``modes``) to ``out``, a real stack of zeros
+    shaped (parts, nx, rows), rows > m, whose rows past m stay zero."""
     out[..., 0] = data
-    _synthesize(b, unit, out[..., 1 : unit.shape[1] + 1])
+    _synthesize(b, modes, unit, out[..., 1 : unit.shape[1] + 1])
 
 
-def _synthesize(b: np.ndarray, unit: np.ndarray, out: np.ndarray) -> None:
-    """out[..., c] = irfft(b_k unit[k, c]) along the tangent, for b shaped
-    (parts, modes) and out (parts, nx, unit.shape[1]), a block of normal
-    columns at a time.  No BLAS product, so the field is the same at any
-    BLAS thread count, and each column's transform is its own, so a column
-    is bitwise the same in any block."""
+def _synthesize(
+    b: np.ndarray, modes: np.ndarray, unit: np.ndarray, out: np.ndarray
+) -> None:
+    """out[..., c] = irfft(b_k unit[i, c]) along the tangent, k = modes[i]
+    and every other mode's term zero, for b shaped (parts, nx // 2 + 1) and
+    out (parts, nx, unit.shape[1]), a block of normal columns at a time.
+    No BLAS product, so the field is the same at any BLAS thread count,
+    and each column's transform is its own, so a column is bitwise the
+    same in any block."""
     nx, m = out.shape[-2], unit.shape[1]
     # the product casts and broadcasts through numpy's buffers, which take
     # two more spectra of up to 128 KiB, so a spectrum takes a quarter block
     step = max(1, _BLOCK_BYTES // (4 * b.nbytes))
-    block = np.empty(b.shape + (min(step, m),), dtype=complex)
+    block = np.zeros(b.shape + (min(step, m),), dtype=complex)
+    coefficients = b[:, modes, None]
     for a in range(0, m, step):
         spectrum = block[..., : min(step, m - a)]
-        np.multiply(b[..., None], unit[:, a : a + step], out=spectrum)
+        spectrum[:, modes] = np.multiply(coefficients, unit[:, a : a + step])
         np.fft.irfft(spectrum, nx, axis=-2, out=out[..., a : a + spectrum.shape[-1]])
 
 
@@ -607,6 +645,12 @@ def _unit_rows(
     |r_kj| of each mode's residual r_k = T_k g_k - e_0, taken with
     ``residual_w``, the operator's own V - E column.
 
+    Each g_k satisfies 0 <= g_k[j] <= g_k[0] < 1/cn: T_k is an M-matrix, so
+    g_k >= 0; each interior row reads cn (2 g_j - g_{j-1} - g_{j+1}) =
+    -(w_j + dispersion[k]) g_j <= 0, so g_k is convex and, 0 past its last
+    row, decreasing; and then row 0 gives g_k[0] <= 1/(cn + w_0 +
+    dispersion[k]).  :func:`_carried_modes` rests on that bound.
+
     The modes are factored and solved a block of about _BLOCK_BYTES of
     rows at a time; each block's residual is taken on every row, and its
     factor and its rows past ``kept`` are dropped before the next block.
@@ -633,19 +677,29 @@ def _unit_rows(
     return unit, worst
 
 
-def _mode_residual(data: np.ndarray, b: np.ndarray, worst: np.ndarray) -> float:
-    """The bound on max|A u - b| / max|phi| of the mode-direct field u of
-    ``data`` (b = cn rfft(data)) from ``worst``, the largest residual entry
-    of each of its mode systems (:func:`_unit_rows`); see
-    :func:`poisson_bvp`."""
-    nx = data.shape[1]
-    # rfft modes other than k = 0 and the Nyquist mode stand for a pair
-    weight = np.full(worst.size, 2.0)
+def _pair_weights(nx: int) -> np.ndarray:
+    """m_k for the nx // 2 + 1 rfft modes: 1 at k = 0 and at the Nyquist
+    mode, 2 at every other mode, which stands for the pair k, nx - k."""
+    weight = np.full(nx // 2 + 1, 2.0)
     weight[0] = 1.0
     if nx % 2 == 0:
         weight[-1] = 1.0
+    return weight
+
+
+def _mode_residual(
+    data: np.ndarray, b: np.ndarray, modes: np.ndarray, worst: np.ndarray
+) -> float:
+    """The bound on max|A u - b| / max|phi| of the mode-direct field u of
+    ``data`` (b = cn rfft(data)) from ``worst``, the largest residual entry
+    of each of its mode systems solved, those of ``modes``
+    (:func:`_unit_rows`); a mode left out keeps g_k = 0, so r_k = -e_0 and
+    its entry is 1.  See :func:`poisson_bvp`."""
+    nx = data.shape[1]
+    every = np.ones(b.shape[1])
+    every[modes] = worst
     scale = _modulus_max(data)
-    total = float(np.sum(weight * np.sum(np.abs(b), axis=0) * worst)) / nx
+    total = float(np.sum(_pair_weights(nx) * np.sum(np.abs(b), axis=0) * every)) / nx
     return total / scale if scale else 0.0
 
 

@@ -433,16 +433,18 @@ class TestPoissonBVP:
             poisson_bvp(STRIP, phi, 0.05, far=0.5, n_normal=41)
 
     @pytest.mark.parametrize(
-        "model, far, n_normal, blocks, iterations",
-        [(TORUS, 1.2, 2401, 3, 0), (STRIP, 0.5, 41, 1, 11)],
+        "model, far, n_normal, modes, blocks, iterations",
+        [(TORUS, 1.2, 12001, [0, 2, 3], 3, 0), (STRIP, 0.5, 41, range(17), 1, 11)],
         ids=["separable-torus", "strip-2d"],
     )
     def test_factorizations(
-        self, monkeypatch, model, far, n_normal, blocks, iterations
+        self, monkeypatch, model, far, n_normal, modes, blocks, iterations
     ):
-        # each mode is factored once per solve, in order: a block of modes at
-        # a time on the direct path, and as one whole factor that a solve
-        # that iterates keeps as CG's preconditioner
+        # each mode solved is factored once per solve, in order: on the
+        # direct path only the modes the data carries (0, 2 and 3), a block
+        # of modes at a time (one mode a block at 12,001 normal nodes), and
+        # every mode as one whole factor that a solve that iterates keeps as
+        # CG's preconditioner
         calls = []
         factor = solver._mode_factor
 
@@ -456,9 +458,10 @@ class TestPoissonBVP:
         data = 1.0 + 0.3 * np.cos(2.0 * xp) + 0.2j * np.sin(3.0 * xp)
         phi = BoundaryFunction(data, 2.0 * math.pi, 0.05)
         field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
-        every_mode = solver.expected_circle_eigenvalue(model, 0.05, np.arange(17), nx)
+        factored = solver.expected_circle_eigenvalue(model, 0.05, np.array(modes), nx)
         assert len(calls) == blocks
-        assert np.array_equal(np.concatenate(calls), every_mode)
+        assert np.array_equal(np.concatenate(calls), factored)
+        assert field.meta["modes"] == len(modes)
         assert field.meta["iterations"] == iterations
 
     def test_iterating_solve_frees_the_unit_rows_before_cg(self, monkeypatch):
@@ -577,12 +580,13 @@ class TestPoissonBVP:
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_direct_solve_peak_memory(self, n_normal):
-        # the kept unit rows of g_k (0.05 and 0.04 fields, where all of g_k
+        # the kept unit rows of the data's three modes (g_k of every mode
         # is half a field) are live next to one block of the mode factor
-        # (four modes at 4,001 normal nodes, one at 24,001): 0.37 and 0.17
-        # fields measured; V - E is one column and the mode residual runs
-        # a block of modes at a time.  The held rows are then formed next
-        # to g_k alone, and only they are kept (0.10 and 0.08 fields)
+        # (the three modes at 4,001 normal nodes, one at 24,001): 0.24 and
+        # 0.13 fields measured, 0.37 and 0.17 when every mode was solved;
+        # V - E is one column and the mode residual runs a block of modes
+        # at a time.  The held rows are then formed next to g_k alone, and
+        # only they are kept (0.10 and 0.08 fields)
         field, (retained, peak) = self._traced_direct_solve(n_normal, 0.0)
         assert field.values.dtype == np.float64
         assert peak <= {4001: 0.45, 24001: 0.25}[n_normal]
@@ -591,8 +595,8 @@ class TestPoissonBVP:
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_complex_direct_solve_peak_memory(self, n_normal):
         # the two data parts share g_k, so the mode solve is the real one;
-        # the complex rows are formed in place, twice the real ones: 0.37
-        # and 0.22 fields at the peak measured
+        # the complex rows are formed in place, twice the real ones: 0.24
+        # and 0.18 fields at the peak measured
         field, (retained, peak) = self._traced_direct_solve(n_normal, 0.3j)
         assert field.values.dtype == np.complex128
         assert peak <= {4001: 0.45, 24001: 0.25}[n_normal]
@@ -780,7 +784,9 @@ class TestPoissonBVP:
     def test_blocked_mode_solve_is_the_stacked_solve(self, monkeypatch, block_modes):
         # 0 bytes still makes one-mode blocks, 4 modes do not divide the 33
         # modes of nx = 64, and 64 modes' worth is one block: the rows held
-        # and CG's preconditioner are bitwise those of one stacked solve
+        # are bitwise those of one stacked solve synthesised from the modes
+        # the data carries (0 and 2), and CG's preconditioner is bitwise
+        # the stacked factor of every mode
         h, ny = 0.05, 1001
         factors = []
         pcg = solver._mode_pcg
@@ -811,10 +817,15 @@ class TestPoissonBVP:
                 assert factors == []
                 held = field.normal_nodes.size
                 assert held == 2 + solver._SPLINE_REACH < ny  # rho_max = 0
+                assert field.meta["modes"] == 2
+                carried = [0, 2]
                 data = np.real(phi.values)[None]
+                b = cn * np.fft.rfft(data)
+                spectrum = np.zeros((1, modes.size, ny - 2), dtype=complex)
+                spectrum[:, carried] = b[:, carried, None] * unit[carried]
                 expected = np.zeros((1, nx, ny))
                 expected[..., 0] = data
-                solver._synthesize(cn * np.fft.rfft(data), unit, expected[..., 1:-1])
+                expected[..., 1:-1] = np.fft.irfft(spectrum, nx, axis=-2)
                 assert np.array_equal(field.values, expected[0, :, :held])
                 continue
             assert field.meta["path"] == "mode-pcg"
@@ -825,6 +836,129 @@ class TestPoissonBVP:
             assert info == 0
             solved = solver._mode_solve(factor, rhs)
             assert np.array_equal(solved, expected.T.reshape(rhs.shape))
+
+    @classmethod
+    def _every_mode_field(cls, field, phi):
+        """The oracle of the rule that leaves modes out: the mode-direct
+        field of ``phi`` from every rfft mode, on the rows ``field`` holds:
+        irfft(b_k g_k) along the tangent with b = cn rfft(phi) and g_k =
+        T_k^{-1} e_0 from one stacked factor and solve of every mode, for
+        the real and imaginary parts of phi."""
+        model, h, nx = field.model, field.h, phi.values.size
+        xp = field.tangential_nodes
+        xn = np.linspace(0.0, field.meta["far"], field.meta["n_normal"])
+        w = np.mean(potential_grid(model, xp, xn)[:, 1:-1] - model.energy, axis=0)
+        cn = h**2 / (xn[1] - xn[0]) ** 2
+        modes = np.arange(nx // 2 + 1)
+        mu = solver.expected_circle_eigenvalue(model, h, modes, nx)
+        d, e = cls._stacked_factor(w, cn, mu)
+        unit = np.zeros((modes.size, w.size))
+        unit[:, 0] = 1.0
+        unit, info = dpttrs(d, e, unit.ravel())
+        assert info == 0
+        parts = np.stack([phi.values.real, phi.values.imag])
+        b = cn * np.fft.rfft(parts)
+        u = np.zeros((2, nx, xn.size))
+        u[..., 0] = parts
+        spectrum = b[..., None] * unit.reshape(modes.size, -1)
+        u[..., 1:-1] = np.fft.irfft(spectrum, nx, axis=-2)
+        u = u[..., : field.normal_nodes.size]
+        if not np.any(phi.values.imag):
+            return u[0]
+        values = np.empty(u.shape[1:], dtype=complex)
+        values.real, values.imag = u
+        return values
+
+    @staticmethod
+    def _fft_budget(phi):
+        """eps log2(nx) max|phi|: how far leaving modes out may move the
+        field."""
+        nx = phi.values.size
+        return np.finfo(float).eps * math.log2(nx) * np.max(np.abs(phi.values))
+
+    @staticmethod
+    def _counted_torus_solve(monkeypatch, ny, data):
+        """(field, phi, factored): the mode-direct torus solve of data(x) at
+        nx = 64, h = 0.05, far = 1 and rho_max = 0.1, and the dispersions of
+        the modes it factored, in order."""
+        calls = []
+        factor = solver._mode_factor
+
+        def counted(w, cn, dispersion):
+            calls.append(dispersion)
+            return factor(w, cn, dispersion)
+
+        monkeypatch.setattr(solver, "_mode_factor", counted)
+        xp = 2.0 * math.pi / 64 * np.arange(64)
+        phi = BoundaryFunction(data(xp), 2.0 * math.pi, 0.05)
+        field = poisson_bvp(TORUS, phi, 0.05, far=1.0, n_normal=ny, rho_max=0.1)
+        return field, phi, np.concatenate(calls)
+
+    @pytest.mark.parametrize(
+        "data, modes, exact",
+        [
+            (lambda x: 1.0 + 0.4 * np.cos(x) + 0.2 * np.cos(2.0 * x), range(3), False),
+            (np.ones_like, [0], True),
+            (
+                lambda x: np.array([1.0, 1j])
+                @ np.random.default_rng(23).standard_normal((2, x.size)),
+                range(33),
+                True,
+            ),
+        ],
+        ids=["parametrix", "constant", "random-complex"],
+    )
+    def test_direct_solve_factors_the_modes_its_data_carries(
+        self, monkeypatch, data, modes, exact
+    ):
+        # the parametrix data 1 + 0.4 cos x + 0.2 cos 2x carries modes 0-2
+        # of 33, the other 30 coefficients being exact zeros or FFT rounding,
+        # and leaving them out moves the field by at most eps log2(nx)
+        # max|phi|; rfft of constant data is exactly zero past k = 0, and
+        # random data carries every mode, so both give bitwise the field of
+        # every mode
+        field, phi, factored = self._counted_torus_solve(monkeypatch, 4001, data)
+        mu = solver.expected_circle_eigenvalue(TORUS, 0.05, np.array(modes), 64)
+        assert np.array_equal(factored, mu)
+        assert field.meta["modes"] == len(modes)
+        every = self._every_mode_field(field, phi)
+        if exact:
+            assert np.array_equal(field.values, every)
+        else:
+            assert np.max(np.abs(field.values - every)) <= self._fft_budget(phi)
+
+    def test_zero_mean_data_leaves_mode_zero_out(self, monkeypatch):
+        # cos 2x has a mean of FFT rounding only, the smallest of its
+        # coefficients, so mode 0 is not factored while mode 2 is (a few
+        # rounding modes above the budget are factored too)
+        field, phi, factored = self._counted_torus_solve(
+            monkeypatch, 1001, lambda x: np.cos(2.0 * x)
+        )
+        assert np.fft.rfft(phi.values.real)[0] != 0.0  # rounding, not an exact zero
+        mu = solver.expected_circle_eigenvalue(TORUS, 0.05, np.arange(3), 64)
+        assert mu[0] == 0.0 and mu[2] in factored
+        assert np.all(factored > 0.0)
+        assert field.meta["modes"] == factored.size < 33
+        every = self._every_mode_field(field, phi)
+        assert np.max(np.abs(field.values - every)) <= self._fft_budget(phi)
+
+    def test_modes_left_out_keep_the_residual_test(self):
+        # acceptance 03's solve: the modes left out count in the residual at
+        # full size, and their bounds together stay within the budget, so
+        # the solve passes where cutting each coefficient at eps log2(nx)
+        # times the data's 2-norm would not (8.6e-10 against 4e-10)
+        h, nx, ny = 0.05, 256, 2001
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        phi = BoundaryFunction(np.exp(20j * xp), 2.0 * math.pi, h)
+        field = poisson_bvp(FLAT, phi, h, far=1.0, n_normal=ny, rho_max=0.3)
+        assert field.meta["modes"] < nx // 2 + 1
+        xn = np.linspace(0.0, 1.0, ny)
+        cn, cp = h**2 / (xn[1] - xn[0]) ** 2, h**2 / (xp[1] - xp[0]) ** 2
+        w = potential_grid(FLAT, xp, xn)[:, 1:-1] - FLAT.energy
+        bound = solver._PCG_TOL * (4.0 * (cn + cp) + np.max(w))
+        assert field.meta["residual"] <= bound
+        every = self._every_mode_field(field, phi)
+        assert np.max(np.abs(field.values - every)) <= self._fft_budget(phi)
 
     @pytest.mark.parametrize("h", [0.1, 0.0125])
     def test_shipped_grid_stencil_residual_within_the_bound(self, h):
