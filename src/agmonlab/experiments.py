@@ -81,6 +81,7 @@ from agmonlab.quantize import build_cutoff_profile, build_phase_cutoff, symbol_c
 from agmonlab.solver import (
     _MIN_NODES,
     _check_far_boundary,
+    _resolving_normal_nodes,
     assemble_separable_mode,
     decay_fit,
     expected_circle_eigenvalue,
@@ -740,11 +741,25 @@ def _run_decay_sandwich(config: ExperimentConfig, jobs: int) -> list[ReportRecor
     return _map_points(config.kind, points, jobs)
 
 
+def _resolvability_limits(kind: str, far: float, grid, h_sweep) -> dict[str, str]:
+    """A Poisson solve to ``far`` on grid[1] normal nodes must resolve the
+    smallest h: the solver's own rule."""
+    if not grid or not h_sweep:
+        return {}
+    least = _resolving_normal_nodes(far, min(h_sweep))
+    if grid[1] >= least:
+        return {}
+    return {
+        "grid": f"{kind} needs at least {least} normal nodes in grid[1] to "
+        f"resolve h = {min(h_sweep):g}; refine the normal grid"
+    }
+
+
 def _decay_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
     """On the torus the far closure must lie in the forbidden region, which
-    the energy decides, and every level must certify against it: the
-    solver's own check, at the largest h, where the bound is weakest."""
-    del grid  # the far boundary is fixed, whatever the normal grid
+    the energy decides, every level must certify against it (the solver's
+    own check, at the largest h, where the bound is weakest), and the
+    normal grid must resolve the smallest h."""
     rho, h = sweeps["rho_grid"], sweeps["h_sweep"]
     if model.name == "halfplane-unit":
         return {}
@@ -762,7 +777,7 @@ def _decay_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
         _check_far_boundary(model, _DECAY_FAR, max(h), max(rho))
     except ValueError as exc:
         return {"rho_grid": f"decay-sandwich cannot trace depth {max(rho):g}: {exc}"}
-    return {}
+    return _resolvability_limits("decay-sandwich", _DECAY_FAR, grid, h)
 
 
 def _decay_rows(records: Sequence[ReportRecord]) -> Iterator[tuple]:
@@ -1201,12 +1216,14 @@ def _mass_profile_plot(records: Sequence[ReportRecord]) -> _Plot:
 
 
 def _parametrix_limits(model: ModelProblem, grid, sweeps) -> dict[str, str]:
-    """The comparison depth must lie inside the model's ambient collar."""
-    del sweeps  # the depth is set by the grid alone
+    """The comparison depth must lie inside the model's ambient collar, and
+    the normal grid must resolve the smallest h."""
     collar = model.collar_width_ambient
     least = math.ceil(_PARAMETRIX_DEPTH_STEPS * _PARAMETRIX_FAR / collar) + 1
     if not grid or grid[1] >= least:
-        return {}
+        return _resolvability_limits(
+            "parametrix-consistency", _PARAMETRIX_FAR, grid, sweeps["h_sweep"]
+        )
     return {
         "grid": f"parametrix-consistency needs at least {least} normal nodes "
         f"in grid[1], so that its comparison depth lies inside the collar "

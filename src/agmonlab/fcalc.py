@@ -38,7 +38,7 @@ from agmonlab._numerics import Spline, count_below, gauss_legendre
 from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import separable_level_set
 from agmonlab.models import ModelProblem, transverse_potential
-from agmonlab.solver import BoundaryTrace, EigenMode, expected_circle_eigenvalue
+from agmonlab.solver import BoundaryTrace, SeparableMode, expected_circle_eigenvalue
 
 __all__ = [
     "AlmostAnalyticExtension",
@@ -502,32 +502,25 @@ def hs_apply(P: np.ndarray, ext: AlmostAnalyticExtension) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _separable_factors(
-    mode: EigenMode, model: ModelProblem
-) -> tuple[Spline, np.ndarray]:
-    """(profile, phase): the not-a-knot spline of an assembled separable
-    mode's one normal profile and its phase row e^{2 pi i k x' / L}, whose
-    outer product is the mode.  The profile is the mode's row 0, where the
-    phase is exactly 1 + 0j, and the phase row is the expression that
-    :func:`solver.assemble_separable_mode` assembles with."""
-    if mode.tangential_mode is None or mode.values.ndim != 2:
+def _separable_factors(mode: SeparableMode) -> tuple[Spline, np.ndarray]:
+    """(profile, phase): the not-a-knot spline of a separable mode's normal
+    profile and its phase row, whose outer product is the mode."""
+    if not isinstance(mode, SeparableMode):
         raise ValueError("an assembled separable 2D mode is required")
-    xp = mode.axes[0]
-    phase = np.exp(2j * math.pi * mode.tangential_mode * xp / model.lengths[0])
-    return Spline(mode.axes[1], mode.values[0]), phase
+    return Spline(mode.normal_nodes, mode.profile), mode.phase
 
 
-def surface_trace_of_mode(mode: EigenMode, model: ModelProblem) -> BoundaryTrace:
+def surface_trace_of_mode(mode: SeparableMode, model: ModelProblem) -> BoundaryTrace:
     """Surface restriction of an assembled separable mode.
 
     The mode's normal profile is interpolated to depth zero with one cubic
-    spline (the assembled grids are cell-centered and straddle the
+    spline (the transverse grid is cell-centered and straddles the
     surface) and multiplied by the phase row: one spline, not one per
-    tangential column, equal to the column splines up to rounding.
+    tangential column, equal to the product's column splines to rounding.
     """
-    profile, phase = _separable_factors(mode, model)
+    profile, phase = _separable_factors(mode)
     values = phase * profile(0.0)
-    level = separable_level_set(model, 0.0, n_tangential=mode.values.shape[0])
+    level = separable_level_set(model, 0.0, n_tangential=phase.size)
     return BoundaryTrace(values=values, level=level, rho=0.0, h=mode.h)
 
 
@@ -769,7 +762,7 @@ def _step_power_increment(d: np.ndarray, m: int) -> np.ndarray:
 
 
 def mass_profile_comparison(
-    mode: EigenMode,
+    mode: SeparableMode,
     model: ModelProblem,
     lam: float,
     h: float,
@@ -777,7 +770,7 @@ def mass_profile_comparison(
     """Windowed trace mass of a separable mode across the depth window.
 
     Requires a tangent-invariant model (rejected otherwise before any
-    compute) and an assembled separable 2D mode with numerically vanishing
+    compute) and a :class:`solver.SeparableMode` with numerically vanishing
     normal derivative on the surface.  Computes the per-depth mass
     h^2 <f(P) u_r, u_r> on [0, lam*h] in the exact DFT form of
     :func:`exterior_mass`, all depths through one spline of the mode's
@@ -807,7 +800,7 @@ def mass_profile_comparison(
     """
     # V on the surface, constant along it; a tangent-dependent model raises
     surface_potential = float(transverse_potential(model)(0.0))
-    profile, phase = _separable_factors(mode, model)
+    profile, phase = _separable_factors(mode)
     if abs(mode.h - h) > 1e-15 * max(1.0, h):
         raise ValueError(f"mode was assembled at h={mode.h:g}, not h={h:g}")
     scale = float(lam) * h
@@ -820,7 +813,7 @@ def mass_profile_comparison(
             f"[0, {limit:g}]; lower the window multiplier or h"
         )
 
-    n_tangential = mode.values.shape[0]
+    n_tangential = phase.size
     spacing = model.lengths[0] / n_tangential
 
     surface_values = phase * profile(0.0)
@@ -926,7 +919,7 @@ def mass_profile_comparison(
         "lam": float(lam),
         "h": float(h),
         "n_tangential": n_tangential,
-        "tangential_mode": int(mode.tangential_mode),
+        "tangential_mode": int(mode.k),
         "mode_energy": float(mode.energy),
         "model_energy": float(model.energy),
         "spectral_shift_size": float(

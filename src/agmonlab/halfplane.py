@@ -86,11 +86,6 @@ class BoundaryFunction:
         norm = math.sqrt(self.length / n * float(np.sum(np.abs(values) ** 2)))
         object.__setattr__(self, "norm", norm)
 
-    @property
-    def nodes(self) -> np.ndarray:
-        n = self.values.size
-        return self.length / n * np.arange(n)
-
 
 def make_boundary_function(fn, n: int, length: float, h: float) -> BoundaryFunction:
     """Sample a callable on the N uniform circle nodes."""

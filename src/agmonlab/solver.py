@@ -5,8 +5,8 @@ self-adjointness and the discrete maximum principle that the verification
 suite leans on.  The normal well of a model with a periodic normal circle
 is solved for its even-parity modes only, through the exact half-interval
 reduction to one tridiagonal eigenproblem, windowed around a Sturm count
-at the target so that only the requested modes are formed; separable 2D
-modes are assembled mode-by-mode, and the Poisson operator is realized as
+at the target so that only the requested modes are formed; a separable 2D
+mode is held as its two factors, and the Poisson operator is realized as
 a boundary-value solve with a far Dirichlet closure inside the forbidden
 region, whose influence is certified by an explicit tunneling bound on the
 model's weighted depth.  That solve has one kernel, in
@@ -44,6 +44,7 @@ from agmonlab.models import (
 
 __all__ = [
     "EigenMode",
+    "SeparableMode",
     "Field2D",
     "BoundaryTrace",
     "DecayFit",
@@ -92,27 +93,40 @@ _SPLINE_REACH = 64
 
 @dataclass(frozen=True)
 class EigenMode:
-    """A normalized discrete eigenpair.
-
-    1D transverse modes carry ``tangential_mode=None``; assembled separable
-    2D modes carry the integer tangential index.  ``record`` holds the
-    normalization and consistency measurements (norm, equation residual,
-    odd-part norm, resolution ratio h/spacing).
+    """A normalized discrete transverse eigenpair on the normal nodes
+    ``axes[0]``.  ``record`` holds the normalization and consistency
+    measurements (norm, equation residual, odd-part norm, resolution ratio
+    h/spacing).
     """
 
     energy: float
     values: np.ndarray
     axes: tuple[np.ndarray, ...]
     h: float
-    tangential_mode: int | None
     record: dict
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
 
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple(float(ax[1] - ax[0]) for ax in self.axes)
+
+@dataclass(frozen=True)
+class SeparableMode:
+    """A separable torus mode e^{2 pi i k x' / L} v(x_n), unit in the product
+    grid's L^2 norm, held as its two factors and never formed: ``profile``,
+    the unit transverse mode v over sqrt(L) on ``normal_nodes``, and
+    ``phase``, the row e^{2 pi i k x' / L} on phase.size uniform nodes."""
+
+    energy: float
+    profile: np.ndarray
+    phase: np.ndarray
+    normal_nodes: np.ndarray
+    h: float
+    k: int
+    record: dict
+
+    def __post_init__(self) -> None:
+        self.profile.setflags(write=False)
+        self.phase.setflags(write=False)
 
 
 def _even_parity_modes(
@@ -213,7 +227,6 @@ def solve_transverse_modes(
                 values=v,
                 axes=(nodes,),
                 h=h,
-                tangential_mode=None,
                 record=record,
             )
         )
@@ -243,8 +256,9 @@ def expected_circle_eigenvalue(
 
 def assemble_separable_mode(
     transverse: EigenMode, k: int, model: ModelProblem, *, n_tangential: int = 256
-) -> EigenMode:
-    """Tensor mode e^{i k x'} v(x_n) on the product grid, unit-normalized.
+) -> SeparableMode:
+    """Tensor mode e^{i k x'} v(x_n) on the product grid, unit-normalized,
+    as its two factors (:class:`SeparableMode`).
 
     The total eigenvalue adds the exact discrete tangential dispersion of
     the assembled grid, so the 2D equation residual stays at rounding
@@ -259,29 +273,21 @@ def assemble_separable_mode(
         )
     L = model.lengths[0]
     xp = L / n_tangential * np.arange(n_tangential)
-    dxp = L / n_tangential
     h = transverse.h
     disp_discrete = float(expected_circle_eigenvalue(model, h, k, n_tangential))
-    disp_continuum = h**2 * (2.0 * math.pi * k / L) ** 2
-    values = np.exp(2j * math.pi * k * xp / L)[:, None] * transverse.values[None, :]
-    d_n = transverse.spacing[0]
-    values = values / math.sqrt(
-        dxp * d_n * float(np.sum(np.abs(values) ** 2))
-    )
     record = {
-        "norm": math.sqrt(dxp * d_n * float(np.sum(np.abs(values) ** 2))),
         "transverse_energy": transverse.energy,
-        "tangential_dispersion": disp_discrete,
-        "tangential_dispersion_continuum": disp_continuum,
+        "tangential_dispersion_continuum": h**2 * (2.0 * math.pi * k / L) ** 2,
         "odd_part_norm": odd,
         "residual": transverse.record["residual"],
     }
-    return EigenMode(
+    return SeparableMode(
         energy=transverse.energy + disp_discrete,
-        values=values,
-        axes=(xp, transverse.axes[0]),
+        profile=transverse.values / math.sqrt(L),
+        phase=np.exp(2j * math.pi * k * xp / L),
+        normal_nodes=transverse.axes[0],
         h=h,
-        tangential_mode=k,
+        k=k,
         record=record,
     )
 
@@ -322,10 +328,6 @@ class Field2D:
 
     def __post_init__(self) -> None:
         self.values.setflags(write=False)
-
-    @property
-    def axes(self) -> tuple[np.ndarray, ...]:
-        return (self.tangential_nodes, self.normal_nodes)
 
     @cached_property
     def _spline_slopes(self) -> np.ndarray:
@@ -375,6 +377,12 @@ def _check_far_boundary(model, far, h, rho_max) -> float:
             f"{_CONTAMINATION_TOL:g}; move the far boundary out or {fix}"
         )
     return contamination
+
+
+def _resolving_normal_nodes(far: float, h: float) -> int:
+    """The least n_normal whose normal spacing far / (n_normal - 1) resolves
+    h: h >= _RESOLVABILITY spacings, the transverse eigensolve's rule."""
+    return math.ceil(_RESOLVABILITY * far / h) + 1
 
 
 def poisson_bvp(
@@ -430,6 +438,8 @@ def poisson_bvp(
     mode-direct solve that misses it, or a CG solve that misses it within
     the iteration cap, raises instead of returning.
 
+    The normal grid must resolve h as the transverse eigensolve's does, h
+    >= _RESOLVABILITY spacings far / (n_normal - 1), or the solve raises.
     The far Dirichlet closure must lie inside the forbidden region, far <=
     ``model.forbidden_extent``, and its influence on traces at weighted
     depth <= rho_max is certified by the tunneling factor
@@ -458,6 +468,13 @@ def poisson_bvp(
     if abs(phi.h - h) > 0.0:
         raise ValueError("boundary data h does not match the solve h")
     contamination = _check_far_boundary(model, far, h, rho_max)
+    least = _resolving_normal_nodes(far, h)
+    if n_normal < least:
+        raise ValueError(
+            f"resolvability violated: h={h:g} is below {_RESOLVABILITY:g} normal "
+            f"grid spacings on {n_normal} nodes to x_n = {far:g}; refine the "
+            f"normal grid to at least {least} nodes"
+        )
 
     nx = phi.values.size
     xp = L / nx * np.arange(nx)

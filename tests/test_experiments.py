@@ -186,6 +186,42 @@ class TestParseConfig:
         problem = excinfo.value.field_errors["rho_grid"]
         assert "keep the deepest level below 1.156" in problem
 
+    def test_under_resolved_decay_grid_rejected(self, out_dir):
+        # 512 normal rows to x_n = 1.9 give h / dx_n = 0.67 at h = 0.0025,
+        # where the run fits decay-slope with margin -0.19; the solver's
+        # rule h >= 4 dx_n needs 4 * 1.9 / 0.0025 + 1 = 3,041 rows
+        base = payload(
+            kind="decay-sandwich",
+            model="separable-torus",
+            h_sweep=[0.02, 0.0025],
+            rho_grid=[0.1, 0.2, 0.3, 0.4],
+            grid=[512, 512],
+            out=str(out_dir),
+        )
+        for rows in (512, 3040):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config({**base, "grid": [512, rows]})
+            errors = excinfo.value.field_errors
+            assert set(errors) == {"grid"}
+            assert "at least 3041 normal nodes in grid[1]" in errors["grid"]
+            assert "h = 0.0025" in errors["grid"]
+        parse_config({**base, "grid": [512, 3041]})
+
+    def test_under_resolved_parametrix_grid_rejected(self, out_dir):
+        # the collar needs 123 normal rows to x_n = 1; h = 0.001 needs 4,001
+        base = payload(
+            kind="parametrix-consistency",
+            model="separable-torus",
+            h_sweep=[0.1, 0.001],
+            grid=[32, 801],
+            out=str(out_dir),
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(base)
+        problem = excinfo.value.field_errors["grid"]
+        assert "parametrix-consistency needs at least 4001 normal nodes" in problem
+        parse_config({**base, "grid": [32, 4001]})
+
     def test_decay_energy_past_the_far_closure_rejected_under_params(self, out_dir):
         # V - E = 1 + cos(x_n) - E turns negative before the far closure at
         # x_n = 1.9 once E exceeds 1 + cos 1.9

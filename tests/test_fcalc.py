@@ -9,6 +9,7 @@ identity of the inputs.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from agmonlab.models import make_model, potential_grid
 from agmonlab.solver import (
     BoundaryFunction,
     BoundaryTrace,
-    EigenMode,
     assemble_separable_mode,
     expected_circle_eigenvalue,
     poisson_bvp,
@@ -816,8 +816,9 @@ class TestSurfaceLevelAndTrace:
         mode = assemble_separable_mode(
             torus_transverse_coarse, k=k, model=TORUS, n_tangential=256
         )
-        columns = Spline(mode.axes[1], mode.values.T)
-        profile, phase = fcalc._separable_factors(mode, TORUS)
+        # the mode formed as its product, splined column by column
+        columns = Spline(mode.normal_nodes, np.outer(mode.phase, mode.profile).T)
+        profile, phase = fcalc._separable_factors(mode)
         depths = np.linspace(0.0, 4.0 * mode.h, 65)
         pairs = [
             (profile(depths)[:, None] * phase, columns(depths)),
@@ -1219,31 +1220,14 @@ class TestMassProfileComparison:
         with pytest.raises(ValueError, match="assembled at h"):
             mass_profile_comparison(torus_mode_detailed, TORUS, lam=4.0, h=0.1)
 
-    def test_neumann_precondition_enforced(self, torus_transverse_coarse):
-        y = torus_transverse_coarse.axes[0]
-        xp = 2.0 * math.pi / 256 * np.arange(256)
-        skew = np.sin(y) + 0.01 * np.cos(y)
-        values = np.exp(1j * 7 * xp)[:, None] * skew[None, :]
-        bad = EigenMode(
-            energy=torus_transverse_coarse.energy,
-            values=values,
-            axes=(xp, y),
-            h=0.1375,
-            tangential_mode=7,
-            record={},
-        )
+    def test_neumann_precondition_enforced(self, torus_mode_detailed):
+        y = torus_mode_detailed.normal_nodes
+        bad = replace(torus_mode_detailed, profile=np.sin(y) + 0.01 * np.cos(y))
         with pytest.raises(ValueError, match="Neumann precondition"):
             mass_profile_comparison(bad, TORUS, lam=4.0, h=0.1375)
 
     def test_window_overlapping_mode_energy_rejected(self, torus_mode_detailed):
-        hot = EigenMode(
-            energy=3.0,
-            values=torus_mode_detailed.values.copy(),
-            axes=torus_mode_detailed.axes,
-            h=0.1375,
-            tangential_mode=7,
-            record={},
-        )
+        hot = replace(torus_mode_detailed, energy=3.0)
         with pytest.raises(ValueError, match="not positive"):
             mass_profile_comparison(hot, TORUS, lam=4.0, h=0.1375)
 

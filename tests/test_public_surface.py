@@ -70,6 +70,10 @@ PRIVATE_IMPORT_EXEMPT = {
         "config validation runs the solver's own far-boundary certificate, "
         "so a config is rejected exactly when the solve would be"
     ),
+    ("experiments", "solver", "_resolving_normal_nodes"): (
+        "config validation applies the solver's own resolvability rule to a "
+        "Poisson grid, so a config is rejected exactly when the solve would be"
+    ),
 }
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -47,7 +47,6 @@ from agmonlab.experiments import parse_config, run_experiment
 from agmonlab.halfplane import BoundaryFunction, apply_halfplane_poisson
 from agmonlab.models import make_model, potential_grid, transverse_potential, weighted_depth
 from agmonlab.solver import (
-    EigenMode,
     Field2D,
     assemble_separable_mode,
     decay_fit,
@@ -240,30 +239,43 @@ class TestAssembleSeparableMode:
     def test_neumann_data_vanishes_across_symmetry_line(self):
         mode = self._even_mode()
         two_d = assemble_separable_mode(mode, k=2, model=TORUS, n_tangential=128)
-        xn = two_d.axes[1]
+        xn = two_d.normal_nodes
         m = xn.size // 2
         assert xn[m - 1] == pytest.approx(-xn[m])
-        jump = np.max(np.abs(two_d.values[:, m] - two_d.values[:, m - 1]))
-        assert jump <= 1e-8 * np.max(np.abs(two_d.values))
+        values = np.outer(two_d.phase, two_d.profile)  # the mode, formed here
+        jump = np.max(np.abs(values[:, m] - values[:, m - 1]))
+        assert jump <= 1e-8 * np.max(np.abs(values))
 
     def test_unit_normalization(self):
         mode = self._even_mode()
         two_d = assemble_separable_mode(mode, k=1, model=TORUS, n_tangential=64)
         dxp = 2.0 * math.pi / 64
-        dxn = two_d.axes[1][1] - two_d.axes[1][0]
-        total = dxp * dxn * np.sum(np.abs(two_d.values) ** 2)
+        dxn = two_d.normal_nodes[1] - two_d.normal_nodes[0]
+        values = np.outer(two_d.phase, two_d.profile)  # the mode, formed here
+        total = dxp * dxn * np.sum(np.abs(values) ** 2)
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    def test_factors_are_frozen(self):
+        two_d = assemble_separable_mode(self._even_mode(), k=1, model=TORUS)
+        for factor in (two_d.profile, two_d.phase):
+            with pytest.raises(ValueError):
+                factor[0] = 1.0
+
+    def test_assembly_never_forms_the_product(self):
+        # a 1024 x 4096 complex product is 64 MiB; the factors are 48 KiB
+        mode = self._even_mode(n=4096)
+        tracemalloc.start()
+        try:
+            two_d = assemble_separable_mode(mode, k=5, model=TORUS, n_tangential=1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert two_d.phase.shape == (1024,) and two_d.profile.shape == (4096,)
 
     def test_rejects_uneven_transverse_mode(self):
         mode = self._even_mode()
-        doctored = EigenMode(
-            energy=mode.energy,
-            values=np.array(mode.values),
-            axes=mode.axes,
-            h=mode.h,
-            tangential_mode=None,
-            record={**mode.record, "odd_part_norm": 1.0},
-        )
+        doctored = replace(mode, record={**mode.record, "odd_part_norm": 1.0})
         with pytest.raises(ValueError, match="odd-part"):
             assemble_separable_mode(doctored, k=0, model=TORUS)
 
@@ -736,7 +748,7 @@ class TestPoissonBVP:
 
     @pytest.mark.parametrize(
         "model, far, n_normal",
-        [(TORUS, 1.2, 41), (TORUS, 1.0, 4001), (STRIP, 0.5, 41)],
+        [(TORUS, 0.8, 65), (TORUS, 1.0, 4001), (STRIP, 0.5, 41)],
         ids=["separable-torus-all-rows", "separable-torus", "strip-2d"],
     )
     def test_meta_records_the_normal_rows_solved(self, model, far, n_normal):
@@ -753,6 +765,22 @@ class TestPoissonBVP:
         else:
             assert held == n_normal
             assert np.all(field.values[:, -1] == 0.0)
+
+    @pytest.mark.parametrize(
+        "model, far", [(TORUS, 1.0), (STRIP, 0.5)], ids=["separable-torus", "strip-2d"]
+    )
+    def test_under_resolved_normal_grid_rejected(self, model, far):
+        # the transverse eigensolve's rule: h >= 4 normal spacings, here
+        # 4 far / h + 1 rows
+        h, nx = 0.05, 32
+        least = round(4.0 * far / h) + 1
+        phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, h)
+        with pytest.raises(
+            ValueError, match=f"refine the normal grid to at least {least} nodes"
+        ):
+            poisson_bvp(model, phi, h, far=far, n_normal=least - 1)
+        field = poisson_bvp(model, phi, h, far=far, n_normal=least)
+        assert field.meta["n_normal"] == least
 
     def test_mode_residual_can_fail(self, monkeypatch):
         solve = solver._mode_solve
