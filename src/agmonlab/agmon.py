@@ -3,11 +3,10 @@
 The degenerate conformal metric (V - E)_+ g (ambient g flat in every shipped
 model) governs tunneling decay.  This module computes its distance field by
 label-setting shortest paths (Dijkstra, run by ``scipy.sparse.csgraph``) on
-a weighted grid graph, and extracts level sets with both ambient and
-weighted line elements.  On a model independent of the tangent the level
-{distance = rho} from the hypersurface is the line {normal = s}, where s
-inverts ``models.weighted_depth``, the package's one rule for the weighted
-depth.
+a weighted grid graph, and extracts level sets with their ambient line
+elements.  On a model independent of the tangent the level {distance =
+rho} from the hypersurface is the line {normal = s}, where s inverts
+``models.weighted_depth``, the package's one rule for the weighted depth.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from agmonlab._numerics import brentq
 from agmonlab.models import (
     ModelProblem,
     domain_axes,
-    potential_at,
     potential_grid,
     transverse_potential,
     weighted_depth,
@@ -50,7 +48,6 @@ class DistanceField:
 
     values: np.ndarray
     axes: tuple[np.ndarray, ...]
-    spacing: tuple[float, ...]
     model: ModelProblem
 
     def __post_init__(self) -> None:
@@ -62,25 +59,16 @@ class LevelSet:
     """Samples of one level {distance = rho} with line-element weights.
 
     ``points`` has shape (m, 2), rows (tangential, normal).
-    ``ambient_weights`` are ambient-metric line elements per sample;
-    ``weighted_weights`` carry the extra conformal factor sqrt(V - E) per
-    tangential direction, so squared-norm ratios of traces stay between the
-    min and max of sqrt(V - E) over the level.
+    ``ambient_weights`` are ambient-metric line elements per sample.
     """
 
     rho: float
     points: np.ndarray
     ambient_weights: np.ndarray
-    weighted_weights: np.ndarray
-    model: ModelProblem
 
     def __post_init__(self) -> None:
-        for arr in (self.points, self.ambient_weights, self.weighted_weights):
+        for arr in (self.points, self.ambient_weights):
             arr.setflags(write=False)
-
-    @property
-    def length(self) -> float:
-        return float(self.ambient_weights.sum())
 
 
 # --------------------------------------------------------------------------
@@ -153,7 +141,7 @@ def agmon_distance(model: ModelProblem, grid_sizes=(129,)) -> DistanceField:
 
     graph = _grid_graph(weight, spacing, model.periodic)
     dist = dijkstra(graph, indices=seeds, min_only=True).reshape(shape)
-    return DistanceField(values=dist, axes=axes, spacing=spacing, model=model)
+    return DistanceField(values=dist, axes=axes, model=model)
 
 
 # --------------------------------------------------------------------------
@@ -166,20 +154,17 @@ def agmon_distance(model: ModelProblem, grid_sizes=(129,)) -> DistanceField:
 _LEVEL_XTOL = 1e-15
 
 
-def _weights_for_curve(model: ModelProblem, points: np.ndarray, d_xp: float):
-    """Ambient and weighted line elements for level samples.
+def _weights_for_curve(points: np.ndarray, d_xp: float) -> np.ndarray:
+    """Ambient line elements for level samples.
 
     Level curves parametrized by the tangential node spacing get a tilt
-    factor sqrt(1 + slope^2) in the ambient element and the conformal factor
-    sqrt(V-E) on top of it.  The tangent is a circle, so the slope is the
-    centred difference at every sample, the first and last included.
+    factor sqrt(1 + slope^2) in the ambient element.  The tangent is a
+    circle, so the slope is the centred difference at every sample, the
+    first and last included.
     """
     heights = points[:, 1]
     slope = (np.roll(heights, -1) - np.roll(heights, 1)) / (2.0 * d_xp)
-    ambient = np.sqrt(1.0 + slope**2) * d_xp
-    barrier = potential_at(model, points[:, 0], points[:, 1]) - model.energy
-    weighted = ambient * np.sqrt(np.maximum(barrier, 0.0))
-    return ambient, weighted
+    return np.sqrt(1.0 + slope**2) * d_xp
 
 
 def level_set_at(field: DistanceField, rho: float) -> LevelSet:
@@ -220,13 +205,10 @@ def level_set_at(field: DistanceField, rho: float) -> LevelSet:
     points = np.column_stack([xp, heights])
     d_xp = float(xp[1] - xp[0])
 
-    ambient, weighted = _weights_for_curve(model, points, d_xp)
     return LevelSet(
         rho=float(rho),
         points=points,
-        ambient_weights=ambient,
-        weighted_weights=weighted,
-        model=model,
+        ambient_weights=_weights_for_curve(points, d_xp),
     )
 
 
@@ -259,11 +241,8 @@ def separable_level_set(
     xp = np.linspace(0.0, L, n_tangential, endpoint=False)
     points = np.column_stack([xp, np.full(n_tangential, s_star)])
     d_xp = L / n_tangential
-    ambient, weighted = _weights_for_curve(model, points, d_xp)
     return LevelSet(
         rho=float(rho),
         points=points,
-        ambient_weights=ambient,
-        weighted_weights=weighted,
-        model=model,
+        ambient_weights=_weights_for_curve(points, d_xp),
     )

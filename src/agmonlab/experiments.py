@@ -236,7 +236,6 @@ class ExperimentConfig:
 class ExperimentResult:
     """Records plus the files one run produced."""
 
-    config: ExperimentConfig
     records: tuple[ReportRecord, ...]
     csv_path: Path
     summary_path: Path
@@ -1143,7 +1142,7 @@ def _mass_profile_point(
 ) -> ReportRecord:
     model = config.model
     mode = assemble_separable_mode(transverse, k, model, n_tangential=config.grid[1])
-    profile = mass_profile_comparison(mode, model, lam, h)
+    profile = mass_profile_comparison(mode, model, lam)
     verdict_map = profile.verdict
     verdicts = (
         _bound_verdict("neumann-precondition", verdict_map["neumann_ratio"], 0.0, 1e-8),
@@ -1424,14 +1423,16 @@ def write_sweep_csv(records: tuple[ReportRecord, ...], kind: str, path: Path) ->
 
 
 def _json_value(value):
+    """``value`` as strict JSON: numpy scalars as Python numbers, and a
+    non-finite float as the string "nan", "inf" or "-inf"."""
     if isinstance(value, (tuple, list)):
         return [_json_value(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): _json_value(v) for k, v in value.items()}
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
     return value
 
 
@@ -1488,7 +1489,7 @@ def write_summary_json(
         "all_passed": all_passed,
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
     return all_passed
 
@@ -1549,7 +1550,6 @@ def run_experiment(config: ExperimentConfig, *, jobs: int = 1) -> ExperimentResu
     write_summary_json(records, config, summary_path)
     plot_paths = emit_plots(records, config.kind, out_dir)
     return ExperimentResult(
-        config=config,
         records=records,
         csv_path=csv_path,
         summary_path=summary_path,

@@ -581,17 +581,12 @@ def exterior_mass(
 class DerivativeNormReport:
     """Finite-difference depth-derivative norms across a window sweep.
 
-    ``c_values`` renormalizes each norm by scale^order so a derivative
-    obeying the expected norm * (lam h)^order = const law gives flat
-    values; ``fitted_exponent`` is the log-log slope of norm against lam
+    ``norms`` holds one operator norm per window multiplier, in sweep
+    order; ``fitted_exponent`` is the log-log slope of norm against lam
     (None when degenerate).
     """
 
-    order: int
-    h: float
-    lams: tuple
     norms: tuple
-    c_values: tuple
     fitted_exponent: float | None
 
 
@@ -632,19 +627,11 @@ def family_derivative_norms(
         norms.append(float(np.linalg.norm(derivative, 2)))
 
     norms_arr = np.asarray(norms)
-    c_values = tuple(
-        float(v * (one_lam * h) ** order) for v, one_lam in zip(norms_arr, lams)
-    )
     fitted = None
     if lams.size >= 2 and np.all(norms_arr > 1e-300):
         fitted = float(np.polyfit(np.log(lams), np.log(norms_arr), 1)[0])
     return DerivativeNormReport(
-        order=order,
-        h=h,
-        lams=tuple(float(v) for v in lams),
-        norms=tuple(float(v) for v in norms_arr),
-        c_values=c_values,
-        fitted_exponent=fitted,
+        norms=tuple(float(v) for v in norms_arr), fitted_exponent=fitted
     )
 
 
@@ -762,17 +749,14 @@ def _step_power_increment(d: np.ndarray, m: int) -> np.ndarray:
 
 
 def mass_profile_comparison(
-    mode: SeparableMode,
-    model: ModelProblem,
-    lam: float,
-    h: float,
+    mode: SeparableMode, model: ModelProblem, lam: float
 ) -> MassProfile:
     """Windowed trace mass of a separable mode across the depth window.
 
     Requires a tangent-invariant model (rejected otherwise before any
     compute) and a :class:`solver.SeparableMode` with numerically vanishing
-    normal derivative on the surface.  Computes the per-depth mass
-    h^2 <f(P) u_r, u_r> on [0, lam*h] in the exact DFT form of
+    normal derivative on the surface; h is the mode's.  Computes the
+    per-depth mass h^2 <f(P) u_r, u_r> on [0, lam*h] in the exact DFT form of
     :func:`exterior_mass`, all depths through one spline of the mode's
     normal profile times its phase row (see :func:`surface_trace_of_mode`)
     and one FFT along the tangent, and the comparison solution with the
@@ -801,8 +785,7 @@ def mass_profile_comparison(
     # V on the surface, constant along it; a tangent-dependent model raises
     surface_potential = float(transverse_potential(model)(0.0))
     profile, phase = _separable_factors(mode)
-    if abs(mode.h - h) > 1e-15 * max(1.0, h):
-        raise ValueError(f"mode was assembled at h={mode.h:g}, not h={h:g}")
+    h = mode.h
     scale = float(lam) * h
     if not scale > 0.0:
         raise ValueError("the window scale lam * h must be positive")

@@ -186,9 +186,6 @@ class ChainStep:
     """
 
     name: str
-    claim: str
-    lhs: float
-    rhs: float
     tolerance: float
     margin: float
 
@@ -199,20 +196,16 @@ class ChainStep:
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Four-step lower-bound verification at one (h, rho, delta, epsilon)."""
+    """Four-step lower-bound verification at one (delta, epsilon): the
+    measured exterior fraction, the steps, and the measured trace ratio
+    against its lower bound."""
 
-    h: float
-    rho: float
     delta: float
     epsilon: float
     exterior: float
     steps: tuple[ChainStep, ...]
     measured_ratio: float
     lower_bound: float
-
-    @property
-    def passed(self) -> bool:
-        return all(step.passed for step in self.steps)
 
 
 def verify_lower_chain(
@@ -255,12 +248,7 @@ def verify_lower_chain(
     rhs1 = math.sqrt(2.0 * math.pi * h) * phi.norm
     dev = abs(lhs1 / rhs1 - 1.0)
     step1 = ChainStep(
-        name="plancherel",
-        claim="frequency-side norm equals sqrt(2 pi h) times node-side norm",
-        lhs=lhs1,
-        rhs=rhs1,
-        tolerance=_IDENTITY_TOL,
-        margin=_IDENTITY_TOL - dev,
+        name="plancherel", tolerance=_IDENTITY_TOL, margin=_IDENTITY_TOL - dev
     )
 
     inside = np.abs(xi) <= delta
@@ -268,9 +256,6 @@ def verify_lower_chain(
     rhs2 = (1.0 - epsilon**2) * total
     step2 = ChainStep(
         name="zero-section-mass",
-        claim="mass on |xi'| <= delta is at least (1 - epsilon^2) of total",
-        lhs=lhs2,
-        rhs=rhs2,
         tolerance=1e-12 * rhs2,
         margin=(lhs2 - rhs2) + 1e-12 * rhs2,
     )
@@ -279,9 +264,6 @@ def verify_lower_chain(
     lhs3 = float(np.min(poisson_multiplier(xi[inside], rho, h)))
     step3 = ChainStep(
         name="multiplier-floor",
-        claim="damping on the band is at least exp(-(rho/h) sqrt(delta^2+1))",
-        lhs=lhs3,
-        rhs=floor,
         tolerance=1e-12 * floor,
         margin=(lhs3 - floor) + 1e-12 * floor,
     )
@@ -289,18 +271,10 @@ def verify_lower_chain(
     trace = apply_halfplane_poisson(phi, rho)
     rhs4 = 0.5 * floor * phi.norm
     step4 = ChainStep(
-        name="trace-lower-bound",
-        claim="trace norm at rho is at least (1/2) exp(-(rho/h) "
-        "sqrt(delta^2+1)) times the data norm",
-        lhs=trace.norm,
-        rhs=rhs4,
-        tolerance=0.0,
-        margin=trace.norm - rhs4,
+        name="trace-lower-bound", tolerance=0.0, margin=trace.norm - rhs4
     )
 
     return ChainReport(
-        h=h,
-        rho=rho,
         delta=delta,
         epsilon=epsilon,
         exterior=exterior,

@@ -313,9 +313,9 @@ def phase_function(series: PhaseSeries):
 
 @dataclass(frozen=True)
 class PhaseResidualReport:
-    """Equation residual of the truncated series at sampled depths."""
+    """Equation residual of the truncated series at the sampled depths, in
+    increasing depth order."""
 
-    samples: np.ndarray
     max_residual: np.ndarray
     relative_residual: np.ndarray
     fitted_exponent: float
@@ -370,7 +370,6 @@ def phase_residual(series: PhaseSeries, samples) -> PhaseResidualReport:
             break
         radius = float(x[i])
     return PhaseResidualReport(
-        samples=x.astype(float),
         max_residual=max_res,
         relative_residual=rel,
         fitted_exponent=slope,

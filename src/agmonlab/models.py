@@ -51,18 +51,17 @@ class ModelProblem:
     """A validated catalogue model: its potential, energy and domain.
 
     Instances are immutable and safe to share across concurrently running
-    experiments.  ``margin`` is the minimum of V - E over the validated
-    collar of the distinguished hypersurface; ``collar_width`` is measured
-    in arclength of the degenerate conformal metric (V - E) g (the units in
-    which decay rates are stated); ``collar_width_ambient`` is the same
-    collar measured in the ambient normal coordinate.
+    experiments.  V - E is positive on the validated collar of the
+    distinguished hypersurface; ``collar_width`` is measured in arclength
+    of the degenerate conformal metric (V - E) g (the units in which decay
+    rates are stated); ``collar_width_ambient`` is the same collar measured
+    in the ambient normal coordinate.
     """
 
     name: str
     energy: float
     lengths: tuple[float, ...]
     periodic: tuple[bool, ...]
-    margin: float
     collar_width: float
     collar_width_ambient: float
     forbidden_extent: float
@@ -289,10 +288,10 @@ def _entry(name: str) -> _Entry:
     return KNOWN_MODELS[name]
 
 
-def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, float]:
+def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float]:
     """Collar validation.
 
-    Returns (margin, collar ambient width, collar arclength width, forbidden
+    Returns (collar ambient width, collar arclength width, forbidden
     extent).  The collar half-width rule: find the nearest positive normal
     coordinate where min over the tangent of V - E drops to half its value on
     the hypersurface, and take half that distance; if no such drop occurs,
@@ -351,7 +350,7 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float, flo
         )
 
     measured = replace(model, forbidden_extent=forbidden_extent)
-    return margin, r0_ambient, weighted_depth(measured, r0_ambient), forbidden_extent
+    return r0_ambient, weighted_depth(measured, r0_ambient), forbidden_extent
 
 
 def weighted_depth(model: ModelProblem, depth: float) -> float:
@@ -394,16 +393,14 @@ def make_model(name: str, params: Mapping[str, float] | None = None) -> ModelPro
     unmeasured = float("nan")
     provisional = ModelProblem(
         name=name,
-        margin=unmeasured,
         collar_width=unmeasured,
         collar_width_ambient=unmeasured,
         forbidden_extent=unmeasured,
         **_entry(name).build(params or {}),
     )
-    margin, r0_ambient, r0, forbidden = _validate_and_measure(provisional)
+    r0_ambient, r0, forbidden = _validate_and_measure(provisional)
     return replace(
         provisional,
-        margin=margin,
         collar_width=r0,
         collar_width_ambient=r0_ambient,
         forbidden_extent=forbidden,

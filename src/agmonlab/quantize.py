@@ -62,14 +62,12 @@ class Symbol:
     ``values`` has shape (n_xi,) and quantizes as a Fourier multiplier.
     ``baseline`` is the constant the symbol equals outside its ``support``
     frequency window (symbols here are compactly supported only after
-    subtracting their plateau).  ``class_exponent`` is the claimed growth
-    class: xi-derivatives of order k may grow like h^(-k*class_exponent).
+    subtracting their plateau).
     """
 
     values: np.ndarray
     frequencies: np.ndarray
     h: float
-    class_exponent: float
     baseline: float = 0.0
     support: tuple[float, float] | None = None
     meta: dict = field(default_factory=dict)
@@ -77,8 +75,6 @@ class Symbol:
     def __post_init__(self) -> None:
         values = np.asarray(self.values)
         object.__setattr__(self, "values", values)
-        if not 0.0 <= self.class_exponent < 1.0:
-            raise ValueError("class exponent must lie in [0, 1)")
         if values.shape != self.frequencies.shape:
             raise ValueError(
                 f"symbol values shape {values.shape} does not match "
@@ -107,14 +103,13 @@ class CutoffProfile:
     The bend on [span/2, span] integrates a symmetric smooth step, which
     pins the plateau at exp(-3*span/4) up to quadrature error; the profile
     dominates exp(-x) everywhere and never drops below the plateau.
-    ``derivative_ratios`` holds the measured sups of |b'|/b and |b''|/b.
+    ``nodes`` and ``values`` sample the bend, where both are checked.
     """
 
     span: float
     plateau: float
     nodes: np.ndarray
     values: np.ndarray
-    derivative_ratios: tuple[float, float]
     _bend: Spline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -166,19 +161,11 @@ def build_cutoff_profile(span: float) -> CutoffProfile:
     log_vals = np.maximum.accumulate(log_vals)
     plateau = float(np.exp(-log_vals[-1]))
     bend = Spline(bend_nodes, log_vals, end_slopes=(1.0, 0.0))
-
-    values = np.exp(-log_vals)
-    # measured derivative bounds |b'| <= C1 b, |b''| <= C2 b on the bend:
-    # b'/b = -slope, b''/b = slope^2 - slope'
-    slope_deriv = np.gradient(slope, bend_nodes)
-    c1 = max(1.0, float(np.max(np.abs(slope))))
-    c2 = max(1.0, float(np.max(np.abs(slope**2 - slope_deriv))))
     return CutoffProfile(
         span=float(span),
         plateau=plateau,
         nodes=bend_nodes,
-        values=values,
-        derivative_ratios=(c1, c2),
+        values=np.exp(-log_vals),
         _bend=bend,
     )
 
@@ -242,7 +229,6 @@ def build_phase_cutoff(
         values=values,
         frequencies=series.frequencies,
         h=float(h),
-        class_exponent=0.5,
         baseline=profile.plateau,
         support=(-window, window),
         meta={
@@ -272,7 +258,6 @@ def split_in_out(
     common = dict(
         frequencies=frequencies,
         h=float(h),
-        class_exponent=0.5,
         meta={"span": span, "inner_constant": inner_constant},
     )
     chi_in = Symbol(
@@ -326,15 +311,10 @@ class SymbolClassReport:
     The class bound holds iff every exponent is at least its threshold.
     """
 
-    h_values: np.ndarray
     indices: tuple[tuple[int, int], ...]
     sups: np.ndarray  # (n_indices, n_h)
     exponents: np.ndarray
     thresholds: np.ndarray
-
-    @property
-    def passed(self) -> bool:
-        return bool(np.all(self.exponents >= self.thresholds))
 
 
 _CLASS_INDICES = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
@@ -384,7 +364,6 @@ def symbol_class_check(
         [-class_exponent * beta - 0.1 for (_, beta) in _CLASS_INDICES]
     )
     return SymbolClassReport(
-        h_values=h_values,
         indices=_CLASS_INDICES,
         sups=sups,
         exponents=exponents,
@@ -394,9 +373,9 @@ def symbol_class_check(
 
 @dataclass(frozen=True)
 class FrameBoundReport:
-    """Lower frame ratios ||Op(symbol) u|| / (floor ||u||) over a probe set."""
+    """The least lower frame ratio ||Op(symbol) u|| / (floor ||u||) over a
+    probe set."""
 
-    ratios: np.ndarray
     minimum: float
 
 
@@ -418,8 +397,7 @@ def frame_lower_bound_check(
         if denom == 0.0:
             raise ValueError("probe inputs must be nonzero")
         ratios.append(apply_quantized(symbol, u).norm / (floor * denom))
-    ratios = np.array(ratios)
-    return FrameBoundReport(ratios=ratios, minimum=float(ratios.min()))
+    return FrameBoundReport(minimum=float(min(ratios)))
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,6 @@ class Field2D:
     tangential_nodes: np.ndarray
     normal_nodes: np.ndarray
     h: float
-    model: ModelProblem
     meta: dict
 
     def __post_init__(self) -> None:
@@ -543,7 +542,6 @@ def poisson_bvp(
         tangential_nodes=xp,
         normal_nodes=xn,
         h=h,
-        model=model,
         meta=meta,
     )
 
@@ -853,29 +851,25 @@ def _mode_pcg(values, w, cn, cp, factor, bound):
 
 @dataclass(frozen=True)
 class BoundaryTrace:
-    """Field values sampled on one level set, with both metric norms."""
+    """Field values sampled on one level set, with their ambient-metric
+    norm."""
 
     values: np.ndarray
     level: LevelSet
     rho: float
     h: float
     ambient_norm: float = field(init=False)
-    agmon_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         values = np.ascontiguousarray(self.values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        w2 = np.abs(values) ** 2
         object.__setattr__(
             self,
             "ambient_norm",
-            math.sqrt(float(np.sum(w2 * self.level.ambient_weights))),
-        )
-        object.__setattr__(
-            self,
-            "agmon_norm",
-            math.sqrt(float(np.sum(w2 * self.level.weighted_weights))),
+            math.sqrt(
+                float(np.sum(np.abs(values) ** 2 * self.level.ambient_weights))
+            ),
         )
 
 
@@ -959,7 +953,6 @@ def normal_derivative_trace(
         tangential_nodes=field2d.tangential_nodes,
         normal_nodes=xn,
         h=field2d.h,
-        model=field2d.model,
         meta=dict(field2d.meta),
     )
     values = _column_values(shadow, level)
@@ -973,12 +966,10 @@ def normal_derivative_trace(
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Least-squares line through (rho, log norm) samples."""
+    """Least-squares line through (rho, log norm) samples: its slope and the
+    largest deviation of a sample from it."""
 
-    rho: np.ndarray
-    log_norms: np.ndarray
     slope: float
-    intercept: float
     residual: float
     h: float
 
@@ -1008,10 +999,5 @@ def decay_fit(traces, distances, h: float) -> DecayFit:
     slope, intercept = np.polyfit(rho, logs, 1)
     fit = slope * rho + intercept
     return DecayFit(
-        rho=rho,
-        log_norms=logs,
-        slope=float(slope),
-        intercept=float(intercept),
-        residual=float(np.max(np.abs(fit - logs))),
-        h=h,
+        slope=float(slope), residual=float(np.max(np.abs(fit - logs))), h=h
     )

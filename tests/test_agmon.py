@@ -262,8 +262,8 @@ def _eikonal_residual(field: DistanceField) -> float:
     grad2 = sum(g**2 for g in grads)
     barrier = potential_grid(model, *axes) - model.energy
     xn = axes[1]
-    lo = 2 * field.spacing[1]
-    hi = model.collar_width_ambient - 2 * field.spacing[1]
+    lo = 2 * (xn[1] - xn[0])
+    hi = model.collar_width_ambient - lo
     interior = (xn >= lo) & (xn <= hi)
     return float(np.max(np.abs(grad2[:, interior] - barrier[:, interior])))
 
@@ -312,66 +312,31 @@ class TestLevelSets:
         np.testing.assert_allclose(
             fast.points[:, 1], slow.points[:, 1], atol=1e-3
         )
-        assert fast.length == pytest.approx(slow.length, rel=1e-3)
+        assert fast.ambient_weights.sum() == pytest.approx(
+            slow.ambient_weights.sum(), rel=1e-3
+        )
 
     def test_separable_fast_path_accepts_the_hypersurface(self):
         model = make_model("separable-torus")
         level = separable_level_set(model, 0.0, n_tangential=32)
         np.testing.assert_allclose(level.points[:, 1], 0.0, atol=1e-12)
-        assert level.length == pytest.approx(2.0 * math.pi, rel=1e-12)
-        np.testing.assert_allclose(
-            level.weighted_weights / level.ambient_weights,
-            math.sqrt(1.5),
-            atol=1e-12,
-        )
-
-    def test_weight_ratio_uniform_on_torus_level(self):
-        # the barrier is constant on each torus level, so the conformal
-        # correction equals sqrt(W(s*) - E) exactly
-        model = make_model("separable-torus")
-        level = separable_level_set(model, 0.4, n_tangential=48)
-        s_star = level.points[0, 1]
-        expected = math.sqrt(0.5 + math.cos(s_star))
-        np.testing.assert_allclose(
-            level.weighted_weights / level.ambient_weights, expected, atol=1e-9
-        )
+        assert level.ambient_weights.sum() == pytest.approx(2.0 * math.pi, rel=1e-12)
 
     def test_level_slope_wraps_around_the_circle(self):
         # a cosine graph over the tangent circle: the ambient weight at the
         # first and last samples is sqrt(1 + f'^2) d_xp to O(dx^2), as
         # inside, where one-sided end slopes leave O(dx), 2.4e-4 at m = 64
-        model = make_model("separable-torus")
         errors = []
         for m in (64, 128):
             d_xp = 2.0 * math.pi / m
             x = d_xp * np.arange(m)
             heights = 0.3 + 0.1 * np.cos(x + 0.7)
             exact = np.sqrt(1.0 + (0.1 * np.sin(x + 0.7)) ** 2) * d_xp
-            ambient, _ = agmon._weights_for_curve(
-                model, np.column_stack([x, heights]), d_xp
-            )
+            ambient = agmon._weights_for_curve(np.column_stack([x, heights]), d_xp)
             ends = np.abs(ambient - exact)[[0, -1]] / d_xp
             assert np.all(ends <= 0.01 * d_xp**2)
             errors.append(ends)
         assert np.all(errors[1] <= 0.3 * errors[0])  # second order
-
-    def test_trace_norm_ratio_bracketed_on_strip(self):
-        # squared-norm ratio of any trace sits between the extremes of
-        # sqrt(V - E) over the level curve
-        model = make_model("strip-2d")
-        field = agmon_distance(model, grid_sizes=(64, 129))
-        level = level_set_at(field, 0.2)
-        barrier = (1.0 + 0.2 * np.cos(level.points[:, 0])) * (
-            1.0 + level.points[:, 1] ** 2
-        )
-        root = np.sqrt(barrier)
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            u = rng.normal(size=level.points.shape[0])
-            num = float(np.sum(u**2 * level.weighted_weights))
-            den = float(np.sum(u**2 * level.ambient_weights))
-            ratio = num / den
-            assert root.min() - 1e-9 <= ratio <= root.max() + 1e-9
 
     def test_heights_match_scalar_scan_bitwise(self):
         model = make_model("strip-2d")
@@ -380,7 +345,7 @@ class TestLevelSets:
         # columns that cross each level several times: the first crossing
         # must be the one taken
         wavy = field.values * (1.0 + 0.9 * np.cos(40.0 * xn))
-        wavy = DistanceField(wavy, field.axes, field.spacing, model)
+        wavy = DistanceField(wavy, field.axes, model)
         node_level = float(field.values[5, 70])  # lands on a node in column 5
         for dist, rho in [(field, 0.05), (field, 0.2), (field, node_level),
                           (wavy, 0.05), (wavy, 0.1)]:
@@ -395,7 +360,7 @@ class TestLevelSets:
         field = agmon_distance(model, grid_sizes=(16, 129))
         values = np.array(field.values)
         values[[3, 9]] = 0.0
-        flat = DistanceField(values, field.axes, field.spacing, model)
+        flat = DistanceField(values, field.axes, model)
         with pytest.raises(ValueError, match="column 3 "):
             level_set_at(flat, 0.1)
 

@@ -1111,6 +1111,29 @@ class TestVerdictRule:
             "margin": "-inf",
         }
 
+    def test_non_finite_values_are_written_as_strict_json(self, tmp_path):
+        # strict JSON has no NaN or Infinity token: a NaN margin, which
+        # fails, and a numpy infinity are written as strings, as a Python
+        # infinity is
+        (config,) = parse_config(payload(out=str(tmp_path)))
+        record = ReportRecord(
+            "halfplane-chain",
+            ("halfplane-unit", 0.1, 0.2),
+            {"ratio": np.float64(np.inf), "rates": (np.float64(-np.inf), 1.5)},
+            (Verdict("nan-margin", 0.0, math.nan),),
+        )
+        path = tmp_path / "summary.json"
+        assert not experiments.write_summary_json((record,), config, path)
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        (written,) = json.loads(path.read_text(), parse_constant=reject)["records"]
+        assert written["measured"] == {"ratio": "inf", "rates": ["-inf", 1.5]}
+        assert written["verdicts"] == [
+            {"name": "nan-margin", "passed": False, "tolerance": 0.0, "margin": "nan"}
+        ]
+
     def test_failed_comparison_reads_a_negative_margin(self, tmp_path, monkeypatch):
         real_solution = fcalc.comparison_solution
 

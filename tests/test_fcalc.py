@@ -297,7 +297,7 @@ def torus_mode_detailed(torus_transverse_coarse):
 
 @pytest.fixture(scope="module")
 def detailed_profile(torus_mode_detailed):
-    return mass_profile_comparison(torus_mode_detailed, TORUS, lam=4.0, h=0.1375)
+    return mass_profile_comparison(torus_mode_detailed, TORUS, lam=4.0)
 
 
 # --------------------------------------------------------------------------
@@ -791,11 +791,9 @@ class TestSurfaceLevelAndTrace:
     def test_surface_level_weights(self):
         level = separable_level_set(TORUS, 0.0, n_tangential=64)
         spacing = 2.0 * math.pi / 64
-        barrier = 2.0 - TORUS.energy  # cosine crest minus the energy
         assert level.rho == 0.0
         assert np.allclose(level.points[:, 1], 0.0)
         assert np.allclose(level.ambient_weights, spacing)
-        assert np.allclose(level.weighted_weights, spacing * math.sqrt(barrier))
 
     def test_trace_of_assembled_mode(self, torus_mode_detailed):
         trace = surface_trace_of_mode(torus_mode_detailed, TORUS)
@@ -940,8 +938,6 @@ class TestExteriorMass:
             rho=0.0,
             points=np.column_stack([x + 0.5 * (x[1] - x[0]), np.zeros(n)]),
             ambient_weights=good.level.ambient_weights.copy(),
-            weighted_weights=good.level.weighted_weights.copy(),
-            model=FLAT,
         )
         mismatched = BoundaryTrace(
             values=good.values, level=shifted, rho=0.0, h=h
@@ -976,7 +972,7 @@ class TestFamilyDerivativeNorms:
         for report in (first, second):
             assert report.norms == (0.0,)
             assert report.fitted_exponent is None
-        assert first.c_values == (detailed_profile.c_constant,)
+        assert first.norms[0] * (lam * h) == detailed_profile.c_constant
 
     def test_order_zero_norm_is_the_window_sup(self):
         P = boundary_operator(FLAT, 0.05, n=64)
@@ -1012,12 +1008,11 @@ class TestFamilyDerivativeNorms:
         assert second.fitted_exponent == pytest.approx(-2.0, abs=0.3)
 
     def test_renormalized_constants_are_scale_free(self):
-        n, h = 256, 0.05
+        # each first-derivative norm times its window scale lam h
+        n, h, lams = 256, 0.05, np.array([4.0, 8.0, 16.0])
         P0 = boundary_operator(FLAT, h, n=n)
-        report = family_derivative_norms(
-            lambda r: P0 + r * np.eye(n), (4.0, 8.0, 16.0), h, 1
-        )
-        c = np.asarray(report.c_values)
+        report = family_derivative_norms(lambda r: P0 + r * np.eye(n), lams, h, 1)
+        c = np.asarray(report.norms) * (lams * h)
         assert np.max(c) / np.min(c) < 1.5
 
     def test_input_validation(self):
@@ -1153,7 +1148,7 @@ class TestMassProfileComparison:
             mode = assemble_separable_mode(
                 torus_transverse_sweep, k=k, model=TORUS, n_tangential=256
             )
-            profile = mass_profile_comparison(mode, TORUS, lam=lam, h=h)
+            profile = mass_profile_comparison(mode, TORUS, lam=lam)
             v = profile.verdict
             assert v["comparison_margin"] >= 0.0
             assert v["trivial_bound_margin"] >= 0.0
@@ -1179,7 +1174,7 @@ class TestMassProfileComparison:
         mode = assemble_separable_mode(
             torus_transverse_coarse, k=1, model=TORUS, n_tangential=n_tangential
         )
-        profile = mass_profile_comparison(mode, TORUS, lam=lam, h=h)
+        profile = mass_profile_comparison(mode, TORUS, lam=lam)
         xp = 2.0 * math.pi / n_tangential * np.arange(n_tangential)
         oracle, support_dim = oracle_support_subspace_floor(
             boundary_operator(TORUS, h, n=n_tangential),
@@ -1201,7 +1196,7 @@ class TestMassProfileComparison:
         strip = make_model("strip-2d")
         assert 2.0 * 0.1375 < strip.collar_width_ambient
         with pytest.raises(ValueError, match="depends on the tangential variable"):
-            mass_profile_comparison(torus_mode_detailed, strip, lam=2.0, h=0.1375)
+            mass_profile_comparison(torus_mode_detailed, strip, lam=2.0)
         assert calls == []
 
     def test_window_leaving_collar_rejected(self, torus_transverse_sweep):
@@ -1209,31 +1204,27 @@ class TestMassProfileComparison:
             torus_transverse_sweep, k=9, model=TORUS, n_tangential=256
         )
         with pytest.raises(ValueError, match="collar"):
-            mass_profile_comparison(mode, TORUS, lam=7.0, h=0.1)
+            mass_profile_comparison(mode, TORUS, lam=7.0)
 
     @pytest.mark.parametrize("lam", [0.0, -4.0])
     def test_nonpositive_window_rejected(self, torus_mode_detailed, lam):
         with pytest.raises(ValueError, match="window scale"):
-            mass_profile_comparison(torus_mode_detailed, TORUS, lam=lam, h=0.1375)
-
-    def test_h_mismatch_rejected(self, torus_mode_detailed):
-        with pytest.raises(ValueError, match="assembled at h"):
-            mass_profile_comparison(torus_mode_detailed, TORUS, lam=4.0, h=0.1)
+            mass_profile_comparison(torus_mode_detailed, TORUS, lam=lam)
 
     def test_neumann_precondition_enforced(self, torus_mode_detailed):
         y = torus_mode_detailed.normal_nodes
         bad = replace(torus_mode_detailed, profile=np.sin(y) + 0.01 * np.cos(y))
         with pytest.raises(ValueError, match="Neumann precondition"):
-            mass_profile_comparison(bad, TORUS, lam=4.0, h=0.1375)
+            mass_profile_comparison(bad, TORUS, lam=4.0)
 
     def test_window_overlapping_mode_energy_rejected(self, torus_mode_detailed):
         hot = replace(torus_mode_detailed, energy=3.0)
         with pytest.raises(ValueError, match="not positive"):
-            mass_profile_comparison(hot, TORUS, lam=4.0, h=0.1375)
+            mass_profile_comparison(hot, TORUS, lam=4.0)
 
     def test_transverse_mode_rejected(self, torus_transverse_coarse):
         with pytest.raises(ValueError, match="separable 2D mode"):
-            mass_profile_comparison(torus_transverse_coarse, TORUS, lam=4.0, h=0.1375)
+            mass_profile_comparison(torus_transverse_coarse, TORUS, lam=4.0)
 
     def test_meta_records_run_coordinates(self, detailed_profile):
         meta = detailed_profile.meta
@@ -1245,7 +1236,7 @@ class TestMassProfileComparison:
 
     def test_recompute_is_bitwise_identical(self, detailed_profile, torus_mode_detailed):
         profile = detailed_profile
-        again = mass_profile_comparison(torus_mode_detailed, TORUS, lam=4.0, h=0.1375)
+        again = mass_profile_comparison(torus_mode_detailed, TORUS, lam=4.0)
         assert np.array_equal(profile.mass_values, again.mass_values)
         assert np.array_equal(profile.comparison_values, again.comparison_values)
         assert again.t_constant == profile.t_constant

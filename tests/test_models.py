@@ -62,7 +62,7 @@ def test_separable_torus_collar_halfwidth_matches_root_find():
 )
 def test_measurement_is_that_of_the_full_tangential_probe(name, params, monkeypatch):
     # a model with Taylor data is validated on one tangential column; its
-    # margin, collar widths and forbidden extent are bitwise those of the
+    # collar widths and forbidden extent are bitwise those of the
     # 128-column probe, taken here by measuring with the Taylor data hidden
     model = make_model(name, params)
     xp = np.linspace(0.0, model.lengths[0], 128, endpoint=False)
@@ -74,7 +74,7 @@ def test_measurement_is_that_of_the_full_tangential_probe(name, params, monkeypa
         KNOWN_MODELS, name, replace(KNOWN_MODELS[name], taylor=None)
     )
     probed = make_model(name, params)
-    for key in ("margin", "collar_width", "collar_width_ambient", "forbidden_extent"):
+    for key in ("collar_width", "collar_width_ambient", "forbidden_extent"):
         assert getattr(model, key) == getattr(probed, key), key
 
 
@@ -120,7 +120,6 @@ def _hand_built(lengths, periodic):
         energy=0.0,
         lengths=lengths,
         periodic=periodic,
-        margin=1.0,
         collar_width=0.5,
         collar_width_ambient=0.5,
         forbidden_extent=1.0,
@@ -150,13 +149,12 @@ def test_model_needs_two_axes_with_a_periodic_tangent(lengths, periodic):
 
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_collar_margin_positive_and_attained(name):
+    # the validated collar keeps V - E positive on an independent probe grid
     model = make_model(name)
-    assert model.margin > 0
-    # recompute the collar minimum on an independent probe grid
     s = np.linspace(0.0, model.collar_width_ambient, 701)
     xp = np.linspace(0.0, model.lengths[0], 97, endpoint=False)
     barrier = potential_grid(model, xp, s) - model.energy
-    assert barrier.min() >= model.margin - 1e-9
+    assert barrier.min() > 0.0
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)

@@ -24,6 +24,18 @@ left over from a use that is gone.
 No layer module imports an underscore name from another layer module, at
 module level or inside a function: what one layer needs of another is part
 of that layer's public surface.
+
+The same callers must read every field: each annotated class attribute (a
+dataclass field) and each property of a class in a layer module's
+``__all__`` is read as an attribute by a package module, by the acceptance
+suite or by the benchmark harness.  A read inside the class's own body does
+not count, and neither does passing the field to the constructor; fields
+whose names start with an underscore are not checked.  A field that no
+verdict reads is carried for nothing, and the work that fills it is done
+for nothing.  Reads are matched by attribute name alone, since the syntax
+tree does not know the type of the object read from: a read of ``.h`` on
+anything counts for every exported field named ``h``, so a field that
+shares its name with a read one passes unchecked.
 """
 
 import ast
@@ -76,7 +88,29 @@ PRIVATE_IMPORT_EXEMPT = {
     ),
 }
 
+# (module, class, field): why the field stays without a reader
+EXEMPT_FIELDS = {
+    ("fcalc", "DerivativeNormReport", "norms"): (
+        "the exponent is fitted from these norms, and the unit tests check "
+        "each norm against its oracles"
+    ),
+    ("quantize", "Symbol", "baseline"): (
+        "the symbol's own construction check reads it"
+    ),
+    ("quantize", "Symbol", "support"): (
+        "the symbol's own construction check reads it"
+    ),
+    ("quantize", "CutoffProfile", "nodes"): (
+        "the profile's monotonicity and exp(-x)-dominance checks read it"
+    ),
+    ("quantize", "TailBoundReport", "factorization_ok"): (
+        "a check that holds by construction today; it is to be made able to "
+        "fail, not deleted (ROADMAP item 8)"
+    ),
+}
+
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_PROPERTIES = ("property", "cached_property")
 
 
 def _exports(tree: ast.Module) -> list[str]:
@@ -88,22 +122,29 @@ def _exports(tree: ast.Module) -> list[str]:
     return []
 
 
+def _enclosed(tree: ast.Module) -> Iterator[tuple[ast.AST, frozenset]]:
+    """Each node of ``tree`` with the names of the functions and classes
+    enclosing it."""
+    stack = [(tree, frozenset())]
+    while stack:
+        node, enclosing = stack.pop()
+        yield node, enclosing
+        if isinstance(node, _DEFINITIONS):
+            enclosing = enclosing | {node.name}
+        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
+
+
 def _references(tree: ast.Module) -> dict[str, list[frozenset]]:
     """Each load of a name, attribute access ``.name`` and import of a name,
     mapped to the names of the functions and classes enclosing it."""
     refs = defaultdict(list)
-    stack = [(tree, frozenset())]
-    while stack:
-        node, enclosing = stack.pop()
+    for node, enclosing in _enclosed(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             refs[node.id].append(enclosing)
         elif isinstance(node, ast.Attribute):
             refs[node.attr].append(enclosing)
         elif isinstance(node, ast.alias):
             refs[node.name].append(enclosing)
-        if isinstance(node, _DEFINITIONS):
-            enclosing = enclosing | {node.name}
-        stack.extend((child, enclosing) for child in ast.iter_child_nodes(node))
     return refs
 
 
@@ -361,6 +402,84 @@ def test_private_import_exemptions_are_current():
     assert not stale, f"private-import exemptions to drop: {', '.join(stale)}"
 
 
+def _fields(tree: ast.Module) -> Iterator[tuple[str, str]]:
+    """(class, field) for each annotated class attribute and each property
+    of an exported class, names starting with an underscore aside."""
+    exported = set(_exports(tree))
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or node.name not in exported:
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            elif isinstance(item, ast.FunctionDef) and any(
+                getattr(d, "id", getattr(d, "attr", None)) in _PROPERTIES
+                for d in item.decorator_list
+            ):
+                name = item.name
+            else:
+                continue
+            if not name.startswith("_"):
+                yield node.name, name
+
+
+def _attribute_reads(tree: ast.Module) -> dict[str, list[frozenset]]:
+    """Each attribute load ``.name``, mapped to the names of the functions
+    and classes enclosing it."""
+    reads = defaultdict(list)
+    for node, enclosing in _enclosed(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr].append(enclosing)
+    return reads
+
+
+def unread_fields(layers: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """``layer.Class.field`` for each field of an exported class that no
+    layer module and no module of ``others`` reads as an attribute, reads
+    inside the class's own body in its own module aside."""
+    reads = {layer: _attribute_reads(tree) for layer, tree in layers.items()}
+    reads.update((i, _attribute_reads(tree)) for i, tree in enumerate(others))
+
+    def has_reader(layer: str, cls: str, name: str) -> bool:
+        return any(
+            key != layer or cls not in enclosing
+            for key, by_name in reads.items()
+            for enclosing in by_name.get(name, ())
+        )
+
+    return [
+        f"{layer}.{cls}.{name}"
+        for layer, tree in layers.items()
+        for cls, name in _fields(tree)
+        if not has_reader(layer, cls, name)
+    ]
+
+
+def test_every_field_has_a_reader():
+    unread = [
+        qualified
+        for qualified in unread_fields(*_package_trees())
+        if tuple(qualified.split(".")) not in EXEMPT_FIELDS
+    ]
+    assert not unread, (
+        "fields of exported classes that nothing outside their own class and "
+        f"unit tests reads (delete each, with the work that fills it): "
+        f"{', '.join(unread)}"
+    )
+
+
+def test_field_exemptions_are_current():
+    # an exemption whose field is gone, or now has a reader, is dropped
+    layers, others = _package_trees()
+    flagged = set(unread_fields(layers, others))
+    stale = [
+        ".".join(key)
+        for key in EXEMPT_FIELDS
+        if key[1:] not in set(_fields(layers[key[0]])) or ".".join(key) not in flagged
+    ]
+    assert not stale, f"field exemptions to drop: {', '.join(stale)}"
+
+
 # --------------------------------------------------------------------------
 # the guard on small synthetic modules
 # --------------------------------------------------------------------------
@@ -505,3 +624,78 @@ def test_private_import_found_inside_a_function():
         ),
     }
     assert private_imports(layers) == [("b", "a", "_helper")]
+
+
+_LAYER_D = """
+from dataclasses import dataclass
+from functools import cached_property
+
+__all__ = ["R"]
+
+
+@dataclass(frozen=True)
+class R:
+    a: float
+    b: float
+    _c: float = 0.0
+
+    @property
+    def total(self):
+        return self.a + self.b + self._c
+
+    @cached_property
+    def twice(self):
+        return 2.0 * self.total
+
+
+@dataclass(frozen=True)
+class _Hidden:
+    d: float
+"""
+
+
+def _unread(layer_source: str, *other_sources: str) -> list[str]:
+    return unread_fields(
+        {"d": ast.parse(layer_source)}, [ast.parse(src) for src in other_sources]
+    )
+
+
+def test_unread_field_is_flagged():
+    # fields and properties of exported classes are checked; underscore
+    # fields and unexported classes such as _Hidden are not
+    assert _unread(_LAYER_D) == ["d.R.a", "d.R.b", "d.R.total", "d.R.twice"]
+
+
+def test_read_inside_its_own_class_is_not_a_reader():
+    # total reads a and b, and twice reads total, all inside R; a function
+    # of the same module outside R does count
+    reader = _LAYER_D + "\n\ndef half(r):\n    return r.twice / 2.0\n"
+    assert _unread(reader) == ["d.R.a", "d.R.b", "d.R.total"]
+
+
+@pytest.mark.parametrize(
+    "caller",
+    [
+        "R(a=1.0, b=2.0)\n",
+        "from dataclasses import replace\n\nS = replace(r, a=1.0)\n",
+        "r.a = 1.0\n",
+        'A = getattr(r, "a")  # r.a\n',
+    ],
+    ids=["constructor", "replace", "store", "string"],
+)
+def test_keywords_stores_and_strings_are_not_readers(caller):
+    assert _unread(_LAYER_D, caller) == ["d.R.a", "d.R.b", "d.R.total", "d.R.twice"]
+
+
+def test_read_by_acceptance_or_benchmark_is_a_reader(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "d.py").write_text(_LAYER_D)
+    (package / "__init__.py").write_text("R = None\nVALUE = R.total\n")
+    acceptance = tmp_path / "test_acceptance.py"
+    acceptance.write_text("def test_r(r):\n    assert r.a > 0.0\n")
+    bench = tmp_path / "workloads.py"
+    bench.write_text("def run(r):\n    return [r.b]\n")
+    # a package __init__ is not a reader, as it is not a caller
+    layers, others = _package_trees(package, external=(acceptance, bench))
+    assert unread_fields(layers, others) == ["d.R.total", "d.R.twice"]

@@ -866,13 +866,13 @@ class TestPoissonBVP:
             assert np.array_equal(solved, expected.T.reshape(rhs.shape))
 
     @classmethod
-    def _every_mode_field(cls, field, phi):
+    def _every_mode_field(cls, model, field, phi):
         """The oracle of the rule that leaves modes out: the mode-direct
         field of ``phi`` from every rfft mode, on the rows ``field`` holds:
         irfft(b_k g_k) along the tangent with b = cn rfft(phi) and g_k =
         T_k^{-1} e_0 from one stacked factor and solve of every mode, for
         the real and imaginary parts of phi."""
-        model, h, nx = field.model, field.h, phi.values.size
+        h, nx = field.h, phi.values.size
         xp = field.tangential_nodes
         xn = np.linspace(0.0, field.meta["far"], field.meta["n_normal"])
         w = np.mean(potential_grid(model, xp, xn)[:, 1:-1] - model.energy, axis=0)
@@ -949,7 +949,7 @@ class TestPoissonBVP:
         mu = solver.expected_circle_eigenvalue(TORUS, 0.05, np.array(modes), 64)
         assert np.array_equal(factored, mu)
         assert field.meta["modes"] == len(modes)
-        every = self._every_mode_field(field, phi)
+        every = self._every_mode_field(TORUS, field, phi)
         if exact:
             assert np.array_equal(field.values, every)
         else:
@@ -967,7 +967,7 @@ class TestPoissonBVP:
         assert mu[0] == 0.0 and mu[2] in factored
         assert np.all(factored > 0.0)
         assert field.meta["modes"] == factored.size < 33
-        every = self._every_mode_field(field, phi)
+        every = self._every_mode_field(TORUS, field, phi)
         assert np.max(np.abs(field.values - every)) <= self._fft_budget(phi)
 
     def test_modes_left_out_keep_the_residual_test(self):
@@ -985,7 +985,7 @@ class TestPoissonBVP:
         w = potential_grid(FLAT, xp, xn)[:, 1:-1] - FLAT.energy
         bound = solver._PCG_TOL * (4.0 * (cn + cp) + np.max(w))
         assert field.meta["residual"] <= bound
-        every = self._every_mode_field(field, phi)
+        every = self._every_mode_field(FLAT, field, phi)
         assert np.max(np.abs(field.values - every)) <= self._fft_budget(phi)
 
     @pytest.mark.parametrize("h", [0.1, 0.0125])
@@ -1128,7 +1128,6 @@ class TestTraces:
             tangential_nodes=xp,
             normal_nodes=xn,
             h=0.05,
-            model=FLAT,
             meta={},
         )
 
@@ -1147,26 +1146,6 @@ class TestTraces:
         trace = trace_at(field, level)
         assert trace.ambient_norm == pytest.approx(
             math.sqrt(2.0 * math.pi), rel=1e-12
-        )
-
-    def test_metric_norm_ratio_on_torus(self):
-        nx = 32
-        xp = 2.0 * math.pi / nx * np.arange(nx)
-        xn = np.linspace(0.0, 1.0, 101)
-        field = Field2D(
-            values=np.ones((nx, 101), dtype=complex),
-            tangential_nodes=xp,
-            normal_nodes=xn,
-            h=0.05,
-            model=TORUS,
-            meta={},
-        )
-        level = separable_level_set(TORUS, 0.3, n_tangential=nx)
-        trace = trace_at(field, level)
-        s_star = float(level.points[0, 1])
-        expected = (0.5 + math.cos(s_star)) ** 0.25
-        assert trace.agmon_norm / trace.ambient_norm == pytest.approx(
-            expected, rel=1e-12
         )
 
     def test_interpolation_error_shrinks_with_grid(self):
@@ -1262,8 +1241,6 @@ class TestTraceOracle:
             rho=curved.rho,
             points=points,
             ambient_weights=np.array(curved.ambient_weights),
-            weighted_weights=np.array(curved.weighted_weights),
-            model=STRIP,
         )
         trace = self._assert_matches_oracle(field, level)
         # node-aligned rows are copies of the field, not spline values
@@ -1274,13 +1251,10 @@ def level_at_heights(heights):
     """A level with one sample per field column at the given heights."""
     nx = heights.size
     xp = 2.0 * math.pi / nx * np.arange(nx)
-    weights = np.full(nx, 2.0 * math.pi / nx)
     return LevelSet(
         rho=0.0,
         points=np.column_stack([xp, heights]),
-        ambient_weights=weights,
-        weighted_weights=weights.copy(),
-        model=STRIP,
+        ambient_weights=np.full(nx, 2.0 * math.pi / nx),
     )
 
 
@@ -1416,7 +1390,6 @@ class TestKeptSlopes:
             tangential_nodes=2.0 * math.pi / nx * np.arange(nx),
             normal_nodes=xn,
             h=0.05,
-            model=STRIP,
             meta={},
         )
         trace_at(field, level_at_heights(np.full(nx, 0.5 * (xn[400] + xn[401]))))
@@ -1438,7 +1411,6 @@ class TestNormalDerivative:
             tangential_nodes=xp,
             normal_nodes=xn,
             h=h,
-            model=FLAT,
             meta={},
         )
         level = separable_level_set(FLAT, 0.25, n_tangential=nx)
@@ -1456,7 +1428,6 @@ class TestNormalDerivative:
             tangential_nodes=xp,
             normal_nodes=xn,
             h=h,
-            model=FLAT,
             meta={},
         )
         level = separable_level_set(FLAT, 0.005, n_tangential=nx)
