@@ -1162,7 +1162,7 @@ def _mass_profile_point(
         "integral_value": verdict_map["integral_value"],
         "l0_bound_ratio": verdict_map["l0_bound_ratio"],
         "mass_slope_at_zero": profile.mass_slope_at_zero,
-        "mode_energy": profile.meta["mode_energy"],
+        "mode_energy": mode.energy,
     }
     return _record(config, (model.name, lam, h, k), measured, verdicts)
 

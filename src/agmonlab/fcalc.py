@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -658,7 +658,6 @@ class MassProfile:
     t_constant: float
     c_constant: float
     verdict: dict
-    meta: dict = field(repr=False)
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.r_grid) <= 0.0):
@@ -778,9 +777,9 @@ def mass_profile_comparison(
     - ``l0_bound_margin``: 1 + 1e-9 minus the surface mass over the bound
       obtained by integrating the comparison solution against the mass
       integral;
-    - reported ratios (``exterior_ratio``, ``trace_growth``,
-      ``trivial_bound_constant``, ``l0_bound_ratio``) carry the measured
-      constants behind each inequality.
+    - reported values (``exterior_ratio``, ``trace_growth``,
+      ``integral_value``, ``l0_bound_ratio``) carry the measured constants
+      behind each inequality.
     """
     # V on the surface, constant along it; a tangent-dependent model raises
     surface_potential = float(transverse_potential(model)(0.0))
@@ -825,8 +824,7 @@ def mass_profile_comparison(
     mass_values = h**2 * spacing / n_tangential * np.sum(window_weights * power, axis=1)
 
     support = window_weights > _SUPPORT_WEIGHT_FLOOR
-    support_dim = int(support.sum())
-    floor = float(np.min(mu[support])) if support_dim else scale
+    floor = float(np.min(mu[support])) if support.any() else scale
     t_constant = floor + (surface_potential - mode.energy)
     if t_constant <= 0.0:
         raise ValueError(
@@ -886,30 +884,13 @@ def mass_profile_comparison(
         "comparison_margin": comparison_margin,
         "exterior_ratio": exterior_ratio,
         "trace_growth": trace_growth,
-        "traces_monotone": bool(trace_growth <= 1.0 + 1e-12),
         "integral_value": integral,
-        "trivial_bound_constant": trivial_constant,
         "trivial_bound_margin": float(trace_growth * (1.0 + 1e-9) - trivial_constant),
-        "l0_bound": float(l0_bound),
         "l0_bound_ratio": l0_bound_ratio,
         "l0_bound_margin": float(
             (1.0 + 1e-9)
             - (exterior_ratio / l0_bound_ratio if l0_bound_ratio > 0.0 else math.inf)
         ),
-    }
-    meta = {
-        "model": model.name,
-        "lam": float(lam),
-        "h": float(h),
-        "n_tangential": n_tangential,
-        "tangential_mode": int(mode.k),
-        "mode_energy": float(mode.energy),
-        "model_energy": float(model.energy),
-        "spectral_shift_size": float(
-            abs(model.energy - mode.energy) / (surface_potential - model.energy)
-        ),
-        "support_dim": support_dim,
-        "surface_norm_sq": norm_sq,
     }
     return MassProfile(
         r_grid=r_grid,
@@ -919,5 +900,4 @@ def mass_profile_comparison(
         t_constant=float(t_constant),
         c_constant=float(c_constant),
         verdict=verdict,
-        meta=meta,
     )

@@ -206,10 +206,10 @@ def _recursion(
 
 def _phase_coefficients(
     kind: str, table: np.ndarray, xi: np.ndarray, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """c_1..c_{K+1} at the frequencies xi, one column each, and the divisor,
-    from the Taylor table T of :func:`agmon_metric_taylor` (gauged, right-hand
-    side T xi'^2) or of V - E (ambient, right-hand side V - E + xi'^2)."""
+) -> np.ndarray:
+    """c_1..c_{K+1} at the frequencies xi, one column each, from the Taylor
+    table T of :func:`agmon_metric_taylor` (gauged, right-hand side
+    T xi'^2) or of V - E (ambient, right-hand side V - E + xi'^2)."""
     xi2 = xi.astype(_LD) ** 2
     if kind == "agmon":
         rhs = table[: order + 1, None] * xi2[None, :]
@@ -222,7 +222,7 @@ def _phase_coefficients(
         w0 = np.sqrt(rhs[0])
         divisor = 2.0 * w0
     w = _recursion(rhs, w0, divisor, order)
-    return w / np.arange(1, order + 2, dtype=_LD)[:, None], divisor
+    return w / np.arange(1, order + 2, dtype=_LD)[:, None]
 
 
 def solve_phase_series(
@@ -230,8 +230,12 @@ def solve_phase_series(
 ) -> PhaseSeries:
     """Build the decaying-branch phase series at the given frequency samples.
 
-    Both kinds require a barrier that does not depend on the tangent; a
-    tangent-dependent model is rejected before any recursion runs.
+    ``meta`` holds what evaluation and the cutoffs read: ``taylor_table``,
+    the normal Taylor table extended past the series order (of the gauged
+    metric or of V - E), and ``collar_limit``, the collar width the series
+    is evaluated on.  Both kinds require a barrier that does not depend on
+    the tangent; a tangent-dependent model is rejected before any
+    recursion runs.
     """
     if order < 2:
         raise ValueError("series order must be at least 2")
@@ -245,20 +249,13 @@ def solve_phase_series(
     else:
         table = normal_taylor_coefficients(model, k_ext).astype(_LD)
         collar_limit = model.collar_width_ambient
-    coefficients, divisor = _phase_coefficients(kind, table, xi, order)
-    meta = {
-        "divisor_min": float(np.min(divisor)),
-        "taylor_table": table,
-        "extended_order": k_ext,
-        "collar_limit": float(collar_limit),
-    }
     return PhaseSeries(
         order=order,
-        coefficients=coefficients,
+        coefficients=_phase_coefficients(kind, table, xi, order),
         kind=kind,
         frequencies=xi,
         model=model,
-        meta=meta,
+        meta={"taylor_table": table, "collar_limit": float(collar_limit)},
     )
 
 
@@ -298,7 +295,7 @@ def phase_function(series: PhaseSeries):
     def phi1(x_n, xi):
         shape = np.shape(xi)
         flat = np.ravel(xi)
-        coefficients, _ = _phase_coefficients(series.kind, table, flat, series.order)
+        coefficients = _phase_coefficients(series.kind, table, flat, series.order)
         x = _LD(x_n)
         out = (x * _horner(coefficients, x)).astype(float).reshape(shape)
         return float(out) if shape == () else out

@@ -302,9 +302,7 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float]:
     """
     extent = model.axis_bounds(1)[1]
     s = np.linspace(0.0, extent, _PROBE_NORMAL)
-    xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
-    if _entry(model.name).taylor is not None:
-        xp = xp[:1]
+    xp = _tangential_probe(model)
     barrier = potential_grid(model, xp, s) - model.energy
 
     def least_barrier(t: float) -> float:
@@ -353,11 +351,20 @@ def _validate_and_measure(model: ModelProblem) -> tuple[float, float, float]:
     return r0_ambient, weighted_depth(measured, r0_ambient), forbidden_extent
 
 
+def _tangential_probe(model: ModelProblem) -> np.ndarray:
+    """The tangential columns of the validation probe: _PROBE_TANGENTIAL
+    uniform ones, or only the first on a model with Taylor data, whose V
+    does not depend on the tangent, so that every column is the first."""
+    xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
+    return xp[:1] if _entry(model.name).taylor is not None else xp
+
+
 def weighted_depth(model: ModelProblem, depth: float) -> float:
     """Arclength of the weighted metric (V - E) g from the hypersurface to
     the normal coordinate ``depth`` at the least favourable tangential
-    position: sqrt(least V - E) over the tangential validation probe, a
-    negative barrier counting as zero, integrated in u = sqrt(edge - t) with
+    position: sqrt(least V - E) over the tangential validation probe (one
+    column when V does not depend on the tangent), a negative barrier
+    counting as zero, integrated in u = sqrt(edge - t) with
     edge = ``forbidden_extent`` by the 32-point Gauss-Legendre rule.
     ``depth`` must lie in [0, end of the normal range] (with the 1e-12
     slack a far closure is allowed) and is clamped to the edge: a zero of
@@ -371,7 +378,7 @@ def weighted_depth(model: ModelProblem, depth: float) -> float:
     end = model.axis_bounds(1)[1]
     if not 0.0 <= depth <= end + 1e-12:
         raise ValueError(f"depth {depth:g} outside the normal range [0, {end:g}]")
-    xp = np.linspace(0.0, model.lengths[0], _PROBE_TANGENTIAL, endpoint=False)
+    xp = _tangential_probe(model)
     edge = model.forbidden_extent
     depth = min(depth, edge)
     root = math.sqrt(edge)

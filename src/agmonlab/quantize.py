@@ -103,13 +103,11 @@ class CutoffProfile:
     The bend on [span/2, span] integrates a symmetric smooth step, which
     pins the plateau at exp(-3*span/4) up to quadrature error; the profile
     dominates exp(-x) everywhere and never drops below the plateau.
-    ``nodes`` and ``values`` sample the bend, where both are checked.
+    :func:`build_cutoff_profile` checks both on the samples of the bend.
     """
 
     span: float
     plateau: float
-    nodes: np.ndarray
-    values: np.ndarray
     _bend: Spline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -117,10 +115,6 @@ class CutoffProfile:
             raise ValueError(
                 "plateau must lie strictly between exp(-span) and exp(-span/2)"
             )
-        if np.any(np.diff(self.values) > 1e-15):
-            raise ValueError("cutoff profile must be nonincreasing")
-        if np.any(self.values < np.exp(-self.nodes) - 1e-12):
-            raise ValueError("cutoff profile must dominate exp(-x)")
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=float)
@@ -144,10 +138,11 @@ def build_cutoff_profile(span: float) -> CutoffProfile:
 
     The bend keeps log-slope between -1 and 0 (a smooth step integrated in
     log scale), so monotonicity and the exp(-x) lower bound hold by
-    construction; they are re-measured on the sample grid regardless.  The
-    log-profile is integrated by cumulative Simpson and interpolated by a
-    cubic spline clamped to slopes 1 and 0, the ``_numerics`` ports (bitwise
-    scipy's ``cumulative_simpson`` and ``CubicSpline``).
+    construction; both are re-measured on the bend's sample nodes
+    regardless, and a profile that fails either raises.  The log-profile is
+    integrated by cumulative Simpson and interpolated by a cubic spline
+    clamped to slopes 1 and 0, the ``_numerics`` ports (bitwise scipy's
+    ``cumulative_simpson`` and ``CubicSpline``).
     """
     if span < _MIN_SPAN:
         raise ValueError(
@@ -159,14 +154,14 @@ def build_cutoff_profile(span: float) -> CutoffProfile:
     bend_nodes = span / 2.0 + t * (span / 2.0)
     log_vals = span / 2.0 + cumulative_simpson(slope, bend_nodes)
     log_vals = np.maximum.accumulate(log_vals)
-    plateau = float(np.exp(-log_vals[-1]))
+    values = np.exp(-log_vals)
+    if np.any(np.diff(values) > 1e-15):
+        raise ValueError("cutoff profile must be nonincreasing")
+    if np.any(values < np.exp(-bend_nodes) - 1e-12):
+        raise ValueError("cutoff profile must dominate exp(-x)")
     bend = Spline(bend_nodes, log_vals, end_slopes=(1.0, 0.0))
     return CutoffProfile(
-        span=float(span),
-        plateau=plateau,
-        nodes=bend_nodes,
-        values=np.exp(-log_vals),
-        _bend=bend,
+        span=float(span), plateau=float(np.exp(-log_vals[-1])), _bend=bend
     )
 
 
@@ -189,9 +184,11 @@ def build_phase_cutoff(
     """The depth-rho frequency cutoff: profile composed with phase/h.
 
     Equals the decay multiplier exp(-phase/h) on an inner frequency ball
-    and the plateau outside an outer ball; the two ball radii squared,
-    divided by span*h, are recorded as ``inner_constant < outer_constant``
-    in the symbol metadata along with the verified region checks.
+    and the plateau outside an outer ball; both regions are verified.  The
+    symbol's ``support`` is the outer ball, widened by the edge slack and
+    capped at the largest sampled frequency, and its metadata records the
+    depth (``rho``), the profile's ``span`` and the inner ball's radius
+    squared over span*h (``inner_constant``), which the tail bound reads.
     """
     if series.kind != "agmon":
         raise ValueError("phase cutoff requires the gauged (agmon) series kind")
@@ -231,13 +228,7 @@ def build_phase_cutoff(
         h=float(h),
         baseline=profile.plateau,
         support=(-window, window),
-        meta={
-            "rho": float(rho),
-            "span": span,
-            "plateau": profile.plateau,
-            "inner_constant": float(inner_c),
-            "outer_constant": float(outer_c),
-        },
+        meta={"rho": float(rho), "span": span, "inner_constant": float(inner_c)},
     )
 
 

@@ -94,9 +94,10 @@ _SPLINE_REACH = 64
 @dataclass(frozen=True)
 class EigenMode:
     """A normalized discrete transverse eigenpair on the normal nodes
-    ``axes[0]``.  ``record`` holds the normalization and consistency
-    measurements (norm, equation residual, odd-part norm, resolution ratio
-    h/spacing).
+    ``axes[0]``.  ``record`` holds its consistency measurements: the L2
+    residual of the periodic 3-point eigen-equation (``residual``) and the
+    norm of its odd part (``odd_part_norm``), which
+    :func:`assemble_separable_mode` requires to vanish.
     """
 
     energy: float
@@ -114,15 +115,15 @@ class SeparableMode:
     """A separable torus mode e^{2 pi i k x' / L} v(x_n), unit in the product
     grid's L^2 norm, held as its two factors and never formed: ``profile``,
     the unit transverse mode v over sqrt(L) on ``normal_nodes``, and
-    ``phase``, the row e^{2 pi i k x' / L} on phase.size uniform nodes."""
+    ``phase``, the row e^{2 pi i k x' / L} on phase.size uniform nodes.
+    ``energy`` is the transverse energy plus the circle's exact discrete
+    dispersion at k; the mode carries no metadata."""
 
     energy: float
     profile: np.ndarray
     phase: np.ndarray
     normal_nodes: np.ndarray
     h: float
-    k: int
-    record: dict
 
     def __post_init__(self) -> None:
         self.profile.setflags(write=False)
@@ -216,10 +217,8 @@ def solve_transverse_modes(
         energy = float(vals[idx])
         odd = v - v[::-1]
         record = {
-            "norm": math.sqrt(spacing * float(np.sum(v**2))),
             "residual": _transverse_residual(v, w, energy, h, spacing),
             "odd_part_norm": math.sqrt(spacing * float(np.sum(odd**2))) / 2.0,
-            "resolution": h / spacing,
         }
         modes.append(
             EigenMode(
@@ -262,8 +261,8 @@ def assemble_separable_mode(
 
     The total eigenvalue adds the exact discrete tangential dispersion of
     the assembled grid, so the 2D equation residual stays at rounding
-    level; the continuum dispersion h^2 (2 pi k / L')^2 is recorded
-    alongside for rate predictions.
+    level.  The transverse mode's odd part must vanish, or the assembled
+    mode would violate the Neumann condition on the surface.
     """
     odd = transverse.record.get("odd_part_norm", math.inf)
     if odd > 1e-8:
@@ -275,20 +274,12 @@ def assemble_separable_mode(
     xp = L / n_tangential * np.arange(n_tangential)
     h = transverse.h
     disp_discrete = float(expected_circle_eigenvalue(model, h, k, n_tangential))
-    record = {
-        "transverse_energy": transverse.energy,
-        "tangential_dispersion_continuum": h**2 * (2.0 * math.pi * k / L) ** 2,
-        "odd_part_norm": odd,
-        "residual": transverse.record["residual"],
-    }
     return SeparableMode(
         energy=transverse.energy + disp_discrete,
         profile=transverse.values / math.sqrt(L),
         phase=np.exp(2j * math.pi * k * xp / L),
         normal_nodes=transverse.axes[0],
         h=h,
-        k=k,
-        record=record,
     )
 
 
@@ -528,7 +519,6 @@ def poisson_bvp(
         parts, iterations, residual = _mode_pcg(first, w, cn, cp, factor, bound)
         values, path = _combine(parts), "mode-pcg"
     meta = {
-        "far": far,
         "contamination_bound": contamination,
         "residual": residual,
         "iterations": iterations,

@@ -1087,14 +1087,21 @@ class TestComparisonODE:
 # --------------------------------------------------------------------------
 
 
+def surface_norm_sq(mode) -> float:
+    """||u||^2 of a separable mode's surface trace in the ambient line
+    element."""
+    values = surface_trace_of_mode(mode, TORUS).values
+    return 2.0 * math.pi / values.size * float(np.sum(np.abs(values) ** 2))
+
+
 class TestMassProfileComparison:
-    def test_depth_grid_and_constants(self, detailed_profile, torus_mode_detailed):
+    def test_depth_grid_and_constants(self, detailed_profile, torus_transverse_coarse):
         profile = detailed_profile
         assert np.array_equal(profile.r_grid, np.linspace(0.0, 0.55, 65))
         assert profile.c_constant == 0.0  # depth-constant catalogue family
         t_oracle = oracle_support_floor(
             TORUS,
-            torus_mode_detailed.record["transverse_energy"],
+            torus_transverse_coarse.energy,
             7,
             256,
             0.1375,
@@ -1103,11 +1110,13 @@ class TestMassProfileComparison:
         assert profile.t_constant == pytest.approx(t_oracle, rel=1e-9)
         assert 0.5 < profile.t_constant < 3.0
 
-    def test_surface_mass_matches_window_weight(self, detailed_profile):
+    def test_surface_mass_matches_window_weight(
+        self, detailed_profile, torus_mode_detailed
+    ):
         profile = detailed_profile
         mu = oracle_circle_eigenvalue(2.0 * math.pi, 256, 0.1375, 7)
         weight = oracle_window_weight(mu, 0.55)
-        norm_sq = profile.meta["surface_norm_sq"]
+        norm_sq = surface_norm_sq(torus_mode_detailed)
         assert profile.mass_values[0] == pytest.approx(
             0.1375**2 * weight * norm_sq, rel=1e-9
         )
@@ -1115,7 +1124,9 @@ class TestMassProfileComparison:
             4.0 * weight, rel=1e-9
         )
 
-    def test_comparison_solution_and_bounds(self, detailed_profile):
+    def test_comparison_solution_and_bounds(
+        self, detailed_profile, torus_mode_detailed
+    ):
         profile = detailed_profile
         v = profile.verdict
         root = math.sqrt(profile.t_constant)
@@ -1126,15 +1137,16 @@ class TestMassProfileComparison:
         assert v["trivial_bound_margin"] >= 0.0
         assert v["l0_bound_margin"] >= 0.0
         l0_expected = v["integral_value"] * root / 0.1375 / math.sinh(root * 4.0)
-        assert v["l0_bound"] == pytest.approx(l0_expected, rel=1e-12)
-        assert profile.mass_values[0] <= v["l0_bound"] * (1.0 + 1e-9)
+        norm_sq = surface_norm_sq(torus_mode_detailed)
+        l0_bound = v["l0_bound_ratio"] * 0.1375**2 * norm_sq / 4.0
+        assert l0_bound == pytest.approx(l0_expected, rel=1e-12)
+        assert profile.mass_values[0] <= l0_bound * (1.0 + 1e-9)
 
     def test_traces_grow_away_from_the_crest(self, detailed_profile):
         profile = detailed_profile
         v = profile.verdict
         assert v["neumann_ratio"] <= 1e-8
-        assert v["traces_monotone"] is False
-        assert 1e2 < v["trace_growth"] < 1e8
+        assert 1e2 < v["trace_growth"] < 1e8  # far from monotone
         # vanishing normal derivative at the crest: the profile starts flat
         # (no first-order decrease) and grows at second order
         span = profile.r_grid[-1] - profile.r_grid[0]
@@ -1153,7 +1165,7 @@ class TestMassProfileComparison:
             assert v["comparison_margin"] >= 0.0
             assert v["trivial_bound_margin"] >= 0.0
             assert v["l0_bound_margin"] >= 0.0
-            assert v["traces_monotone"] is False
+            assert v["trace_growth"] > 1.0 + 1e-12
             assert v["ode_agreement"] <= 1e-8
             mu = oracle_circle_eigenvalue(2.0 * math.pi, 256, h, k)
             weight = oracle_window_weight(mu, lam * h)
@@ -1183,7 +1195,6 @@ class TestMassProfileComparison:
             mode.energy,
         )
         assert profile.t_constant == pytest.approx(oracle, rel=1e-13)
-        assert profile.meta["support_dim"] == support_dim
         assert (support_dim == 0) == (n_tangential == 8)
 
     def test_tangent_dependent_model_rejected_before_any_compute(
@@ -1226,13 +1237,25 @@ class TestMassProfileComparison:
         with pytest.raises(ValueError, match="separable 2D mode"):
             mass_profile_comparison(torus_transverse_coarse, TORUS, lam=4.0)
 
-    def test_meta_records_run_coordinates(self, detailed_profile):
-        meta = detailed_profile.meta
-        assert meta["model"] == TORUS.name
-        assert meta["lam"] == 4.0 and meta["h"] == 0.1375
-        assert meta["n_tangential"] == 256 and meta["tangential_mode"] == 7
-        assert meta["support_dim"] > 200  # window plateau covers most modes
-        assert 0.0 < meta["spectral_shift_size"] < 1.0
+    def test_detailed_profile_runs_inside_the_window_regime(
+        self, torus_mode_detailed
+    ):
+        # the run coordinates of the detailed profile, computed here: mode
+        # k = 7 on 256 circle nodes, a window plateau over most modes, and a
+        # mode energy shifted from the model's by less than the barrier gap
+        mode = torus_mode_detailed
+        xp = 2.0 * math.pi / 256 * np.arange(256)
+        assert np.allclose(mode.phase, np.exp(7j * xp), rtol=0.0, atol=1e-12)
+        weights = [
+            oracle_window_weight(
+                oracle_circle_eigenvalue(2.0 * math.pi, 256, mode.h, j), 4.0 * mode.h
+            )
+            for j in range(256)
+        ]
+        assert sum(weight > 1e-6 for weight in weights) > 200
+        barrier = float(potential_grid(TORUS, np.zeros(1), np.zeros(1))[0, 0])
+        shift = abs(TORUS.energy - mode.energy) / (barrier - TORUS.energy)
+        assert 0.0 < shift < 1.0
 
     def test_recompute_is_bitwise_identical(self, detailed_profile, torus_mode_detailed):
         profile = detailed_profile

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from agmonlab import hjphase
+from agmonlab._numerics import gauss_legendre
 from agmonlab.experiments import ConfigError, parse_config
 from agmonlab.models import (
     KNOWN_MODELS,
@@ -168,6 +169,25 @@ def test_weighted_depth_outside_the_normal_range_rejected(name):
             weighted_depth(model, depth)
     assert weighted_depth(model, end + 1e-13) == weighted_depth(model, end)
     assert weighted_depth(model, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("name", ALL_MODELS)
+def test_weighted_depth_is_the_least_over_the_full_tangential_probe(name):
+    # the rule at the least favourable of 128 tangential columns, computed
+    # here: a tangent-invariant model probes one column and must match it
+    # bitwise, and strip-2d, whose columns differ, must probe them all; the
+    # depths run past the forbidden edge to the end of the normal range
+    model = make_model(name)
+    xp = np.linspace(0.0, model.lengths[0], 128, endpoint=False)
+    edge = model.forbidden_extent
+    root = math.sqrt(edge)
+    for depth in np.linspace(0.0, model.axis_bounds(1)[1], 7):
+        clamped = min(float(depth), edge)
+        g, w = gauss_legendre(0.0, clamped / (root + math.sqrt(edge - clamped)))
+        u = root - g
+        least = potential_grid(model, xp, g * (root + u)).min(axis=0) - model.energy
+        expected = float((2.0 * u * w) @ np.sqrt(np.maximum(least, 0.0)))
+        assert weighted_depth(model, float(depth)) == expected, depth
 
 
 # --------------------------------------------------------------------------

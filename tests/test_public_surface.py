@@ -36,10 +36,24 @@ for nothing.  Reads are matched by attribute name alone, since the syntax
 tree does not know the type of the object read from: a read of ``.h`` on
 anything counts for every exported field named ``h``, so a field that
 shares its name with a read one passes unchecked.
+
+The same readers must read every key of a result dict: each string key
+that a layer module writes in a dict literal into a field annotated
+``dict`` of an exported class (``meta``, ``record``, ``verdict``), passed
+by keyword directly or through a local name bound to the literal, is read
+by a package module, by the acceptance suite or by the benchmark harness.
+A read is ``x.field["key"]`` or ``x.field.get("key")``, or either on a
+local name bound to ``x.field`` in the same function.  A subscript of any
+other dict, a store and a string do not count, and neither does a key
+that a unit test reads.  Keys are matched by field name alone: every
+``record`` dict shares one set of keys, so ``EigenMode.record`` and
+``SeparableMode.record`` pass or fail a key together, as every ``meta``
+dict does.
 """
 
 import ast
 import importlib
+import re
 from collections import defaultdict
 from collections.abc import Iterator
 from pathlib import Path
@@ -100,12 +114,33 @@ EXEMPT_FIELDS = {
     ("quantize", "Symbol", "support"): (
         "the symbol's own construction check reads it"
     ),
-    ("quantize", "CutoffProfile", "nodes"): (
-        "the profile's monotonicity and exp(-x)-dominance checks read it"
-    ),
     ("quantize", "TailBoundReport", "factorization_ok"): (
         "a check that holds by construction today; it is to be made able to "
         "fail, not deleted (ROADMAP item 8)"
+    ),
+}
+
+# (module, class, field, key): why the key stays without a reader
+EXEMPT_KEYS = {
+    ("solver", "Field2D", "meta", "contamination_bound"): (
+        "a health number, the far closure's influence bound on the traces: "
+        "the diagnostics block of ROADMAP item 12 surfaces it"
+    ),
+    ("solver", "Field2D", "meta", "iterations"): (
+        "a health number, the CG iterations of a mode-pcg solve: the "
+        "diagnostics block of ROADMAP item 12 surfaces it"
+    ),
+    ("solver", "Field2D", "meta", "modes"): (
+        "the modes a solve factored: the diagnostics block of ROADMAP item 12 "
+        "surfaces it, and the unknowns count of item 3a reads it"
+    ),
+    ("solver", "Field2D", "meta", "n_normal"): (
+        "the normal rows of a solve: the diagnostics block of ROADMAP item 12 "
+        "surfaces it, and the unknowns count of item 3a reads it"
+    ),
+    ("solver", "EigenMode", "record", "residual"): (
+        "a health number, the transverse equation residual: ROADMAP item 1a "
+        "adds the recurrence-eigensolver agreement beside it"
     ),
 }
 
@@ -480,6 +515,149 @@ def test_field_exemptions_are_current():
     assert not stale, f"field exemptions to drop: {', '.join(stale)}"
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _dict_fields(layers: dict[str, ast.Module]) -> dict[str, dict[str, str]]:
+    """Each name of a field annotated ``dict`` of an exported class, mapped
+    to {class: module} of the classes that have it."""
+    owners = defaultdict(dict)
+    for layer, tree in layers.items():
+        exported = set(_exports(tree))
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef) or node.name not in exported:
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and getattr(item.annotation, "id", None) == "dict"
+                ):
+                    owners[item.target.id][node.name] = layer
+    return owners
+
+
+def _scopes(tree: ast.Module) -> Iterator[list[ast.AST]]:
+    """The nodes of the module level and of each function of ``tree``, the
+    nodes of the functions nested in it aside: where a local name holds."""
+    for root in (tree, *(n for n in ast.walk(tree) if isinstance(n, _SCOPES))):
+        nodes, stack = [], list(ast.iter_child_nodes(root))
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            if not isinstance(node, _SCOPES):
+                stack.extend(ast.iter_child_nodes(node))
+        yield nodes
+
+
+def _bound(nodes: list[ast.AST], kind: type) -> dict[str, ast.AST]:
+    """Each plain name that ``nodes`` assign a node of type ``kind`` to,
+    mapped to that node."""
+    return {
+        target.id: node.value
+        for node in nodes
+        if isinstance(node, ast.Assign) and isinstance(node.value, kind)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
+def _string(node: ast.AST | None) -> str | None:
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _key_writes(
+    tree: ast.Module, owners: dict[str, dict[str, str]]
+) -> Iterator[tuple[str, str, str]]:
+    """(callee, field, key) for each string key of a dict literal that a
+    call in ``tree`` passes by keyword as a dict field, directly or through
+    a local name bound to the literal."""
+    for nodes in _scopes(tree):
+        literals = _bound(nodes, ast.Dict)
+        for node in nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            for keyword in node.keywords:
+                value = keyword.value
+                if isinstance(value, ast.Name):
+                    value = literals.get(value.id)
+                if keyword.arg in owners and isinstance(value, ast.Dict):
+                    for key in filter(None, map(_string, value.keys)):
+                        yield callee, keyword.arg, key
+
+
+def _key_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(field, key) for each string key that ``tree`` reads from an
+    attribute ``x.field``: ``x.field["key"]`` or ``x.field.get("key")``, or
+    either on a local name bound to ``x.field`` in the same function."""
+    reads = set()
+    for nodes in _scopes(tree):
+        aliases = {
+            name: value.attr for name, value in _bound(nodes, ast.Attribute).items()
+        }
+        for node in nodes:
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+                owner, key = node.value, _string(node.slice)
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and node.args
+            ):
+                owner, key = node.func.value, _string(node.args[0])
+            else:
+                continue
+            if isinstance(owner, ast.Attribute):
+                field = owner.attr
+            else:
+                field = aliases.get(getattr(owner, "id", None))
+            if field and key is not None:
+                reads.add((field, key))
+    return reads
+
+
+def _key_name(module: str, cls: str, field: str, key: str) -> str:
+    return f"{module}.{cls}.{field}[{key!r}]"
+
+
+def unread_keys(layers: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """``layer.Class.field['key']`` for each key that a layer module writes
+    into a dict field of an exported class and that no layer module and no
+    module of ``others`` reads, matched by field name and key.  Class is
+    the callee that the write passes the dict to, and layer the module of
+    that class, else the writing module."""
+    owners = _dict_fields(layers)
+    reads = set().union(*map(_key_reads, (*layers.values(), *others)))
+    return sorted(
+        {
+            _key_name(owners[field].get(cls, layer), cls, field, key)
+            for layer, tree in layers.items()
+            for cls, field, key in _key_writes(tree, owners)
+            if (field, key) not in reads
+        }
+    )
+
+
+def test_every_key_has_a_reader():
+    exempt = {_key_name(*key) for key in EXEMPT_KEYS}
+    unread = [name for name in unread_keys(*_package_trees()) if name not in exempt]
+    assert not unread, (
+        "keys of result dicts that nothing outside their own unit tests reads "
+        f"(delete each, with the work that fills it): {', '.join(unread)}"
+    )
+
+
+def test_key_exemptions_are_current():
+    # an exemption whose key is no longer written, or now has a reader, is
+    # dropped
+    flagged = set(unread_keys(*_package_trees()))
+    stale = [_key_name(*key) for key in EXEMPT_KEYS if _key_name(*key) not in flagged]
+    assert not stale, f"key exemptions to drop: {', '.join(stale)}"
+
+
 # --------------------------------------------------------------------------
 # the guard on small synthetic modules
 # --------------------------------------------------------------------------
@@ -699,3 +877,86 @@ def test_read_by_acceptance_or_benchmark_is_a_reader(tmp_path):
     # a package __init__ is not a reader, as it is not a caller
     layers, others = _package_trees(package, external=(acceptance, bench))
     assert unread_fields(layers, others) == ["d.R.total", "d.R.twice"]
+
+
+_LAYER_E = '''
+from dataclasses import dataclass
+
+__all__ = ["R", "S", "make"]
+
+
+@dataclass(frozen=True)
+class R:
+    """Its meta holds "a" and "b"."""
+
+    meta: dict
+    tags: list
+
+
+@dataclass(frozen=True)
+class S:
+    meta: dict
+
+
+def make():
+    meta = {"a": 1.0, "b": 2.0}
+    common = dict(meta={"c": 3.0})
+    return R(meta=meta, tags=["d"]), S(**common), S(meta={"e": 4.0})
+'''
+
+
+def _unread_keys(*other_sources: str) -> list[str]:
+    return unread_keys(
+        {"e": ast.parse(_LAYER_E)}, [ast.parse(src) for src in other_sources]
+    )
+
+
+# every key _LAYER_E writes, named by the callee it is passed to, so the
+# write through dict() names dict
+_WRITTEN_E = ["e.R.meta['a']", "e.R.meta['b']", "e.S.meta['e']", "e.dict.meta['c']"]
+
+
+def test_unread_key_is_flagged():
+    # a literal passed directly, through a local name or inside another
+    # call's keywords is written; list fields such as tags are not checked
+    assert _unread_keys() == _WRITTEN_E
+
+
+@pytest.mark.parametrize(
+    "reader, read",
+    [
+        ("def f(r):\n    return r.meta['a']\n", "e.R.meta['a']"),
+        ("def f(r):\n    return r.meta.get('b', 0.0)\n", "e.R.meta['b']"),
+        ("def f(r):\n    meta = r.meta\n    return meta['e']\n", "e.S.meta['e']"),
+        ("def f(r):\n    meta = r.meta\n    return meta.get('a')\n", "e.R.meta['a']"),
+    ],
+    ids=["subscript", "get", "alias", "alias-get"],
+)
+def test_read_through_get_or_a_local_alias_is_a_reader(reader, read):
+    assert _unread_keys(reader) == [key for key in _WRITTEN_E if key != read]
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        "def f(d):\n    return d['a'], d.get('b'), {'e': 0}['e']\n",
+        "def f(r):\n    return r.tags['a'], r.meta.keys()\n",
+        '"""Reads r.meta["a"]."""\nKEYS = ["a", "b", "e"]  # r.meta["b"]\n',
+        "def f(r):\n    r.meta['a'] = 0.0\n    del r.meta['b']\n",
+        "def f(r):\n    meta = r.meta\n\n\ndef g(meta):\n    return meta['a']\n",
+    ],
+    ids=["plain-dict", "other-field", "strings", "store", "alias-elsewhere"],
+)
+def test_other_dicts_stores_and_strings_are_not_readers(reader):
+    assert _unread_keys(reader) == _WRITTEN_E
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("solver", "Field2D", "meta", "path"), ("solver", "Field2D", "meta", "far")],
+    ids=["read-by-the-benchmark", "no-longer-written"],
+)
+def test_stale_key_exemption_fails_its_check(monkeypatch, key):
+    monkeypatch.setitem(EXEMPT_KEYS, key, "stale")
+    with pytest.raises(AssertionError, match=re.escape(_key_name(*key))):
+        test_key_exemptions_are_current()

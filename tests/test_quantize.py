@@ -24,6 +24,7 @@ from agmonlab.hjphase import (
     evaluate_phase,
     solve_phase_series,
 )
+from agmonlab import quantize
 from agmonlab.models import make_model
 from agmonlab.quantize import (
     CutoffProfile,
@@ -120,18 +121,20 @@ class TestCutoffProfile:
         a = build_cutoff_profile(8.0)
         b = build_cutoff_profile(8.0)
         assert a.plateau == b.plateau
-        assert np.array_equal(a.values, b.values)
+        x = np.linspace(0.0, 12.0, 4001)
+        assert np.array_equal(a(x), b(x))
 
     def test_invariant_violations_rejected(self):
         profile = build_cutoff_profile(8.0)
         with pytest.raises(ValueError, match="plateau"):
-            CutoffProfile(
-                span=8.0,
-                plateau=math.exp(-2.0),
-                nodes=profile.nodes,
-                values=profile.values,
-                _bend=profile._bend,
-            )
+            CutoffProfile(span=8.0, plateau=math.exp(-2.0), _bend=profile._bend)
+
+    def test_bend_falling_faster_than_exp_rejected(self, monkeypatch):
+        # a log-slope of 2 on the bend drops below exp(-x) at its first
+        # nodes; the builder measures that before any profile exists
+        monkeypatch.setattr(quantize, "mollifier_fall", lambda t: 2.0 + 0.0 * t)
+        with pytest.raises(ValueError, match="dominate"):
+            build_cutoff_profile(8.0)
 
 
 class TestPhaseCutoff:
@@ -143,10 +146,12 @@ class TestPhaseCutoff:
         assert sym.meta["inner_constant"] == pytest.approx(
             flat_inner_constant(span, h, rho), rel=1e-8
         )
-        assert sym.meta["outer_constant"] == pytest.approx(
+        # the support is the outer ball, widened by the edge slack
+        outer_constant = (sym.support[1] * (1.0 - 1e-9)) ** 2 / (span * h)
+        assert outer_constant == pytest.approx(
             flat_outer_constant(span, h, rho), rel=1e-8
         )
-        assert sym.meta["inner_constant"] < sym.meta["outer_constant"]
+        assert sym.meta["inner_constant"] < outer_constant
 
     def test_zero_frequency_value_is_one(self):
         profile = build_cutoff_profile(8.0)
@@ -171,7 +176,8 @@ class TestPhaseCutoff:
         profile = build_cutoff_profile(span)
         series = flat_series(256, h)
         sym = build_phase_cutoff(series, profile, rho, h)
-        region = series.frequencies**2 >= sym.meta["outer_constant"] * span * h
+        outer_constant = flat_outer_constant(span, h, rho)
+        region = series.frequencies**2 >= outer_constant * span * h
         assert region.sum() > 3
         assert np.all(sym.values[region] == profile.plateau)
 
@@ -190,7 +196,8 @@ class TestPhaseCutoff:
         freqs = mode_frequencies(256, LENGTH, h)
         series = solve_phase_series(TORUS, "agmon", 6, freqs)
         sym = build_phase_cutoff(series, profile, 0.3, h)
-        assert 0.0 < sym.meta["inner_constant"] < sym.meta["outer_constant"]
+        outer_constant = (sym.support[1] * (1.0 - 1e-9)) ** 2 / (8.0 * h)
+        assert 0.0 < sym.meta["inner_constant"] < outer_constant
 
     def test_guards(self):
         profile = build_cutoff_profile(8.0)
