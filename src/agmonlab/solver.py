@@ -16,15 +16,19 @@ Dirichlet tridiagonal per distinct mode; complex data is solved by
 linearity as its real and imaginary parts, and real data gives a real
 field.  For tangentially constant potentials the preconditioner is exact:
 V - E is held as one normal column, no iteration runs, the field is
-formed only on the rows its certified traces read, and its residual is
-checked on the mode systems it solved.  Every trace reads a field's
-``values`` and their column splines, whichever path solved it.
+held only in the modes its data carries and on the rows its certified
+traces read, and its residual is checked on the mode systems it solved.
+A field is its tangential modes and its Dirichlet data whichever path
+solved it (conjugate gradients transforms its finished field once), and
+every trace reads the data on row 0 and synthesizes its other samples
+from the modes at their own columns, through the splines of the mode
+columns between normal nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -66,20 +70,21 @@ _CONTAMINATION_TOL = 1e-6
 # constant potential passes without iterating.
 _PCG_TOL = 1e-14
 _PCG_MAX_ITER = 200
-# The blocked loops -- a field's column splines, and poisson_bvp's mode
-# factor and unit-row solve, stencil, inverse transform, mode residual and
-# complex moduli -- take about this many bytes of field values per block.
-# On 128x801 and 512x512 complex fields (2 cores, one BLAS thread), 128 KiB
-# spline blocks built in 10-17 and 37 ms against 14-17 and 40 ms for
+# The blocked loops -- the splines of a field's mode columns, and
+# poisson_bvp's mode factor and unit-row solve, stencil, mode residual and
+# complex moduli -- take about this many bytes per block.  On 128x801 and
+# 512x512 complex fields (2 cores, one BLAS thread), 128 KiB blocks of
+# column splines built in 10-17 and 37 ms against 14-17 and 40 ms for
 # 512 KiB blocks, with a transient peak of 3.6 and 6.0 MiB instead of 9.4
 # and 12.0 MiB (tracemalloc, kept slopes included); 32 KiB blocks took
-# twice as long.
+# twice as long.  That was measured on field columns; the mode columns of
+# every mode take about as many bytes.
 # The stencil in 128 KiB blocks took 14.5 ms against 32.5 ms in one pass on
 # a real 64x24001 stack, and 1.9 against 2.4 ms on a complex 128x801 one.
 _BLOCK_BYTES = 2**17
 # A not-a-knot spline's end condition reaches about (2 - sqrt 3)^k ~ 0.268^k
 # of the way k knots in (de Boor, A Practical Guide to Splines, 1978, ch.
-# IV): 0.268^64 ~ 1e-37, far below rounding.  So a mode-direct solve forms
+# IV): 0.268^64 ~ 1e-37, far below rounding.  So a mode-direct solve holds
 # rows this far past the interval of its deepest certified level, whose
 # traces their splines alone give bitwise as every row's would (on the
 # 512 x 512 torus-decay grid they already do from 24 rows on).
@@ -290,56 +295,100 @@ def assemble_separable_mode(
 
 @dataclass(frozen=True)
 class Field2D:
-    """A solved field on the tangential-circle x normal-interval grid.
+    """A solved field on the tangential-circle x normal-interval grid, held
+    as its tangential modes.
 
-    ``values`` holds the field on every row of ``normal_nodes``.  A solve
-    on a tangent-invariant model holds only the rows that its traces at
-    weighted depth <= ``meta["rho_max"]`` read, so its ``normal_nodes`` may
-    end short of the far boundary (see :func:`poisson_bvp`); a trace
-    deeper than that raises.
+    ``spectrum[p, i, j]`` is the rfft along the tangent of real part p of
+    the field (one part for a solve of real data, data whose imaginary
+    part is exactly zero; two, the real and imaginary parts, for complex
+    data) at mode ``modes[i]`` on row j of ``normal_nodes``; every other
+    mode of the rfft is zero.  ``boundary[p]`` is part p of the Dirichlet
+    data a solve was given, row 0 of the field, which the synthesis of the
+    held modes gives only to rounding; a field derived by ``replace`` with
+    another spectrum passes None, and its row 0 is then synthesized like
+    every other row.  A solve on a tangent-invariant model holds only the
+    modes its data carries and only the rows that its traces at weighted
+    depth <= ``meta["rho_max"]`` read, so its ``normal_nodes`` may end
+    short of the far boundary (see :func:`poisson_bvp`); a trace deeper
+    than that raises.
 
-    Off-node traces interpolate each tangential column along the normal by
-    a not-a-knot cubic spline (the ``_numerics`` port, bitwise scipy's
-    ``CubicSpline``) over the rows held.  The first such trace builds the
-    splines of every column, block by block, and the field keeps only what
-    a later trace cannot recompute bitwise from its values: the knot slopes
-    of every column.  That is the field's own size, in the dtype of the
-    values: float64 for a solve of real data (data whose imaginary part is
-    exactly zero), complex128 for complex data.  A field traced only on
-    grid nodes never builds them, and a field derived by ``replace``
-    starts without them.
+    Every read goes through ``boundary`` on row 0 and one synthesis
+    elsewhere (:func:`_row_values`), the inverse rfft of the held modes
+    with every other mode zero: the value at column c is sum_k m_k Re(s_k
+    e^{2 pi i k c / nx}) / nx over the held modes, m_k from
+    :func:`_pair_weights`.  Off-node traces also read the knot slopes of
+    the not-a-knot cubic splines of the mode columns along the normal (the
+    ``_numerics`` port, bitwise scipy's ``CubicSpline``), synthesized the
+    same way, which the first such trace builds, block by block, and the
+    field keeps: the spectrum's size again.  A field traced only on grid
+    nodes never builds them, and a field derived by ``replace`` starts
+    without them.
     """
 
-    values: np.ndarray
+    modes: np.ndarray
+    spectrum: np.ndarray
+    boundary: np.ndarray | None
     tangential_nodes: np.ndarray
     normal_nodes: np.ndarray
     h: float
     meta: dict
 
     def __post_init__(self) -> None:
-        self.values.setflags(write=False)
+        for array in (self.modes, self.spectrum, self.boundary):
+            if array is not None:
+                array.setflags(write=False)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The field at every held node, shaped (nx, rows): float64 for one
+        part, complex128 for two, read as every trace reads it."""
+        parts = _row_values(self, np.arange(self.normal_nodes.size))
+        return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
 
     @cached_property
     def _spline_slopes(self) -> np.ndarray:
-        """The knot slopes of the columns' splines, shape (nx, n)."""
-        return _column_slopes(self.normal_nodes, self.values)
+        """The knot slopes of the mode columns' splines, shaped like
+        ``spectrum``."""
+        return _column_slopes(self.normal_nodes, self.spectrum)
 
 
-def _column_slopes(xn: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The knot slopes of the not-a-knot splines over ``xn`` of the columns
-    values[i, :], shaped like ``values``, built a block of about
-    _BLOCK_BYTES of columns at a time."""
-    nx = values.shape[0]
-    dtype = complex if np.iscomplexobj(values) else float
-    slopes = np.empty((nx, xn.size), dtype=dtype)
-    block = max(1, _BLOCK_BYTES // (xn.size * values.itemsize))
-    for start in range(0, nx, block):
-        cols = slice(start, start + block)
+def _column_slopes(xn: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """The knot slopes of the not-a-knot splines over ``xn`` of the mode
+    columns spectrum[p, i, :], shaped like ``spectrum``, built a block of
+    about _BLOCK_BYTES of columns at a time."""
+    slopes = np.empty(spectrum.shape, dtype=complex)
+    columns, out = spectrum.reshape(-1, xn.size), slopes.reshape(-1, xn.size)
+    block = max(1, _BLOCK_BYTES // (xn.size * columns.itemsize))
+    for start in range(0, len(columns), block):
+        part = np.ascontiguousarray(columns[start : start + block].T)
         # a column's spline slopes do not depend on the other columns
-        # batched with it
-        slopes[cols] = spline_slopes(xn, np.ascontiguousarray(values[cols].T)).T
+        # batched with it; the complex columns go in as their real and
+        # imaginary parts, interleaved
+        s = spline_slopes(xn, part.view(float))
+        out[start : start + block] = np.ascontiguousarray(s).view(complex).T
     slopes.setflags(write=False)
     return slopes
+
+
+def _row_values(field2d: Field2D, rows: np.ndarray, slopes: bool = False):
+    """The real field parts on the sorted ``rows`` at every column, shaped
+    (parts, nx, rows.size): the boundary data on row 0 when the field holds
+    it, elsewhere the one synthesis, the inverse rfft along the tangent of
+    the held modes, sum_k m_k Re(s_k e^{2 pi i k c / nx}) / nx, with every
+    other mode zero.  With ``slopes``, stacked on the synthesis of the knot
+    slopes of the mode columns' splines on those rows, in one transform.
+    Each row's transform is its own, so a row is bitwise the same whatever
+    other rows are synthesized with it."""
+    columns = field2d.spectrum[..., rows]
+    if slopes:
+        columns = np.stack([columns, field2d._spline_slopes[..., rows]])
+    nx = field2d.tangential_nodes.size
+    spectrum = np.zeros(columns.shape[:-2] + (nx // 2 + 1, rows.size), dtype=complex)
+    spectrum[..., field2d.modes, :] = columns
+    read = np.fft.irfft(spectrum, nx, axis=-2)
+    if field2d.boundary is not None and rows.size and rows[0] == 0:
+        (read[0] if slopes else read)[..., 0] = field2d.boundary
+    return read
 
 
 def _check_far_boundary(model, far, h, rho_max) -> float:
@@ -400,33 +449,36 @@ def poisson_bvp(
 
     For potentials independent of the tangent (``TANGENT_INVARIANT_MODELS``)
     that is the solution (``meta["path"]`` "mode-direct"): V - E is one
-    normal column, and the field is formed only on the rows that its
-    traces at weighted depth <= rho_max read, which ``normal_nodes`` lists.
-    Such a solve factors only the modes its data carries
-    (:func:`_carried_modes`): 0 <= g_k <= g_k[0] < 1/cn on every row (see
-    :func:`_unit_rows`), so mode k moves no field value by more than
-    (m_k/nx) |b_k|/cn (m_k = 1 at k = 0 and at the Nyquist mode, else 2;
-    for complex data the two parts' moduli summed), and the modes whose
-    bounds, smallest first, sum to at most eps log2(nx) max|phi| -- the
-    synthesis FFT's own rounding (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., sec. 24.1) -- keep g_k = 0, exact zeros
-    always among them.  ``meta["modes"]`` counts the modes factored.
-    Its residual is that of the systems solved, r_k = T_k g_k - e_0 with
-    the operator's own V - E column, taken on every row a block of modes at
-    a time, before the block's rows past the formed ones are dropped, and
-    r_k = -e_0 for a mode left out, mapped to the field by the triangle
-    bound (1/nx) sum_k m_k |b_k| max_j |r_kj| over max|phi|, which is never
-    above max|u|.  The modes left out add at most eps log2(nx) cn to it,
-    under 0.0055 log2(nx) of the bound below (3.3 % at nx = 64), so only a
-    solve that passes with every mode by less than that could fail for
-    them.  Otherwise (path "mode-pcg") every mode is factored, and that
-    solution is the first iterate of conjugate gradients preconditioned by
-    the mean operator (Concus & Golub 1973), the residual is the stencil's true
-    max|A u - b| / max|u|, and the iteration count is governed by max/min
-    of V - E over its row mean, e.g. (1+a)/(1-a) on strip-2d.  Either
-    residual must be within _PCG_TOL of the operator's infinity norm; a
-    mode-direct solve that misses it, or a CG solve that misses it within
-    the iteration cap, raises instead of returning.
+    normal column, and the field is held as the data and its spectrum,
+    rfft(phi) on row 0 and b_k g_k below, only on the rows that its traces
+    at weighted depth <= rho_max read, which ``normal_nodes`` lists, and
+    only in the modes that the solve factored, which ``modes`` lists; no
+    array with an nx axis is formed past the data's own.  Such a solve
+    factors only the modes its data carries (:func:`_carried_modes`): 0 <=
+    g_k <= g_k[0] < 1/cn on every row (see :func:`_unit_rows`), so mode k
+    moves no field value by more than (m_k/nx) |b_k|/cn (m_k = 1 at k = 0
+    and at the Nyquist mode, else 2; for complex data the two parts' moduli
+    summed), and the modes whose bounds, smallest first, sum to at most eps
+    log2(nx) max|phi| -- the synthesis FFT's own rounding (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., sec. 24.1) -- keep g_k
+    = 0, exact zeros always among them.  Its residual is that of the systems
+    solved, r_k = T_k g_k - e_0 with the operator's own V - E column, taken
+    on every row a block of modes at a time, before the block's rows past
+    the held ones are dropped, and r_k = -e_0 for a mode left out, mapped to
+    the field by the triangle bound (1/nx) sum_k m_k |b_k| max_j |r_kj| over
+    max|phi|, which is never above max|u|.  The modes left out add at most
+    eps log2(nx) cn to it, under 0.0055 log2(nx) of the bound below (3.3 %
+    at nx = 64), so only a solve that passes with every mode by less than
+    that could fail for them.  Otherwise (path "mode-pcg") every mode is
+    factored, and that solution is the first iterate of conjugate gradients
+    preconditioned by the mean operator (Concus & Golub 1973), the residual
+    is the stencil's true max|A u - b| / max|u|, the iteration count is
+    governed by max/min of V - E over its row mean, e.g. (1+a)/(1-a) on
+    strip-2d, and the finished field is held as the data and its rfft along
+    the tangent, every mode on every row.  Either residual must be within
+    _PCG_TOL of the operator's infinity norm; a mode-direct solve that
+    misses it, or a CG solve that misses it within the iteration cap, raises
+    instead of returning.
 
     The normal grid must resolve h as the transverse eigensolve's does, h
     >= _RESOLVABILITY spacings far / (n_normal - 1), or the solve raises.
@@ -435,22 +487,24 @@ def poisson_bvp(
     depth <= rho_max is certified by the tunneling factor
     exp(-2 (depth - rho_max)/h), with depth from ``models.weighted_depth``.
     The metadata records that bound, the path, the iteration count, the
-    residual, the modes factored, rho_max and n_normal, the normal rows
-    solved.
+    residual, rho_max and n_normal, the normal rows solved.
 
-    Memory, in fields of nx * n_normal float64: a mode-direct solve
-    factors and solves its modes a block of about _BLOCK_BYTES of rows at
-    a time (:func:`_unit_rows`) and keeps g_k only on the rows that a trace
-    at weighted depth <= rho_max reads: down to node row J, the upper node
-    of the interval holding s(rho_max) (``agmon.separable_level_height``)
-    plus the spline reach _SPLINE_REACH, bitwise one stacked factor's at
-    any block size (see :func:`_mode_factor`).  It forms rows 0 to J in
-    place next to g_k, which then goes: J / n_normal fields kept, twice
-    that for complex data, and a peak at a factor block next to g_k (0.10,
-    0.20 and 0.24 at 64 x 4,001, rho_max = 0.1 and three modes carried).
-    A tangent-dependent V - E is held on the full grid, the whole mode
-    factor (one field) is kept as CG's preconditioner, and CG adds the
-    residual and its vectors.
+    Memory: a mode-direct solve factors and solves its modes a block of
+    about _BLOCK_BYTES of rows at a time (:func:`_unit_rows`) and keeps g_k
+    only on the rows that a trace at weighted depth <= rho_max reads: down
+    to node row J, the upper node of the interval holding s(rho_max)
+    (``agmon.separable_level_height``) plus the spline reach
+    _SPLINE_REACH, bitwise one stacked factor's at any block size (see
+    :func:`_mode_factor`).  It keeps the spectrum of rows 0 to J, J + 1
+    complex values per carried mode and data part, and peaks at a factor
+    block next to g_k and a few normal columns: 0.96 MiB, 7.3 columns of
+    n_normal float64, for constant data at 512 x 16,384, where the field
+    of rows 0 to J would take 11.9 MiB (h = 0.01, rho_max = 0.4).  A
+    tangent-dependent V - E is held on the full grid, the whole mode
+    factor (one field of nx * n_normal float64) is kept as CG's
+    preconditioner, CG adds the residual and its vectors, and the field's
+    transform, which the field keeps in their place, is about one field
+    per data part.
     """
     L = model.lengths[0]
     if abs(phi.length - L) > 1e-12:
@@ -490,7 +544,8 @@ def poisson_bvp(
     bound = _PCG_TOL * (4.0 * (cn + cp) + float(np.max(w)))
     dispersion = expected_circle_eigenvalue(model, h, np.arange(nx // 2 + 1), nx)
     row_mean = np.mean(np.broadcast_to(w, (nx, w.shape[1])), axis=0)
-    b = cn * np.fft.rfft(data)
+    coefficients = np.fft.rfft(data)
+    b = cn * coefficients
     if invariant:
         kept = _kept_rows(model, xn, rho_max)
         modes = _carried_modes(data, b, cn)
@@ -501,12 +556,10 @@ def poisson_bvp(
                 f"mode solve missed the residual test on the {nx} x {n_normal} "
                 f"grid: residual {residual:.3g} > {bound:.3g}"
             )
-        del v_grid, w, row_mean  # only g_k is live next to the formed rows
         xn = xn[: kept + 1 if kept < n_normal - 2 else n_normal].copy()
-        values = np.zeros((nx, xn.size), dtype=complex if len(data) == 2 else float)
-        # formed in place through a view of its one or two real parts
-        parts = np.moveaxis(values.view(float).reshape(nx, xn.size, -1), -1, 0)
-        _leading_rows(data, b, modes, unit, parts)
+        spectrum = np.zeros((len(data), modes.size, xn.size), dtype=complex)
+        spectrum[..., 0] = coefficients[:, modes]
+        spectrum[..., 1 : kept + 1] = b[:, modes, None] * unit
         iterations, path = 0, "mode-direct"
     else:
         modes = np.arange(dispersion.size)
@@ -514,21 +567,24 @@ def poisson_bvp(
         unit = np.zeros((dispersion.size, row_mean.size))
         unit[:, 0] = 1.0
         first = np.zeros(data.shape + (n_normal,))
-        _leading_rows(data, b, modes, _mode_solve(factor, unit), first)
-        del unit  # g_k goes before CG allocates
+        first[..., 0] = data
+        g = _mode_solve(factor, unit)
+        np.fft.irfft(b[..., None] * g, nx, axis=-2, out=first[..., 1:-1])
+        del unit, g  # g_k goes before CG allocates
         parts, iterations, residual = _mode_pcg(first, w, cn, cp, factor, bound)
-        values, path = _combine(parts), "mode-pcg"
+        spectrum, path = np.fft.rfft(parts, axis=-2), "mode-pcg"
     meta = {
         "contamination_bound": contamination,
         "residual": residual,
         "iterations": iterations,
         "path": path,
-        "modes": modes.size,
         "rho_max": rho_max,
         "n_normal": n_normal,
     }
     return Field2D(
-        values=values,
+        modes=modes,
+        spectrum=spectrum,
+        boundary=data,
         tangential_nodes=xp,
         normal_nodes=xn,
         h=h,
@@ -558,51 +614,6 @@ def _carried_modes(data: np.ndarray, b: np.ndarray, cn: float) -> np.ndarray:
     order = np.argsort(reach, kind="stable")
     left_out = int(np.count_nonzero(np.cumsum(reach[order]) <= budget))
     return np.sort(order[left_out:])
-
-
-def _leading_rows(
-    data: np.ndarray,
-    b: np.ndarray,
-    modes: np.ndarray,
-    unit: np.ndarray,
-    out: np.ndarray,
-) -> None:
-    """Write the rows 0 to m of the field of ``data`` (m = unit.shape[1],
-    the unit rows given for ``modes``) to ``out``, a real stack of zeros
-    shaped (parts, nx, rows), rows > m, whose rows past m stay zero."""
-    out[..., 0] = data
-    _synthesize(b, modes, unit, out[..., 1 : unit.shape[1] + 1])
-
-
-def _synthesize(
-    b: np.ndarray, modes: np.ndarray, unit: np.ndarray, out: np.ndarray
-) -> None:
-    """out[..., c] = irfft(b_k unit[i, c]) along the tangent, k = modes[i]
-    and every other mode's term zero, for b shaped (parts, nx // 2 + 1) and
-    out (parts, nx, unit.shape[1]), a block of normal columns at a time.
-    No BLAS product, so the field is the same at any BLAS thread count,
-    and each column's transform is its own, so a column is bitwise the
-    same in any block."""
-    nx, m = out.shape[-2], unit.shape[1]
-    # the product casts and broadcasts through numpy's buffers, which take
-    # two more spectra of up to 128 KiB, so a spectrum takes a quarter block
-    step = max(1, _BLOCK_BYTES // (4 * b.nbytes))
-    block = np.zeros(b.shape + (min(step, m),), dtype=complex)
-    coefficients = b[:, modes, None]
-    for a in range(0, m, step):
-        spectrum = block[..., : min(step, m - a)]
-        spectrum[:, modes] = np.multiply(coefficients, unit[:, a : a + step])
-        np.fft.irfft(spectrum, nx, axis=-2, out=out[..., a : a + spectrum.shape[-1]])
-
-
-def _combine(parts: np.ndarray) -> np.ndarray:
-    """The field of a real stack of one or two parts: the part itself, or
-    the complex field of its real and imaginary parts."""
-    if len(parts) == 1:
-        return parts[0]
-    values = np.empty(parts.shape[1:], dtype=complex)
-    values.real, values.imag = parts
-    return values
 
 
 def _mode_factor(w: np.ndarray, cn: float, dispersion: np.ndarray):
@@ -889,64 +900,60 @@ def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
     above = np.clip(np.searchsorted(xn, heights), 0, xn.size - 1)
     below = np.maximum(above - 1, 0)
     node = np.where(np.abs(xn[below] - heights) <= 1e-12, below, above)
-    off = np.flatnonzero(np.abs(xn[node] - heights) > 1e-12)
-    cols = idx[off]
-    s = heights[off]
-    # each sample on its own column's interval x[k] <= s < x[k + 1]
-    k = np.clip(np.searchsorted(xn, s, side="right") - 1, 0, xn.size - 2)
-    values = field2d.values
-    out = values[idx, node]
-    if off.size == 0:
-        return out
-    slopes = field2d._spline_slopes
-    y0 = values[cols, k]
-    d0 = slopes[cols, k]
-    c0, c1 = hermite_leading(
-        y0, values[cols, k + 1], d0, slopes[cols, k + 1], np.diff(xn)[k]
-    )
-    out[off] = cubic_value((c0, c1, d0, y0), s - xn[k])
-    return out
+    aligned = np.abs(xn[node] - heights) <= 1e-12
+    on, off = np.flatnonzero(aligned), np.flatnonzero(~aligned)
+    parts = np.empty((len(field2d.spectrum), idx.size))
+    # each distinct row is synthesized once, and each sample reads its column
+    if on.size:
+        rows, at = np.unique(node[on], return_inverse=True)
+        parts[:, on] = _row_values(field2d, rows)[:, idx[on], at]
+    if off.size:
+        s = heights[off]
+        # each sample on its own column's interval x[k] <= s < x[k + 1]
+        k = np.clip(np.searchsorted(xn, s, side="right") - 1, 0, xn.size - 2)
+        rows, at = np.unique(np.stack([k, k + 1]), return_inverse=True)
+        read = _row_values(field2d, rows, slopes=True)[..., idx[off], at]
+        (y0, y1), (d0, d1) = np.moveaxis(read, 2, 1)
+        c0, c1 = hermite_leading(y0, y1, d0, d1, np.diff(xn)[k])
+        parts[:, off] = cubic_value((c0, c1, d0, y0), s - xn[k])
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
 
 
 def trace_at(field2d: Field2D, level: LevelSet) -> BoundaryTrace:
     """Restrict a solved field to a level set.
 
-    Samples within 1e-12 of a grid node copy that node's value exactly; the
-    others are interpolated along their normal columns by not-a-knot cubic
-    splines, each column evaluated at its own height, so flat and curved
-    levels take one path, which reads ``values`` and the splines of its
-    columns over the rows held.  A tangent-invariant solve holds the rows
-    of its traces at weighted depth <= ``rho_max``, whose values are
-    bitwise those of a solve holding every row; a deeper level raises.
-    The first off-node trace of a Field2D builds the splines of all its
-    columns (one batched spline per 128 KiB block of field values) and the
-    field keeps their knot slopes, the field's size again; every later
-    trace of that field only evaluates, bitwise as a fresh spline would.
+    Every sample reads its own column of the field at its own height, so
+    flat and curved levels take one path through the held modes: a sample
+    within 1e-12 of a grid node reads that node's row at its column (the
+    boundary data on row 0 of a solved field, elsewhere the synthesis,
+    :func:`_row_values`), the others the not-a-knot cubic through the
+    values and the synthesized knot slopes of the two rows that bracket
+    their height.  The spline is linear in its data, so that is the spline
+    of the field's column to within rounding.  Each distinct row a trace
+    reads is synthesized once.  A tangent-invariant solve holds the rows of
+    its traces at weighted depth <= ``rho_max``, whose values are bitwise
+    those of a solve holding every row; a deeper level raises.  The first
+    off-node trace of a Field2D builds the splines of its mode columns (a
+    batch per 128 KiB block of them) and the field keeps their knot slopes,
+    the spectrum's size again; every later trace of that field only
+    evaluates.
     """
     values = _column_values(field2d, level)
     return BoundaryTrace(values=values, level=level, rho=level.rho, h=field2d.h)
 
 
-def normal_derivative_trace(
-    field2d: Field2D, level: LevelSet, h: float
-) -> BoundaryTrace:
-    """Centered-difference normal derivative restricted to a level set."""
+def normal_derivative_trace(field2d: Field2D, level: LevelSet) -> BoundaryTrace:
+    """Centered-difference normal derivative restricted to a level set, read
+    by :func:`trace_at`'s rule from the normal differences of the mode
+    columns, which the tangential synthesis commutes with."""
     xn = field2d.normal_nodes
     d = xn[1] - xn[0]
     if np.min(level.points[:, -1]) < xn[0] + 2.0 * d - 1e-12 or np.max(
         level.points[:, -1]
     ) > xn[-1] - 2.0 * d + 1e-12:
         raise ValueError("level is within two cells of the domain edge")
-    grad = np.gradient(field2d.values, xn, axis=1)
-    shadow = Field2D(
-        values=grad,
-        tangential_nodes=field2d.tangential_nodes,
-        normal_nodes=xn,
-        h=field2d.h,
-        meta=dict(field2d.meta),
-    )
-    values = _column_values(shadow, level)
-    return BoundaryTrace(values=values, level=level, rho=level.rho, h=h)
+    grad = np.gradient(field2d.spectrum, xn, axis=-1)
+    return trace_at(replace(field2d, spectrum=grad, boundary=None), level)
 
 
 # --------------------------------------------------------------------------

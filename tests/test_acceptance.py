@@ -417,7 +417,7 @@ def test_11_trace_upper_constants_and_normal_derivative_scaling(capsys):
         gauge = math.exp(rho / h)
         constants.append(gauge * trace_at(field, level).ambient_norm / base)
         derivative_values.append(
-            gauge * normal_derivative_trace(field, level, h).ambient_norm / base
+            gauge * normal_derivative_trace(field, level).ambient_norm / base
         )
     const_var = variation(constants)
     exponent = float(np.polyfit(np.log(h_values), np.log(derivative_values), 1)[0])

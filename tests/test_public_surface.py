@@ -130,10 +130,6 @@ EXEMPT_KEYS = {
         "a health number, the CG iterations of a mode-pcg solve: the "
         "diagnostics block of ROADMAP item 12 surfaces it"
     ),
-    ("solver", "Field2D", "meta", "modes"): (
-        "the modes a solve factored: the diagnostics block of ROADMAP item 12 "
-        "surfaces it, and the unknowns count of item 3a reads it"
-    ),
     ("solver", "Field2D", "meta", "n_normal"): (
         "the normal rows of a solve: the diagnostics block of ROADMAP item 12 "
         "surfaces it, and the unknowns count of item 3a reads it"

@@ -129,6 +129,19 @@ class TestCutoffProfile:
         with pytest.raises(ValueError, match="plateau"):
             CutoffProfile(span=8.0, plateau=math.exp(-2.0), _bend=profile._bend)
 
+    def test_bend_rising_anywhere_rejected(self, monkeypatch):
+        # a log-slope that dips below 0 near the bend's end, where the
+        # shipped slope is about 1e-4, makes the profile rise there; the
+        # build_cutoff_profile measures that on the integrated log-profile
+        fall = quantize.mollifier_fall
+
+        def dipping(t):
+            return fall(t) - 0.2 * np.exp(-(((t - 0.9) / 0.02) ** 2))
+
+        monkeypatch.setattr(quantize, "mollifier_fall", dipping)
+        with pytest.raises(ValueError, match="nonincreasing"):
+            build_cutoff_profile(8.0)
+
     def test_bend_falling_faster_than_exp_rejected(self, monkeypatch):
         # a log-slope of 2 on the bend drops below exp(-x) at its first
         # nodes; the builder measures that before any profile exists

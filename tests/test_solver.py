@@ -30,12 +30,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.sparse.linalg import spsolve
 
 import agmonlab
 from agmonlab import solver
+from agmonlab._numerics import Spline, spline_slopes
 from agmonlab.agmon import (
     LevelSet,
     agmon_distance,
@@ -136,6 +137,87 @@ def per_column_spline_oracle(values, xp, xn, level):
         else:
             out[r] = CubicSpline(xn, values[i])(s)
     return out
+
+
+def data_spectrum(data):
+    """The rfft of the one or two real parts of boundary data: what a
+    solved field holds on row 0 at its modes."""
+    data = np.asarray(data)
+    if np.iscomplexobj(data) and np.any(data.imag):
+        return np.fft.rfft(np.stack([data.real, data.imag]))
+    return np.fft.rfft(np.real(data))[None]
+
+
+def field_of(values, xn, h=0.05):
+    """A Field2D of given values, shaped (nx, rows) on the circle of length
+    2 pi: every rfft mode of each real part and the values of row 0, as a
+    CG solve holds its field."""
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        parts = np.stack([values.real, values.imag])
+    else:
+        parts = values[None]
+    nx = values.shape[0]
+    return Field2D(
+        modes=np.arange(nx // 2 + 1),
+        spectrum=np.fft.rfft(parts, axis=-2),
+        boundary=parts[..., 0].copy(),
+        tangential_nodes=2.0 * math.pi / nx * np.arange(nx),
+        normal_nodes=np.asarray(xn, dtype=float),
+        h=h,
+        meta={},
+    )
+
+
+def mode_rule_oracle(field, level):
+    """Trace values sample by sample by the mode rule, with none of the
+    solver's batching: a sample within 1e-12 of a normal node reads that
+    node's row at its column, the boundary data on row 0 of a field that
+    holds it and elsewhere the inverse rfft of that row's held modes alone;
+    any other sample reads scipy's cubic Hermite interpolant through the
+    values and knot slopes of its two bracketing rows at its column, the
+    slopes the inverse rfft of the held modes' knot slopes, the real and
+    imaginary parts of each mode column splined on their own."""
+    xp, xn, modes = field.tangential_nodes, field.normal_nodes, field.modes
+    nx = xp.size
+    slopes = np.empty(field.spectrum.shape, dtype=complex)
+    for p, i in np.ndindex(field.spectrum.shape[:2]):
+        column = field.spectrum[p, i]
+        slopes[p, i].real = spline_slopes(xn, column.real)
+        slopes[p, i].imag = spline_slopes(xn, column.imag)
+
+    def row(columns, p, j):
+        full = np.zeros(nx // 2 + 1, dtype=complex)
+        full[modes] = columns[p, :, j]
+        if columns is field.spectrum and j == 0 and field.boundary is not None:
+            return field.boundary[p]
+        return np.fft.irfft(full, nx)
+
+    parts = np.empty((len(field.spectrum), level.points.shape[0]))
+    for r, (x, s) in enumerate(level.points):
+        c = int(np.argmin(np.abs(xp - x)))
+        j = int(np.argmin(np.abs(xn - s)))
+        k = min(max(int(np.searchsorted(xn, s, side="right")) - 1, 0), xn.size - 2)
+        for p in range(len(parts)):
+            if abs(xn[j] - s) <= 1e-12:
+                parts[p, r] = row(field.spectrum, p, j)[c]
+                continue
+            y = [row(field.spectrum, p, i)[c] for i in (k, k + 1)]
+            d = [row(slopes, p, i)[c] for i in (k, k + 1)]
+            parts[p, r] = CubicHermiteSpline(xn[k : k + 2], y, d)(s)
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+
+
+def derivative_field(field):
+    """The field normal_derivative_trace reads: the normal differences of
+    the mode columns, with no boundary row of its own."""
+    grad = np.gradient(field.spectrum, field.normal_nodes, axis=-1)
+    return replace(field, spectrum=grad, boundary=None)
+
+
+def assert_near_oracle(values, oracle, tol=1e-14):
+    """values within tol of the oracle, relative to its largest modulus."""
+    assert np.max(np.abs(values - oracle)) <= tol * np.max(np.abs(oracle))
 
 
 def torus_weight(s):
@@ -302,6 +384,7 @@ class TestPoissonBVP:
         n = 64
         phi = BoundaryFunction(np.zeros(n), 2.0 * math.pi, 0.1)
         field = poisson_bvp(FLAT, phi, 0.1, far=1.0, n_normal=201)
+        assert field.modes.size == 0  # zero data carries no mode
         assert np.max(np.abs(field.values)) == 0.0
 
     def test_discrete_maximum_principle(self):
@@ -328,6 +411,9 @@ class TestPoissonBVP:
         held = field.normal_nodes.size  # the rows returned
         assert np.max(np.abs(field.values - oracle[:, :held])) < 1e-10
         assert np.array_equal(field.values[:, 0], data)
+        # row 0 holds the data's own transform at the modes held
+        row = data_spectrum(data)[:, field.modes]
+        assert np.array_equal(field.spectrum[..., 0], row)
         assert np.min(np.real(field.values)) >= -1e-10  # maximum principle
         assert field.meta["residual"] < 1e-8
         if model is TORUS:  # tangentially constant: the preconditioner is exact
@@ -471,7 +557,7 @@ class TestPoissonBVP:
         factored = solver.expected_circle_eigenvalue(model, 0.05, np.array(modes), nx)
         assert len(calls) == blocks
         assert np.array_equal(np.concatenate(calls), factored)
-        assert field.meta["modes"] == len(modes)
+        assert np.array_equal(field.modes, modes)
         assert field.meta["iterations"] == iterations
 
     def test_iterating_solve_frees_the_unit_rows_before_cg(self, monkeypatch):
@@ -579,14 +665,12 @@ class TestPoissonBVP:
         return field, tuple(x / field_bytes for x in solve)
 
     @staticmethod
-    def _held_fraction(n_normal, parts):
-        """What the traced direct solve keeps, in fields of 64 x n_normal:
-        its rows 0 to J, J the upper node of the interval holding s(rho_max
-        = 0.1) plus the spline reach, in one or two real parts."""
+    def _held_rows(n_normal):
+        """The rows the traced direct solve holds: 0 to J, J the upper node
+        of the interval holding s(rho_max = 0.1) plus the spline reach."""
         xn = np.linspace(0.0, 1.0, n_normal)
         s = separable_level_height(TORUS, 0.1)
-        last = int(np.searchsorted(xn, s, side="right")) + solver._SPLINE_REACH
-        return parts * (last + 1) / n_normal
+        return int(np.searchsorted(xn, s, side="right")) + solver._SPLINE_REACH + 1
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_direct_solve_peak_memory(self, n_normal):
@@ -595,22 +679,26 @@ class TestPoissonBVP:
         # (the three modes at 4,001 normal nodes, one at 24,001): 0.24 and
         # 0.13 fields measured, 0.37 and 0.17 when every mode was solved;
         # V - E is one column and the mode residual runs a block of modes
-        # at a time.  The held rows are then formed next to g_k alone, and
-        # only they are kept (0.10 and 0.08 fields)
+        # at a time.  Only the held rows' spectrum is kept, three complex
+        # values a row (0.012 and 0.009 fields retained, with the nodes)
         field, (retained, peak) = self._traced_direct_solve(n_normal, 0.0)
         assert field.values.dtype == np.float64
         assert peak <= {4001: 0.45, 24001: 0.25}[n_normal]
-        assert abs(retained - self._held_fraction(n_normal, 1)) <= 0.005
+        assert field.spectrum.shape == (1, 3, self._held_rows(n_normal))
+        kept = field.spectrum.nbytes + field.normal_nodes.nbytes
+        assert abs(retained - kept / (64 * n_normal * 8)) <= 0.005
 
     @pytest.mark.parametrize("n_normal", [4001, 24001])
     def test_complex_direct_solve_peak_memory(self, n_normal):
         # the two data parts share g_k, so the mode solve is the real one;
-        # the complex rows are formed in place, twice the real ones: 0.24
-        # and 0.18 fields at the peak measured
+        # the spectrum holds both parts, twice the real one: 0.24 and 0.13
+        # fields at the peak measured
         field, (retained, peak) = self._traced_direct_solve(n_normal, 0.3j)
         assert field.values.dtype == np.complex128
         assert peak <= {4001: 0.45, 24001: 0.25}[n_normal]
-        assert abs(retained - self._held_fraction(n_normal, 2)) <= 0.005
+        assert field.spectrum.shape == (2, 3, self._held_rows(n_normal))
+        kept = field.spectrum.nbytes + field.normal_nodes.nbytes
+        assert abs(retained - kept / (64 * n_normal * 8)) <= 0.005
 
     @staticmethod
     def _every_row(*args, **kwargs):
@@ -624,8 +712,9 @@ class TestPoissonBVP:
 
     @pytest.mark.parametrize("imag", [0.0, 0.3j], ids=["real-data", "complex-data"])
     def test_node_trace_of_a_mode_field_is_its_formed_row(self, imag):
-        # a node-aligned trace copies a held row, bitwise that row of the
-        # field of every row; the rows held are bitwise its leading rows
+        # a node-aligned trace synthesizes a held row, bitwise that row of
+        # the field of every row; the rows held are bitwise its leading
+        # rows, and row 0 holds the data's transform at its three modes
         nx, ny = 64, 4001
         xp = 2.0 * math.pi / nx * np.arange(nx)
         data = 1.0 + 0.4 * np.cos(xp) + 0.2 * np.cos(2.0 * xp) + imag * np.sin(xp)
@@ -646,6 +735,7 @@ class TestPoissonBVP:
             assert np.array_equal(trace.values, whole[:, j])
         assert np.array_equal(mixed_trace.values, whole[np.arange(nx), mixed])
         assert np.array_equal(field.values[:, 0], data)
+        assert np.array_equal(field.spectrum[..., 0], data_spectrum(data)[:, :3])
 
     @staticmethod
     def _kept_row_field(case, solve=poisson_bvp):
@@ -667,29 +757,31 @@ class TestPoissonBVP:
 
     @pytest.mark.parametrize("case", ["torus-decay", "complex-64x4001"])
     def test_off_node_traces_within_the_kept_rows(self, case, spline_builds):
-        # every certified level splines the held rows alone, built once and
-        # shared, and reads bitwise what the field of every row gives
+        # every certified level splines the held rows of the mode columns
+        # alone, built once and shared, reads bitwise what the field of
+        # every row gives, and agrees with per-column splines of the field
+        # of every row to rounding
         field, rhos = self._kept_row_field(case)
         xp, xn = field.tangential_nodes, field.normal_nodes
         assert xn.size < field.meta["n_normal"] - 1
         levels = [separable_level_set(TORUS, r, n_tangential=xp.size) for r in rhos]
         traces = [trace_at(field, level) for level in levels]
-        assert sum(spline_builds) == xp.size  # one build pass over the columns
+        # one build pass over the mode columns, each as two real columns
+        assert sum(spline_builds) == 2 * field.spectrum[..., 0].size
         whole, _ = self._kept_row_field(case, self._every_row)
         for level, trace in zip(levels, traces):
             assert np.min(np.abs(xn - level.points[0, 1])) > 1e-12  # off node
             assert np.array_equal(trace.values, trace_at(whole, level).values)
-            assert np.array_equal(
+            assert np.array_equal(trace.values, mode_rule_oracle(whole, level))
+            assert_near_oracle(
                 trace.values,
                 per_column_spline_oracle(whole.values, xp, whole.normal_nodes, level),
             )
 
     def test_traced_field_keeps_its_rows_and_slopes(self):
-        # the solve drops g_k once the held rows are formed, so the
-        # torus-decay solve and its five traces keep those rows and their
-        # slopes (1.20 MiB) and little else: 1.23 MiB retained and 2.01 MiB
-        # at the peak measured, where keeping g_k too (0.30 MiB) would
-        # retain 1.53
+        # the torus-decay solve and its five traces keep the held rows of
+        # its one mode column and their slopes (4.8 KiB) and little else:
+        # 32 KiB retained and 0.17 MiB at the peak measured
         h, nx = 0.02, 512
         levels = [
             separable_level_set(TORUS, r, n_tangential=nx)
@@ -704,9 +796,9 @@ class TestPoissonBVP:
         finally:
             tracemalloc.stop()
         assert all(norm > 0.0 for norm in norms)
-        kept = field.values.nbytes + field._spline_slopes.nbytes
+        kept = field.spectrum.nbytes + field._spline_slopes.nbytes
         assert retained - kept <= 0.1 * 2**20
-        assert peak <= 2.15 * 2**20
+        assert peak <= 0.25 * 2**20
 
     def test_traces_past_the_held_rows_raise(self):
         # an off-node level within the spline reach of the held rows' end
@@ -716,7 +808,8 @@ class TestPoissonBVP:
         held = xn.size
         mid = 0.5 * (xn[held - 10] + xn[held - 9])  # 10 rows inside the held ones
         near_end = trace_at(field, level_at_heights(np.full(xp.size, mid)))
-        assert np.array_equal(
+        assert np.array_equal(near_end.values, mode_rule_oracle(field, near_end.level))
+        assert_near_oracle(
             near_end.values,
             per_column_spline_oracle(field.values, xp, xn, near_end.level),
         )
@@ -809,10 +902,10 @@ class TestPoissonBVP:
     )
     def test_blocked_mode_solve_is_the_stacked_solve(self, monkeypatch, block_modes):
         # 0 bytes still makes one-mode blocks, 4 modes do not divide the 33
-        # modes of nx = 64, and 64 modes' worth is one block: the rows held
-        # are bitwise those of one stacked solve synthesised from the modes
-        # the data carries (0 and 2), and CG's preconditioner is bitwise
-        # the stacked factor of every mode
+        # modes of nx = 64, and 64 modes' worth is one block: the spectrum
+        # held is bitwise b_k g_k of one stacked solve on the modes the
+        # data carries (0 and 2), and CG's preconditioner is bitwise the
+        # stacked factor of every mode
         h, ny = 0.05, 1001
         factors = []
         pcg = solver._mode_pcg
@@ -843,16 +936,14 @@ class TestPoissonBVP:
                 assert factors == []
                 held = field.normal_nodes.size
                 assert held == 2 + solver._SPLINE_REACH < ny  # rho_max = 0
-                assert field.meta["modes"] == 2
                 carried = [0, 2]
-                data = np.real(phi.values)[None]
-                b = cn * np.fft.rfft(data)
-                spectrum = np.zeros((1, modes.size, ny - 2), dtype=complex)
-                spectrum[:, carried] = b[:, carried, None] * unit[carried]
-                expected = np.zeros((1, nx, ny))
-                expected[..., 0] = data
-                expected[..., 1:-1] = np.fft.irfft(spectrum, nx, axis=-2)
-                assert np.array_equal(field.values, expected[0, :, :held])
+                assert np.array_equal(field.modes, carried)
+                coefficients = data_spectrum(phi.values)[:, carried]
+                expected = np.empty((1, 2, held), dtype=complex)
+                expected[..., 0] = coefficients
+                g = unit[carried, : held - 1]
+                expected[..., 1:] = cn * coefficients[..., None] * g
+                assert np.array_equal(field.spectrum, expected)
                 continue
             assert field.meta["path"] == "mode-pcg"
             (factor,) = factors
@@ -864,13 +955,13 @@ class TestPoissonBVP:
             assert np.array_equal(solved, expected.T.reshape(rhs.shape))
 
     @classmethod
-    def _every_mode_field(cls, model, field, phi):
-        """The oracle of the rule that leaves modes out: the mode-direct
-        field of ``phi`` from every rfft mode, on the rows ``field`` holds
-        of a solve to far = 1, as every caller's is:
-        irfft(b_k g_k) along the tangent with b = cn rfft(phi) and g_k =
-        T_k^{-1} e_0 from one stacked factor and solve of every mode, for
-        the real and imaginary parts of phi."""
+    def _every_mode_spectrum(cls, model, field, phi):
+        """The oracle of the rule that leaves modes out: the spectrum of the
+        mode-direct field of ``phi`` at every rfft mode, on the rows
+        ``field`` holds of a solve to far = 1, as every caller's is:
+        rfft(phi) on row 0 and b_k g_k below, with b = cn rfft(phi) and g_k
+        = T_k^{-1} e_0 from one stacked factor and solve of every mode, for
+        each real part of phi."""
         h, nx = field.h, phi.values.size
         xp = field.tangential_nodes
         xn = np.linspace(0.0, 1.0, field.meta["n_normal"])
@@ -883,18 +974,30 @@ class TestPoissonBVP:
         unit[:, 0] = 1.0
         unit, info = dpttrs(d, e, unit.ravel())
         assert info == 0
-        parts = np.stack([phi.values.real, phi.values.imag])
-        b = cn * np.fft.rfft(parts)
-        u = np.zeros((2, nx, xn.size))
-        u[..., 0] = parts
-        spectrum = b[..., None] * unit.reshape(modes.size, -1)
-        u[..., 1:-1] = np.fft.irfft(spectrum, nx, axis=-2)
-        u = u[..., : field.normal_nodes.size]
-        if not np.any(phi.values.imag):
-            return u[0]
-        values = np.empty(u.shape[1:], dtype=complex)
-        values.real, values.imag = u
-        return values
+        held = field.normal_nodes.size
+        coefficients = data_spectrum(phi.values)
+        spectrum = np.empty(coefficients.shape + (held,), dtype=complex)
+        spectrum[..., 0] = coefficients
+        g = unit.reshape(modes.size, -1)[:, : held - 1]
+        spectrum[..., 1:] = cn * coefficients[..., None] * g
+        return spectrum
+
+    @classmethod
+    def _assert_every_mode_kept_or_within_budget(cls, model, field, phi, exact):
+        """The modes held are bitwise the oracle's; those left out are exact
+        zeros when ``exact``, else together move no value of the field by
+        more than the budget: (1/nx) sum_k m_k max_j |s_kj| over them and
+        the data parts."""
+        every = cls._every_mode_spectrum(model, field, phi)
+        assert np.array_equal(field.spectrum, every[:, field.modes])
+        left_out = np.delete(every, field.modes, axis=1)
+        if exact:
+            assert not np.any(left_out)
+            return
+        nx = phi.values.size
+        weights = np.delete(solver._pair_weights(nx), field.modes)
+        reach = np.sum(np.max(np.abs(left_out), axis=-1), axis=0)
+        assert np.sum(weights * reach) / nx <= cls._fft_budget(phi)
 
     @staticmethod
     def _fft_budget(phi):
@@ -942,17 +1045,13 @@ class TestPoissonBVP:
         # of 33, the other 30 coefficients being exact zeros or FFT rounding,
         # and leaving them out moves the field by at most eps log2(nx)
         # max|phi|; rfft of constant data is exactly zero past k = 0, and
-        # random data carries every mode, so both give bitwise the field of
-        # every mode
+        # random data carries every mode, so both hold bitwise the spectrum
+        # of every mode, less exact zeros
         field, phi, factored = self._counted_torus_solve(monkeypatch, 4001, data)
         mu = solver.expected_circle_eigenvalue(TORUS, 0.05, np.array(modes), 64)
         assert np.array_equal(factored, mu)
-        assert field.meta["modes"] == len(modes)
-        every = self._every_mode_field(TORUS, field, phi)
-        if exact:
-            assert np.array_equal(field.values, every)
-        else:
-            assert np.max(np.abs(field.values - every)) <= self._fft_budget(phi)
+        assert np.array_equal(field.modes, modes)
+        self._assert_every_mode_kept_or_within_budget(TORUS, field, phi, exact)
 
     def test_zero_mean_data_leaves_mode_zero_out(self, monkeypatch):
         # cos 2x has a mean of FFT rounding only, the smallest of its
@@ -965,9 +1064,9 @@ class TestPoissonBVP:
         mu = solver.expected_circle_eigenvalue(TORUS, 0.05, np.arange(3), 64)
         assert mu[0] == 0.0 and mu[2] in factored
         assert np.all(factored > 0.0)
-        assert field.meta["modes"] == factored.size < 33
-        every = self._every_mode_field(TORUS, field, phi)
-        assert np.max(np.abs(field.values - every)) <= self._fft_budget(phi)
+        assert field.modes.size == factored.size < 33
+        assert 0 not in field.modes and 2 in field.modes
+        self._assert_every_mode_kept_or_within_budget(TORUS, field, phi, False)
 
     def test_modes_left_out_keep_the_residual_test(self):
         # acceptance 03's solve: the modes left out count in the residual at
@@ -978,14 +1077,13 @@ class TestPoissonBVP:
         xp = 2.0 * math.pi / nx * np.arange(nx)
         phi = BoundaryFunction(np.exp(20j * xp), 2.0 * math.pi, h)
         field = poisson_bvp(FLAT, phi, h, far=1.0, n_normal=ny, rho_max=0.3)
-        assert field.meta["modes"] < nx // 2 + 1
+        assert field.modes.size < nx // 2 + 1
         xn = np.linspace(0.0, 1.0, ny)
         cn, cp = h**2 / (xn[1] - xn[0]) ** 2, h**2 / (xp[1] - xp[0]) ** 2
         w = potential_grid(FLAT, xp, xn)[:, 1:-1] - FLAT.energy
         bound = solver._PCG_TOL * (4.0 * (cn + cp) + np.max(w))
         assert field.meta["residual"] <= bound
-        every = self._every_mode_field(FLAT, field, phi)
-        assert np.max(np.abs(field.values - every)) <= self._fft_budget(phi)
+        self._assert_every_mode_kept_or_within_budget(FLAT, field, phi, False)
 
     @pytest.mark.parametrize("h", [0.1, 0.0125])
     def test_shipped_grid_stencil_residual_within_the_bound(self, h):
@@ -1119,25 +1217,23 @@ class TestPoissonBVP:
 
 class TestTraces:
     def _analytic_field(self, ny, fn):
-        xp = 2.0 * math.pi / 16 * np.arange(16)
         xn = np.linspace(0.0, 1.0, ny)
         values = np.ones(16)[:, None] * fn(xn)[None, :]
-        return Field2D(
-            values=values.astype(complex),
-            tangential_nodes=xp,
-            normal_nodes=xn,
-            h=0.05,
-            meta={},
-        )
+        return field_of(values.astype(complex), xn)
 
     def test_boundary_row_is_exact(self):
+        # row 0 of a solved field is the data it was given, on the direct
+        # and the CG path, where the synthesis of the held modes gives it
+        # only to rounding
         nx = 64
         xp = 2.0 * math.pi / nx * np.arange(nx)
         phi = BoundaryFunction(1.0 + 0.5 * np.cos(xp), 2.0 * math.pi, 0.05)
-        field = poisson_bvp(FLAT, phi, 0.05, far=1.0, n_normal=201)
         level = separable_level_set(FLAT, 0.0, n_tangential=nx)
-        trace = trace_at(field, level)
-        assert np.max(np.abs(trace.values - phi.values)) == 0.0
+        for model, far, n_normal in ((FLAT, 1.0, 201), (STRIP, 0.8, 401)):
+            field = poisson_bvp(model, phi, 0.05, far=far, n_normal=n_normal)
+            trace = trace_at(field, level)
+            assert np.max(np.abs(trace.values - phi.values)) == 0.0
+            assert np.array_equal(field.values[:, 0], phi.values)
 
     def test_constant_field_norm_is_sqrt_length(self):
         field = self._analytic_field(101, lambda s: np.ones_like(s))
@@ -1181,40 +1277,55 @@ def strip():
     return field, distance
 
 
+def assert_derivative_near_oracle(field, level, deriv):
+    """deriv against the per-column splines of the centred differences of
+    ``values``: the differences of values held to rounding eps max|u|
+    carry eps max|u| / dx, and 0.4 of that was measured on strip-2d."""
+    xp, xn = field.tangential_nodes, field.normal_nodes
+    values = field.values
+    grad = np.gradient(values, xn, axis=1)
+    oracle = per_column_spline_oracle(grad, xp, xn, level)
+    scale = np.finfo(float).eps * np.max(np.abs(values)) / (xn[1] - xn[0])
+    assert np.max(np.abs(deriv.values - oracle)) <= 4.0 * scale
+
+
 class TestTraceOracle:
-    """trace_at and normal_derivative_trace against per-column splines,
-    bitwise, on curved, flat and partly node-aligned levels."""
+    """trace_at and normal_derivative_trace against the mode rule sample by
+    sample, bitwise, and against per-column splines of the field's values
+    to rounding, on curved, flat and partly node-aligned levels."""
 
     @staticmethod
     def _assert_matches_oracle(field, level):
         xp, xn = field.tangential_nodes, field.normal_nodes
         trace = trace_at(field, level)
-        assert np.array_equal(
+        assert np.array_equal(trace.values, mode_rule_oracle(field, level))
+        assert_near_oracle(
             trace.values, per_column_spline_oracle(field.values, xp, xn, level)
         )
-        grad = np.gradient(field.values, xn, axis=1)
-        deriv = normal_derivative_trace(field, level, field.h)
-        assert np.array_equal(
-            deriv.values, per_column_spline_oracle(grad, xp, xn, level)
-        )
+        deriv = normal_derivative_trace(field, level)
+        oracle = mode_rule_oracle(derivative_field(field), level)
+        assert np.array_equal(deriv.values, oracle)
+        assert_derivative_near_oracle(field, level, deriv)
         return trace
 
     @pytest.mark.parametrize("block_columns", [None, 5])
     @pytest.mark.parametrize("rho", [0.05, 0.1, 0.2])
     def test_curved_strip_levels(self, strip, rho, block_columns, monkeypatch):
         field, distance = strip
-        field = replace(field)  # no kept slopes: this block size builds them
-        if block_columns:  # 64 columns in blocks of 5, the last one short
-            column_bytes = field.values.shape[1] * field.values.itemsize
-            monkeypatch.setattr(
-                solver, "_BLOCK_BYTES", block_columns * column_bytes
-            )
         level = level_set_at(distance, rho)
         heights = level.points[:, 1]
         assert np.ptp(heights) > 1e-3  # the level really curves
         gaps = np.abs(field.normal_nodes[None, :] - heights[:, None])
         assert np.min(gaps) > 1e-12  # every sample is interpolated
-        self._assert_matches_oracle(field, level)
+        default = trace_at(replace(field), level)
+        field = replace(field)  # no kept slopes: this block size builds them
+        if block_columns:  # 66 mode columns in blocks of 5, the last one short
+            column_bytes = field.spectrum.shape[-1] * field.spectrum.itemsize
+            monkeypatch.setattr(
+                solver, "_BLOCK_BYTES", block_columns * column_bytes
+            )
+        trace = self._assert_matches_oracle(field, level)
+        assert np.array_equal(trace.values, default.values)
 
     def test_flat_off_node_level(self, strip):
         field, _ = strip
@@ -1242,8 +1353,90 @@ class TestTraceOracle:
             ambient_weights=np.array(curved.ambient_weights),
         )
         trace = self._assert_matches_oracle(field, level)
-        # node-aligned rows are copies of the field, not spline values
+        # node-aligned samples are the node values, not spline values
         assert np.array_equal(trace.values[aligned], field.values[aligned, nodes])
+
+
+class TestModeRead:
+    """Every read of a field synthesizes from the modes it holds: the one
+    rule on the benchmark's strip grid, on complex data and on the normal
+    derivative, and a fine-grid solve that forms no nx-column array."""
+
+    def test_strip_traces_match_per_column_splines(self):
+        # the strip-decay grid, 128 x 801, and its four curved levels: the
+        # traces of a CG field, held as every rfft mode, against the field
+        # formed from ``values`` and splined column by column (4.4e-16
+        # relative measured)
+        nx, h = 128, 0.05
+        xp = 2.0 * math.pi / nx * np.arange(nx)
+        data = 1.0 + 0.15 * np.cos(xp + 0.3) + 0.1 * np.cos(2.0 * xp + 2.0)
+        phi = BoundaryFunction(data + 0.05 * np.cos(3.0 * xp), 2.0 * math.pi, h)
+        field = poisson_bvp(STRIP, phi, h, far=0.8, n_normal=801, rho_max=0.2)
+        assert field.meta["path"] == "mode-pcg"
+        assert field.spectrum.shape == (1, nx // 2 + 1, 801)
+        distance = agmon_distance(STRIP, grid_sizes=(nx, 129))
+        values, xn = field.values, field.normal_nodes
+        for rho in (0.05, 0.1, 0.15, 0.2):
+            level = level_set_at(distance, rho)
+            oracle = np.array(
+                [
+                    Spline(xn, values[int(np.argmin(np.abs(xp - x)))])(s)
+                    for x, s in level.points
+                ]
+            )
+            assert np.min(np.abs(xn[None, :] - level.points[:, 1:])) > 1e-12
+            assert_near_oracle(trace_at(field, level).values, oracle)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.2])
+    def test_complex_parts_and_derivative_follow_the_one_rule(self, strip, rho):
+        # a complex field's trace is bitwise its two real parts' traces,
+        # each read alone, and its normal derivative is bitwise the trace
+        # of the normal differences of its mode columns
+        field, distance = strip
+        level = level_set_at(distance, rho)
+        trace = trace_at(field, level)
+        re, im = (
+            trace_at(
+                replace(
+                    field,
+                    spectrum=field.spectrum[p : p + 1],
+                    boundary=field.boundary[p : p + 1],
+                ),
+                level,
+            )
+            for p in (0, 1)
+        )
+        assert re.values.dtype == im.values.dtype == np.float64
+        assert np.array_equal(trace.values.real, re.values)
+        assert np.array_equal(trace.values.imag, im.values)
+        deriv = normal_derivative_trace(field, level)
+        expected = trace_at(derivative_field(field), level)
+        assert np.array_equal(deriv.values, expected.values)
+        assert deriv.h == field.h
+        assert_derivative_near_oracle(field, level, deriv)
+
+    def test_fine_grid_direct_solve_forms_no_field(self):
+        # item 17's sweep shape: constant data on 512 x 16,384 carries one
+        # mode, so the solve holds 2,899 rows of one complex column (46
+        # KiB) and peaks at a few normal columns of 16,384 float64: the
+        # normal nodes, V - E and its row mean, the factor's two arrays,
+        # one mode's unit row and its residual, and the residual's
+        # diagonal, 7.3 columns measured.  The field of the rows held, an
+        # nx-column array, would take 11.9 MiB
+        nx, ny, h = 512, 16384, 0.01
+        phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, h)
+        tracemalloc.start()
+        try:
+            field = poisson_bvp(TORUS, phi, h, far=1.9, n_normal=ny, rho_max=0.4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = field.normal_nodes.size
+        assert field.spectrum.shape == (1, 1, rows)
+        column = ny * 8
+        assert peak <= 8 * column < nx * rows * 8 / 10
+        level = separable_level_set(TORUS, 0.4, n_tangential=nx)
+        assert np.all(trace_at(field, level).values > 0.0)
 
 
 def level_at_heights(heights):
@@ -1259,7 +1452,8 @@ def level_at_heights(heights):
 
 @pytest.fixture
 def spline_builds(monkeypatch):
-    """Column counts of every batch of column splines the solver builds."""
+    """Real column counts of every batch of splines the solver builds; a
+    complex mode column counts as two."""
     columns = []
     build = solver.spline_slopes
 
@@ -1272,8 +1466,9 @@ def spline_builds(monkeypatch):
 
 
 class TestKeptSlopes:
-    """A field builds its column splines once, on its first off-node trace,
-    and every later trace evaluates bitwise as a fresh per-column spline."""
+    """A field builds the splines of its mode columns once, on its first
+    off-node trace, and every later trace evaluates bitwise as a fresh
+    field would."""
 
     RHOS = (0.05, 0.1, 0.15, 0.2)
 
@@ -1286,17 +1481,17 @@ class TestKeptSlopes:
         field, distance = strip
         field = replace(field)
         xp, xn = field.tangential_nodes, field.normal_nodes
-        grad = np.gradient(field.values, xn, axis=1)
+        values, grad = field.values, derivative_field(field)
         for i in order:
             level = level_set_at(distance, self.RHOS[i])
-            assert np.array_equal(
-                trace_at(field, level).values,
-                per_column_spline_oracle(field.values, xp, xn, level),
+            trace = trace_at(field, level)
+            assert np.array_equal(trace.values, mode_rule_oracle(field, level))
+            assert_near_oracle(
+                trace.values, per_column_spline_oracle(values, xp, xn, level)
             )
-            assert np.array_equal(
-                normal_derivative_trace(field, level, field.h).values,
-                per_column_spline_oracle(grad, xp, xn, level),
-            )
+            deriv = normal_derivative_trace(field, level)
+            assert np.array_equal(deriv.values, mode_rule_oracle(grad, level))
+            assert_derivative_near_oracle(field, level, deriv)
 
     @pytest.mark.parametrize("where", ["first", "last", "mixed"])
     def test_end_intervals(self, strip, where):
@@ -1314,30 +1509,31 @@ class TestKeptSlopes:
             "mixed": np.where(np.arange(xp.size) % 2 == 0, first, last),
         }[where]
         level = level_at_heights(heights)
-        assert np.array_equal(
-            trace_at(field, level).values,
-            per_column_spline_oracle(field.values, xp, xn, level),
+        trace = trace_at(field, level)
+        assert np.array_equal(trace.values, mode_rule_oracle(field, level))
+        assert_near_oracle(
+            trace.values, per_column_spline_oracle(field.values, xp, xn, level)
         )
 
     def test_one_build_pass_per_field(self, strip, spline_builds):
         field, distance = strip
-        nx = field.values.shape[0]
+        columns = field.spectrum[..., 0].size  # 2 parts x 33 modes
         levels = [level_set_at(distance, rho) for rho in self.RHOS]
         for fresh in (replace(field), replace(field)):
             for level in levels:
                 trace_at(fresh, level)
         block = solver._BLOCK_BYTES // (
-            field.values.shape[1] * field.values.itemsize
+            field.spectrum.shape[-1] * field.spectrum.itemsize
         )
-        assert block < nx  # the build really runs in several blocks
-        assert sum(spline_builds) == 2 * nx
-        assert len(spline_builds) == 2 * math.ceil(nx / block)
+        assert block < columns  # the build really runs in several blocks
+        assert sum(spline_builds) == 2 * 2 * columns
+        assert len(spline_builds) == 2 * math.ceil(columns / block)
 
     def test_node_aligned_level_builds_nothing(self, strip, spline_builds):
         field, _ = strip
         field = replace(field)
         xn = field.normal_nodes
-        nodes = np.arange(field.values.shape[0]) % (xn.size - 1)
+        nodes = np.arange(field.tangential_nodes.size) % (xn.size - 1)
         # within 1e-12 of a node counts as on it
         heights = xn[nodes] + np.resize([0.0, 5e-13, -5e-13], nodes.size)
         trace = trace_at(field, level_at_heights(heights))
@@ -1349,7 +1545,7 @@ class TestKeptSlopes:
 
     def test_shipped_parametrix_run_builds_nothing(self, tmp_path, spline_builds):
         # _PARAMETRIX_DEPTH_STEPS puts the comparison depth on a normal node
-        # of the shipped grid, so every trace copies node values
+        # of the shipped grid, so every trace synthesizes node rows
         path = Path(__file__).resolve().parents[1] / "configs" / "parametrix.json"
         (config,) = parse_config(json.loads(path.read_text()), out_dir=tmp_path)
         assert run_experiment(config).passed
@@ -1360,23 +1556,24 @@ class TestKeptSlopes:
         field = replace(field)
         xp, xn = field.tangential_nodes, field.normal_nodes
         level = level_set_at(distance, 0.1)
-        trace_at(field, level)
+        before = trace_at(field, level)
         built = sum(spline_builds)
         # a field derived by replace: the field gauged by exp(d / h) for a
         # tangentially varying distance d
         d = xn[None, :] * (1.0 + 0.2 * np.cos(xp))[:, None]
-        gauged = replace(field, values=field.values * np.exp(d / field.h))
+        gauged_values = field.values * np.exp(d / field.h)
+        held = field_of(gauged_values, xn)
+        gauged = replace(field, spectrum=held.spectrum, boundary=held.boundary)
         assert "_spline_slopes" not in vars(gauged)
-        assert np.array_equal(
-            trace_at(gauged, level).values,
-            per_column_spline_oracle(gauged.values, xp, xn, level),
+        trace = trace_at(gauged, level)
+        assert np.array_equal(trace.values, mode_rule_oracle(gauged, level))
+        assert_near_oracle(
+            trace.values, per_column_spline_oracle(gauged_values, xp, xn, level)
         )
         assert sum(spline_builds) == 2 * built
-        # the parent keeps its own slopes and values
-        assert np.array_equal(
-            trace_at(field, level).values,
-            per_column_spline_oracle(field.values, xp, xn, level),
-        )
+        # the parent keeps its own slopes and spectrum
+        assert np.array_equal(trace_at(field, level).values, before.values)
+        assert np.array_equal(before.values, mode_rule_oracle(field, level))
         assert sum(spline_builds) == 2 * built
 
     def test_kept_memory_is_one_field(self):
@@ -1384,18 +1581,12 @@ class TestKeptSlopes:
         rng = np.random.default_rng(8)
         values = rng.standard_normal((nx, n)) + 1j * rng.standard_normal((nx, n))
         xn = np.linspace(0.0, 0.8, n)
-        field = Field2D(
-            values=values,
-            tangential_nodes=2.0 * math.pi / nx * np.arange(nx),
-            normal_nodes=xn,
-            h=0.05,
-            meta={},
-        )
+        field = field_of(values, xn)
         trace_at(field, level_at_heights(np.full(nx, 0.5 * (xn[400] + xn[401]))))
         kept = vars(field)["_spline_slopes"]
         # an owned array: a view would hide the array it keeps alive
         assert kept.base is None
-        assert kept.nbytes == values.nbytes
+        assert kept.nbytes == field.spectrum.nbytes
 
 
 class TestNormalDerivative:
@@ -1405,33 +1596,21 @@ class TestNormalDerivative:
         xn = np.linspace(0.0, 1.0, ny)
         kappa = math.sqrt(1.0 + (h * k) ** 2) / h
         values = np.exp(1j * k * xp)[:, None] * np.exp(-kappa * xn)[None, :]
-        field = Field2D(
-            values=values,
-            tangential_nodes=xp,
-            normal_nodes=xn,
-            h=h,
-            meta={},
-        )
+        field = field_of(values, xn, h)
         level = separable_level_set(FLAT, 0.25, n_tangential=nx)
         trace = trace_at(field, level)
-        deriv = normal_derivative_trace(field, level, h)
+        deriv = normal_derivative_trace(field, level)
+        assert deriv.h == h  # read from the field
         ratio = deriv.ambient_norm / trace.ambient_norm
         assert ratio == pytest.approx(kappa, rel=1e-4)
 
     def test_edge_guard(self):
         h, nx, ny = 0.05, 16, 101
-        xp = 2.0 * math.pi / nx * np.arange(nx)
         xn = np.linspace(0.0, 1.0, ny)
-        field = Field2D(
-            values=np.ones((nx, ny), dtype=complex),
-            tangential_nodes=xp,
-            normal_nodes=xn,
-            h=h,
-            meta={},
-        )
+        field = field_of(np.ones((nx, ny), dtype=complex), xn, h)
         level = separable_level_set(FLAT, 0.005, n_tangential=nx)
         with pytest.raises(ValueError, match="two cells"):
-            normal_derivative_trace(field, level, h)
+            normal_derivative_trace(field, level)
 
 
 class TestDecayFit:
