@@ -27,8 +27,10 @@ within 1e-12 relative up to the forbidden edge.
   on an interval, which ``models.weighted_depth`` applies in the variable
   sqrt(edge - t) and ``fcalc.hs_apply`` applies on its contour panels.
 
-One helper is no port: ``count_below``, the Sturm count of a symmetric
-tridiagonal, which ``fcalc`` and ``solver`` share.
+Two helpers are no ports: ``count_below``, the Sturm count of a symmetric
+tridiagonal, which ``fcalc`` and ``solver`` share, and ``level_norm``, the
+one discrete L^2 norm of samples on a level, which ``halfplane``, ``solver``
+and ``fcalc`` share.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ __all__ = [
     "isotonic_fit",
     "gauss_legendre",
     "count_below",
+    "level_norm",
 ]
 
 
@@ -226,6 +229,28 @@ def gauss_legendre(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 32-point Gauss-Legendre rule on [a, b]."""
     half = 0.5 * (b - a)
     return a + half * (_GL_NODES + 1.0), half * _GL_WEIGHTS
+
+
+# --------------------------------------------------------------------------
+# the norm on a level
+# --------------------------------------------------------------------------
+
+
+def level_norm(values, weights, axis=-1):
+    """The discrete L^2 norm sqrt(sum |v|^2 w) of samples on a level, along
+    ``axis``, with line elements ``weights`` broadcast against the values.
+
+    The sum is taken of the moduli scaled by 2^-e, with e the exponent of
+    their maximum (Blue's scaling, as BLAS ``dnrm2``), and the root is
+    scaled back: a power-of-two scale is exact, so where the plain sum
+    neither underflows nor overflows the result is bitwise the plain sum's,
+    and a nonzero finite trace keeps a positive norm below 1e-154, where
+    the plain squares underflow.
+    """
+    size = np.abs(values)
+    _, e = np.frexp(np.max(size, axis=axis, keepdims=True))
+    total = np.sum(np.ldexp(size, -e) ** 2 * weights, axis=axis)
+    return np.ldexp(np.sqrt(total), np.squeeze(e, axis))
 
 
 # --------------------------------------------------------------------------

@@ -74,7 +74,6 @@ from agmonlab.models import (
     ModelProblem,
     make_model,
     potential_at,
-    potential_grid,
     weighted_depth,
 )
 from agmonlab.quantize import build_cutoff_profile, build_phase_cutoff, symbol_class_check
@@ -667,13 +666,11 @@ def _chain_plot(records: Sequence[ReportRecord]) -> _Plot:
     for h, items in by_h.items():
         items.sort()
         xs = tuple(r for r, _ in items)
-        style = "line" if len(xs) > 1 else "scatter"
         series.append(
             Series(
                 label=f"ratio h={h:g}",
                 x=xs,
                 y=tuple(m["measured_ratio"] for _, m in items),
-                style=style,
             )
         )
         if len(xs) > 1:
@@ -700,7 +697,6 @@ def _decay_point(config: ExperimentConfig, rho: tuple, h: float) -> ReportRecord
     if model.name == "halfplane-unit":
         tolerance = 1e-6
         traces = [apply_halfplane_poisson(phi, r) for r in rho]
-        base = phi.norm
     else:
         tolerance = 0.1
         n_n = config.grid[1]
@@ -711,14 +707,10 @@ def _decay_point(config: ExperimentConfig, rho: tuple, h: float) -> ReportRecord
             trace_at(bvp, separable_level_set(model, r, n_tangential=n_t))
             for r in rho
         ]
-        base = trace_at(
-            bvp, separable_level_set(model, 0.0, n_tangential=n_t)
-        ).ambient_norm
     fit = decay_fit(traces, rho, h)
-    ratios = tuple(
-        float(getattr(t, "ambient_norm", getattr(t, "norm", 0.0)) / base)
-        for t in traces
-    )
+    # the depth-0 level is the boundary circle itself, in the same line
+    # elements, so the data's own norm is the trace norm there
+    ratios = tuple(float(t.ambient_norm / phi.ambient_norm) for t in traces)
     deviation = abs(fit.slope_times_h + 1.0)
     measured = {
         "rho": rho,
@@ -792,14 +784,8 @@ def _decay_plot(records: Sequence[ReportRecord]) -> _Plot:
     for rec in records:
         _, h = rec.key
         rho = rec.measured["rho"]
-        style = "line" if len(rho) > 1 else "scatter"
         series.append(
-            Series(
-                label=f"measured h={h:g}",
-                x=rho,
-                y=rec.measured["norm_ratio"],
-                style=style,
-            )
+            Series(label=f"measured h={h:g}", x=rho, y=rec.measured["norm_ratio"])
         )
         if len(rho) > 1:
             series.append(
@@ -901,8 +887,7 @@ def _exterior_plot(records: Sequence[ReportRecord]) -> _Plot:
         pts = sorted((rec.key[1], rec.measured["lambda_mass"]) for rec in records)
         xs = tuple(p[0] for p in pts)
         ys = tuple(p[1] for p in pts)
-    style = "line" if len(xs) > 1 else "scatter"
-    series = [Series(label="lambda*mass", x=xs, y=ys, style=style)]
+    series = [Series(label="lambda*mass", x=xs, y=ys)]
     return series, "lambda", "lambda * mass fraction", False, False
 
 
@@ -911,22 +896,13 @@ def _exterior_plot(records: Sequence[ReportRecord]) -> _Plot:
 # --------------------------------------------------------------------------
 
 
-def _phase_grid(config: ExperimentConfig):
-    n_x, n_xi = config.grid[0], config.grid[1]
-    length = config.model.lengths[0]
-    nodes = length / n_x * np.arange(n_x)
-    xi = np.linspace(-_XI_MAX, _XI_MAX, n_xi)
-    return nodes, xi
-
-
-def _ambient_phase_point(config: ExperimentConfig, nodes, xi) -> ReportRecord:
+def _ambient_phase_point(config: ExperimentConfig, xi) -> ReportRecord:
     model = config.model
     series = solve_phase_series(model, "ambient", _PHASE_ORDER, xi)
-    # the one leading coefficient row against the barrier at every node;
-    # a node's deviation depends on its barrier alone, so each distinct
-    # barrier value (one on a tangent-invariant model) is taken once
-    barrier = np.unique(potential_grid(model, nodes, np.zeros(1))[:, 0] - model.energy)
-    target = np.sqrt(barrier[:, None] + xi[None, :] ** 2)
+    # the one leading coefficient row against the barrier on H, which a
+    # tangent-invariant model holds constant along it
+    barrier = float(potential_at(model, 0.0, 0.0)) - model.energy
+    target = np.sqrt(barrier + xi**2)
     deviation = float(np.max(np.abs(series.coefficients[0] - target)))
     verdict = _bound_verdict("ambient-leading-coefficient", deviation, 0.0, 1e-8)
     measured = {"leading_deviation": deviation}
@@ -970,10 +946,10 @@ def _gauged_phase_point(config: ExperimentConfig, xi, depths: tuple) -> ReportRe
 
 
 def _run_phase_residual(config: ExperimentConfig, jobs: int) -> list[ReportRecord]:
-    nodes, xi = _phase_grid(config)
+    xi = np.linspace(-_XI_MAX, _XI_MAX, config.grid[0])
     depths = tuple(sorted(config.rho_grid))
     gauged = partial(_gauged_phase_point, config, xi, depths)
-    ambient = partial(_ambient_phase_point, config, nodes, xi)
+    ambient = partial(_ambient_phase_point, config, xi)
     name = config.model.name
     points = [((name, "gauged"), gauged), ((name, "ambient"), ambient)]
     return _map_points(config.kind, points, jobs)
@@ -1199,8 +1175,7 @@ def _mass_profile_plot(records: Sequence[ReportRecord]) -> _Plot:
     for rec in records:
         _, lam, _, _ = rec.key
         m = rec.measured
-        style = "line" if len(m["r"]) > 1 else "scatter"
-        mass = _positive_series(f"L lam={lam:g}", m["r"], m["mass"], style)
+        mass = _positive_series(f"L lam={lam:g}", m["r"], m["mass"], "line")
         comp = _positive_series(f"Z lam={lam:g}", m["r"], m["comparison"], "dashed")
         if mass is not None:
             series.append(mass)
@@ -1304,8 +1279,7 @@ def _parametrix_plot(records: Sequence[ReportRecord]) -> _Plot:
     )
     xs = tuple(p[0] for p in pts)
     ys = tuple(p[1] for p in pts)
-    style = "line" if len(xs) > 1 else "scatter"
-    series = [Series(label="relative error", x=xs, y=ys, style=style)]
+    series = [Series(label="relative error", x=xs, y=ys)]
     return series, "h", "relative error", True, True
 
 
@@ -1361,7 +1335,7 @@ _KINDS: dict[str, _KindSpec] = {
         columns=("check", "depth", "max_residual", "relative_residual"),
         rows=_phase_rows,
         plot=_phase_plot,
-        models=dict.fromkeys(TANGENT_INVARIANT_MODELS, 2),
+        models=dict.fromkeys(TANGENT_INVARIANT_MODELS, 1),
         limits_check=_phase_limits,
     ),
     "symbol-class": _KindSpec(

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import hessenberg
 
-from agmonlab._numerics import Spline, count_below, gauss_legendre
+from agmonlab._numerics import Spline, count_below, gauss_legendre, level_norm
 from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import separable_level_set
 from agmonlab.models import ModelProblem, transverse_potential
@@ -753,8 +753,7 @@ def mass_profile_comparison(
     """Windowed trace mass of a separable mode across the depth window.
 
     Requires a tangent-invariant model (rejected otherwise before any
-    compute) and a :class:`solver.SeparableMode` with numerically vanishing
-    normal derivative on the surface; h is the mode's.  Computes the
+    compute); h is the :class:`solver.SeparableMode`'s.  Computes the
     per-depth mass h^2 <f(P) u_r, u_r> on [0, lam*h] in the exact DFT form of
     :func:`exterior_mass`, all depths through one spline of the mode's
     normal profile times its phase row (see :func:`surface_trace_of_mode`)
@@ -777,6 +776,10 @@ def mass_profile_comparison(
     - ``l0_bound_margin``: 1 + 1e-9 minus the surface mass over the bound
       obtained by integrating the comparison solution against the mass
       integral;
+    - ``neumann_ratio``: the surface norm of the mode's normal derivative
+      over its trace norm, which the comparison argument takes to vanish;
+      it is measured, not enforced, so a mode that breaks it fails the
+      caller's verdict;
     - reported values (``exterior_ratio``, ``trace_growth``,
       ``integral_value``, ``l0_bound_ratio``) carry the measured constants
       behind each inequality.
@@ -798,20 +801,11 @@ def mass_profile_comparison(
     n_tangential = phase.size
     spacing = model.lengths[0] / n_tangential
 
-    surface_values = phase * profile(0.0)
-    norm_sq = spacing * float(np.sum(np.abs(surface_values) ** 2))
-    if norm_sq == 0.0:
+    surface_norm = float(level_norm(phase * profile(0.0), spacing))
+    if surface_norm == 0.0:
         raise ValueError("mode trace vanishes on the surface")
-    derivative_values = phase * profile(0.0, 1)
-    neumann_ratio = math.sqrt(
-        float(np.sum(np.abs(derivative_values) ** 2))
-        / float(np.sum(np.abs(surface_values) ** 2))
-    )
-    if neumann_ratio > 1e-8:
-        raise ValueError(
-            f"Neumann precondition violated: normal-derivative ratio "
-            f"{neumann_ratio:.3g} exceeds 1e-08 on the surface"
-        )
+    norm_sq = surface_norm**2
+    neumann_ratio = float(level_norm(phase * profile(0.0, 1), spacing)) / surface_norm
 
     _check_circle(h, n_tangential)
     mu = expected_circle_eigenvalue(model, h, np.arange(n_tangential), n_tangential)
@@ -819,7 +813,7 @@ def mass_profile_comparison(
 
     r_grid = np.linspace(0.0, scale, _PROFILE_DEPTHS)
     traces = profile(r_grid)[:, None] * phase
-    trace_sq = spacing * np.sum(np.abs(traces) ** 2, axis=1)
+    trace_sq = level_norm(traces, spacing, axis=1) ** 2
     power = np.abs(np.fft.fft(traces, axis=1)) ** 2
     mass_values = h**2 * spacing / n_tangential * np.sum(window_weights * power, axis=1)
 

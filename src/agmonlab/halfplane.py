@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from agmonlab._numerics import level_norm
 from agmonlab._smooth import mollifier_fall
 
 __all__ = [
@@ -64,14 +65,15 @@ def _check_scales(length: float, h: float) -> None:
 class BoundaryFunction:
     """Complex data on N uniform nodes of a circle of length L at scale h.
 
-    N must be a power of two (the transform is an FFT).  ``norm`` is
-    the discrete L^2 norm with line element L/N, frozen at construction.
+    N must be a power of two (the transform is an FFT).  ``ambient_norm``
+    is the discrete L^2 norm with line element L/N
+    (:func:`_numerics.level_norm`), frozen at construction.
     """
 
     values: np.ndarray
     length: float
     h: float
-    norm: float = field(init=False)
+    ambient_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         _check_scales(self.length, self.h)
@@ -83,8 +85,8 @@ class BoundaryFunction:
             raise ValueError("boundary values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        norm = math.sqrt(self.length / n * float(np.sum(np.abs(values) ** 2)))
-        object.__setattr__(self, "norm", norm)
+        norm = float(level_norm(values, self.length / n))
+        object.__setattr__(self, "ambient_norm", norm)
 
 
 def make_boundary_function(fn, n: int, length: float, h: float) -> BoundaryFunction:
@@ -166,7 +168,7 @@ def exterior_mass_fraction(phi: BoundaryFunction, delta: float) -> float:
     when all spectral mass sits on |xi'| <= delta/2, one when it all sits
     on |xi'| >= delta.
     """
-    if phi.norm == 0.0:
+    if phi.ambient_norm == 0.0:
         raise ValueError("boundary data vanishes identically")
     xi = mode_frequencies(phi.values.size, phi.length, phi.h)
     chi = zero_section_cutoff(xi, delta)
@@ -245,7 +247,7 @@ def verify_lower_chain(
     total = float(np.sum(weights))
 
     lhs1 = math.sqrt(spacing * float(np.sum(power)))
-    rhs1 = math.sqrt(2.0 * math.pi * h) * phi.norm
+    rhs1 = math.sqrt(2.0 * math.pi * h) * phi.ambient_norm
     dev = abs(lhs1 / rhs1 - 1.0)
     step1 = ChainStep(
         name="plancherel", tolerance=_IDENTITY_TOL, margin=_IDENTITY_TOL - dev
@@ -269,9 +271,9 @@ def verify_lower_chain(
     )
 
     trace = apply_halfplane_poisson(phi, rho)
-    rhs4 = 0.5 * floor * phi.norm
+    rhs4 = 0.5 * floor * phi.ambient_norm
     step4 = ChainStep(
-        name="trace-lower-bound", tolerance=0.0, margin=trace.norm - rhs4
+        name="trace-lower-bound", tolerance=0.0, margin=trace.ambient_norm - rhs4
     )
 
     return ChainReport(
@@ -279,6 +281,6 @@ def verify_lower_chain(
         epsilon=epsilon,
         exterior=exterior,
         steps=(step1, step2, step3, step4),
-        measured_ratio=trace.norm / phi.norm,
+        measured_ratio=trace.ambient_norm / phi.ambient_norm,
         lower_bound=0.5 * floor,
     )

@@ -388,10 +388,10 @@ def frame_lower_bound_check(
         raise ValueError("probe set must be nonempty")
     ratios = []
     for u in probes:
-        denom = u.norm
+        denom = u.ambient_norm
         if denom == 0.0:
             raise ValueError("probe inputs must be nonzero")
-        ratios.append(apply_quantized(symbol, u).norm / (floor * denom))
+        ratios.append(apply_quantized(symbol, u).ambient_norm / (floor * denom))
     return FrameBoundReport(minimum=float(min(ratios)))
 
 

@@ -35,7 +35,13 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from agmonlab._numerics import count_below, cubic_value, hermite_leading, spline_slopes
+from agmonlab._numerics import (
+    count_below,
+    cubic_value,
+    hermite_leading,
+    level_norm,
+    spline_slopes,
+)
 from agmonlab.agmon import LevelSet, separable_level_height
 from agmonlab.halfplane import BoundaryFunction
 from agmonlab.models import (
@@ -853,7 +859,7 @@ def _mode_pcg(values, w, cn, cp, factor, bound):
 @dataclass(frozen=True)
 class BoundaryTrace:
     """Field values sampled on one level set, with their ambient-metric
-    norm."""
+    norm (:func:`_numerics.level_norm` in the level's line elements)."""
 
     values: np.ndarray
     level: LevelSet
@@ -865,13 +871,8 @@ class BoundaryTrace:
         values = np.ascontiguousarray(self.values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self,
-            "ambient_norm",
-            math.sqrt(
-                float(np.sum(np.abs(values) ** 2 * self.level.ambient_weights))
-            ),
-        )
+        norm = float(level_norm(values, self.level.ambient_weights))
+        object.__setattr__(self, "ambient_norm", norm)
 
 
 def _column_values(field2d: Field2D, level: LevelSet) -> np.ndarray:
@@ -979,17 +980,15 @@ def decay_fit(traces, distances, h: float) -> DecayFit:
     """Fit log(trace norm) against weighted distance over >= 4 samples.
 
     For zero-section-concentrated data the two-sided decay estimates
-    predict slope * h = -1.  Accepts any trace objects carrying
-    ambient_norm (BoundaryTrace) or norm (BoundaryFunction).
+    predict slope * h = -1.  Reads the ``ambient_norm`` of each trace, a
+    BoundaryTrace or a BoundaryFunction.
     """
     rho = np.asarray(distances, dtype=float)
     if len(traces) != rho.size:
         raise ValueError("one distance per trace is required")
     if rho.size < 4 or np.unique(rho).size < 4:
         raise ValueError("at least 4 traces at distinct distances are required")
-    norms = np.array(
-        [float(getattr(t, "ambient_norm", getattr(t, "norm", 0.0))) for t in traces]
-    )
+    norms = np.array([t.ambient_norm for t in traces])
     if np.any(norms <= 0.0):
         raise ValueError("every trace must have a positive norm")
     logs = np.log(norms)

@@ -128,7 +128,7 @@ class TestExitCodes:
             (
                 "phase-residual",
                 [0.05, 5.0],
-                [16, 33],
+                [33],
                 "config error: rho_grid: phase-residual needs every depth at "
                 "most 0.787695, the gauged collar width of separable-torus",
             ),

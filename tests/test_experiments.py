@@ -85,7 +85,7 @@ SMALL_RUNS = {
     "phase-residual": {
         "model": "separable-torus",
         "rho_grid": [0.05, 0.1, 0.15, 0.2],
-        "grid": [16, 33],
+        "grid": [33],
     },
     "symbol-class": {
         "h_sweep": [0.1, 0.05, 0.025, 0.0125],
@@ -964,7 +964,7 @@ class TestRunExperiment:
                     kind="phase-residual",
                     model=model,
                     rho_grid=[0.05, 0.1, 0.15, 0.2],
-                    grid=[16, 33],
+                    grid=[33],
                     out=str(out_dir),
                 )
             )

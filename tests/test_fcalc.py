@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import hessenberg
 
-from agmonlab import fcalc
+from agmonlab import experiments, fcalc
 from agmonlab._numerics import Spline
 from agmonlab._smooth import polyramp_derivative
 from agmonlab.agmon import LevelSet, separable_level_set
@@ -1222,11 +1222,32 @@ class TestMassProfileComparison:
         with pytest.raises(ValueError, match="window scale"):
             mass_profile_comparison(torus_mode_detailed, TORUS, lam=lam)
 
-    def test_neumann_precondition_enforced(self, torus_mode_detailed):
+    def test_neumann_precondition_can_fail(
+        self, torus_transverse_coarse, torus_mode_detailed, monkeypatch, tmp_path
+    ):
+        # a profile bent at the surface is measured, not rejected, and the
+        # run's neumann-precondition verdict fails on it
         y = torus_mode_detailed.normal_nodes
         bad = replace(torus_mode_detailed, profile=np.sin(y) + 0.01 * np.cos(y))
-        with pytest.raises(ValueError, match="Neumann precondition"):
-            mass_profile_comparison(bad, TORUS, lam=4.0)
+        profile = mass_profile_comparison(bad, TORUS, lam=4.0)
+        assert profile.verdict["neumann_ratio"] > 1e-8
+        monkeypatch.setattr(experiments, "assemble_separable_mode", lambda *a, **k: bad)
+        config = experiments.ExperimentConfig(
+            kind="mass-profile",
+            model=TORUS,
+            params=(),
+            out_dir=tmp_path,
+            seed=0,
+            h_sweep=(0.1375,),
+            lambda_sweep=(4.0,),
+            grid=(2048, 256),
+        )
+        record = experiments._mass_profile_point(
+            config, torus_transverse_coarse, 0.1375, 4.0, 7
+        )
+        (neumann,) = [v for v in record.verdicts if v.name == "neumann-precondition"]
+        assert not neumann.passed
+        assert not record.passed
 
     def test_window_overlapping_mode_energy_rejected(self, torus_mode_detailed):
         hot = replace(torus_mode_detailed, energy=3.0)

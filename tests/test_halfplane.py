@@ -42,7 +42,7 @@ class TestTypes:
     def test_norm_matches_direct_sum(self):
         u = random_data()
         direct = math.sqrt(L / u.values.size * np.sum(np.abs(u.values) ** 2))
-        assert u.norm == pytest.approx(direct, rel=1e-15)
+        assert u.ambient_norm == pytest.approx(direct, rel=1e-15)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -89,7 +89,7 @@ class TestFourier:
         coeff = fourier_h(u)
         norm = math.sqrt(2.0 * math.pi * u.h / L * np.sum(np.abs(coeff) ** 2))
         assert norm == pytest.approx(
-            math.sqrt(2.0 * math.pi * u.h) * u.norm, rel=1e-12
+            math.sqrt(2.0 * math.pi * u.h) * u.ambient_norm, rel=1e-12
         )
 
     def test_roundtrip_identity(self):
@@ -181,7 +181,7 @@ class TestPoisson:
                 v.values, 2.5 * math.exp(-rho / u.h), rtol=1e-13
             )
             # two-sided sharp rate: log of the ratio is exactly -rho/h
-            assert math.log(v.norm / u.norm) == pytest.approx(
+            assert math.log(v.ambient_norm / u.ambient_norm) == pytest.approx(
                 -rho / u.h, abs=1e-12
             )
 
@@ -196,7 +196,7 @@ class TestPoisson:
             np.testing.assert_allclose(
                 v.values, factor * u.values, rtol=1e-12
             )
-            assert v.norm / u.norm == pytest.approx(factor, rel=1e-12)
+            assert v.ambient_norm / u.ambient_norm == pytest.approx(factor, rel=1e-12)
 
     def test_height_zero_is_identity(self):
         u = random_data()
@@ -212,7 +212,8 @@ class TestPoisson:
 
     def test_norm_nonincreasing_in_height(self):
         u = random_data()
-        norms = [apply_halfplane_poisson(u, r).norm for r in (0.0, 0.1, 0.2, 0.4)]
+        heights = (0.0, 0.1, 0.2, 0.4)
+        norms = [apply_halfplane_poisson(u, r).ambient_norm for r in heights]
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 

@@ -49,6 +49,10 @@ that a unit test reads.  Keys are matched by field name alone: every
 ``record`` dict shares one set of keys, so ``EigenMode.record`` and
 ``SeparableMode.record`` pass or fail a key together, as every ``meta``
 dict does.
+
+No package module reads an attribute through ``getattr`` with a default:
+a quantity has one attribute, so a fallback to another name, or to a
+value standing in for a missing one, is a second rule for it.
 """
 
 import ast
@@ -654,6 +658,29 @@ def test_key_exemptions_are_current():
     assert not stale, f"key exemptions to drop: {', '.join(stale)}"
 
 
+def attribute_fallbacks(modules: dict[str, ast.Module]) -> list[str]:
+    """``module:line`` of each call of ``getattr`` with a default (a third
+    argument) in ``modules``."""
+    return [
+        f"{name}:{node.lineno}"
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "getattr"
+        and len(node.args) + len(node.keywords) >= 3
+    ]
+
+
+def test_no_attribute_read_has_a_fallback():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    found = attribute_fallbacks(modules)
+    assert not found, (
+        "getattr calls with a default (read the one attribute the quantity "
+        f"has): {', '.join(found)}"
+    )
+
+
 # --------------------------------------------------------------------------
 # the guard on small synthetic modules
 # --------------------------------------------------------------------------
@@ -956,3 +983,12 @@ def test_stale_key_exemption_fails_its_check(monkeypatch, key):
     monkeypatch.setitem(EXEMPT_KEYS, key, "stale")
     with pytest.raises(AssertionError, match=re.escape(_key_name(*key))):
         test_key_exemptions_are_current()
+
+
+def test_attribute_fallback_is_flagged():
+    source = (
+        "def f(t, c):\n"
+        "    a = getattr(t, 'ambient_norm', getattr(t, 'norm', 0.0))\n"
+        "    return a, getattr(c, 'seed'), c.getattr(t, 'x', 0)\n"
+    )
+    assert attribute_fallbacks({"a": ast.parse(source)}) == ["a:2", "a:2"]

@@ -572,7 +572,7 @@ class TestTailOperatorBound:
         )
         bound = report.constant * profile.plateau * (1 + 1e-12)
         for u in random_band_probes(256, LENGTH, sym.h, count=6):
-            assert apply_quantized(diff, u).norm / u.norm <= bound
+            assert apply_quantized(diff, u).ambient_norm / u.ambient_norm <= bound
 
     def test_factorization_fails_off_the_outer_cutoff(self):
         # a difference that does not vanish where chi_out < 1 does not

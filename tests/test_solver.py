@@ -36,7 +36,7 @@ from scipy.sparse.linalg import spsolve
 
 import agmonlab
 from agmonlab import solver
-from agmonlab._numerics import Spline, spline_slopes
+from agmonlab._numerics import Spline, level_norm, spline_slopes
 from agmonlab.agmon import (
     LevelSet,
     agmon_distance,
@@ -45,7 +45,11 @@ from agmonlab.agmon import (
     separable_level_set,
 )
 from agmonlab.experiments import parse_config, run_experiment
-from agmonlab.halfplane import BoundaryFunction, apply_halfplane_poisson
+from agmonlab.halfplane import (
+    BoundaryFunction,
+    apply_halfplane_poisson,
+    make_boundary_function,
+)
 from agmonlab.models import make_model, potential_grid, transverse_potential, weighted_depth
 from agmonlab.solver import (
     Field2D,
@@ -1666,6 +1670,67 @@ class TestDecayFit:
             decay_fit(traces4, [0.1, 0.2, 0.3, 0.3], h)
         with pytest.raises(ValueError, match="one distance per trace"):
             decay_fit(traces4, [0.1, 0.2, 0.3], h)
+
+
+class TestLevelNorm:
+    """``ambient_norm`` is the one scaled sum of ``_numerics.level_norm``:
+    bitwise the plain sum where that sum is in range, and positive where
+    the plain squares underflow."""
+
+    def test_deep_torus_trace_keeps_its_norm(self):
+        # constant data at h = 0.001: the rho = 0.4 trace is about 2.8e-174,
+        # so its plain squares underflow to 0
+        h, nx = 0.001, 64
+        phi = BoundaryFunction(np.ones(nx), 2.0 * math.pi, h)
+        field = poisson_bvp(TORUS, phi, h, far=1.9, n_normal=15201, rho_max=0.4)
+        rhos = [0.1, 0.2, 0.3, 0.4]
+        traces = [
+            trace_at(field, separable_level_set(TORUS, r, n_tangential=nx))
+            for r in rhos
+        ]
+        deep = traces[-1]
+        assert 0.0 < np.max(np.abs(deep.values)) < 1e-154
+        # an independent sum: math.fsum of the weighted squares, scaled into
+        # range by 2^1200
+        values, weights = deep.values.tolist(), deep.level.ambient_weights.tolist()
+        total = math.fsum(
+            math.ldexp(abs(v), 600) ** 2 * w for v, w in zip(values, weights)
+        )
+        oracle = math.ldexp(math.sqrt(total), -600)
+        assert deep.ambient_norm > 0.0
+        assert deep.ambient_norm == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        fit = decay_fit(traces, rhos, h)
+        assert abs(fit.slope_times_h + 1.0) <= 0.01
+
+    def test_in_range_norms_are_bitwise_the_plain_sum(self, strip):
+        def plain(values, weights):
+            return math.sqrt(float(np.sum(np.abs(values) ** 2 * weights)))
+
+        field, distance = strip
+        level = level_set_at(distance, 0.1)
+        curved = level.ambient_weights
+        assert np.ptp(curved) > 0.0  # the line elements vary along the level
+        rng = np.random.default_rng(3)
+        real = rng.standard_normal(curved.size)
+        for values in (real, real + 1j * rng.standard_normal(curved.size)):
+            for weights in (curved, 2.0 * math.pi / curved.size):
+                for scale in (1e-150, 1.0, 1e150):
+                    norm = level_norm(scale * values, weights)
+                    assert float(norm) == plain(scale * values, weights)
+        trace = trace_at(field, level)
+        assert trace.ambient_norm == plain(trace.values, curved)
+
+    def test_torus_data_norm_is_its_depth_zero_trace_norm(self):
+        h, nx = 0.02, 128
+        phi = make_boundary_function(
+            lambda x: 1.0 + 0.5 * np.cos(x) + 0.2 * np.sin(3.0 * x),
+            nx,
+            2.0 * math.pi,
+            h,
+        )
+        field = poisson_bvp(TORUS, phi, h, far=1.9, n_normal=513, rho_max=0.4)
+        surface = trace_at(field, separable_level_set(TORUS, 0.0, n_tangential=nx))
+        assert surface.ambient_norm == phi.ambient_norm
 
 
 class TestTorusSandwich:
